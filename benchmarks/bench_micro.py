@@ -7,6 +7,8 @@ event throughput and routing setup.
 
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -16,13 +18,17 @@ from repro.core.queueing import ScheduledQueue
 from repro.core.registry import STRATEGY_NAMES, make_strategy
 from repro.core.strategies import EbStrategy, QueueEntry
 from repro.des.simulator import Simulator
+from repro.experiments.scale import scale_config
 from repro.network.routing import compute_sink_tree
 from repro.network.topology import build_layered_mesh
 from repro.pubsub.matching import BruteForceMatcher, CountingIndexMatcher
-from repro.pubsub.subscription import RowArrays
+from repro.pubsub.message import Message
+from repro.pubsub.subscription import RowArrays, SubscriptionTable
+from repro.sim.runner import build_system
 from repro.stats.normal import normal_cdf_vec
+from repro.workload.scenarios import ScaleScenarioSpec, build_scale_subscriptions
 from repro.workload.subscriptions import random_attributes, random_conjunctive_filter
-from tests.core.helpers import make_ctx, make_message, make_row
+from tests.core.helpers import assert_same_table, make_ctx, make_message, make_row
 
 N_SUBSCRIPTIONS = 1000
 DRAIN_QUEUE_DEPTH = 500
@@ -245,3 +251,72 @@ def test_sink_tree_paper_topology(benchmark):
     topo = build_layered_mesh(np.random.default_rng(0))
     sinks = [b for b in topo.brokers if topo.subscribers_of(b)]
     benchmark(lambda: [compute_sink_tree(topo, s) for s in sinks])
+
+
+# ---------------------------------------------------------------------- #
+# The set-up and checkpoint layers of the scale tier, named after the
+# perfbench layers they explain (``pubsub.subscription.install_many_s``,
+# ``core.checkpoint.save_s`` / ``load_s``): the 16k-subscriber population
+# of ``fanout-16k`` installed into the 32 tables of the paper mesh, and
+# those tables through a pickle round trip.
+# ---------------------------------------------------------------------- #
+@pytest.fixture(scope="module")
+def scale_tables():
+    """``(system, blocks)``: the built 16k world and, per broker, the one
+    ``install_many`` block its table took (read off the armed journal)."""
+    spec = ScaleScenarioSpec(name="micro", subscribers=16_000)
+    system = build_system(
+        scale_config(spec, minutes=0.5), subscription_builder=lambda rng, topology: []
+    )
+    for broker in system.brokers.values():
+        broker.table.journal = []
+    system.subscribe_all(
+        build_scale_subscriptions(system.streams.get("subscriptions"), system.topology, spec)
+    )
+    blocks = {}
+    for name, broker in system.brokers.items():
+        if broker.table.journal:
+            ((_, blocks[name]),) = broker.table.journal
+        broker.table.journal = None
+    return system, blocks
+
+
+def _probes(system):
+    rng = np.random.default_rng(3)
+    return [
+        Message(msg_id=i, publisher=publisher, source_broker=source,
+                attributes=random_attributes(rng), size_kb=5.0, publish_time=0.0)
+        for i, (publisher, source) in enumerate(sorted(system.topology.publisher_brokers.items()))
+    ]
+
+
+def test_pubsub_subscription_install_many(benchmark, scale_tables):
+    system, blocks = scale_tables
+
+    def install():
+        tables = {name: SubscriptionTable() for name in blocks}
+        for name, block in blocks.items():
+            tables[name].install_many(block)
+        return tables
+
+    tables = benchmark.pedantic(install, rounds=3, iterations=1)
+    benchmark.extra_info["rows"] = sum(len(block) for block in blocks.values())
+    probes = _probes(system)
+    assert sum(
+        assert_same_table(table, system.brokers[name].table, probes)
+        for name, table in tables.items()
+    ) > 0
+
+
+def test_core_checkpoint_table_roundtrip(benchmark, scale_tables):
+    system, _ = scale_tables
+    tables = [broker.table for broker in system.brokers.values()]
+    restored = benchmark.pedantic(
+        lambda: pickle.loads(pickle.dumps(tables, protocol=pickle.HIGHEST_PROTOCOL)),
+        rounds=3, iterations=1,
+    )
+    probes = _probes(system)
+    assert sum(
+        assert_same_table(table, reference, probes)
+        for table, reference in zip(restored, tables)
+    ) > 0

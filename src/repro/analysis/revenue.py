@@ -44,10 +44,9 @@ def revenue_by_tier(system: PubSubSystem) -> list[TierRevenue]:
     """
     buckets: dict[tuple[float, float | None], dict[str, float]] = {}
     for name, handle in system.subscribers.items():
-        edge = system.topology.subscriber_brokers[name]
-        row = system.brokers[edge].table.row(name)
-        price = row.price if row.price is not None else 1.0
-        key = (price, row.deadline_ms)
+        subscription = system.subscription(name)
+        price = subscription.price if subscription.price is not None else 1.0
+        key = (price, subscription.deadline_ms)
         bucket = buckets.setdefault(key, {"subs": 0, "valid": 0})
         bucket["subs"] += 1
         bucket["valid"] += handle.valid_count

@@ -19,8 +19,10 @@ bounded-memory run stays bounded-memory.
 
 Atomicity: the directory is assembled under a dot-prefixed temp name in
 the same parent and published with ``os.rename``; a crash mid-save
-leaves at most a temp directory that the next save sweeps away, never a
-half-written checkpoint that :func:`latest_checkpoint` could pick up.
+leaves at most a temp directory (and, mid-overwrite, the previous
+snapshot under a dot-prefixed ``.old-*`` name) that the next save of
+that snapshot sweeps away or restores, never a half-written checkpoint
+that :func:`latest_checkpoint` could pick up.
 
 Compatibility policy (version 1): a snapshot binds to the exact code
 tree (sha256 over the package's ``*.py`` files) and to caller-supplied
@@ -109,10 +111,22 @@ def _fsync_tree(root: Path) -> None:
             os.close(fd)
 
 
-def _sweep_stale_tmp(parent: Path, name: str) -> None:
-    """Remove temp directories left by crashed writers of this snapshot."""
+def _sweep_stale(parent: Path, name: str) -> None:
+    """Clean up after crashed writers of this snapshot.
+
+    Temp directories go.  An ``.old-*`` directory is the previous
+    snapshot, renamed away by an overwrite that crashed around publishing
+    its successor: with the snapshot in place it is a leftover and goes
+    too; with the snapshot missing it is the newest complete state there
+    is, and is renamed back.
+    """
     for stale in parent.glob(f".{name}.tmp-*"):
         shutil.rmtree(stale, ignore_errors=True)
+    for old in sorted(parent.glob(f".{name}.old-*")):
+        if (parent / name).exists():
+            shutil.rmtree(old, ignore_errors=True)
+        else:
+            os.rename(old, parent / name)
 
 
 def save_checkpoint(
@@ -133,9 +147,9 @@ def save_checkpoint(
     path = Path(path)
     parent = path.parent
     parent.mkdir(parents=True, exist_ok=True)
+    _sweep_stale(parent, path.name)
     if path.exists() and not overwrite:
         raise CheckpointError(f"checkpoint already exists: {path}")
-    _sweep_stale_tmp(parent, path.name)
     tmp = parent / f".{path.name}.tmp-{os.getpid()}"
     try:
         tmp.mkdir(parents=True)

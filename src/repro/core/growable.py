@@ -30,6 +30,16 @@ class GrowableArray:
     def __len__(self) -> int:
         return self._n
 
+    def __getstate__(self) -> tuple[np.ndarray, int]:
+        """Pickle the live prefix and the capacity, not the unused tail."""
+        return self._data[: self._n], self._data.shape[0]
+
+    def __setstate__(self, state: tuple[np.ndarray, int]) -> None:
+        live, capacity = state
+        self._data = np.zeros(capacity, dtype=live.dtype)
+        self._n = len(live)
+        self._data[: self._n] = live
+
     def _reserve(self, extra: int) -> None:
         need = self._n + extra
         if need <= self._data.shape[0]:

@@ -37,7 +37,7 @@ from repro.network.measurement import LinkMonitor
 from repro.pubsub.faults import DeadLetterRecord, FaultLedger
 from repro.pubsub.message import Message
 from repro.pubsub.metrics import MetricsCollector
-from repro.pubsub.subscription import SubscriptionTable, TableRow
+from repro.pubsub.subscription import RowBlock, SubscriptionTable, TableRow
 
 _EMPTY_SIDS = np.empty(0, dtype=np.int64)
 
@@ -188,23 +188,19 @@ class Broker:
         )
         self.queues[neighbor] = OutputQueue(neighbor, link, monitor, deliver, sched)
 
+    def _check_wired(self, next_hop: str | None) -> None:
+        if next_hop is not None and next_hop not in self.queues:
+            raise ValueError(f"{self.name}: row routes via unwired neighbor {next_hop!r}")
+
     def install(self, row: TableRow, preds=None) -> None:
-        if row.next_hop is not None and row.next_hop not in self.queues:
-            raise ValueError(
-                f"{self.name}: row for {row.subscriber!r} routes via unwired "
-                f"neighbor {row.next_hop!r}"
-            )
+        self._check_wired(row.next_hop)
         self.table.install(row, preds=preds)
 
-    def install_many(self, pairs: list[tuple[TableRow, object]]) -> None:
-        """Bulk :meth:`install`; same wiring validation, one table call."""
-        for row, _ in pairs:
-            if row.next_hop is not None and row.next_hop not in self.queues:
-                raise ValueError(
-                    f"{self.name}: row for {row.subscriber!r} routes via unwired "
-                    f"neighbor {row.next_hop!r}"
-                )
-        self.table.install_many(pairs)
+    def install_many(self, block: RowBlock) -> None:
+        """Bulk :meth:`install`: wiring validated per route, not per row."""
+        for route in block.routes:
+            self._check_wired(route.next_hop)
+        self.table.install_many(block)
 
     # ------------------------------------------------------------------ #
     # Message path.

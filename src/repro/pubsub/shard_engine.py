@@ -74,11 +74,9 @@ MAX_EPOCH_MS = 250.0
 def _replay_ops(table: SubscriptionTable, ops: list[tuple[str, object]]) -> None:
     """Apply a journal slice to a replica table (same op order as the
     coordinator → identical interned ids and version counter)."""
+    apply = {"i": table.install, "m": table.install_many, "u": table.uninstall}
     for kind, payload in ops:
-        if kind == "i":
-            table.install(payload)  # type: ignore[arg-type]
-        else:
-            table.uninstall(payload)  # type: ignore[arg-type]
+        apply[kind](payload)
 
 
 def _encode_batch(table: SubscriptionTable, jobs: list) -> tuple:

@@ -6,20 +6,23 @@ The paper's table row is ``(subscriber, filter, dl, pr, nb, NN_p, μ_p,
 the provenance check that makes single-path routing duplicate-free on a
 mesh (see :mod:`repro.pubsub.system`).
 
-The table is column-oriented on the hot path: every installed row gets a
-dense integer row id, its scheduling attributes (nn/mean/std/deadline/
-price) land in table-level column arrays, and matching produces row-id
-arrays — provenance filtering, duplicate settlement and per-hop grouping
-are numpy operations, and a :class:`RowGroup`'s :class:`RowArrays` is a
-fancy-index gather instead of a per-enqueue Python loop.
+The table is columnar in storage: every installed row gets a dense integer
+row id, its attributes live in one growable record array beside a per-row
+reference to the shared :class:`Subscription`, and matching produces
+row-id arrays — provenance filtering, duplicate settlement and per-hop
+grouping are numpy operations, a :class:`RowGroup`'s :class:`RowArrays` a
+fancy-index gather.  :class:`TableRow` is the public value type, built
+from the columns only when a caller asks for rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
+from repro.core.growable import GrowableArray
 from repro.pubsub.filters import Filter
 from repro.pubsub.matching import make_matcher
 from repro.pubsub.message import Message
@@ -96,6 +99,40 @@ class TableRow:
         return self.subscription.price
 
 
+class Route(NamedTuple):
+    """A :class:`TableRow` minus its subscription: what every subscriber
+    sharing one routed path through a broker has in common."""
+
+    next_hop: str | None
+    nn: int
+    rate: Normal
+    sources: frozenset[str]
+    path_id: int = 0
+    min_msg_id: int = 0
+
+
+@dataclass(frozen=True, slots=True)
+class RowBlock:
+    """Columnar argument of :meth:`SubscriptionTable.install_many`: row
+    ``i`` is ``TableRow(subscriptions[i], *routes[route[i]])`` and
+    ``preds[i]`` its filter's
+    :func:`~repro.pubsub.filters.conjunction_predicates` result, computed
+    once per subscription however many brokers install it."""
+
+    subscriptions: list[Subscription]
+    preds: list
+    route: np.ndarray
+    routes: list[Route]
+
+    def __len__(self) -> int:
+        return len(self.subscriptions)
+
+
+class StaleRowGroupError(RuntimeError):
+    """:attr:`RowGroup.rows` was first read after the table mutated: the
+    row ids may by now name another subscriber's rows (free-id reuse)."""
+
+
 class RowGroup:
     """A matched set of rows of one table, addressed by row-id array.
 
@@ -105,18 +142,20 @@ class RowGroup:
     ``rows`` materialises the :class:`TableRow` objects lazily (the
     per-row scoring paths and queue entries need them; batched local
     delivery never does).  Groups are snapshots taken at match time: the
-    column references are captured immediately, so a later table
-    recompilation cannot skew a group already handed out.  ``rows`` must
-    be materialised before the table mutates again (the broker does so at
-    enqueue time, inside the same processing step as the match).
+    compiled column copies are captured immediately, so a later table
+    mutation cannot skew a group already handed out.  ``rows`` reads the
+    live storage, so it must be materialised before the table mutates
+    again (the broker does so at enqueue time, in the same processing
+    step as the match); a first read later raises :class:`StaleRowGroupError`.
     """
 
-    __slots__ = ("row_ids", "_table", "_cols", "_arrays", "_rows", "_subscribers",
-                 "_deadline", "_price")
+    __slots__ = ("row_ids", "_table", "_version", "_cols", "_arrays", "_rows",
+                 "_subscribers", "_deadline", "_price")
 
     def __init__(self, table: "SubscriptionTable", row_ids: np.ndarray) -> None:
         self.row_ids = row_ids
         self._table = table
+        self._version = table._version
         self._cols = (table._c_cols5, table._c_sub, table._sub_names)
         self._arrays: RowArrays | None = None
         self._rows: list[TableRow] | None = None
@@ -127,8 +166,11 @@ class RowGroup:
     @property
     def rows(self) -> list[TableRow]:
         if self._rows is None:
-            by_id = self._table._rows_by_id
-            self._rows = [by_id[i] for i in self.row_ids]
+            if self._table._version != self._version:
+                raise StaleRowGroupError(
+                    f"table version {self._version} -> {self._table._version} before rows were read"
+                )
+            self._rows = self._table._materialise(self.row_ids)
         return self._rows
 
     @property
@@ -192,6 +234,26 @@ class RowGroup:
 
 
 _EMPTY_IDS = np.empty(0, dtype=np.int64)
+_NO_NAMES = np.empty(0, dtype="U1")
+
+#: One record per row id (dead rows keep stale values; the matcher never
+#: returns their ids).  ``deadline``/``price`` hold the scoring defaults
+#: (``inf``/1.0) for unspecified values — the subscription keeps the
+#: ``None``s; ``hop`` is −1 for local rows; ``hop``/``sub``/``src_set``
+#: are table-interned ids.
+_ROW_DTYPE = np.dtype([
+    ("mean", np.float64), ("variance", np.float64), ("deadline", np.float64),
+    ("price", np.float64), ("min_msg", np.int64), ("nn", np.int32), ("hop", np.int32),
+    ("sub", np.int32), ("path", np.int32), ("src_set", np.int32),
+], align=True)
+
+
+def _intern(key, id_of: dict, by_id: list) -> int:
+    i = id_of.get(key)
+    if i is None:
+        i = id_of[key] = len(by_id)
+        by_id.append(key)
+    return i
 
 
 class SubscriptionTable:
@@ -200,49 +262,33 @@ class SubscriptionTable:
     Rows are keyed by ``(subscriber, path_id)``: single-path routing keeps
     one row per subscriber (path 0), the multi-path extension several.
     Internally each row is interned to a dense integer id; the matcher is
-    keyed by those ids and the scheduling attributes live in table-level
-    column arrays (compiled lazily after mutations), so the match path
-    works on int arrays end to end.  ``matcher_backend`` selects the
-    matching engine (:func:`repro.pubsub.matching.make_matcher`).
+    keyed by those ids and the row attributes live in table-level
+    columns (snapshotted into compiled views lazily after mutations), so
+    the match path works on int arrays end to end.  ``matcher_backend``
+    selects the matching engine (:func:`repro.pubsub.matching.make_matcher`).
     """
 
     def __init__(self, matcher_backend: str = "vector") -> None:
         self.matcher_backend = matcher_backend
         self._matcher = make_matcher(matcher_backend)  # keyed by row id
-        self._rows_by_id: list[TableRow | None] = []
-        self._id_of_key: dict[tuple[str, int], int] = {}
-        #: subscriber -> row ids, so uninstall/__contains__ are O(own rows)
-        #: instead of a scan over the whole table.
-        self._ids_of_subscriber: dict[str, list[int]] = {}
+        #: The storage: one record per row id, and the row's shared
+        #: subscription (``None`` once uninstalled).
+        self._cols = GrowableArray(_ROW_DTYPE)
+        self._subs: list[Subscription | None] = []
+        #: subscriber -> its row id, or (multi-path) row ids in install
+        #: order, so uninstall/__contains__ are O(own rows) — and no
+        #: per-row container for the GC to walk or the pickler to write.
+        self._ids_of_subscriber: dict[str, int | list[int]] = {}
         #: Row ids freed by uninstall, reused by the next install so the
-        #: column arrays scale with peak live rows, not cumulative churn.
+        #: columns scale with peak live rows, not cumulative churn.
         self._free_ids: list[int] = []
-        #: True once any row with path_id != 0 was installed: only
-        #: multi-path routing can produce duplicate (hop, subscriber)
-        #: pairs, so single-path tables skip dedup entirely.
-        self._has_multipath_rows = False
-        #: True once any row carries a subscribe-time epoch (> 0): tables
-        #: of a frozen world skip the per-match epoch filter entirely.
-        self._has_epoch_rows = False
-        # Raw columns, one slot per row id (dead rows keep stale values;
-        # the matcher never returns their ids).
-        self._nn: list[float] = []
-        self._mean: list[float] = []
-        self._std: list[float] = []
-        self._deadline: list[float] = []
-        self._price: list[float] = []
-        self._hop_id: list[int] = []  # -1 = local
-        self._sub_id: list[int] = []
-        self._min_msg: list[int] = []
-        self._sources: list[frozenset[str]] = []
         #: Source sets interned to dense ids: rows overwhelmingly share a
         #: handful of distinct sets (one per routed subtree), so the
         #: per-source provenance mask is a membership probe over the
-        #: distinct sets fancy-indexed through this column — O(distinct)
-        #: instead of a Python frozenset probe per row.
-        self._src_set: list[int] = []
-        self._src_set_id_of: dict[frozenset[str], int] = {}
+        #: distinct sets fancy-indexed through the ``src_set`` column —
+        #: O(distinct) instead of a Python frozenset probe per row.
         self._src_set_by_id: list[frozenset[str]] = []
+        self._src_set_id_of: dict[frozenset[str], int] = {}
         self._hop_names: list[str] = []
         self._hop_id_of: dict[str, int] = {}
         self._sub_names: list[str] = []
@@ -254,192 +300,140 @@ class SubscriptionTable:
         self._version = 0
         #: Mutation journal, armed (set to a list) by the sharded engine
         #: when worker processes hold replicas of this table: every
-        #: install/uninstall is recorded so replicas replay the identical
-        #: op sequence (same interned ids, same version count) before
+        #: mutation is recorded — ``("i", row)``, ``("m", block)``,
+        #: ``("u", subscriber)`` — so replicas replay the identical op
+        #: sequence (same interned ids, same version count) before
         #: matching.  ``None`` (the default) costs one branch per mutation.
         self.journal: list[tuple[str, object]] | None = None
-        # Compiled views (rebuilt lazily after install/uninstall).
-        self._dirty = True
-        self._c_cols5 = np.empty((5, 0))
-        self._c_nn = self._c_mean = self._c_std = np.empty(0)
-        self._c_deadline = self._c_price = np.empty(0)
-        self._c_hop = self._c_sub = self._c_rank = self._c_min_msg = _EMPTY_IDS
-        self._c_src_set = _EMPTY_IDS
-        self._c_rank_identity = False
-        #: hop id -> rank in sorted-neighbor-name order (offset by one so
-        #: slot 0 holds the local pseudo-hop −1, which must sort first).
-        self._c_hop_rank = _EMPTY_IDS
-        self._hop_by_rank: list[int] = []
-        self._c_source_masks: dict[str, np.ndarray] = {}
+        # Compiled views: snapshots rebuilt lazily after install/uninstall.
+        self._c_dirty = True
+        self._c_names = _NO_NAMES
 
     # ------------------------------------------------------------------ #
     # Mutation.
     # ------------------------------------------------------------------ #
+    def _own(self, subscriber: str) -> list[int]:
+        own = self._ids_of_subscriber.get(subscriber, [])
+        return [own] if type(own) is int else own
+
+    def _has_row(self, subscriber: str, path_id: int) -> bool:
+        own = self._own(subscriber)
+        return bool(own) and path_id in self._cols.view()["path"][own]
+
+    def _link(self, subscriber: str, row_id: int) -> None:
+        own = self._own(subscriber)
+        self._ids_of_subscriber[subscriber] = [*own, row_id] if own else row_id
+
     def install(self, row: TableRow, preds=None) -> None:
         """Install one row.  ``preds`` optionally carries the row filter's
-        precomputed :func:`~repro.pubsub.filters.conjunction_predicates`
-        result — a subscription installs the same filter at every broker
-        on its path, so callers compute it once per subscription instead
-        of once per row."""
-        key = (row.subscriber, row.path_id)
-        if key in self._id_of_key:
-            raise KeyError(f"row {key!r} already installed")
-        if row.next_hop is None:
-            hop = -1
-        else:
-            hop = self._hop_id_of.get(row.next_hop)
-            if hop is None:
-                hop = self._hop_id_of[row.next_hop] = len(self._hop_names)
-                self._hop_names.append(row.next_hop)
-        sub = self._sub_id_of.get(row.subscriber)
-        if sub is None:
-            sub = self._sub_id_of[row.subscriber] = len(self._sub_names)
-            self._sub_names.append(row.subscriber)
-        deadline = row.deadline_ms if row.deadline_ms is not None else np.inf
-        price = row.price if row.price is not None else 1.0
-        src_set = self._src_set_id_of.get(row.sources)
-        if src_set is None:
-            src_set = self._src_set_id_of[row.sources] = len(self._src_set_by_id)
-            self._src_set_by_id.append(row.sources)
-        if self._free_ids:
-            row_id = self._free_ids.pop()
-            self._rows_by_id[row_id] = row
-            self._nn[row_id] = float(row.nn)
-            self._mean[row_id] = row.rate.mean
-            self._std[row_id] = row.rate.std
-            self._deadline[row_id] = deadline
-            self._price[row_id] = price
-            self._hop_id[row_id] = hop
-            self._sub_id[row_id] = sub
-            self._min_msg[row_id] = row.min_msg_id
-            self._sources[row_id] = row.sources
-            self._src_set[row_id] = src_set
-        else:
-            row_id = len(self._rows_by_id)
-            self._rows_by_id.append(row)
-            self._nn.append(float(row.nn))
-            self._mean.append(row.rate.mean)
-            self._std.append(row.rate.std)
-            self._deadline.append(deadline)
-            self._price.append(price)
-            self._hop_id.append(hop)
-            self._sub_id.append(sub)
-            self._min_msg.append(row.min_msg_id)
-            self._sources.append(row.sources)
-            self._src_set.append(src_set)
-        self._id_of_key[key] = row_id
-        self._ids_of_subscriber.setdefault(row.subscriber, []).append(row_id)
-        self._matcher.add(row_id, row.subscription.filter, preds=preds)
-        if row.path_id != 0:
-            self._has_multipath_rows = True
-        if row.min_msg_id > 0:
-            self._has_epoch_rows = True
+        :func:`~repro.pubsub.filters.conjunction_predicates` result, which
+        callers compute once per subscription, not per on-path broker."""
+        subscription = row.subscription
+        name = subscription.subscriber
+        if self._has_row(name, row.path_id):
+            raise KeyError(f"row {(name, row.path_id)!r} already installed")
+        hop = -1 if row.next_hop is None else _intern(
+            row.next_hop, self._hop_id_of, self._hop_names)
+        sub = _intern(name, self._sub_id_of, self._sub_names)
+        src_set = _intern(row.sources, self._src_set_id_of, self._src_set_by_id)
+        row_id = self._free_ids.pop() if self._free_ids else len(self._subs)
+        self._subs[row_id:row_id + 1] = [subscription]  # replaces, or appends at the end
+        self._cols.at_least(row_id + 1)[row_id] = (
+            row.rate.mean, row.rate.variance,
+            np.inf if subscription.deadline_ms is None else subscription.deadline_ms,
+            1.0 if subscription.price is None else subscription.price,
+            row.min_msg_id, row.nn, hop, sub, row.path_id, src_set,
+        )
+        self._link(name, row_id)
+        self._matcher.add(row_id, subscription.filter, preds=preds)
         if self.journal is not None:
             self.journal.append(("i", row))
-        self._dirty = True
+        self._c_dirty = True
         self._version += 1
 
-    def install_many(self, pairs: list[tuple[TableRow, object]]) -> None:
-        """Bulk install: end state identical to :meth:`install` per
-        ``(row, preds)`` pair in order — same interned ids, same version
-        count, same journal entries — but with per-row Python overhead
-        hoisted and one grouped matcher ``add_many`` instead of a call
-        per row (the 100k-subscriber build's hot path).
-        """
-        if not pairs:
+    def install_many(self, block: RowBlock) -> None:
+        """Bulk install: end state identical to :meth:`install` per row of
+        the block in order — same row and interned ids, same version
+        count — but written as whole columns, with one matcher ``add_many``
+        and one journal entry (the 100k-subscriber build's hot path)."""
+        n = len(block)
+        if not n:
             return
-        id_of_key = self._id_of_key
-        seen: set[tuple[str, int]] = set()
-        for row, _ in pairs:
-            key = (row.subscriber, row.path_id)
-            if key in id_of_key or key in seen:
-                raise KeyError(f"row {key!r} already installed")
-            seen.add(key)
-        hop_id_of = self._hop_id_of
-        hop_names = self._hop_names
-        sub_id_of = self._sub_id_of
-        sub_names = self._sub_names
-        src_id_of = self._src_set_id_of
-        src_by_id = self._src_set_by_id
-        free_ids = self._free_ids
-        rows_by_id = self._rows_by_id
-        ids_of_subscriber = self._ids_of_subscriber
-        journal = self.journal
-        items: list[tuple[int, object]] = []
-        preds_list: list = []
-        for row, preds in pairs:
-            if row.next_hop is None:
-                hop = -1
-            else:
-                hop = hop_id_of.get(row.next_hop)
-                if hop is None:
-                    hop = hop_id_of[row.next_hop] = len(hop_names)
-                    hop_names.append(row.next_hop)
-            sub = sub_id_of.get(row.subscriber)
-            if sub is None:
-                sub = sub_id_of[row.subscriber] = len(sub_names)
-                sub_names.append(row.subscriber)
-            deadline = row.deadline_ms if row.deadline_ms is not None else np.inf
-            price = row.price if row.price is not None else 1.0
-            src_set = src_id_of.get(row.sources)
-            if src_set is None:
-                src_set = src_id_of[row.sources] = len(src_by_id)
-                src_by_id.append(row.sources)
-            if free_ids:
-                row_id = free_ids.pop()
-                rows_by_id[row_id] = row
-                self._nn[row_id] = float(row.nn)
-                self._mean[row_id] = row.rate.mean
-                self._std[row_id] = row.rate.std
-                self._deadline[row_id] = deadline
-                self._price[row_id] = price
-                self._hop_id[row_id] = hop
-                self._sub_id[row_id] = sub
-                self._min_msg[row_id] = row.min_msg_id
-                self._sources[row_id] = row.sources
-                self._src_set[row_id] = src_set
-            else:
-                row_id = len(rows_by_id)
-                rows_by_id.append(row)
-                self._nn.append(float(row.nn))
-                self._mean.append(row.rate.mean)
-                self._std.append(row.rate.std)
-                self._deadline.append(deadline)
-                self._price.append(price)
-                self._hop_id.append(hop)
-                self._sub_id.append(sub)
-                self._min_msg.append(row.min_msg_id)
-                self._sources.append(row.sources)
-                self._src_set.append(src_set)
-            id_of_key[(row.subscriber, row.path_id)] = row_id
-            ids_of_subscriber.setdefault(row.subscriber, []).append(row_id)
-            items.append((row_id, row.subscription.filter))
-            preds_list.append(preds)
-            if row.path_id != 0:
-                self._has_multipath_rows = True
-            if row.min_msg_id > 0:
-                self._has_epoch_rows = True
-            if journal is not None:
-                journal.append(("i", row))
-        self._matcher.add_many(items, preds_list)
-        self._dirty = True
-        self._version += len(pairs)
+        subs, route = block.subscriptions, block.route
+        names = [s.subscriber for s in subs]
+        if len(set(names)) != n or not self._ids_of_subscriber.keys().isdisjoint(names):
+            # A subscriber repeats: legal on distinct paths only.
+            seen: set[tuple[str, int]] = set()
+            for key in zip(names, np.array([r.path_id for r in block.routes])[route].tolist()):
+                if key in seen or self._has_row(*key):
+                    raise KeyError(f"row {key!r} already installed")
+                seen.add(key)
+        # Per route, in first-use order of the rows (the order per-row
+        # installs would intern next hops and source sets in).
+        used, first = np.unique(route, return_index=True)
+        routes = np.zeros(len(block.routes), dtype=_ROW_DTYPE)
+        for r in used[np.argsort(first)].tolist():
+            next_hop, nn, rate, sources, path_id, min_msg_id = block.routes[r]
+            routes[r] = (
+                rate.mean, rate.variance, 0.0, 0.0, min_msg_id, nn,
+                -1 if next_hop is None else _intern(
+                    next_hop, self._hop_id_of, self._hop_names),
+                0, path_id,
+                _intern(sources, self._src_set_id_of, self._src_set_by_id),
+            )
+        rows = routes[route]
+        rows["sub"] = [_intern(name, self._sub_id_of, self._sub_names) for name in names]
+        rows["deadline"] = [np.inf if s.deadline_ms is None else s.deadline_ms for s in subs]
+        rows["price"] = [1.0 if s.price is None else s.price for s in subs]
+        # Freed ids are reused newest-first, then the columns grow.
+        reused = [self._free_ids.pop() for _ in range(min(n, len(self._free_ids)))]
+        for row_id, subscription in zip(reused, subs):
+            self._subs[row_id] = subscription
+        row_ids = reused + list(range(len(self._subs), len(self._subs) + n - len(reused)))
+        self._subs.extend(subs[len(reused):])
+        self._cols.at_least(len(self._subs))[row_ids] = rows
+        for name, row_id in zip(names, row_ids):
+            self._link(name, row_id)
+        self._matcher.add_many(
+            list(zip(row_ids, [s.filter for s in subs])), block.preds
+        )
+        if self.journal is not None:
+            self.journal.append(("m", block))
+        self._c_dirty = True
+        self._version += n
 
     def uninstall(self, subscriber: str) -> None:
         """Remove every row (any path) of a subscriber."""
-        ids = self._ids_of_subscriber.pop(subscriber, None)
-        if ids is None:
-            raise KeyError(subscriber)
+        ids = self._own(subscriber)
+        del self._ids_of_subscriber[subscriber]
         for row_id in ids:
-            row = self._rows_by_id[row_id]
-            self._rows_by_id[row_id] = None
-            del self._id_of_key[(subscriber, row.path_id)]
+            self._subs[row_id] = None
             self._matcher.remove(row_id)
             self._free_ids.append(row_id)
         if self.journal is not None:
             self.journal.append(("u", subscriber))
-        self._dirty = True
+        self._c_dirty = True
         self._version += 1
+
+    # ------------------------------------------------------------------ #
+    # Serialization.
+    # ------------------------------------------------------------------ #
+    def __getstate__(self) -> dict:
+        """The columns, the subscription references and the interning
+        order; compiled views (``_c_*``) and the interning dicts
+        (``*_id_of``) are derivable and rebuilt on load."""
+        return {
+            k: v for k, v in self.__dict__.items()
+            if not k.startswith("_c_") and not k.endswith("_id_of")
+        }
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._hop_id_of = {name: i for i, name in enumerate(self._hop_names)}
+        self._sub_id_of = {name: i for i, name in enumerate(self._sub_names)}
+        self._src_set_id_of = {s: i for i, s in enumerate(self._src_set_by_id)}
+        self._c_dirty = True
+        self._c_names = _NO_NAMES
 
     # ------------------------------------------------------------------ #
     # Lookup.
@@ -450,16 +444,31 @@ class SubscriptionTable:
         return self._version
 
     def __len__(self) -> int:
-        return len(self._id_of_key)
+        return len(self._subs) - len(self._free_ids)
 
     def __contains__(self, subscriber: str) -> bool:
         return subscriber in self._ids_of_subscriber
 
+    def _materialise(self, ids) -> list[TableRow]:
+        """Build the :class:`TableRow` values of live row ids from storage."""
+        ids = np.asarray(ids, dtype=np.int64)
+        subs, hops, sources = self._subs, self._hop_names, self._src_set_by_id
+        return [
+            TableRow(subs[i], None if hop < 0 else hops[hop], nn,
+                     Normal(mean, variance), sources[src_set], path, min_msg)
+            for i, (mean, variance, _, _, min_msg, nn, hop, _, path, src_set)
+            in zip(ids.tolist(), self._cols.view()[ids].tolist())
+        ]
+
     def row(self, subscriber: str, path_id: int = 0) -> TableRow:
-        return self._rows_by_id[self._id_of_key[(subscriber, path_id)]]
+        for row in self._materialise(self._own(subscriber)):
+            if row.path_id == path_id:
+                return row
+        raise KeyError((subscriber, path_id))
 
     def rows(self) -> list[TableRow]:
-        return [self._rows_by_id[self._id_of_key[k]] for k in sorted(self._id_of_key)]
+        ids = [i for name in self._ids_of_subscriber for i in self._own(name)]
+        return sorted(self._materialise(ids), key=lambda row: (row.subscriber, row.path_id))
 
     # ------------------------------------------------------------------ #
     # Matching.
@@ -474,42 +483,44 @@ class SubscriptionTable:
             warm()
 
     def _compile(self) -> None:
-        if not self._dirty:
+        if not self._c_dirty:
             return
-        # The five scoring columns live as rows of one (5, n) matrix; the
-        # per-column views share its memory, and a matched group gathers
-        # all five with a single fancy index (``_c_cols5[:, ids]``).
-        n_rows = len(self._nn)
-        cols5 = np.empty((5, n_rows))
-        cols5[0] = self._nn
-        cols5[1] = self._mean
-        cols5[2] = self._std
-        cols5[3] = self._deadline
-        cols5[4] = self._price
+        # Snapshot copies, one per column: groups handed out keep the
+        # views they captured while the storage is written in place.  The
+        # five scoring columns live as rows of one (5, n) matrix.
+        cols = self._cols.view()
+        n = len(cols)
+        cols5 = np.empty((5, n))
+        cols5[0] = cols["nn"]
+        cols5[1] = cols["mean"]
+        np.sqrt(cols["variance"], out=cols5[2])
+        cols5[3] = cols["deadline"]
+        cols5[4] = cols["price"]
         self._c_cols5 = cols5
-        self._c_nn = cols5[0]
-        self._c_mean = cols5[1]
-        self._c_std = cols5[2]
-        self._c_deadline = cols5[3]
-        self._c_price = cols5[4]
-        self._c_hop = np.asarray(self._hop_id, dtype=np.int64)
-        self._c_sub = np.asarray(self._sub_id, dtype=np.int64)
-        self._c_min_msg = np.asarray(self._min_msg, dtype=np.int64)
-        self._c_src_set = np.asarray(self._src_set, dtype=np.int64)
+        self._c_hop = cols["hop"].astype(np.int64)
+        self._c_sub = cols["sub"].astype(np.int64)
+        self._c_min_msg = cols["min_msg"].copy()
+        self._c_src_set = cols["src_set"].astype(np.int64)
+        # Only multi-path rows can duplicate a (hop, subscriber) pair, only
+        # subscribe-time epochs (> 0) can hide a message: else skip both.
+        self._c_multipath = bool(cols["path"].any())
+        self._c_epochs = bool(self._c_min_msg.any())
         # Rank = position in sorted (subscriber, path_id) order, the
-        # canonical match order (dead ids keep a stale rank; the matcher
-        # never returns them).  np.lexsort over (path_id, name) gives
-        # exactly sorted-tuple order — numpy compares unicode by code
-        # point, same as Python str — without a Python loop over the keys.
-        n = len(self._rows_by_id)
+        # canonical match order (dead ids keep rank 0; the matcher never
+        # returns them).  np.lexsort over (path_id, name) gives exactly
+        # sorted-tuple order — numpy compares unicode by code point, same
+        # as Python str — without a Python loop over the rows.
         rank = np.zeros(n, dtype=np.int64)
-        live = len(self._id_of_key)
+        live = len(self)
         if live:
-            keys = list(self._id_of_key)
-            ids = np.fromiter(self._id_of_key.values(), dtype=np.int64, count=live)
-            names = np.asarray([k[0] for k in keys])
-            paths = np.fromiter((k[1] for k in keys), dtype=np.int64, count=live)
-            order = np.lexsort((paths, names))
+            alive = np.ones(n, dtype=bool)
+            alive[self._free_ids] = False
+            ids = np.flatnonzero(alive)
+            if len(self._c_names) < len(self._sub_names):
+                self._c_names = np.concatenate(
+                    (self._c_names, np.asarray(self._sub_names[len(self._c_names):]))
+                )
+            order = np.lexsort((cols["path"][ids], self._c_names[self._c_sub[ids]]))
             rank[ids[order]] = np.arange(live, dtype=np.int64)
         self._c_rank = rank
         # Frozen worlds install in sorted order, making the rank the
@@ -518,18 +529,19 @@ class SubscriptionTable:
         self._c_rank_identity = live == n and bool(
             np.array_equal(rank, np.arange(n, dtype=np.int64))
         )
-        # Neighbor-name rank per hop id (local −1 ranks below every name),
-        # so grouping can emit neighbor groups already name-sorted — the
-        # broker's deterministic enqueue order without a per-message sort.
+        # Neighbor-name rank per hop id, offset by one so slot 0 holds the
+        # local pseudo-hop −1 (which ranks below every name): grouping
+        # emits neighbor groups already name-sorted — the broker's
+        # deterministic enqueue order without a per-message sort.
         hop_rank = np.zeros(len(self._hop_names) + 1, dtype=np.int64)
         hop_rank[0] = -1
         order = sorted(range(len(self._hop_names)), key=self._hop_names.__getitem__)
         for r, h in enumerate(order):
             hop_rank[h + 1] = r
         self._c_hop_rank = hop_rank
-        self._hop_by_rank = order
+        self._c_hop_by_rank = order
         self._c_source_masks = {}
-        self._dirty = False
+        self._c_dirty = False
 
     def _source_mask(self, source_broker: str) -> np.ndarray:
         mask = self._c_source_masks.get(source_broker)
@@ -560,7 +572,7 @@ class SubscriptionTable:
         if ids.size == 0:
             return ids
         ids = ids[self._source_mask(message.source_broker)[ids]]
-        if self._has_epoch_rows and ids.size:
+        if self._c_epochs and ids.size:
             # Mid-run subscriptions only see messages published after they
             # joined (ids are publish-ordered); frozen tables skip this.
             ids = ids[self._c_min_msg[ids] <= message.msg_id]
@@ -577,7 +589,7 @@ class SubscriptionTable:
     def match(self, message: Message) -> list[TableRow]:
         """Rows whose filter matches *and* whose sources include the
         message's origin broker (provenance check)."""
-        return [self._rows_by_id[i] for i in self._matched_ids(message)]
+        return self._materialise(self._matched_ids(message))
 
     def match_grouped(self, message: Message) -> tuple[RowGroup, dict[str, RowGroup]]:
         """Split matches into (local rows, remote rows grouped by next hop).
@@ -595,7 +607,7 @@ class SubscriptionTable:
         if ids.size == 0:
             return RowGroup(self, _EMPTY_IDS), {}
         hop = self._c_hop[ids]
-        if self._has_multipath_rows:
+        if self._c_multipath:
             # Deduplicate (next hop, subscriber) keeping the first row in
             # match order — the legacy setdefault semantics.  Single-path
             # tables hold one row per subscriber, so only multi-path
@@ -621,7 +633,7 @@ class SubscriptionTable:
             if r < 0:
                 local = group
             else:
-                remote[self._hop_names[self._hop_by_rank[r]]] = group
+                remote[self._hop_names[self._c_hop_by_rank[r]]] = group
             start = stop
         return local, remote
 

@@ -47,7 +47,7 @@ from repro.pubsub.filters import conjunction_predicates
 from repro.pubsub.matching import MATCHER_BACKENDS, MatchingEngine, make_matcher
 from repro.pubsub.message import Message
 from repro.pubsub.metrics import METRICS_BACKENDS, MetricsCollector, make_metrics
-from repro.pubsub.subscription import Subscription, TableRow
+from repro.pubsub.subscription import Route, RowBlock, Subscription, TableRow
 from repro.stats.normal import Normal
 
 
@@ -422,20 +422,27 @@ class PubSubSystem:
         in-flight older message, which would break the ``ds_i <= ts_i``
         accounting invariant.
         """
-        name = subscription.subscriber
+        edge = self._edge_of_new(subscription.subscriber)
+        if self.config.routing.is_single_path:
+            self._install_single_path(subscription, edge)
+        else:
+            self._install_multi_path(subscription, edge)
+        return self._register(subscription)
+
+    def _edge_of_new(self, name: str) -> str:
+        """The edge broker of a subscriber about to be registered."""
         if name in self._subscriptions:
             raise ValueError(f"subscriber {name!r} already has a subscription")
         edge = self.topology.subscriber_brokers.get(name)
         if edge is None:
             raise TopologyError(f"subscriber {name!r} is not attached to any broker")
+        return edge
 
-        if self.config.routing.is_single_path:
-            self._install_single_path(subscription, edge)
-        else:
-            self._install_multi_path(subscription, edge)
-
+    def _register(self, subscription: Subscription, preds=None) -> SubscriberHandle:
+        """Enter an installed subscription into registry, population, log."""
+        name = subscription.subscriber
         self._subscriptions[name] = subscription
-        self._population.add(name, subscription.filter)
+        self._population.add(name, subscription.filter, preds=preds)
         handle = SubscriberHandle(name, log=self.delivery_log)
         self.subscribers[name] = handle
         # Endpoint ids are handed out sequentially and only here, so the
@@ -447,11 +454,11 @@ class PubSubSystem:
         self._patch_endpoint_ids(name, handle.log_id)
         return handle
 
-    def _install_plan(self, edge: str) -> list:
+    def _install_plan(self, edge: str) -> list[tuple[str, Route]]:
         """The single-path install plan shared by every subscriber at one
-        edge broker: ``(node, next_hop, nn, rate, sources)`` per on-path
-        broker, in the canonical walk order.  Cached per edge — and
-        recomputed if a publisher attached since (new source broker)."""
+        edge broker: ``(node, route)`` per on-path broker, in the
+        canonical walk order.  Cached per edge — and recomputed if a
+        publisher attached since (new source broker)."""
         n_pubs = len(self.topology.publisher_brokers)
         cached = self._install_plans.get(edge)
         if cached is not None and cached[0] == n_pubs:
@@ -464,30 +471,21 @@ class PubSubSystem:
         plan = []
         for node, sources in on_path_sources.items():
             entry = tree.entry(node)
-            plan.append((
-                node,
+            plan.append((node, Route(
                 entry.next_hop,
                 entry.nn,
                 entry.rate if entry.next_hop is not None else Normal(0.0, 0.0),
                 frozenset(sources),
-            ))
+            )))
         self._install_plans[edge] = (n_pubs, plan)
         return plan
 
     def _install_single_path(self, subscription: Subscription, edge: str) -> None:
         preds = conjunction_predicates(subscription.filter)
         min_msg = self._next_msg_id
-        for node, next_hop, nn, rate, sources in self._install_plan(edge):
+        for node, route in self._install_plan(edge):
             self.brokers[node].install(
-                TableRow(
-                    subscription=subscription,
-                    next_hop=next_hop,
-                    nn=nn,
-                    rate=rate,
-                    sources=sources,
-                    min_msg_id=min_msg,
-                ),
-                preds=preds,
+                TableRow(subscription, *route._replace(min_msg_id=min_msg)), preds=preds
             )
 
     def _install_multi_path(self, subscription: Subscription, edge: str) -> None:
@@ -524,51 +522,41 @@ class PubSubSystem:
 
         End state is identical to calling :meth:`subscribe` per entry in
         order — per-table row order, interned ids, endpoint ids and (when
-        armed) journal entries are all the same — but rows are grouped
-        per broker so each table takes one bulk
-        :meth:`~repro.pubsub.subscription.SubscriptionTable.install_many`
-        instead of one call per (subscriber, on-path broker) pair: the
-        scale tier's build-phase hot path.
+        armed) journal replay are all the same — but each broker takes its
+        rows as one columnar :class:`~repro.pubsub.subscription.RowBlock`
+        instead of one row object per (subscriber, on-path broker) pair:
+        the scale tier's build-phase hot path.
         """
         if not self.config.routing.is_single_path:
             for subscription in subscriptions:
                 self.subscribe(subscription)
             return
-        per_broker: dict[str, list] = {}
-        for subscription in subscriptions:
-            name = subscription.subscriber
-            if name in self._subscriptions:
-                raise ValueError(f"subscriber {name!r} already has a subscription")
-            edge = self.topology.subscriber_brokers.get(name)
-            if edge is None:
-                raise TopologyError(
-                    f"subscriber {name!r} is not attached to any broker"
-                )
-            preds = conjunction_predicates(subscription.filter)
-            min_msg = self._next_msg_id
-            for node, next_hop, nn, rate, sources in self._install_plan(edge):
-                per_broker.setdefault(node, []).append((
-                    TableRow(
-                        subscription=subscription,
-                        next_hop=next_hop,
-                        nn=nn,
-                        rate=rate,
-                        sources=sources,
-                        min_msg_id=min_msg,
-                    ),
-                    preds,
-                ))
-            self._subscriptions[name] = subscription
-            self._population.add(name, subscription.filter, preds=preds)
-            handle = SubscriberHandle(name, log=self.delivery_log)
-            self.subscribers[name] = handle
-            assert handle.log_id == len(self._endpoint_price)
-            self._endpoint_price.append(
-                subscription.price if subscription.price is not None else 1.0
-            )
-            self._patch_endpoint_ids(name, handle.log_id)
-        for node, pairs in per_broker.items():
-            self.brokers[node].install_many(pairs)
+        min_msg = self._next_msg_id
+        preds_of: list = []
+        members_of_edge: dict[str, list[int]] = {}
+        for i, subscription in enumerate(subscriptions):
+            edge = self._edge_of_new(subscription.subscriber)
+            preds_of.append(conjunction_predicates(subscription.filter))
+            members_of_edge.setdefault(edge, []).append(i)
+            self._register(subscription, preds_of[-1])
+        # Every subscriber of an edge shares that edge's plan: a broker's
+        # block is the member lists of the edges routed through it, merged
+        # back into subscription order.
+        per_broker: dict[str, tuple[list[list[int]], list[Route]]] = {}
+        for edge, members in members_of_edge.items():
+            for node, route in self._install_plan(edge):
+                parts, routes = per_broker.setdefault(node, ([], []))
+                parts.append(members)
+                routes.append(route._replace(min_msg_id=min_msg))
+        for node, (parts, routes) in per_broker.items():
+            members = np.concatenate(parts)
+            order = np.argsort(members, kind="stable")
+            route = np.repeat(np.arange(len(parts)), [len(part) for part in parts])
+            rows = members[order].tolist()
+            self.brokers[node].install_many(RowBlock(
+                [subscriptions[i] for i in rows], [preds_of[i] for i in rows],
+                route[order], routes,
+            ))
 
     def unsubscribe(self, subscriber: str) -> SubscriberHandle:
         """Remove a subscription from every broker that holds a row for it.
@@ -593,6 +581,10 @@ class PubSubSystem:
     @property
     def subscription_count(self) -> int:
         return len(self._subscriptions)
+
+    def subscription(self, subscriber: str) -> Subscription:
+        """The live subscription registered under ``subscriber``."""
+        return self._subscriptions[subscriber]
 
     # ------------------------------------------------------------------ #
     # Publishing.

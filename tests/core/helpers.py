@@ -2,11 +2,19 @@
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.core.context import SchedulingContext
 from repro.core.strategies import QueueEntry
-from repro.pubsub.filters import Predicate
+from repro.pubsub.filters import Predicate, conjunction_predicates
 from repro.pubsub.message import Message
-from repro.pubsub.subscription import Subscription, TableRow
+from repro.pubsub.subscription import (
+    Route,
+    RowBlock,
+    Subscription,
+    SubscriptionTable,
+    TableRow,
+)
 from repro.stats.normal import Normal
 
 MATCH_ALL = Predicate("A1", "<", 1e9)
@@ -46,6 +54,39 @@ def make_row(
         rate=Normal(mean, variance),
         sources=frozenset({"B1"}),
     )
+
+
+def block_of(rows: list[TableRow]) -> RowBlock:
+    """The ``install_many`` block equal to ``rows``, one route per row."""
+    return RowBlock(
+        subscriptions=[r.subscription for r in rows],
+        preds=[conjunction_predicates(r.subscription.filter) for r in rows],
+        route=np.arange(len(rows)),
+        routes=[
+            Route(r.next_hop, r.nn, r.rate, r.sources, r.path_id, r.min_msg_id)
+            for r in rows
+        ],
+    )
+
+
+def assert_same_table(
+    table: SubscriptionTable, reference: SubscriptionTable, probes: list[Message]
+) -> int:
+    """Equal version and rows and, per probe message, equal grouped row
+    ids and interned subscriber ids; returns the rows the probes matched."""
+    assert table.version == reference.version
+    assert table.rows() == reference.rows()
+    matched = 0
+    for message in probes:
+        local, remote = table.match_grouped(message)
+        ref_local, ref_remote = reference.match_grouped(message)
+        assert list(remote) == list(ref_remote)
+        for group, expected in [(local, ref_local), *((remote[h], ref_remote[h]) for h in remote)]:
+            assert group.row_ids.tolist() == expected.row_ids.tolist()
+            assert group.sub_ids.tolist() == expected.sub_ids.tolist()
+            assert group.sub_names == expected.sub_names
+            matched += len(group)
+    return matched
 
 
 def make_entry(

@@ -84,6 +84,50 @@ class TestSaveLoadRoundTrip:
         save_checkpoint({"v": 1}, tmp_path / "ckpt-a")
         assert not stale.exists()
 
+    def _interrupted_overwrite(self, tmp_path, monkeypatch, *, published: bool):
+        """Overwrite ckpt-a {"v": 1} with {"v": 2} in a process that dies
+        either between the two renames or right after them (``published``),
+        so it never reaps anything."""
+        target = tmp_path / "ckpt-a"
+        save_checkpoint({"v": 1}, target)
+        real_rename = ck.os.rename
+
+        def rename(src, dst):
+            if not published and dst == target:
+                raise KeyboardInterrupt
+            real_rename(src, dst)
+
+        monkeypatch.setattr(ck.os, "rename", rename)
+        monkeypatch.setattr(ck.shutil, "rmtree", lambda *args, **kwargs: None)
+        if published:
+            save_checkpoint({"v": 2}, target, overwrite=True)
+        else:
+            with pytest.raises(KeyboardInterrupt):
+                save_checkpoint({"v": 2}, target, overwrite=True)
+        monkeypatch.undo()
+        assert list(tmp_path.glob(".ckpt-a.old-*"))
+        return target
+
+    def test_old_snapshot_stranded_by_a_crashed_overwrite_is_restored(
+        self, tmp_path, monkeypatch
+    ):
+        target = self._interrupted_overwrite(tmp_path, monkeypatch, published=False)
+        assert not target.exists()
+        assert latest_checkpoint(tmp_path) is None  # dot-names are skipped
+        with pytest.raises(CheckpointError):  # restored first, so it "already exists"
+            save_checkpoint({"v": 3}, target)
+        assert load_checkpoint(target)[0] == {"v": 1}
+        assert not list(tmp_path.glob(".*"))
+
+    def test_old_snapshot_left_behind_a_published_overwrite_is_swept(
+        self, tmp_path, monkeypatch
+    ):
+        target = self._interrupted_overwrite(tmp_path, monkeypatch, published=True)
+        assert load_checkpoint(target)[0] == {"v": 2}
+        save_checkpoint({"v": 3}, target, overwrite=True)
+        assert load_checkpoint(target)[0] == {"v": 3}
+        assert not list(tmp_path.glob(".*"))
+
     def test_timed_save_accounting(self, tmp_path):
         path, seconds, size = timed_save({"v": 1}, tmp_path / "ckpt-a")
         assert path.is_dir()

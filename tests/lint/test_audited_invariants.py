@@ -20,6 +20,7 @@ import pickle
 
 import pytest
 
+from repro.pubsub.message import Message
 from repro.pubsub.shard_engine import _replay_ops
 from repro.sim.config import SimulationConfig
 from repro.sim.runner import build_system, schedule_dynamics
@@ -31,6 +32,7 @@ from repro.workload.dynamics import (
     ScenarioScript,
 )
 from repro.workload.scenarios import Scenario
+from tests.core.helpers import assert_same_table, block_of
 
 
 def _config(script: ScenarioScript) -> SimulationConfig:
@@ -102,45 +104,55 @@ def _table_pair():
     return system, system.brokers[name].table
 
 
+def _rows_of(table, subscriber):
+    return [r for r in table.rows() if r.subscriber == subscriber]
+
+
+def _first_subscribers(table, count):
+    return sorted({r.subscriber for r in table.rows()})[:count]
+
+
 class TestJournalCompleteness:
     def test_every_mutation_kind_journals(self):
         system, table = _table_pair()
         table.journal = []
-        victim = sorted(table._ids_of_subscriber)[0]
-        rows = [table._rows_by_id[i] for i in table._ids_of_subscriber[victim]]
+        victim, other = _first_subscribers(table, 2)
+        rows = _rows_of(table, victim)
         table.uninstall(victim)
         assert table.journal == [("u", victim)]
         table.install(rows[0])
         assert table.journal[-1] == ("i", rows[0])
-        if rows[1:]:
-            table.install_many([(r, None) for r in rows[1:]])
-            assert table.journal[2:] == [("i", r) for r in rows[1:]]
-        assert len(table.journal) == 1 + len(rows)
+        # A bulk install journals the block once, however many rows.
+        block = block_of(_rows_of(table, other))
+        table.uninstall(other)
+        table.install_many(block)
+        assert table.journal[2:] == [("u", other), ("m", block)]
 
     def test_replayed_replica_matches_coordinator_exactly(self):
         # The property the sharded engine relies on: replaying the
         # journal slice leaves a replica at the same version with the
-        # same interned ids, so matching decisions are byte-identical.
+        # same row and interned ids, so matching decisions are
+        # byte-identical.
         system, table = _table_pair()
         replica = pickle.loads(pickle.dumps(table))
         replica.journal = None
         table.journal = []
 
-        victims = sorted(table._ids_of_subscriber)[:2]
-        stashed = {
-            v: [table._rows_by_id[i] for i in table._ids_of_subscriber[v]]
-            for v in victims
-        }
+        victims = _first_subscribers(table, 2)
+        stashed = {v: _rows_of(table, v) for v in victims}
         for v in victims:
             table.uninstall(v)
-        table.install_many([(r, None) for r in stashed[victims[0]]])
+        table.install_many(block_of(stashed[victims[0]]))
+        table.install(stashed[victims[1]][0])
 
         _replay_ops(replica, table.journal)
-        assert replica.version == table.version
-        assert replica._id_of_key == table._id_of_key
-        assert replica._sub_id_of == table._sub_id_of
-        assert replica._hop_id_of == table._hop_id_of
-        assert sorted(replica._free_ids) == sorted(table._free_ids)
+        probe = Message(
+            msg_id=10**6, publisher="P1",
+            source_broker=sorted(system.topology.publisher_brokers.values())[0],
+            attributes={f"A{k}": 0.0 for k in range(1, 11)},
+            size_kb=1.0, publish_time=0.0,
+        )
+        assert assert_same_table(replica, table, [probe]) > 0
 
     def test_stale_replica_version_detectable(self):
         # A mutation that bypassed the journal would leave versions
@@ -149,8 +161,7 @@ class TestJournalCompleteness:
         _, table = _table_pair()
         table.journal = []
         v0 = table.version
-        victim = sorted(table._ids_of_subscriber)[0]
-        table.uninstall(victim)
+        table.uninstall(_first_subscribers(table, 1)[0])
         assert table.version == v0 + 1
         assert len(table.journal) == 1
 

@@ -3,13 +3,23 @@
 from __future__ import annotations
 
 import math
+import pickle
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.pubsub.filters import Predicate
 from repro.pubsub.message import Message
-from repro.pubsub.subscription import RowArrays, Subscription, SubscriptionTable, TableRow
+from repro.pubsub.subscription import (
+    RowArrays,
+    StaleRowGroupError,
+    Subscription,
+    SubscriptionTable,
+    TableRow,
+)
 from repro.stats.normal import Normal
+from tests.core.helpers import block_of
 
 
 def sub(name="S1", threshold=5.0, deadline=None, price=None) -> Subscription:
@@ -201,9 +211,176 @@ class TestUninstallSideIndex:
         for i in range(50):
             t.install(row(subscription=sub(f"S{i}")))
             assert sorted(r.subscriber for r in t.match(msg())) == ["KEEP", f"S{i}"]
+            _, remote = t.match_grouped(msg())
+            assert sorted(remote["B2"].row_ids.tolist()) == [0, 1]
             t.uninstall(f"S{i}")
-        assert len(t._rows_by_id) <= 2
         assert len(t) == 1
+
+
+class TestStaleGroups:
+    """Groups are snapshots; only their lazily built rows read live storage."""
+
+    def test_arrays_survive_in_place_reuse_of_the_row_id(self):
+        t = SubscriptionTable()
+        t.install(row(subscription=sub("S1", deadline=10_000.0, price=3.0), nn=3))
+        _, remote = t.match_grouped(msg())
+        group = remote["B2"]
+        t.uninstall("S1")
+        t.install(row(subscription=sub("S9", deadline=500.0, price=7.0), nn=1))
+        assert t.match_grouped(msg())[1]["B2"].row_ids.tolist() == group.row_ids.tolist()
+        assert group.arrays.nn.tolist() == [3.0]
+        assert group.deadline.tolist() == [10_000.0]
+        assert group.price.tolist() == [3.0]
+        assert group.subscribers == ["S1"]
+
+    def test_rows_first_read_after_a_mutation_raise(self):
+        t = SubscriptionTable()
+        t.install(row(subscription=sub("S1")))
+        _, remote = t.match_grouped(msg())
+        stale, kept = remote["B2"], t.match_grouped(msg())[1]["B2"]
+        assert [r.subscriber for r in kept.rows] == ["S1"]  # read in time
+        t.uninstall("S1")
+        t.install(row(subscription=sub("S9")))  # reuses row id 0
+        with pytest.raises(StaleRowGroupError):
+            stale.rows
+        assert [r.subscriber for r in kept.rows] == ["S1"]
+
+
+def KEY(r: TableRow) -> tuple[str, int]:
+    return r.subscriber, r.path_id
+
+
+class RowModel:
+    """The table as per-row ``install`` in order builds it, kept as real
+    ``TableRow`` objects — the storage the columnar table replaced."""
+
+    def __init__(self):
+        self.by_id: list[TableRow | None] = []
+        self.free: list[int] = []
+        self.ids_of: dict[str, list[int]] = {}
+        self.sub_names: list[str] = []
+        self.version = 0
+
+    def install(self, r: TableRow) -> None:
+        if r.subscriber not in self.sub_names:
+            self.sub_names.append(r.subscriber)
+        if self.free:
+            row_id = self.free.pop()
+            self.by_id[row_id] = r
+        else:
+            row_id = len(self.by_id)
+            self.by_id.append(r)
+        self.ids_of.setdefault(r.subscriber, []).append(row_id)
+        self.version += 1
+
+    def uninstall(self, subscriber: str) -> None:
+        for row_id in self.ids_of.pop(subscriber):
+            self.by_id[row_id] = None
+            self.free.append(row_id)
+        self.version += 1
+
+    def rows(self) -> list[TableRow]:
+        return sorted((r for r in self.by_id if r is not None), key=KEY)
+
+    def matched_ids(self, m: Message) -> list[int]:
+        ids = [
+            i for i, r in enumerate(self.by_id)
+            if r is not None and r.subscription.filter.matches(m.attributes)
+            and m.source_broker in r.sources and r.min_msg_id <= m.msg_id
+        ]
+        return sorted(ids, key=lambda i: KEY(self.by_id[i]))
+
+    def grouped(self, m: Message) -> dict[str | None, list[int]]:
+        groups: dict[str | None, list[int]] = {}
+        seen = set()
+        for i in self.matched_ids(m):
+            r = self.by_id[i]
+            if (r.next_hop, r.subscriber) not in seen:
+                seen.add((r.next_hop, r.subscriber))
+                groups.setdefault(r.next_hop, []).append(i)
+        return groups
+
+
+PROBES = [
+    Message(msg_id=msg_id, publisher="P1", source_broker=source,
+            attributes={"A1": value}, size_kb=50.0, publish_time=0.0)
+    for msg_id in (0, 5) for source in ("B1", "B7") for value in (1.0, 6.0)
+]
+
+
+def assert_same_table(table: SubscriptionTable, model: RowModel) -> None:
+    assert table.version == model.version
+    assert table.rows() == model.rows()
+    assert len(table) == len(model.rows())
+    for m in PROBES:
+        assert table.match(m) == [model.by_id[i] for i in model.matched_ids(m)]
+        local, remote = table.match_grouped(m)
+        expected = model.grouped(m)
+        assert list(remote) == sorted(hop for hop in expected if hop is not None)
+        for hop, group in [(None, local), *remote.items()]:
+            ids = expected.get(hop, [])
+            rows = [model.by_id[i] for i in ids]
+            assert group.row_ids.tolist() == ids
+            assert group.rows == rows
+            want = RowArrays.from_rows(rows)
+            for column in ("nn", "mean", "std", "deadline", "price"):
+                assert getattr(group.arrays, column).tolist() == getattr(want, column).tolist()
+            assert group.sub_ids.tolist() == [model.sub_names.index(r.subscriber) for r in rows]
+            assert group.sub_names == model.sub_names
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_columnar_table_equals_the_row_object_model(data):
+    """Random install / install_many / uninstall interleavings — id reuse,
+    multi-path and epoch rows — and a pickle round trip mid-sequence."""
+    table, model = SubscriptionTable(), RowModel()
+    live_sub: dict[str, Subscription] = {}
+    names = [f"S{i}" for i in range(5)]
+
+    def draw_row(name: str, path_id: int) -> TableRow:
+        if name not in model.ids_of and name not in live_sub:
+            live_sub[name] = Subscription(
+                name, Predicate("A1", "<", data.draw(st.sampled_from([2.0, 9.0]))),
+                deadline_ms=data.draw(st.sampled_from([None, 10_000.0])),
+                price=data.draw(st.sampled_from([None, 2.0])),
+            )
+        return TableRow(
+            live_sub[name],
+            next_hop=data.draw(st.sampled_from([None, "B3", "B2"])),
+            nn=data.draw(st.integers(0, 3)),
+            rate=Normal(data.draw(st.sampled_from([10.0, 20.0])),
+                        data.draw(st.sampled_from([0.0, 8.0, 16.0]))),
+            sources=frozenset(data.draw(st.sampled_from([("B1",), ("B7",), ("B1", "B7")]))),
+            path_id=path_id,
+            min_msg_id=data.draw(st.sampled_from([0, 0, 3])),
+        )
+
+    for _ in range(data.draw(st.integers(1, 14))):
+        absent = [
+            (name, path_id) for name in names for path_id in (0, 1)
+            if (name, path_id) not in {KEY(r) for r in model.rows()}
+        ]
+        op = data.draw(st.sampled_from(["install", "install_many", "uninstall", "pickle"]))
+        if op == "uninstall" and model.ids_of:
+            name = data.draw(st.sampled_from(sorted(model.ids_of)))
+            table.uninstall(name)
+            model.uninstall(name)
+            del live_sub[name]
+        elif op == "pickle":
+            table = pickle.loads(pickle.dumps(table))
+        elif absent:
+            count = 1 if op == "install" else data.draw(st.integers(1, 4))
+            keys = data.draw(st.permutations(absent))[:count]
+            rows = [draw_row(name, path_id) for name, path_id in keys]
+            if op == "install":
+                table.install(rows[0])
+            else:
+                table.install_many(block_of(rows))
+            for r in rows:
+                model.install(r)
+        assert_same_table(table, model)
+    assert not [k for k in table.__getstate__() if k.startswith("_c_")]
 
 
 class TestRowArrays:

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import pickletools
+
 import pytest
 
 from repro.core.checkpoint import CheckpointMismatch, latest_checkpoint
+from repro.experiments.scale import build_scale_system, scale_config
 from repro.sim.config import SimulationConfig
 from repro.sim.runner import (
     CheckpointPolicy,
@@ -16,7 +19,7 @@ from repro.sim.runner import (
     save_run_checkpoint,
     schedule_workload,
 )
-from repro.workload.scenarios import Scenario
+from repro.workload.scenarios import ScaleScenarioSpec, Scenario
 
 TINY = SimulationConfig(
     seed=3, scenario=Scenario.SSD, publishing_rate_per_min=6.0, duration_ms=30_000.0
@@ -107,6 +110,23 @@ class TestCheckpointedRun:
         assert resumed == run_simulation(TINY)
         with pytest.raises(ValueError, match="topology"):
             run_simulation(TINY, system.topology, resume=path)
+
+    def test_scale_snapshot_pickles_no_row_objects(self, tmp_path):
+        # The tables travel as columns plus subscription references: a
+        # TableRow in state.pkl means per-row object pickling is back.
+        spec = ScaleScenarioSpec(name="guard", subscribers=400)
+        config = scale_config(spec, strategy="eb", minutes=0.5, rate_per_min=20.0)
+        system = build_scale_system(spec, config)
+        schedule_workload(system, config)
+        system.run(until=config.horizon_ms / 2.0)
+        assert system.total_queued() > 0  # in-flight entries ride along too
+        path, _, _ = save_run_checkpoint(system, config, tmp_path / "ck")
+        names = {
+            arg for _, arg, _ in pickletools.genops((path / "state.pkl").read_bytes())
+            if isinstance(arg, str)
+        }
+        assert "Subscription" in names and "SubscriptionTable" in names
+        assert "TableRow" not in names
 
     def test_snapshot_names_order_by_execution(self, tmp_path):
         system = build_system(TINY)
