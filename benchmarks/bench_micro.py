@@ -24,6 +24,7 @@ from repro.network.topology import build_layered_mesh
 from repro.pubsub.matching import BruteForceMatcher, CountingIndexMatcher
 from repro.pubsub.message import Message
 from repro.pubsub.subscription import RowArrays, SubscriptionTable
+from repro.sim.config import SimulationConfig
 from repro.sim.runner import build_system
 from repro.stats.normal import normal_cdf_vec
 from repro.workload.scenarios import ScaleScenarioSpec, build_scale_subscriptions
@@ -130,27 +131,39 @@ def test_strategy_select_50_entry_queue(benchmark, entry_rows):
 # for fifo/rl, amortised bound heap for eb/pc/ebpc).  Same entries, same
 # decisions — only the servicing structure differs.
 # ---------------------------------------------------------------------- #
-@pytest.fixture(scope="module")
-def drain_entries():
-    rng = np.random.default_rng(7)
+def _random_entries(seed: int, count: int, row_count, deadlines_ms: tuple[float, float]):
+    """``count`` entries of random rows; ``row_count(i, rng)`` sizes entry ``i``."""
+    rng = np.random.default_rng(seed)
     entries = []
-    for i in range(DRAIN_QUEUE_DEPTH):
+    for i in range(count):
         rows = [
             make_row(
                 f"S{i}_{j}",
-                deadline_ms=float(rng.uniform(20_000.0, 120_000.0)),
+                deadline_ms=float(rng.uniform(*deadlines_ms)),
                 nn=1 + int(rng.integers(0, 3)),
                 mean=float(rng.uniform(20.0, 120.0)),
                 variance=float(rng.uniform(100.0, 900.0)),
             )
-            for j in range(1 + int(rng.integers(0, 7)))
+            for j in range(row_count(i, rng))
         ]
         message = make_message(msg_id=i, publish_time=float(-rng.uniform(0.0, 5_000.0)))
         entries.append(QueueEntry(message, rows, enqueue_time=0.0, seq=i))
     return entries
 
 
-def _drain_queue(entries, strategy_name: str, backend: str) -> int:
+@pytest.fixture(scope="module")
+def drain_entries():
+    return _random_entries(
+        7, DRAIN_QUEUE_DEPTH,
+        lambda _i, rng: 1 + int(rng.integers(0, 7)), (20_000.0, 120_000.0),
+    )
+
+
+def _drain_queue(
+    entries, strategy_name: str, backend: str, decisions: list | None = None
+) -> int:
+    """Service one queue to empty; ``decisions`` (optional) receives every
+    ``("prune" | "send", seq)`` in order."""
     strategy = make_strategy(strategy_name)
     queue = ScheduledQueue(
         strategy,
@@ -164,11 +177,14 @@ def _drain_queue(entries, strategy_name: str, backend: str) -> int:
     now, sent = 0.0, 0
     while queue:
         now += 40.0  # one transmission slot per service
-        queue.prune(now)
+        pruned = queue.prune(now)
         if not queue:
             break
-        queue.pop_best(make_ctx(now=now))
+        chosen = queue.pop_best(make_ctx(now=now))
         sent += 1
+        if decisions is not None:
+            decisions.extend(("prune", entry.seq) for entry in pruned)
+            decisions.append(("send", chosen.seq))
     return sent
 
 
@@ -196,6 +212,73 @@ def test_queue_drain_decisions_match(drain_entries):
         assert _drain_queue(drain_entries, name, "auto") == _drain_queue(
             drain_entries, name, "scan"
         )
+
+
+#: Rows per queue entry on perfbench's ``paper-congested`` (seed 1, ebpc
+#: leg, 10 857 pushed entries): deciles of the measured distribution —
+#: half the entries have <= 5 rows, 90 % <= 13 — so per-decision cost is
+#: dispatch, not arithmetic.
+CONGESTED_ENTRY_ROWS = (1, 2, 3, 4, 5, 5, 6, 8, 10, 13)
+
+
+def test_core_strategies_score_and_bound(benchmark):
+    """``core.strategies.score_s``: EBPC decisions over a 200-entry queue of
+    realistically small entries, equal to the full-rescan oracle's."""
+    # Deadlines tight against the 8 s drain, so the ε-prune fires too.
+    entries = _random_entries(
+        11, 200,
+        lambda i, _rng: CONGESTED_ENTRY_ROWS[i % len(CONGESTED_ENTRY_ROWS)],
+        (3_000.0, 15_000.0),
+    )
+
+    def drain() -> list:
+        decisions: list = []
+        _drain_queue(entries, "ebpc", "auto", decisions)
+        return decisions
+
+    decisions = benchmark.pedantic(drain, rounds=3, iterations=1)
+    oracle: list = []
+    _drain_queue(entries, "ebpc", "scan", oracle)
+    assert decisions == oracle
+    benchmark.extra_info["sent"] = sum(kind == "send" for kind, _ in decisions)
+    assert 0 < benchmark.extra_info["sent"] < len(entries)  # pruning in play
+
+
+def test_pubsub_engine_lookahead(benchmark):
+    """``pubsub.engine.run_s``'s lookahead: the walk costs the pending
+    process events, not the heap (2 000 opaque events sit in it, as
+    pre-scheduled publications do in a real run)."""
+    system = build_system(SimulationConfig(seed=1, publishing_rate_per_min=1.0))
+    sim, engine = system.sim, system._engine
+    for k in range(2_000):
+        sim.schedule_at(1e6 + k, int)
+    publisher = sorted(system.publishers)[0]
+    for k in range(8):
+        system.publish(publisher, {"A1": float(k), "A2": float(k)})
+    assert sim.pending_events == 2_008
+    wend = sim.now + engine.window_ms
+
+    touched = 0
+    unmatched = engine._unmatched
+
+    def counting(ev) -> bool:
+        nonlocal touched
+        touched += 1
+        return unmatched(ev)
+
+    engine._unmatched = counting
+    assert len(engine._due_unmatched(wend)) == 8
+    engine._precompute(wend)
+    assert engine._due_unmatched(wend) == []  # all eight memoised
+    touched = calls = 0
+
+    def lookahead() -> None:
+        nonlocal calls
+        calls += 1
+        engine._precompute(wend)
+
+    benchmark(lookahead)
+    assert 0 < touched <= 8 * calls
 
 
 def test_simulator_event_throughput(benchmark):

@@ -48,7 +48,7 @@ from repro.sim import (
 )
 from repro.workload import Scenario
 
-__version__ = "1.0.0"
+__version__ = "0.6.0"
 
 __all__ = [
     "__version__",

@@ -15,22 +15,12 @@ import math
 
 import numpy as np
 
-from repro.core.metrics import max_success_vec
 from repro.core.strategies import QueueEntry
+from repro.core.success import effective_deadline_array
 from repro.stats.normal import Normal
 
 #: The paper's ε (0.05 %).
 DEFAULT_EPSILON = 5e-4
-
-
-def _effective_deadline_vec(entry: QueueEntry) -> np.ndarray:
-    """Per-row ``adl`` (Eq. 5's allowed delay): the row/message minimum,
-    with unspecified deadlines already ``inf`` in the column arrays."""
-    msg_dl = entry.message.deadline_ms
-    deadline = entry.arrays.deadline
-    if msg_dl is None:
-        return deadline
-    return np.minimum(deadline, msg_dl)
 
 
 class PruningPolicy(enum.Enum):
@@ -51,7 +41,8 @@ class PruningPolicy(enum.Enum):
 
 def entry_is_expired(entry: QueueEntry, now: float) -> bool:
     """True iff every (subscription, message) pair's deadline has passed."""
-    return not bool(np.any(entry.message.hdl(now) <= _effective_deadline_vec(entry)))
+    adl = effective_deadline_array(entry.arrays.deadline, entry.message)
+    return not bool(np.any(entry.message.hdl(now) <= adl))
 
 
 def entry_is_hopeless(
@@ -63,7 +54,7 @@ def entry_is_hopeless(
     """Eq. 11: every remaining subscription has success < ε."""
     if epsilon <= 0.0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
-    return max_success_vec(entry.arrays, entry.message, now, processing_delay_ms) < epsilon
+    return entry.plan(processing_delay_ms).max_success(now) < epsilon
 
 
 def should_prune(
@@ -121,24 +112,24 @@ def prune_horizon(
     """
     if policy is PruningPolicy.NONE:
         return math.inf
-    publish = entry.message.publish_time
-    adl = _effective_deadline_vec(entry)
     if policy is PruningPolicy.EXPIRED:
+        # The baselines' queues never score, so no plan is built for them.
+        adl = effective_deadline_array(entry.arrays.deadline, entry.message)
         if np.any(np.isinf(adl)):
             return math.inf  # an unbounded pair never expires
-        return float(np.max(publish + adl))
+        return float(np.max(entry.message.publish_time + adl))
     if epsilon <= 0.0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     if epsilon >= 1.0:
         return -math.inf  # every probability is < ε: prunable from the start
-    if np.any(np.isinf(adl)):
+    plan = entry.plan(processing_delay_ms)
+    if not plan.dense and plan.unbounded.any():
         return math.inf  # an unbounded pair always succeeds: never prunable
-    z = _std_normal_quantile(epsilon)
-    size = entry.message.size_kb
-    arrays = entry.arrays
-    # success < ε  ⟺  hdl > adl − NN·PD − size·(μ + σ·z); a degenerate
-    # path (σ = 0) steps from 1 to 0 at the mean itself.  The expression
+    ramp = plan.mean + plan.std * _std_normal_quantile(epsilon)
+    if not plan.dense:
+        # A degenerate path (σ = 0) steps from 1 to 0 at the mean itself.
+        ramp = np.where(plan.std == 0.0, plan.mean, ramp)
+    # success < ε  ⟺  hdl > adl − NN·PD − size·(μ + σ·z).  The expression
     # keeps the scalar loop's operation order per element, so horizons
     # are bit-identical to the row-by-row computation.
-    ramp = np.where(arrays.std == 0.0, arrays.mean, arrays.mean + arrays.std * z)
-    return float(np.max(publish + adl - arrays.nn * processing_delay_ms - size * ramp))
+    return float(np.max(plan.publish_time + plan.adl - plan.nn_pd - plan.size_kb * ramp))

@@ -3,7 +3,9 @@
 A strategy ranks the entries of one output queue; the broker sends the
 entry with the **highest score** (deterministic FIFO tie-break on the
 enqueue sequence number).  Scores may depend on the current time — EB and
-PC shrink as a message ages — so they are recomputed at each selection.
+PC shrink as a message ages — so they are re-evaluated at each selection,
+from operands the entry's cached :class:`~repro.core.metrics.ScorePlan`
+derived once.
 """
 
 from __future__ import annotations
@@ -13,12 +15,7 @@ from abc import ABC, abstractmethod
 from typing import Sequence
 
 from repro.core.context import SchedulingContext
-from repro.core.metrics import (
-    eb_pair_vec,
-    ebpc_value,
-    expected_benefit_vec,
-    postponing_cost_vec,
-)
+from repro.core.metrics import ScorePlan, ebpc_value
 from repro.core.success import effective_deadline
 from repro.pubsub.message import Message
 from repro.pubsub.subscription import RowArrays, RowGroup, TableRow
@@ -40,9 +37,13 @@ class QueueEntry:
     Deferred materialisation must happen before the source table mutates;
     :class:`~repro.core.queueing.ScheduledQueue` forces it on push for the
     backends that re-score entries later through ``rows``.
+
+    :meth:`plan` caches the entry's :class:`~repro.core.metrics.ScorePlan`.
+    It is derived state: snapshots drop it and a restored entry rebuilds
+    it at its next decision.
     """
 
-    __slots__ = ("message", "enqueue_time", "seq", "arrays", "_rows")
+    __slots__ = ("message", "enqueue_time", "seq", "arrays", "_rows", "_plan")
 
     def __init__(
         self,
@@ -65,6 +66,7 @@ class QueueEntry:
                 f"arrays/rows mismatch: {len(arrays)} != {len(rows)}"
             )
         self.arrays = arrays
+        self._plan: ScorePlan | None = None
 
     @property
     def rows(self) -> list[TableRow]:
@@ -72,6 +74,23 @@ class QueueEntry:
         if type(rows) is not list:
             rows = self._rows = rows.rows
         return rows
+
+    def plan(self, processing_delay_ms: float) -> ScorePlan:
+        """The entry's score plan for this ``PD`` (built on first use and
+        again if a caller asks with a different ``PD``)."""
+        plan = self._plan
+        if plan is None or plan.processing_delay_ms != processing_delay_ms:
+            plan = self._plan = ScorePlan(
+                self.arrays, self.message, processing_delay_ms
+            )
+        return plan
+
+    def __getstate__(self) -> tuple:
+        return (self.message, self.enqueue_time, self.seq, self.arrays, self._rows)
+
+    def __setstate__(self, state: tuple) -> None:
+        self.message, self.enqueue_time, self.seq, self.arrays, self._rows = state
+        self._plan = None
 
 
 class Strategy(ABC):
@@ -233,9 +252,7 @@ class EbStrategy(Strategy):
     name = "eb"
 
     def score(self, entry: QueueEntry, ctx: SchedulingContext) -> float:
-        return expected_benefit_vec(
-            entry.arrays, entry.message, ctx.now, ctx.processing_delay_ms
-        )
+        return entry.plan(ctx.processing_delay_ms).expected_benefit(ctx.now)
 
     def score_and_bound(
         self, entry: QueueEntry, ctx: SchedulingContext
@@ -256,15 +273,13 @@ class PcStrategy(Strategy):
     name = "pc"
 
     def score(self, entry: QueueEntry, ctx: SchedulingContext) -> float:
-        return postponing_cost_vec(
-            entry.arrays, entry.message, ctx.now, ctx.processing_delay_ms, ctx.ft_ms
-        )
+        return self.score_and_bound(entry, ctx)[0]
 
     def score_and_bound(
         self, entry: QueueEntry, ctx: SchedulingContext
     ) -> tuple[float, float]:
-        eb, eb_postponed = eb_pair_vec(
-            entry.arrays, entry.message, ctx.now, ctx.processing_delay_ms, ctx.ft_ms
+        eb, eb_postponed = entry.plan(ctx.processing_delay_ms).eb_pair(
+            ctx.now, ctx.ft_ms
         )
         return eb - eb_postponed, eb
 
@@ -286,15 +301,12 @@ class EbpcStrategy(Strategy):
         self.name = f"ebpc(r={r:g})"
 
     def score(self, entry: QueueEntry, ctx: SchedulingContext) -> float:
-        eb, eb_postponed = eb_pair_vec(
-            entry.arrays, entry.message, ctx.now, ctx.processing_delay_ms, ctx.ft_ms
-        )
-        return ebpc_value(eb, eb - eb_postponed, self.r)
+        return self.score_and_bound(entry, ctx)[0]
 
     def score_and_bound(
         self, entry: QueueEntry, ctx: SchedulingContext
     ) -> tuple[float, float]:
-        eb, eb_postponed = eb_pair_vec(
-            entry.arrays, entry.message, ctx.now, ctx.processing_delay_ms, ctx.ft_ms
+        eb, eb_postponed = entry.plan(ctx.processing_delay_ms).eb_pair(
+            ctx.now, ctx.ft_ms
         )
         return ebpc_value(eb, eb - eb_postponed, self.r), eb

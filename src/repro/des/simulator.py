@@ -32,6 +32,9 @@ class Simulator:
         #: cancel / execute time so the drained-early check in :meth:`run`
         #: is O(1) instead of a rescan of the heap per return.
         self._live = 0
+        #: kind -> events of that kind scheduled since :meth:`watch` and not
+        #: yet seen done or cancelled by :meth:`pending`, in scheduling order.
+        self._watched: dict[str, list[Event]] = {}
 
     # ------------------------------------------------------------------ #
     # Serialization.
@@ -112,7 +115,30 @@ class Simulator:
         self._seq += 1
         heapq.heappush(self._heap, event)
         self._live += 1
+        if kind:
+            watched = self._watched.get(kind)
+            if watched is not None:
+                watched.append(event)
         return EventHandle(event, self._note_cancelled)
+
+    def watch(self, kind: str) -> None:
+        """Keep a side list of the pending events of ``kind`` for
+        :meth:`pending`, so a lookahead costs O(pending of that kind)
+        instead of a scan of the whole heap.  Nothing is tracked (and
+        nothing grows) for kinds nobody watches.  Idempotent."""
+        if kind not in self._watched:
+            self._watched[kind] = [
+                ev for ev in self._heap if ev.kind == kind and not ev.cancelled
+            ]
+
+    def pending(self, kind: str) -> list[Event]:
+        """The not-yet-executed, non-cancelled events of a watched kind,
+        in scheduling order.  Each call drops the events that ran or were
+        cancelled since the last one, so the list stays O(pending)."""
+        live = self._watched[kind] = [
+            ev for ev in self._watched[kind] if not (ev.done or ev.cancelled)
+        ]
+        return live
 
     def _note_cancelled(self, event: Event) -> None:
         """Handle-cancel hook: keep the live counter exact.

@@ -4,8 +4,9 @@ The per-event kernel (:meth:`repro.des.simulator.Simulator.run`, the
 ``"event"`` oracle) takes one full Python round-trip per event: heap pop
 → handler → match → enqueue → send scheduling.  The fused driver drains
 the same heap in **event-time windows**: before executing a window's
-events it scans the pending heap for typed ``"process"`` events (a
-message reaching a broker's processing stage), batch-matches them per
+events it walks the simulator's side list of pending typed ``"process"``
+events (a message reaching a broker's processing stage; see
+:meth:`~repro.des.simulator.Simulator.watch`), batch-matches them per
 broker in one pass over the columnar
 :class:`~repro.pubsub.subscription.SubscriptionTable`
 (:meth:`~repro.pubsub.subscription.SubscriptionTable.match_grouped_many`)
@@ -25,7 +26,7 @@ Correctness discipline (the house standard, same as the queue / matcher
 * **Churn cannot skew a match.**  Memoised results carry the table's
   mutation counter; ``Broker._process`` discards a stale memo and
   recomputes.  If the lookahead meets a pending process event whose memo
-  is missing or stale, it re-scans before executing it.
+  is missing or stale, it looks ahead again before executing it.
 * **Opaque events are barriers.**  Dynamics interventions, workload
   lambdas and test callbacks carry no ``kind``; the lookahead never
   inspects them and the inner loop just executes them in order.
@@ -74,24 +75,38 @@ class FusedEngine:
         self.sim = sim
         self.system = system
         self.window_ms = window_ms
+        if system is not None:
+            sim.watch("process")
 
     # ------------------------------------------------------------------ #
     # Lookahead.
     # ------------------------------------------------------------------ #
-    def _precompute(self, wend: float) -> None:
-        """Batch-match every pending ``"process"`` event due by ``wend``.
+    @staticmethod
+    def _unmatched(ev) -> bool:
+        """True when a process event has no fresh match memo (scheduled
+        after the last lookahead, or staled by churn)."""
+        broker, message = ev.payload
+        memo = broker._match_memo.get(message.msg_id)
+        return memo is None or memo[0] != broker.table.version
 
-        One linear scan of the heap list (no pops, order irrelevant for a
-        pure computation), grouped per broker so each table compiles once
-        and per-source masks are shared across the window's messages.
-        """
+    def _due_unmatched(self, wend: float) -> list:
+        """Pending ``"process"`` events due by ``wend`` that still need a
+        match, from the simulator's side list (order is irrelevant for a
+        pure computation)."""
+        unmatched = self._unmatched
+        return [
+            ev for ev in self.sim.pending("process")
+            if ev.time <= wend and unmatched(ev)
+        ]
+
+    def _precompute(self, wend: float) -> None:
+        """Batch-match every pending ``"process"`` event due by ``wend``,
+        grouped per broker so each table compiles once and per-source
+        masks are shared across the window's messages."""
         pending: dict[object, list] = {}
-        for ev in self.sim._heap:
-            if ev.kind == "process" and not ev.cancelled and ev.time <= wend:
-                broker, message = ev.payload
-                memo = broker._match_memo.get(message.msg_id)
-                if memo is None or memo[0] != broker.table.version:
-                    pending.setdefault(broker, []).append(message)
+        for ev in self._due_unmatched(wend):
+            broker, message = ev.payload
+            pending.setdefault(broker, []).append(message)
         if not pending:
             return
         prof = profiling.ACTIVE
@@ -106,15 +121,9 @@ class FusedEngine:
         if prof is not None:
             prof.add("match", perf_counter() - t0)
 
-    @staticmethod
-    def _needs_rescan(head) -> bool:
-        """True when the next event is a process step without a fresh memo
-        (scheduled after the last lookahead, or staled by churn)."""
-        if head.kind != "process":
-            return False
-        broker, message = head.payload
-        memo = broker._match_memo.get(message.msg_id)
-        return memo is None or memo[0] != broker.table.version
+    def _needs_rescan(self, head) -> bool:
+        """True when the next event is a process step without a fresh memo."""
+        return head.kind == "process" and self._unmatched(head)
 
     # ------------------------------------------------------------------ #
     # Drive.
@@ -180,6 +189,10 @@ class FusedEngine:
                 sim._now = until
         finally:
             sim._running = False
+            if lookahead:
+                # Events executed since the last lookahead leave the side
+                # list here, not in the next run or a snapshot in between.
+                sim.pending("process")
         return executed
 
 

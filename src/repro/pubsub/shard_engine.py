@@ -440,20 +440,17 @@ class ShardedEngine(FusedEngine):
         pending: dict[object, list] = {}
         seen: dict[object, set] = {}
         dups: dict[object, set] = {}
-        for ev in self.sim._heap:
-            if ev.kind == "process" and not ev.cancelled and ev.time <= wend:
-                broker, message = ev.payload
-                memo = broker._match_memo.get(message.msg_id)
-                if memo is None or memo[0] != broker.table.version:
-                    jobs = pending.get(broker)
-                    if jobs is None:
-                        jobs = pending[broker] = []
-                        seen[broker] = set()
-                    if message.msg_id in seen[broker]:
-                        dups.setdefault(broker, set()).add(message.msg_id)
-                    else:
-                        seen[broker].add(message.msg_id)
-                    jobs.append((message, ev.time))
+        for ev in self._due_unmatched(wend):
+            broker, message = ev.payload
+            jobs = pending.get(broker)
+            if jobs is None:
+                jobs = pending[broker] = []
+                seen[broker] = set()
+            if message.msg_id in seen[broker]:
+                dups.setdefault(broker, set()).add(message.msg_id)
+            else:
+                seen[broker].add(message.msg_id)
+            jobs.append((message, ev.time))
         if not pending:
             return
         prof = profiling.ACTIVE

@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 
 @dataclass(frozen=True, slots=True)
@@ -69,6 +68,10 @@ class ShiftedGamma:
         y = x - self.shift
         if y <= 0.0:
             return 0.0
+        # The package's only scipy call: imported here so ``import repro``
+        # neither pays for scipy nor needs it installed.
+        from scipy import special
+
         return float(special.gammainc(self.shape, y / self.scale))
 
     def sf(self, x: float) -> float:

@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.core.fastpath import erf_array
 
-_SQRT2 = math.sqrt(2.0)
+SQRT2 = math.sqrt(2.0)
 
 
 def normal_cdf(x: float, mean: float = 0.0, std: float = 1.0) -> float:
@@ -31,7 +31,7 @@ def normal_cdf(x: float, mean: float = 0.0, std: float = 1.0) -> float:
         raise ValueError(f"std must be non-negative, got {std}")
     if std == 0.0:
         return 1.0 if x >= mean else 0.0
-    return 0.5 * (1.0 + math.erf((x - mean) / (std * _SQRT2)))
+    return 0.5 * (1.0 + math.erf((x - mean) / (std * SQRT2)))
 
 
 def normal_sf(x: float, mean: float = 0.0, std: float = 1.0) -> float:
@@ -55,7 +55,7 @@ def normal_cdf_vec(x: np.ndarray, mean: np.ndarray, std: np.ndarray) -> np.ndarr
         # the scoring kernels) — same operations, fewer array passes and
         # no where/broadcast scaffolding.  In-place arithmetic on the
         # freshly allocated intermediates changes no result bits.
-        z = (x - mean) / (std * _SQRT2)
+        z = (x - mean) / (std * SQRT2)
         out = _erf_vec(z)
         out += 1.0
         out *= 0.5
@@ -64,7 +64,7 @@ def normal_cdf_vec(x: np.ndarray, mean: np.ndarray, std: np.ndarray) -> np.ndarr
     x, mean, std = np.broadcast_arrays(x, mean, std)
     degenerate = std == 0.0
     safe_std = np.where(degenerate, 1.0, std)
-    z = (x - mean) / (safe_std * _SQRT2)
+    z = (x - mean) / (safe_std * SQRT2)
     np.multiply(0.5, 1.0 + _erf_vec(z), out=out)
     out[degenerate] = (x[degenerate] >= mean[degenerate]).astype(np.float64)
     return out

@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 
 from repro.core.registry import STRATEGY_NAMES
 from repro.core.strategies import EbStrategy
+from repro.des.event import EventHandle
 from repro.des.rng import RngStreams
 from repro.des.simulator import Simulator
 from repro.pubsub.engine import DEFAULT_WINDOW_MS, FusedEngine, make_engine
@@ -329,6 +330,107 @@ def test_interleaved_publish_churn_engines_agree(data):
             },
         )
     assert outcomes["fused"] == outcomes["event"]
+
+
+# --------------------------------------------------------------------- #
+# The pending-process side list against the whole-heap scan it replaced.
+# --------------------------------------------------------------------- #
+
+def _heap_scan(sim: Simulator, wend: float) -> list[tuple[str, int]]:
+    """What the lookahead used to gather: every live ``"process"`` event
+    in the heap due by ``wend`` whose match memo is missing or stale."""
+    found = []
+    for ev in sim._heap:
+        if ev.kind == "process" and not ev.cancelled and ev.time <= wend:
+            broker, message = ev.payload
+            memo = broker._match_memo.get(message.msg_id)
+            if memo is None or memo[0] != broker.table.version:
+                found.append((broker.name, message.msg_id))
+    return sorted(found)
+
+
+def _audit_lookahead(system) -> list[list[tuple[str, int]]]:
+    """Check every lookahead of ``system``'s engine against the heap scan;
+    returns the (live) list of what each call gathered."""
+    engine = system._engine
+    precompute = engine._precompute
+    gathered: list[list[tuple[str, int]]] = []
+
+    def audited(wend: float) -> None:
+        from_list = sorted(
+            (ev.payload[0].name, ev.payload[1].msg_id)
+            for ev in engine._due_unmatched(wend)
+        )
+        assert from_list == _heap_scan(system.sim, wend)
+        gathered.append(from_list)
+        precompute(wend)
+
+    engine._precompute = audited
+    return gathered
+
+
+def test_side_list_yields_what_the_heap_scan_yields_under_churn():
+    cfg = BASE.replace(strategy="eb", duration_ms=90_000.0, dynamics=CHURNY)
+    system = build_system(cfg)
+    schedule_workload(system, cfg)
+    schedule_dynamics(system, cfg)
+    gathered = _audit_lookahead(system)
+    system.run(until=cfg.horizon_ms)
+    pairs = {pair for call in gathered for pair in call}
+    assert len(pairs) > system.metrics.published  # every hop looked ahead
+    assert all(not ev.done for ev in system.sim._watched["process"])
+    assert _fingerprint(system) == _fingerprint(
+        _run_config(cfg.replace(engine_backend="event"))
+    )
+
+
+def test_side_list_regathers_a_process_event_staled_by_churn():
+    """Two messages matched in one lookahead; an unsubscribe lands between
+    their process steps, so the second is gathered (and matched) again."""
+    system = _line_system("fused", window_ms=10_000.0)
+    system.sim.schedule_at(10.0, lambda: system.publish("P1", {"A1": 1.0}))
+    system.sim.schedule_at(10.5, lambda: system.publish("P1", {"A1": 2.0}))
+    system.sim.schedule_at(12.2, lambda: system.unsubscribe("S1"))
+    gathered = _audit_lookahead(system)
+    system.run()
+    at_b1 = [[pair for pair in call if pair[0] == "B1"] for call in gathered]
+    assert [call for call in at_b1 if call] == [[("B1", 0), ("B1", 1)], [("B1", 1)]]
+
+
+def test_side_list_skips_a_cancelled_process_event():
+    outcomes = {}
+    for engine in ("fused", "event"):
+        system = _line_system(engine, window_ms=10_000.0)
+        sim = system.sim
+
+        def cancel_pending_process() -> None:
+            (event,) = [ev for ev in sim._heap if ev.kind == "process"]
+            assert EventHandle(event, sim._note_cancelled).cancel()
+
+        sim.schedule_at(10.0, lambda: system.publish("P1", {"A1": 1.0}))
+        sim.schedule_at(11.0, cancel_pending_process)  # before B1 processes it
+        sim.schedule_at(20.0, lambda: system.publish("P1", {"A1": 2.0}))
+        gathered = _audit_lookahead(system) if engine == "fused" else None
+        system.run()
+        if gathered is not None:
+            assert {pair for call in gathered for pair in call} == {
+                ("B1", 1), ("B2", 1), ("B3", 1)
+            }
+        outcomes[engine] = _hand_fingerprint(system)
+    assert outcomes["fused"] == outcomes["event"]
+    assert outcomes["fused"][:2] == (2, 4)  # only the second message arrived
+
+
+def test_side_list_is_empty_after_a_drained_run_and_absent_under_event():
+    for engine, watched in (("fused", {"process": []}), ("event", {})):
+        system = _line_system(engine)
+        for k in range(6):
+            system.sim.schedule_at(
+                200.0 * k, lambda a=float(k): system.publish("P1", {"A1": a})
+            )
+        system.run()
+        assert system.sim.pending_events == 0
+        assert system.sim._watched == watched
 
 
 # --------------------------------------------------------------------- #

@@ -128,6 +128,30 @@ class TestCheckpointedRun:
         assert "Subscription" in names and "SubscriptionTable" in names
         assert "TableRow" not in names
 
+    def test_snapshot_drops_score_plans_and_resumes_identically(self, tmp_path):
+        # Score plans are caches: a mid-congestion snapshot carries the
+        # queued entries without them, and a resumed run rebuilds them.
+        config = TINY.replace(strategy="ebpc", publishing_rate_per_min=30.0)
+        system = build_system(config)
+        schedule_workload(system, config)
+        system.run(until=20_000.0)
+        queued = [
+            entry
+            for broker in system.brokers.values()
+            for queue in broker.queues.values()
+            for entry in queue.sched.entries()
+        ]
+        assert len(queued) > 10
+        assert all(entry._plan is not None for entry in queued)
+        path, _, _ = save_run_checkpoint(system, config, tmp_path / "ck")
+        names = {
+            arg for _, arg, _ in pickletools.genops((path / "state.pkl").read_bytes())
+            if isinstance(arg, str)
+        }
+        assert "QueueEntry" in names
+        assert "ScorePlan" not in names
+        assert run_simulation(config, resume=path) == run_simulation(config)
+
     def test_snapshot_names_order_by_execution(self, tmp_path):
         system = build_system(TINY)
         schedule_workload(system, TINY)
