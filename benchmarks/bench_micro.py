@@ -20,13 +20,14 @@ from repro.core.strategies import EbStrategy, QueueEntry
 from repro.des.simulator import Simulator
 from repro.experiments.scale import scale_config
 from repro.network.routing import compute_sink_tree
-from repro.network.topology import build_layered_mesh
+from repro.network.topology import LayeredMeshSpec, build_layered_mesh
 from repro.pubsub.matching import BruteForceMatcher, CountingIndexMatcher
 from repro.pubsub.message import Message
 from repro.pubsub.subscription import RowArrays, SubscriptionTable
 from repro.sim.config import SimulationConfig
 from repro.sim.runner import build_system
 from repro.stats.normal import normal_cdf_vec
+from repro.workload.dynamics import ChurnWave, DynamicsDriver
 from repro.workload.scenarios import ScaleScenarioSpec, build_scale_subscriptions
 from repro.workload.subscriptions import random_attributes, random_conjunctive_filter
 from tests.core.helpers import assert_same_table, make_ctx, make_message, make_row
@@ -403,3 +404,50 @@ def test_core_checkpoint_table_roundtrip(benchmark, scale_tables):
         assert_same_table(table, reference, probes)
         for table, reference in zip(restored, tables)
     ) > 0
+
+
+# ---------------------------------------------------------------------- #
+# The mutation path of ``churn-faults-4k``: one ``ChurnWave(400, 400)`` on
+# the 4k-subscriber world and the first ``match_grouped`` after it on
+# every broker, i.e. what the perfbench layers ``pubsub.system.subscribe_s``
+# / ``unsubscribe_s``, ``pubsub.subscription.install_many_s`` /
+# ``uninstall_s``, ``pubsub.matching.add_many_s`` / ``remove_s`` and the
+# recompile share of ``match_array_s`` add up to per wave.
+# ---------------------------------------------------------------------- #
+CHURN_CONFIG = SimulationConfig(
+    seed=1, strategy="eb",
+    topology_spec=LayeredMeshSpec(subscribers_per_edge_broker=250),
+)
+
+
+def _churn_world():
+    system = build_system(CHURN_CONFIG)
+    system.warm()
+    return system, DynamicsDriver(system, CHURN_CONFIG.scenario)
+
+
+def test_pubsub_subscription_churn_wave(benchmark):
+    wave = ChurnWave(at_ms=0.0, leave=400, join=400)
+
+    def apply_and_match(system, driver):
+        driver.apply(wave)
+        for broker in system.brokers.values():
+            for probe in _probes(system):
+                broker.table.match_grouped(probe)
+        return system
+
+    system = benchmark.pedantic(
+        apply_and_match, setup=lambda: (_churn_world(), {}), rounds=3, iterations=1
+    )
+    # The same wave (same draws) as one-element batches, the per-call path.
+    reference, driver = _churn_world()
+    leave_batch, join_batch = reference.unsubscribe_all, reference.subscribe_all
+    reference.unsubscribe_all = lambda names: [leave_batch([name]) for name in names]
+    reference.subscribe_all = lambda joiners: [join_batch([joiner]) for joiner in joiners]
+    driver.apply(wave)
+    probes = _probes(system)
+    assert sum(
+        assert_same_table(broker.table, reference.brokers[name].table, probes)
+        for name, broker in system.brokers.items()
+    ) > 0
+    benchmark.extra_info["rows"] = sum(len(broker.table) for broker in system.brokers.values())

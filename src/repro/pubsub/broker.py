@@ -192,9 +192,9 @@ class Broker:
         if next_hop is not None and next_hop not in self.queues:
             raise ValueError(f"{self.name}: row routes via unwired neighbor {next_hop!r}")
 
-    def install(self, row: TableRow, preds=None) -> None:
+    def install(self, row: TableRow) -> None:
         self._check_wired(row.next_hop)
-        self.table.install(row, preds=preds)
+        self.table.install(row)
 
     def install_many(self, block: RowBlock) -> None:
         """Bulk :meth:`install`: wiring validated per route, not per row."""

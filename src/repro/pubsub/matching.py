@@ -30,21 +30,81 @@ from __future__ import annotations
 
 import bisect
 from collections import defaultdict
-from typing import Generic, Hashable, Iterable, Mapping, Protocol, TypeVar
+from dataclasses import dataclass
+from typing import Generic, Hashable, Iterable, Mapping, Protocol, Sequence, TypeVar
 
 import numpy as np
 
+from repro.core.growable import GrowableArray
 from repro.pubsub.filters import Filter, Predicate, conjunction_predicates
 
 K = TypeVar("K", bound=Hashable)
 
 
+@dataclass(frozen=True, slots=True, eq=False)
+class PredicateColumns:
+    """:func:`~repro.pubsub.filters.conjunction_predicates` of a batch of
+    filters, as columns: ``counts[i]`` is filter ``i``'s predicate total
+    (−1 when it is not a pure conjunction) and ``entries[(attribute, op)]``
+    the ``(item, value)`` arrays of every predicate on that pair, in item
+    order.  Computed once per batch however many brokers install it;
+    :meth:`take` gathers one broker's share.
+    """
+
+    counts: np.ndarray
+    entries: dict[tuple[str, str], tuple[np.ndarray, np.ndarray]]
+
+    @classmethod
+    def of(cls, filters: Sequence[Filter]) -> "PredicateColumns":
+        counts = np.empty(len(filters), dtype=np.int64)
+        raw: dict[tuple[str, str], tuple[list[int], list[float]]] = {}
+        for i, filter_ in enumerate(filters):
+            preds = conjunction_predicates(filter_)
+            if preds is None:
+                counts[i] = -1
+                continue
+            counts[i] = len(preds)
+            for p in preds:
+                items, values = raw.setdefault((p.attribute, p.op), ([], []))
+                items.append(i)
+                values.append(p.value)
+        return cls(counts, {
+            key: (np.array(items, dtype=np.int64), np.array(values, dtype=np.float64))
+            for key, (items, values) in raw.items()
+        })
+
+    def take(self, items: np.ndarray) -> "PredicateColumns":
+        """The columns of the sub-batch ``items`` (distinct indices into
+        this batch), renumbered to positions in ``items``."""
+        position = np.full(len(self.counts), -1, dtype=np.int64)
+        position[items] = np.arange(len(items), dtype=np.int64)
+        entries = {}
+        for key, (item, value) in self.entries.items():
+            at = position[item]
+            keep = at >= 0
+            if keep.any():
+                entries[key] = (at[keep], value[keep])
+        return PredicateColumns(self.counts[items], entries)
+
+
 class MatchingEngine(Protocol[K]):
-    """Protocol shared by all matchers."""
+    """Protocol shared by all matchers: what the subscription table and
+    the system's interested-population index call."""
 
     def add(self, key: K, filter_: Filter) -> None: ...
 
+    def add_many(
+        self, items: Iterable[tuple[K, Filter]], preds: PredicateColumns | None = None
+    ) -> None:
+        """Equivalent to :meth:`add` per item in order; ``preds`` are the
+        filters' already-computed predicate columns."""
+        ...
+
     def remove(self, key: K) -> None: ...
+
+    def remove_many(self, keys: Iterable[K]) -> None:
+        """Equivalent to :meth:`remove` per key in order."""
+        ...
 
     def match(self, attributes: Mapping[str, float]) -> set[K]: ...
 
@@ -59,21 +119,23 @@ class BruteForceMatcher(Generic[K]):
     def __init__(self) -> None:
         self._filters: dict[K, Filter] = {}
 
-    def add(self, key: K, filter_: Filter, preds=None) -> None:
+    def add(self, key: K, filter_: Filter) -> None:
         if key in self._filters:
             raise KeyError(f"duplicate key {key!r}")
         self._filters[key] = filter_
 
     def add_many(
-        self,
-        items: Iterable[tuple[K, Filter]],
-        preds_list: list | None = None,
+        self, items: Iterable[tuple[K, Filter]], preds: PredicateColumns | None = None
     ) -> None:
         for key, filter_ in items:
             self.add(key, filter_)
 
     def remove(self, key: K) -> None:
         del self._filters[key]
+
+    def remove_many(self, keys: Iterable[K]) -> None:
+        for key in keys:
+            self.remove(key)
 
     def match(self, attributes: Mapping[str, float]) -> set[K]:
         return {k for k, f in self._filters.items() if f.matches(attributes)}
@@ -191,11 +253,10 @@ class CountingIndexMatcher(Generic[K]):
         #: does not rescan ``_predicate_count`` on every call.
         self._match_all: set[K] = set()
 
-    def add(self, key: K, filter_: Filter, preds=None) -> None:
+    def add(self, key: K, filter_: Filter) -> None:
         if key in self._predicate_count or key in self._fallback:
             raise KeyError(f"duplicate key {key!r}")
-        if preds is None:
-            preds = conjunction_predicates(filter_)
+        preds = conjunction_predicates(filter_)
         if preds is None:
             self._fallback.add(key, filter_)
             return
@@ -210,13 +271,12 @@ class CountingIndexMatcher(Generic[K]):
             idx.add(p.value, key)
 
     def add_many(
-        self,
-        items: Iterable[tuple[K, Filter]],
-        preds_list: list | None = None,
+        self, items: Iterable[tuple[K, Filter]], preds: PredicateColumns | None = None
     ) -> None:
         """Bulk registration: predicates are grouped per (attribute, op)
         index and inserted with one sorted merge each.  Matching behaviour
-        is identical to adding the items one at a time, in order.
+        is identical to adding the items one at a time, in order.  The
+        oracle derives the predicates itself and ignores ``preds``.
         """
         items = list(items)
         seen: set[K] = set()
@@ -224,10 +284,9 @@ class CountingIndexMatcher(Generic[K]):
             if key in self._predicate_count or key in seen or key in self._fallback:
                 raise KeyError(f"duplicate key {key!r}")
             seen.add(key)
-        if preds_list is None:
-            preds_list = [conjunction_predicates(f) for _, f in items]
         batches: dict[tuple[str, str], list[tuple[float, K]]] = defaultdict(list)
-        for (key, filter_), preds in zip(items, preds_list):
+        for key, filter_ in items:
+            preds = conjunction_predicates(filter_)
             if preds is None:
                 self._fallback.add(key, filter_)
                 continue
@@ -253,6 +312,10 @@ class CountingIndexMatcher(Generic[K]):
         for p in preds:
             self._indexes[(p.attribute, p.op)].remove(p.value, key)
 
+    def remove_many(self, keys: Iterable[K]) -> None:
+        for key in keys:
+            self.remove(key)
+
     def match(self, attributes: Mapping[str, float]) -> set[K]:
         counts: dict[K, int] = defaultdict(int)
         for (attr, _op), idx in self._indexes.items():
@@ -274,55 +337,67 @@ class CountingIndexMatcher(Generic[K]):
         return len(self._predicate_count) + len(self._fallback)
 
 
+def _column(values: np.ndarray) -> GrowableArray:
+    column = GrowableArray(values.dtype, capacity=len(values))
+    column.extend(values)
+    return column
+
+
 class _VecAttrOpIndex:
     """One (attribute, op) index over interned ids, compiled to numpy.
 
-    Raw ``(threshold, id)`` pairs accumulate in a list; :meth:`compile`
-    sorts them once into a sorted unique ``thresholds`` array plus a
-    CSR-style layout (``ids`` concatenated per threshold, ``starts`` as
-    the indptr).  Every comparison op then reduces to one
-    ``np.searchsorted`` and a contiguous slice (prefix for ``>``/``>=``,
-    suffix for ``<``/``<=``, a single span for ``==``, its complement for
-    ``!=``) — the satisfied-id set comes out as array views, no per-key
-    Python iteration.
+    Raw entries accumulate in two growable columns (threshold values and
+    the ids that own them); :meth:`compile` argsorts them into a sorted
+    unique ``thresholds`` array plus a CSR-style layout (``ids``
+    concatenated per threshold, ``starts`` as the indptr).  Every
+    comparison op then reduces to one ``np.searchsorted`` and a contiguous
+    slice (prefix for ``>``/``>=``, suffix for ``<``/``<=``, a single span
+    for ``==``, its complement for ``!=``) — the satisfied-id set comes
+    out as array views, no per-key Python iteration.
     """
 
-    __slots__ = ("op", "entries", "dirty", "_thresholds", "_starts", "_ids")
+    __slots__ = ("op", "_values", "_entry_ids", "dirty", "_thresholds", "_starts", "_ids")
 
     def __init__(self, op: str) -> None:
         self.op = op
-        self.entries: list[tuple[float, int]] = []
+        self._values = GrowableArray(np.float64)
+        self._entry_ids = GrowableArray(np.int64)
         self.dirty = True
         self._thresholds = np.empty(0)
         self._starts = np.zeros(1, dtype=np.int64)
         self._ids = np.empty(0, dtype=np.int64)
 
-    def add(self, value: float, id_: int) -> None:
-        self.entries.append((value, id_))
+    def add_many(self, values: np.ndarray, ids: np.ndarray) -> None:
+        """Append entries (the stable compile sort makes their order
+        irrelevant to what a match returns)."""
+        self._values.extend(values)
+        self._entry_ids.extend(ids)
         self.dirty = True
 
-    def add_many(self, pairs: list[tuple[float, int]]) -> None:
-        """Bulk append; equivalent to :meth:`add` per pair in order (the
-        stable compile sort makes entry order irrelevant anyway)."""
-        self.entries.extend(pairs)
+    def purge(self, alive: np.ndarray, remap: np.ndarray) -> int:
+        """Drop the entries of ids not ``alive`` and renumber the rest
+        through ``remap``; returns the entries left."""
+        ids = self._entry_ids.view()
+        keep = alive[ids]
+        self._values = _column(self._values.view()[keep])
+        self._entry_ids = _column(remap[ids[keep]])
         self.dirty = True
+        return len(self._values)
 
     def compile(self) -> None:
         if not self.dirty:
             return
-        if self.entries:
-            values = np.array([v for v, _ in self.entries])
-            ids = np.array([i for _, i in self.entries], dtype=np.int64)
-            order = np.argsort(values, kind="stable")
-            values, ids = values[order], ids[order]
-            thresholds, first = np.unique(values, return_index=True)
-            self._thresholds = thresholds
-            self._starts = np.append(first, len(values))
-            self._ids = ids
-        else:
-            self._thresholds = np.empty(0)
-            self._starts = np.zeros(1, dtype=np.int64)
-            self._ids = np.empty(0, dtype=np.int64)
+        values, ids = self._values.view(), self._entry_ids.view()
+        # The columns themselves are left sorted: the next compile's stable
+        # sort then sees one long run plus whatever was added since, which
+        # costs it little (equal thresholds keep insertion order either way).
+        order = np.argsort(values, kind="stable")
+        values[:] = values[order]
+        ids[:] = ids[order]
+        thresholds, first = np.unique(values, return_index=True)
+        self._thresholds = thresholds
+        self._starts = np.append(first, len(values))
+        self._ids = ids.copy()
         self.dirty = False
 
     def collect(self, v: float, out: list[np.ndarray]) -> None:
@@ -364,6 +439,11 @@ class VectorCountingMatcher(Generic[K]):
     ``_NEVER`` total behind), so compiled indexes stay valid across
     removals and only the touched (attribute, op) indexes recompile.
 
+    Mutation is batch-first: :meth:`add_many` / :meth:`remove_many` are
+    the implementations, :meth:`add` / :meth:`remove` their one-element
+    calls.  The matcher keeps no per-key predicate objects — membership is
+    ``_id_of``, a key's entry count its ``_required`` slot.
+
     Non-conjunctive filters degrade to brute force and empty conjunctions
     live in a cached match-all set, exactly as in
     :class:`CountingIndexMatcher`.
@@ -372,15 +452,13 @@ class VectorCountingMatcher(Generic[K]):
     def __init__(self) -> None:
         self._indexes: dict[tuple[str, str], _VecAttrOpIndex] = {}
         self._keys: list[K] = []  # id -> key
+        #: Live keys only, in ascending id order: ids are handed out in
+        #: insertion order and a purge renumbers in that same order.
         self._id_of: dict[K, int] = {}
-        self._required: list[int] = []  # id -> predicate total (or _NEVER)
-        self._predicates: dict[K, tuple[Predicate, ...]] = {}
+        self._required = GrowableArray(np.int64)  # id -> predicate total (or _NEVER)
         self._match_all: set[K] = set()
         self._fallback = BruteForceMatcher[K]()
-        self._live = 0
-        self._required_arr = np.empty(0, dtype=np.int64)
         self._key_arr = np.empty(0, dtype=np.int64)  # id -> key, int keys only
-        self._required_dirty = True
         # Removal is tombstone-based: a removed id's predicate total goes to
         # _NEVER, so its (still-indexed) entries can inflate bincount inputs
         # but can never win the count test.  Once the tombstones outnumber
@@ -388,7 +466,6 @@ class VectorCountingMatcher(Generic[K]):
         # whole id space — dead entries leave the indexes and surviving ids
         # are remapped to stay dense — so remove is O(1) amortised and
         # per-match bincount width tracks live keys, not cumulative adds.
-        self._dead_ids: set[int] = set()
         self._dead_entries = 0
         self._total_entries = 0
         #: True while every key equals its own interned id (the
@@ -400,113 +477,100 @@ class VectorCountingMatcher(Generic[K]):
     # -------------------------------------------------------------- #
     # Mutation.
     # -------------------------------------------------------------- #
-    def _intern(self, key: K, n_predicates: int) -> int:
-        id_ = len(self._keys)
-        self._keys.append(key)
-        self._id_of[key] = id_
-        self._required.append(n_predicates if n_predicates > 0 else _NEVER)
-        self._required_dirty = True
-        if self._keys_identity and key != id_:
-            self._keys_identity = False
-        return id_
-
-    def add(self, key: K, filter_: Filter, preds=None) -> None:
-        if key in self._predicates or key in self._fallback:
-            raise KeyError(f"duplicate key {key!r}")
-        if preds is None:
-            preds = conjunction_predicates(filter_)
-        if preds is None:
-            self._fallback.add(key, filter_)
-            return
-        id_ = self._intern(key, len(preds))
-        self._predicates[key] = preds
-        self._live += 1
-        self._total_entries += len(preds)
-        if not preds:
-            self._match_all.add(key)
-        for p in preds:
-            idx = self._indexes.get((p.attribute, p.op))
-            if idx is None:
-                idx = self._indexes[(p.attribute, p.op)] = _VecAttrOpIndex(p.op)
-            idx.add(p.value, id_)
+    def add(self, key: K, filter_: Filter) -> None:
+        self.add_many([(key, filter_)])
 
     def add_many(
-        self,
-        items: Iterable[tuple[K, Filter]],
-        preds_list: list | None = None,
+        self, items: Iterable[tuple[K, Filter]], preds: PredicateColumns | None = None
     ) -> None:
-        """Bulk registration: interning happens in item order (so ids are
-        the same as sequential :meth:`add` calls) but predicate entries
-        are grouped per (attribute, op) index and appended with one
-        ``extend`` each.  ``preds_list`` lets the caller reuse already-
-        computed :func:`conjunction_predicates` results.
+        """Bulk registration: interning happens in item order (ids are
+        those of sequential :meth:`add` calls) and each (attribute, op)
+        index takes its entries as one column append.  ``preds`` lets the
+        caller reuse predicate columns computed once per batch.
         """
         items = list(items)
-        seen: set[K] = set()
-        for key, _ in items:
-            if key in self._predicates or key in seen or key in self._fallback:
-                raise KeyError(f"duplicate key {key!r}")
-            seen.add(key)
-        if preds_list is None:
-            preds_list = [conjunction_predicates(f) for _, f in items]
-        per_index: dict[tuple[str, str], list[tuple[float, int]]] = {}
-        predicates = self._predicates
-        setdefault = per_index.setdefault
-        for (key, filter_), preds in zip(items, preds_list):
-            if preds is None:
-                self._fallback.add(key, filter_)
-                continue
-            id_ = self._intern(key, len(preds))
-            predicates[key] = preds
-            self._live += 1
-            self._total_entries += len(preds)
-            if not preds:
-                self._match_all.add(key)
-            for p in preds:
-                setdefault((p.attribute, p.op), []).append((p.value, id_))
-        for (attr, op), pairs in per_index.items():
-            idx = self._indexes.get((attr, op))
+        keys = [key for key, _ in items]
+        id_of, fallback = self._id_of, self._fallback
+        if (len(set(keys)) != len(keys) or not id_of.keys().isdisjoint(keys)
+                or not fallback._filters.keys().isdisjoint(keys)):
+            seen: set[K] = set()
+            for key in keys:
+                if key in seen or key in id_of or key in fallback:
+                    raise KeyError(f"duplicate key {key!r}")
+                seen.add(key)
+        if preds is None:
+            preds = PredicateColumns.of([filter_ for _, filter_ in items])
+        counts = preds.counts
+        indexed = counts >= 0
+        base = len(self._keys)
+        ids = base + np.cumsum(indexed) - 1  # per item; unused where not indexed
+        if not indexed.all():
+            for i in np.flatnonzero(~indexed).tolist():
+                fallback.add(*items[i])
+            keys = [keys[i] for i in np.flatnonzero(indexed).tolist()]
+            counts = counts[indexed]
+        new_ids = range(base, base + len(keys))
+        if self._keys_identity and keys != list(new_ids):
+            self._keys_identity = False
+        id_of.update(zip(keys, new_ids))
+        self._keys.extend(keys)
+        self._required.extend(np.where(counts > 0, counts, _NEVER))
+        for i in np.flatnonzero(counts == 0).tolist():
+            self._match_all.add(keys[i])
+        for pair, (item, value) in preds.entries.items():
+            idx = self._indexes.get(pair)
             if idx is None:
-                idx = self._indexes[(attr, op)] = _VecAttrOpIndex(op)
-            idx.add_many(pairs)
+                idx = self._indexes[pair] = _VecAttrOpIndex(pair[1])
+            idx.add_many(value, ids[item])
+            self._total_entries += len(item)
 
     def remove(self, key: K) -> None:
-        preds = self._predicates.pop(key, None)
-        if preds is None:
-            self._fallback.remove(key)
+        self.remove_many([key])
+
+    def remove_many(self, keys: Iterable[K]) -> None:
+        """Tombstone a batch of keys, with one purge test for the batch.
+        An unknown or repeated key raises before anything is removed."""
+        keys = list(keys)
+        id_of, fallback = self._id_of, self._fallback
+        if len(set(keys)) != len(keys):
+            raise KeyError("a key repeats in the batch")
+        loose = [key for key in keys if key not in id_of]
+        for key in loose:
+            if key not in fallback:
+                raise KeyError(key)
+        if loose:
+            fallback.remove_many(loose)
+            keys = [key for key in keys if key in id_of]
+        if not keys:
             return
-        id_ = self._id_of.pop(key)
-        self._required[id_] = _NEVER
-        self._required_dirty = True
-        self._match_all.discard(key)
-        self._live -= 1
-        self._dead_ids.add(id_)
-        self._dead_entries += len(preds)
+        ids = np.fromiter(map(id_of.pop, keys), dtype=np.int64, count=len(keys))
+        required = self._required.view()
+        counts = required[ids]
+        self._dead_entries += int(counts[counts > 0].sum())
+        required[ids] = _NEVER
+        if self._match_all:
+            self._match_all.difference_update(keys)
         if (self._dead_entries * 2 > self._total_entries
-                or len(self._dead_ids) * 2 > len(self._keys)):
+                or (len(self._keys) - len(id_of)) * 2 > len(self._keys)):
             self._purge_dead()
 
     def _purge_dead(self) -> None:
         """Compact the id space (amortised): drop tombstoned entries from
         every index and remap surviving ids to be dense again, so neither
         match cost nor id-table memory grows with cumulative churn."""
-        live = sorted(self._id_of.items(), key=lambda kv: kv[1])  # by old id
-        remap = {old: new for new, (_, old) in enumerate(live)}
-        self._keys = [key for key, _ in live]
-        self._required = [self._required[old] for _, old in live]
-        self._id_of = {key: new for new, (key, _) in enumerate(live)}
-        dead = self._dead_ids
-        total = 0
-        for idx in self._indexes.values():
-            idx.entries = [(v, remap[i]) for v, i in idx.entries if i not in dead]
-            idx.dirty = True
-            total += len(idx.entries)
-        self._total_entries = total
+        live = np.fromiter(self._id_of.values(), dtype=np.int64, count=len(self._id_of))
+        alive = np.zeros(len(self._keys), dtype=bool)
+        alive[live] = True
+        remap = np.cumsum(alive) - 1
+        self._keys = list(self._id_of)
+        self._id_of = dict(zip(self._keys, range(len(self._keys))))
+        self._required = _column(self._required.view()[live])
+        self._total_entries = sum(
+            idx.purge(alive, remap) for idx in self._indexes.values()
+        )
         self._dead_entries = 0
-        dead.clear()
-        self._required_dirty = True
         self._key_arr = np.empty(0, dtype=np.int64)
-        self._keys_identity = all(k == i for i, k in enumerate(self._keys))
+        self._keys_identity = self._keys == list(range(len(self._keys)))
 
     # -------------------------------------------------------------- #
     # Matching.
@@ -520,15 +584,11 @@ class VectorCountingMatcher(Generic[K]):
 
     def warm(self) -> None:
         """Eagerly build every lazy compiled structure (per-op indexes,
-        predicate totals, key gather).  Matching compiles these on first
-        use anyway; warming just moves the one-time cost out of the
-        simulation's hot loop — reachable state is identical."""
+        key gather).  Matching compiles these on first use anyway; warming
+        just moves the one-time cost out of the simulation's hot loop —
+        reachable state is identical."""
         for idx in self._indexes.values():
-            if idx.dirty:
-                idx.compile()
-        if self._required_dirty:
-            self._required_arr = np.asarray(self._required, dtype=np.int64)
-            self._required_dirty = False
+            idx.compile()
         if not self._keys_identity and len(self._key_arr) != len(self._keys):
             try:
                 self._key_arr = np.asarray(self._keys, dtype=np.int64)
@@ -537,9 +597,6 @@ class VectorCountingMatcher(Generic[K]):
 
     def _indexed_hits(self, attributes: Mapping[str, float]) -> np.ndarray:
         """Ids whose predicate count equals their total (sorted ascending)."""
-        if self._required_dirty:
-            self._required_arr = np.asarray(self._required, dtype=np.int64)
-            self._required_dirty = False
         chunks: list[np.ndarray] = []
         for (attr, _op), idx in self._indexes.items():
             v = attributes.get(attr)
@@ -553,8 +610,9 @@ class VectorCountingMatcher(Generic[K]):
         satisfied = np.concatenate(chunks)
         if satisfied.size == 0:
             return satisfied
-        counts = np.bincount(satisfied, minlength=len(self._required_arr))
-        return np.flatnonzero(counts == self._required_arr)
+        required = self._required.view()
+        counts = np.bincount(satisfied, minlength=len(required))
+        return np.flatnonzero(counts == required)
 
     def match(self, attributes: Mapping[str, float]) -> set[K]:
         keys = self._keys
@@ -602,7 +660,7 @@ class VectorCountingMatcher(Generic[K]):
         )
 
     def __len__(self) -> int:
-        return self._live + len(self._fallback)
+        return len(self._id_of) + len(self._fallback)
 
 
 #: Recognised ``matcher_backend`` selectors for :func:`make_matcher`.

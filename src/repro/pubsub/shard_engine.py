@@ -72,9 +72,9 @@ MAX_EPOCH_MS = 250.0
 # Columnar wire format (worker -> coordinator).
 # ---------------------------------------------------------------------- #
 def _replay_ops(table: SubscriptionTable, ops: list[tuple[str, object]]) -> None:
-    """Apply a journal slice to a replica table (same op order as the
-    coordinator → identical interned ids and version counter)."""
-    apply = {"i": table.install, "m": table.install_many, "u": table.uninstall}
+    """Apply a journal slice to a replica table (same call sequence as
+    the coordinator → identical interned ids and version counter)."""
+    apply = {"i": table.install, "m": table.install_many, "u": table.uninstall_many}
     for kind, payload in ops:
         apply[kind](payload)
 

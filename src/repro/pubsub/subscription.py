@@ -24,7 +24,7 @@ import numpy as np
 
 from repro.core.growable import GrowableArray
 from repro.pubsub.filters import Filter
-from repro.pubsub.matching import make_matcher
+from repro.pubsub.matching import PredicateColumns, make_matcher
 from repro.pubsub.message import Message
 from repro.stats.normal import Normal
 
@@ -114,13 +114,13 @@ class Route(NamedTuple):
 @dataclass(frozen=True, slots=True)
 class RowBlock:
     """Columnar argument of :meth:`SubscriptionTable.install_many`: row
-    ``i`` is ``TableRow(subscriptions[i], *routes[route[i]])`` and
-    ``preds[i]`` its filter's
-    :func:`~repro.pubsub.filters.conjunction_predicates` result, computed
-    once per subscription however many brokers install it."""
+    ``i`` is ``TableRow(subscriptions[i], *routes[route[i]])``; ``preds``
+    optionally carries the rows' filters as
+    :class:`~repro.pubsub.matching.PredicateColumns`, computed once per
+    batch however many brokers install it."""
 
     subscriptions: list[Subscription]
-    preds: list
+    preds: PredicateColumns | None
     route: np.ndarray
     routes: list[Route]
 
@@ -256,6 +256,14 @@ def _intern(key, id_of: dict, by_id: list) -> int:
     return i
 
 
+def _intern_many(keys: list, id_of: dict, by_id: list) -> list[int]:
+    """:func:`_intern` per key in order, as three C-level passes."""
+    fresh = [key for key in dict.fromkeys(keys) if key not in id_of]
+    id_of.update(zip(fresh, range(len(by_id), len(by_id) + len(fresh))))
+    by_id.extend(fresh)
+    return [id_of[key] for key in keys]
+
+
 class SubscriptionTable:
     """All rows installed at one broker, with an index for matching.
 
@@ -301,7 +309,7 @@ class SubscriptionTable:
         #: Mutation journal, armed (set to a list) by the sharded engine
         #: when worker processes hold replicas of this table: every
         #: mutation is recorded — ``("i", row)``, ``("m", block)``,
-        #: ``("u", subscriber)`` — so replicas replay the identical op
+        #: ``("u", subscribers)`` — so replicas replay the identical call
         #: sequence (same interned ids, same version count) before
         #: matching.  ``None`` (the default) costs one branch per mutation.
         self.journal: list[tuple[str, object]] | None = None
@@ -324,10 +332,8 @@ class SubscriptionTable:
         own = self._own(subscriber)
         self._ids_of_subscriber[subscriber] = [*own, row_id] if own else row_id
 
-    def install(self, row: TableRow, preds=None) -> None:
-        """Install one row.  ``preds`` optionally carries the row filter's
-        :func:`~repro.pubsub.filters.conjunction_predicates` result, which
-        callers compute once per subscription, not per on-path broker."""
+    def install(self, row: TableRow) -> None:
+        """Install one row."""
         subscription = row.subscription
         name = subscription.subscriber
         if self._has_row(name, row.path_id):
@@ -345,7 +351,7 @@ class SubscriptionTable:
             row.min_msg_id, row.nn, hop, sub, row.path_id, src_set,
         )
         self._link(name, row_id)
-        self._matcher.add(row_id, subscription.filter, preds=preds)
+        self._matcher.add(row_id, subscription.filter)
         if self.journal is not None:
             self.journal.append(("i", row))
         self._c_dirty = True
@@ -361,7 +367,8 @@ class SubscriptionTable:
             return
         subs, route = block.subscriptions, block.route
         names = [s.subscriber for s in subs]
-        if len(set(names)) != n or not self._ids_of_subscriber.keys().isdisjoint(names):
+        all_new = len(set(names)) == n and self._ids_of_subscriber.keys().isdisjoint(names)
+        if not all_new:
             # A subscriber repeats: legal on distinct paths only.
             seen: set[tuple[str, int]] = set()
             for key in zip(names, np.array([r.path_id for r in block.routes])[route].tolist()):
@@ -382,18 +389,24 @@ class SubscriptionTable:
                 _intern(sources, self._src_set_id_of, self._src_set_by_id),
             )
         rows = routes[route]
-        rows["sub"] = [_intern(name, self._sub_id_of, self._sub_names) for name in names]
+        rows["sub"] = _intern_many(names, self._sub_id_of, self._sub_names)
         rows["deadline"] = [np.inf if s.deadline_ms is None else s.deadline_ms for s in subs]
         rows["price"] = [1.0 if s.price is None else s.price for s in subs]
         # Freed ids are reused newest-first, then the columns grow.
-        reused = [self._free_ids.pop() for _ in range(min(n, len(self._free_ids)))]
+        free = self._free_ids
+        keep = len(free) - min(n, len(free))
+        reused = free[keep:][::-1]
+        del free[keep:]
         for row_id, subscription in zip(reused, subs):
             self._subs[row_id] = subscription
         row_ids = reused + list(range(len(self._subs), len(self._subs) + n - len(reused)))
         self._subs.extend(subs[len(reused):])
         self._cols.at_least(len(self._subs))[row_ids] = rows
-        for name, row_id in zip(names, row_ids):
-            self._link(name, row_id)
+        if all_new:
+            self._ids_of_subscriber.update(zip(names, row_ids))
+        else:
+            for name, row_id in zip(names, row_ids):
+                self._link(name, row_id)
         self._matcher.add_many(
             list(zip(row_ids, [s.filter for s in subs])), block.preds
         )
@@ -404,16 +417,37 @@ class SubscriptionTable:
 
     def uninstall(self, subscriber: str) -> None:
         """Remove every row (any path) of a subscriber."""
-        ids = self._own(subscriber)
-        del self._ids_of_subscriber[subscriber]
-        for row_id in ids:
+        self.uninstall_many([subscriber])
+
+    def uninstall_many(self, subscribers: list[str]) -> None:
+        """Remove every row of each subscriber: end state identical to
+        :meth:`uninstall` per name in order — same freed-id order, same
+        version count — with one matcher ``remove_many`` and one journal
+        entry.  A name that repeats or holds no row here raises before
+        anything is removed."""
+        subscribers = list(subscribers)
+        if not subscribers:
+            return
+        ids_of = self._ids_of_subscriber
+        if len(set(subscribers)) != len(subscribers):
+            raise KeyError("a subscriber repeats in the batch")
+        for name in subscribers:
+            if name not in ids_of:
+                raise KeyError(name)
+        row_ids: list[int] = []
+        for own in map(ids_of.pop, subscribers):
+            if type(own) is int:
+                row_ids.append(own)
+            else:
+                row_ids.extend(own)
+        for row_id in row_ids:
             self._subs[row_id] = None
-            self._matcher.remove(row_id)
-            self._free_ids.append(row_id)
+        self._matcher.remove_many(row_ids)
+        self._free_ids.extend(row_ids)
         if self.journal is not None:
-            self.journal.append(("u", subscriber))
+            self.journal.append(("u", subscribers))
         self._c_dirty = True
-        self._version += 1
+        self._version += len(subscribers)
 
     # ------------------------------------------------------------------ #
     # Serialization.
@@ -448,6 +482,11 @@ class SubscriptionTable:
 
     def __contains__(self, subscriber: str) -> bool:
         return subscriber in self._ids_of_subscriber
+
+    def held(self, subscribers: list[str]) -> list[str]:
+        """Those of ``subscribers`` that have a row here, in order."""
+        ids_of = self._ids_of_subscriber
+        return [name for name in subscribers if name in ids_of]
 
     def _materialise(self, ids) -> list[TableRow]:
         """Build the :class:`TableRow` values of live row ids from storage."""

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Callable, Mapping
 
 import networkx as nx
@@ -43,10 +44,19 @@ from repro.pubsub.broker import Broker
 from repro.pubsub.client import DeliveryLog, PublisherHandle, SubscriberHandle
 from repro.pubsub.engine import ENGINE_BACKENDS, make_engine
 from repro.pubsub.faults import FaultLedger
-from repro.pubsub.filters import conjunction_predicates
-from repro.pubsub.matching import MATCHER_BACKENDS, MatchingEngine, make_matcher
+from repro.pubsub.matching import (
+    MATCHER_BACKENDS,
+    MatchingEngine,
+    PredicateColumns,
+    make_matcher,
+)
 from repro.pubsub.message import Message
-from repro.pubsub.metrics import METRICS_BACKENDS, MetricsCollector, make_metrics
+from repro.pubsub.metrics import (
+    METRICS_BACKENDS,
+    MetricsCollector,
+    MetricsError,
+    make_metrics,
+)
 from repro.pubsub.subscription import Route, RowBlock, Subscription, TableRow
 from repro.stats.normal import Normal
 
@@ -242,9 +252,9 @@ class PubSubSystem:
         )
         # Per-broker translation of table-interned subscriber ids to
         # endpoint log ids (−1 = no live endpoint).  Maintained
-        # incrementally: new interned names extend the tail, and
-        # subscribe/unsubscribe patch the one affected slot per broker —
-        # no full rebuilds on churn.
+        # incrementally: new interned names extend the tail, and a
+        # subscribe/unsubscribe batch patches its slots per broker — no
+        # full rebuilds on churn.
         self._endpoint_ids: dict[str, np.ndarray] = {}
 
         self.brokers: dict[str, Broker] = {}
@@ -389,13 +399,17 @@ class PubSubSystem:
             cached[group.sub_ids], message.msg_id, self.sim.now, latency, valid
         )
 
-    def _patch_endpoint_ids(self, name: str, log_id: int) -> None:
-        """Point one subscriber's slot at a new endpoint id (−1 = gone) in
-        every broker cache that already covers the name."""
+    def _patch_endpoint_ids(self, names: list[str], log_ids) -> None:
+        """Point the subscribers' slots at new endpoint ids (−1 = gone) in
+        every broker cache that already covers them."""
+        log_ids = np.broadcast_to(np.asarray(log_ids, dtype=np.int64), len(names))
         for broker_name, ids in self._endpoint_ids.items():
-            sid = self.brokers[broker_name].table._sub_id_of.get(name)
-            if sid is not None and sid < ids.shape[0]:
-                ids[sid] = log_id
+            sid_of = self.brokers[broker_name].table._sub_id_of.get
+            sids = np.fromiter(
+                map(sid_of, names, repeat(-1)), dtype=np.int64, count=len(names)
+            )
+            covered = (sids >= 0) & (sids < ids.shape[0])
+            ids[sids[covered]] = log_ids[covered]
 
     # ------------------------------------------------------------------ #
     # Subscriptions.
@@ -422,37 +436,48 @@ class PubSubSystem:
         in-flight older message, which would break the ``ds_i <= ts_i``
         accounting invariant.
         """
-        edge = self._edge_of_new(subscription.subscriber)
-        if self.config.routing.is_single_path:
-            self._install_single_path(subscription, edge)
-        else:
-            self._install_multi_path(subscription, edge)
-        return self._register(subscription)
+        self.subscribe_all([subscription])
+        return self.subscribers[subscription.subscriber]
 
-    def _edge_of_new(self, name: str) -> str:
-        """The edge broker of a subscriber about to be registered."""
-        if name in self._subscriptions:
-            raise ValueError(f"subscriber {name!r} already has a subscription")
-        edge = self.topology.subscriber_brokers.get(name)
-        if edge is None:
-            raise TopologyError(f"subscriber {name!r} is not attached to any broker")
-        return edge
+    def _edges_of_new(self, names: list[str]) -> list[str]:
+        """The edge brokers of subscribers about to be registered.  The
+        whole batch is checked — unique, attached, not yet subscribed —
+        so a bad entry raises before anything is mutated."""
+        edge_of = self.topology.subscriber_brokers
+        seen: set[str] = set()
+        edges = []
+        for name in names:
+            if name in self._subscriptions or name in seen:
+                raise ValueError(f"subscriber {name!r} already has a subscription")
+            edge = edge_of.get(name)
+            if edge is None:
+                raise TopologyError(f"subscriber {name!r} is not attached to any broker")
+            seen.add(name)
+            edges.append(edge)
+        return edges
 
-    def _register(self, subscription: Subscription, preds=None) -> SubscriberHandle:
-        """Enter an installed subscription into registry, population, log."""
-        name = subscription.subscriber
-        self._subscriptions[name] = subscription
-        self._population.add(name, subscription.filter, preds=preds)
-        handle = SubscriberHandle(name, log=self.delivery_log)
-        self.subscribers[name] = handle
+    def _register(self, subscriptions: list[Subscription], preds: PredicateColumns) -> None:
+        """Enter installed subscriptions into registry, population, log."""
         # Endpoint ids are handed out sequentially and only here, so the
         # price list stays index-aligned with the shared delivery log.
-        assert handle.log_id == len(self._endpoint_price)
-        self._endpoint_price.append(
-            subscription.price if subscription.price is not None else 1.0
+        first = len(self._endpoint_price)
+        if self.delivery_log.endpoint_count != first:
+            raise MetricsError(
+                f"delivery log has {self.delivery_log.endpoint_count} endpoints "
+                f"but {first} are priced: endpoints were registered elsewhere"
+            )
+        names = [s.subscriber for s in subscriptions]
+        self._subscriptions.update(zip(names, subscriptions))
+        self._population.add_many(
+            list(zip(names, [s.filter for s in subscriptions])), preds
         )
-        self._patch_endpoint_ids(name, handle.log_id)
-        return handle
+        self.subscribers.update(
+            (name, SubscriberHandle(name, log=self.delivery_log)) for name in names
+        )
+        self._endpoint_price.extend(
+            1.0 if s.price is None else s.price for s in subscriptions
+        )
+        self._patch_endpoint_ids(names, np.arange(first, first + len(names)))
 
     def _install_plan(self, edge: str) -> list[tuple[str, Route]]:
         """The single-path install plan shared by every subscriber at one
@@ -479,14 +504,6 @@ class PubSubSystem:
             )))
         self._install_plans[edge] = (n_pubs, plan)
         return plan
-
-    def _install_single_path(self, subscription: Subscription, edge: str) -> None:
-        preds = conjunction_predicates(subscription.filter)
-        min_msg = self._next_msg_id
-        for node, route in self._install_plan(edge):
-            self.brokers[node].install(
-                TableRow(subscription, *route._replace(min_msg_id=min_msg)), preds=preds
-            )
 
     def _install_multi_path(self, subscription: Subscription, edge: str) -> None:
         mode = self.config.routing
@@ -518,27 +535,30 @@ class PubSubSystem:
                 path_id += 1
 
     def subscribe_all(self, subscriptions: list[Subscription]) -> None:
-        """Install a population in bulk.
+        """Install a batch of subscriptions (a population, a churn wave).
 
         End state is identical to calling :meth:`subscribe` per entry in
         order — per-table row order, interned ids, endpoint ids and (when
         armed) journal replay are all the same — but each broker takes its
         rows as one columnar :class:`~repro.pubsub.subscription.RowBlock`
-        instead of one row object per (subscriber, on-path broker) pair:
-        the scale tier's build-phase hot path.
+        instead of one row object per (subscriber, on-path broker) pair.
+        The batch is validated first: a repeated, unattached or already
+        subscribed name raises with nothing installed or registered.
         """
+        subscriptions = list(subscriptions)
+        edges = self._edges_of_new([s.subscriber for s in subscriptions])
+        if not subscriptions:
+            return
+        preds = PredicateColumns.of([s.filter for s in subscriptions])
         if not self.config.routing.is_single_path:
-            for subscription in subscriptions:
-                self.subscribe(subscription)
+            for subscription, edge in zip(subscriptions, edges):
+                self._install_multi_path(subscription, edge)
+            self._register(subscriptions, preds)
             return
         min_msg = self._next_msg_id
-        preds_of: list = []
         members_of_edge: dict[str, list[int]] = {}
-        for i, subscription in enumerate(subscriptions):
-            edge = self._edge_of_new(subscription.subscriber)
-            preds_of.append(conjunction_predicates(subscription.filter))
+        for i, edge in enumerate(edges):
             members_of_edge.setdefault(edge, []).append(i)
-            self._register(subscription, preds_of[-1])
         # Every subscriber of an edge shares that edge's plan: a broker's
         # block is the member lists of the edges routed through it, merged
         # back into subscription order.
@@ -552,11 +572,12 @@ class PubSubSystem:
             members = np.concatenate(parts)
             order = np.argsort(members, kind="stable")
             route = np.repeat(np.arange(len(parts)), [len(part) for part in parts])
-            rows = members[order].tolist()
+            rows = members[order]
             self.brokers[node].install_many(RowBlock(
-                [subscriptions[i] for i in rows], [preds_of[i] for i in rows],
+                [subscriptions[i] for i in rows.tolist()], preds.take(rows),
                 route[order], routes,
             ))
+        self._register(subscriptions, preds)
 
     def unsubscribe(self, subscriber: str) -> SubscriberHandle:
         """Remove a subscription from every broker that holds a row for it.
@@ -567,16 +588,29 @@ class PubSubSystem:
         This mirrors real systems, where unsubscription propagates as
         state-change messages and races in-flight data.
         """
-        if subscriber not in self._subscriptions:
-            raise KeyError(f"no subscription for {subscriber!r}")
+        return self.unsubscribe_all([subscriber])[0]
+
+    def unsubscribe_all(self, subscribers: list[str]) -> list[SubscriberHandle]:
+        """Batch :meth:`unsubscribe`: end state identical to one call per
+        name in order, but each broker drops its rows in one
+        ``uninstall_many``.  An unknown or repeated name raises before any
+        table is touched.  Returns the endpoint handles, in name order."""
+        subscribers = list(subscribers)
+        seen: set[str] = set()
+        for name in subscribers:
+            if name not in self._subscriptions or name in seen:
+                raise KeyError(f"no subscription for {name!r}")
+            seen.add(name)
         for broker in self.brokers.values():
-            if subscriber in broker.table:
-                broker.table.uninstall(subscriber)
-        del self._subscriptions[subscriber]
-        self._population.remove(subscriber)
-        self._patch_endpoint_ids(subscriber, -1)
-        self.unsubscribe_count += 1
-        return self.subscribers.pop(subscriber)
+            held = broker.table.held(subscribers)
+            if held:
+                broker.table.uninstall_many(held)
+        for name in subscribers:
+            del self._subscriptions[name]
+        self._population.remove_many(subscribers)
+        self._patch_endpoint_ids(subscribers, -1)
+        self.unsubscribe_count += len(subscribers)
+        return [self.subscribers.pop(name) for name in subscribers]
 
     @property
     def subscription_count(self) -> int:

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import TYPE_CHECKING, Callable, Sequence, Union
 
-from repro.pubsub.filters import Predicate
+from repro.pubsub.filters import Filter, Predicate
 from repro.pubsub.subscription import Subscription
 from repro.workload.generator import RateSegment
 from repro.workload.scenarios import SSD_PRICE_BY_DEADLINE_MS, Scenario
@@ -404,16 +404,23 @@ class DynamicsDriver:
             raise ValueError("no subscriber-hosting edge brokers to attach to")
         return edges
 
-    def _subscribe(self, name: str, broker: str, filt) -> None:
-        system = self.system
-        system.topology.attach_subscriber(name, broker)
-        if self.scenario.subscriptions_carry_deadlines:
-            deadlines = sorted(self.price_table)
-            dl = deadlines[int(self._rng.integers(0, len(deadlines)))]
-            sub = Subscription(name, filt, deadline_ms=dl, price=self.price_table[dl])
-        else:
-            sub = Subscription(name, filt)
-        system.subscribe(sub)
+    def _join(self, count: int, edges: list[str], draw_filter: Callable[[], Filter]) -> None:
+        """Draw ``count`` joiners — per joiner the filter, then (SSD/HYBRID)
+        the deadline tier — attach them round-robin over ``edges`` and
+        subscribe them as one batch."""
+        topology = self.system.topology
+        deadlines = sorted(self.price_table)
+        joiners = []
+        for k in range(count):
+            filt = draw_filter()
+            name = self._next_name()
+            topology.attach_subscriber(name, edges[k % len(edges)])
+            if self.scenario.subscriptions_carry_deadlines:
+                dl = deadlines[int(self._rng.integers(0, len(deadlines)))]
+                joiners.append(Subscription(name, filt, deadline_ms=dl, price=self.price_table[dl]))
+            else:
+                joiners.append(Subscription(name, filt))
+        self.system.subscribe_all(joiners)
 
     def _churn(self, wave: ChurnWave) -> None:
         system = self.system
@@ -421,13 +428,12 @@ class DynamicsDriver:
         leave = min(wave.leave, len(current))
         if leave:
             idx = self._rng.choice(len(current), size=leave, replace=False)
-            for i in sorted(int(i) for i in idx):
-                system.unsubscribe(current[i])
+            system.unsubscribe_all([current[i] for i in sorted(idx.tolist())])
         if wave.join:
-            edges = self._edge_brokers()
-            for k in range(wave.join):
-                filt = random_conjunctive_filter(self._rng, self.attributes, self.value_range)
-                self._subscribe(self._next_name(), edges[k % len(edges)], filt)
+            self._join(
+                wave.join, self._edge_brokers(),
+                partial(random_conjunctive_filter, self._rng, self.attributes, self.value_range),
+            )
 
     # ------------------------------------------------------------------ #
     # Fault interventions.
@@ -477,8 +483,7 @@ class DynamicsDriver:
         # inside the open range, so "< hi + span" can never exclude one.
         broad = Predicate(self.attributes[0], "<", hi + (hi - lo))
         edges = [crowd.broker] if crowd.broker is not None else self._edge_brokers()
-        for k in range(crowd.count):
-            self._subscribe(self._next_name(), edges[k % len(edges)], broad)
+        self._join(crowd.count, edges, lambda: broad)
 
 
 # ---------------------------------------------------------------------- #

@@ -6,7 +6,8 @@ import numpy as np
 
 from repro.core.context import SchedulingContext
 from repro.core.strategies import QueueEntry
-from repro.pubsub.filters import Predicate, conjunction_predicates
+from repro.pubsub.filters import Predicate
+from repro.pubsub.matching import PredicateColumns
 from repro.pubsub.message import Message
 from repro.pubsub.subscription import (
     Route,
@@ -60,7 +61,7 @@ def block_of(rows: list[TableRow]) -> RowBlock:
     """The ``install_many`` block equal to ``rows``, one route per row."""
     return RowBlock(
         subscriptions=[r.subscription for r in rows],
-        preds=[conjunction_predicates(r.subscription.filter) for r in rows],
+        preds=PredicateColumns.of([r.subscription.filter for r in rows]),
         route=np.arange(len(rows)),
         routes=[
             Route(r.next_hop, r.nn, r.rate, r.sources, r.path_id, r.min_msg_id)

@@ -6,9 +6,9 @@ Two guarantees:
   piecewise path with no interventions is byte-identical (delivery
   records, metrics, event counts) to scheduling the homogeneous
   generator's output by hand, for every strategy;
-* the **backends still agree under dynamics** — vector/oracle matchers
-  and ledger/scalar metrics make identical decisions while churn waves,
-  flash crowds and rate bursts are rewriting the world mid-run.
+* the **backends still agree under dynamics** — vector/oracle/brute
+  matchers and ledger/scalar metrics make identical decisions while churn
+  waves, flash crowds and rate bursts are rewriting the world mid-run.
 """
 
 from __future__ import annotations
@@ -95,13 +95,17 @@ class TestEmptyScriptIdentity:
 class TestBackendsAgreeUnderDynamics:
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_matcher_backends(self, strategy):
+        # Waves reach every backend through the same batch calls
+        # (add_many / remove_many are part of the MatchingEngine protocol).
         base = SimulationConfig(
             seed=9, scenario=Scenario.SSD, strategy=strategy,
             publishing_rate_per_min=8.0, duration_ms=90_000.0, dynamics=CHURNY,
         )
         vector = _run_config(base)
-        oracle = _run_config(base.replace(matcher_backend="oracle"))
-        assert _fingerprint(vector) == _fingerprint(oracle)
+        for backend in ("oracle", "brute"):
+            assert _fingerprint(vector) == _fingerprint(
+                _run_config(base.replace(matcher_backend=backend))
+            ), backend
         vector.metrics.check_invariants()
 
     @pytest.mark.parametrize("scenario", [Scenario.PSD, Scenario.SSD])

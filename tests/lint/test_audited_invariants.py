@@ -119,14 +119,14 @@ class TestJournalCompleteness:
         victim, other = _first_subscribers(table, 2)
         rows = _rows_of(table, victim)
         table.uninstall(victim)
-        assert table.journal == [("u", victim)]
+        assert table.journal == [("u", [victim])]
         table.install(rows[0])
         assert table.journal[-1] == ("i", rows[0])
         # A bulk install journals the block once, however many rows.
         block = block_of(_rows_of(table, other))
         table.uninstall(other)
         table.install_many(block)
-        assert table.journal[2:] == [("u", other), ("m", block)]
+        assert table.journal[2:] == [("u", [other]), ("m", block)]
 
     def test_replayed_replica_matches_coordinator_exactly(self):
         # The property the sharded engine relies on: replaying the
@@ -166,7 +166,7 @@ class TestJournalCompleteness:
         assert len(table.journal) == 1
 
 
-@pytest.mark.parametrize("method", ["install", "install_many", "uninstall"])
+@pytest.mark.parametrize("method", ["install", "install_many", "uninstall", "uninstall_many"])
 def test_mutators_exist(method):
     # Guard against a rename silently orphaning the journal tests above.
     from repro.pubsub.subscription import SubscriptionTable

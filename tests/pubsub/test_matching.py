@@ -313,6 +313,39 @@ class TestVectorCountingMatcher:
         # cumulative installs.
         assert len(m._keys) <= 2 * len(m)
 
+    def test_remove_many_across_the_purge_threshold(self):
+        """One batch that takes the tombstones past the live entries is
+        purged once, at its end, and matches what per-call removal (which
+        purges part-way through) matches."""
+        filters = [
+            AndFilter([Predicate("A", "<", float(i)), Predicate("B", ">", -1.0)])
+            for i in range(40)
+        ]
+        batched, per_call = VectorCountingMatcher(), VectorCountingMatcher()
+        batched.add_many(list(enumerate(filters)))
+        for item in enumerate(filters):
+            per_call.add(*item)
+        batched.remove_many(range(35))
+        for i in range(35):
+            per_call.remove(i)
+        assert batched._dead_entries == 0 and len(batched._keys) == 5
+        batched.add(7, filters[7])
+        per_call.add(7, filters[7])
+        for probe in ({"A": -1.0, "B": 0.0}, {"A": 36.5, "B": 0.0}, {"A": 0.0}):
+            assert batched.match(probe) == per_call.match(probe)
+            assert sorted(batched.match_array(probe).tolist()) == sorted(batched.match(probe))
+        assert len(batched) == len(per_call) == 6
+
+    def test_remove_many_validates_before_removing(self):
+        m = VectorCountingMatcher()
+        m.add_many([(0, Predicate("A", "<", 5.0)), (1, OrFilter([Predicate("A", ">", 9.0)]))])
+        for bad in ([0, 2], [1, 2], [0, 0]):
+            with pytest.raises(KeyError):
+                m.remove_many(bad)
+            assert len(m) == 2 and m.match({"A": 1.0}) == {0}
+        m.remove_many([1, 0])
+        assert len(m) == 0 and m.match({"A": 1.0}) == set()
+
     def test_duplicate_key_rejected(self):
         m = VectorCountingMatcher()
         m.add("s1", Predicate("A", "<", 5.0))
@@ -367,11 +400,13 @@ def test_vector_matcher_three_way_differential(filters, attrs):
 )
 @settings(max_examples=200)
 def test_vector_matcher_differential_under_churn(filters, attrs, removals, readd):
-    """Add/remove churn (including re-adds) keeps all three engines equal."""
+    """Add/remove churn (including re-adds) keeps all three engines equal,
+    per call and as ``add_many`` / ``remove_many`` batches."""
     brute = BruteForceMatcher()
     index = CountingIndexMatcher()
     vector = VectorCountingMatcher()
     engines = (brute, index, vector)
+    batched = (BruteForceMatcher(), CountingIndexMatcher(), VectorCountingMatcher())
     for i, f in enumerate(filters):
         for e in engines:
             e.add(i, f)
@@ -379,13 +414,19 @@ def test_vector_matcher_differential_under_churn(filters, attrs, removals, readd
     for i in removed:
         for e in engines:
             e.remove(i)
+    for e in batched:
+        e.add_many(list(enumerate(filters)))
+        e.remove_many(removed)
     if readd and removed:
-        for e in engines:
+        for e in engines + batched:
             e.add(removed[0], filters[removed[0]])
     expected = brute.match(attrs)
     assert index.match(attrs) == expected
     assert vector.match(attrs) == expected
     assert len(vector) == len(index) == len(brute)
+    for e in batched:
+        assert e.match(attrs) == expected
+        assert len(e) == len(brute)
 
 
 @given(filters=st.lists(any_filters(), min_size=0, max_size=10), attrs=attributes())

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from repro.pubsub.filters import Predicate
 from repro.pubsub.message import Message
+from repro.pubsub.shard_engine import _replay_ops
 from repro.pubsub.subscription import (
     RowArrays,
     StaleRowGroupError,
@@ -190,6 +191,18 @@ class TestUninstallSideIndex:
         assert len(t) == 1
         assert [r.subscriber for r in t.match(msg())] == ["S2"]
 
+    def test_uninstall_many_validates_before_removing(self):
+        t = SubscriptionTable()
+        t.install(row(sub("S1")))
+        t.install(row(sub("S2")))
+        for bad in (["S1", "ghost"], ["S1", "S1"]):
+            with pytest.raises(KeyError):
+                t.uninstall_many(bad)
+            assert len(t) == 2 and t.version == 2
+        t.uninstall_many(["S2", "S1"])
+        assert len(t) == 0 and t.version == 4
+        assert t._free_ids == [1, 0]
+
     def test_uninstall_unknown_raises(self):
         t = SubscriptionTable()
         with pytest.raises(KeyError):
@@ -310,6 +323,7 @@ PROBES = [
 
 def assert_same_table(table: SubscriptionTable, model: RowModel) -> None:
     assert table.version == model.version
+    assert table._free_ids == model.free
     assert table.rows() == model.rows()
     assert len(table) == len(model.rows())
     for m in PROBES:
@@ -332,9 +346,13 @@ def assert_same_table(table: SubscriptionTable, model: RowModel) -> None:
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_columnar_table_equals_the_row_object_model(data):
-    """Random install / install_many / uninstall interleavings — id reuse,
-    multi-path and epoch rows — and a pickle round trip mid-sequence."""
+    """Random install / install_many / uninstall / uninstall_many
+    interleavings — id reuse, multi-path and epoch rows, batches that take
+    the matcher across its purge threshold — against the per-row model,
+    with a pickle round trip mid-sequence and, at the end, the journal
+    replayed onto a fresh replica."""
     table, model = SubscriptionTable(), RowModel()
+    table.journal = []
     live_sub: dict[str, Subscription] = {}
     names = [f"S{i}" for i in range(5)]
 
@@ -361,12 +379,21 @@ def test_columnar_table_equals_the_row_object_model(data):
             (name, path_id) for name in names for path_id in (0, 1)
             if (name, path_id) not in {KEY(r) for r in model.rows()}
         ]
-        op = data.draw(st.sampled_from(["install", "install_many", "uninstall", "pickle"]))
+        op = data.draw(st.sampled_from(
+            ["install", "install_many", "uninstall", "uninstall_many", "pickle"]
+        ))
         if op == "uninstall" and model.ids_of:
             name = data.draw(st.sampled_from(sorted(model.ids_of)))
             table.uninstall(name)
             model.uninstall(name)
             del live_sub[name]
+        elif op == "uninstall_many" and model.ids_of:
+            leavers = data.draw(st.permutations(sorted(model.ids_of)))
+            leavers = leavers[:data.draw(st.integers(1, len(leavers)))]
+            table.uninstall_many(leavers)
+            for name in leavers:
+                model.uninstall(name)
+                del live_sub[name]
         elif op == "pickle":
             table = pickle.loads(pickle.dumps(table))
         elif absent:
@@ -381,6 +408,9 @@ def test_columnar_table_equals_the_row_object_model(data):
                 model.install(r)
         assert_same_table(table, model)
     assert not [k for k in table.__getstate__() if k.startswith("_c_")]
+    replica = SubscriptionTable()
+    _replay_ops(replica, table.journal)
+    assert_same_table(replica, model)
 
 
 class TestRowArrays:

@@ -9,11 +9,15 @@ from repro.core.strategies import EbStrategy, FifoStrategy
 from repro.des.rng import RngStreams
 from repro.des.simulator import Simulator
 from repro.network.topology import TopologyError, build_from_edges, build_layered_mesh
-from repro.pubsub.filters import Predicate
+from repro.pubsub.filters import AndFilter, OrFilter, Predicate
+from repro.pubsub.message import Message
+from repro.pubsub.metrics import MetricsError
 from repro.pubsub.subscription import Subscription
-from repro.pubsub.system import PubSubSystem, SystemConfig
+from repro.pubsub.system import PubSubSystem, RoutingMode, SystemConfig
 from repro.stats.normal import Normal
+from repro.workload.subscriptions import random_attributes, random_conjunctive_filter
 from tests.conftest import make_diamond_topology, make_line_topology
+from tests.core.helpers import assert_same_table
 
 MATCH_ALL = Predicate("A1", "<", 1e9)
 
@@ -85,10 +89,120 @@ class TestSubscriptionInstallation:
         with pytest.raises(ValueError):
             system.subscribe(Subscription("S1", MATCH_ALL))
 
+    def test_endpoint_registered_elsewhere_is_an_error(self, line_topology):
+        # Batched registration leans on log ids and the price list being
+        # index-aligned; a raise (not an assert) keeps that under -O.
+        system = make_system(line_topology)
+        system.delivery_log.register()
+        with pytest.raises(MetricsError):
+            system.subscribe(Subscription("S1", MATCH_ALL))
+
     def test_routing_path_diagnostic(self, diamond_topology):
         system = make_system(diamond_topology)
         system.subscribe(Subscription("S1", MATCH_ALL))
         assert system.routing_path("B1", "S1") == ["B1", "B2", "B4"]
+
+
+def _untouched(system: PubSubSystem) -> bool:
+    return (
+        system.subscription_count == 0 and not system.subscribers
+        and len(system._population) == 0 and system.delivery_log.endpoint_count == 0
+        and not system._endpoint_price
+        and all(len(b.table) == 0 and b.table.version == 0 for b in system.brokers.values())
+    )
+
+
+class TestBatches:
+    def _system(self, **config) -> PubSubSystem:
+        topo = build_layered_mesh(np.random.default_rng(2))
+        return make_system(topo, strategy=EbStrategy(), config=SystemConfig(**config))
+
+    @pytest.mark.parametrize("routing", [RoutingMode.single_path(), RoutingMode.multi_path(k=2)])
+    def test_bad_subscribe_batch_raises_before_any_mutation(self, routing):
+        system = self._system(routing=routing)
+        a, b = sorted(system.topology.subscriber_brokers)[:2]
+        good = Subscription(a, MATCH_ALL)
+        with pytest.raises(ValueError):
+            system.subscribe_all([good, Subscription(a, MATCH_ALL)])
+        assert _untouched(system)
+        with pytest.raises(TopologyError):
+            system.subscribe_all([good, Subscription("ghost", MATCH_ALL)])
+        assert _untouched(system)
+        system.subscribe_all([good])
+        with pytest.raises(ValueError):
+            system.subscribe_all([Subscription(b, MATCH_ALL), good])
+        assert system.subscription_count == 1 and list(system.subscribers) == [a]
+        assert b not in system.brokers[system.topology.subscriber_brokers[b]].table
+
+    def test_bad_unsubscribe_batch_raises_before_any_table_is_touched(self):
+        system = self._system()
+        names = sorted(system.topology.subscriber_brokers)[:3]
+        system.subscribe_all([Subscription(name, MATCH_ALL) for name in names])
+        versions = {n: b.table.version for n, b in system.brokers.items()}
+        for bad in ([names[0], "ghost"], [names[0], names[1], names[0]]):
+            with pytest.raises(KeyError):
+                system.unsubscribe_all(bad)
+            assert {n: b.table.version for n, b in system.brokers.items()} == versions
+            assert system.subscription_count == 3 and system.unsubscribe_count == 0
+        handles = system.unsubscribe_all([names[2], names[0]])
+        assert [h.name for h in handles] == [names[2], names[0]]
+        assert list(system.subscribers) == [names[1]] and system.unsubscribe_count == 2
+
+    def test_batches_reach_the_per_call_end_state(self):
+        """A population, a leave wave and a join wave as three batches
+        against one call per subscriber: every table (rows, row and
+        interned ids, version), the endpoint ids and prices and the
+        interested-population counts come out the same."""
+        rng = np.random.default_rng(5)
+        batched, per_call = self._system(), self._system()
+        names = sorted(batched.topology.subscriber_brokers)
+
+        def draw(name: str) -> Subscription:
+            kind = rng.integers(0, 8)
+            if kind == 0:
+                filt = AndFilter([])  # matches everything
+            elif kind == 1:  # not a conjunction: the matcher's fallback
+                filt = OrFilter([Predicate("A1", "<", 2.0), Predicate("A2", ">", 8.0)])
+            else:
+                filt = random_conjunctive_filter(rng)
+            return Subscription(name, filt, deadline_ms=30_000.0, price=float(rng.integers(1, 4)))
+
+        population = [draw(name) for name in names]
+        leavers = [names[i] for i in sorted(rng.choice(len(names), size=60, replace=False))]
+        joiners = [draw(name) for name in leavers[:40]]
+        for system in (batched, per_call):
+            for publisher in sorted(system.topology.publisher_brokers):
+                system.publish(publisher, {"A1": 1.0, "A2": 1.0})  # epoch > 0 for the joiners
+        batched.subscribe_all(population)
+        batched.unsubscribe_all(leavers)
+        batched.subscribe_all(joiners)
+        for subscription in population:
+            per_call.subscribe(subscription)
+        for name in leavers:
+            per_call.unsubscribe(name)
+        for subscription in joiners:
+            per_call.subscribe(subscription)
+
+        probes = [
+            Message(msg_id=100 + i, publisher=publisher, source_broker=source,
+                    attributes=random_attributes(rng), size_kb=5.0, publish_time=0.0)
+            for i, (publisher, source) in enumerate(sorted(batched.topology.publisher_brokers.items()))
+        ]
+        assert sum(
+            assert_same_table(batched.brokers[n].table, per_call.brokers[n].table, probes)
+            for n in batched.brokers
+        ) > 0
+        for n in batched.brokers:
+            assert batched.brokers[n].table._free_ids == per_call.brokers[n].table._free_ids
+        assert list(batched.subscribers) == list(per_call.subscribers)
+        assert [h.log_id for h in batched.subscribers.values()] == [
+            h.log_id for h in per_call.subscribers.values()
+        ]
+        assert batched.endpoint_prices().tolist() == per_call.endpoint_prices().tolist()
+        for probe in probes:
+            assert batched._population.match(probe.attributes) == per_call._population.match(
+                probe.attributes
+            )
 
 
 class TestPublishing:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import pickle
 import pickletools
 
 import pytest
@@ -17,8 +18,10 @@ from repro.sim.runner import (
     run_checkpointed,
     run_simulation,
     save_run_checkpoint,
+    schedule_dynamics,
     schedule_workload,
 )
+from repro.workload.dynamics import ChurnWave, ScenarioScript
 from repro.workload.scenarios import ScaleScenarioSpec, Scenario
 
 TINY = SimulationConfig(
@@ -150,6 +153,31 @@ class TestCheckpointedRun:
         }
         assert "QueueEntry" in names
         assert "ScorePlan" not in names
+        assert run_simulation(config, resume=path) == run_simulation(config)
+
+    def test_snapshot_after_a_churn_wave_is_columnar_and_resumes_identically(self, tmp_path):
+        # A wave leaves freed row ids, tombstones and re-sorted index
+        # columns behind; the snapshot carries all of it as arrays — no
+        # per-entry tuples, no Predicate objects in a matcher — and the
+        # resumed run cannot be told from the uninterrupted one.
+        config = TINY.replace(dynamics=ScenarioScript((
+            ChurnWave(at_ms=8_000.0, leave=60, join=60),
+            ChurnWave(at_ms=20_000.0, leave=30, join=10),
+        )))
+        system = build_system(config)
+        schedule_workload(system, config)
+        schedule_dynamics(system, config)
+        system.run(until=12_000.0)
+        assert system.unsubscribe_count == 60
+        path, _, _ = save_run_checkpoint(system, config, tmp_path / "ck")
+        matcher = max(
+            (broker.table._matcher for broker in system.brokers.values()), key=len
+        )
+        assert matcher._total_entries > 100
+        ops = list(pickletools.genops(pickle.dumps(matcher, protocol=pickle.HIGHEST_PROTOCOL)))
+        assert "Predicate" not in {arg for _, arg, _ in ops if isinstance(arg, str)}
+        tuples = sum(op.name.startswith("TUPLE") for op, _, _ in ops)
+        assert tuples < matcher._total_entries // 4
         assert run_simulation(config, resume=path) == run_simulation(config)
 
     def test_snapshot_names_order_by_execution(self, tmp_path):

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 from repro.des.rng import RngStreams
-from repro.network.topology import build_layered_mesh
+from repro.network.topology import LayeredMeshSpec, build_layered_mesh
+from repro.pubsub.matching import VectorCountingMatcher
+from repro.pubsub.subscription import SubscriptionTable
 from repro.sim.config import SimulationConfig
 from repro.sim.runner import build_system, schedule_dynamics, schedule_workload
 from repro.workload.dynamics import (
@@ -124,6 +128,43 @@ class TestDriver:
         assert system.subscription_count == base - 5 + 3
         joined = [s for s in system.subscribers if s.startswith("D")]
         assert len(joined) == 3
+
+    def test_a_wave_costs_calls_per_broker_not_per_row(self, monkeypatch):
+        """The structural bound behind the churn numbers: a 400/400 wave on
+        the 4k world reaches each on-path table and matcher through at
+        most one batch leave and one batch join, and never row by row."""
+        config = _tiny_config(topology_spec=LayeredMeshSpec(subscribers_per_edge_broker=250))
+        system = build_system(config)
+        driver = DynamicsDriver(system, config.scenario)
+        calls: Counter = Counter()
+
+        def count(cls, method):
+            original = getattr(cls, method)
+
+            def counted(self, *args, **kwargs):
+                calls[method, id(self)] += 1
+                return original(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, method, counted)
+
+        for method in ("install", "install_many", "uninstall_many"):
+            count(SubscriptionTable, method)
+        for method in ("add_many", "remove_many"):
+            count(VectorCountingMatcher, method)
+        driver.apply(ChurnWave(at_ms=0.0, leave=400, join=400))
+
+        assert system.subscription_count == 4_000
+        tables = [broker.table for broker in system.brokers.values()]
+        assert not any(calls["install", id(table)] for table in tables)
+        for table in tables:
+            assert calls["install_many", id(table)] <= 1
+            assert calls["uninstall_many", id(table)] <= 1
+        for matcher in [table._matcher for table in tables] + [system._population]:
+            assert calls["add_many", id(matcher)] <= 1
+            assert calls["remove_many", id(matcher)] <= 1
+        # ...and the wave did go through them: every broker is on some path.
+        assert sum(calls["install_many", id(table)] for table in tables) == len(tables)
+        assert calls["remove_many", id(system._population)] == 1
 
     def test_flash_crowd_subscribers_receive(self):
         config = _tiny_config(
