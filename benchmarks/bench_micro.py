@@ -347,21 +347,27 @@ def test_sink_tree_paper_topology(benchmark):
 @pytest.fixture(scope="module")
 def scale_tables():
     """``(system, blocks)``: the built 16k world and, per broker, the one
-    ``install_many`` block its table took (read off the armed journal)."""
+    ``install_many`` block its table took."""
     spec = ScaleScenarioSpec(name="micro", subscribers=16_000)
     system = build_system(
         scale_config(spec, minutes=0.5), subscription_builder=lambda rng, topology: []
     )
-    for broker in system.brokers.values():
-        broker.table.journal = []
+    blocks = {}
+
+    def recording(name, install_many):
+        def install(block):
+            assert name not in blocks, "one block per table per batch"
+            blocks[name] = block
+            install_many(block)
+        return install
+
+    for name, broker in system.brokers.items():
+        broker.table.install_many = recording(name, broker.table.install_many)
     system.subscribe_all(
         build_scale_subscriptions(system.streams.get("subscriptions"), system.topology, spec)
     )
-    blocks = {}
-    for name, broker in system.brokers.items():
-        if broker.table.journal:
-            ((_, blocks[name]),) = broker.table.journal
-        broker.table.journal = None
+    for broker in system.brokers.values():
+        del broker.table.install_many
     return system, blocks
 
 

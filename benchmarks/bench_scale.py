@@ -38,7 +38,6 @@ def run_child(
     args: argparse.Namespace,
     spill: bool,
     checkpoint_every_s: float | None = None,
-    shards: int = 0,
 ) -> dict:
     """Run one measured point in a fresh interpreter; returns its record."""
     cmd = [
@@ -51,8 +50,6 @@ def run_child(
         "--seed", str(args.seed),
         "--chunk-rows", str(args.chunk_rows),
         "--engine", args.engine,
-        "--shards", str(shards),
-        "--shard-backend", args.shard_backend,
     ]
     if spill:
         cmd.append("--spill")
@@ -104,8 +101,6 @@ def child_main(args: argparse.Namespace) -> int:
             chunk_rows=args.chunk_rows,
             engine=args.engine,
             checkpoint=checkpoint,
-            shards=args.shards,
-            shard_backend=args.shard_backend,
         )
     if args.profile and profiling.ACTIVE is not None:
         # Stage table goes to stderr so stdout stays a clean JSON record.
@@ -161,14 +156,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--chunk-rows", type=int, default=default_chunk_rows)
     parser.add_argument("--engine", default="fused", choices=("fused", "event"),
                         help="execution engine (fused window drain | per-event oracle)")
-    parser.add_argument("--shards", type=int, default=4, metavar="N",
-                        help="shard count for the parallel A/B measurement "
-                             "(default 4; the memory/spill points stay serial)")
-    parser.add_argument("--shard-backend", default="process",
-                        choices=("process", "inline"),
-                        help="worker backend for the sharded A/B point")
-    parser.add_argument("--no-shard-bench", action="store_true",
-                        help="skip the sharded-engine A/B measurement")
     parser.add_argument("--profile", action="store_true",
                         help="print the per-stage hot-loop timer table per mode")
     parser.add_argument("--out", default="BENCH_e2e.json", help="merge results here")
@@ -262,38 +249,6 @@ def main(argv: list[str] | None = None) -> int:
             "record": record,
         }
 
-    # Sharded A/B: same workload, broker overlay partitioned across
-    # `--shards` workers.  The record stays OUT of `points` (same
-    # identity key as the serial memory point) and lands under "shard";
-    # check_bench_regression.py reads it together with the recorded
-    # `cpu_count` — the speedup floor only means anything when the
-    # machine actually had a core per shard, otherwise the guard flips
-    # to an overhead ceiling.
-    shard_payload = None
-    if not args.no_shard_bench and args.shards > 0:
-        record = run_child(args, spill=False, shards=args.shards)
-        for field in ("published", "deliveries", "deliveries_valid",
-                      "earning", "log_rows", "series_sha256"):
-            if record[field] != records["memory"][field]:
-                raise AssertionError(
-                    f"sharded run diverged on {field}: "
-                    f"serial={records['memory'][field]} sharded={record[field]}"
-                )
-        speedup = (records["memory"]["run_s"] / record["run_s"]
-                   if record["run_s"] > 0.0 else 0.0)
-        print(f"shard  {args.size:>5s}/{args.strategy}/{args.engine}: "
-              f"{args.shards} shards ({args.shard_backend}), "
-              f"run {record['run_s']:7.2f}s vs serial "
-              f"{records['memory']['run_s']:7.2f}s "
-              f"({speedup:.2f}x run phase), series byte-identical")
-        shard_payload = {
-            "shards": args.shards,
-            "backend": args.shard_backend,
-            "run_speedup": round(speedup, 3),
-            "serial_run_s": records["memory"]["run_s"],
-            "record": record,
-        }
-
     payload = {
         "meta": {
             "bench": "bench_scale",
@@ -306,9 +261,9 @@ def main(argv: list[str] | None = None) -> int:
             "engine": args.engine,
             "python": platform.python_version(),
             "machine": platform.machine(),
-            # Parallel results are meaningless without the hardware they
-            # ran on: the shard guard keys off cpu_count, and the load
-            # averages flag a contended runner in the artifact trail.
+            # Timings are meaningless without the hardware they ran on;
+            # the load averages flag a contended runner in the artifact
+            # trail.
             "cpu_count": os.cpu_count(),
             "load_avg": _load_avg(),
         },
@@ -318,8 +273,6 @@ def main(argv: list[str] | None = None) -> int:
     }
     if checkpoint_payload is not None:
         payload["checkpoint"] = checkpoint_payload
-    if shard_payload is not None:
-        payload["shard"] = shard_payload
     out = Path(args.out)
     merge_out(out, payload)
     print(f"merged scale results into {out}")

@@ -16,8 +16,8 @@ Quickstart::
     ))
     print(result.delivery_rate)
 
-See ``DESIGN.md`` for the system inventory and ``EXPERIMENTS.md`` for the
-paper-vs-measured record.
+See ``README.md`` for the system inventory (§Architecture); ``python -m
+repro record`` writes the paper-vs-measured record.
 """
 
 from repro.core import (

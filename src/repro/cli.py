@@ -31,7 +31,6 @@ from repro.pubsub.matching import MATCHER_BACKENDS
 from repro.pubsub.metrics import METRICS_BACKENDS
 from repro.sim.config import SimulationConfig
 from repro.sim.runner import CheckpointInterrupted, run_simulation
-from repro.sim.shard import SHARD_BACKENDS
 from repro.workload.scenarios import SCALE_SCENARIOS, Scenario
 
 _FIGURES = {
@@ -199,11 +198,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--out", default="fuzz-findings", metavar="DIR",
         help="write shrunk counterexample scripts here (default: fuzz-findings)",
     )
-    p.add_argument(
-        "--shards", type=int, default=2, metavar="N",
-        help="re-run each clean script under the N-shard engine and "
-             "require byte-identical results (0 disables the probe)",
-    )
     return parser
 
 
@@ -235,17 +229,6 @@ def _add_engine_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--engine", choices=list(ENGINE_BACKENDS), default="fused",
         help="event-pipeline driver: fused window drain or the per-event oracle",
-    )
-    parser.add_argument(
-        "--shards", type=int, default=0, metavar="N",
-        help="partition the broker overlay into N shards and compute the "
-             "match phase in parallel per epoch (byte-identical outputs; "
-             "requires --engine fused; default 0 = off)",
-    )
-    parser.add_argument(
-        "--shard-backend", choices=list(SHARD_BACKENDS), default="process",
-        help="shard workers: forked processes (POSIX) or the identical "
-             "in-process protocol (portable; used for differential tests)",
     )
     parser.add_argument(
         "--profile", action="store_true",
@@ -408,8 +391,6 @@ def _dispatch(args: argparse.Namespace, start: float) -> int:
             matcher_backend=args.matcher,
             metrics_backend=args.metrics,
             engine_backend=args.engine,
-            shards=args.shards,
-            shard_backend=args.shard_backend,
             log_spill=args.log_spill,
             log_chunk_rows=args.log_chunk,
             sentinel=args.sentinel,
@@ -447,8 +428,6 @@ def _dispatch(args: argparse.Namespace, start: float) -> int:
             chunk_rows=args.log_chunk,
             window_s=args.window,
             engine=args.engine,
-            shards=args.shards,
-            shard_backend=args.shard_backend,
             sentinel=args.sentinel,
             script=_load_script(args),
             checkpoint=_checkpoint_policy(args),
@@ -456,8 +435,6 @@ def _dispatch(args: argparse.Namespace, start: float) -> int:
         )
         print(f"scenario          : scale-{point.scenario}")
         print(f"strategy          : {point.strategy}")
-        if point.shards:
-            print(f"shards            : {point.shards} ({point.shard_backend})")
         print(f"subscribers       : {point.subscribers}")
         print(f"published         : {point.published}")
         print(f"deliveries        : {point.deliveries}")
@@ -483,9 +460,7 @@ def _dispatch(args: argparse.Namespace, start: float) -> int:
         from repro.experiments.fuzz import FuzzSpec, format_report, run_fuzz
 
         if args.smoke:
-            spec = FuzzSpec.smoke(
-                seed=args.seed, out_dir=args.out, shards=args.shards
-            )
+            spec = FuzzSpec.smoke(seed=args.seed, out_dir=args.out)
         else:
             spec = FuzzSpec(
                 seed=args.seed,
@@ -493,7 +468,6 @@ def _dispatch(args: argparse.Namespace, start: float) -> int:
                 duration_ms=args.minutes * 60_000.0,
                 rate_per_min=args.rate,
                 out_dir=args.out,
-                shards=args.shards,
             )
         report = run_fuzz(spec)
         print(format_report(report))

@@ -4,7 +4,7 @@ Random fault scripts — link kills, broker outages, partitions, cascades,
 load bursts — are generated against the run's actual topology and played
 through a full simulation with the **deep** invariant sentinel armed
 (pair conservation re-proven at every boundary, not just at the end).
-Two kinds of findings come back:
+Three kinds of findings come back:
 
 * **sentinel violations** — an :class:`InvariantViolation` raised during
   the run.  These are bugs by definition; the fuzzer *shrinks* the
@@ -13,6 +13,10 @@ Two kinds of findings come back:
   file (:func:`repro.workload.registry.save_script`) so the minimal
   script becomes a regression scenario.  Any violation fails the run
   (exit 1 from the CLI).
+* **engine divergences** — every clean script's fused-engine result is
+  compared byte for byte with a re-run under the per-event oracle
+  (``engine_backend="event"``); a difference is an identity bug, shrunk
+  and saved like a violation, and fails the run the same way.
 * **ranking inversions** — a fault script under which the strategy pair's
   frozen-world ranking flips (e.g. FIFO out-earns EB once the backbone
   partitions).  These are *findings*, not failures: the paper's claims
@@ -35,6 +39,7 @@ from repro.analysis.sentinel import InvariantViolation
 from repro.des.rng import RngStreams
 from repro.network.topology import Topology, build_layered_mesh
 from repro.sim.config import SimulationConfig
+from repro.sim.results import SimulationResult
 from repro.sim.runner import run_simulation
 from repro.workload.dynamics import (
     BrokerOutage,
@@ -65,11 +70,6 @@ class FuzzSpec:
     max_interventions: int = 4
     #: Where shrunk counterexample scripts are written (None: don't).
     out_dir: str | None = "fuzz-findings"
-    #: Shard count for the sharded-engine differential probe: each clean
-    #: script is re-run under the broker-partitioned engine and the two
-    #: serialized results must be byte-identical (0 disables the probe).
-    shards: int = 2
-    shard_backend: str = "inline"
 
     def __post_init__(self) -> None:
         if self.budget < 1:
@@ -80,20 +80,13 @@ class FuzzSpec:
             raise ValueError("max_interventions must be >= 1")
         if len(self.pair) != 2 or self.pair[0] == self.pair[1]:
             raise ValueError("pair must name two distinct strategies")
-        if self.shards < 0:
-            raise ValueError("shards must be >= 0 (0 disables the probe)")
 
     @classmethod
-    def smoke(
-        cls,
-        seed: int = 0,
-        out_dir: str | None = "fuzz-findings",
-        shards: int = 2,
-    ) -> "FuzzSpec":
+    def smoke(cls, seed: int = 0, out_dir: str | None = "fuzz-findings") -> "FuzzSpec":
         """The CI-sized campaign: fixed seed, small budget, short runs."""
         return cls(
             seed=seed, budget=4, duration_ms=90_000.0, rate_per_min=15.0,
-            out_dir=out_dir, shards=shards,
+            out_dir=out_dir,
         )
 
 
@@ -110,8 +103,8 @@ class Violation:
 
 @dataclass(slots=True)
 class Divergence:
-    """A fault script under which the sharded engine's serialized result
-    differs from the sequential engine's — an identity bug by definition,
+    """A fault script under which the fused engine's serialized result
+    differs from the per-event oracle's — an identity bug by definition,
     shrunk to a 1-minimal reproducer like a sentinel violation."""
 
     script: ScenarioScript
@@ -142,12 +135,12 @@ class FuzzReport:
     violations: list[Violation] = field(default_factory=list)
     inversions: list[Inversion] = field(default_factory=list)
     divergences: list[Divergence] = field(default_factory=list)
-    #: Scripts whose sharded re-run came back byte-identical.
-    shard_probes_identical: int = 0
+    #: Scripts whose event-oracle re-run came back byte-identical.
+    oracle_probes_identical: int = 0
 
     @property
     def ok(self) -> bool:
-        """True when no sentinel violation and no sharded-engine
+        """True when no sentinel violation and no fused-vs-oracle
         divergence survived (inversions are findings, not failures)."""
         return not self.violations and not self.divergences
 
@@ -220,7 +213,7 @@ def generate_script(
 
 
 def _config(
-    spec: FuzzSpec, strategy: str, script: ScenarioScript, shards: int = 0
+    spec: FuzzSpec, strategy: str, script: ScenarioScript, engine: str = "fused"
 ) -> SimulationConfig:
     return SimulationConfig(
         seed=spec.seed,
@@ -232,8 +225,7 @@ def _config(
         sentinel=True,
         sentinel_deep=True,
         sentinel_every_ms=10_000.0,
-        shards=shards,
-        shard_backend=spec.shard_backend,
+        engine_backend=engine,
     )
 
 
@@ -253,30 +245,35 @@ def _result_bytes(result) -> bytes:
     return json.dumps(dataclasses.asdict(result), sort_keys=True).encode()
 
 
-def _shard_probe(
-    spec: FuzzSpec, strategy: str, script: ScenarioScript, report: FuzzReport
+def _oracle_probe(
+    spec: FuzzSpec,
+    strategy: str,
+    script: ScenarioScript,
+    report: FuzzReport,
+    fused=None,
 ) -> str | None:
-    """Differential: sequential fused vs sharded under this fault script.
+    """Differential: fused engine vs the per-event oracle under this
+    fault script.
 
-    Returns a human-readable mismatch description, or None when the two
-    serialized results are byte-identical.  A sentinel violation raised
-    only by the sharded run counts as a divergence too (the sequential
-    leg already passed when this is called)."""
-    report.runs += 1
-    sequential = run_simulation(_config(spec, strategy, script))
+    ``fused`` is the production-engine result when the caller already
+    holds it (the campaign loop does; the shrinker's candidates run both
+    legs).  Returns a human-readable mismatch description, or None when
+    the two serialized results are byte-identical.  A sentinel violation
+    raised only by the oracle run counts as a divergence too."""
+    if fused is None:
+        report.runs += 1
+        fused = run_simulation(_config(spec, strategy, script))
     report.runs += 1
     try:
-        sharded = run_simulation(
-            _config(spec, strategy, script, shards=spec.shards)
-        )
+        oracle = run_simulation(_config(spec, strategy, script, engine="event"))
     except InvariantViolation as err:
-        return f"sharded run violated the sentinel: {err}"
-    if _result_bytes(sequential) != _result_bytes(sharded):
+        return f"event-oracle run violated the sentinel: {err}"
+    if _result_bytes(fused) != _result_bytes(oracle):
         deltas = [
-            f"{name}: {getattr(sequential, name)} != {getattr(sharded, name)}"
+            f"{name}: {getattr(fused, name)} != {getattr(oracle, name)}"
             for name in ("published", "deliveries_valid", "deliveries_late",
                          "earning", "delivery_rate")
-            if getattr(sequential, name, None) != getattr(sharded, name, None)
+            if getattr(fused, name, None) != getattr(oracle, name, None)
         ]
         return ("serialized results differ ("
                 + ("; ".join(deltas) if deltas else "field-level tie; "
@@ -290,7 +287,7 @@ def shrink_divergence(
     script: ScenarioScript,
     report: FuzzReport,
 ) -> ScenarioScript:
-    """Greedy 1-minimal shrink of a sharded-engine divergence, mirroring
+    """Greedy 1-minimal shrink of a fused-vs-oracle divergence, mirroring
     :func:`shrink_script` with "still diverges" as the predicate."""
     items = list(script.interventions)
     changed = True
@@ -299,9 +296,9 @@ def shrink_divergence(
         for i in range(len(items)):
             candidate = ScenarioScript(interventions=tuple(items[:i] + items[i + 1:]))
             try:
-                detail = _shard_probe(spec, strategy, candidate, report)
+                detail = _oracle_probe(spec, strategy, candidate, report)
             except InvariantViolation:
-                continue  # sequential leg broke: not the divergence we chase
+                continue  # fused leg broke: not the divergence we chase
             if detail is not None:
                 items = list(candidate.interventions)
                 changed = True
@@ -369,7 +366,7 @@ def run_fuzz(spec: FuzzSpec) -> FuzzReport:
             rng, topology, spec.duration_ms, spec.max_interventions
         )
         report.scripts_tried += 1
-        faulted: dict[str, float] = {}
+        results: dict[str, SimulationResult] = {}
         violated = False
         for strategy in spec.pair:
             err, result = _probe(spec, strategy, script, report)
@@ -398,36 +395,37 @@ def run_fuzz(spec: FuzzSpec) -> FuzzReport:
                 report.violations.append(finding)
                 violated = True
                 break
-            faulted[strategy] = _metric(result)
+            results[strategy] = result
         if violated:
             continue
-        if spec.shards > 0:
-            detail = _shard_probe(spec, spec.pair[0], script, report)
-            if detail is not None:
-                shrunk = shrink_divergence(spec, spec.pair[0], script, report)
-                detail2 = _shard_probe(spec, spec.pair[0], shrunk, report)
-                finding = Divergence(
-                    script=script,
-                    shrunk=shrunk,
-                    strategy=spec.pair[0],
-                    detail=detail2 if detail2 is not None else detail,
+        probed = spec.pair[0]
+        detail = _oracle_probe(spec, probed, script, report, fused=results[probed])
+        if detail is not None:
+            shrunk = shrink_divergence(spec, probed, script, report)
+            detail2 = _oracle_probe(spec, probed, shrunk, report)
+            finding = Divergence(
+                script=script,
+                shrunk=shrunk,
+                strategy=probed,
+                detail=detail2 if detail2 is not None else detail,
+            )
+            if out_dir is not None:
+                out_dir.mkdir(parents=True, exist_ok=True)
+                path = save_script(
+                    out_dir / f"divergence-{spec.seed}-{n}-{probed}.json",
+                    shrunk,
+                    seed=spec.seed,
+                    strategy=probed,
+                    scenario=spec.scenario.value,
+                    duration_ms=spec.duration_ms,
+                    rate_per_min=spec.rate_per_min,
+                    error=f"fused-vs-event divergence: {finding.detail}",
                 )
-                if out_dir is not None:
-                    out_dir.mkdir(parents=True, exist_ok=True)
-                    path = save_script(
-                        out_dir / f"divergence-{spec.seed}-{n}-{spec.pair[0]}.json",
-                        shrunk,
-                        seed=spec.seed,
-                        strategy=spec.pair[0],
-                        scenario=spec.scenario.value,
-                        duration_ms=spec.duration_ms,
-                        rate_per_min=spec.rate_per_min,
-                        error=f"sharded-engine divergence: {finding.detail}",
-                    )
-                    finding.replay_path = str(path)
-                report.divergences.append(finding)
-                continue
-            report.shard_probes_identical += 1
+                finding.replay_path = str(path)
+            report.divergences.append(finding)
+            continue
+        report.oracle_probes_identical += 1
+        faulted = {strategy: _metric(result) for strategy, result in results.items()}
         fault_winner = max(spec.pair, key=faulted.__getitem__)
         if fault_winner != base_winner and faulted[fault_winner] > faulted[base_winner]:
             report.inversions.append(Inversion(
@@ -462,19 +460,18 @@ def format_report(report: FuzzReport) -> str:
         lines.append(f"    {v.error}")
         if v.replay_path:
             lines.append(f"    replay: {v.replay_path}")
-    if spec.shards > 0:
-        lines.append(
-            f"shard differential: "
-            + (f"{report.shard_probes_identical} script(s) byte-identical at "
-               f"{spec.shards} shards ({spec.shard_backend})"
-               if not report.divergences
-               else f"{len(report.divergences)} DIVERGENCE(S)")
-        )
-        for d in report.divergences:
-            lines.append(f"  DIVERGENCE [{d.strategy}] {_describe(d.shrunk)}")
-            lines.append(f"    {d.detail}")
-            if d.replay_path:
-                lines.append(f"    replay: {d.replay_path}")
+    lines.append(
+        f"fused vs oracle   : "
+        + (f"{report.oracle_probes_identical} script(s) byte-identical "
+           f"under the per-event engine"
+           if not report.divergences
+           else f"{len(report.divergences)} DIVERGENCE(S)")
+    )
+    for d in report.divergences:
+        lines.append(f"  DIVERGENCE [{d.strategy}] {_describe(d.shrunk)}")
+        lines.append(f"    {d.detail}")
+        if d.replay_path:
+            lines.append(f"    replay: {d.replay_path}")
     lines.append(f"ranking inversions: {len(report.inversions)}")
     for inv in report.inversions:
         a, b = report.spec.pair

@@ -83,8 +83,6 @@ class ScalePointResult:
     peak_rss_kb: int
     series_sha256: str
     engine: str = "fused"
-    shards: int = 0
-    shard_backend: str = "process"
     checkpoints: int = 0
     checkpoint_write_s: float = 0.0
     checkpoint_mb: float = 0.0
@@ -112,8 +110,6 @@ class ScalePointResult:
             "log_rows": self.log_rows,
             "spilled_chunks": self.spilled_chunks,
             "engine": self.engine,
-            "shards": self.shards,
-            "shard_backend": self.shard_backend,
             "build_s": round(self.build_s, 3),
             "run_s": round(self.run_s, 3),
             "analysis_s": round(self.analysis_s, 3),
@@ -139,8 +135,6 @@ def scale_config(
     spill: bool = False,
     chunk_rows: int = DEFAULT_CHUNK_ROWS,
     engine: str = "fused",
-    shards: int = 0,
-    shard_backend: str = "process",
     sentinel: bool = False,
     script: ScenarioScript | None = None,
 ) -> SimulationConfig:
@@ -158,8 +152,6 @@ def scale_config(
         log_spill=spill,
         log_chunk_rows=chunk_rows,
         engine_backend=engine,
-        shards=shards,
-        shard_backend=shard_backend,
         sentinel=sentinel,
         dynamics=script if script is not None else ScenarioScript(),
     )
@@ -202,8 +194,6 @@ def run_scale_point(
     chunk_rows: int = DEFAULT_CHUNK_ROWS,
     window_s: float = 30.0,
     engine: str = "fused",
-    shards: int = 0,
-    shard_backend: str = "process",
     sentinel: bool = False,
     script: ScenarioScript | None = None,
     checkpoint: CheckpointPolicy | None = None,
@@ -224,7 +214,6 @@ def run_scale_point(
     config = scale_config(
         spec, strategy=strategy, seed=seed, rate_per_min=rate_per_min,
         minutes=minutes, spill=spill, chunk_rows=chunk_rows, engine=engine,
-        shards=shards, shard_backend=shard_backend,
         sentinel=sentinel, script=script,
     )
     t0 = time.perf_counter()  # repro-lint: ignore[RL001] -- phase stopwatch (build/run/analysis), decision-neutral
@@ -245,11 +234,6 @@ def run_scale_point(
     else:
         run_to_horizon(system, config, run_sentinel)
     t2 = time.perf_counter()  # repro-lint: ignore[RL001] -- phase stopwatch, decision-neutral
-    live_engine = getattr(system, "_engine", None)
-    if live_engine is not None and hasattr(live_engine, "close"):
-        # Reap shard workers before analysis: their copy-on-write pages
-        # would otherwise count against this phase's RSS high-water mark.
-        live_engine.close()
     ts = windowed_metrics(system, window_s * 1000.0, config.horizon_ms)
     digest = series_digest(ts)
     t3 = time.perf_counter()  # repro-lint: ignore[RL001] -- phase stopwatch, decision-neutral
@@ -274,8 +258,6 @@ def run_scale_point(
         peak_rss_kb=peak_rss_kb(),
         series_sha256=digest,
         engine=engine,
-        shards=shards,
-        shard_backend=shard_backend,
         checkpoints=ck_count,
         checkpoint_write_s=ck_write_s,
         checkpoint_mb=ck_bytes / 1e6,

@@ -1,7 +1,7 @@
 """``repro lint``: the determinism & fork-safety static analyzer.
 
 Every performance tier this reproduction has shipped — vector matcher,
-fused engine, sharded workers, checkpoint/restore — rests on one
+fused engine, sweep workers, checkpoint/restore — rests on one
 discipline: *byte-identical decisions across backends*.  That discipline
 decomposes into a handful of concrete, mechanically checkable rules (no
 wall-clock in sim paths, no global RNG, no unordered iteration feeding

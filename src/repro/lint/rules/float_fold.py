@@ -1,9 +1,9 @@
 """RL006 float-fold: metrics float totals use the documented left fold.
 
 ``earning`` and latency accounting are proven byte-identical across the
-scalar oracle, the ledger, the fused engine and the sharded engine
-because every float total is the *same left-to-right chain of float64
-additions* (``_FoldedSum`` / ``repro.core.folds``).  A bare ``sum()``
+scalar oracle, the ledger and the fused engine because every float
+total is the *same left-to-right chain of float64 additions*
+(``_FoldedSum`` / ``repro.core.folds``).  A bare ``sum()``
 over an unordered iterable, or ``np.sum``/``ndarray.sum()`` (pairwise
 reassociation!), silently computes a *different* float — off by an ULP,
 enough to flip a scheduling comparison or break a differential test.

@@ -1,18 +1,17 @@
 """RL005 fork-safety: nothing unpicklable crosses a worker boundary.
 
-The sweep pool (``sim/parallel.py``) and the sharded engine
-(``pubsub/shard_engine.py``) move work to other processes; everything
-submitted, targeted at a ``Process``, or stored on ``self`` in those
-modules rides a pickle pipe or a checkpointed ``__getstate__``.  A
-lambda or closure there raises ``PicklingError`` only on the *process*
-backend — the inline backend that differential tests favour sails
-through, which is exactly how such a bug would ship.  The rule flags:
+The sweep pool (``sim/parallel.py``) moves work to other processes;
+everything submitted, targeted at a ``Process``, or stored on ``self``
+in that module rides a pickle pipe.  A lambda or closure there raises
+``PicklingError`` only under ``--jobs N`` — the serial path that most
+tests take sails through, which is exactly how such a bug would ship.
+The rule flags:
 
 * lambdas / nested-def names passed to ``submit``/``Process``/
   ``apply_async``/``map``/``starmap``/``run_in_executor``/``finalize``
   calls (positionally or via ``target=``/``initializer=``/``func=``);
 * lambdas / nested-def names assigned to ``self.`` attributes (they
-  become engine state and cross the boundary at fork or checkpoint).
+  become pool state and cross the boundary with it).
 """
 
 from __future__ import annotations
@@ -24,10 +23,7 @@ from repro.lint.context import ModuleContext
 from repro.lint.diagnostics import Finding
 from repro.lint.registry import rule
 
-DEFAULT_PATHS = (
-    "repro/sim/parallel.py",
-    "repro/pubsub/shard_engine.py",
-)
+DEFAULT_PATHS = ("repro/sim/parallel.py",)
 
 _BOUNDARY_CALLS = frozenset(
     {"submit", "Process", "apply", "apply_async", "map", "starmap",

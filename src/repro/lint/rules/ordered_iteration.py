@@ -2,10 +2,10 @@
 
 Set iteration order depends on insertion history and hashing and is not
 part of the decision contract; a ``for`` over a set whose body schedules
-events, draws RNG, or appends to a journal makes the run order an
+events, draws RNG, or appends to a log makes the run order an
 accident.  The discipline throughout ``des/``, ``pubsub/``, ``sim/`` and
-``workload/`` is ``for x in sorted(s)`` (every cascade wave, neighbor
-fan-out and replica sync already does this).  The rule flags iteration
+``workload/`` is ``for x in sorted(s)`` (every cascade wave and neighbor
+fan-out already does this).  The rule flags iteration
 over expressions *statically known* to be sets — literals,
 comprehensions, ``set()``/``frozenset()`` calls, locals and ``self.``
 attributes only ever assigned such values — at ``for``/comprehension

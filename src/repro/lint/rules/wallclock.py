@@ -1,8 +1,8 @@
 """RL001 no-wallclock: real time must never reach a simulation decision.
 
 The DES owns time (``Simulator.now``); any read of the host clock inside
-sim-path code is a nondeterminism hazard — two runs (or the sequential
-oracle vs the sharded engine) would diverge on machine load.  The one
+sim-path code is a nondeterminism hazard — two runs (or the per-event
+oracle vs the fused engine) would diverge on machine load.  The one
 sanctioned owner is ``core/profiling.py`` (disabled there by the default
 config), and *profiling-guarded* reads are exempt structurally: a call
 in an ``if prof is not None`` / ``profiling.ACTIVE`` guard, or feeding

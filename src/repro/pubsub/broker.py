@@ -155,11 +155,6 @@ class Broker:
         #: fused engine's window lookahead and consumed by :meth:`_process`
         #: (stale versions are recomputed, so churn can never skew a match).
         self._match_memo: dict[int, tuple[int, tuple]] = {}
-        #: msg_id -> (table version, latency_ms, valid flags) for the local
-        #: group, filled by the sharded engine alongside the match memo
-        #: (workers compute the pure validity comparison too).  Same
-        #: version discipline; empty unless a sharded engine is driving.
-        self._delivery_memo: dict[int, tuple[int, float, object]] = {}
 
     # ------------------------------------------------------------------ #
     # Wiring.
@@ -246,16 +241,8 @@ class Broker:
             # metrics ledger and the endpoint log.  All rows share the
             # arrival latency ``hdl(now)``.
             prices = local.price
-            dmemo = self._delivery_memo.pop(message.msg_id, None)
-            if dmemo is not None and dmemo[0] == self.table.version:
-                # Shard worker precomputed the (pure) arrival latency and
-                # validity flags; the version stamp matches the match
-                # memo's, so the rows these flags describe are the rows
-                # in ``local``.
-                latency, valid = dmemo[1], dmemo[2]
-            else:
-                latency = message.hdl(now)
-                valid = latency <= effective_deadline_array(local.deadline, message)
+            latency = message.hdl(now)
+            valid = latency <= effective_deadline_array(local.deadline, message)
             if prof is not None:
                 t0 = perf_counter()
             if self._metrics_sids is not None:
@@ -464,7 +451,6 @@ class Broker:
         serializing speculative results."""
         state = self.__dict__.copy()
         state["_match_memo"] = {}
-        state["_delivery_memo"] = {}
         return state
 
     # ------------------------------------------------------------------ #

@@ -201,33 +201,12 @@ def make_engine(
     sim: Simulator,
     system: object | None = None,
     window_ms: float = DEFAULT_WINDOW_MS,
-    shards: int = 0,
-    shard_backend: str = "process",
 ):
     """Build the event-pipeline driver by ``engine_backend`` name.
 
     ``"event"`` returns ``None``: callers fall back to the kernel's own
     :meth:`Simulator.run` (the oracle path has no wrapper object).
-    ``shards > 0`` upgrades the fused driver to the broker-partitioned
-    :class:`~repro.pubsub.shard_engine.ShardedEngine` (byte-identical
-    outputs, parallel lookahead); it composes only with ``"fused"``.
     """
-    if shards:
-        # Lazy import: shard_engine pulls in repro.sim.shard, which the
-        # bare fused/event paths never need.
-        from repro.pubsub.shard_engine import ShardedEngine
-        from repro.sim.shard import ShardConfigError
-
-        if backend != "fused":
-            raise ShardConfigError(
-                f"shards={shards} requires engine_backend='fused' "
-                f"(the per-event oracle has no lookahead to distribute), "
-                f"got {backend!r}"
-            )
-        return ShardedEngine(
-            sim, system, window_ms=window_ms,
-            shards=shards, shard_backend=shard_backend,
-        )
     if backend == "fused":
         return FusedEngine(sim, system, window_ms=window_ms)
     if backend == "event":

@@ -306,13 +306,6 @@ class SubscriptionTable:
         #: computed ahead of time is only consumed if the table has not
         #: changed since (churn between lookahead and execution recomputes).
         self._version = 0
-        #: Mutation journal, armed (set to a list) by the sharded engine
-        #: when worker processes hold replicas of this table: every
-        #: mutation is recorded — ``("i", row)``, ``("m", block)``,
-        #: ``("u", subscribers)`` — so replicas replay the identical call
-        #: sequence (same interned ids, same version count) before
-        #: matching.  ``None`` (the default) costs one branch per mutation.
-        self.journal: list[tuple[str, object]] | None = None
         # Compiled views: snapshots rebuilt lazily after install/uninstall.
         self._c_dirty = True
         self._c_names = _NO_NAMES
@@ -352,8 +345,6 @@ class SubscriptionTable:
         )
         self._link(name, row_id)
         self._matcher.add(row_id, subscription.filter)
-        if self.journal is not None:
-            self.journal.append(("i", row))
         self._c_dirty = True
         self._version += 1
 
@@ -361,7 +352,7 @@ class SubscriptionTable:
         """Bulk install: end state identical to :meth:`install` per row of
         the block in order — same row and interned ids, same version
         count — but written as whole columns, with one matcher ``add_many``
-        and one journal entry (the 100k-subscriber build's hot path)."""
+        (the 100k-subscriber build's hot path)."""
         n = len(block)
         if not n:
             return
@@ -410,8 +401,6 @@ class SubscriptionTable:
         self._matcher.add_many(
             list(zip(row_ids, [s.filter for s in subs])), block.preds
         )
-        if self.journal is not None:
-            self.journal.append(("m", block))
         self._c_dirty = True
         self._version += n
 
@@ -422,9 +411,8 @@ class SubscriptionTable:
     def uninstall_many(self, subscribers: list[str]) -> None:
         """Remove every row of each subscriber: end state identical to
         :meth:`uninstall` per name in order — same freed-id order, same
-        version count — with one matcher ``remove_many`` and one journal
-        entry.  A name that repeats or holds no row here raises before
-        anything is removed."""
+        version count — with one matcher ``remove_many``.  A name that
+        repeats or holds no row here raises before anything is removed."""
         subscribers = list(subscribers)
         if not subscribers:
             return
@@ -444,8 +432,6 @@ class SubscriptionTable:
             self._subs[row_id] = None
         self._matcher.remove_many(row_ids)
         self._free_ids.extend(row_ids)
-        if self.journal is not None:
-            self.journal.append(("u", subscribers))
         self._c_dirty = True
         self._version += len(subscribers)
 

@@ -21,7 +21,6 @@ Responsibilities:
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from itertools import repeat
 from typing import Callable, Mapping
@@ -151,17 +150,6 @@ class SystemConfig:
     fault_retry_backoff_ms: float = 1_000.0
     fault_retry_max_backoff_ms: float = 8_000.0
     dead_letter_timeout_ms: float = 30_000.0
-    #: Broker-partitioned parallel lookahead: 0 = off (sequential fused /
-    #: event driver), N >= 1 = partition the overlay into N shards and
-    #: distribute the pure match phase (see
-    #: :mod:`repro.pubsub.shard_engine`).  Byte-identical outputs — a
-    #: result-neutral knob, like spill.  Requires ``engine_backend`` =
-    #: "fused".  The ``REPRO_SHARDS`` env var forces a shard count onto
-    #: fused systems built with ``shards=0`` (suite-wide override).
-    shards: int = 0
-    #: "process" forks one worker per shard (POSIX); "inline" runs the
-    #: identical protocol in-process (portable, deterministic testing).
-    shard_backend: str = "process"
 
     def __post_init__(self) -> None:
         if (
@@ -204,22 +192,6 @@ class SystemConfig:
             raise ValueError(
                 f"metrics_backend must be one of {METRICS_BACKENDS}, "
                 f"got {self.metrics_backend!r}"
-            )
-        # Imported here (not at module top) to keep repro.sim imports
-        # lazy from the pubsub layer.
-        from repro.sim.shard import SHARD_BACKENDS, ShardConfigError
-
-        if self.shards < 0:
-            raise ShardConfigError(f"shards must be non-negative, got {self.shards}")
-        if self.shard_backend not in SHARD_BACKENDS:
-            raise ShardConfigError(
-                f"shard_backend must be one of {SHARD_BACKENDS}, "
-                f"got {self.shard_backend!r}"
-            )
-        if self.shards and self.engine_backend != "fused":
-            raise ShardConfigError(
-                "shards > 0 requires engine_backend='fused' (the per-event "
-                "oracle has no lookahead to distribute)"
             )
 
 
@@ -304,22 +276,9 @@ class PubSubSystem:
         )
 
         #: The event-pipeline driver (None = per-event oracle kernel).
-        #: ``REPRO_SHARDS`` forces sharding onto fused systems built
-        #: without it (decision-neutral, so the whole suite can run
-        #: sharded), mirroring ``REPRO_SENTINEL``; the backend then comes
-        #: from ``REPRO_SHARD_BACKEND`` (default "inline" — cheap enough
-        #: for thousands of tiny test systems).
-        shards = self.config.shards
-        shard_backend = self.config.shard_backend
-        if shards == 0 and self.config.engine_backend == "fused":
-            env = os.environ.get("REPRO_SHARDS", "")
-            if env not in ("", "0"):
-                shards = int(env)
-                shard_backend = os.environ.get("REPRO_SHARD_BACKEND", "inline")
         self._engine = make_engine(
             self.config.engine_backend, sim, system=self,
             window_ms=self.config.engine_window_ms,
-            shards=shards, shard_backend=shard_backend,
         )
 
         self._build_brokers()
@@ -538,10 +497,10 @@ class PubSubSystem:
         """Install a batch of subscriptions (a population, a churn wave).
 
         End state is identical to calling :meth:`subscribe` per entry in
-        order — per-table row order, interned ids, endpoint ids and (when
-        armed) journal replay are all the same — but each broker takes its
-        rows as one columnar :class:`~repro.pubsub.subscription.RowBlock`
-        instead of one row object per (subscriber, on-path broker) pair.
+        order — per-table row order, interned ids and endpoint ids are
+        all the same — but each broker takes its rows as one columnar
+        :class:`~repro.pubsub.subscription.RowBlock` instead of one row
+        object per (subscriber, on-path broker) pair.
         The batch is validated first: a repeated, unattached or already
         subscribed name raises with nothing installed or registered.
         """

@@ -73,16 +73,6 @@ class SimulationConfig:
     #: Fused engine's event-time window (ms).  Any positive value is
     #: decision-neutral — it only controls execution micro-batching.
     engine_window_ms: float = 50.0
-    #: Broker-partitioned parallel lookahead (``--shards``): 0 = off,
-    #: N >= 1 partitions the overlay into N shards whose workers compute
-    #: the pure match phase per epoch (see
-    #: :mod:`repro.pubsub.shard_engine`).  Byte-identical outputs —
-    #: result-neutral like spill — and composes with sentinel and
-    #: checkpoints.  Requires the fused engine.
-    shards: int = 0
-    #: "process" forks one worker per shard (POSIX); "inline" runs the
-    #: identical protocol in-process (portable, deterministic).
-    shard_backend: str = "process"
     #: Run the invariant sentinel (analysis/sentinel.py) at window
     #: boundaries during the run.  Decision-neutral: the sentinel only
     #: reads, so results are byte-identical with it on or off.  The
@@ -116,19 +106,6 @@ class SimulationConfig:
             )
         if self.engine_window_ms <= 0.0:
             raise ValueError("engine_window_ms must be positive")
-        from repro.sim.shard import SHARD_BACKENDS, ShardConfigError
-
-        if self.shards < 0:
-            raise ShardConfigError(f"shards must be non-negative, got {self.shards}")
-        if self.shard_backend not in SHARD_BACKENDS:
-            raise ShardConfigError(
-                f"shard_backend must be one of {SHARD_BACKENDS}, "
-                f"got {self.shard_backend!r}"
-            )
-        if self.shards and self.engine_backend != "fused":
-            raise ShardConfigError(
-                "--shards requires the fused engine (engine_backend='fused')"
-            )
         if self.log_chunk_rows < 1:
             raise ValueError("log_chunk_rows must be >= 1")
         if self.publishing_rate_per_min < 0.0:

@@ -67,10 +67,6 @@ def _jsonable(value):
 _RESULT_NEUTRAL_FIELDS = frozenset({
     "log_spill", "log_chunk_rows",
     "sentinel", "sentinel_every_ms", "sentinel_deep",
-    # Sharding is placement of pure work, proven byte-identical; a run
-    # may therefore be resumed under a different shard count/backend
-    # (the restored system keeps its snapshot's engine settings).
-    "shards", "shard_backend",
 })
 
 

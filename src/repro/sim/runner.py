@@ -83,8 +83,6 @@ def build_system(
             log_chunk_rows=config.log_chunk_rows,
             engine_backend=config.engine_backend,
             engine_window_ms=config.engine_window_ms,
-            shards=config.shards,
-            shard_backend=config.shard_backend,
             fault_retry_backoff_ms=config.fault_retry_backoff_ms,
             fault_retry_max_backoff_ms=config.fault_retry_max_backoff_ms,
             dead_letter_timeout_ms=config.dead_letter_timeout_ms,

@@ -17,14 +17,6 @@ from repro.stats.normal import Normal
 # value).  setdefault keeps CI's explicit "deep"/"0" overrides in force.
 os.environ.setdefault("REPRO_SENTINEL", "1")
 
-# ``REPRO_SHARDS=N`` (same contract, read in PubSubSystem) forces the
-# broker-partitioned parallel engine onto every fused run the suite
-# performs — sharding is identity-preserving, so the whole tier-1 suite
-# must pass unchanged under it.  CI exercises exactly that:
-#   REPRO_SHARDS=2 python -m pytest -x -q
-# Not set by default here; the dedicated differential tests in
-# tests/integration/test_shard_identity.py cover sharding locally.
-
 
 @pytest.fixture
 def rng() -> np.random.Generator:

@@ -119,7 +119,7 @@ class TestCampaign:
         report = run_fuzz(spec)
         assert report.ok, format_report(report)
         assert report.scripts_tried == spec.budget
-        # 2 baseline runs + 2 per script unless a violation cut one short.
+        # 2 baseline runs + 3 per script unless a violation cut one short.
         assert report.runs >= 2 + spec.budget
 
     def test_violation_writes_replayable_counterexample(self, tmp_path, monkeypatch):
@@ -160,40 +160,34 @@ class TestCampaign:
         assert "all invariants held" in text
 
 
-class TestShardDifferential:
+class TestEngineDifferential:
     def test_clean_campaign_counts_identical_probes(self, tmp_path):
         spec = FuzzSpec(
             seed=2, budget=2, duration_ms=45_000.0, rate_per_min=10.0,
-            out_dir=str(tmp_path / "findings"), shards=2,
+            out_dir=str(tmp_path / "findings"),
         )
         report = run_fuzz(spec)
         assert report.ok, format_report(report)
-        assert report.shard_probes_identical == spec.budget
+        assert report.oracle_probes_identical == spec.budget
         assert not report.divergences
-        assert "byte-identical at 2 shards" in format_report(report)
-
-    def test_shards_zero_disables_probe(self, tmp_path):
-        spec = FuzzSpec(
-            seed=2, budget=1, duration_ms=30_000.0, rate_per_min=5.0,
-            out_dir=str(tmp_path / "findings"), shards=0,
-        )
-        report = run_fuzz(spec)
-        assert report.shard_probes_identical == 0
-        assert "shard differential" not in format_report(report)
+        assert "2 script(s) byte-identical under the per-event engine" in format_report(report)
+        # 2 baselines, then per script one fused run per strategy and ONE
+        # oracle run: the probe reuses the fused result the loop holds.
+        assert report.runs == 2 + 3 * spec.budget
 
     def test_planted_divergence_is_shrunk_and_saved(self, tmp_path, monkeypatch):
         spec = FuzzSpec(
             seed=3, budget=1, duration_ms=30_000.0, rate_per_min=5.0,
-            out_dir=str(tmp_path / "findings"), shards=2,
+            out_dir=str(tmp_path / "findings"),
         )
 
-        def fake_shard_probe(s, strategy, candidate, report):
+        def fake_oracle_probe(s, strategy, candidate, report, fused=None):
             report.runs += 1
             # Divergence iff the script still carries any intervention:
             # the shrinker must bottom out at a single-item script.
             return "planted divergence" if candidate.interventions else None
 
-        monkeypatch.setattr(fuzz_mod, "_shard_probe", fake_shard_probe)
+        monkeypatch.setattr(fuzz_mod, "_oracle_probe", fake_oracle_probe)
         report = run_fuzz(spec)
         assert not report.ok and len(report.divergences) == 1
         d = report.divergences[0]
@@ -201,7 +195,3 @@ class TestShardDifferential:
         assert d.replay_path is not None
         assert load_script(d.replay_path) == d.shrunk
         assert "DIVERGENCE" in format_report(report)
-
-    def test_spec_rejects_negative_shards(self):
-        with pytest.raises(ValueError):
-            FuzzSpec(shards=-1)

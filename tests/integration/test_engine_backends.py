@@ -36,7 +36,16 @@ from repro.sim.runner import (
     schedule_dynamics,
     schedule_workload,
 )
-from repro.workload.dynamics import ChurnWave, FlashCrowd, RateBurst, ScenarioScript
+from repro.network.topology import build_layered_mesh
+from repro.workload.dynamics import (
+    BrokerOutage,
+    BrokerRecover,
+    ChurnWave,
+    FlashCrowd,
+    LinkFailure,
+    RateBurst,
+    ScenarioScript,
+)
 from repro.workload.scenarios import Scenario
 from tests.conftest import make_line_topology
 
@@ -55,6 +64,18 @@ CHURNY = ScenarioScript((
     ChurnWave(at_ms=25_000.0, leave=6, join=6),
     FlashCrowd(at_ms=35_000.0, count=8),
 ))
+
+
+def _fault_script() -> ScenarioScript:
+    """Hard faults against the BASE topology's real broker/link names."""
+    topo = build_layered_mesh(RngStreams(BASE.seed).get("topology"))
+    a, b, _rate = topo.links()[0]
+    victim = topo.brokers[2]
+    return ScenarioScript((
+        LinkFailure(at_ms=10_000.0, a=a, b=b),
+        BrokerOutage(at_ms=25_000.0, broker=victim),
+        BrokerRecover(at_ms=45_000.0, broker=victim),
+    ))
 
 
 def result_bytes(result) -> bytes:
@@ -125,6 +146,18 @@ def test_fused_agrees_under_churn_dynamics():
     event = _run_config(cfg.replace(engine_backend="event"))
     assert _fingerprint(fused) == _fingerprint(event)
     fused.metrics.check_invariants()
+
+
+def test_fused_agrees_under_hard_faults():
+    """A link that never comes back and a broker outage: retries and dead
+    letters are scheduled between the windows the lookahead precomputes,
+    and must land where the oracle puts them."""
+    cfg = BASE.replace(dynamics=_fault_script())
+    fused = _run_config(cfg.replace(engine_backend="fused"))
+    event = _run_config(cfg.replace(engine_backend="event"))
+    assert not fused.faults.clean
+    assert fused.faults == event.faults
+    assert _fingerprint(fused) == _fingerprint(event)
 
 
 def test_delivery_record_streams_identical():

@@ -1,16 +1,12 @@
-"""Runtime regression tests for the two hand-enforced invariants the
-analyzer audits statically (RL004/RL005 and the journal discipline).
+"""Runtime regression tests for the hand-enforced invariant the
+analyzer audits statically (RL004).
 
-The static rules catch violations at the AST; these tests pin the
-*runtime* consequence the rules protect, so a drift that slips past the
+The static rule catches violations at the AST; these tests pin the
+*runtime* consequence the rule protects, so a drift that slips past the
 analyzer (e.g. an action built dynamically) still fails the suite:
-
-- every event the dynamics driver schedules must pickle by reference
-  (checkpoint/restore serialises the live heap; closures would poison
-  every snapshot taken while a scenario script is pending), and
-- every mutating path of :class:`SubscriptionTable` must append to an
-  armed journal, or shard replicas silently diverge from the
-  coordinator (same-version check passes, different table contents).
+every event the dynamics driver schedules must pickle by reference
+(checkpoint/restore serialises the live heap; closures would poison
+every snapshot taken while a scenario script is pending).
 """
 
 from __future__ import annotations
@@ -20,8 +16,6 @@ import pickle
 
 import pytest
 
-from repro.pubsub.message import Message
-from repro.pubsub.shard_engine import _replay_ops
 from repro.sim.config import SimulationConfig
 from repro.sim.runner import build_system, schedule_dynamics
 from repro.workload.dynamics import (
@@ -32,7 +26,6 @@ from repro.workload.dynamics import (
     ScenarioScript,
 )
 from repro.workload.scenarios import Scenario
-from tests.core.helpers import assert_same_table, block_of
 
 
 def _config(script: ScenarioScript) -> SimulationConfig:
@@ -97,78 +90,10 @@ class TestEventActionPicklability:
             pickle.loads(pickle.dumps(action))
 
 
-def _table_pair():
-    config = _config(ScenarioScript())
-    system = build_system(config)
-    name = sorted(system.brokers)[0]
-    return system, system.brokers[name].table
-
-
-def _rows_of(table, subscriber):
-    return [r for r in table.rows() if r.subscriber == subscriber]
-
-
-def _first_subscribers(table, count):
-    return sorted({r.subscriber for r in table.rows()})[:count]
-
-
-class TestJournalCompleteness:
-    def test_every_mutation_kind_journals(self):
-        system, table = _table_pair()
-        table.journal = []
-        victim, other = _first_subscribers(table, 2)
-        rows = _rows_of(table, victim)
-        table.uninstall(victim)
-        assert table.journal == [("u", [victim])]
-        table.install(rows[0])
-        assert table.journal[-1] == ("i", rows[0])
-        # A bulk install journals the block once, however many rows.
-        block = block_of(_rows_of(table, other))
-        table.uninstall(other)
-        table.install_many(block)
-        assert table.journal[2:] == [("u", [other]), ("m", block)]
-
-    def test_replayed_replica_matches_coordinator_exactly(self):
-        # The property the sharded engine relies on: replaying the
-        # journal slice leaves a replica at the same version with the
-        # same row and interned ids, so matching decisions are
-        # byte-identical.
-        system, table = _table_pair()
-        replica = pickle.loads(pickle.dumps(table))
-        replica.journal = None
-        table.journal = []
-
-        victims = _first_subscribers(table, 2)
-        stashed = {v: _rows_of(table, v) for v in victims}
-        for v in victims:
-            table.uninstall(v)
-        table.install_many(block_of(stashed[victims[0]]))
-        table.install(stashed[victims[1]][0])
-
-        _replay_ops(replica, table.journal)
-        probe = Message(
-            msg_id=10**6, publisher="P1",
-            source_broker=sorted(system.topology.publisher_brokers.values())[0],
-            attributes={f"A{k}": 0.0 for k in range(1, 11)},
-            size_kb=1.0, publish_time=0.0,
-        )
-        assert assert_same_table(replica, table, [probe]) > 0
-
-    def test_stale_replica_version_detectable(self):
-        # A mutation that bypassed the journal would leave versions
-        # equal with different contents; the version counter is the
-        # coordinator's staleness check, so it must advance per op.
-        _, table = _table_pair()
-        table.journal = []
-        v0 = table.version
-        table.uninstall(_first_subscribers(table, 1)[0])
-        assert table.version == v0 + 1
-        assert len(table.journal) == 1
-
-
 @pytest.mark.parametrize("method", ["install", "install_many", "uninstall", "uninstall_many"])
 def test_mutators_exist(method):
-    # Guard against a rename silently orphaning the journal tests above.
+    # Guard against a rename silently orphaning perfbench/layers.py
+    # TARGETS, which names these by string.
     from repro.pubsub.subscription import SubscriptionTable
 
     assert callable(getattr(SubscriptionTable, method))

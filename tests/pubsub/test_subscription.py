@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from repro.pubsub.filters import Predicate
 from repro.pubsub.message import Message
-from repro.pubsub.shard_engine import _replay_ops
 from repro.pubsub.subscription import (
     RowArrays,
     StaleRowGroupError,
@@ -105,6 +104,22 @@ class TestSubscriptionTable:
         t.uninstall("S1")
         assert len(t) == 0
         assert t.match(msg()) == []
+
+    def test_every_mutator_advances_version(self):
+        """The fused engine stamps its match memo with ``version`` and
+        ``Broker._process`` discards a memo whose stamp differs: a mutator
+        that left the counter alone would let a stale match through."""
+        t = SubscriptionTable()
+        seen = [t.version]
+        t.install(row(sub("S1")))
+        seen.append(t.version)
+        t.install_many(block_of([row(sub("S2")), row(sub("S3"))]))
+        seen.append(t.version)
+        t.uninstall("S1")
+        seen.append(t.version)
+        t.uninstall_many(["S3", "S2"])
+        seen.append(t.version)
+        assert seen == [0, 1, 3, 4, 6]
 
     def test_match_grouped(self):
         t = SubscriptionTable()
@@ -349,10 +364,8 @@ def test_columnar_table_equals_the_row_object_model(data):
     """Random install / install_many / uninstall / uninstall_many
     interleavings — id reuse, multi-path and epoch rows, batches that take
     the matcher across its purge threshold — against the per-row model,
-    with a pickle round trip mid-sequence and, at the end, the journal
-    replayed onto a fresh replica."""
+    with a pickle round trip mid-sequence."""
     table, model = SubscriptionTable(), RowModel()
-    table.journal = []
     live_sub: dict[str, Subscription] = {}
     names = [f"S{i}" for i in range(5)]
 
@@ -408,9 +421,6 @@ def test_columnar_table_equals_the_row_object_model(data):
                 model.install(r)
         assert_same_table(table, model)
     assert not [k for k in table.__getstate__() if k.startswith("_c_")]
-    replica = SubscriptionTable()
-    _replay_ops(replica, table.journal)
-    assert_same_table(replica, model)
 
 
 class TestRowArrays:
