@@ -12,24 +12,27 @@ import pickle
 import numpy as np
 import pytest
 
+from repro.analysis.latency import latency_stats
+from repro.analysis.revenue import revenue_by_tier
 from repro.core.metrics import expected_benefit, expected_benefit_vec
 from repro.core.pruning import DEFAULT_EPSILON, PruningPolicy
 from repro.core.queueing import ScheduledQueue
 from repro.core.registry import STRATEGY_NAMES, make_strategy
 from repro.core.strategies import EbStrategy, QueueEntry
 from repro.des.simulator import Simulator
-from repro.experiments.scale import scale_config
+from repro.experiments.scale import build_scale_system, scale_config
 from repro.network.routing import compute_sink_tree
 from repro.network.topology import LayeredMeshSpec, build_layered_mesh
 from repro.pubsub.matching import BruteForceMatcher, CountingIndexMatcher
 from repro.pubsub.message import Message
 from repro.pubsub.subscription import RowArrays, SubscriptionTable
 from repro.sim.config import SimulationConfig
-from repro.sim.runner import build_system
+from repro.sim.runner import build_system, run_to_horizon, schedule_workload
 from repro.stats.normal import normal_cdf_vec
 from repro.workload.dynamics import ChurnWave, DynamicsDriver
 from repro.workload.scenarios import ScaleScenarioSpec, build_scale_subscriptions
 from repro.workload.subscriptions import random_attributes, random_conjunctive_filter
+from tests.analysis.frozen_report import frozen_latency_stats, frozen_revenue_by_tier
 from tests.core.helpers import assert_same_table, make_ctx, make_message, make_row
 
 N_SUBSCRIPTIONS = 1000
@@ -410,6 +413,39 @@ def test_core_checkpoint_table_roundtrip(benchmark, scale_tables):
         assert_same_table(table, reference, probes)
         for table, reference in zip(restored, tables)
     ) > 0
+
+
+# ---------------------------------------------------------------------- #
+# The report layers of ``fanout-16k`` (``analysis.latency.stats_s``,
+# ``analysis.revenue.by_tier_s``): the same 16k world, run for 0.5
+# simulated minutes (~190k delivery rows).  Its own fixture: the tables
+# of ``scale_tables`` must stay un-run for the benches above.
+# ---------------------------------------------------------------------- #
+@pytest.fixture(scope="module")
+def scale_run():
+    spec = ScaleScenarioSpec(name="micro", subscribers=16_000)
+    config = scale_config(spec, minutes=0.5)
+    system = build_scale_system(spec, config)
+    schedule_workload(system, config)
+    run_to_horizon(system, config, None)
+    return system
+
+
+def test_analysis_latency_stats(benchmark, scale_run):
+    handles = list(scale_run.subscribers.values())
+    stats = benchmark.pedantic(latency_stats, args=(handles,), rounds=3, iterations=1)
+    benchmark.extra_info["rows"] = len(scale_run.delivery_log)
+    assert stats.count > 0 and stats == frozen_latency_stats(handles)
+
+
+def test_analysis_revenue_by_tier(benchmark, scale_run):
+    def cold_tiers():
+        scale_run.delivery_log._counts_len = -1  # the report pays the tally pass
+        return revenue_by_tier(scale_run)
+
+    tiers = benchmark.pedantic(cold_tiers, rounds=3, iterations=1)
+    benchmark.extra_info["endpoints"] = scale_run.delivery_log.endpoint_count
+    assert len(tiers) > 1 and tiers == frozen_revenue_by_tier(scale_run)
 
 
 # ---------------------------------------------------------------------- #

@@ -1,22 +1,27 @@
 """Delivery-latency distributions.
 
-Pooled statistics stream the shared chunked :class:`DeliveryLog` in one
-pass (per-chunk filters, no per-endpoint rescans and no whole-log
-gather); quantiles sort the pooled sample, so the result is independent
-of chunk boundaries and byte-identical to the pre-chunking gathers.
+Every reducer streams each backing :class:`DeliveryLog` once and does its
+selecting, pooling and grouping in numpy: per chunk one boolean row mask
+(validity, plus an endpoint lookup table when the handles are not every
+endpoint of the log), never a slice or a Python float per endpoint.
+Quantiles sort the pooled sample, so results are independent of chunk
+boundaries and byte-identical to the per-handle gathers they replaced.
+
+Memory: the pooled path holds one float64 per selected delivery (plus
+the sort's and the mean fold's same-sized temporaries) — 8 bytes a row
+where the Python-float lists it replaced cost 32.
 """
 
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 from dataclasses import dataclass
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from repro.core.chunked import grouped_runs, sorted_contains
-from repro.core.folds import fold_mean
-from repro.pubsub.client import DeliveryLog, SubscriberHandle
+from repro.core.folds import fold_sum_array
+from repro.pubsub.client import DeliveryLog, SubscriberHandle, endpoints_by_log
 
 
 @dataclass(frozen=True, slots=True)
@@ -31,75 +36,56 @@ class LatencyStats:
     maximum: float
 
     @classmethod
-    def from_samples(cls, samples: list[float]) -> "LatencyStats":
-        if not samples:
+    def from_samples(cls, samples: Sequence[float] | np.ndarray) -> "LatencyStats":
+        # Values only, so the (vectorised, unstable) default sort is exact:
+        # equal floats are interchangeable.
+        ordered = np.sort(np.asarray(samples, dtype=np.float64))
+        count = ordered.shape[0]
+        if not count:
             return cls(count=0, mean=0.0, p50=0.0, p90=0.0, p99=0.0, maximum=0.0)
-        ordered = sorted(samples)
         return cls(
-            count=len(ordered),
-            mean=fold_mean(ordered),
+            count=count,
+            # The left fold over the ascending sample (RL006).
+            mean=fold_sum_array(ordered) / count,
             p50=_quantile(ordered, 0.50),
             p90=_quantile(ordered, 0.90),
             p99=_quantile(ordered, 0.99),
-            maximum=ordered[-1],
+            maximum=float(ordered[-1]),
         )
 
 
-def _quantile(ordered: list[float], q: float) -> float:
+def _quantile(ordered: Sequence[float] | np.ndarray, q: float) -> float:
     """Linear-interpolation quantile on a pre-sorted sample."""
     if not 0.0 <= q <= 1.0:
         raise ValueError("q must be in [0, 1]")
     if len(ordered) == 1:
-        return ordered[0]
+        return float(ordered[0])
     pos = q * (len(ordered) - 1)
     lo = math.floor(pos)
     hi = math.ceil(pos)
     if lo == hi:
-        return ordered[lo]
+        return float(ordered[lo])
     frac = pos - lo
-    return ordered[lo] * (1.0 - frac) + ordered[hi] * frac
+    return float(ordered[lo] * (1.0 - frac) + ordered[hi] * frac)
 
 
-def _pooled_samples_by_log(
-    handles: list[SubscriberHandle], valid_only: bool
-) -> dict[int, np.ndarray]:
-    """One streaming pass per distinct backing log: latency samples of
-    each requested endpoint, keyed by endpoint id.
-
-    Replaces the old per-handle gathers (E scans of an N-row log) with a
-    single chunk stream per log — the per-chunk group-by costs one
-    boolean mask and one fancy-index per endpoint *with rows in that
-    chunk* only.
-    """
-    by_log: dict[int, tuple[DeliveryLog, set[int]]] = {}
-    for h in handles:
-        log = h.log
-        entry = by_log.setdefault(id(log), (log, set()))
-        entry[1].add(h.log_id)
-    out: dict[tuple[int, int], list[np.ndarray]] = defaultdict(list)
-    for log_key, (log, wanted) in by_log.items():
-        wanted_arr = np.fromiter(wanted, dtype=np.int64, count=len(wanted))
-        wanted_arr.sort()
-        for sub, latency, valid in log.iter_chunks(("sub_id", "latency", "valid")):
+def _selected_rows(
+    log: DeliveryLog, ids: np.ndarray, valid_only: bool
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray | slice]]:
+    """One streaming pass: per chunk ``(sub_id, latency, mask)``, the mask
+    selecting the rows addressed to the endpoints ``ids`` (valid ones
+    only on request).  Duplicate ids select their rows once."""
+    wanted = np.zeros(log.endpoint_count, dtype=bool)
+    wanted[ids] = True
+    every_endpoint = bool(wanted.all())
+    for sub, latency, valid in log.iter_chunks(("sub_id", "latency", "valid")):
+        if every_endpoint:
+            mask = valid if valid_only else slice(None)
+        else:
+            mask = wanted[sub]
             if valid_only:
-                sub, latency = sub[valid], latency[valid]
-            if not sub.shape[0]:
-                continue
-            hit = sorted_contains(wanted_arr, sub)
-            if not hit.any():
-                continue
-            sub, latency = sub[hit], latency[hit]
-            # One stable grouped argsort per chunk — arrival order kept
-            # within each endpoint, O(k log k) in the chunk's matching
-            # rows instead of one whole-chunk mask per endpoint.
-            order, s_sorted, starts, stops = grouped_runs(sub)
-            lat_sorted = latency[order]
-            for a, b in zip(starts.tolist(), stops.tolist()):
-                out[(log_key, int(s_sorted[a]))].append(lat_sorted[a:b])
-    return {
-        key: np.concatenate(parts) if len(parts) > 1 else parts[0]
-        for key, parts in out.items()
-    }
+                mask &= valid
+        yield sub, latency, mask
 
 
 def latency_stats(
@@ -108,15 +94,37 @@ def latency_stats(
     """Pooled latency stats over a set of subscriber endpoints.
 
     Streams each backing log once; the pooled sample is sorted before
-    summarising, so the chunk-order pooling is result-identical to the
-    old handle-order gathers."""
-    pooled = _pooled_samples_by_log(handles, valid_only)
-    samples = [s for arr in pooled.values() for s in arr.tolist()]
-    return LatencyStats.from_samples(samples)
+    summarising, so pooling in chunk order is result-identical to
+    pooling in handle order."""
+    parts = [
+        latency[mask]
+        for log, ids in endpoints_by_log(handles)
+        for _, latency, mask in _selected_rows(log, ids, valid_only)
+    ]
+    return LatencyStats.from_samples(np.concatenate(parts) if parts else ())
 
 
-def _pooled_key(handle: SubscriberHandle) -> tuple[int, int]:
-    return (id(handle.log), handle.log_id)
+class _SamplesByEndpoint:
+    """Latency samples of the requested endpoints, grouped per endpoint
+    in arrival order: per backing log one CSR pair ``(offsets, values)``
+    from a single stable argsort of the selected ``sub_id`` rows."""
+
+    def __init__(self, handles: list[SubscriberHandle], valid_only: bool) -> None:
+        self._by_log: dict[DeliveryLog, tuple[np.ndarray, np.ndarray]] = {}
+        for log, ids in endpoints_by_log(handles):
+            subs, latencies = [np.empty(0, dtype=np.int64)], [np.empty(0)]
+            for sub, latency, mask in _selected_rows(log, ids, valid_only):
+                subs.append(sub[mask])
+                latencies.append(latency[mask])
+            sub = np.concatenate(subs)
+            offsets = np.zeros(log.endpoint_count + 1, dtype=np.int64)
+            np.cumsum(np.bincount(sub, minlength=log.endpoint_count), out=offsets[1:])
+            values = np.concatenate(latencies)[np.argsort(sub, kind="stable")]
+            self._by_log[log] = offsets, values
+
+    def of(self, handle: SubscriberHandle) -> np.ndarray:
+        offsets, values = self._by_log[handle.log]
+        return values[offsets[handle.log_id]:offsets[handle.log_id + 1]]
 
 
 def latency_by_subscriber(
@@ -125,18 +133,15 @@ def latency_by_subscriber(
     """Per-subscriber latency stats (subscribers with no deliveries included
     with an empty summary, so tier comparisons stay total).  One chunk
     stream per backing log, not one log scan per subscriber."""
-    pooled = _pooled_samples_by_log(handles, valid_only)
-    empty = np.empty(0)
-    return {
-        h.name: LatencyStats.from_samples(pooled.get(_pooled_key(h), empty).tolist())
-        for h in handles
-    }
+    samples = _SamplesByEndpoint(handles, valid_only)
+    return {h.name: LatencyStats.from_samples(samples.of(h)) for h in handles}
 
 
 def deadline_margins(
     handles: list[SubscriberHandle], deadline_ms: float
 ) -> list[float]:
-    """``deadline − latency`` per valid delivery against a common deadline.
+    """``deadline − latency`` per valid delivery against a common deadline,
+    handle-major, arrival order within each handle.
 
     Positive margins are slack; the left tail shows how close the scheduler
     runs to the bound (EB runs much closer than FIFO — it spends slack on
@@ -144,12 +149,7 @@ def deadline_margins(
     """
     if deadline_ms <= 0.0:
         raise ValueError("deadline_ms must be positive")
-    pooled = _pooled_samples_by_log(handles, valid_only=True)
-    empty = np.empty(0)
-    # Handle-major, arrival order within each handle — exactly the order
-    # the old per-handle gathers produced, from one log pass.
-    return [
-        deadline_ms - sample
-        for h in handles
-        for sample in pooled.get(_pooled_key(h), empty).tolist()
-    ]
+    if not handles:
+        return []
+    samples = _SamplesByEndpoint(handles, valid_only=True)
+    return (deadline_ms - np.concatenate([samples.of(h) for h in handles])).tolist()

@@ -11,13 +11,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.core.folds import fold_sum
 from repro.pubsub.system import PubSubSystem
 
 
 @dataclass(frozen=True, slots=True)
 class TierRevenue:
-    """Revenue and delivery counts for one price tier."""
+    """Revenue and delivery counts for one price tier.
+
+    ``subscribers`` counts the endpoints ever registered in the tier: a
+    subscriber who left stays in it (their valid deliveries were billed),
+    and one who left and re-subscribed counts once per subscription.
+    """
 
     price: float
     deadline_ms: float | None
@@ -35,33 +42,41 @@ def revenue_by_tier(system: PubSubSystem) -> list[TierRevenue]:
 
     Tiers are keyed by ``(price, deadline)``; unpriced subscriptions (PSD)
     fall into a single ``price=1.0`` tier, so the function is total over
-    scenarios.  Sorted by descending price.
+    scenarios.  Sorted by descending price, then ascending deadline.
 
-    Per-endpoint valid counts come from the delivery log's cached
-    one-pass chunk-stream tallies, so the whole breakdown costs one log
-    pass plus O(subscribers) — no per-endpoint log scans, no whole-log
-    gather, spill-compatible.
+    Keyed by *endpoint*, not by live subscriber: the system records each
+    endpoint's price and deadline at subscribe time, so the tiers fold to
+    ``metrics.earning`` under churn too.  The per-endpoint columns and
+    the delivery log's cached one-pass valid tallies are grouped in
+    numpy — one log pass, no Python per endpoint, spill-compatible.
     """
-    buckets: dict[tuple[float, float | None], dict[str, float]] = {}
-    for name, handle in system.subscribers.items():
-        subscription = system.subscription(name)
-        price = subscription.price if subscription.price is not None else 1.0
-        key = (price, subscription.deadline_ms)
-        bucket = buckets.setdefault(key, {"subs": 0, "valid": 0})
-        bucket["subs"] += 1
-        bucket["valid"] += handle.valid_count
-    out = [
+    log = system.delivery_log
+    if not log.endpoint_count:
+        return []
+    prices = system.endpoint_prices()
+    deadlines = system.endpoint_deadlines()
+    # Deadlines are positive, so 0.0 is free to stand for "none" — and
+    # sorts such a tier first within its price, as the contract says.
+    deadlines[np.isnan(deadlines)] = 0.0
+    order = np.lexsort((deadlines, -prices))
+    prices, deadlines = prices[order], deadlines[order]
+    fresh = (prices[1:] != prices[:-1]) | (deadlines[1:] != deadlines[:-1])
+    starts = np.concatenate(([0], np.flatnonzero(fresh) + 1))
+    subscribers = np.diff(starts, append=order.shape[0])
+    valid = np.add.reduceat(log.endpoint_counts()[1][order], starts)
+    return [
         TierRevenue(
             price=price,
-            deadline_ms=deadline,
-            subscribers=int(b["subs"]),
-            valid_deliveries=int(b["valid"]),
-            revenue=price * b["valid"],
+            deadline_ms=deadline or None,
+            subscribers=subs,
+            valid_deliveries=count,
+            revenue=price * count,
         )
-        for (price, deadline), b in buckets.items()
+        for price, deadline, subs, count in zip(
+            prices[starts].tolist(), deadlines[starts].tolist(),
+            subscribers.tolist(), valid.tolist(),
+        )
     ]
-    out.sort(key=lambda t: (-t.price, t.deadline_ms if t.deadline_ms is not None else 0.0))
-    return out
 
 
 def premium_share(tiers: list[TierRevenue]) -> float:

@@ -457,7 +457,8 @@ def _dispatch(args: argparse.Namespace, start: float) -> int:
             print()
             print(profiling.disable().format_table())
     elif args.command == "fuzz":
-        from repro.experiments.fuzz import FuzzSpec, format_report, run_fuzz
+        from repro.experiments.fuzz import FuzzSpec, run_fuzz
+        from repro.experiments.fuzz import format_report as format_fuzz_report
 
         if args.smoke:
             spec = FuzzSpec.smoke(seed=args.seed, out_dir=args.out)
@@ -470,7 +471,7 @@ def _dispatch(args: argparse.Namespace, start: float) -> int:
                 out_dir=args.out,
             )
         report = run_fuzz(spec)
-        print(format_report(report))
+        print(format_fuzz_report(report))
         if not report.ok:
             # repro-lint: ignore[RL001] -- CLI elapsed footer, decision-neutral
             print(f"\n[{time.perf_counter() - start:.1f}s]", file=sys.stderr)

@@ -19,7 +19,7 @@ analysis/tests surface.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -177,9 +177,10 @@ class DeliveryLog:
         log is materialised: prefer :meth:`iter_chunks` at scale."""
         return self._store.gather()  # type: ignore[return-value]
 
-    def _endpoint_counts(self) -> tuple[np.ndarray, np.ndarray]:
-        """(total, valid) delivery tallies per endpoint id, one streaming
-        pass over (sub_id, valid), cached against the log length."""
+    def endpoint_counts(self) -> tuple[np.ndarray, np.ndarray]:
+        """(total, valid) delivery tallies indexed by endpoint id, one
+        streaming pass over (sub_id, valid), cached against the log
+        length.  The arrays are the cache itself: read, do not write."""
         n = len(self._store)
         if n != self._counts_len:
             total = np.zeros(max(self._endpoints, 1), dtype=np.int64)
@@ -204,7 +205,7 @@ class DeliveryLog:
 
     def counts_for(self, sub_id: int) -> tuple[int, int]:
         """(total, valid) deliveries recorded for one endpoint."""
-        total, valid = self._endpoint_counts()
+        total, valid = self.endpoint_counts()
         if sub_id >= total.shape[0]:
             return 0, 0
         return int(total[sub_id]), int(valid[sub_id])
@@ -233,6 +234,20 @@ class DeliveryLog:
         if len(parts) == 1:
             return parts[0]  # fancy-index results are already copies
         return tuple(np.concatenate([p[i] for p in parts]) for i in range(4))  # type: ignore[return-value]
+
+
+def endpoints_by_log(
+    handles: Iterable["SubscriberHandle"],
+) -> list[tuple[DeliveryLog, np.ndarray]]:
+    """``(log, endpoint ids)`` per distinct backing log, first-seen order
+    (ids in handle order, a handle listed twice appears twice).
+
+    The one per-handle step of the pooled reducers in
+    :mod:`repro.analysis`: two slot reads, no Python call per handle."""
+    by_log: dict[DeliveryLog, list[int]] = {}
+    for handle in handles:
+        by_log.setdefault(handle._log, []).append(handle._sub_id)
+    return [(log, np.array(ids, dtype=np.int64)) for log, ids in by_log.items()]
 
 
 class SubscriberHandle:

@@ -265,6 +265,10 @@ class PubSubSystem:
         #: metrics layer bills for that endpoint's valid deliveries);
         #: lets the windowed time-series fold earnings without a join.
         self._endpoint_price: list[float] = []
+        #: Deadline per endpoint log id (``None`` = none bought), beside
+        #: the price: together the tier an endpoint belongs to, kept for
+        #: endpoints that have since left (revenue breakdowns bill them).
+        self._endpoint_deadline: list[float | None] = []
         # Publication log (msg_id is the dense index): publish times and
         # interested-population sizes, for windowed time-series analysis.
         # Chunked like the delivery log, and spilled under the same knob.
@@ -436,6 +440,7 @@ class PubSubSystem:
         self._endpoint_price.extend(
             1.0 if s.price is None else s.price for s in subscriptions
         )
+        self._endpoint_deadline.extend(s.deadline_ms for s in subscriptions)
         self._patch_endpoint_ids(names, np.arange(first, first + len(names)))
 
     def _install_plan(self, edge: str) -> list[tuple[str, Route]]:
@@ -813,6 +818,10 @@ class PubSubSystem:
     def endpoint_prices(self) -> np.ndarray:
         """Price per delivery-log endpoint id (1.0 where unpriced)."""
         return np.asarray(self._endpoint_price, dtype=np.float64)
+
+    def endpoint_deadlines(self) -> np.ndarray:
+        """Deadline per delivery-log endpoint id (NaN where none)."""
+        return np.array(self._endpoint_deadline, dtype=np.float64)
 
     def routing_path(self, source_broker: str, subscriber: str) -> list[str]:
         """The single path a message from ``source_broker`` takes to reach

@@ -5,6 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.cli import build_parser, main
+from repro.experiments.claims import ClaimResult
+from repro.experiments.common import ScaleSpec
 
 
 class TestParser:
@@ -97,3 +99,22 @@ class TestExecution:
         assert "scale-smoke" in out
         assert "spilled chunks" in out
         assert "peak RSS" in out
+
+    def test_claims_prints_verdict_table(self, capsys, monkeypatch):
+        # ``run_all`` stubbed: the dispatch and the report are under test,
+        # not two figure sweeps.
+        seen = []
+
+        def run_all(scale):
+            seen.append(scale)
+            return [
+                ClaimResult("held", "a claim that holds", True, "x=1"),
+                ClaimResult("broken", "a claim that does not", False, "x=2"),
+            ]
+
+        monkeypatch.setattr("repro.cli.run_all", run_all)
+        assert main(["claims", "--scale", "0.01", "--seed", "3"]) == 0
+        assert seen == [ScaleSpec(scale=0.01, seed=3)]
+        out = capsys.readouterr().out
+        assert "[PASS] held" in out and "[FAIL] broken" in out
+        assert "1/2 claims hold" in out
