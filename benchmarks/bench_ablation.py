@@ -1,4 +1,4 @@
-"""Ablation benches for the design choices DESIGN.md calls out.
+"""Ablation benches for the design choices of the EB pipeline.
 
 Each ablation perturbs exactly one knob of the EB pipeline on a congested
 PSD workload and records the metric deltas in ``extra_info``:

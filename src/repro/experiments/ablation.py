@@ -1,4 +1,4 @@
-"""Programmatic ablation studies (DESIGN.md Section 5).
+"""Programmatic ablation studies.
 
 Each study perturbs one design knob of the EB pipeline on a congested PSD
 workload and reports the standard metrics as a :class:`FigureResult`-style

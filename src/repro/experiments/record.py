@@ -179,9 +179,9 @@ def render_markdown(bundle: RecordBundle) -> str:
         "oracle vs estimated link parameters, single- vs multi-path "
         "routing, arrival process) are regenerated by "
         "`python -m repro ablate <study>` and asserted in "
-        "`benchmarks/bench_ablation.py`; see DESIGN.md §5 for the index "
-        "and the non-obvious finding that prune *counts* are not monotone "
-        "in pruning aggressiveness (carried traffic is)."
+        "`benchmarks/bench_ablation.py`.  The non-obvious finding: prune "
+        "*counts* are not monotone in pruning aggressiveness (carried "
+        "traffic is)."
     )
     add("")
     add(f"**Summary: {passed}/{len(claims)} headline claims hold at this scale.**")

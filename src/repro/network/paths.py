@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from typing import Iterator, Sequence
 
-import networkx as nx
-
 from repro.network.topology import Topology, TopologyError
 from repro.stats.normal import Normal
 
@@ -49,16 +47,36 @@ def enumerate_simple_paths(
     """All simple paths between two brokers (exhaustive; small graphs only).
 
     Used by tests to certify routing optimality and by the multi-path
-    routing extension.
+    routing extension.  ``cutoff`` is the most links a path may have
+    (default ``broker_count - 1``, i.e. no limit).  Paths come out in
+    depth-first order over sorted neighbours.
     """
-    graph = topology.graph_view()
     for node in (src, dst):
-        if node not in graph:
+        if node not in topology:
             raise TopologyError(f"unknown broker {node!r}")
     if src == dst:
         yield [src]
         return
-    yield from nx.all_simple_paths(graph, src, dst, cutoff=cutoff)
+    if cutoff is None:
+        cutoff = topology.broker_count - 1
+    if cutoff < 1:
+        return
+    # Iterative DFS: ``path`` is the current simple path from ``src`` and
+    # ``pending[i]`` the not-yet-tried neighbours of ``path[i]``.
+    path = [src]
+    on_path = {src}
+    pending = [iter(topology.neighbors(src))]
+    while pending:
+        nbr = next(pending[-1], None)
+        if nbr is None:
+            pending.pop()
+            on_path.discard(path.pop())
+        elif nbr == dst:
+            yield [*path, dst]
+        elif nbr not in on_path and len(path) < cutoff:
+            path.append(nbr)
+            on_path.add(nbr)
+            pending.append(iter(topology.neighbors(nbr)))
 
 
 def best_path_exhaustive(topology: Topology, src: str, dst: str) -> list[str]:

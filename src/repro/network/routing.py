@@ -80,7 +80,7 @@ def compute_sink_tree(topology: Topology, sink: str) -> SinkTree:
     hop.  Remaining-path variance is accumulated along the chosen tree
     edges (variances add by link independence).
     """
-    if sink not in topology.graph_view():
+    if sink not in topology:
         raise TopologyError(f"unknown broker {sink!r}")
 
     # dist: broker -> (mean, hops); parent: broker -> next hop toward sink.

@@ -3,18 +3,21 @@
 A :class:`Topology` is an undirected multigraph-free graph of broker names
 with one :class:`~repro.stats.normal.Normal` transmission-rate distribution
 per edge (``TR`` in ms/KB, identical in both directions, as for a single
-TCP connection).  Publisher and subscriber *attachments* record which edge
-broker serves which client; client access links are not modelled, matching
-the paper (clients talk to their broker locally).
+TCP connection).  The graph is a plain adjacency mapping — the overlay is
+32 brokers (Fig. 3), and every traversal here states its own iteration
+order instead of inheriting one from a graph library.  Publisher and
+subscriber *attachments* record which edge broker serves which client;
+client access links are not modelled, matching the paper (clients talk to
+their broker locally).
 """
 
 from __future__ import annotations
 
 import warnings
+from collections import deque
 from dataclasses import dataclass
 from typing import Iterable
 
-import networkx as nx
 import numpy as np
 
 from repro.stats.normal import Normal
@@ -61,7 +64,9 @@ class Topology:
     """Undirected broker graph with per-edge rate distributions."""
 
     def __init__(self) -> None:
-        self._graph = nx.Graph()
+        #: broker -> neighbour -> link rate; both directions of a link hold
+        #: the same :class:`Normal`.
+        self._adj: dict[str, dict[str, Normal]] = {}
         self.publisher_brokers: dict[str, str] = {}  # publisher -> broker
         self.subscriber_brokers: dict[str, str] = {}  # subscriber -> broker
         #: Builder-recorded facts about how the topology came to be
@@ -72,29 +77,29 @@ class Topology:
     # Construction.
     # ------------------------------------------------------------------ #
     def add_broker(self, name: str) -> None:
-        if name in self._graph:
+        if name in self._adj:
             raise TopologyError(f"duplicate broker {name!r}")
-        self._graph.add_node(name)
+        self._adj[name] = {}
 
     def add_link(self, a: str, b: str, rate: Normal) -> None:
         if a == b:
             raise TopologyError(f"self-link at {a!r}")
         for node in (a, b):
-            if node not in self._graph:
+            if node not in self._adj:
                 raise TopologyError(f"unknown broker {node!r}")
-        if self._graph.has_edge(a, b):
+        if b in self._adj[a]:
             raise TopologyError(f"duplicate link {a!r}-{b!r}")
-        self._graph.add_edge(a, b, rate=rate)
+        self._adj[a][b] = self._adj[b][a] = rate
 
     def attach_publisher(self, publisher: str, broker: str) -> None:
-        if broker not in self._graph:
+        if broker not in self._adj:
             raise TopologyError(f"unknown broker {broker!r}")
         if publisher in self.publisher_brokers:
             raise TopologyError(f"duplicate publisher {publisher!r}")
         self.publisher_brokers[publisher] = broker
 
     def attach_subscriber(self, subscriber: str, broker: str) -> None:
-        if broker not in self._graph:
+        if broker not in self._adj:
             raise TopologyError(f"unknown broker {broker!r}")
         if subscriber in self.subscriber_brokers:
             raise TopologyError(f"duplicate subscriber {subscriber!r}")
@@ -103,33 +108,34 @@ class Topology:
     # ------------------------------------------------------------------ #
     # Queries.
     # ------------------------------------------------------------------ #
+    def __contains__(self, broker: object) -> bool:
+        return broker in self._adj
+
     @property
     def brokers(self) -> list[str]:
-        return sorted(self._graph.nodes)
+        return sorted(self._adj)
 
     @property
     def broker_count(self) -> int:
-        return self._graph.number_of_nodes()
+        return len(self._adj)
 
     @property
     def link_count(self) -> int:
-        return self._graph.number_of_edges()
+        return sum(len(nbrs) for nbrs in self._adj.values()) // 2
 
     def links(self) -> list[tuple[str, str, Normal]]:
         """All links as sorted ``(a, b, rate)`` with ``a < b``."""
-        out = []
-        for a, b, data in self._graph.edges(data=True):
-            lo, hi = (a, b) if a <= b else (b, a)
-            out.append((lo, hi, data["rate"]))
-        out.sort(key=lambda t: (t[0], t[1]))
-        return out
+        return sorted(
+            ((a, b, rate) for a, nbrs in self._adj.items() for b, rate in nbrs.items() if a < b),
+            key=lambda t: (t[0], t[1]),
+        )
 
     def has_link(self, a: str, b: str) -> bool:
-        return self._graph.has_edge(a, b)
+        return b in self._adj.get(a, ())
 
     def link_rate(self, a: str, b: str) -> Normal:
         try:
-            return self._graph.edges[a, b]["rate"]
+            return self._adj[a][b]
         except KeyError:
             raise TopologyError(f"no link {a!r}-{b!r}") from None
 
@@ -142,21 +148,48 @@ class Topology:
         runtime failure injection; it keeps both layers (and the link
         monitors) in step.
         """
-        if not self._graph.has_edge(a, b):
+        if not self.has_link(a, b):
             raise TopologyError(f"no link {a!r}-{b!r}")
-        self._graph.edges[a, b]["rate"] = rate
+        self._adj[a][b] = self._adj[b][a] = rate
 
     def neighbors(self, broker: str) -> list[str]:
-        if broker not in self._graph:
+        if broker not in self._adj:
             raise TopologyError(f"unknown broker {broker!r}")
-        return sorted(self._graph.neighbors(broker))
+        return sorted(self._adj[broker])
 
     def is_connected(self) -> bool:
-        return self.broker_count > 0 and nx.is_connected(self._graph)
+        """Whether every broker is reachable from every other (one DFS)."""
+        if not self._adj:
+            return False
+        seen: set[str] = set()
+        stack = [next(iter(self._adj))]
+        while stack:
+            node = stack.pop()
+            if node not in seen:
+                seen.add(node)
+                stack.extend(nbr for nbr in self._adj[node] if nbr not in seen)
+        return len(seen) == len(self._adj)
 
-    def graph_view(self) -> nx.Graph:
-        """Read-only-by-convention access to the underlying networkx graph."""
-        return self._graph
+    def hop_distance(self, src: str, dst: str) -> int:
+        """Fewest links between two brokers (BFS over sorted neighbours).
+
+        Raises :class:`TopologyError` for an unknown broker or when ``dst``
+        is unreachable from ``src``.
+        """
+        for node in (src, dst):
+            if node not in self._adj:
+                raise TopologyError(f"unknown broker {node!r}")
+        hops = {src: 0}
+        frontier = deque([src])
+        while frontier:
+            node = frontier.popleft()
+            if node == dst:
+                return hops[node]
+            for nbr in self.neighbors(node):
+                if nbr not in hops:
+                    hops[nbr] = hops[node] + 1
+                    frontier.append(nbr)
+        raise TopologyError(f"no path {src!r} -> {dst!r}")
 
     def subscribers_of(self, broker: str) -> list[str]:
         return sorted(s for s, b in self.subscriber_brokers.items() if b == broker)

@@ -56,22 +56,38 @@ class PredicateColumns:
 
     @classmethod
     def of(cls, filters: Sequence[Filter]) -> "PredicateColumns":
-        counts = np.empty(len(filters), dtype=np.int64)
+        # Populations draw filters from a small shared pool, so predicates
+        # are derived once per distinct object (an ``id`` is unique while
+        # ``filters`` keeps the object alive) and gathered out to item level.
+        distinct = {id(filter_): filter_ for filter_ in filters}
+        slot_of = {key: slot for slot, key in enumerate(distinct)}
+        slot = np.fromiter(
+            map(slot_of.__getitem__, map(id, filters)), dtype=np.int64, count=len(filters)
+        )
+        slot_counts = np.empty(len(distinct), dtype=np.int64)
         raw: dict[tuple[str, str], tuple[list[int], list[float]]] = {}
-        for i, filter_ in enumerate(filters):
+        for s, filter_ in enumerate(distinct.values()):
             preds = conjunction_predicates(filter_)
             if preds is None:
-                counts[i] = -1
+                slot_counts[s] = -1
                 continue
-            counts[i] = len(preds)
+            slot_counts[s] = len(preds)
             for p in preds:
-                items, values = raw.setdefault((p.attribute, p.op), ([], []))
-                items.append(i)
+                slots, values = raw.setdefault((p.attribute, p.op), ([], []))
+                slots.append(s)
                 values.append(p.value)
-        return cls(counts, {
-            key: (np.array(items, dtype=np.int64), np.array(values, dtype=np.float64))
-            for key, (items, values) in raw.items()
-        })
+        item = np.arange(len(filters), dtype=np.int64)
+        entries = {}
+        for key, (slots, values) in raw.items():
+            # ``values`` is grouped by slot; item i's output run copies its
+            # slot's run, so each output position reads at a per-item shift.
+            per_slot = np.bincount(slots, minlength=len(distinct))
+            repeats = per_slot[slot]
+            shift = (np.cumsum(per_slot) - per_slot)[slot] - (np.cumsum(repeats) - repeats)
+            items = np.repeat(item, repeats)
+            source = np.arange(len(items), dtype=np.int64) + np.repeat(shift, repeats)
+            entries[key] = (items, np.array(values, dtype=np.float64)[source])
+        return cls(slot_counts[slot], entries)
 
     def take(self, items: np.ndarray) -> "PredicateColumns":
         """The columns of the sub-batch ``items`` (distinct indices into

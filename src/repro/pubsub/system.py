@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from itertools import repeat
 from typing import Callable, Mapping
 
-import networkx as nx
 import numpy as np
 
 from repro.core.chunked import DEFAULT_CHUNK_ROWS, ChunkedColumnStore
@@ -471,13 +470,12 @@ class PubSubSystem:
 
     def _install_multi_path(self, subscription: Subscription, edge: str) -> None:
         mode = self.config.routing
-        graph = self.topology.graph_view()
         path_id = 0
         for source in sorted(set(self.topology.publisher_brokers.values())):
             if source == edge:
                 paths: list[list[str]] = [[edge]]
             else:
-                min_hops = nx.shortest_path_length(graph, source, edge)
+                min_hops = self.topology.hop_distance(source, edge)
                 paths = k_shortest_paths(
                     self.topology, source, edge, k=mode.k,
                     cutoff=min_hops + mode.extra_hops,

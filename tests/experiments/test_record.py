@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import re
+from pathlib import Path
+
 import pytest
 
 from repro.experiments.common import FigureResult, ScaleSpec
@@ -61,6 +64,14 @@ class TestMarkdown:
     def test_paper_values_quoted(self):
         text = render_markdown(synthetic_bundle())
         assert "0.401" in text  # the paper's EB delivery rate at rate 15
+
+    def test_names_no_missing_file(self):
+        # Every ``*.md`` / ``*.py`` the record cites must exist in the repo.
+        root = Path(__file__).resolve().parents[2]
+        text = render_markdown(synthetic_bundle())
+        cited = set(re.findall(r"[\w./-]+\.(?:md|py)\b", text))
+        assert "benchmarks/bench_ablation.py" in cited
+        assert [name for name in sorted(cited) if not (root / name).exists()] == []
 
     def test_synthetic_paper_shape_passes_all_claims(self):
         text = render_markdown(synthetic_bundle())

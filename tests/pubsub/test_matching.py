@@ -7,11 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.pubsub.filters import AndFilter, OrFilter, Predicate
+from repro.pubsub.filters import AndFilter, OrFilter, Predicate, conjunction_predicates
 from repro.pubsub.matching import (
     MATCHER_BACKENDS,
     BruteForceMatcher,
     CountingIndexMatcher,
+    PredicateColumns,
     VectorCountingMatcher,
     make_matcher,
 )
@@ -439,3 +440,67 @@ def test_vector_add_many_agrees_with_incremental(filters, attrs):
     bulk.add_many(list(enumerate(filters)))
     assert bulk.match(attrs) == incremental.match(attrs)
     assert len(bulk) == len(incremental)
+
+
+def _frozen_predicate_columns(filters):
+    """``PredicateColumns.of`` as it was before it derived predicates once
+    per distinct filter object: one pass, one append per predicate."""
+    counts = np.empty(len(filters), dtype=np.int64)
+    raw = {}
+    for i, filter_ in enumerate(filters):
+        preds = conjunction_predicates(filter_)
+        if preds is None:
+            counts[i] = -1
+            continue
+        counts[i] = len(preds)
+        for p in preds:
+            items, values = raw.setdefault((p.attribute, p.op), ([], []))
+            items.append(i)
+            values.append(p.value)
+    return counts, {
+        key: (np.array(items, dtype=np.int64), np.array(values, dtype=np.float64))
+        for key, (items, values) in raw.items()
+    }
+
+
+def _assert_columns_equal_frozen(filters):
+    got = PredicateColumns.of(filters)
+    counts, entries = _frozen_predicate_columns(filters)
+    assert got.counts.dtype == counts.dtype and got.counts.tolist() == counts.tolist()
+    assert list(got.entries) == list(entries)  # same key order, not just same keys
+    for key, (items, values) in entries.items():
+        got_items, got_values = got.entries[key]
+        assert got_items.dtype == items.dtype and got_items.tolist() == items.tolist()
+        assert got_values.dtype == values.dtype and got_values.tolist() == values.tolist()
+
+
+@given(
+    pool=st.lists(any_filters(), min_size=1, max_size=6),
+    draws=st.lists(st.integers(0, 5), min_size=0, max_size=40),
+)
+@settings(max_examples=150)
+def test_predicate_columns_of_pooled_filters_equal_the_frozen_loop(pool, draws):
+    # The scale populations' shape: many items sharing a few filter objects
+    # (equal-but-distinct objects in ``pool`` included).
+    _assert_columns_equal_frozen([pool[d % len(pool)] for d in draws])
+
+
+def test_predicate_columns_keep_two_predicates_on_one_attribute_op():
+    band = AndFilter([Predicate("A", "<", 3.0), Predicate("B", ">", 0.0), Predicate("A", "<", 1.0)])
+    other = Predicate("A", "<", 2.0)
+    filters = [band, OrFilter([other]), other, band, AndFilter([]), band]
+    _assert_columns_equal_frozen(filters)
+    items, values = PredicateColumns.of(filters).entries[("A", "<")]
+    assert items.tolist() == [0, 0, 2, 3, 3, 5, 5]
+    assert values.tolist() == [3.0, 1.0, 2.0, 3.0, 1.0, 3.0, 1.0]
+
+
+def test_predicate_columns_derive_predicates_once_per_distinct_filter(monkeypatch):
+    calls = []
+    monkeypatch.setattr(
+        "repro.pubsub.matching.conjunction_predicates",
+        lambda f: calls.append(f) or conjunction_predicates(f),
+    )
+    pool = [Predicate("A", "<", 1.0), AndFilter([Predicate("B", ">", 0.0)])]
+    PredicateColumns.of([pool[i % 2] for i in range(1000)])
+    assert len(calls) == 2
