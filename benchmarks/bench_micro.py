@@ -26,6 +26,7 @@ from repro.network.topology import LayeredMeshSpec, build_layered_mesh
 from repro.pubsub.matching import BruteForceMatcher, CountingIndexMatcher
 from repro.pubsub.message import Message
 from repro.pubsub.subscription import RowArrays, SubscriptionTable
+from repro.reference import ReferenceQueue
 from repro.sim.config import SimulationConfig
 from repro.sim.runner import build_system, run_to_horizon, schedule_workload
 from repro.stats.normal import normal_cdf_vec
@@ -130,9 +131,9 @@ def test_strategy_select_50_entry_queue(benchmark, entry_rows):
 
 # ---------------------------------------------------------------------- #
 # Queue drain: the broker's service loop over one deep output queue.
-# The scan backend is the legacy O(n²) full rescan; "auto" picks the
-# incremental ScheduledQueue backend for the strategy (exact keyed heap
-# for fifo/rl, amortised bound heap for eb/pc/ebpc).  Same entries, same
+# The reference queue is the legacy O(n²) full rescan; ScheduledQueue picks
+# the incremental structure for the strategy (exact keyed heap for
+# fifo/rl, amortised bound heap for eb/pc/ebpc).  Same entries, same
 # decisions — only the servicing structure differs.
 # ---------------------------------------------------------------------- #
 def _random_entries(seed: int, count: int, row_count, deadlines_ms: tuple[float, float]):
@@ -164,17 +165,17 @@ def drain_entries():
 
 
 def _drain_queue(
-    entries, strategy_name: str, backend: str, decisions: list | None = None
+    entries, strategy_name: str, queue_type: type = ScheduledQueue,
+    decisions: list | None = None,
 ) -> int:
     """Service one queue to empty; ``decisions`` (optional) receives every
     ``("prune" | "send", seq)`` in order."""
     strategy = make_strategy(strategy_name)
-    queue = ScheduledQueue(
+    queue = queue_type(
         strategy,
         PruningPolicy.for_strategy(strategy.probabilistic_pruning),
         DEFAULT_EPSILON,
         planning_delay_ms=2.0,
-        backend=backend,
     )
     for entry in entries:
         queue.push(entry)
@@ -195,7 +196,7 @@ def _drain_queue(
 @pytest.mark.parametrize("name", STRATEGY_NAMES)
 def test_queue_drain_500_incremental(benchmark, name, drain_entries):
     sent = benchmark.pedantic(
-        lambda: _drain_queue(drain_entries, name, "auto"), rounds=3, iterations=1
+        lambda: _drain_queue(drain_entries, name), rounds=3, iterations=1
     )
     benchmark.extra_info["sent"] = sent
     assert 0 < sent <= DRAIN_QUEUE_DEPTH
@@ -204,7 +205,7 @@ def test_queue_drain_500_incremental(benchmark, name, drain_entries):
 @pytest.mark.parametrize("name", STRATEGY_NAMES)
 def test_queue_drain_500_scan(benchmark, name, drain_entries):
     sent = benchmark.pedantic(
-        lambda: _drain_queue(drain_entries, name, "scan"), rounds=3, iterations=1
+        lambda: _drain_queue(drain_entries, name, ReferenceQueue), rounds=3, iterations=1
     )
     benchmark.extra_info["sent"] = sent
     assert 0 < sent <= DRAIN_QUEUE_DEPTH
@@ -213,8 +214,8 @@ def test_queue_drain_500_scan(benchmark, name, drain_entries):
 def test_queue_drain_decisions_match(drain_entries):
     """Both servicing structures drain the same number of entries."""
     for name in STRATEGY_NAMES:
-        assert _drain_queue(drain_entries, name, "auto") == _drain_queue(
-            drain_entries, name, "scan"
+        assert _drain_queue(drain_entries, name) == _drain_queue(
+            drain_entries, name, ReferenceQueue
         )
 
 
@@ -237,12 +238,12 @@ def test_core_strategies_score_and_bound(benchmark):
 
     def drain() -> list:
         decisions: list = []
-        _drain_queue(entries, "ebpc", "auto", decisions)
+        _drain_queue(entries, "ebpc", decisions=decisions)
         return decisions
 
     decisions = benchmark.pedantic(drain, rounds=3, iterations=1)
     oracle: list = []
-    _drain_queue(entries, "ebpc", "scan", oracle)
+    _drain_queue(entries, "ebpc", ReferenceQueue, oracle)
     assert decisions == oracle
     benchmark.extra_info["sent"] = sum(kind == "send" for kind, _ in decisions)
     assert 0 < benchmark.extra_info["sent"] < len(entries)  # pruning in play
@@ -311,7 +312,7 @@ def test_event_dispatch_engines(benchmark, engine):
     system-less mode (no lookahead work) — isolates the inner drain
     loop's overhead against ``Simulator.run``.
     """
-    from repro.pubsub.engine import make_engine
+    from repro.pubsub.engine import FusedEngine
 
     def run_10k_events():
         sim = Simulator()
@@ -324,11 +325,10 @@ def test_event_dispatch_engines(benchmark, engine):
                 sim.schedule(1.0, tick)
 
         sim.schedule(0.0, tick)
-        eng = make_engine(engine, sim)
-        if eng is None:
-            sim.run()
+        if engine == "fused":
+            FusedEngine(sim).run()
         else:
-            eng.run()
+            sim.run()
         return count
 
     assert benchmark(run_10k_events) == 10_000

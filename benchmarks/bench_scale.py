@@ -16,9 +16,7 @@ Usage (from the repo root)::
     PYTHONPATH=src python benchmarks/bench_scale.py --smoke        # CI-sized
 
 Results merge into ``BENCH_e2e.json`` (override with ``--out``) under a
-``"scale"`` key, preserving whatever ``bench_e2e.py`` already wrote
-there; CI uploads the file as an artifact so the RSS trajectory is
-recorded per run.
+``"scale"`` key, preserving whatever else the file holds.
 """
 
 from __future__ import annotations
@@ -49,7 +47,6 @@ def run_child(
         "--minutes", str(args.minutes),
         "--seed", str(args.seed),
         "--chunk-rows", str(args.chunk_rows),
-        "--engine", args.engine,
     ]
     if spill:
         cmd.append("--spill")
@@ -99,7 +96,6 @@ def child_main(args: argparse.Namespace) -> int:
             minutes=args.minutes,
             spill=args.spill,
             chunk_rows=args.chunk_rows,
-            engine=args.engine,
             checkpoint=checkpoint,
         )
     if args.profile and profiling.ACTIVE is not None:
@@ -154,8 +150,6 @@ def main(argv: list[str] | None = None) -> int:
                         help="simulated publication window (default 4.0, smoke 1.0)")
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--chunk-rows", type=int, default=default_chunk_rows)
-    parser.add_argument("--engine", default="fused", choices=("fused", "event"),
-                        help="execution engine (fused window drain | per-event oracle)")
     parser.add_argument("--profile", action="store_true",
                         help="print the per-stage hot-loop timer table per mode")
     parser.add_argument("--out", default="BENCH_e2e.json", help="merge results here")
@@ -182,7 +176,7 @@ def main(argv: list[str] | None = None) -> int:
         mode = "spill" if spill else "memory"
         record = run_child(args, spill)
         records[mode] = record
-        print(f"{mode:6s} {args.size:>5s}/{args.strategy}/{args.engine}: "
+        print(f"{mode:6s} {args.size:>5s}/{args.strategy}: "
               f"run {record['run_s']:7.2f}s, analysis {record['analysis_s']:6.2f}s, "
               f"{record.get('deliveries_per_s', 0.0):,.0f} deliveries/s, "
               f"peak RSS {record['peak_rss_kb'] / 1024.0:8.1f} MiB, "
@@ -197,14 +191,13 @@ def main(argv: list[str] | None = None) -> int:
                 f"scale modes diverged on {field}: "
                 f"memory={records['memory'][field]} spill={records['spill'][field]}"
             )
-    # The guarded throughput points must be checkpoint-free: a non-zero
-    # count here would mean snapshot writes leaked into run_s and the
-    # floor comparison (check_bench_regression.py asserts this too).
+    # The throughput points must be checkpoint-free: a non-zero count here
+    # would mean snapshot writes leaked into run_s.
     for mode, record in records.items():
         if record.get("checkpoints", 0) != 0:
             raise AssertionError(
                 f"{mode} point unexpectedly wrote {record['checkpoints']} "
-                "checkpoint(s); the throughput floor assumes none"
+                "checkpoint(s); the throughput figure assumes none"
             )
     mem_kb = records["memory"]["peak_rss_kb"]
     spill_kb = records["spill"]["peak_rss_kb"]
@@ -215,10 +208,9 @@ def main(argv: list[str] | None = None) -> int:
 
     # Checkpoint-cost measurement: one more run with snapshots at a
     # ~4-per-run cadence.  Its record stays OUT of `points` (same
-    # (scenario, strategy, engine, spill) identity as the memory point —
-    # it would collide in the throughput guard) and lands under its own
-    # "checkpoint" key: write cost is a separate budget, not a throughput
-    # datum.
+    # (scenario, strategy, spill) identity as the memory point) and lands
+    # under its own "checkpoint" key: write cost is a separate budget, not
+    # a throughput datum.
     checkpoint_payload = None
     if not args.no_checkpoint_bench:
         every_s = args.checkpoint_every or args.minutes * 60.0 / 4.0
@@ -236,7 +228,7 @@ def main(argv: list[str] | None = None) -> int:
                 f"checkpoint bench wrote no snapshots at every={every_s:g}s"
             )
         per_snap_s = record["checkpoint_write_s"] / snapshots
-        print(f"ckpt   {args.size:>5s}/{args.strategy}/{args.engine}: "
+        print(f"ckpt   {args.size:>5s}/{args.strategy}: "
               f"{snapshots} snapshots, {per_snap_s:.2f}s/snapshot, "
               f"{record['checkpoint_mb']:.1f} MB latest, "
               f"series byte-identical")
@@ -258,7 +250,6 @@ def main(argv: list[str] | None = None) -> int:
             "minutes": args.minutes,
             "seed": args.seed,
             "chunk_rows": args.chunk_rows,
-            "engine": args.engine,
             "python": platform.python_version(),
             "machine": platform.machine(),
             # Timings are meaningless without the hardware they ran on;

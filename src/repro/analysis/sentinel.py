@@ -10,7 +10,7 @@ full context the moment an identity breaks:
   no pending event is scheduled in the past;
 * **counter monotonicity** — published/receptions/transmissions/
   deliveries/pruned/ledger counters never decrease between boundaries;
-* **metrics accounting** — the backend's own ``check_invariants``
+* **metrics accounting** — the collector's own ``check_invariants``
   (``ds_i <= ts_i`` per message, valid-total consistency, non-negative
   counters), surfaced as a sentinel violation;
 * **entry conservation** — every queue entry ever created is sent,
@@ -43,7 +43,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.pubsub.system import PubSubSystem
 
 #: Counters that must never decrease between boundary checks, read off
-#: the metrics backend (attribute name -> human label).
+#: the metrics collector (attribute name -> human label).
 _MONOTONE_METRICS = (
     "published", "receptions", "transmissions",
     "deliveries_valid", "deliveries_late", "pruned", "total_interested",
@@ -118,7 +118,7 @@ class InvariantSentinel:
         try:
             m.check_invariants()
         except AssertionError as err:
-            self._fail("metrics-accounting", {"backend": m.backend}, str(err))
+            self._fail("metrics-accounting", {"collector": type(m).__name__}, str(err))
         current = {name: int(getattr(m, name)) for name in _MONOTONE_METRICS}
         for name, value in current.items():
             if value < self._last_metrics.get(name, 0):

@@ -22,7 +22,7 @@ Every series *folds back* to the run's aggregate metrics: counts sum
 exactly, ``earning`` sums exactly (prices are settled per delivery, the
 same contributions the metrics ledger logs), and
 ``sum(valid) / sum(interested)`` is exactly the aggregate delivery rate.
-The integration tests assert those folds against both metrics backends.
+The integration tests assert those folds against both stacks' collectors.
 """
 
 from __future__ import annotations

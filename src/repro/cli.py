@@ -8,6 +8,7 @@ Examples::
     python -m repro tab1
     python -m repro claims --scale 0.1
     python -m repro run --scenario ssd --strategy ebpc --r 0.6 --rate 12 --minutes 10
+    python -m repro run --strategy ebpc --minutes 2 --reference
     python -m repro dynamics --preset flash-crowd --metric delivery-rate --minutes 10
     python -m repro dynamics --preset degrade-worst-link --metric queue-depth
     python -m repro scale --size 100k --log-spill
@@ -26,9 +27,6 @@ from repro.experiments import figure4, figure5, figure6, table1
 from repro.experiments.claims import format_report, run_all
 from repro.experiments.common import ScaleSpec
 from repro.experiments.report import format_series_table
-from repro.pubsub.engine import ENGINE_BACKENDS
-from repro.pubsub.matching import MATCHER_BACKENDS
-from repro.pubsub.metrics import METRICS_BACKENDS
 from repro.sim.config import SimulationConfig
 from repro.sim.runner import CheckpointInterrupted, run_simulation
 from repro.workload.scenarios import SCALE_SCENARIOS, Scenario
@@ -138,14 +136,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--minutes", type=float, default=10.0, help="simulated test period")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument(
-        "--matcher", choices=list(MATCHER_BACKENDS), default="vector",
-        help="matching engine: numpy fast path, dict oracle, or brute force",
+        "--reference", action="store_true",
+        help="run the reference stack (per-event kernel, dict matcher, per-delivery "
+             "collector, full-rescan queues): the same numbers, the slow way",
     )
-    p.add_argument(
-        "--metrics", choices=list(METRICS_BACKENDS), default="ledger",
-        help="accounting backend: array-backed ledger or per-delivery scalar oracle",
-    )
-    _add_engine_args(p)
+    _add_profile_args(p)
     _add_log_args(p)
     _add_sentinel_args(p)
     _add_script_args(p)
@@ -164,7 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--minutes", type=float, default=2.0, help="simulated test period")
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--window", type=float, default=30.0, help="series bucket (seconds)")
-    _add_engine_args(p)
+    _add_profile_args(p)
     _add_log_args(p)
     _add_sentinel_args(p)
     _add_script_args(p)
@@ -225,11 +220,7 @@ def _load_script(args: argparse.Namespace):
     return load_script(args.script)
 
 
-def _add_engine_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--engine", choices=list(ENGINE_BACKENDS), default="fused",
-        help="event-pipeline driver: fused window drain or the per-event oracle",
-    )
+def _add_profile_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--profile", action="store_true",
         help="per-stage pipeline timers (pop/match/enqueue/drain/metrics/"
@@ -388,9 +379,6 @@ def _dispatch(args: argparse.Namespace, start: float) -> int:
             strategy_params=params,
             publishing_rate_per_min=args.rate,
             duration_ms=args.minutes * 60_000.0,
-            matcher_backend=args.matcher,
-            metrics_backend=args.metrics,
-            engine_backend=args.engine,
             log_spill=args.log_spill,
             log_chunk_rows=args.log_chunk,
             sentinel=args.sentinel,
@@ -401,6 +389,7 @@ def _dispatch(args: argparse.Namespace, start: float) -> int:
             config,
             checkpoint=_checkpoint_policy(args),
             resume=args.resume,
+            reference=args.reference,
         )
         print(f"strategy          : {result.strategy}")
         print(f"scenario          : {result.scenario}")
@@ -427,7 +416,6 @@ def _dispatch(args: argparse.Namespace, start: float) -> int:
             spill=args.log_spill,
             chunk_rows=args.log_chunk,
             window_s=args.window,
-            engine=args.engine,
             sentinel=args.sentinel,
             script=_load_script(args),
             checkpoint=_checkpoint_policy(args),

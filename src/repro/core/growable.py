@@ -5,7 +5,7 @@ Python ``list`` forces per-element boxing on the way back out.  A
 :class:`GrowableArray` amortises both: capacity doubles, the live prefix
 is a zero-copy view, and whole batches land with one slice assignment.
 The delivery log (:mod:`repro.pubsub.client`) and the ledger metrics
-backend (:mod:`repro.pubsub.metrics`) both sit on this.
+collector (:mod:`repro.pubsub.metrics`) both sit on this.
 """
 
 from __future__ import annotations

@@ -22,8 +22,9 @@ decisions *exactly* (max score, FIFO tie-break on seq):
     candidates until the next stale bound cannot beat the best fresh
     score.  Everything examined is reinserted with its tightened bound.
   - ``dynamic`` without a bound → :class:`_ScanBackend`, the legacy full
-    rescan — retained as the correctness oracle and as the fallback for
-    strategies that advertise no capability.
+    rescan — the fallback for strategies that advertise no capability,
+    and the only selection the reference stack (:mod:`repro.reference`)
+    uses.
 
 * **Pruning** drains an expiry-ordered side index instead of scanning:
   entries are keyed by their analytic :func:`~repro.core.pruning.
@@ -32,9 +33,8 @@ decisions *exactly* (max score, FIFO tie-break on seq):
   should_prune` predicate, so the analytic inversion can never flip a
   decision.
 
-``validate=True`` cross-checks every selection and prune against the
-legacy full-scan oracle and raises :class:`QueueDivergence` on the first
-mismatch — the differential tests run whole simulations in this mode.
+``tests/core/test_queueing.py`` checks every decision against a full-scan
+queue kept beside the tests.
 """
 
 from __future__ import annotations
@@ -74,14 +74,6 @@ _BOUND_SLACK_REL = 1e-12
 _KEY_TIE_SLACK_ABS = 1e-6
 _KEY_TIE_SLACK_REL = 1e-9
 
-#: Recognised backend selectors for :class:`ScheduledQueue`.
-BACKENDS = ("auto", "heap", "scan")
-
-
-class QueueDivergence(AssertionError):
-    """A validated ScheduledQueue decision differed from the legacy oracle."""
-
-
 def _compact_heap(heap: list[tuple[float, int]], live: dict[int, QueueEntry]) -> None:
     """Drop stale records once they outnumber the live entries.
 
@@ -97,7 +89,7 @@ def _compact_heap(heap: list[tuple[float, int]], live: dict[int, QueueEntry]) ->
 
 
 class _ScanBackend:
-    """Legacy full rescan over the live entries — the correctness oracle."""
+    """Legacy full rescan over the live entries (``Strategy.select``)."""
 
     name = "scan"
 
@@ -312,34 +304,25 @@ class ScheduledQueue:
         pruning: PruningPolicy,
         epsilon: float = DEFAULT_EPSILON,
         planning_delay_ms: float = 2.0,
-        backend: str = "auto",
-        validate: bool = False,
     ) -> None:
-        if backend not in BACKENDS:
-            raise ValueError(f"backend must be one of {BACKENDS}, got {backend!r}")
         if planning_delay_ms < 0.0:
             raise ValueError("planning_delay_ms must be non-negative")
         self.strategy = strategy
         self.pruning = pruning
         self.epsilon = epsilon
         self.planning_delay_ms = planning_delay_ms
-        self.validate = validate
         #: seq -> entry, in insertion (= seq) order; the single source of
         #: truth for liveness.  Heap records pointing at missing seqs are
         #: stale and skipped lazily.
         self._live: dict[int, QueueEntry] = {}
-        self._backend = self._pick_backend(backend)
+        self._backend = self._pick_backend()
         self._prune_index = (
             _PruneIndex(pruning, epsilon, planning_delay_ms)
             if pruning is not PruningPolicy.NONE
             else None
         )
 
-    def _pick_backend(
-        self, backend: str
-    ) -> "_ScanBackend | _KeyedHeapBackend | _BoundedHeapBackend":
-        if backend == "scan":
-            return _ScanBackend(self.strategy, self._live)
+    def _pick_backend(self) -> "_ScanBackend | _KeyedHeapBackend | _BoundedHeapBackend":
         kind = self.strategy.score_kind
         if kind in ("static", "age_monotone"):
             return _KeyedHeapBackend(self.strategy, self._live)
@@ -347,11 +330,6 @@ class ScheduledQueue:
             raise ValueError(f"unknown score_kind {kind!r} on {self.strategy!r}")
         if type(self.strategy).score_and_bound is not Strategy.score_and_bound:
             return _BoundedHeapBackend(self.strategy, self._live)
-        if backend == "heap":
-            raise ValueError(
-                f"{self.strategy.name}: dynamic strategy without score_and_bound "
-                "cannot use the heap backend"
-            )
         return _ScanBackend(self.strategy, self._live)  # full-rescan fallback
 
     @property
@@ -365,8 +343,8 @@ class ScheduledQueue:
         """Admit one entry (seqs must be unique and increasing)."""
         if entry.seq in self._live:
             raise ValueError(f"duplicate seq {entry.seq}")
-        if self.validate or self._backend.name == "scan":
-            # These paths re-score entries through ``entry.rows`` at pop
+        if self._backend.name == "scan":
+            # A full rescan re-scores entries through ``entry.rows`` at pop
             # time; force deferred row materialisation now, while the
             # source table still matches the enqueue-time snapshot.
             entry.rows
@@ -387,18 +365,7 @@ class ScheduledQueue:
         """Delete and return every entry invalid at ``now`` (seq order)."""
         if self._prune_index is None:
             return []
-        if self.validate:
-            expected = {
-                e.seq
-                for e in self._live.values()
-                if should_prune(e, now, self.planning_delay_ms, self.pruning, self.epsilon)
-            }
         pruned = self._prune_index.drain(now, self._live)
-        if self.validate and {e.seq for e in pruned} != expected:
-            raise QueueDivergence(
-                f"prune at t={now}: index drained {sorted(e.seq for e in pruned)}, "
-                f"full scan expected {sorted(expected)}"
-            )
         if pruned:
             # Pruned entries leave stale records behind in the selection
             # heap (and sent entries in the prune index); reclaim them
@@ -431,16 +398,7 @@ class ScheduledQueue:
 
     def pop_best(self, ctx: SchedulingContext) -> QueueEntry:
         """Remove and return the entry the strategy would send next."""
-        if self.validate and self._live:
-            entries = list(self._live.values())
-            oracle = entries[self.strategy.select(entries, ctx)]
-        entry = self._backend.pop_best(ctx)
-        if self.validate and entry is not oracle:
-            raise QueueDivergence(
-                f"select at t={ctx.now}: backend chose seq {entry.seq}, "
-                f"full scan chose seq {oracle.seq}"
-            )
-        return entry
+        return self._backend.pop_best(ctx)
 
     # ------------------------------------------------------------------ #
     # Introspection.

@@ -13,10 +13,10 @@ Three kinds of findings come back:
   file (:func:`repro.workload.registry.save_script`) so the minimal
   script becomes a regression scenario.  Any violation fails the run
   (exit 1 from the CLI).
-* **engine divergences** — every clean script's fused-engine result is
-  compared byte for byte with a re-run under the per-event oracle
-  (``engine_backend="event"``); a difference is an identity bug, shrunk
-  and saved like a violation, and fails the run the same way.
+* **stack divergences** — every clean script's production result is
+  compared byte for byte with a re-run on the reference stack
+  (:mod:`repro.reference`); a difference is an identity bug, shrunk and
+  saved like a violation, and fails the run the same way.
 * **ranking inversions** — a fault script under which the strategy pair's
   frozen-world ranking flips (e.g. FIFO out-earns EB once the backbone
   partitions).  These are *findings*, not failures: the paper's claims
@@ -103,8 +103,8 @@ class Violation:
 
 @dataclass(slots=True)
 class Divergence:
-    """A fault script under which the fused engine's serialized result
-    differs from the per-event oracle's — an identity bug by definition,
+    """A fault script under which the production stack's serialized result
+    differs from the reference stack's — an identity bug by definition,
     shrunk to a 1-minimal reproducer like a sentinel violation."""
 
     script: ScenarioScript
@@ -135,12 +135,12 @@ class FuzzReport:
     violations: list[Violation] = field(default_factory=list)
     inversions: list[Inversion] = field(default_factory=list)
     divergences: list[Divergence] = field(default_factory=list)
-    #: Scripts whose event-oracle re-run came back byte-identical.
+    #: Scripts whose reference-stack re-run came back byte-identical.
     oracle_probes_identical: int = 0
 
     @property
     def ok(self) -> bool:
-        """True when no sentinel violation and no fused-vs-oracle
+        """True when no sentinel violation and no production-vs-reference
         divergence survived (inversions are findings, not failures)."""
         return not self.violations and not self.divergences
 
@@ -212,9 +212,7 @@ def generate_script(
     return ScenarioScript(interventions=tuple(items))
 
 
-def _config(
-    spec: FuzzSpec, strategy: str, script: ScenarioScript, engine: str = "fused"
-) -> SimulationConfig:
+def _config(spec: FuzzSpec, strategy: str, script: ScenarioScript) -> SimulationConfig:
     return SimulationConfig(
         seed=spec.seed,
         scenario=spec.scenario,
@@ -225,7 +223,6 @@ def _config(
         sentinel=True,
         sentinel_deep=True,
         sentinel_every_ms=10_000.0,
-        engine_backend=engine,
     )
 
 
@@ -250,30 +247,31 @@ def _oracle_probe(
     strategy: str,
     script: ScenarioScript,
     report: FuzzReport,
-    fused=None,
+    production=None,
 ) -> str | None:
-    """Differential: fused engine vs the per-event oracle under this
-    fault script.
+    """Differential: the production stack vs the reference stack under
+    this fault script.
 
-    ``fused`` is the production-engine result when the caller already
+    ``production`` is the production result when the caller already
     holds it (the campaign loop does; the shrinker's candidates run both
     legs).  Returns a human-readable mismatch description, or None when
     the two serialized results are byte-identical.  A sentinel violation
-    raised only by the oracle run counts as a divergence too."""
-    if fused is None:
+    raised only by the reference run counts as a divergence too."""
+    config = _config(spec, strategy, script)
+    if production is None:
         report.runs += 1
-        fused = run_simulation(_config(spec, strategy, script))
+        production = run_simulation(config)
     report.runs += 1
     try:
-        oracle = run_simulation(_config(spec, strategy, script, engine="event"))
+        reference = run_simulation(config, reference=True)
     except InvariantViolation as err:
-        return f"event-oracle run violated the sentinel: {err}"
-    if _result_bytes(fused) != _result_bytes(oracle):
+        return f"reference run violated the sentinel: {err}"
+    if _result_bytes(production) != _result_bytes(reference):
         deltas = [
-            f"{name}: {getattr(fused, name)} != {getattr(oracle, name)}"
+            f"{name}: {getattr(production, name)} != {getattr(reference, name)}"
             for name in ("published", "deliveries_valid", "deliveries_late",
                          "earning", "delivery_rate")
-            if getattr(fused, name, None) != getattr(oracle, name, None)
+            if getattr(production, name, None) != getattr(reference, name, None)
         ]
         return ("serialized results differ ("
                 + ("; ".join(deltas) if deltas else "field-level tie; "
@@ -287,7 +285,7 @@ def shrink_divergence(
     script: ScenarioScript,
     report: FuzzReport,
 ) -> ScenarioScript:
-    """Greedy 1-minimal shrink of a fused-vs-oracle divergence, mirroring
+    """Greedy 1-minimal shrink of a production-vs-reference divergence, mirroring
     :func:`shrink_script` with "still diverges" as the predicate."""
     items = list(script.interventions)
     changed = True
@@ -298,7 +296,7 @@ def shrink_divergence(
             try:
                 detail = _oracle_probe(spec, strategy, candidate, report)
             except InvariantViolation:
-                continue  # fused leg broke: not the divergence we chase
+                continue  # production leg broke: not the divergence we chase
             if detail is not None:
                 items = list(candidate.interventions)
                 changed = True
@@ -399,7 +397,7 @@ def run_fuzz(spec: FuzzSpec) -> FuzzReport:
         if violated:
             continue
         probed = spec.pair[0]
-        detail = _oracle_probe(spec, probed, script, report, fused=results[probed])
+        detail = _oracle_probe(spec, probed, script, report, production=results[probed])
         if detail is not None:
             shrunk = shrink_divergence(spec, probed, script, report)
             detail2 = _oracle_probe(spec, probed, shrunk, report)
@@ -419,7 +417,7 @@ def run_fuzz(spec: FuzzSpec) -> FuzzReport:
                     scenario=spec.scenario.value,
                     duration_ms=spec.duration_ms,
                     rate_per_min=spec.rate_per_min,
-                    error=f"fused-vs-event divergence: {finding.detail}",
+                    error=f"production-vs-reference divergence: {finding.detail}",
                 )
                 finding.replay_path = str(path)
             report.divergences.append(finding)
@@ -461,9 +459,9 @@ def format_report(report: FuzzReport) -> str:
         if v.replay_path:
             lines.append(f"    replay: {v.replay_path}")
     lines.append(
-        f"fused vs oracle   : "
+        f"vs reference stack: "
         + (f"{report.oracle_probes_identical} script(s) byte-identical "
-           f"under the per-event engine"
+           f"on the reference stack"
            if not report.divergences
            else f"{len(report.divergences)} DIVERGENCE(S)")
     )

@@ -82,7 +82,6 @@ class ScalePointResult:
     analysis_s: float
     peak_rss_kb: int
     series_sha256: str
-    engine: str = "fused"
     checkpoints: int = 0
     checkpoint_write_s: float = 0.0
     checkpoint_mb: float = 0.0
@@ -91,7 +90,7 @@ class ScalePointResult:
     @property
     def deliveries_per_s(self) -> float:
         """Delivered records per wall-second of the run phase — the
-        scale tier's throughput figure (guarded by the bench floor)."""
+        scale tier's throughput figure."""
         return self.deliveries / self.run_s if self.run_s > 0.0 else 0.0
 
     def as_dict(self) -> dict:
@@ -109,7 +108,6 @@ class ScalePointResult:
             "delivery_rate": self.delivery_rate,
             "log_rows": self.log_rows,
             "spilled_chunks": self.spilled_chunks,
-            "engine": self.engine,
             "build_s": round(self.build_s, 3),
             "run_s": round(self.run_s, 3),
             "analysis_s": round(self.analysis_s, 3),
@@ -134,7 +132,6 @@ def scale_config(
     minutes: float = 2.0,
     spill: bool = False,
     chunk_rows: int = DEFAULT_CHUNK_ROWS,
-    engine: str = "fused",
     sentinel: bool = False,
     script: ScenarioScript | None = None,
 ) -> SimulationConfig:
@@ -151,7 +148,6 @@ def scale_config(
         topology_spec=spec.topology_spec(),
         log_spill=spill,
         log_chunk_rows=chunk_rows,
-        engine_backend=engine,
         sentinel=sentinel,
         dynamics=script if script is not None else ScenarioScript(),
     )
@@ -161,8 +157,8 @@ def build_scale_system(spec: ScaleScenarioSpec, config: SimulationConfig) -> Pub
     """Assemble the stretched mesh with the spec's skewed population.
 
     Goes through :func:`repro.sim.runner.build_system` with a population
-    override, so *every* ``SystemConfig`` knob (backends, measurement
-    mode, routing, log spill...) is honoured from the one config — the
+    override, so *every* ``SystemConfig`` knob (measurement mode,
+    routing, log spill...) is honoured from the one config — the
     only scale-specific part is who subscribes with which filter.
     """
     return build_system(
@@ -193,7 +189,6 @@ def run_scale_point(
     spill: bool = False,
     chunk_rows: int = DEFAULT_CHUNK_ROWS,
     window_s: float = 30.0,
-    engine: str = "fused",
     sentinel: bool = False,
     script: ScenarioScript | None = None,
     checkpoint: CheckpointPolicy | None = None,
@@ -208,12 +203,12 @@ def run_scale_point(
     the run on a simulated-time cadence; ``resume`` restores a snapshot
     (config-fingerprint-checked against the flags given here) and runs
     it to the horizon.  Checkpoint write time is accounted separately
-    from ``run_s`` so the throughput floor stays comparable.
+    from ``run_s`` so the throughput figure stays comparable.
     """
     spec = SCALE_SCENARIOS[scenario]
     config = scale_config(
         spec, strategy=strategy, seed=seed, rate_per_min=rate_per_min,
-        minutes=minutes, spill=spill, chunk_rows=chunk_rows, engine=engine,
+        minutes=minutes, spill=spill, chunk_rows=chunk_rows,
         sentinel=sentinel, script=script,
     )
     t0 = time.perf_counter()  # repro-lint: ignore[RL001] -- phase stopwatch (build/run/analysis), decision-neutral
@@ -257,7 +252,6 @@ def run_scale_point(
         analysis_s=t3 - t2,
         peak_rss_kb=peak_rss_kb(),
         series_sha256=digest,
-        engine=engine,
         checkpoints=ck_count,
         checkpoint_write_s=ck_write_s,
         checkpoint_mb=ck_bytes / 1e6,

@@ -2,7 +2,7 @@
 
 Every performance tier this reproduction has shipped — vector matcher,
 fused engine, sweep workers, checkpoint/restore — rests on one
-discipline: *byte-identical decisions across backends*.  That discipline
+discipline: *byte-identical decisions across implementations*.  That discipline
 decomposes into a handful of concrete, mechanically checkable rules (no
 wall-clock in sim paths, no global RNG, no unordered iteration feeding
 scheduling, no closures in DES events, picklable fork-boundary state,

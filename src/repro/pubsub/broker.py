@@ -36,7 +36,7 @@ from repro.network.link import DirectedLink
 from repro.network.measurement import LinkMonitor
 from repro.pubsub.faults import DeadLetterRecord, FaultLedger
 from repro.pubsub.message import Message
-from repro.pubsub.metrics import MetricsCollector
+from repro.pubsub.metrics import LedgerMetricsCollector
 from repro.pubsub.subscription import RowBlock, SubscriptionTable, TableRow
 
 _EMPTY_SIDS = np.empty(0, dtype=np.int64)
@@ -78,21 +78,22 @@ BatchDeliveryCallback = Callable[["Broker", "object", Message, float, "object"],
 class Broker:
     """One overlay broker."""
 
+    #: The subscription table and output-queue structures it is built from.
+    table_type: type = SubscriptionTable
+    queue_type: type = ScheduledQueue
+
     def __init__(
         self,
         name: str,
         sim: Simulator,
         strategy: Strategy,
-        metrics: MetricsCollector,
+        metrics: LedgerMetricsCollector,
         processing_delay_ms: float = 2.0,
         epsilon: float = DEFAULT_EPSILON,
         pruning_override: PruningPolicy | None = None,
         default_size_kb: float = 50.0,
         scheduling_slack_per_hop_ms: float = 0.0,
         trace: TraceRecorder | None = None,
-        queue_backend: str = "auto",
-        queue_validate: bool = False,
-        matcher_backend: str = "vector",
         faults: FaultLedger | None = None,
         fault_retry_backoff_ms: float = 1_000.0,
         fault_retry_max_backoff_ms: float = 8_000.0,
@@ -122,9 +123,7 @@ class Broker:
             if pruning_override is not None
             else PruningPolicy.for_strategy(strategy.probabilistic_pruning)
         )
-        self.queue_backend = queue_backend
-        self.queue_validate = queue_validate
-        self.table = SubscriptionTable(matcher_backend=matcher_backend)
+        self.table = self.table_type()
         self.queues: dict[str, OutputQueue] = {}
         self.trace = trace
         # Fault layer: shared conservation ledger plus per-neighbour retry
@@ -149,8 +148,8 @@ class Broker:
         self.delivery_batch_callbacks: list[BatchDeliveryCallback] = []
         # Table-local subscriber id -> ledger id translation, extended
         # whenever the table interns new names; lets batched settlement
-        # skip per-row name lookups when the collector supports ids.
-        self._metrics_sids = _EMPTY_SIDS if hasattr(metrics, "on_delivery_batch_ids") else None
+        # skip per-row name lookups.
+        self._metrics_sids = _EMPTY_SIDS
         #: msg_id -> (table version, match_grouped result), filled by the
         #: fused engine's window lookahead and consumed by :meth:`_process`
         #: (stale versions are recomputed, so churn can never skew a match).
@@ -173,13 +172,11 @@ class Broker:
         """
         if neighbor in self.queues:
             raise ValueError(f"{self.name}: neighbor {neighbor!r} already wired")
-        sched = ScheduledQueue(
+        sched = self.queue_type(
             strategy=self.strategy,
             pruning=self.pruning,
             epsilon=self.epsilon,
             planning_delay_ms=self.planning_delay_ms,
-            backend=self.queue_backend,
-            validate=self.queue_validate,
         )
         self.queues[neighbor] = OutputQueue(neighbor, link, monitor, deliver, sched)
 
@@ -240,30 +237,11 @@ class Broker:
             # over the group's deadline column, one batched hand-off to the
             # metrics ledger and the endpoint log.  All rows share the
             # arrival latency ``hdl(now)``.
-            prices = local.price
             latency = message.hdl(now)
             valid = latency <= effective_deadline_array(local.deadline, message)
             if prof is not None:
                 t0 = perf_counter()
-            if self._metrics_sids is not None:
-                sids = self._metrics_sids
-                names = local.sub_names
-                if sids.shape[0] < len(names):
-                    # Interning is append-only on both sides: extend the
-                    # translation with the new tail only.
-                    sids = self._metrics_sids = np.concatenate((
-                        sids, self.metrics.intern_subscribers(names[sids.shape[0]:])
-                    ))
-                # match_grouped guarantees one row per subscriber in the
-                # local group, so the ledger can skip its uniqueness check.
-                self.metrics.on_delivery_batch_ids(
-                    message.msg_id, sids[local.sub_ids], latency, prices, valid,
-                    assume_unique=True,
-                )
-            else:
-                self.metrics.on_delivery_batch(
-                    message.msg_id, local.subscribers, latency, prices, valid
-                )
+            self._settle(message, local, latency, valid)
             if prof is not None:
                 t1 = perf_counter()
                 prof.add("metrics", t1 - t0)
@@ -305,6 +283,23 @@ class Broker:
                     msg=message.msg_id, neighbor=neighbor, fanout=len(group),
                 )
             self._try_send(neighbor)
+
+    def _settle(self, message: Message, local, latency: float, valid) -> None:
+        """Settle one message's local group with the ledger, by id."""
+        sids = self._metrics_sids
+        names = local.sub_names
+        if sids.shape[0] < len(names):
+            # Interning is append-only on both sides: extend the
+            # translation with the new tail only.
+            sids = self._metrics_sids = np.concatenate((
+                sids, self.metrics.intern_subscribers(names[sids.shape[0]:])
+            ))
+        # match_grouped guarantees one row per subscriber in the local
+        # group, so the ledger can skip its uniqueness check.
+        self.metrics.on_delivery_batch_ids(
+            message.msg_id, sids[local.sub_ids], latency, local.price, valid,
+            assume_unique=True,
+        )
 
     # ------------------------------------------------------------------ #
     # Output-queue service.

@@ -1,7 +1,9 @@
-"""The fused micro-batched event pipeline driver (``engine_backend``).
+"""The fused micro-batched event pipeline driver behind
+:meth:`repro.pubsub.system.PubSubSystem.run`.
 
-The per-event kernel (:meth:`repro.des.simulator.Simulator.run`, the
-``"event"`` oracle) takes one full Python round-trip per event: heap pop
+The per-event kernel (:meth:`repro.des.simulator.Simulator.run`, what the
+reference stack in :mod:`repro.reference` runs) takes one full Python
+round-trip per event: heap pop
 → handler → match → enqueue → send scheduling.  The fused driver drains
 the same heap in **event-time windows**: before executing a window's
 events it walks the simulator's side list of pending typed ``"process"``
@@ -15,7 +17,7 @@ then run through a tight specialised inner loop that consumes the
 precomputed matches.
 
 Correctness discipline (the house standard, same as the queue / matcher
-/ metrics backends):
+/ metrics layers):
 
 * **Execution order is untouched.**  The engine pops events in exactly
   the heap's ``(time, priority, seq)`` order and runs every action —
@@ -44,10 +46,6 @@ from time import perf_counter
 from repro.core import profiling
 from repro.des.simulator import SimulationError, Simulator
 
-#: Recognised ``engine_backend`` selectors: the fused window drain and
-#: the per-event kernel kept as the differential oracle.
-ENGINE_BACKENDS: tuple[str, ...] = ("fused", "event")
-
 #: Default event-time window (ms).  Wide enough to gather a message's
 #: receive→process burst across brokers (processing delay is 2 ms, hop
 #: transmissions tens of ms), narrow against scheduling horizons.
@@ -59,10 +57,10 @@ class FusedEngine:
 
     ``system`` supplies the brokers whose match memos the lookahead
     fills; pass ``None`` for a bare event-throughput drain (used by the
-    dispatch microbenchmark), which skips the lookahead entirely.
+    dispatch microbenchmark), which skips the lookahead entirely.  The
+    simulator's side list of pending process events is kept from the
+    first lookahead on, so an engine that never drives watches nothing.
     """
-
-    backend = "fused"
 
     def __init__(
         self,
@@ -75,8 +73,6 @@ class FusedEngine:
         self.sim = sim
         self.system = system
         self.window_ms = window_ms
-        if system is not None:
-            sim.watch("process")
 
     # ------------------------------------------------------------------ #
     # Lookahead.
@@ -93,6 +89,7 @@ class FusedEngine:
         """Pending ``"process"`` events due by ``wend`` that still need a
         match, from the simulator's side list (order is irrelevant for a
         pure computation)."""
+        self.sim.watch("process")
         unmatched = self._unmatched
         return [
             ev for ev in self.sim.pending("process")
@@ -142,6 +139,8 @@ class FusedEngine:
         executed = 0
         window = self.window_ms
         lookahead = self.system is not None
+        if lookahead:
+            sim.watch("process")
         heap = sim._heap
         heappop = heapq.heappop
         prof = profiling.ACTIVE
@@ -195,22 +194,3 @@ class FusedEngine:
                 sim.pending("process")
         return executed
 
-
-def make_engine(
-    backend: str,
-    sim: Simulator,
-    system: object | None = None,
-    window_ms: float = DEFAULT_WINDOW_MS,
-):
-    """Build the event-pipeline driver by ``engine_backend`` name.
-
-    ``"event"`` returns ``None``: callers fall back to the kernel's own
-    :meth:`Simulator.run` (the oracle path has no wrapper object).
-    """
-    if backend == "fused":
-        return FusedEngine(sim, system, window_ms=window_ms)
-    if backend == "event":
-        return None
-    raise ValueError(
-        f"engine_backend must be one of {ENGINE_BACKENDS}, got {backend!r}"
-    )

@@ -3,12 +3,13 @@
 Three implementations behind one protocol:
 
 * :class:`BruteForceMatcher` — evaluate every filter; the correctness
-  oracle and the right choice for small tables.
+  oracle, and the counting matchers' fallback for non-conjunctive filters.
 * :class:`CountingIndexMatcher` — the classic *counting algorithm* for
   conjunctive subscriptions (Yan & Garcia-Molina): per-(attribute, op)
   sorted threshold indexes produce, per message, the count of satisfied
   predicates per subscription; a subscription matches when its count equals
   its predicate total.  Non-conjunctive filters degrade to brute force.
+  The reference stack (:mod:`repro.reference`) matches with it.
 * :class:`VectorCountingMatcher` — the same counting algorithm on dense
   integer ids and numpy: every key is interned to a contiguous id, each
   (attribute, op) index stores its thresholds as one sorted array with
@@ -16,14 +17,11 @@ Three implementations behind one protocol:
   slice-concatenate + one ``np.bincount`` compared against the per-id
   predicate totals.  Decision-identical to :class:`CountingIndexMatcher`
   (the differential tests assert it); mutation recompiles the touched
-  indexes lazily, so install-then-match workloads pay one build.
+  indexes lazily, so install-then-match workloads pay one build.  The
+  production stack matches with it.
 
 Engines are generic over an opaque ``key`` so both the global population
 (for the delivery-rate denominator) and per-broker tables reuse them.
-:func:`make_matcher` builds one by backend name (the ``matcher_backend``
-config knob): ``"vector"`` is the fast path, ``"oracle"`` the dict-based
-counting matcher kept as the differential oracle, ``"brute"`` the filter
-scan.
 """
 
 from __future__ import annotations
@@ -348,6 +346,9 @@ class CountingIndexMatcher(Generic[K]):
     def count(self, attributes: Mapping[str, float]) -> int:
         """``len(match(...))`` — the oracle keeps the straightforward form."""
         return len(self.match(attributes))
+
+    def warm(self) -> None:
+        """Nothing to build ahead: the bisect indexes are always current."""
 
     def __len__(self) -> int:
         return len(self._predicate_count) + len(self._fallback)
@@ -677,23 +678,3 @@ class VectorCountingMatcher(Generic[K]):
 
     def __len__(self) -> int:
         return len(self._id_of) + len(self._fallback)
-
-
-#: Recognised ``matcher_backend`` selectors for :func:`make_matcher`.
-MATCHER_BACKENDS = ("vector", "oracle", "brute")
-
-
-def make_matcher(backend: str = "vector") -> MatchingEngine:
-    """Build a matching engine by ``matcher_backend`` name.
-
-    ``"vector"`` is the numpy fast path, ``"oracle"`` the dict-based
-    counting matcher retained as the differential oracle, ``"brute"`` the
-    plain filter scan.
-    """
-    if backend == "vector":
-        return VectorCountingMatcher()
-    if backend == "oracle":
-        return CountingIndexMatcher()
-    if backend == "brute":
-        return BruteForceMatcher()
-    raise ValueError(f"matcher_backend must be one of {MATCHER_BACKENDS}, got {backend!r}")

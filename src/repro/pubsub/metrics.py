@@ -7,17 +7,16 @@
 * **Message number**: total messages received by all brokers — the
   network-traffic proxy the paper plots in Figs. 5(b)/6(b).
 
-Two interchangeable backends implement the accounting
-(:func:`make_metrics`):
+Two collectors implement the accounting:
 
-* ``"ledger"`` (:class:`LedgerMetricsCollector`, the default) — the
+* :class:`LedgerMetricsCollector` (the production stack's) — the
   columnar spine: subscribers and messages interned to dense ids,
   per-message duplicate settlement via flat sorted settled-id arrays,
   tallies in growable numpy accumulators, and a batched
-  ``on_delivery_batch`` entry point matched to the broker's batched
+  ``on_delivery_batch_ids`` entry point matched to the broker's batched
   local delivery.
-* ``"scalar"`` (:class:`MetricsCollector`) — the original per-delivery
-  dict/set collector, kept as the differential oracle.
+* :class:`MetricsCollector` (the reference stack's, see
+  :mod:`repro.reference`) — the original per-delivery dict/set collector.
 
 Both produce byte-identical derived metrics: the ledger logs the float
 contributions (prices, latencies) in arrival order and folds them with
@@ -34,10 +33,6 @@ import numpy as np
 from repro.core.folds import fold_sum_array
 from repro.core.growable import GrowableArray
 
-#: Available accounting backends, fast path first.
-METRICS_BACKENDS: tuple[str, ...] = ("ledger", "scalar")
-
-
 class MetricsError(AssertionError):
     """An accounting invariant does not hold.
 
@@ -46,22 +41,11 @@ class MetricsError(AssertionError):
     """
 
 
-def make_metrics(backend: str = "ledger") -> "MetricsCollector | LedgerMetricsCollector":
-    """Instantiate the accounting backend by name."""
-    if backend == "ledger":
-        return LedgerMetricsCollector()
-    if backend == "scalar":
-        return MetricsCollector()
-    raise ValueError(
-        f"metrics_backend must be one of {METRICS_BACKENDS}, got {backend!r}"
-    )
-
-
 @dataclass
 class MetricsCollector:
     """Mutable counters updated by the system while the simulation runs.
 
-    The scalar reference backend: one Python call per delivery, pair
+    The reference stack's collector: one Python call per delivery, pair
     settlement via ``(msg_id, subscriber)`` tuple sets.
     """
 
@@ -83,9 +67,6 @@ class MetricsCollector:
     _valid_pairs: set = field(default_factory=set, repr=False)
     _late_pairs: set = field(default_factory=set, repr=False)
     duplicate_deliveries: int = 0
-
-    #: Backend name, mirroring :data:`METRICS_BACKENDS`.
-    backend = "scalar"
 
     # ------------------------------------------------------------------ #
     # Recording.
@@ -129,7 +110,7 @@ class MetricsCollector:
         """One message's local deliveries at one broker, settled per row.
 
         All rows of a batch share the arrival time (hence one scalar
-        ``latency_ms``); the scalar backend just replays the per-row path
+        ``latency_ms``); this collector just replays the per-row path
         in batch order — it *is* the oracle for the ledger's batched
         settlement.
         """
@@ -249,8 +230,6 @@ class LedgerMetricsCollector:
     ``earning`` and ``mean_latency_ms`` are byte-identical to the scalar
     collector's running sums.
     """
-
-    backend = "ledger"
 
     def __init__(self) -> None:
         self.published = 0

@@ -24,7 +24,7 @@ import numpy as np
 
 from repro.core.growable import GrowableArray
 from repro.pubsub.filters import Filter
-from repro.pubsub.matching import PredicateColumns, make_matcher
+from repro.pubsub.matching import PredicateColumns, VectorCountingMatcher
 from repro.pubsub.message import Message
 from repro.stats.normal import Normal
 
@@ -272,13 +272,14 @@ class SubscriptionTable:
     Internally each row is interned to a dense integer id; the matcher is
     keyed by those ids and the row attributes live in table-level
     columns (snapshotted into compiled views lazily after mutations), so
-    the match path works on int arrays end to end.  ``matcher_backend``
-    selects the matching engine (:func:`repro.pubsub.matching.make_matcher`).
+    the match path works on int arrays end to end.
     """
 
-    def __init__(self, matcher_backend: str = "vector") -> None:
-        self.matcher_backend = matcher_backend
-        self._matcher = make_matcher(matcher_backend)  # keyed by row id
+    #: The matching engine behind the table, keyed by row id.
+    matcher_type: type = VectorCountingMatcher
+
+    def __init__(self) -> None:
+        self._matcher = self.matcher_type()
         #: The storage: one record per row id, and the row's shared
         #: subscription (``None`` once uninstalled).
         self._cols = GrowableArray(_ROW_DTYPE)
@@ -503,9 +504,7 @@ class SubscriptionTable:
         instead of on the first match.  Purely a latency move: the state
         reached is exactly what the first match would have built."""
         self._compile()
-        warm = getattr(self._matcher, "warm", None)
-        if warm is not None:
-            warm()
+        self._matcher.warm()
 
     def _compile(self) -> None:
         if not self._c_dirty:
@@ -586,14 +585,7 @@ class SubscriptionTable:
         """Row ids matching filter + provenance, in (subscriber, path_id)
         order — exactly the legacy ``sorted(keys)`` order."""
         self._compile()
-        matcher = self._matcher
-        if hasattr(matcher, "match_array"):
-            ids = matcher.match_array(message.attributes)
-            ascending = getattr(matcher, "array_results_sorted", False)
-        else:
-            keys = matcher.match(message.attributes)
-            ids = np.fromiter(keys, dtype=np.int64, count=len(keys))
-            ascending = False
+        ids, ascending = self._filter_matches(message)
         if ids.size == 0:
             return ids
         ids = ids[self._source_mask(message.source_broker)[ids]]
@@ -610,6 +602,11 @@ class SubscriptionTable:
             else:
                 ids = ids[np.argsort(self._c_rank[ids], kind="stable")]
         return ids
+
+    def _filter_matches(self, message: Message) -> tuple[np.ndarray, bool]:
+        """Row ids whose filter matches, and whether they come out ascending."""
+        matcher = self._matcher
+        return matcher.match_array(message.attributes), matcher.array_results_sorted
 
     def match(self, message: Message) -> list[TableRow]:
         """Rows whose filter matches *and* whose sources include the

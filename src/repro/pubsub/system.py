@@ -40,21 +40,11 @@ from repro.network.routing import SinkTree, compute_sink_tree, k_shortest_paths
 from repro.network.topology import Topology, TopologyError
 from repro.pubsub.broker import Broker
 from repro.pubsub.client import DeliveryLog, PublisherHandle, SubscriberHandle
-from repro.pubsub.engine import ENGINE_BACKENDS, make_engine
+from repro.pubsub.engine import FusedEngine
 from repro.pubsub.faults import FaultLedger
-from repro.pubsub.matching import (
-    MATCHER_BACKENDS,
-    MatchingEngine,
-    PredicateColumns,
-    make_matcher,
-)
+from repro.pubsub.matching import PredicateColumns, VectorCountingMatcher
 from repro.pubsub.message import Message
-from repro.pubsub.metrics import (
-    METRICS_BACKENDS,
-    MetricsCollector,
-    MetricsError,
-    make_metrics,
-)
+from repro.pubsub.metrics import LedgerMetricsCollector, MetricsError
 from repro.pubsub.subscription import Route, RowBlock, Subscription, TableRow
 from repro.stats.normal import Normal
 
@@ -109,21 +99,6 @@ class SystemConfig:
     scheduling_slack_per_hop_ms: float = 0.0
     routing: RoutingMode = RoutingMode.single_path()
     enable_trace: bool = False
-    #: Output-queue servicing structure: "auto" picks the incremental heap
-    #: matching the strategy's score_kind, "scan" forces the legacy
-    #: full-rescan oracle (see :mod:`repro.core.queueing`).
-    queue_backend: str = "auto"
-    #: Cross-check every queue decision against the full-scan oracle and
-    #: raise on divergence (slow; differential tests only).
-    queue_validate: bool = False
-    #: Matching engine for subscription tables and the interested-population
-    #: index: "vector" (numpy counting index, the fast path), "oracle" (the
-    #: dict-based counting matcher, the differential oracle) or "brute".
-    matcher_backend: str = "vector"
-    #: Accounting backend: "ledger" (array-backed, batched — the fast
-    #: path) or "scalar" (the per-delivery dict/set oracle).  Both produce
-    #: byte-identical figure data (see :mod:`repro.pubsub.metrics`).
-    metrics_backend: str = "ledger"
     #: Estimator used by ESTIMATED link monitors ("welford" | "window" |
     #: "ewma"); forgetting estimators adapt to runtime rate changes.
     link_estimator: str = "welford"
@@ -134,14 +109,6 @@ class SystemConfig:
     #: Rows per sealed log chunk; smaller chunks lower the memory
     #: high-water mark under spill at the cost of more seal/load churn.
     log_chunk_rows: int = DEFAULT_CHUNK_ROWS
-    #: Event-pipeline driver behind :meth:`PubSubSystem.run`: "fused"
-    #: drains the heap in event-time windows with a batched match
-    #: lookahead; "event" is the per-event kernel, kept as the
-    #: differential oracle.  Byte-identical outputs either way.
-    engine_backend: str = "fused"
-    #: Fused engine's event-time window (ms); decision-neutral execution
-    #: micro-batching granularity.
-    engine_window_ms: float = 50.0
     #: Fault layer (graceful degradation on hard-down links): initial and
     #: maximum retry backoff, and the per-entry age past which queued
     #: traffic for a dead link is dead-lettered.  Inert (no events, no
@@ -158,13 +125,6 @@ class SystemConfig:
             raise ValueError("retry backoff must be positive and <= its cap")
         if self.dead_letter_timeout_ms <= 0.0:
             raise ValueError("dead_letter_timeout_ms must be positive")
-        if self.engine_backend not in ENGINE_BACKENDS:
-            raise ValueError(
-                f"engine_backend must be one of {ENGINE_BACKENDS}, "
-                f"got {self.engine_backend!r}"
-            )
-        if self.engine_window_ms <= 0.0:
-            raise ValueError("engine_window_ms must be positive")
         if self.log_chunk_rows < 1:
             raise ValueError(
                 f"log_chunk_rows must be >= 1, got {self.log_chunk_rows}"
@@ -182,20 +142,20 @@ class SystemConfig:
             raise ValueError("epsilon must be positive")
         if self.default_size_kb <= 0.0:
             raise ValueError("default_size_kb must be positive")
-        if self.matcher_backend not in MATCHER_BACKENDS:
-            raise ValueError(
-                f"matcher_backend must be one of {MATCHER_BACKENDS}, "
-                f"got {self.matcher_backend!r}"
-            )
-        if self.metrics_backend not in METRICS_BACKENDS:
-            raise ValueError(
-                f"metrics_backend must be one of {METRICS_BACKENDS}, "
-                f"got {self.metrics_backend!r}"
-            )
 
 
 class PubSubSystem:
-    """A fully wired overlay ready to publish into."""
+    """A fully wired overlay ready to publish into.
+
+    This is the production stack.  Its components are named once, as class
+    attributes; :mod:`repro.reference` assembles the reference stack by
+    subclassing and overriding them.
+    """
+
+    broker_type: type = Broker
+    #: Matching engine behind the interested-population count.
+    matcher_type: type = VectorCountingMatcher
+    metrics_type: type = LedgerMetricsCollector
 
     def __init__(
         self,
@@ -204,7 +164,6 @@ class PubSubSystem:
         sim: Simulator,
         streams: RngStreams,
         config: SystemConfig | None = None,
-        metrics: MetricsCollector | None = None,
     ) -> None:
         if not topology.is_connected():
             raise TopologyError("topology must be connected")
@@ -213,7 +172,7 @@ class PubSubSystem:
         self.sim = sim
         self.streams = streams
         self.config = config or SystemConfig()
-        self.metrics = metrics if metrics is not None else make_metrics(self.config.metrics_backend)
+        self.metrics = self.metrics_type()
         self.trace = TraceRecorder(enabled=self.config.enable_trace)
         #: Chunked columnar store behind every subscriber endpoint; brokers
         #: append whole local-delivery batches through the batch callback,
@@ -233,7 +192,7 @@ class PubSubSystem:
         self.subscribers: dict[str, SubscriberHandle] = {}
         self.publishers: dict[str, PublisherHandle] = {}
         self._subscriptions: dict[str, Subscription] = {}
-        self._population: MatchingEngine[str] = make_matcher(self.config.matcher_backend)
+        self._population = self.matcher_type()
         self._sink_trees: dict[str, SinkTree] = {}
         #: Single-path install plans per edge broker, tagged with the
         #: publisher-broker count they were computed under (attaching a
@@ -278,11 +237,8 @@ class PubSubSystem:
             spill_prefix="repro-publication-log",
         )
 
-        #: The event-pipeline driver (None = per-event oracle kernel).
-        self._engine = make_engine(
-            self.config.engine_backend, sim, system=self,
-            window_ms=self.config.engine_window_ms,
-        )
+        #: The event-pipeline driver behind :meth:`run`.
+        self._engine = FusedEngine(sim, system=self)
 
         self._build_brokers()
         self._wire_links()
@@ -294,7 +250,7 @@ class PubSubSystem:
     # ------------------------------------------------------------------ #
     def _build_brokers(self) -> None:
         for name in self.topology.brokers:
-            broker = Broker(
+            broker = self.broker_type(
                 name=name,
                 sim=self.sim,
                 strategy=self.strategy,
@@ -305,9 +261,6 @@ class PubSubSystem:
                 default_size_kb=self.config.default_size_kb,
                 scheduling_slack_per_hop_ms=self.config.scheduling_slack_per_hop_ms,
                 trace=self.trace if self.config.enable_trace else None,
-                queue_backend=self.config.queue_backend,
-                queue_validate=self.config.queue_validate,
-                matcher_backend=self.config.matcher_backend,
                 faults=self.faults,
                 fault_retry_backoff_ms=self.config.fault_retry_backoff_ms,
                 fault_retry_max_backoff_ms=self.config.fault_retry_max_backoff_ms,
@@ -633,22 +586,18 @@ class PubSubSystem:
         populated reaches the identical compiled state ahead of time, so
         run-phase timings measure steady-state matching only.
         """
-        warm = getattr(self._population, "warm", None)
-        if warm is not None:
-            warm()
+        self._population.warm()
         for broker in self.brokers.values():
             broker.table.warm()
 
     def run(self, until: float | None = None, max_events: int | None = None) -> int:
-        """Drive the simulation through the configured engine backend.
+        """Drive the simulation through the fused engine.
 
         Semantics are exactly :meth:`Simulator.run` (closed-interval
         ``until``, drained-early clock advance, executed-event count);
-        the ``fused`` backend merely batches the pure match computation
-        per event-time window before dispatching.
+        the engine merely batches the pure match computation per
+        event-time window before dispatching.
         """
-        if self._engine is None:
-            return self.sim.run(until=until, max_events=max_events)
         return self._engine.run(until=until, max_events=max_events)
 
     # ------------------------------------------------------------------ #

@@ -46,10 +46,6 @@ class SimulationConfig:
     routing_paths: int = 1  # 1 = the paper's single-path; >1 = multi-path
     psd_deadline_range_ms: tuple[float, float] = (10_000.0, 30_000.0)
     enable_trace: bool = False
-    queue_backend: str = "auto"  # "scan" forces the legacy full-rescan oracle
-    queue_validate: bool = False  # cross-check every queue decision (slow)
-    matcher_backend: str = "vector"  # "oracle" forces the dict counting matcher
-    metrics_backend: str = "ledger"  # "scalar" forces the per-delivery oracle collector
     #: Scripted runtime interventions (rate bursts, link degradation,
     #: churn waves, flash crowds).  The default empty script reproduces
     #: the paper's frozen world byte-for-byte.
@@ -66,13 +62,6 @@ class SimulationConfig:
     #: Rows per sealed log chunk (the spill granularity and the memory
     #: high-water mark of the log under spill).
     log_chunk_rows: int = DEFAULT_CHUNK_ROWS
-    #: Event-pipeline driver: "fused" drains the heap in event-time
-    #: windows with batched match lookahead; "event" is the per-event
-    #: kernel kept as the differential oracle.  Byte-identical outputs.
-    engine_backend: str = "fused"
-    #: Fused engine's event-time window (ms).  Any positive value is
-    #: decision-neutral — it only controls execution micro-batching.
-    engine_window_ms: float = 50.0
     #: Run the invariant sentinel (analysis/sentinel.py) at window
     #: boundaries during the run.  Decision-neutral: the sentinel only
     #: reads, so results are byte-identical with it on or off.  The
@@ -100,12 +89,6 @@ class SimulationConfig:
             raise ValueError("retry backoff must be positive and <= its cap")
         if self.dead_letter_timeout_ms <= 0.0:
             raise ValueError("dead_letter_timeout_ms must be positive")
-        if self.engine_backend not in ("fused", "event"):
-            raise ValueError(
-                f"engine_backend must be 'fused' or 'event', got {self.engine_backend!r}"
-            )
-        if self.engine_window_ms <= 0.0:
-            raise ValueError("engine_window_ms must be positive")
         if self.log_chunk_rows < 1:
             raise ValueError("log_chunk_rows must be >= 1")
         if self.publishing_rate_per_min < 0.0:

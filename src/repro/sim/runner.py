@@ -32,6 +32,7 @@ from repro.des.rng import RngStreams
 from repro.des.simulator import Simulator
 from repro.network.topology import Topology, build_layered_mesh
 from repro.pubsub.system import PubSubSystem, RoutingMode, SystemConfig
+from repro.reference import ReferenceSystem
 from repro.sim.config import SimulationConfig
 from repro.sim.results import SimulationResult
 from repro.workload.dynamics import DynamicsDriver
@@ -47,6 +48,8 @@ def build_system(
     config: SimulationConfig,
     topology: Topology | None = None,
     subscription_builder: "SubscriptionBuilder | None" = None,
+    *,
+    reference: bool = False,
 ) -> PubSubSystem:
     """Construct the fully wired system for a config (without running it).
 
@@ -54,13 +57,16 @@ def build_system(
     overlay; ``run_simulation`` goes through here.  ``subscription_builder``
     overrides the population (scale-family workloads); it receives the
     ``"subscriptions"`` RNG stream and the topology, and every
-    ``SystemConfig`` knob still comes from the one config.
+    ``SystemConfig`` knob still comes from the one config.  ``reference``
+    assembles the reference stack (:mod:`repro.reference`) instead of the
+    production one; both produce the same bytes.
     """
     streams = RngStreams(config.seed)
     if topology is None:
         topology = build_layered_mesh(streams.get("topology"), config.topology_spec)
     strategy = make_strategy(config.strategy, **config.strategy_params)
-    system = PubSubSystem(
+    system_type = ReferenceSystem if reference else PubSubSystem
+    system = system_type(
         topology=topology,
         strategy=strategy,
         sim=Simulator(),
@@ -74,15 +80,9 @@ def build_system(
             scheduling_slack_per_hop_ms=config.scheduling_slack_per_hop_ms,
             routing=RoutingMode(k=config.routing_paths),
             enable_trace=config.enable_trace,
-            queue_backend=config.queue_backend,
-            queue_validate=config.queue_validate,
-            matcher_backend=config.matcher_backend,
-            metrics_backend=config.metrics_backend,
             link_estimator=config.link_estimator,
             log_spill=config.log_spill,
             log_chunk_rows=config.log_chunk_rows,
-            engine_backend=config.engine_backend,
-            engine_window_ms=config.engine_window_ms,
             fault_retry_backoff_ms=config.fault_retry_backoff_ms,
             fault_retry_max_backoff_ms=config.fault_retry_max_backoff_ms,
             dead_letter_timeout_ms=config.dead_letter_timeout_ms,
@@ -422,19 +422,24 @@ def run_simulation(
     *,
     checkpoint: CheckpointPolicy | None = None,
     resume: Path | str | None = None,
+    reference: bool = False,
 ) -> SimulationResult:
     """Run one experiment point to completion and collect the metrics.
 
     ``checkpoint`` enables periodic snapshots; ``resume`` restores a
     snapshot (verifying the config fingerprint) and continues to the
-    horizon.  Both together give crash-safe marathon runs.
+    horizon.  Both together give crash-safe marathon runs.  ``reference``
+    runs the reference stack (:mod:`repro.reference`); a snapshot resumes
+    as the stack that wrote it, so it cannot be combined with ``resume``.
     """
     if resume is not None:
         if topology is not None:
             raise ValueError("resume restores its own topology; cannot override")
+        if reference:
+            raise ValueError("resume restores the stack that wrote the snapshot; cannot override")
         system, config, _ = resume_run(resume, config=config)
     else:
-        system = build_system(config, topology)
+        system = build_system(config, topology, reference=reference)
         schedule_workload(system, config)
         schedule_dynamics(system, config)
     sentinel = make_sentinel(system, config)

@@ -12,8 +12,10 @@ from repro.workload.dynamics import ChurnWave, FlashCrowd, RateBurst, ScenarioSc
 from repro.workload.scenarios import Scenario
 
 
-def _run(config: SimulationConfig, window_ms: float, sample: bool = False):
-    system = build_system(config)
+def _run(
+    config: SimulationConfig, window_ms: float, sample: bool = False, reference: bool = False
+):
+    system = build_system(config, reference=reference)
     schedule_workload(system, config)
     schedule_dynamics(system, config)
     sampler = (
@@ -49,14 +51,15 @@ class TestFolds:
         system, ts = _run(config, window_ms=20_000.0)
         _assert_folds(system, ts)
 
-    @pytest.mark.parametrize("backend", ["ledger", "scalar"])
-    def test_folds_match_both_metrics_backends(self, backend):
+    @pytest.mark.parametrize("reference", [False, True], ids=["ledger", "scalar"])
+    def test_folds_match_both_collectors(self, reference):
+        """The production ledger, and the per-delivery collector of the
+        reference stack."""
         config = SimulationConfig(
             seed=11, scenario=Scenario.SSD, strategy="eb",
             publishing_rate_per_min=6.0, duration_ms=90_000.0,
-            metrics_backend=backend,
         )
-        system, ts = _run(config, window_ms=20_000.0)
+        system, ts = _run(config, window_ms=20_000.0, reference=reference)
         _assert_folds(system, ts)
 
     def test_folds_under_churn_and_bursts(self):

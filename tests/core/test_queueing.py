@@ -22,9 +22,10 @@ from repro.core.pruning import (
     prune_horizon,
     should_prune,
 )
-from repro.core.queueing import QueueDivergence, ScheduledQueue
+from repro.core.queueing import ScheduledQueue
 from repro.core.registry import STRATEGY_NAMES, make_strategy
 from repro.core.strategies import QueueEntry, Strategy
+from repro.reference import ReferenceQueue
 from tests.core.helpers import make_ctx, make_message, make_row
 
 ALL_STRATEGIES = [
@@ -246,10 +247,7 @@ def test_rl_keyed_heap_survives_exact_key_tie_with_ulp_score_gap():
     )
     strategy = make_strategy("rl")
     assert strategy.static_key(a) == strategy.static_key(b)  # exact float tie
-    queue = ScheduledQueue(
-        strategy, PruningPolicy.NONE, DEFAULT_EPSILON, planning_delay_ms=2.0,
-        validate=True,  # raises QueueDivergence if the heap disagrees
-    )
+    queue = ScheduledQueue(strategy, PruningPolicy.NONE, DEFAULT_EPSILON, planning_delay_ms=2.0)
     queue.push(a)
     queue.push(b)
     ctx = make_ctx(now=139217.14245634925)
@@ -262,14 +260,13 @@ def test_rl_keyed_heap_survives_exact_key_tie_with_ulp_score_gap():
 # Structure and API.
 # ---------------------------------------------------------------------- #
 class TestScheduledQueue:
-    def make(self, name="eb", **kw):
+    def make(self, name="eb", queue_type=ScheduledQueue):
         strategy = make_strategy(name)
-        return ScheduledQueue(
+        return queue_type(
             strategy,
             PruningPolicy.for_strategy(strategy.probabilistic_pruning),
             DEFAULT_EPSILON,
             planning_delay_ms=2.0,
-            **kw,
         )
 
     def test_backend_selection_matches_score_kind(self):
@@ -278,7 +275,7 @@ class TestScheduledQueue:
         assert self.make("eb").backend_name == "heap"
         assert self.make("pc").backend_name == "heap"
         assert self.make("ebpc").backend_name == "heap"
-        assert self.make("eb", backend="scan").backend_name == "scan"
+        assert self.make("eb", ReferenceQueue).backend_name == "scan"
 
     def test_unknown_dynamic_strategy_falls_back_to_scan(self):
         class Opaque(Strategy):
@@ -289,12 +286,8 @@ class TestScheduledQueue:
 
         queue = ScheduledQueue(Opaque(), PruningPolicy.EXPIRED)
         assert queue.backend_name == "scan"
-        with pytest.raises(ValueError):
-            ScheduledQueue(Opaque(), PruningPolicy.EXPIRED, backend="heap")
 
-    def test_rejects_bad_backend_and_duplicate_seq(self):
-        with pytest.raises(ValueError):
-            self.make(backend="quantum")
+    def test_rejects_duplicate_seq(self):
         queue = self.make()
         entry = build_entry(
             {"publish_time": 0.0, "size_kb": 10.0, "msg_deadline": None,
@@ -307,52 +300,9 @@ class TestScheduledQueue:
             queue.push(entry)
 
     def test_pop_from_empty_raises(self):
-        for backend in ("auto", "scan"):
+        for queue_type in (ScheduledQueue, ReferenceQueue):
             with pytest.raises(IndexError):
-                self.make(backend=backend).pop_best(make_ctx())
-
-    def test_validate_mode_passes_on_honest_backend(self):
-        queue = self.make(validate=True)
-        for seq in range(10):
-            queue.push(
-                build_entry(
-                    {"publish_time": -100.0 * seq, "size_kb": 20.0,
-                     "msg_deadline": None,
-                     "rows": [{"deadline_ms": 30_000.0, "price": 1.0, "nn": 1,
-                               "mean": 50.0, "variance": 400.0}]},
-                    seq=seq,
-                )
-            )
-        queue.prune(1_000.0)
-        while queue:
-            queue.pop_best(make_ctx(now=5_000.0))
-
-    def test_validate_mode_catches_a_lying_backend(self):
-        queue = self.make(validate=True)
-        for seq in range(4):
-            queue.push(
-                build_entry(
-                    {"publish_time": -1_000.0 * seq, "size_kb": 20.0,
-                     "msg_deadline": None,
-                     "rows": [{"deadline_ms": 30_000.0, "price": 1.0, "nn": 1,
-                               "mean": 50.0, "variance": 400.0}]},
-                    seq=seq,
-                )
-            )
-
-        class WrongBackend:
-            name = "wrong"
-
-            def __init__(self, live):
-                self._live = live
-
-            def pop_best(self, ctx):
-                seq = max(self._live)  # deliberately not the oracle's pick
-                return self._live.pop(seq)
-
-        queue._backend = WrongBackend(queue._live)
-        with pytest.raises(QueueDivergence):
-            queue.pop_best(make_ctx(now=20_000.0))
+                self.make(queue_type=queue_type).pop_best(make_ctx())
 
     def test_heap_compaction_bounds_stale_records(self):
         """Mass pruning must not leave dead heap records for the queue's life."""
@@ -389,16 +339,19 @@ class TestScheduledQueue:
 
 
 # ---------------------------------------------------------------------- #
-# End-to-end: full simulations, every backend, identical results.
+# End-to-end: full simulations, only the queues swapped, identical results.
 # ---------------------------------------------------------------------- #
 @pytest.mark.parametrize("name", STRATEGY_NAMES)
 def test_simulation_backends_equivalent(name):
+    """A production system whose output queues are all full rescans makes
+    the same decisions, run for run, as the incremental heaps."""
     from repro.sim.config import SimulationConfig
-    from repro.sim.runner import run_simulation
+    from repro.sim.results import SimulationResult
+    from repro.sim.runner import build_system, schedule_workload
     from repro.workload.scenarios import Scenario
 
     params = {"r": 0.5} if name == "ebpc" else {}
-    base = SimulationConfig(
+    config = SimulationConfig(
         seed=3,
         scenario=Scenario.SSD,
         strategy=name,
@@ -406,10 +359,22 @@ def test_simulation_backends_equivalent(name):
         publishing_rate_per_min=15.0,  # congested: queues actually deepen
         duration_ms=30_000.0,
     )
-    incremental = run_simulation(base)
-    oracle = run_simulation(base.replace(queue_backend="scan"))
-    assert incremental == oracle
-    # Validate mode re-runs with per-decision cross-checking and must not
-    # raise QueueDivergence anywhere in the run.
-    validated = run_simulation(base.replace(queue_validate=True))
-    assert validated == incremental
+    results = []
+    for scan in (False, True):
+        system = build_system(config)
+        if scan:
+            for queue in (q for b in system.brokers.values() for q in b.queues.values()):
+                old = queue.sched
+                queue.sched = ReferenceQueue(
+                    old.strategy, old.pruning, old.epsilon, old.planning_delay_ms
+                )
+        schedule_workload(system, config)
+        system.run(until=config.horizon_ms)
+        results.append(SimulationResult.from_metrics(
+            system.metrics, strategy=name, scenario="ssd", seed=config.seed,
+            publishing_rate_per_min=config.publishing_rate_per_min,
+            residual_queued=system.total_queued(),
+            executed_events=system.sim.executed_events,
+        ))
+    assert results[0] == results[1]
+    assert results[0].pruned > 0 or name in ("fifo", "rl")

@@ -161,6 +161,9 @@ class TestCampaign:
 
 
 class TestEngineDifferential:
+    """Each clean script is re-run on the reference stack (per-event
+    engine and the other oracles) and must come back byte-identical."""
+
     def test_clean_campaign_counts_identical_probes(self, tmp_path):
         spec = FuzzSpec(
             seed=2, budget=2, duration_ms=45_000.0, rate_per_min=10.0,
@@ -170,9 +173,9 @@ class TestEngineDifferential:
         assert report.ok, format_report(report)
         assert report.oracle_probes_identical == spec.budget
         assert not report.divergences
-        assert "2 script(s) byte-identical under the per-event engine" in format_report(report)
-        # 2 baselines, then per script one fused run per strategy and ONE
-        # oracle run: the probe reuses the fused result the loop holds.
+        assert "2 script(s) byte-identical on the reference stack" in format_report(report)
+        # 2 baselines, then per script one production run per strategy and
+        # ONE reference run: the probe reuses the result the loop holds.
         assert report.runs == 2 + 3 * spec.budget
 
     def test_planted_divergence_is_shrunk_and_saved(self, tmp_path, monkeypatch):
@@ -181,7 +184,7 @@ class TestEngineDifferential:
             out_dir=str(tmp_path / "findings"),
         )
 
-        def fake_oracle_probe(s, strategy, candidate, report, fused=None):
+        def fake_oracle_probe(s, strategy, candidate, report, production=None):
             report.runs += 1
             # Divergence iff the script still carries any intervention:
             # the shrinker must bottom out at a single-item script.

@@ -6,10 +6,10 @@ restored *into fresh objects* from the on-disk checkpoint, and run to
 the horizon must be byte-identical to the uninterrupted run — figure
 metrics, the raw delivery-log bytes, per-endpoint record streams,
 windowed time series, executed-event counts.  Proven across all five
-strategies, both metrics backends, both engine backends, spill on/off,
-and a churn/flash-crowd dynamics script whose interventions straddle
-the checkpoint time (pending intervention events must survive the
-pickle as scheduled work).
+strategies, spill on/off, and a churn/flash-crowd dynamics script whose
+interventions straddle the checkpoint time (pending intervention events
+must survive the pickle as scheduled work).  A reference-stack snapshot
+resuming as the reference stack is ``test_reference_identity.py``'s.
 """
 
 from __future__ import annotations
@@ -93,12 +93,6 @@ CONFIGS: dict[str, SimulationConfig] = {
         f"ssd-{s}-ledger": SimulationConfig(scenario=Scenario.SSD, strategy=s, **BASE)
         for s in ("fifo", "rl", "eb", "pc", "ebpc")
     },
-    "ssd-eb-scalar": SimulationConfig(
-        scenario=Scenario.SSD, strategy="eb", metrics_backend="scalar", **BASE
-    ),
-    "ssd-eb-event": SimulationConfig(
-        scenario=Scenario.SSD, strategy="eb", engine_backend="event", **BASE
-    ),
     "psd-eb-ledger": SimulationConfig(scenario=Scenario.PSD, strategy="eb", **BASE),
     "ssd-ebpc-churn": SimulationConfig(
         scenario=Scenario.SSD, strategy="ebpc", dynamics=CHURNY, **BASE
@@ -110,7 +104,7 @@ CONFIGS: dict[str, SimulationConfig] = {
 
 #: Configs additionally exercised with the spill ring engaged (the
 #: snapshot then carries chunk *files*, not inlined arrays).
-SPILL_NAMES = ("ssd-eb-ledger", "ssd-ebpc-churn", "ssd-eb-event", "ssd-eb-faults")
+SPILL_NAMES = ("ssd-eb-ledger", "ssd-ebpc-churn", "ssd-eb-faults")
 
 
 def _build(config: SimulationConfig):

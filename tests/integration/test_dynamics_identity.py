@@ -1,4 +1,4 @@
-"""Dynamics integration: decision identity and backend agreement.
+"""Dynamics integration: decision identity and per-layer agreement.
 
 Two guarantees:
 
@@ -6,11 +6,13 @@ Two guarantees:
   piecewise path with no interventions is byte-identical (delivery
   records, metrics, event counts) to scheduling the homogeneous
   generator's output by hand, for every strategy;
-* the **backends still agree under dynamics** — vector/oracle/brute
-  matchers and ledger/scalar metrics make identical decisions while churn
-  waves, flash crowds and rate bursts are rewriting the world mid-run.
+* **each oracle layer still agrees under dynamics** — the dict and brute
+  force matchers, the per-delivery collector and the full-rescan queues,
+  each swapped into production alone (``tests/integration/stacks.py``),
+  make identical decisions while churn waves, flash crowds and rate
+  bursts are rewriting the world mid-run.  All of them at once is
+  ``test_reference_identity.py``'s ``test_churn_script``.
 """
-
 from __future__ import annotations
 
 import hashlib
@@ -18,10 +20,18 @@ import hashlib
 import pytest
 
 from repro.sim.config import SimulationConfig
+from repro.pubsub.system import PubSubSystem
 from repro.sim.runner import build_system, schedule_dynamics, schedule_workload
 from repro.workload.dynamics import ChurnWave, FlashCrowd, RateBurst, ScenarioScript
 from repro.workload.generator import generate_publications
 from repro.workload.scenarios import Scenario
+from tests.integration.stacks import (
+    BruteMatcherSystem,
+    OracleMatcherSystem,
+    ScalarCollectorSystem,
+    ScanQueueSystem,
+    build_system_on,
+)
 
 STRATEGIES = ("fifo", "rl", "eb", "pc", "ebpc")
 
@@ -48,8 +58,8 @@ def _fingerprint(system) -> tuple:
     )
 
 
-def _run_config(config: SimulationConfig):
-    system = build_system(config)
+def _run_config(config: SimulationConfig, system_type: type = PubSubSystem):
+    system = build_system_on(system_type, config)
     schedule_workload(system, config)
     schedule_dynamics(system, config)
     system.sim.run(until=config.horizon_ms)
@@ -94,36 +104,36 @@ class TestEmptyScriptIdentity:
 
 class TestBackendsAgreeUnderDynamics:
     @pytest.mark.parametrize("strategy", STRATEGIES)
-    def test_matcher_backends(self, strategy):
-        # Waves reach every backend through the same batch calls
+    def test_matchers(self, strategy):
+        # Waves reach every matcher through the same batch calls
         # (add_many / remove_many are part of the MatchingEngine protocol).
         base = SimulationConfig(
             seed=9, scenario=Scenario.SSD, strategy=strategy,
             publishing_rate_per_min=8.0, duration_ms=90_000.0, dynamics=CHURNY,
         )
         vector = _run_config(base)
-        for backend in ("oracle", "brute"):
+        for system_type in (OracleMatcherSystem, BruteMatcherSystem):
             assert _fingerprint(vector) == _fingerprint(
-                _run_config(base.replace(matcher_backend=backend))
-            ), backend
+                _run_config(base, system_type)
+            ), system_type.__name__
         vector.metrics.check_invariants()
 
     @pytest.mark.parametrize("scenario", [Scenario.PSD, Scenario.SSD])
-    def test_metrics_backends(self, scenario):
+    def test_collectors(self, scenario):
         base = SimulationConfig(
             seed=9, scenario=scenario, strategy="eb",
             publishing_rate_per_min=8.0, duration_ms=90_000.0, dynamics=CHURNY,
         )
         ledger = _run_config(base)
-        scalar = _run_config(base.replace(metrics_backend="scalar"))
+        scalar = _run_config(base, ScalarCollectorSystem)
         assert _fingerprint(ledger) == _fingerprint(scalar)
         assert ledger.metrics.per_subscriber_valid == scalar.metrics.per_subscriber_valid
 
-    def test_queue_backends(self):
+    def test_queues(self):
         base = SimulationConfig(
             seed=9, scenario=Scenario.SSD, strategy="ebpc",
             publishing_rate_per_min=8.0, duration_ms=90_000.0, dynamics=CHURNY,
         )
         fast = _run_config(base)
-        scan = _run_config(base.replace(queue_backend="scan"))
+        scan = _run_config(base, ScanQueueSystem)
         assert _fingerprint(fast) == _fingerprint(scan)

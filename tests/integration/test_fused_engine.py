@@ -1,13 +1,16 @@
-"""Whole-simulation differential tests for the execution engines.
+"""The fused engine against the per-event kernel, on one production stack.
 
-The fused micro-batched engine (window lookahead + speculative batch
-matching + memo replay) must be **byte-identical** to the per-event
-oracle: identical figure data, identical delivery-record streams and
-endpoint histories, identical delivery-log bytes and windowed series —
-across every strategy, both metrics backends, churn dynamics, spillable
-logs, and adversarial window geometries (events exactly on window
-boundaries, cancellations inside a drained window, table churn that
-stales a precomputed match between lookahead and execution).
+:meth:`PubSubSystem.run` drains the heap through the fused engine (window
+lookahead, speculative batch matching, memo replay); ``system.sim.run()``
+drives the very same system one event at a time.  Whole runs of the two
+stacks are compared in ``test_reference_identity.py``; this file isolates
+the engine.  It must be byte-identical to the kernel — figure data,
+delivery-record streams, delivery-log bytes — for every strategy, both
+collectors, churn dynamics, hard faults and spillable logs, and it attacks
+the window geometry: events exactly on window boundaries, cancellations
+inside a drained window, table churn that stales a precomputed match
+between lookahead and execution, any window size, and the pending-process
+side list the lookahead walks instead of the heap.
 """
 
 from __future__ import annotations
@@ -25,7 +28,8 @@ from repro.core.strategies import EbStrategy
 from repro.des.event import EventHandle
 from repro.des.rng import RngStreams
 from repro.des.simulator import Simulator
-from repro.pubsub.engine import DEFAULT_WINDOW_MS, FusedEngine, make_engine
+from repro.network.topology import build_layered_mesh
+from repro.pubsub.engine import DEFAULT_WINDOW_MS, FusedEngine
 from repro.pubsub.filters import Predicate
 from repro.pubsub.subscription import Subscription
 from repro.pubsub.system import PubSubSystem, SystemConfig
@@ -36,7 +40,6 @@ from repro.sim.runner import (
     schedule_dynamics,
     schedule_workload,
 )
-from repro.network.topology import build_layered_mesh
 from repro.workload.dynamics import (
     BrokerOutage,
     BrokerRecover,
@@ -48,9 +51,14 @@ from repro.workload.dynamics import (
 )
 from repro.workload.scenarios import Scenario
 from tests.conftest import make_line_topology
+from tests.integration.stacks import (
+    EventKernelSystem,
+    ScalarCollectorEventSystem,
+    ScalarCollectorSystem,
+    run_simulation_on,
+)
 
-#: Same shape as the metrics-backend suite: the paper topology, a
-#: congesting rate, queue pressure and pruning in play.
+#: The paper topology, a congesting rate, queue pressure and pruning in play.
 BASE = SimulationConfig(
     seed=3,
     scenario=Scenario.SSD,
@@ -66,20 +74,9 @@ CHURNY = ScenarioScript((
 ))
 
 
-def _fault_script() -> ScenarioScript:
-    """Hard faults against the BASE topology's real broker/link names."""
-    topo = build_layered_mesh(RngStreams(BASE.seed).get("topology"))
-    a, b, _rate = topo.links()[0]
-    victim = topo.brokers[2]
-    return ScenarioScript((
-        LinkFailure(at_ms=10_000.0, a=a, b=b),
-        BrokerOutage(at_ms=25_000.0, broker=victim),
-        BrokerRecover(at_ms=45_000.0, broker=victim),
-    ))
-
-
-def result_bytes(result) -> bytes:
-    return json.dumps(dataclasses.asdict(result), sort_keys=True).encode()
+def _drive(system, engine: str, **kw) -> int:
+    """Run ``system`` through the fused engine or the per-event kernel."""
+    return system.run(**kw) if engine == "fused" else system.sim.run(**kw)
 
 
 def _log_digest(system) -> str:
@@ -98,12 +95,30 @@ def _fingerprint(system) -> tuple:
     )
 
 
-def _run_config(config: SimulationConfig):
+def _run_config(config: SimulationConfig, engine: str = "fused", window_ms: float | None = None):
     system = build_system(config)
+    if window_ms is not None:
+        system._engine.window_ms = window_ms
     schedule_workload(system, config)
     schedule_dynamics(system, config)
-    system.run(until=config.horizon_ms)
+    _drive(system, engine, until=config.horizon_ms)
     return system
+
+
+def _fault_script() -> ScenarioScript:
+    """Hard faults against the BASE topology's real broker/link names."""
+    topo = build_layered_mesh(RngStreams(BASE.seed).get("topology"))
+    a, b, _rate = topo.links()[0]
+    victim = topo.brokers[2]
+    return ScenarioScript((
+        LinkFailure(at_ms=10_000.0, a=a, b=b),
+        BrokerOutage(at_ms=25_000.0, broker=victim),
+        BrokerRecover(at_ms=45_000.0, broker=victim),
+    ))
+
+
+def result_bytes(result) -> bytes:
+    return json.dumps(dataclasses.asdict(result), sort_keys=True).encode()
 
 
 # --------------------------------------------------------------------- #
@@ -113,27 +128,31 @@ def _run_config(config: SimulationConfig):
 @pytest.mark.parametrize("strategy", STRATEGY_NAMES)
 def test_fused_figure_data_byte_identical(strategy):
     """All five strategies: serialized figure data agrees byte for byte."""
-    fused = run_simulation(BASE.replace(strategy=strategy, engine_backend="fused"))
-    event = run_simulation(BASE.replace(strategy=strategy, engine_backend="event"))
+    fused = run_simulation(BASE.replace(strategy=strategy))
+    event = run_simulation_on(EventKernelSystem, BASE.replace(strategy=strategy))
     assert fused == event
     assert result_bytes(fused) == result_bytes(event)
 
 
-@pytest.mark.parametrize("metrics_backend", ("ledger", "scalar"))
-def test_fused_agrees_for_both_metrics_backends(metrics_backend):
-    fused = run_simulation(
-        BASE.replace(metrics_backend=metrics_backend, engine_backend="fused")
-    )
-    event = run_simulation(
-        BASE.replace(metrics_backend=metrics_backend, engine_backend="event")
-    )
+@pytest.mark.parametrize(
+    "fused_type, event_type",
+    [
+        (PubSubSystem, EventKernelSystem),
+        (ScalarCollectorSystem, ScalarCollectorEventSystem),
+    ],
+    ids=["ledger", "scalar"],
+)
+def test_fused_agrees_for_both_collectors(fused_type, event_type):
+    """The engine replays the kernel whichever collector settles."""
+    fused = run_simulation_on(fused_type, BASE)
+    event = run_simulation_on(event_type, BASE)
     assert result_bytes(fused) == result_bytes(event)
 
 
 def test_fused_agrees_with_spill_enabled():
     cfg = BASE.replace(log_spill=True, log_chunk_rows=256)
-    fused = _run_config(cfg.replace(engine_backend="fused"))
-    event = _run_config(cfg.replace(engine_backend="event"))
+    fused = _run_config(cfg)
+    event = _run_config(cfg, engine="event")
     assert fused.delivery_log.spilled_chunks > 0
     assert _fingerprint(fused) == _fingerprint(event)
 
@@ -142,8 +161,8 @@ def test_fused_agrees_under_churn_dynamics():
     """Churn waves rewrite the tables mid-run: precomputed matches must be
     discarded exactly when the version moved, never consumed stale."""
     cfg = BASE.replace(duration_ms=90_000.0, dynamics=CHURNY)
-    fused = _run_config(cfg.replace(engine_backend="fused"))
-    event = _run_config(cfg.replace(engine_backend="event"))
+    fused = _run_config(cfg)
+    event = _run_config(cfg, engine="event")
     assert _fingerprint(fused) == _fingerprint(event)
     fused.metrics.check_invariants()
 
@@ -151,10 +170,10 @@ def test_fused_agrees_under_churn_dynamics():
 def test_fused_agrees_under_hard_faults():
     """A link that never comes back and a broker outage: retries and dead
     letters are scheduled between the windows the lookahead precomputes,
-    and must land where the oracle puts them."""
+    and must land where the per-event kernel puts them."""
     cfg = BASE.replace(dynamics=_fault_script())
-    fused = _run_config(cfg.replace(engine_backend="fused"))
-    event = _run_config(cfg.replace(engine_backend="event"))
+    fused = _run_config(cfg)
+    event = _run_config(cfg, engine="event")
     assert not fused.faults.clean
     assert fused.faults == event.faults
     assert _fingerprint(fused) == _fingerprint(event)
@@ -166,7 +185,7 @@ def test_delivery_record_streams_identical():
     reach the same totals."""
     streams: dict[str, tuple] = {}
     for engine in ("fused", "event"):
-        config = BASE.replace(strategy="ebpc", engine_backend=engine)
+        config = BASE.replace(strategy="ebpc")
         system = build_system(config)
         log: list[tuple] = []
         for broker in system.brokers.values():
@@ -176,7 +195,7 @@ def test_delivery_record_streams_identical():
                 )
             )
         schedule_workload(system, config)
-        system.run(until=config.horizon_ms)
+        _drive(system, engine, until=config.horizon_ms)
         endpoint_records = {
             name: [(r.msg_id, r.time, r.latency_ms, r.valid) for r in h.records]
             for name, h in sorted(system.subscribers.items())
@@ -195,15 +214,12 @@ def test_delivery_record_streams_identical():
     strategy=st.sampled_from(STRATEGY_NAMES),
 )
 def test_window_size_never_changes_results(window_ms, seed, strategy):
-    """The window is a pure batching knob: any size (sub-event-spacing
-    through one-window-covers-the-run) replays the oracle exactly."""
-    cfg = BASE.replace(
-        seed=seed, strategy=strategy, duration_ms=30_000.0,
-        engine_window_ms=window_ms,
+    """The window is a pure batching device: any size (sub-event-spacing
+    through one-window-covers-the-run) replays the per-event kernel exactly."""
+    cfg = BASE.replace(seed=seed, strategy=strategy, duration_ms=30_000.0)
+    assert _fingerprint(_run_config(cfg, window_ms=window_ms)) == _fingerprint(
+        _run_config(cfg, engine="event")
     )
-    fused = run_simulation(cfg.replace(engine_backend="fused"))
-    event = run_simulation(cfg.replace(engine_backend="event"))
-    assert result_bytes(fused) == result_bytes(event)
 
 
 # --------------------------------------------------------------------- #
@@ -213,7 +229,7 @@ def test_window_size_never_changes_results(window_ms, seed, strategy):
 MATCH_ALL = Predicate("A1", "<", 1e9)
 
 
-def _line_system(engine: str, window_ms: float = DEFAULT_WINDOW_MS) -> PubSubSystem:
+def _line_system(window_ms: float = DEFAULT_WINDOW_MS) -> PubSubSystem:
     topo = make_line_topology(
         n=3,
         publishers={"P1": "B1"},
@@ -224,12 +240,9 @@ def _line_system(engine: str, window_ms: float = DEFAULT_WINDOW_MS) -> PubSubSys
         strategy=EbStrategy(),
         sim=Simulator(),
         streams=RngStreams(5),
-        config=SystemConfig(
-            default_size_kb=5.0,
-            engine_backend=engine,
-            engine_window_ms=window_ms,
-        ),
+        config=SystemConfig(default_size_kb=5.0),
     )
+    system._engine.window_ms = window_ms
     for i in range(4):
         system.subscribe(
             Subscription(f"S{i}", MATCH_ALL, deadline_ms=30_000.0, price=1.0)
@@ -250,12 +263,12 @@ def test_events_exactly_on_window_boundary():
     the window whose closed end they sit on, identically to the oracle."""
     outcomes = {}
     for engine in ("fused", "event"):
-        system = _line_system(engine, window_ms=100.0)
+        system = _line_system(window_ms=100.0)
         for k in range(8):
             system.sim.schedule_at(
                 100.0 * k, lambda a=float(k): system.publish("P1", {"A1": a})
             )
-        system.run(until=2_000.0)
+        _drive(system, engine, until=2_000.0)
         outcomes[engine] = _hand_fingerprint(system)
     assert outcomes["fused"] == outcomes["event"]
 
@@ -265,13 +278,13 @@ def test_cancelled_event_inside_drained_window():
     window; both engines must skip it without counting it executed."""
     outcomes = {}
     for engine in ("fused", "event"):
-        system = _line_system(engine, window_ms=10_000.0)
+        system = _line_system(window_ms=10_000.0)
         handle = system.sim.schedule_at(
             50.0, lambda: system.publish("P1", {"A1": 1.0})
         )
         system.sim.schedule_at(60.0, lambda: system.publish("P1", {"A1": 2.0}))
         handle.cancel()
-        system.run(until=30_000.0)
+        _drive(system, engine, until=30_000.0)
         outcomes[engine] = _hand_fingerprint(system)
     assert outcomes["fused"] == outcomes["event"]
     assert outcomes["fused"][0] == 1  # only the uncancelled publish ran
@@ -283,7 +296,7 @@ def test_unsubscribe_between_lookahead_and_process_discards_memo():
     pre-churn table; the version bump must force a rematch."""
     outcomes = {}
     for engine in ("fused", "event"):
-        system = _line_system(engine, window_ms=60_000.0)
+        system = _line_system(window_ms=60_000.0)
         system.sim.schedule_at(10.0, lambda: system.publish("P1", {"A1": 1.0}))
         # The broker's process event fires at 10 + processing delay; this
         # unsubscribe lands in between, staling any precomputed match.
@@ -291,7 +304,7 @@ def test_unsubscribe_between_lookahead_and_process_discards_memo():
             11.0, lambda: system.unsubscribe("S1")
         )
         system.sim.schedule_at(5_000.0, lambda: system.publish("P1", {"A1": 2.0}))
-        system.run(until=60_000.0)
+        _drive(system, engine, until=60_000.0)
         outcomes[engine] = _hand_fingerprint(system)
     assert outcomes["fused"] == outcomes["event"]
 
@@ -302,12 +315,12 @@ def test_max_events_parity():
     for k in (1, 3, 7, 20):
         states = {}
         for engine in ("fused", "event"):
-            system = _line_system(engine)
+            system = _line_system()
             for i in range(6):
                 system.sim.schedule_at(
                     200.0 * i, lambda a=float(i): system.publish("P1", {"A1": a})
                 )
-            executed = system.run(until=50_000.0, max_events=k)
+            executed = _drive(system, engine, until=50_000.0, max_events=k)
             states[engine] = (
                 executed, system.sim.now, system.sim.executed_events,
                 system.sim.pending_events,
@@ -336,7 +349,7 @@ def test_interleaved_publish_churn_engines_agree(data):
 
     outcomes = {}
     for engine in ("fused", "event"):
-        system = _line_system(engine, window_ms=window_ms)
+        system = _line_system(window_ms=window_ms)
         removed = {}
         t = 0.0
         for op in plan:
@@ -349,7 +362,7 @@ def test_interleaved_publish_churn_engines_agree(data):
                 system.sim.schedule_at(
                     t, lambda s=op[1]: removed.update({s: system.unsubscribe(s)})
                 )
-        system.run()
+        _drive(system, engine)
         m = system.metrics
         m.check_invariants()
         handles = dict(system.subscribers)
@@ -412,15 +425,13 @@ def test_side_list_yields_what_the_heap_scan_yields_under_churn():
     pairs = {pair for call in gathered for pair in call}
     assert len(pairs) > system.metrics.published  # every hop looked ahead
     assert all(not ev.done for ev in system.sim._watched["process"])
-    assert _fingerprint(system) == _fingerprint(
-        _run_config(cfg.replace(engine_backend="event"))
-    )
+    assert _fingerprint(system) == _fingerprint(_run_config(cfg, engine="event"))
 
 
 def test_side_list_regathers_a_process_event_staled_by_churn():
     """Two messages matched in one lookahead; an unsubscribe lands between
     their process steps, so the second is gathered (and matched) again."""
-    system = _line_system("fused", window_ms=10_000.0)
+    system = _line_system(window_ms=10_000.0)
     system.sim.schedule_at(10.0, lambda: system.publish("P1", {"A1": 1.0}))
     system.sim.schedule_at(10.5, lambda: system.publish("P1", {"A1": 2.0}))
     system.sim.schedule_at(12.2, lambda: system.unsubscribe("S1"))
@@ -433,7 +444,7 @@ def test_side_list_regathers_a_process_event_staled_by_churn():
 def test_side_list_skips_a_cancelled_process_event():
     outcomes = {}
     for engine in ("fused", "event"):
-        system = _line_system(engine, window_ms=10_000.0)
+        system = _line_system(window_ms=10_000.0)
         sim = system.sim
 
         def cancel_pending_process() -> None:
@@ -444,7 +455,7 @@ def test_side_list_skips_a_cancelled_process_event():
         sim.schedule_at(11.0, cancel_pending_process)  # before B1 processes it
         sim.schedule_at(20.0, lambda: system.publish("P1", {"A1": 2.0}))
         gathered = _audit_lookahead(system) if engine == "fused" else None
-        system.run()
+        _drive(system, engine)
         if gathered is not None:
             assert {pair for call in gathered for pair in call} == {
                 ("B1", 1), ("B2", 1), ("B3", 1)
@@ -456,37 +467,21 @@ def test_side_list_skips_a_cancelled_process_event():
 
 def test_side_list_is_empty_after_a_drained_run_and_absent_under_event():
     for engine, watched in (("fused", {"process": []}), ("event", {})):
-        system = _line_system(engine)
+        system = _line_system()
         for k in range(6):
             system.sim.schedule_at(
                 200.0 * k, lambda a=float(k): system.publish("P1", {"A1": a})
             )
-        system.run()
+        _drive(system, engine)
         assert system.sim.pending_events == 0
         assert system.sim._watched == watched
 
 
 # --------------------------------------------------------------------- #
-# Knob plumbing.
+# Construction.
 # --------------------------------------------------------------------- #
 
-def test_unknown_engine_backend_rejected():
-    with pytest.raises(ValueError):
-        SimulationConfig(seed=1, engine_backend="typo")
-    with pytest.raises(ValueError):
-        SystemConfig(engine_backend="typo")
-
-
 def test_nonpositive_window_rejected():
-    with pytest.raises(ValueError):
-        SimulationConfig(seed=1, engine_window_ms=0.0)
-    with pytest.raises(ValueError):
-        SystemConfig(engine_window_ms=-1.0)
-
-
-def test_event_backend_builds_no_engine():
-    system = _line_system("event")
-    assert system._engine is None
-    system = _line_system("fused")
-    assert isinstance(system._engine, FusedEngine)
-    assert make_engine("event", Simulator()) is None
+    for window_ms in (0.0, -1.0):
+        with pytest.raises(ValueError):
+            FusedEngine(Simulator(), window_ms=window_ms)

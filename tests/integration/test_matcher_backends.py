@@ -1,7 +1,9 @@
-"""Whole-simulation differential tests for the matcher backends.
+"""Whole-simulation differential tests for the matching layer alone.
 
-The vectorised ingest path must be decision-for-decision identical to
-the dict-based oracle: same aggregate figure data (byte for byte once
+The production system with the dict-based oracle matcher (or the brute
+force one) in its tables and population count, and nothing else swapped
+(``tests/integration/stacks.py``), must be decision-for-decision
+identical to production: same aggregate figure data (byte for byte once
 serialised) and the same per-delivery record stream.
 """
 
@@ -15,6 +17,12 @@ import pytest
 from repro.sim.config import SimulationConfig
 from repro.sim.runner import build_system, run_simulation, schedule_workload
 from repro.workload.scenarios import Scenario
+from tests.integration.stacks import (
+    BruteMatcherSystem,
+    OracleMatcherSystem,
+    build_system_on,
+    run_simulation_on,
+)
 
 #: Small but non-trivial: the paper topology, a congesting rate, both
 #: queue pressure and pruning in play.
@@ -33,25 +41,27 @@ def result_bytes(result) -> bytes:
 
 @pytest.mark.parametrize("strategy", ["eb", "fifo"])
 def test_vector_and_oracle_figure_data_byte_identical(strategy):
-    vector = run_simulation(BASE.replace(strategy=strategy, matcher_backend="vector"))
-    oracle = run_simulation(BASE.replace(strategy=strategy, matcher_backend="oracle"))
+    vector = run_simulation(BASE.replace(strategy=strategy))
+    oracle = run_simulation_on(OracleMatcherSystem, BASE.replace(strategy=strategy))
     assert vector == oracle
     assert result_bytes(vector) == result_bytes(oracle)
 
 
 def test_brute_backend_agrees_too():
-    vector = run_simulation(BASE.replace(matcher_backend="vector"))
-    brute = run_simulation(BASE.replace(matcher_backend="brute"))
+    vector = run_simulation(BASE)
+    brute = run_simulation_on(BruteMatcherSystem, BASE)
     assert result_bytes(vector) == result_bytes(brute)
 
 
 def test_delivery_records_identical():
     """Every local delivery (subscriber, message, latency, validity) and its
-    order must match between the backends, not just the aggregates."""
+    order must match between the matchers, not just the aggregates."""
+    config = BASE.replace(strategy="ebpc")
     records: dict[str, list] = {}
-    for backend in ("vector", "oracle"):
-        config = BASE.replace(strategy="ebpc", matcher_backend=backend)
-        system = build_system(config)
+    for name, system in (
+        ("vector", build_system(config)),
+        ("oracle", build_system_on(OracleMatcherSystem, config)),
+    ):
         log: list[tuple] = []
         for broker in system.brokers.values():
             broker.delivery_callbacks.append(
@@ -60,12 +70,7 @@ def test_delivery_records_identical():
                 )
             )
         schedule_workload(system, config)
-        system.sim.run(until=config.horizon_ms)
-        records[backend] = log
+        system.run(until=config.horizon_ms)
+        records[name] = log
     assert records["vector"] == records["oracle"]
     assert len(records["vector"]) > 0
-
-
-def test_unknown_backend_rejected():
-    with pytest.raises(ValueError):
-        build_system(BASE.replace(matcher_backend="typo"))

@@ -1,10 +1,11 @@
-"""Whole-simulation differential tests for the metrics backends and the
-batched delivery spine.
+"""Whole-simulation differential tests for the accounting layer alone.
 
 The columnar delivery path (batched ``Broker._process`` local delivery,
 ledger accounting, array-backed endpoints) must be decision- and
-byte-identical to the scalar oracle: same figure data once serialised,
-same per-delivery record stream, same endpoint records — across every
+byte-identical to the production system with the per-delivery scalar
+collector in its place and nothing else swapped
+(``tests/integration/stacks.py``): same figure data once serialised, same
+per-delivery record stream, same endpoint records — across every
 strategy, and under multi-path duplicate settlement and subscription
 churn.
 """
@@ -29,6 +30,7 @@ from repro.sim.config import SimulationConfig
 from repro.sim.runner import build_system, run_simulation, schedule_workload
 from repro.workload.scenarios import Scenario
 from tests.conftest import make_diamond_topology, make_line_topology
+from tests.integration.stacks import ScalarCollectorSystem, build_system_on, run_simulation_on
 
 #: Small but non-trivial: the paper topology, a congesting rate, both
 #: queue pressure and pruning in play.
@@ -40,6 +42,9 @@ BASE = SimulationConfig(
     grace_ms=30_000.0,
 )
 
+#: The two collectors, by the name each test keys its outcome on.
+STACKS = {"ledger": PubSubSystem, "scalar": ScalarCollectorSystem}
+
 
 def result_bytes(result) -> bytes:
     return json.dumps(dataclasses.asdict(result), sort_keys=True).encode()
@@ -48,8 +53,8 @@ def result_bytes(result) -> bytes:
 @pytest.mark.parametrize("strategy", STRATEGY_NAMES)
 def test_ledger_and_scalar_figure_data_byte_identical(strategy):
     """All five strategies: identical serialized figure data."""
-    ledger = run_simulation(BASE.replace(strategy=strategy, metrics_backend="ledger"))
-    scalar = run_simulation(BASE.replace(strategy=strategy, metrics_backend="scalar"))
+    ledger = run_simulation(BASE.replace(strategy=strategy))
+    scalar = run_simulation_on(ScalarCollectorSystem, BASE.replace(strategy=strategy))
     assert ledger == scalar
     assert result_bytes(ledger) == result_bytes(scalar)
 
@@ -57,11 +62,13 @@ def test_ledger_and_scalar_figure_data_byte_identical(strategy):
 def test_delivery_records_identical():
     """Every local delivery (subscriber, message, latency, validity), its
     order, and every endpoint's record columns must match between the
-    backends — not just the aggregates."""
+    collectors — not just the aggregates."""
+    config = BASE.replace(strategy="ebpc")
     streams: dict[str, tuple] = {}
-    for backend in ("ledger", "scalar"):
-        config = BASE.replace(strategy="ebpc", metrics_backend=backend)
-        system = build_system(config)
+    for name, system in (
+        ("ledger", build_system(config)),
+        ("scalar", build_system_on(ScalarCollectorSystem, config)),
+    ):
         log: list[tuple] = []
         for broker in system.brokers.values():
             broker.delivery_callbacks.append(
@@ -70,48 +77,36 @@ def test_delivery_records_identical():
                 )
             )
         schedule_workload(system, config)
-        system.sim.run(until=config.horizon_ms)
+        system.run(until=config.horizon_ms)
         endpoint_records = {
-            name: [(r.msg_id, r.time, r.latency_ms, r.valid) for r in h.records]
-            for name, h in sorted(system.subscribers.items())
+            sub: [(r.msg_id, r.time, r.latency_ms, r.valid) for r in h.records]
+            for sub, h in sorted(system.subscribers.items())
         }
-        streams[backend] = (log, endpoint_records)
+        streams[name] = (log, endpoint_records)
     assert streams["ledger"] == streams["scalar"]
     assert len(streams["ledger"][0]) > 0
 
 
 def test_psd_scenario_agrees_too():
-    ledger = run_simulation(
-        BASE.replace(scenario=Scenario.PSD, metrics_backend="ledger")
-    )
-    scalar = run_simulation(
-        BASE.replace(scenario=Scenario.PSD, metrics_backend="scalar")
-    )
+    config = BASE.replace(scenario=Scenario.PSD)
+    ledger = run_simulation(config)
+    scalar = run_simulation_on(ScalarCollectorSystem, config)
     assert result_bytes(ledger) == result_bytes(scalar)
-
-
-def test_unknown_backend_rejected():
-    with pytest.raises(ValueError):
-        build_system(BASE.replace(metrics_backend="typo"))
 
 
 MATCH_ALL = Predicate("A1", "<", 1e9)
 
 
-def _diamond_system(backend: str) -> PubSubSystem:
+def _diamond_system(system_type: type) -> PubSubSystem:
     topo = make_diamond_topology(
         publishers={"P1": "B1"}, subscribers={"S1": "B4", "S2": "B4"},
     )
-    system = PubSubSystem(
+    system = system_type(
         topology=topo,
         strategy=EbStrategy(),
         sim=Simulator(),
         streams=RngStreams(11),
-        config=SystemConfig(
-            routing=RoutingMode.multi_path(k=2),
-            default_size_kb=5.0,
-            metrics_backend=backend,
-        ),
+        config=SystemConfig(routing=RoutingMode.multi_path(k=2), default_size_kb=5.0),
     )
     system.subscribe(Subscription("S1", MATCH_ALL, deadline_ms=60_000.0, price=2.0))
     system.subscribe(Subscription("S2", MATCH_ALL, deadline_ms=60_000.0, price=3.0))
@@ -120,21 +115,21 @@ def _diamond_system(backend: str) -> PubSubSystem:
 
 def test_multipath_duplicate_settlement_order_identical():
     """Multi-path routing delivers the same pair twice via different
-    paths; both backends must settle first-arrival-wins identically."""
+    paths; both collectors must settle first-arrival-wins identically."""
     outcomes = {}
-    for backend in ("ledger", "scalar"):
-        system = _diamond_system(backend)
+    for name, system_type in STACKS.items():
+        system = _diamond_system(system_type)
         for i in range(4):
             system.publish("P1", {"A1": float(i)})
-        system.sim.run()
+        system.run()
         m = system.metrics
         assert m.duplicate_deliveries > 0  # the diamond produced duplicates
-        outcomes[backend] = (
+        outcomes[name] = (
             m.deliveries_valid, m.deliveries_late, m.duplicate_deliveries,
             m.earning, m.latency_sum_ms, m.delivered, m.per_subscriber_valid,
             {
-                name: [(r.msg_id, r.time, r.latency_ms, r.valid) for r in h.records]
-                for name, h in sorted(system.subscribers.items())
+                sub: [(r.msg_id, r.time, r.latency_ms, r.valid) for r in h.records]
+                for sub, h in sorted(system.subscribers.items())
             },
         )
         m.check_invariants()
@@ -142,21 +137,21 @@ def test_multipath_duplicate_settlement_order_identical():
 
 
 # --------------------------------------------------------------------- #
-# Churn: interleaved publish/unsubscribe against both backends.
+# Churn: interleaved publish/unsubscribe against both collectors.
 # --------------------------------------------------------------------- #
 
-def _churn_system(backend: str) -> PubSubSystem:
+def _churn_system(system_type: type) -> PubSubSystem:
     topo = make_line_topology(
         n=3,
         publishers={"P1": "B1"},
         subscribers={f"S{i}": ("B2" if i % 2 else "B3") for i in range(6)},
     )
-    return PubSubSystem(
+    return system_type(
         topology=topo,
         strategy=EbStrategy(),
         sim=Simulator(),
         streams=RngStreams(5),
-        config=SystemConfig(default_size_kb=5.0, metrics_backend=backend),
+        config=SystemConfig(default_size_kb=5.0),
     )
 
 
@@ -164,7 +159,7 @@ def _churn_system(backend: str) -> PubSubSystem:
 @given(data=st.data())
 def test_churn_backends_agree(data):
     """Random interleavings of publish and unsubscribe (racing in-flight
-    copies) leave both backends with identical accounting and identical
+    copies) leave both collectors with identical accounting and identical
     endpoint histories — including records of unsubscribed endpoints."""
     n_steps = data.draw(st.integers(2, 10), label="steps")
     plan = []
@@ -177,8 +172,8 @@ def test_churn_backends_agree(data):
         plan.append(("publish", data.draw(st.floats(0.0, 9.0), label=f"attr@{step}")))
 
     outcomes = {}
-    for backend in ("ledger", "scalar"):
-        system = _churn_system(backend)
+    for name, system_type in STACKS.items():
+        system = _churn_system(system_type)
         removed = {}
         for i in range(6):
             system.subscribe(
@@ -195,18 +190,18 @@ def test_churn_backends_agree(data):
                 system.sim.schedule_at(
                     t, lambda s=op[1]: removed.update({s: system.unsubscribe(s)})
                 )
-        system.sim.run()
+        system.run()
         m = system.metrics
         m.check_invariants()
         handles = dict(system.subscribers)
         handles.update(removed)
-        outcomes[backend] = (
+        outcomes[name] = (
             m.published, m.receptions, m.deliveries_valid, m.deliveries_late,
             m.duplicate_deliveries, m.earning, m.latency_sum_ms,
             m.delivered, m.per_subscriber_valid,
             {
-                name: [(r.msg_id, r.time, r.latency_ms, r.valid) for r in h.records]
-                for name, h in sorted(handles.items())
+                sub: [(r.msg_id, r.time, r.latency_ms, r.valid) for r in h.records]
+                for sub, h in sorted(handles.items())
             },
         )
     assert outcomes["ledger"] == outcomes["scalar"]

@@ -5,8 +5,8 @@ Three identities, per the acceptance bar of the chunked-log PR:
 * **spill on == spill off** at the same (small, multi-chunk) chunk size
   — full fingerprint equality: figure-level metrics, the raw delivery
   log bytes, per-endpoint record streams, windowed time series — for
-  all five strategies, both metrics backends, a churn dynamics script
-  and multi-path duplicate settlement;
+  all five strategies, both collectors, a churn dynamics script and
+  multi-path duplicate settlement;
 * **spill off at default chunking == pre-PR HEAD** — the committed
   goldens in ``tests/data/golden_pre_scale_tier.json`` were captured on
   the commit *before* the chunked store existed;
@@ -27,10 +27,12 @@ import numpy as np
 import pytest
 
 from repro.analysis.timeseries import windowed_metrics
+from repro.pubsub.system import PubSubSystem
 from repro.sim.config import SimulationConfig
-from repro.sim.runner import build_system, schedule_dynamics, schedule_workload
+from repro.sim.runner import schedule_dynamics, schedule_workload
 from repro.workload.dynamics import ChurnWave, FlashCrowd, RateBurst, ScenarioScript
 from repro.workload.scenarios import Scenario
+from tests.integration.stacks import ScalarCollectorSystem, build_system_on
 
 GOLDEN_PATH = Path(__file__).parent.parent / "data" / "golden_pre_scale_tier.json"
 GOLDENS = json.loads(GOLDEN_PATH.read_text())
@@ -52,9 +54,7 @@ CONFIGS: dict[str, SimulationConfig] = {
         f"ssd-{s}-ledger": SimulationConfig(scenario=Scenario.SSD, strategy=s, **BASE)
         for s in ("fifo", "rl", "eb", "pc", "ebpc")
     },
-    "ssd-eb-scalar": SimulationConfig(
-        scenario=Scenario.SSD, strategy="eb", metrics_backend="scalar", **BASE
-    ),
+    "ssd-eb-scalar": SimulationConfig(scenario=Scenario.SSD, strategy="eb", **BASE),
     "psd-eb-ledger": SimulationConfig(scenario=Scenario.PSD, strategy="eb", **BASE),
     "ssd-ebpc-churn": SimulationConfig(
         scenario=Scenario.SSD, strategy="ebpc", dynamics=CHURNY, **BASE
@@ -65,17 +65,20 @@ CONFIGS: dict[str, SimulationConfig] = {
     ),
 }
 
+#: Configs run on a stack other than production: name -> system class.
+STACKS: dict[str, type] = {"ssd-eb-scalar": ScalarCollectorSystem}
 
-def _run(config: SimulationConfig):
-    system = build_system(config)
+
+def _run(config: SimulationConfig, system_type: type = PubSubSystem):
+    system = build_system_on(system_type, config)
     schedule_workload(system, config)
     schedule_dynamics(system, config)
     system.sim.run(until=config.horizon_ms)
     return system
 
 
-def _fingerprint(config: SimulationConfig) -> dict:
-    system = _run(config)
+def _fingerprint(config: SimulationConfig, system_type: type = PubSubSystem) -> dict:
+    system = _run(config, system_type)
     m = system.metrics
     log_h = hashlib.sha256()
     for col in system.delivery_log.columns():
@@ -115,8 +118,9 @@ class TestSpillOnOffIdentity:
     @pytest.mark.parametrize("name", sorted(CONFIGS))
     def test_fingerprints_identical(self, name):
         config = CONFIGS[name].replace(log_chunk_rows=SMALL_CHUNK)
-        hot = _fingerprint(config)
-        cold = _fingerprint(config.replace(log_spill=True))
+        stack = STACKS.get(name, PubSubSystem)
+        hot = _fingerprint(config, stack)
+        cold = _fingerprint(config.replace(log_spill=True), stack)
         assert cold["_spilled"] > 0, "spill never engaged — test is vacuous"
         assert hot["_spilled"] == 0
         assert _public(hot) == _public(cold)
@@ -132,7 +136,7 @@ class TestPrePrHeadIdentity:
 
     @pytest.mark.parametrize("name", sorted(GOLDENS))
     def test_matches_golden(self, name):
-        fp = _public(_fingerprint(CONFIGS[name]))
+        fp = _public(_fingerprint(CONFIGS[name], STACKS.get(name, PubSubSystem)))
         assert fp == GOLDENS[name]
 
 

@@ -13,7 +13,7 @@ from repro.network.measurement import LinkMonitor
 from repro.pubsub.broker import Broker
 from repro.pubsub.filters import Predicate
 from repro.pubsub.message import Message
-from repro.pubsub.metrics import MetricsCollector
+from repro.pubsub.metrics import LedgerMetricsCollector
 from repro.pubsub.subscription import Subscription, TableRow
 from repro.stats.normal import Normal
 
@@ -25,7 +25,7 @@ def make_broker(sim, strategy=None, metrics=None, **kw) -> Broker:
         name="B1",
         sim=sim,
         strategy=strategy or FifoStrategy(),
-        metrics=metrics or MetricsCollector(),
+        metrics=metrics or LedgerMetricsCollector(),
         **kw,
     )
 
@@ -73,7 +73,7 @@ def msg(msg_id=1, publish_time=0.0, deadline=None, size=50.0, source="B1") -> Me
 
 class TestProcessing:
     def test_processing_delay_applied(self, sim):
-        metrics = MetricsCollector()
+        metrics = LedgerMetricsCollector()
         broker = make_broker(sim, metrics=metrics, processing_delay_ms=2.0)
         broker.install(local_row())
         delivered_at = []
@@ -85,7 +85,7 @@ class TestProcessing:
         assert metrics.receptions == 1
 
     def test_local_delivery_validity(self, sim):
-        metrics = MetricsCollector()
+        metrics = LedgerMetricsCollector()
         broker = make_broker(sim, metrics=metrics)
         broker.install(local_row(deadline=1_000.0))
         metrics.on_publish(1, 1)
@@ -99,7 +99,7 @@ class TestProcessing:
         assert metrics.deliveries_late == 1
 
     def test_ssd_price_earned(self, sim):
-        metrics = MetricsCollector()
+        metrics = LedgerMetricsCollector()
         broker = make_broker(sim, metrics=metrics)
         broker.install(local_row(deadline=10_000.0, price=3.0))
         metrics.on_publish(1, 1)
@@ -108,7 +108,7 @@ class TestProcessing:
         assert metrics.earning == 3.0
 
     def test_unmatched_message_goes_nowhere(self, sim):
-        metrics = MetricsCollector()
+        metrics = LedgerMetricsCollector()
         broker = make_broker(sim, metrics=metrics)
         wire_neighbor(broker, sim)
         broker.install(remote_row())
@@ -182,7 +182,7 @@ class TestForwarding:
 
 class TestPruning:
     def test_expired_pruned_under_fifo(self, sim):
-        metrics = MetricsCollector()
+        metrics = LedgerMetricsCollector()
         broker = make_broker(sim, metrics=metrics)
         delivered, _ = wire_neighbor(broker, sim, rate=Normal(10.0, 0.0))
         broker.install(remote_row(deadline=1_000.0))
@@ -194,7 +194,7 @@ class TestPruning:
         assert metrics.pruned == 1
 
     def test_hopeless_pruned_under_eb_before_expiry(self, sim):
-        metrics = MetricsCollector()
+        metrics = LedgerMetricsCollector()
         broker = make_broker(sim, strategy=EbStrategy(), metrics=metrics)
         delivered, _ = wire_neighbor(broker, sim, rate=Normal(10.0, 0.0))
         # Remaining path needs ~25 s (nn=1, 500 ms/KB * 50 KB), deadline 30 s.
@@ -216,7 +216,7 @@ class TestPruning:
         assert metrics.pruned == 1
 
     def test_pruning_override(self, sim):
-        metrics = MetricsCollector()
+        metrics = LedgerMetricsCollector()
         broker = make_broker(
             sim, strategy=EbStrategy(), metrics=metrics,
             pruning_override=PruningPolicy.NONE,
@@ -262,7 +262,7 @@ class TestSchedulingSlack:
         # With a huge per-hop allowance the 30 s deadline looks infeasible
         # and the copy is pruned; without slack it is forwarded.
         def run(slack):
-            metrics = MetricsCollector()
+            metrics = LedgerMetricsCollector()
             broker = make_broker(
                 sim=Simulator(), strategy=EbStrategy(), metrics=metrics,
                 scheduling_slack_per_hop_ms=slack,

@@ -35,6 +35,7 @@ from repro.workload.dynamics import (
 )
 from repro.workload.scenarios import Scenario
 from tests.conftest import make_line_topology
+from tests.integration.stacks import ScalarCollectorSystem, build_system_on
 
 MATCH_ALL = Predicate("A1", "<", 1e9)
 
@@ -265,16 +266,17 @@ class TestCascadeDeterminism:
 
 class TestConservationUnderFaults:
     """The acceptance matrix: with faults active, entry and pair
-    conservation hold exactly for all five strategies, both metrics
-    backends, and spill on/off."""
+    conservation hold exactly for all five strategies, both collectors
+    (the production ledger, and the per-delivery one swapped in alone),
+    and spill on/off."""
 
     @pytest.mark.parametrize("strategy", ("fifo", "rl", "eb", "pc", "ebpc"))
-    @pytest.mark.parametrize("metrics_backend", ("ledger", "scalar"))
-    def test_all_strategies_both_backends(self, strategy, metrics_backend):
-        config = _faulted_config(
-            strategy=strategy, metrics_backend=metrics_backend
-        )
-        system = build_system(config)
+    @pytest.mark.parametrize(
+        "system_type", (PubSubSystem, ScalarCollectorSystem), ids=("ledger", "scalar")
+    )
+    def test_all_strategies_both_backends(self, strategy, system_type):
+        config = _faulted_config(strategy=strategy)
+        system = build_system_on(system_type, config)
         schedule_workload(system, config)
         schedule_dynamics(system, config)
         sentinel = InvariantSentinel(system)

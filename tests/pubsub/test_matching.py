@@ -9,12 +9,10 @@ from hypothesis import strategies as st
 
 from repro.pubsub.filters import AndFilter, OrFilter, Predicate, conjunction_predicates
 from repro.pubsub.matching import (
-    MATCHER_BACKENDS,
     BruteForceMatcher,
     CountingIndexMatcher,
     PredicateColumns,
     VectorCountingMatcher,
-    make_matcher,
 )
 
 
@@ -366,14 +364,6 @@ class TestVectorCountingMatcher:
         got = m.match_array({"A": 3.0})
         assert isinstance(got, np.ndarray)
         assert set(got.tolist()) == {0, 1} == m.match({"A": 3.0})
-
-    def test_make_matcher_backends(self):
-        assert isinstance(make_matcher("vector"), VectorCountingMatcher)
-        assert isinstance(make_matcher("oracle"), CountingIndexMatcher)
-        assert isinstance(make_matcher("brute"), BruteForceMatcher)
-        with pytest.raises(ValueError):
-            make_matcher("nope")
-        assert set(MATCHER_BACKENDS) == {"vector", "oracle", "brute"}
 
 
 @given(filters=st.lists(any_filters(), min_size=1, max_size=14), attrs=attributes())

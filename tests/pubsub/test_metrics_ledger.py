@@ -1,4 +1,4 @@
-"""Differential tests: the ledger metrics backend ≡ the scalar oracle.
+"""Differential tests: the ledger collector ≡ the per-delivery collector.
 
 The array-backed :class:`LedgerMetricsCollector` must agree with the
 dict/set :class:`MetricsCollector` on every public counter and derived
@@ -15,12 +15,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.pubsub.metrics import (
-    METRICS_BACKENDS,
-    LedgerMetricsCollector,
-    MetricsCollector,
-    MetricsError,
-    make_metrics,
+from repro.pubsub.metrics import LedgerMetricsCollector, MetricsCollector, MetricsError
+
+#: Both collectors, under the ids their tests have always carried.
+COLLECTORS = pytest.mark.parametrize(
+    "collector", (LedgerMetricsCollector, MetricsCollector), ids=("ledger", "scalar")
 )
 
 
@@ -43,21 +42,9 @@ def assert_equivalent(ledger: LedgerMetricsCollector, scalar: MetricsCollector) 
     scalar.check_invariants()
 
 
-class TestFactory:
-    def test_backends(self):
-        assert isinstance(make_metrics("ledger"), LedgerMetricsCollector)
-        assert isinstance(make_metrics("scalar"), MetricsCollector)
-        assert make_metrics().backend == "ledger"
-        assert set(METRICS_BACKENDS) == {"ledger", "scalar"}
-
-    def test_unknown_backend(self):
-        with pytest.raises(ValueError):
-            make_metrics("typo")
-
-
 class TestLedgerScalarParity:
     """Hand-written sequences mirroring the scalar collector's test
-    surface, replayed against both backends."""
+    surface, replayed against both collectors."""
 
     def both(self):
         return LedgerMetricsCollector(), MetricsCollector()
@@ -156,9 +143,9 @@ class TestInvariantErrors:
     """check_invariants raises real exceptions (survives ``python -O``),
     still catchable as AssertionError for old callers."""
 
-    @pytest.mark.parametrize("backend", METRICS_BACKENDS)
-    def test_over_delivery_detected(self, backend):
-        m = make_metrics(backend)
+    @COLLECTORS
+    def test_over_delivery_detected(self, collector):
+        m = collector()
         m.on_publish(1, 1)
         m.on_delivery(1, "S1", 1.0, 1.0, valid=True)
         m.on_delivery(1, "S2", 1.0, 1.0, valid=True)  # more than interested
@@ -167,9 +154,9 @@ class TestInvariantErrors:
         with pytest.raises(AssertionError):  # backwards-compatible catch
             m.check_invariants()
 
-    @pytest.mark.parametrize("backend", METRICS_BACKENDS)
-    def test_clean_state_passes(self, backend):
-        m = make_metrics(backend)
+    @COLLECTORS
+    def test_clean_state_passes(self, collector):
+        m = collector()
         m.on_publish(1, 3)
         m.on_delivery(1, "S1", 1.0, 1.0, valid=True)
         m.check_invariants()

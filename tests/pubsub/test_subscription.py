@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.pubsub.filters import Predicate
+from repro.pubsub.matching import CountingIndexMatcher
 from repro.pubsub.message import Message
 from repro.pubsub.subscription import (
     RowArrays,
@@ -18,6 +19,7 @@ from repro.pubsub.subscription import (
     SubscriptionTable,
     TableRow,
 )
+from repro.reference import ReferenceTable
 from repro.stats.normal import Normal
 from tests.core.helpers import block_of
 
@@ -184,11 +186,12 @@ class TestColumnArrays:
         t.install(row(subscription=sub("S2")))
         assert [r.subscriber for r in t.match(msg())] == ["S1", "S2"]
 
-    def test_matcher_backend_knob(self):
-        for backend in ("vector", "oracle", "brute"):
-            t = SubscriptionTable(matcher_backend=backend)
-            t.install(row())
-            assert [r.subscriber for r in t.match(msg())] == ["S1"]
+    def test_reference_table_matches_with_the_dict_matcher(self):
+        t = ReferenceTable()
+        assert type(t._matcher) is CountingIndexMatcher
+        t.install(row())
+        t.warm()
+        assert [r.subscriber for r in t.match(msg())] == ["S1"]
 
 
 class TestUninstallSideIndex:

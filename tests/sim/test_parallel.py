@@ -37,7 +37,6 @@ class TestFingerprint:
             TINY.replace(publishing_rate_per_min=9.0),
             TINY.replace(scenario=Scenario.PSD),
             TINY.replace(duration_ms=6_000.0),
-            TINY.replace(queue_backend="scan"),
         ):
             assert config_fingerprint(changed) != base
 

@@ -2,11 +2,130 @@
 
 from __future__ import annotations
 
+import argparse
+import re
+import shlex
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
 from repro.experiments.claims import ClaimResult
 from repro.experiments.common import ScaleSpec
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _subparsers(parser: argparse.ArgumentParser) -> dict[str, argparse.ArgumentParser]:
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return dict(action.choices)
+
+
+#: The smallest invocation of every subcommand.  ``{tmp}`` is the test's
+#: temporary directory.
+SMOKE: dict[str, list[str]] = {
+    **{fig: [fig, "--scale", "0.001"]
+       for fig in ("fig4a", "fig4b", "fig5a", "fig5b", "fig6a", "fig6b")},
+    "tab1": ["tab1"],
+    "claims": ["claims", "--scale", "0.001"],
+    "record": ["record", "--scale", "0.001", "-o", "{tmp}/record.md"],
+    "ablate": ["ablate", "epsilon", "--scale", "0.001"],
+    "doctor": ["doctor"],
+    "dynamics": ["dynamics", "--minutes", "0.5", "--window", "15", "--rate", "2",
+                 "--strategy", "fifo"],
+    "run": ["run", "--minutes", "0.5", "--rate", "2", "--reference"],
+    "scale": ["scale", "--size", "smoke", "--minutes", "0.2", "--rate", "2"],
+    "lint": ["lint", "--list-rules"],
+    "fuzz": ["fuzz", "--budget", "1", "--minutes", "0.3", "--rate", "2",
+             "--out", "{tmp}/findings"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_subparsers(build_parser())))
+def test_every_subcommand_runs_at_its_smallest_size(command, tmp_path, capsys, monkeypatch):
+    """Generated from the parser: a subcommand without a smoke invocation
+    fails here, so none can be added (or left broken) unexercised."""
+    assert command in SMOKE, f"no smoke invocation for subcommand {command!r}"
+    # The two entry points that take seconds even at the smallest scale
+    # are stubbed; their dispatch and output formatting still run.
+    monkeypatch.setattr("repro.cli.run_all", lambda scale: [
+        ClaimResult("held", "a claim that holds", True, "x=1"),
+    ])
+    monkeypatch.setattr(
+        "repro.experiments.record.run_everything", lambda scale: {"scale": scale}
+    )
+    monkeypatch.setattr(
+        "repro.experiments.record.render_markdown", lambda bundle: "# record\n"
+    )
+    argv = [arg.replace("{tmp}", str(tmp_path)) for arg in SMOKE[command]]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.strip()
+
+
+def test_smoke_table_names_only_real_subcommands():
+    assert set(SMOKE) <= set(_subparsers(build_parser()))
+
+
+#: ``--flags`` of other tools that README prose may name in backticks.
+FOREIGN_FLAGS = frozenset({"--benchmark-only", "--benchmark-disable"})
+
+_REPRO_COMMAND = re.compile(r"python -m repro\b([^`\n]*)")
+
+
+def _documented_commands(text: str) -> list[list[str]]:
+    """Every ``python -m repro …`` command in ``text``, as argv lists
+    (continuation lines joined, comments and redirections dropped)."""
+    commands = []
+    for match in _REPRO_COMMAND.finditer(text.replace("\\\n", " ")):
+        argv = []
+        for token in shlex.split(match.group(1), comments=True):
+            if token in ("|", ">", "2>", "&&", ";", "<"):
+                break
+            argv.append(token)
+        if argv:
+            commands.append(argv)
+    return commands
+
+
+def _unparsable_commands(text: str, capsys) -> list[str]:
+    """The documented commands ``build_parser()`` rejects."""
+    bad = []
+    for argv in _documented_commands(text):
+        try:
+            build_parser().parse_args(argv)
+        except SystemExit as stop:  # --help exits 0; a bad command exits 2
+            if stop.code != 0:
+                bad.append(shlex.join(argv))
+    capsys.readouterr()  # argparse's usage and help output
+    return bad
+
+
+def _unknown_flags(text: str) -> set[str]:
+    """Backticked ``--flags`` that name no option of any subcommand."""
+    options = {
+        option
+        for sub in _subparsers(build_parser()).values()
+        for action in sub._actions
+        for option in action.option_strings
+    }
+    return set(re.findall(r"`(--[a-z0-9][a-z0-9-]*)", text)) - options - FOREIGN_FLAGS
+
+
+@pytest.mark.parametrize("doc", ["README.md", ".claude/skills/verify/SKILL.md"])
+def test_documented_commands_parse(doc, capsys):
+    text = (ROOT / doc).read_text()
+    assert _documented_commands(text)
+    assert _unparsable_commands(text, capsys) == []
+
+
+def test_readme_flags_name_real_options():
+    assert _unknown_flags((ROOT / "README.md").read_text()) == set()
+
+
+def test_doc_checks_catch_a_planted_flag(capsys):
+    planted = "Pass `--no-such-flag x`: `python -m repro run --no-such-flag x`."
+    assert _unknown_flags(planted) == {"--no-such-flag"}
+    assert _unparsable_commands(planted, capsys) == ["run --no-such-flag x"]
 
 
 class TestParser:
@@ -23,6 +142,7 @@ class TestParser:
         assert args.scenario == "psd"
         assert args.strategy == "eb"
         assert args.rate == 10.0
+        assert args.reference is False
 
     def test_missing_command_fails(self):
         with pytest.raises(SystemExit):
