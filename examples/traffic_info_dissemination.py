@@ -71,7 +71,7 @@ def run_strategy(name: str) -> dict:
         strategy=make_strategy(name) if name != "ebpc" else make_strategy("ebpc", r=0.6),
         sim=Simulator(),
         streams=RngStreams(7),
-        config=SystemConfig(default_size_kb=50.0),
+        config=SystemConfig(message_size_kb=50.0),
     )
     handles = {
         sub: system.subscribe(Subscription(sub, parse_filter(expr)))

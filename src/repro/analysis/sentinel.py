@@ -179,7 +179,7 @@ class InvariantSentinel:
         """Exact only under single-path routing with no mid-run leaves:
         a multi-path copy or an unsubscribe can orphan in-flight pairs."""
         return (
-            self.system.config.routing.is_single_path
+            self.system.config.routing_paths == 1
             and self.system.unsubscribe_count == 0
         )
 

@@ -1,26 +1,19 @@
-"""Optional compiled kernels behind the ``repro[fast]`` extra.
+"""Vectorised ``math.erf`` for the hot scoring loop.
 
 The hot scoring loop bottoms out in elementwise ``erf`` over z-score
 arrays (:func:`repro.stats.normal.normal_cdf_vec`).  Stock CPython has no
-vectorised ``math.erf``, so the portable implementation is a
-``np.frompyfunc`` wrapper — one Python call per element.  With numba
-installed (``pip install repro-pubsub[fast]``) the same kernel compiles
-to a libm-backed ufunc with no per-element interpreter round-trip.
+vectorised ``math.erf``, so the implementation is a ``np.frompyfunc``
+wrapper — one Python call per element, bit-identical to a per-element
+loop (``tests/stats/test_fastpath.py``).
 
-Both paths MUST be bit-identical: CPython's ``math.erf`` and numba's
-lower to the platform libm ``erf``, and the differential test in
-``tests/stats`` asserts equality element-for-element whenever numba is
-importable (it skips cleanly otherwise — the extra is never required).
-
-Independent of the backend, saturated inputs are cut before the ufunc:
-``math.erf(x)`` returns exactly ``±1.0`` for ``|x| >= 6`` (true
-``erfc(6) ≈ 2.2e-17`` is under half an ulp of 1.0, so correctly-rounded
-and fdlibm-style implementations both round to 1).  That claim is
-*verified at import time* against this platform's libm; if any spot
-check disagrees the threshold collapses to ``inf`` and every element
-goes through the ufunc.  At paper scale most pair deadlines sit far in a
-distribution's tail, so the cut removes the bulk of the per-element
-calls without touching a single output bit.
+Saturated inputs are cut before the ufunc: ``math.erf(x)`` returns
+exactly ``±1.0`` for ``|x| >= 6`` (true ``erfc(6) ≈ 2.2e-17`` is under
+half an ulp of 1.0, so correctly-rounded and fdlibm-style implementations
+both round to 1).  That claim is *verified at import time* against this
+platform's libm; if any spot check disagrees the threshold collapses to
+``inf`` and every element goes through the ufunc.  At paper scale most
+pair deadlines sit far in a distribution's tail, so the cut removes the
+bulk of the per-element calls without touching a single output bit.
 """
 
 from __future__ import annotations
@@ -28,14 +21,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-
-try:  # pragma: no cover - exercised only with the [fast] extra installed
-    import numba as _numba
-
-    HAVE_NUMBA = True
-except ImportError:
-    _numba = None
-    HAVE_NUMBA = False
 
 #: Saturation threshold: smallest |z| for which ``math.erf`` is exactly
 #: ±1.0 on this platform (``inf`` disables the cut if the spot checks
@@ -48,20 +33,10 @@ ERF_SATURATION = 6.0 if all(
 _ERF_UFUNC = np.frompyfunc(math.erf, 1, 1)
 
 
-def _erf_dense_pure(z: np.ndarray) -> np.ndarray:
-    """Portable elementwise erf: one ``math.erf`` call per element
-    (object-dtype ufunc cast back to float64)."""
+def _erf_dense(z: np.ndarray) -> np.ndarray:
+    """Elementwise erf: one ``math.erf`` call per element (object-dtype
+    ufunc cast back to float64)."""
     return _ERF_UFUNC(z).astype(np.float64)
-
-
-if HAVE_NUMBA:  # pragma: no cover - exercised only with the [fast] extra
-    @_numba.vectorize(["float64(float64)"], nopython=True, cache=True)
-    def _erf_dense_numba(z: float) -> float:
-        return math.erf(z)
-
-    _erf_dense = _erf_dense_numba
-else:
-    _erf_dense = _erf_dense_pure
 
 
 def erf_array(z: np.ndarray) -> np.ndarray:

@@ -28,7 +28,6 @@ from repro.sim.runner import (
     build_system,
     make_sentinel,
     resume_run,
-    run_checkpointed,
     run_to_horizon,
     schedule_dynamics,
     schedule_workload,
@@ -76,16 +75,10 @@ def run_dynamics_point(
             if sample_queue
             else None
         )
-    sentinel = make_sentinel(system, config)
-    if checkpoint is not None:
-        run_checkpointed(
-            system, config, checkpoint,
-            extras={"queue_sampler": sampler}, sentinel=sentinel,
-        )
-        if sentinel is not None:
-            sentinel.final()
-    else:
-        run_to_horizon(system, config, sentinel)
+    run_to_horizon(
+        system, config, make_sentinel(system, config),
+        checkpoint=checkpoint, extras={"queue_sampler": sampler},
+    )
     return windowed_metrics(
         system, window_ms, horizon_ms=config.horizon_ms, queue_sampler=sampler
     )

@@ -31,7 +31,6 @@ from repro.sim.runner import (
     build_system,
     make_sentinel,
     resume_run,
-    run_checkpointed,
     run_to_horizon,
     schedule_dynamics,
     schedule_workload,
@@ -157,9 +156,8 @@ def build_scale_system(spec: ScaleScenarioSpec, config: SimulationConfig) -> Pub
     """Assemble the stretched mesh with the spec's skewed population.
 
     Goes through :func:`repro.sim.runner.build_system` with a population
-    override, so *every* ``SystemConfig`` knob (measurement mode,
-    routing, log spill...) is honoured from the one config — the
-    only scale-specific part is who subscribes with which filter.
+    override, so the system runs on the config itself — the only
+    scale-specific part is who subscribes with which filter.
     """
     return build_system(
         config,
@@ -219,15 +217,9 @@ def run_scale_point(
         schedule_workload(system, config)
         schedule_dynamics(system, config)
     t1 = time.perf_counter()  # repro-lint: ignore[RL001] -- phase stopwatch, decision-neutral
-    run_sentinel = make_sentinel(system, config)
-    ck_count, ck_write_s, ck_bytes = 0, 0.0, 0
-    if checkpoint is not None:
-        stats = run_checkpointed(system, config, checkpoint, sentinel=run_sentinel)
-        ck_count, ck_write_s, ck_bytes = stats.snapshots, stats.write_s, stats.bytes
-        if run_sentinel is not None:
-            run_sentinel.final()
-    else:
-        run_to_horizon(system, config, run_sentinel)
+    stats = run_to_horizon(
+        system, config, make_sentinel(system, config), checkpoint=checkpoint
+    )
     t2 = time.perf_counter()  # repro-lint: ignore[RL001] -- phase stopwatch, decision-neutral
     ts = windowed_metrics(system, window_s * 1000.0, config.horizon_ms)
     digest = series_digest(ts)
@@ -248,12 +240,12 @@ def run_scale_point(
         log_rows=len(system.delivery_log),
         spilled_chunks=system.delivery_log.spilled_chunks,
         build_s=t1 - t0,
-        run_s=(t2 - t1) - ck_write_s,
+        run_s=(t2 - t1) - stats.write_s,
         analysis_s=t3 - t2,
         peak_rss_kb=peak_rss_kb(),
         series_sha256=digest,
-        checkpoints=ck_count,
-        checkpoint_write_s=ck_write_s,
-        checkpoint_mb=ck_bytes / 1e6,
+        checkpoints=stats.snapshots,
+        checkpoint_write_s=stats.write_s,
+        checkpoint_mb=stats.bytes / 1e6,
         resumed=resume is not None,
     )

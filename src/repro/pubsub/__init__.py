@@ -49,14 +49,12 @@ __all__ = [
     "Broker",
     "PubSubSystem",
     "SystemConfig",
-    "RoutingMode",
 ]
 
 _LAZY = {
     "Broker": ("repro.pubsub.broker", "Broker"),
     "PubSubSystem": ("repro.pubsub.system", "PubSubSystem"),
     "SystemConfig": ("repro.pubsub.system", "SystemConfig"),
-    "RoutingMode": ("repro.pubsub.system", "RoutingMode"),
 }
 
 

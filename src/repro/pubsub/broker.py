@@ -20,13 +20,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 from time import perf_counter
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
 from repro.core import profiling
 from repro.core.context import SchedulingContext
-from repro.core.pruning import DEFAULT_EPSILON, PruningPolicy
+from repro.core.pruning import PruningPolicy
 from repro.core.queueing import ScheduledQueue
 from repro.core.strategies import QueueEntry, Strategy
 from repro.core.success import effective_deadline_array
@@ -34,10 +34,19 @@ from repro.des.simulator import Simulator
 from repro.des.trace import TraceRecorder
 from repro.network.link import DirectedLink
 from repro.network.measurement import LinkMonitor
-from repro.pubsub.faults import DeadLetterRecord, FaultLedger
+from repro.pubsub.faults import (
+    DEAD_LETTER_TIMEOUT_MS,
+    RETRY_BACKOFF_MS,
+    RETRY_MAX_BACKOFF_MS,
+    DeadLetterRecord,
+    FaultLedger,
+)
 from repro.pubsub.message import Message
 from repro.pubsub.metrics import LedgerMetricsCollector
 from repro.pubsub.subscription import RowBlock, SubscriptionTable, TableRow
+
+if TYPE_CHECKING:  # the system module imports this one
+    from repro.pubsub.system import SystemConfig
 
 _EMPTY_SIDS = np.empty(0, dtype=np.int64)
 
@@ -88,39 +97,27 @@ class Broker:
         sim: Simulator,
         strategy: Strategy,
         metrics: LedgerMetricsCollector,
-        processing_delay_ms: float = 2.0,
-        epsilon: float = DEFAULT_EPSILON,
-        pruning_override: PruningPolicy | None = None,
-        default_size_kb: float = 50.0,
-        scheduling_slack_per_hop_ms: float = 0.0,
+        config: SystemConfig,
+        *,
         trace: TraceRecorder | None = None,
         faults: FaultLedger | None = None,
-        fault_retry_backoff_ms: float = 1_000.0,
-        fault_retry_max_backoff_ms: float = 8_000.0,
-        dead_letter_timeout_ms: float = 30_000.0,
     ) -> None:
-        if processing_delay_ms < 0.0:
-            raise ValueError("processing_delay_ms must be non-negative")
-        if scheduling_slack_per_hop_ms < 0.0:
-            raise ValueError("scheduling_slack_per_hop_ms must be non-negative")
-        if fault_retry_backoff_ms <= 0.0 or fault_retry_max_backoff_ms < fault_retry_backoff_ms:
-            raise ValueError("retry backoff must be positive and <= its cap")
-        if dead_letter_timeout_ms <= 0.0:
-            raise ValueError("dead_letter_timeout_ms must be positive")
         self.name = name
         self.sim = sim
         self.strategy = strategy
         self.metrics = metrics
-        self.processing_delay_ms = processing_delay_ms
+        self.processing_delay_ms = config.processing_delay_ms
         # The paper assumes downstream scheduling delay is 0 inside fdl;
         # this slack relaxes that, billing every remaining hop an extra
         # planning allowance inside success() without changing the real
         # per-hop delay.  0 reproduces the paper.
-        self.planning_delay_ms = processing_delay_ms + scheduling_slack_per_hop_ms
-        self.epsilon = epsilon
+        self.planning_delay_ms = (
+            config.processing_delay_ms + config.scheduling_slack_per_hop_ms
+        )
+        self.epsilon = config.epsilon
         self.pruning = (
-            pruning_override
-            if pruning_override is not None
+            config.pruning_override
+            if config.pruning_override is not None
             else PruningPolicy.for_strategy(strategy.probabilistic_pruning)
         )
         self.table = self.table_type()
@@ -130,15 +127,12 @@ class Broker:
         # state.  With every link up none of this schedules anything — the
         # no-faults run stays byte-identical.
         self.faults = faults if faults is not None else FaultLedger()
-        self.fault_retry_backoff_ms = fault_retry_backoff_ms
-        self.fault_retry_max_backoff_ms = fault_retry_max_backoff_ms
-        self.dead_letter_timeout_ms = dead_letter_timeout_ms
         self._retry_pending: set[str] = set()
         self._retry_backoff: dict[str, float] = {}
         self._seq = 0
         self._size_sum = 0.0
         self._size_count = 0
-        self._default_size_kb = default_size_kb
+        self._message_size_kb = config.message_size_kb
         #: Called per local delivery attempt: (subscriber, message, latency,
         #: valid).  Legacy scalar hook — kept for tests/diagnostics; the
         #: per-row loop only runs when a callback is registered.
@@ -307,7 +301,7 @@ class Broker:
     def average_size_kb(self) -> float:
         """Running average of processed message sizes (the ``FT`` input)."""
         if self._size_count == 0:
-            return self._default_size_kb
+            return self._message_size_kb
         return self._size_sum / self._size_count
 
     def _context_for(self, queue: OutputQueue) -> SchedulingContext:
@@ -390,10 +384,8 @@ class Broker:
         """Arm (at most) one pending retry event for a down link."""
         if neighbor in self._retry_pending:
             return
-        backoff = self._retry_backoff.get(neighbor, self.fault_retry_backoff_ms)
-        self._retry_backoff[neighbor] = min(
-            backoff * 2.0, self.fault_retry_max_backoff_ms
-        )
+        backoff = self._retry_backoff.get(neighbor, RETRY_BACKOFF_MS)
+        self._retry_backoff[neighbor] = min(backoff * 2.0, RETRY_MAX_BACKOFF_MS)
         self._retry_pending.add(neighbor)
         self.sim.schedule(
             backoff,
@@ -413,7 +405,7 @@ class Broker:
             self._try_send(neighbor)
             return
         now = self.sim.now
-        for entry in queue.sched.drain_aged(now, self.dead_letter_timeout_ms):
+        for entry in queue.sched.drain_aged(now, DEAD_LETTER_TIMEOUT_MS):
             self.faults.on_dead_letter(DeadLetterRecord(
                 broker=self.name,
                 neighbor=neighbor,

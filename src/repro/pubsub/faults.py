@@ -21,13 +21,22 @@ the ledger only observes, never decides.
 
 Dead-letter semantics (graceful degradation): a broker whose link is
 hard-down keeps the queued entries and retries with bounded exponential
-backoff; entries older than ``dead_letter_timeout_ms`` are removed and
-recorded here.  Nothing is silently dropped.
+backoff (:data:`RETRY_BACKOFF_MS` doubling up to
+:data:`RETRY_MAX_BACKOFF_MS`); entries older than
+:data:`DEAD_LETTER_TIMEOUT_MS` are removed and recorded here.  Nothing
+is silently dropped.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+
+#: First retry delay after a send finds its link hard-down; each failed
+#: retry doubles it, up to :data:`RETRY_MAX_BACKOFF_MS`.
+RETRY_BACKOFF_MS = 1_000.0
+RETRY_MAX_BACKOFF_MS = 8_000.0
+#: Age past which an entry queued for a hard-down link is dead-lettered.
+DEAD_LETTER_TIMEOUT_MS = 30_000.0
 
 
 @dataclass(frozen=True, slots=True)

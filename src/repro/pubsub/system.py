@@ -49,82 +49,50 @@ from repro.pubsub.subscription import Route, RowBlock, Subscription, TableRow
 from repro.stats.normal import Normal
 
 
-@dataclass(frozen=True, slots=True)
-class RoutingMode:
-    """Single-path (the paper, Section 3.3) or multi-path (the DCP-style
-    alternative the paper contrasts itself against).
-
-    Multi-path installs up to ``k`` lowest-mean simple paths per
-    (publisher broker, subscriber) pair; duplicate arrivals are settled
-    once by the metrics layer.  ``extra_hops`` bounds path enumeration to
-    the hop-shortest route plus that many extra hops.
-    """
-
-    k: int = 1
-    extra_hops: int = 2
-
-    def __post_init__(self) -> None:
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
-        if self.extra_hops < 0:
-            raise ValueError(f"extra_hops must be non-negative, got {self.extra_hops}")
-
-    @property
-    def is_single_path(self) -> bool:
-        return self.k == 1
-
-    @classmethod
-    def single_path(cls) -> "RoutingMode":
-        return cls(k=1)
-
-    @classmethod
-    def multi_path(cls, k: int = 2, extra_hops: int = 2) -> "RoutingMode":
-        return cls(k=k, extra_hops=extra_hops)
+#: Multi-path routing bounds path enumeration to the hop-shortest route
+#: plus this many extra hops.
+MULTI_PATH_EXTRA_HOPS = 2
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class SystemConfig:
     """Knobs shared by every broker in the system.
 
     Defaults are the paper's simulation setup: 2 ms processing delay,
     ε = 0.05 %, 50 KB messages, oracle link parameters, single-path
-    routing.
+    routing.  :class:`~repro.sim.config.SimulationConfig` extends this
+    class, so every knob here is declared, defaulted and checked once.
     """
 
     processing_delay_ms: float = 2.0
     epsilon: float = DEFAULT_EPSILON
-    default_size_kb: float = 50.0
+    #: Size of a published message unless the publisher says otherwise;
+    #: also the ``FT`` input before a broker has processed any message.
+    message_size_kb: float = 50.0
     measurement_mode: MeasurementMode = MeasurementMode.ORACLE
     pruning_override: PruningPolicy | None = None
+    #: Extra per-hop planning allowance inside ``success()``; 0 is the
+    #: paper (downstream scheduling delay assumed 0).
     scheduling_slack_per_hop_ms: float = 0.0
-    routing: RoutingMode = RoutingMode.single_path()
+    #: 1 = the paper's single-path routing (Section 3.3); k > 1 installs
+    #: up to k lowest-mean simple paths per (publisher broker,
+    #: subscriber) pair — the DCP-style alternative the paper contrasts
+    #: itself against — and the metrics layer settles duplicates once.
+    routing_paths: int = 1
     enable_trace: bool = False
     #: Estimator used by ESTIMATED link monitors ("welford" | "window" |
     #: "ewma"); forgetting estimators adapt to runtime rate changes.
     link_estimator: str = "welford"
     #: Spill sealed delivery-/publication-log chunks to a temp ``.npz``
     #: ring, keeping only the active chunk in RAM — the bounded-memory
-    #: scale tier.  Off by default (chunks stay in memory).
+    #: scale tier.  Decision- and byte-neutral: analysis reductions
+    #: stream the same chunks either way.
     log_spill: bool = False
     #: Rows per sealed log chunk; smaller chunks lower the memory
     #: high-water mark under spill at the cost of more seal/load churn.
     log_chunk_rows: int = DEFAULT_CHUNK_ROWS
-    #: Fault layer (graceful degradation on hard-down links): initial and
-    #: maximum retry backoff, and the per-entry age past which queued
-    #: traffic for a dead link is dead-lettered.  Inert (no events, no
-    #: decisions) unless a fault script actually downs a link or broker.
-    fault_retry_backoff_ms: float = 1_000.0
-    fault_retry_max_backoff_ms: float = 8_000.0
-    dead_letter_timeout_ms: float = 30_000.0
 
     def __post_init__(self) -> None:
-        if (
-            self.fault_retry_backoff_ms <= 0.0
-            or self.fault_retry_max_backoff_ms < self.fault_retry_backoff_ms
-        ):
-            raise ValueError("retry backoff must be positive and <= its cap")
-        if self.dead_letter_timeout_ms <= 0.0:
-            raise ValueError("dead_letter_timeout_ms must be positive")
         if self.log_chunk_rows < 1:
             raise ValueError(
                 f"log_chunk_rows must be >= 1, got {self.log_chunk_rows}"
@@ -140,8 +108,10 @@ class SystemConfig:
             raise ValueError("scheduling_slack_per_hop_ms must be non-negative")
         if self.epsilon <= 0.0:
             raise ValueError("epsilon must be positive")
-        if self.default_size_kb <= 0.0:
-            raise ValueError("default_size_kb must be positive")
+        if self.message_size_kb <= 0.0:
+            raise ValueError("message_size_kb must be positive")
+        if self.routing_paths < 1:
+            raise ValueError(f"routing_paths must be >= 1, got {self.routing_paths}")
 
 
 class PubSubSystem:
@@ -251,20 +221,9 @@ class PubSubSystem:
     def _build_brokers(self) -> None:
         for name in self.topology.brokers:
             broker = self.broker_type(
-                name=name,
-                sim=self.sim,
-                strategy=self.strategy,
-                metrics=self.metrics,
-                processing_delay_ms=self.config.processing_delay_ms,
-                epsilon=self.config.epsilon,
-                pruning_override=self.config.pruning_override,
-                default_size_kb=self.config.default_size_kb,
-                scheduling_slack_per_hop_ms=self.config.scheduling_slack_per_hop_ms,
+                name, self.sim, self.strategy, self.metrics, self.config,
                 trace=self.trace if self.config.enable_trace else None,
                 faults=self.faults,
-                fault_retry_backoff_ms=self.config.fault_retry_backoff_ms,
-                fault_retry_max_backoff_ms=self.config.fault_retry_max_backoff_ms,
-                dead_letter_timeout_ms=self.config.dead_letter_timeout_ms,
             )
             broker.delivery_batch_callbacks.append(self._on_local_delivery_batch)
             self.brokers[name] = broker
@@ -422,7 +381,6 @@ class PubSubSystem:
         return plan
 
     def _install_multi_path(self, subscription: Subscription, edge: str) -> None:
-        mode = self.config.routing
         path_id = 0
         for source in sorted(set(self.topology.publisher_brokers.values())):
             if source == edge:
@@ -430,8 +388,8 @@ class PubSubSystem:
             else:
                 min_hops = self.topology.hop_distance(source, edge)
                 paths = k_shortest_paths(
-                    self.topology, source, edge, k=mode.k,
-                    cutoff=min_hops + mode.extra_hops,
+                    self.topology, source, edge, k=self.config.routing_paths,
+                    cutoff=min_hops + MULTI_PATH_EXTRA_HOPS,
                 )
             for path in paths:
                 for i, node in enumerate(path):
@@ -465,7 +423,7 @@ class PubSubSystem:
         if not subscriptions:
             return
         preds = PredicateColumns.of([s.filter for s in subscriptions])
-        if not self.config.routing.is_single_path:
+        if self.config.routing_paths > 1:
             for subscription, edge in zip(subscriptions, edges):
                 self._install_multi_path(subscription, edge)
             self._register(subscriptions, preds)
@@ -554,7 +512,7 @@ class PubSubSystem:
             publisher=publisher,
             source_broker=source,
             attributes=dict(attributes),
-            size_kb=size_kb if size_kb is not None else self.config.default_size_kb,
+            size_kb=size_kb if size_kb is not None else self.config.message_size_kb,
             publish_time=self.sim.now,
             deadline_ms=deadline_ms,
         )

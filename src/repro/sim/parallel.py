@@ -62,8 +62,7 @@ def _jsonable(value):
 #: knobs are proven decision- and byte-neutral, and the sentinel only
 #: reads): excluded from the fingerprint so equal-result configs share
 #: cache entries — which also keeps fingerprints of pre-existing caches
-#: valid.  The fault knobs (retry backoff, dead-letter timeout) stay in
-#: the fingerprint: they change results whenever the script downs a link.
+#: valid.
 _RESULT_NEUTRAL_FIELDS = frozenset({
     "log_spill", "log_chunk_rows",
     "sentinel", "sentinel_every_ms", "sentinel_deep",

@@ -12,7 +12,7 @@ from __future__ import annotations
 import os
 import shutil
 import signal
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
@@ -31,7 +31,7 @@ from repro.core.registry import make_strategy
 from repro.des.rng import RngStreams
 from repro.des.simulator import Simulator
 from repro.network.topology import Topology, build_layered_mesh
-from repro.pubsub.system import PubSubSystem, RoutingMode, SystemConfig
+from repro.pubsub.system import PubSubSystem
 from repro.reference import ReferenceSystem
 from repro.sim.config import SimulationConfig
 from repro.sim.results import SimulationResult
@@ -56,10 +56,11 @@ def build_system(
     Exposed separately so tests and examples can poke at the assembled
     overlay; ``run_simulation`` goes through here.  ``subscription_builder``
     overrides the population (scale-family workloads); it receives the
-    ``"subscriptions"`` RNG stream and the topology, and every
-    ``SystemConfig`` knob still comes from the one config.  ``reference``
-    assembles the reference stack (:mod:`repro.reference`) instead of the
-    production one; both produce the same bytes.
+    ``"subscriptions"`` RNG stream and the topology.  The config is a
+    :class:`~repro.pubsub.system.SystemConfig` and goes to the system
+    as-is.  ``reference`` assembles the reference stack
+    (:mod:`repro.reference`) instead of the production one; both produce
+    the same bytes.
     """
     streams = RngStreams(config.seed)
     if topology is None:
@@ -71,22 +72,7 @@ def build_system(
         strategy=strategy,
         sim=Simulator(),
         streams=streams,
-        config=SystemConfig(
-            processing_delay_ms=config.processing_delay_ms,
-            epsilon=config.epsilon,
-            default_size_kb=config.message_size_kb,
-            measurement_mode=config.measurement_mode,
-            pruning_override=config.pruning_override,
-            scheduling_slack_per_hop_ms=config.scheduling_slack_per_hop_ms,
-            routing=RoutingMode(k=config.routing_paths),
-            enable_trace=config.enable_trace,
-            link_estimator=config.link_estimator,
-            log_spill=config.log_spill,
-            log_chunk_rows=config.log_chunk_rows,
-            fault_retry_backoff_ms=config.fault_retry_backoff_ms,
-            fault_retry_max_backoff_ms=config.fault_retry_max_backoff_ms,
-            dead_letter_timeout_ms=config.dead_letter_timeout_ms,
-        ),
+        config=config,
     )
     rng = streams.get("subscriptions")
     if subscription_builder is not None:
@@ -172,50 +158,6 @@ def make_sentinel(
         return None
     deep = config.sentinel_deep or env == "deep"
     return InvariantSentinel(system, deep=deep)
-
-
-def _run_with_sentinel(
-    system: PubSubSystem,
-    horizon_ms: float,
-    sentinel: InvariantSentinel,
-    every_ms: float,
-) -> None:
-    """Drive to the horizon in boundary-sized segments, checking at each.
-
-    The engine is segment-invariant (the checkpoint-identity suite proves
-    splitting ``run(until=...)`` changes nothing), and the sentinel only
-    reads — so this loop executes the exact same events as one
-    uninterrupted ``run(until=horizon)``.
-    """
-    k = int(system.sim.now // every_ms) + 1
-    while True:
-        target = min(horizon_ms, k * every_ms)
-        k += 1
-        system.run(until=target)
-        sentinel.check()
-        if target >= horizon_ms:
-            return
-
-
-def run_to_horizon(
-    system: PubSubSystem,
-    config: SimulationConfig,
-    sentinel: InvariantSentinel | None,
-) -> None:
-    """Run an assembled system to the horizon, sentinel-aware.
-
-    The shared non-checkpointed execution path for every harness (the
-    runner, the dynamics family, the scale tier): plain ``run`` when no
-    sentinel is armed, the boundary-check loop plus the final
-    pair-conservation pass when one is.
-    """
-    if sentinel is None:
-        system.run(until=config.horizon_ms)
-    else:
-        _run_with_sentinel(
-            system, config.horizon_ms, sentinel, config.sentinel_every_ms
-        )
-        sentinel.final()
 
 
 # ---------------------------------------------------------------------- #
@@ -370,51 +312,71 @@ def _prune_checkpoints(directory: Path, keep: int) -> None:
         shutil.rmtree(old, ignore_errors=True)
 
 
-def run_checkpointed(
+def run_to_horizon(
     system: PubSubSystem,
     config: SimulationConfig,
-    policy: CheckpointPolicy,
+    sentinel: InvariantSentinel | None,
     *,
+    checkpoint: CheckpointPolicy | None = None,
     extras: dict | None = None,
-    sentinel: InvariantSentinel | None = None,
 ) -> CheckpointStats:
-    """Run to the horizon, snapshotting every ``policy.every_ms`` of
-    simulated time.
+    """Run an assembled system to the horizon: the one execution loop
+    behind every harness (the runner, the dynamics family, the scale tier).
 
-    The window-drain engine is segment-invariant (proven by the engine
-    differential tests), so splitting ``run(until=horizon)`` at snapshot
-    boundaries cannot change any decision.  On SIGTERM/SIGINT the current
-    segment finishes, a final checkpoint is written, and
+    With neither a sentinel nor a checkpoint policy this is a single
+    ``run(until=horizon)``.  Otherwise the run stops at every multiple of
+    ``config.sentinel_every_ms`` (when a sentinel is armed) and of
+    ``checkpoint.every_ms``: the sentinel checks at every stop, a snapshot
+    is written at every checkpoint multiple below the horizon, and
+    ``sentinel.final()`` runs once, at the horizon.  The engine is
+    segment-invariant (the checkpoint-identity suite proves splitting
+    ``run(until=...)`` changes nothing) and the sentinel only reads, so the
+    stops change no decision.  On SIGTERM/SIGINT during a checkpointed run
+    the current segment finishes, a final snapshot is written, and
     :class:`CheckpointInterrupted` carries its path to the caller.
+    ``extras`` ride along in every snapshot (see :func:`save_run_checkpoint`).
     """
     stats = CheckpointStats()
     horizon = config.horizon_ms
-    every = policy.every_ms
-    with _interrupt_flag() as interrupted:
-        # Boundary index, not `now + every`: when every remaining event
-        # lies beyond the next boundary the clock stalls below it, and a
-        # time-derived target would re-run a zero-event segment forever.
-        k = int(system.sim.now // every) + 1
+    cadences = [] if sentinel is None else [config.sentinel_every_ms]
+    if checkpoint is not None:
+        cadences.append(checkpoint.every_ms)
+    if not cadences:
+        system.run(until=horizon)
+        return stats
+
+    def snapshot(policy: CheckpointPolicy) -> Path:
+        path, seconds, size = save_run_checkpoint(
+            system, config, policy.directory, extras=extras
+        )
+        stats.note(path, seconds, size)
+        return path
+
+    # Boundary index per cadence, not `now + every`: when every remaining
+    # event lies beyond the next boundary the clock stalls below it, and a
+    # time-derived target would re-run a zero-event segment forever.
+    ks = [int(system.sim.now // every) + 1 for every in cadences]
+    flag = _interrupt_flag() if checkpoint is not None else nullcontext(lambda: False)
+    with flag as interrupted:
         while True:
-            target = min(horizon, k * every)
-            k += 1
+            bounds = [k * every for k, every in zip(ks, cadences)]
+            target = min(horizon, *bounds)
             system.run(until=target)
             if sentinel is not None:
                 sentinel.check()
-            if interrupted():
-                path, seconds, size = save_run_checkpoint(
-                    system, config, policy.directory, extras=extras
+            if checkpoint is not None and interrupted():
+                raise CheckpointInterrupted(
+                    snapshot(checkpoint), system.sim.executed_events
                 )
-                stats.note(path, seconds, size)
-                raise CheckpointInterrupted(path, system.sim.executed_events)
             if target >= horizon:
-                return stats
-            path, seconds, size = save_run_checkpoint(
-                system, config, policy.directory, extras=extras
-            )
-            stats.note(path, seconds, size)
-            _prune_checkpoints(policy.directory, policy.keep)
-
+                break
+            if checkpoint is not None and bounds[-1] == target:
+                snapshot(checkpoint)
+                _prune_checkpoints(checkpoint.directory, checkpoint.keep)
+            ks = [k + 1 if bound == target else k for k, bound in zip(ks, bounds)]
+    if sentinel is not None:
+        sentinel.final()
+    return stats
 
 def run_simulation(
     config: SimulationConfig,
@@ -442,13 +404,7 @@ def run_simulation(
         system = build_system(config, topology, reference=reference)
         schedule_workload(system, config)
         schedule_dynamics(system, config)
-    sentinel = make_sentinel(system, config)
-    if checkpoint is not None:
-        run_checkpointed(system, config, checkpoint, sentinel=sentinel)
-        if sentinel is not None:
-            sentinel.final()
-    else:
-        run_to_horizon(system, config, sentinel)
+    run_to_horizon(system, config, make_sentinel(system, config), checkpoint=checkpoint)
     return SimulationResult.from_metrics(
         system.metrics,
         strategy=config.strategy_label(),

@@ -8,10 +8,6 @@ additive mean and variance.  This package provides:
 * :class:`~repro.stats.normal.Normal` — the normal distribution with exact
   erf-based CDF (no scipy required on the hot path) and the additive algebra
   used for path composition.
-* :class:`~repro.stats.gamma.ShiftedGamma` — the shifted-gamma one-way IP
-  delay model the paper cites (Bovy et al. / Corlett et al.) to justify the
-  stability assumption; used by the measurement substrate to synthesise
-  realistic link samples.
 * Online estimators (:mod:`~repro.stats.estimators`) reproducing the
   "parameters estimated from measured data" pipeline: Welford, sliding
   window, and EWMA.
@@ -25,7 +21,6 @@ from repro.stats.estimators import (
     SlidingWindowEstimator,
     WelfordEstimator,
 )
-from repro.stats.gamma import ShiftedGamma
 from repro.stats.normal import Normal, normal_cdf, normal_sf
 from repro.stats.sampling import TruncatedNormalSampler, sample_positive_normal
 
@@ -33,7 +28,6 @@ __all__ = [
     "Normal",
     "normal_cdf",
     "normal_sf",
-    "ShiftedGamma",
     "RateEstimator",
     "WelfordEstimator",
     "SlidingWindowEstimator",

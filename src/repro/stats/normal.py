@@ -70,9 +70,8 @@ def normal_cdf_vec(x: np.ndarray, mean: np.ndarray, std: np.ndarray) -> np.ndarr
     return out
 
 
-# Elementwise erf lives in core.fastpath: portable frompyfunc wrapper (or
-# the numba-compiled ufunc under the [fast] extra), with the verified
-# saturation cut that skips per-element calls for |z| >= 6.  math.erf is
+# Elementwise erf lives in core.fastpath: a frompyfunc wrapper with the
+# verified saturation cut that skips per-element calls for |z| >= 6.  math.erf is
 # scalar-only, and scipy.special.erf is NOT bit-compatible with it.
 _erf_vec = erf_array
 

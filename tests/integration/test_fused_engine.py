@@ -240,7 +240,7 @@ def _line_system(window_ms: float = DEFAULT_WINDOW_MS) -> PubSubSystem:
         strategy=EbStrategy(),
         sim=Simulator(),
         streams=RngStreams(5),
-        config=SystemConfig(default_size_kb=5.0),
+        config=SystemConfig(message_size_kb=5.0),
     )
     system._engine.window_ms = window_ms
     for i in range(4):

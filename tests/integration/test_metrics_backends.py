@@ -25,7 +25,7 @@ from repro.des.rng import RngStreams
 from repro.des.simulator import Simulator
 from repro.pubsub.filters import Predicate
 from repro.pubsub.subscription import Subscription
-from repro.pubsub.system import PubSubSystem, RoutingMode, SystemConfig
+from repro.pubsub.system import PubSubSystem, SystemConfig
 from repro.sim.config import SimulationConfig
 from repro.sim.runner import build_system, run_simulation, schedule_workload
 from repro.workload.scenarios import Scenario
@@ -106,7 +106,7 @@ def _diamond_system(system_type: type) -> PubSubSystem:
         strategy=EbStrategy(),
         sim=Simulator(),
         streams=RngStreams(11),
-        config=SystemConfig(routing=RoutingMode.multi_path(k=2), default_size_kb=5.0),
+        config=SystemConfig(routing_paths=2, message_size_kb=5.0),
     )
     system.subscribe(Subscription("S1", MATCH_ALL, deadline_ms=60_000.0, price=2.0))
     system.subscribe(Subscription("S2", MATCH_ALL, deadline_ms=60_000.0, price=3.0))
@@ -151,7 +151,7 @@ def _churn_system(system_type: type) -> PubSubSystem:
         strategy=EbStrategy(),
         sim=Simulator(),
         streams=RngStreams(5),
-        config=SystemConfig(default_size_kb=5.0),
+        config=SystemConfig(message_size_kb=5.0),
     )
 
 

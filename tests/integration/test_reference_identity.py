@@ -32,7 +32,7 @@ from repro.des.simulator import Simulator
 from repro.network.topology import build_layered_mesh
 from repro.pubsub.filters import Predicate
 from repro.pubsub.subscription import Subscription
-from repro.pubsub.system import PubSubSystem, RoutingMode, SystemConfig
+from repro.pubsub.system import PubSubSystem, SystemConfig
 from repro.reference import ReferenceSystem
 from repro.sim.config import SimulationConfig
 from repro.sim.runner import (
@@ -275,7 +275,7 @@ def test_multipath_duplicate_settlement():
             strategy=EbStrategy(),
             sim=Simulator(),
             streams=RngStreams(11),
-            config=SystemConfig(routing=RoutingMode.multi_path(k=2), default_size_kb=5.0),
+            config=SystemConfig(routing_paths=2, message_size_kb=5.0),
         )
         system.subscribe(Subscription("S1", MATCH_ALL, deadline_ms=60_000.0, price=2.0))
         system.subscribe(Subscription("S2", MATCH_ALL, deadline_ms=60_000.0, price=3.0))
@@ -315,7 +315,7 @@ def test_interleaved_publish_churn(data):
             strategy=EbStrategy(),
             sim=Simulator(),
             streams=RngStreams(5),
-            config=SystemConfig(default_size_kb=5.0),
+            config=SystemConfig(message_size_kb=5.0),
         )
         system._engine.window_ms = window_ms
         for i in range(6):

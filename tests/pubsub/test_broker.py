@@ -15,18 +15,16 @@ from repro.pubsub.filters import Predicate
 from repro.pubsub.message import Message
 from repro.pubsub.metrics import LedgerMetricsCollector
 from repro.pubsub.subscription import Subscription, TableRow
+from repro.pubsub.system import SystemConfig
 from repro.stats.normal import Normal
 
 MATCH_ALL = Predicate("A1", "<", 1e9)
 
 
-def make_broker(sim, strategy=None, metrics=None, **kw) -> Broker:
+def make_broker(sim, strategy=None, metrics=None, **config) -> Broker:
     return Broker(
-        name="B1",
-        sim=sim,
-        strategy=strategy or FifoStrategy(),
-        metrics=metrics or LedgerMetricsCollector(),
-        **kw,
+        "B1", sim, strategy or FifoStrategy(), metrics or LedgerMetricsCollector(),
+        SystemConfig(**config),
     )
 
 
@@ -232,7 +230,7 @@ class TestPruning:
 
 class TestAverageSize:
     def test_default_before_any_message(self, sim):
-        broker = make_broker(sim, default_size_kb=42.0)
+        broker = make_broker(sim, message_size_kb=42.0)
         assert broker.average_size_kb() == 42.0
 
     def test_running_average(self, sim):

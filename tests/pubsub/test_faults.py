@@ -12,7 +12,7 @@ from repro.des.rng import RngStreams
 from repro.des.simulator import Simulator
 from repro.network.link import RATE_FLOOR_MS_PER_KB, DirectedLink
 from repro.network.measurement import LinkMonitor, MeasurementMode
-from repro.pubsub.faults import FaultLedger
+from repro.pubsub.faults import DEAD_LETTER_TIMEOUT_MS, FaultLedger
 from repro.pubsub.filters import Predicate
 from repro.pubsub.subscription import Subscription
 from repro.pubsub.system import PubSubSystem
@@ -117,7 +117,7 @@ class TestLinkFailure:
         assert f.records[0].broker == "B2" and f.records[0].neighbor == "B3"
         # Aged out at (not before) the dead-letter timeout.
         rec = f.records[0]
-        assert rec.dead_ms - rec.enqueue_ms >= system.config.dead_letter_timeout_ms
+        assert rec.dead_ms - rec.enqueue_ms >= DEAD_LETTER_TIMEOUT_MS
         assert system.metrics.deliveries_valid + system.metrics.deliveries_late == 0
         # Entry conservation still closes after the drop.
         assert f.enqueued_entries == f.sent_entries + f.pruned_entries + f.dead_entries

@@ -16,14 +16,14 @@ from repro.des.rng import RngStreams
 from repro.des.simulator import Simulator
 from repro.pubsub.filters import Predicate
 from repro.pubsub.subscription import Subscription
-from repro.pubsub.system import PubSubSystem, RoutingMode, SystemConfig
+from repro.pubsub.system import PubSubSystem, SystemConfig
 from repro.stats.normal import Normal
 from tests.conftest import make_diamond_topology
 
 MATCH_ALL = Predicate("A1", "<", 1e9)
 
 
-def diamond_system(routing: RoutingMode, seed: int = 0) -> PubSubSystem:
+def diamond_system(routing_paths: int, seed: int = 0) -> PubSubSystem:
     topo = make_diamond_topology(
         fast=Normal(10.0, 1.0), slow=Normal(12.0, 1.0),
         publishers={"P1": "B1"}, subscribers={"S1": "B4"},
@@ -33,42 +33,39 @@ def diamond_system(routing: RoutingMode, seed: int = 0) -> PubSubSystem:
         strategy=FifoStrategy(),
         sim=Simulator(),
         streams=RngStreams(seed),
-        config=SystemConfig(routing=routing, default_size_kb=5.0),
+        config=SystemConfig(routing_paths=routing_paths, message_size_kb=5.0),
     )
     system.subscribe(Subscription("S1", MATCH_ALL))
     return system
 
 
-class TestRoutingMode:
+class TestRoutingPaths:
     def test_defaults(self):
-        assert RoutingMode.single_path().is_single_path
-        assert not RoutingMode.multi_path(k=2).is_single_path
-        assert SystemConfig().routing.is_single_path
+        assert SystemConfig().routing_paths == 1  # the paper's single path
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            RoutingMode(k=0)
-        with pytest.raises(ValueError):
-            RoutingMode(k=2, extra_hops=-1)
+            SystemConfig(routing_paths=0)
 
 
 class TestInstallation:
     def test_both_diamond_branches_populated(self):
-        system = diamond_system(RoutingMode.multi_path(k=2))
+        system = diamond_system(2)
         # Single-path uses only B2; multi-path must also install via B3.
         assert "S1" in system.brokers["B2"].table
         assert "S1" in system.brokers["B3"].table
         assert len(system.brokers["B1"].table) == 2  # one row per path
 
     def test_k1_multi_path_equals_single_path_route(self):
-        multi = diamond_system(RoutingMode(k=1))
-        single = diamond_system(RoutingMode.single_path())
-        assert ("S1" in multi.brokers["B3"].table) == (
-            "S1" in single.brokers["B3"].table
-        )
+        # One path is the paper's single-path install: the fast branch
+        # only, one row per on-path broker.
+        system = diamond_system(1)
+        assert "S1" in system.brokers["B2"].table
+        assert "S1" not in system.brokers["B3"].table
+        assert len(system.brokers["B1"].table) == 1
 
     def test_row_parameters_per_path(self):
-        system = diamond_system(RoutingMode.multi_path(k=2))
+        system = diamond_system(2)
         rows = system.brokers["B1"].table.rows()
         means = sorted(r.rate.mean for r in rows)
         assert means == pytest.approx([20.0, 24.0])  # fast 2x10, slow 2x12
@@ -77,7 +74,7 @@ class TestInstallation:
 
 class TestDelivery:
     def test_duplicates_settled_once(self):
-        system = diamond_system(RoutingMode.multi_path(k=2))
+        system = diamond_system(2)
         handle = system.subscribers["S1"]
         system.publish("P1", {"A1": 1.0})
         system.sim.run()
@@ -88,8 +85,8 @@ class TestDelivery:
         system.metrics.check_invariants()
 
     def test_traffic_doubles_on_diamond(self):
-        single = diamond_system(RoutingMode.single_path())
-        multi = diamond_system(RoutingMode.multi_path(k=2))
+        single = diamond_system(1)
+        multi = diamond_system(2)
         for system in (single, multi):
             system.publish("P1", {"A1": 1.0})
             system.sim.run()
@@ -109,7 +106,7 @@ class TestDelivery:
         system = PubSubSystem(
             topology=topo, strategy=EbStrategy(), sim=Simulator(),
             streams=RngStreams(3),
-            config=SystemConfig(routing=RoutingMode.multi_path(k=2), default_size_kb=5.0),
+            config=SystemConfig(routing_paths=2, message_size_kb=5.0),
         )
         system.subscribe(Subscription("S1", MATCH_ALL, deadline_ms=60_000.0, price=1.0))
         for queue in system.brokers["B1"].queues.values():
@@ -122,7 +119,7 @@ class TestDelivery:
 
 class TestUninstall:
     def test_uninstall_removes_all_paths(self):
-        system = diamond_system(RoutingMode.multi_path(k=2))
+        system = diamond_system(2)
         table = system.brokers["B1"].table
         assert len(table) == 2
         table.uninstall("S1")

@@ -13,7 +13,7 @@ from repro.pubsub.filters import AndFilter, OrFilter, Predicate
 from repro.pubsub.message import Message
 from repro.pubsub.metrics import MetricsError
 from repro.pubsub.subscription import Subscription
-from repro.pubsub.system import PubSubSystem, RoutingMode, SystemConfig
+from repro.pubsub.system import PubSubSystem, SystemConfig
 from repro.stats.normal import Normal
 from repro.workload.subscriptions import random_attributes, random_conjunctive_filter
 from tests.conftest import make_diamond_topology, make_line_topology
@@ -117,9 +117,11 @@ class TestBatches:
         topo = build_layered_mesh(np.random.default_rng(2))
         return make_system(topo, strategy=EbStrategy(), config=SystemConfig(**config))
 
-    @pytest.mark.parametrize("routing", [RoutingMode.single_path(), RoutingMode.multi_path(k=2)])
-    def test_bad_subscribe_batch_raises_before_any_mutation(self, routing):
-        system = self._system(routing=routing)
+    @pytest.mark.parametrize(
+        "routing_paths", [pytest.param(1, id="routing0"), pytest.param(2, id="routing1")]
+    )
+    def test_bad_subscribe_batch_raises_before_any_mutation(self, routing_paths):
+        system = self._system(routing_paths=routing_paths)
         a, b = sorted(system.topology.subscriber_brokers)[:2]
         good = Subscription(a, MATCH_ALL)
         with pytest.raises(ValueError):
@@ -236,7 +238,7 @@ class TestPublishing:
 
     def test_message_size_defaults_from_config(self, line_topology):
         system = make_system(
-            line_topology, config=SystemConfig(default_size_kb=7.0)
+            line_topology, config=SystemConfig(message_size_kb=7.0)
         )
         m = system.publish("P1", {"A1": 1.0})
         assert m.size_kb == 7.0

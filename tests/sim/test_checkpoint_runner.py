@@ -15,8 +15,8 @@ from repro.sim.runner import (
     CheckpointStats,
     build_system,
     resume_run,
-    run_checkpointed,
     run_simulation,
+    run_to_horizon,
     save_run_checkpoint,
     schedule_dynamics,
     schedule_workload,
@@ -65,7 +65,7 @@ class TestCheckpointedRun:
         system = build_system(TINY)
         schedule_workload(system, TINY)
         policy = CheckpointPolicy(tmp_path / "ck", every_ms=5_000.0, keep=2)
-        stats = run_checkpointed(system, TINY, policy)
+        stats = run_to_horizon(system, TINY, None, checkpoint=policy)
         # horizon = 30 s publication + grace; boundaries below the horizon
         # each wrote a snapshot, and pruning held the directory at `keep`.
         assert stats.snapshots >= 3
@@ -79,11 +79,36 @@ class TestCheckpointedRun:
         assert result == run_simulation(TINY)
         assert not (tmp_path / "ck").exists()
 
+    def test_sentinel_keeps_its_own_cadence_between_snapshots(self, tmp_path):
+        # Horizon 90 s (30 s publication + 60 s grace): the sentinel checks
+        # at every 5 s multiple, snapshots land only on the 20 s ones below
+        # the horizon, and the final pass runs once.
+        class CountingSentinel:
+            def __init__(self):
+                self.checked_at, self.finals = [], 0
+
+            def check(self):
+                self.checked_at.append(system.sim.now)
+
+            def final(self):
+                self.finals += 1
+
+        config = TINY.replace(sentinel_every_ms=5_000.0)
+        system = build_system(config)
+        schedule_workload(system, config)
+        sentinel = CountingSentinel()
+        policy = CheckpointPolicy(tmp_path / "ck", every_ms=20_000.0, keep=10)
+        stats = run_to_horizon(system, config, sentinel, checkpoint=policy)
+        assert len(sentinel.checked_at) == 18
+        assert sentinel.checked_at[-1] == config.horizon_ms
+        assert sentinel.finals == 1
+        assert stats.snapshots == 4  # at 20, 40, 60 and 80 s
+
     def test_resume_from_root_picks_latest(self, tmp_path):
         system = build_system(TINY)
         schedule_workload(system, TINY)
         policy = CheckpointPolicy(tmp_path / "ck", every_ms=8_000.0, keep=5)
-        run_checkpointed(system, TINY, policy)
+        run_to_horizon(system, TINY, None, checkpoint=policy)
         newest = latest_checkpoint(tmp_path / "ck")
         assert newest is not None
         by_root, _, _ = resume_run(tmp_path / "ck", config=TINY)
@@ -184,7 +209,7 @@ class TestCheckpointedRun:
         system = build_system(TINY)
         schedule_workload(system, TINY)
         policy = CheckpointPolicy(tmp_path / "ck", every_ms=8_000.0, keep=10)
-        run_checkpointed(system, TINY, policy)
+        run_to_horizon(system, TINY, None, checkpoint=policy)
         names = [p.name for p in sorted((tmp_path / "ck").glob("ckpt-*"))]
         executed = [int(n.split("-", 1)[1]) for n in names]
         assert executed == sorted(executed)

@@ -6,7 +6,7 @@ import pytest
 
 from repro.pubsub.filters import Predicate
 from repro.pubsub.subscription import Subscription, TableRow
-from repro.pubsub.system import RoutingMode, SystemConfig
+from repro.pubsub.system import SystemConfig
 from repro.sim.config import SimulationConfig
 from repro.sim.runner import build_system
 from repro.sim.validation import validate_system
@@ -32,7 +32,7 @@ class TestHealthySystems:
         topo = make_diamond_topology(publishers={"P1": "B1"}, subscribers={"S1": "B4"})
         system = PubSubSystem(
             topo, EbStrategy(), Simulator(), RngStreams(0),
-            config=SystemConfig(routing=RoutingMode.multi_path(k=2)),
+            config=SystemConfig(routing_paths=2),
         )
         system.subscribe(Subscription("S1", MATCH_ALL))
         assert validate_system(system) == []

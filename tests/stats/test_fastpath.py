@@ -1,9 +1,7 @@
-"""Differential tests for the compiled-kernel module (``repro[fast]``).
+"""Differential tests for the vectorised erf (``repro.core.fastpath``).
 
-The pure path must be bit-identical to a per-element ``math.erf`` loop —
-saturation cut included — and the numba path (when the extra is
-installed) must be bit-identical to the pure path.  Without numba the
-numba cases skip cleanly: the extra is never required.
+It must be bit-identical to a per-element ``math.erf`` loop — saturation
+cut included.
 """
 
 from __future__ import annotations
@@ -15,8 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import fastpath
-from repro.core.fastpath import ERF_SATURATION, HAVE_NUMBA, erf_array
+from repro.core.fastpath import ERF_SATURATION, erf_array
 from repro.stats.normal import normal_cdf, normal_cdf_vec
 
 
@@ -78,23 +75,3 @@ def test_normal_cdf_vec_matches_scalar(xs, mean, std):
     vec = normal_cdf_vec(x, np.full_like(x, mean), np.full_like(x, std))
     for i, v in enumerate(xs):
         assert vec[i] == normal_cdf(v, mean, std)
-
-
-@pytest.mark.skipif(not HAVE_NUMBA, reason="numba not installed ([fast] extra)")
-def test_numba_kernel_bitwise_equals_pure():
-    rng = np.random.default_rng(7)
-    z = np.concatenate([
-        rng.normal(0.0, 3.0, 4096),
-        rng.uniform(5.9, 6.1, 512),
-        np.array([0.0, -0.0, math.inf, -math.inf]),
-    ])
-    np.testing.assert_array_equal(
-        fastpath._erf_dense_numba(z), fastpath._erf_dense_pure(z)
-    )
-
-
-def test_active_backend_matches_availability():
-    if HAVE_NUMBA:
-        assert fastpath._erf_dense is fastpath._erf_dense_numba
-    else:
-        assert fastpath._erf_dense is fastpath._erf_dense_pure

@@ -24,7 +24,7 @@ BENCH_CHILD_IMPORTS = (
 def test_import_repro_loads_no_third_party_package_but_numpy():
     # Every process pays for what the package root imports: per benchmark
     # cycle, per CLI call, per sweep worker.  numpy is the one declared
-    # dependency; scipy and numba are lazy extras, and anything else is a
+    # dependency; scipy is a test-only extra, and anything else is a
     # planted cost.  Checked after ``import repro`` and again after the
     # benchmark child's import set, by counting modules loaded from disk —
     # not by timing.
