@@ -7,14 +7,16 @@ event throughput and routing setup.
 
 from __future__ import annotations
 
+import math
 import pickle
+import time
 
 import numpy as np
 import pytest
 
 from repro.analysis.latency import latency_stats
 from repro.analysis.revenue import revenue_by_tier
-from repro.core.metrics import expected_benefit, expected_benefit_vec
+from repro.core.metrics import SMALL_ROWS, ScorePlan, expected_benefit, expected_benefit_vec
 from repro.core.pruning import DEFAULT_EPSILON, PruningPolicy
 from repro.core.queueing import ScheduledQueue
 from repro.core.registry import STRATEGY_NAMES, make_strategy
@@ -26,7 +28,7 @@ from repro.network.topology import LayeredMeshSpec, build_layered_mesh
 from repro.pubsub.matching import BruteForceMatcher, CountingIndexMatcher
 from repro.pubsub.message import Message
 from repro.pubsub.subscription import RowArrays, SubscriptionTable
-from repro.reference import ReferenceQueue
+from repro.reference import ReferenceEntry, ReferenceQueue
 from repro.sim.config import SimulationConfig
 from repro.sim.runner import build_system, run_to_horizon, schedule_workload
 from repro.stats.normal import normal_cdf_vec
@@ -226,15 +228,29 @@ def test_queue_drain_decisions_match(drain_entries):
 CONGESTED_ENTRY_ROWS = (1, 2, 3, 4, 5, 5, 6, 8, 10, 13)
 
 
-def test_core_strategies_score_and_bound(benchmark):
-    """``core.strategies.score_s``: EBPC decisions over a 200-entry queue of
-    realistically small entries, equal to the full-rescan oracle's."""
-    # Deadlines tight against the 8 s drain, so the ε-prune fires too.
-    entries = _random_entries(
-        11, 200,
+def _congested_entries(seed: int) -> list[QueueEntry]:
+    """200 entries sized like ``paper-congested``'s, deadlines tight
+    against an 8 s drain (the ε-prune fires)."""
+    return _random_entries(
+        seed, 200,
         lambda i, _rng: CONGESTED_ENTRY_ROWS[i % len(CONGESTED_ENTRY_ROWS)],
         (3_000.0, 15_000.0),
     )
+
+
+def _copies(entries: list[QueueEntry], entry_type: type = QueueEntry) -> list[QueueEntry]:
+    """Fresh entries (no cached plan) of ``entry_type`` with the same inputs."""
+    return [
+        entry_type(e.message, e.rows, e.enqueue_time, e.seq, arrays=e.arrays)
+        for e in entries
+    ]
+
+
+def test_core_strategies_score_and_bound(benchmark):
+    """``core.strategies.score_s``: EBPC decisions over a 200-entry queue of
+    realistically small entries, equal to the reference stack's (full
+    rescan, array-form plans)."""
+    entries = _congested_entries(11)
 
     def drain() -> list:
         decisions: list = []
@@ -243,10 +259,95 @@ def test_core_strategies_score_and_bound(benchmark):
 
     decisions = benchmark.pedantic(drain, rounds=3, iterations=1)
     oracle: list = []
-    _drain_queue(entries, "ebpc", ReferenceQueue, oracle)
+    _drain_queue(_copies(entries, ReferenceEntry), "ebpc", ReferenceQueue, oracle)
     assert decisions == oracle
     benchmark.extra_info["sent"] = sum(kind == "send" for kind, _ in decisions)
     assert 0 < benchmark.extra_info["sent"] < len(entries)  # pruning in play
+
+
+def test_core_queueing_push(benchmark):
+    """``core.queueing.push_s``: a score plan plus an ε-prune horizon per
+    pushed entry, over realistically small entries (the plan's small
+    form); every horizon and score equals the array form's."""
+    templates = _congested_entries(13)
+
+    def push_all(entries: list[QueueEntry]) -> ScheduledQueue:
+        queue = ScheduledQueue(
+            make_strategy("ebpc"), PruningPolicy.PROBABILISTIC, DEFAULT_EPSILON,
+            planning_delay_ms=2.0,
+        )
+        for entry in entries:
+            queue.push(entry)
+        return queue
+
+    queue = benchmark.pedantic(
+        push_all, setup=lambda: ((_copies(templates),), {}), rounds=20
+    )
+    oracle = push_all(_copies(templates, ReferenceEntry))
+    assert sorted(queue._prune_index._heap) == sorted(oracle._prune_index._heap)
+    ctx = make_ctx(now=4_000.0, ft=900.0)
+    strategy = make_strategy("ebpc")
+    for entry, reference in zip(queue.entries(), oracle.entries()):
+        assert entry.plan(2.0).small is not None
+        assert reference.plan(2.0).small is None
+        assert strategy.score_and_bound(entry, ctx) == strategy.score_and_bound(
+            reference, ctx
+        )
+
+
+#: Row counts of the form sweep: both sides of 16 (BLAS ``ddot`` changes
+#: kernel there) and of ``SMALL_ROWS``.
+FORM_SWEEP_ROWS = (1, 2, 4, 8, 16, 24, 32, 48, 64, 96, 128)
+
+
+def _us_per_call(fn, calls: int = 200) -> float:
+    best = math.inf
+    for _ in range(3):
+        t0 = time.perf_counter()
+        for _ in range(calls):
+            fn()
+        best = min(best, time.perf_counter() - t0)
+    return best / calls * 1e6
+
+
+def test_core_metrics_eb_pair_form_sweep(benchmark):
+    """``ScorePlan.eb_pair`` per row count, small form against array form:
+    records µs per call and the crossover (the first row count at which
+    the array form is faster; ``SMALL_ROWS`` sits below it).  Both forms
+    agree bit for bit at every size."""
+    rng = np.random.default_rng(5)
+    message = make_message(publish_time=0.0)
+    plans = []
+    for n in FORM_SWEEP_ROWS:
+        arrays = RowArrays(
+            nn=rng.integers(1, 4, n).astype(np.float64),
+            mean=rng.uniform(20.0, 120.0, n),
+            std=rng.uniform(10.0, 30.0, n),
+            deadline=rng.uniform(20_000.0, 120_000.0, n),
+            price=rng.uniform(0.0, 5.0, n),
+        )
+        small = ScorePlan(arrays, message, 2.0, small_rows=n)
+        array_form = ScorePlan(arrays, message, 2.0, small_rows=0)
+        assert small.small is not None and array_form.small is None
+        for now in (0.0, 30_000.0, 90_000.0):
+            assert small.eb_pair(now, 900.0) == array_form.eb_pair(now, 900.0)
+        plans.append((n, small, array_form))
+
+    def sweep() -> dict[int, tuple[float, float]]:
+        return {
+            n: (
+                _us_per_call(lambda: small.eb_pair(30_000.0, 900.0)),
+                _us_per_call(lambda: array_form.eb_pair(30_000.0, 900.0)),
+            )
+            for n, small, array_form in plans
+        }
+
+    timings = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    benchmark.extra_info["us_per_call_small_array"] = timings
+    benchmark.extra_info["crossover_rows"] = next(
+        (n for n, (small_us, array_us) in timings.items() if array_us < small_us), None
+    )
+    benchmark.extra_info["small_rows"] = SMALL_ROWS
 
 
 def test_pubsub_engine_lookahead(benchmark):

@@ -2,17 +2,25 @@
 
 Scalar forms (`expected_benefit`, `postponing_cost`) are the readable
 reference implementation; :class:`ScorePlan` evaluates one queue entry's
-whole subscription set with numpy and is what the broker hot path uses
-(the ``*_vec`` functions are its one-shot form).  Property tests assert
+whole subscription set — on Python floats for small entries, with numpy
+for large ones — and is what the broker hot path uses (the ``*_vec``
+functions are its one-shot form).  Property tests assert
 scalar/vector agreement.
 """
 
 from __future__ import annotations
 
+import math
+from math import erf
+
 import numpy as np
 
 from repro.core.fastpath import erf_array
-from repro.core.success import effective_deadline_array, success_probability
+from repro.core.success import (
+    effective_deadline_array,
+    effective_deadline_list,
+    success_probability,
+)
 from repro.pubsub.message import Message
 from repro.pubsub.subscription import RowArrays, TableRow
 from repro.stats.normal import SQRT2, normal_cdf_vec
@@ -62,6 +70,16 @@ def ebpc_value(eb: float, pc: float, r: float) -> float:
 # ---------------------------------------------------------------------- #
 # Vectorised kernels: the score plan.
 # ---------------------------------------------------------------------- #
+#: Dense entries with at most this many rows take the plan's small form:
+#: per-row operands as Python floats, one ``math.erf`` call per element in
+#: a plain loop.  Below a few dozen rows numpy's per-call overhead, not
+#: arithmetic, is the cost; ``eb_pair`` breaks even at about 50 rows.
+SMALL_ROWS = 32
+
+#: One small-form row: ``(adl, NN·PD, μ, σ·√2, σ)``.
+SmallRow = tuple[float, float, float, float, float]
+
+
 class ScorePlan:
     """The operands of ``success(s, m)`` that do not depend on ``now``.
 
@@ -74,37 +92,74 @@ class ScorePlan:
     their operands: the ``*_vec`` functions below build a throwaway plan.
 
     ``dense`` is a property of the input — every pair has a finite
-    deadline and a non-degenerate rate — and selects the fused evaluation;
-    otherwise the masked general form of :func:`normal_cdf_vec` runs.
-    Both keep the scalar reference's per-element operation order
-    ``((adl − hdl) − extra) − NN_p·PD``, so results are bit-identical to
-    evaluating the rows one call at a time.
+    deadline and a non-degenerate rate.  A dense plan of 1 to
+    ``small_rows`` rows takes the **small form**: ``small`` holds one
+    :data:`SmallRow` of Python floats per row and every reader loops over
+    it, calling ``math.erf`` directly (the array-form slots stay unset).
+    Otherwise the **array form** runs: the fused ``_dense_cdf`` for dense
+    plans, the masked general form of :func:`normal_cdf_vec` for the rest.
+    Every form keeps the scalar reference's per-element operation order
+    ``((adl − hdl) − extra) − NN_p·PD``, then ``/ size − μ``, then
+    ``/ σ√2``, and the price sums are ``np.dot`` in both (a Python or
+    segmented sum would not fold like BLAS ``ddot``), so results are
+    bit-identical across forms and to evaluating the rows one at a time.
     """
 
     __slots__ = (
         "processing_delay_ms", "adl", "unbounded", "nn_pd", "mean", "std",
-        "std_sqrt2", "price", "size_kb", "publish_time", "dense",
+        "std_sqrt2", "price", "size_kb", "publish_time", "dense", "small",
     )
 
     def __init__(
-        self, arrays: RowArrays, message: Message, processing_delay_ms: float
+        self,
+        arrays: RowArrays,
+        message: Message,
+        processing_delay_ms: float,
+        small_rows: int = SMALL_ROWS,
     ) -> None:
+        self.processing_delay_ms = processing_delay_ms
+        self.price = arrays.price
+        self.size_kb = message.size_kb
+        self.publish_time = message.publish_time
+        self.small: list[SmallRow] | None = None
+        if 0 < len(arrays) <= small_rows:
+            std_list: list[float] = arrays.std.tolist()
+            if any(std < 0.0 for std in std_list):
+                raise ValueError("std must be non-negative")
+            adl_list = effective_deadline_list(arrays.deadline, message)
+            if 0.0 not in std_list and not any(map(math.isinf, adl_list)):
+                self.dense = True
+                self.small = [
+                    (adl, nn * processing_delay_ms, mean, std * SQRT2, std)
+                    for adl, nn, mean, std in zip(
+                        adl_list, arrays.nn.tolist(), arrays.mean.tolist(), std_list
+                    )
+                ]
+                return
         std = arrays.std
         if (std < 0.0).any():
             raise ValueError("std must be non-negative")
         adl = effective_deadline_array(arrays.deadline, message)
         unbounded = np.isinf(adl)
-        self.processing_delay_ms = processing_delay_ms
         self.adl = adl
         self.unbounded = unbounded
         self.nn_pd = arrays.nn * processing_delay_ms
         self.mean = arrays.mean
         self.std = std
         self.std_sqrt2 = std * SQRT2
-        self.price = arrays.price
-        self.size_kb = message.size_kb
-        self.publish_time = message.publish_time
         self.dense = not (unbounded.any() or (std == 0.0).any())
+
+    def _small_success(
+        self, small: list[SmallRow], now: float, extra_delay_ms: float
+    ) -> list[float]:
+        """Small-form success probabilities (``x − 0.0`` is ``x``, bit for
+        bit, so ``extra = 0`` needs no branch)."""
+        hdl = now - self.publish_time
+        size = self.size_kb
+        return [
+            (erf(((adl - hdl - extra_delay_ms - nn_pd) / size - mean) / std_sqrt2) + 1.0) * 0.5
+            for adl, nn_pd, mean, std_sqrt2, _ in small
+        ]
 
     def _dense_cdf(self, z: np.ndarray) -> np.ndarray:
         """Success probabilities from ``z = adl − hdl − extra`` (any
@@ -120,6 +175,8 @@ class ScorePlan:
 
     def success(self, now: float, extra_delay_ms: float = 0.0) -> np.ndarray:
         """Per-row success probabilities; ``inf`` deadlines yield exactly 1."""
+        if self.small is not None:
+            return np.array(self._small_success(self.small, now, extra_delay_ms))
         hdl = now - self.publish_time
         if self.dense:
             z = self.adl - hdl
@@ -144,6 +201,20 @@ class ScorePlan:
         the scheduling strategies reuse the base EB as the future-score
         bound.  Dense plans evaluate both rows in one pass.
         """
+        small = self.small
+        if small is not None:
+            hdl = now - self.publish_time
+            size = self.size_kb
+            base: list[float] = []
+            postponed: list[float] = []
+            for adl, nn_pd, mean, std_sqrt2, _ in small:
+                z = adl - hdl
+                base.append((erf(((z - nn_pd) / size - mean) / std_sqrt2) + 1.0) * 0.5)
+                postponed.append(
+                    (erf(((z - ft_ms - nn_pd) / size - mean) / std_sqrt2) + 1.0) * 0.5
+                )
+            price = self.price
+            return float(np.dot(base, price)), float(np.dot(postponed, price))
         if not self.dense:
             return self.expected_benefit(now), self.expected_benefit(now, ft_ms)
         z = np.empty((2, self.adl.shape[0]))
@@ -155,8 +226,33 @@ class ScorePlan:
 
     def max_success(self, now: float) -> float:
         """Highest per-row success probability — the pruning test input."""
+        if self.small is not None:
+            return max(self._small_success(self.small, now, 0.0))
         probs = self.success(now)
         return float(probs.max()) if len(probs) else 0.0
+
+    def hopeless_horizon(self, z_epsilon: float) -> float:
+        """Earliest time at which every row's success is below ε, given
+        ``z_epsilon = Φ⁻¹(ε)`` (``inf`` if an unbounded pair never fails).
+
+        success < ε  ⟺  hdl > adl − NN·PD − size·(μ + σ·z_ε), so each row
+        crosses at that publish-relative age and the entry at the latest
+        row's.  Both forms keep the scalar loop's operation order per
+        element, so horizons are bit-identical to the row-by-row form.
+        """
+        publish_time, size = self.publish_time, self.size_kb
+        if self.small is not None:
+            return max(
+                publish_time + adl - nn_pd - size * (mean + std * z_epsilon)
+                for adl, nn_pd, mean, _, std in self.small
+            )
+        if not self.dense and self.unbounded.any():
+            return math.inf  # an unbounded pair always succeeds
+        ramp = self.mean + self.std * z_epsilon
+        if not self.dense:
+            # A degenerate path (σ = 0) steps from 1 to 0 at the mean itself.
+            ramp = np.where(self.std == 0.0, self.mean, ramp)
+        return float(np.max(publish_time + self.adl - self.nn_pd - size * ramp))
 
 
 def success_vec(

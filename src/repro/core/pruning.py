@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from repro.core.strategies import QueueEntry
-from repro.core.success import effective_deadline_array
+from repro.core.success import effective_deadline_array, effective_deadline_list
 from repro.stats.normal import Normal
 
 #: The paper's ε (0.05 %).
@@ -39,10 +39,19 @@ class PruningPolicy(enum.Enum):
         )
 
 
+def _is_small(entry: QueueEntry) -> bool:
+    """Whether ``entry``'s expiry readers take the Python-float small form."""
+    return len(entry.arrays) <= entry.small_rows
+
+
 def entry_is_expired(entry: QueueEntry, now: float) -> bool:
     """True iff every (subscription, message) pair's deadline has passed."""
+    hdl = entry.message.hdl(now)
+    if _is_small(entry):
+        adl_list = effective_deadline_list(entry.arrays.deadline, entry.message)
+        return not any(hdl <= adl for adl in adl_list)
     adl = effective_deadline_array(entry.arrays.deadline, entry.message)
-    return not bool(np.any(entry.message.hdl(now) <= adl))
+    return not bool(np.any(hdl <= adl))
 
 
 def entry_is_hopeless(
@@ -114,22 +123,18 @@ def prune_horizon(
         return math.inf
     if policy is PruningPolicy.EXPIRED:
         # The baselines' queues never score, so no plan is built for them.
+        publish_time = entry.message.publish_time
+        if _is_small(entry):
+            adl_list = effective_deadline_list(entry.arrays.deadline, entry.message)
+            if any(map(math.isinf, adl_list)):
+                return math.inf  # an unbounded pair never expires
+            return max(publish_time + adl for adl in adl_list)
         adl = effective_deadline_array(entry.arrays.deadline, entry.message)
         if np.any(np.isinf(adl)):
             return math.inf  # an unbounded pair never expires
-        return float(np.max(entry.message.publish_time + adl))
+        return float(np.max(publish_time + adl))
     if epsilon <= 0.0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     if epsilon >= 1.0:
         return -math.inf  # every probability is < ε: prunable from the start
-    plan = entry.plan(processing_delay_ms)
-    if not plan.dense and plan.unbounded.any():
-        return math.inf  # an unbounded pair always succeeds: never prunable
-    ramp = plan.mean + plan.std * _std_normal_quantile(epsilon)
-    if not plan.dense:
-        # A degenerate path (σ = 0) steps from 1 to 0 at the mean itself.
-        ramp = np.where(plan.std == 0.0, plan.mean, ramp)
-    # success < ε  ⟺  hdl > adl − NN·PD − size·(μ + σ·z).  The expression
-    # keeps the scalar loop's operation order per element, so horizons
-    # are bit-identical to the row-by-row computation.
-    return float(np.max(plan.publish_time + plan.adl - plan.nn_pd - plan.size_kb * ramp))
+    return entry.plan(processing_delay_ms).hopeless_horizon(_std_normal_quantile(epsilon))

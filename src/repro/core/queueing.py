@@ -26,6 +26,10 @@ decisions *exactly* (max score, FIFO tie-break on seq):
     and the only selection the reference stack (:mod:`repro.reference`)
     uses.
 
+* **A lone live entry** is sent without being scored (it wins whatever
+  it scores), and the heap and prune index are cleared with it: every
+  record left in them is stale.
+
 * **Pruning** drains an expiry-ordered side index instead of scanning:
   entries are keyed by their analytic :func:`~repro.core.pruning.
   prune_horizon` (minus a safety margin); only entries whose horizon has
@@ -103,6 +107,9 @@ class _ScanBackend:
     def compact(self) -> None:
         pass
 
+    def clear(self) -> None:
+        pass
+
     def pop_best(self, ctx: SchedulingContext) -> QueueEntry:
         if not self._live:
             raise IndexError("pop from an empty scheduled queue")
@@ -140,6 +147,9 @@ class _KeyedHeapBackend:
 
     def compact(self) -> None:
         _compact_heap(self._heap, self._live)
+
+    def clear(self) -> None:
+        self._heap.clear()
 
     def pop_best(self, ctx: SchedulingContext) -> QueueEntry:
         heap = self._heap
@@ -204,6 +214,9 @@ class _BoundedHeapBackend:
 
     def compact(self) -> None:
         _compact_heap(self._heap, self._live)
+
+    def clear(self) -> None:
+        self._heap.clear()
 
     @staticmethod
     def _padded(bound: float) -> float:
@@ -288,6 +301,9 @@ class _PruneIndex:
 
     def compact(self, live: dict[int, QueueEntry]) -> None:
         _compact_heap(self._heap, live)
+
+    def clear(self) -> None:
+        self._heap.clear()
 
 
 class ScheduledQueue:
@@ -397,7 +413,20 @@ class ScheduledQueue:
         return aged
 
     def pop_best(self, ctx: SchedulingContext) -> QueueEntry:
-        """Remove and return the entry the strategy would send next."""
+        """Remove and return the entry the strategy would send next.
+
+        A lone live entry wins whatever it scores, so it leaves unscored;
+        every heap and prune-index record left behind is then stale and
+        both are cleared (queues that never prune would otherwise pile
+        up stale records one pop at a time).
+        """
+        live = self._live
+        if len(live) == 1:
+            _, entry = live.popitem()
+            self._backend.clear()
+            if self._prune_index is not None:
+                self._prune_index.clear()
+            return entry
         return self._backend.pop_best(ctx)
 
     # ------------------------------------------------------------------ #

@@ -15,7 +15,7 @@ from abc import ABC, abstractmethod
 from typing import Sequence
 
 from repro.core.context import SchedulingContext
-from repro.core.metrics import ScorePlan, ebpc_value
+from repro.core.metrics import SMALL_ROWS, ScorePlan, ebpc_value
 from repro.core.success import effective_deadline
 from repro.pubsub.message import Message
 from repro.pubsub.subscription import RowArrays, RowGroup, TableRow
@@ -41,9 +41,15 @@ class QueueEntry:
     :meth:`plan` caches the entry's :class:`~repro.core.metrics.ScorePlan`.
     It is derived state: snapshots drop it and a restored entry rebuilds
     it at its next decision.
+
+    ``small_rows`` is the row count up to which the plan and the expiry
+    readers of :mod:`repro.core.pruning` take their Python-float small
+    form; the reference stack's entries set it to 0 (array form only).
     """
 
     __slots__ = ("message", "enqueue_time", "seq", "arrays", "_rows", "_plan")
+
+    small_rows: int = SMALL_ROWS
 
     def __init__(
         self,
@@ -81,7 +87,7 @@ class QueueEntry:
         plan = self._plan
         if plan is None or plan.processing_delay_ms != processing_delay_ms:
             plan = self._plan = ScorePlan(
-                self.arrays, self.message, processing_delay_ms
+                self.arrays, self.message, processing_delay_ms, self.small_rows
             )
         return plan
 

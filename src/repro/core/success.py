@@ -57,6 +57,19 @@ def effective_deadline_array(deadline_col: np.ndarray, message: Message) -> np.n
     return np.minimum(deadline_col, msg_dl)
 
 
+def effective_deadline_list(deadline_col: np.ndarray, message: Message) -> list[float]:
+    """:func:`effective_deadline_array` as Python floats, for small entries.
+
+    ``min`` picks the same value as ``np.minimum`` when neither side is
+    NaN, which construction-time validation guarantees.
+    """
+    deadlines: list[float] = deadline_col.tolist()
+    msg_dl = message.deadline_ms
+    if msg_dl is None:
+        return deadlines
+    return [min(dl, msg_dl) for dl in deadlines]
+
+
 def fdl_distribution(row: TableRow, size_kb: float, processing_delay_ms: float) -> Normal:
     """Distribution of the future delay ``fdl(s, m)`` (Eq. 4)."""
     return row.rate.scale(size_kb) + row.nn * processing_delay_ms

@@ -87,9 +87,11 @@ BatchDeliveryCallback = Callable[["Broker", "object", Message, float, "object"],
 class Broker:
     """One overlay broker."""
 
-    #: The subscription table and output-queue structures it is built from.
+    #: The subscription table, output-queue and queue-entry structures it
+    #: is built from.
     table_type: type = SubscriptionTable
     queue_type: type = ScheduledQueue
+    entry_type: type = QueueEntry
 
     def __init__(
         self,
@@ -262,7 +264,7 @@ class Broker:
             # if this queue's strategy actually reads ``entry.rows``.
             if prof is not None:
                 t0 = perf_counter()
-            entry = QueueEntry(
+            entry = self.entry_type(
                 message, group, enqueue_time=now, seq=self._seq,
                 arrays=group.arrays,
             )

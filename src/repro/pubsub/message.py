@@ -26,9 +26,9 @@ class Message:
     deadline_ms: float | None = None
 
     def __post_init__(self) -> None:
-        if self.size_kb <= 0.0:
+        if not self.size_kb > 0.0:  # NaN too
             raise ValueError(f"size_kb must be positive, got {self.size_kb}")
-        if self.deadline_ms is not None and self.deadline_ms <= 0.0:
+        if self.deadline_ms is not None and not self.deadline_ms > 0.0:
             raise ValueError(f"deadline_ms must be positive, got {self.deadline_ms}")
         # Freeze the attribute mapping so messages are safely shared between
         # queue copies on different brokers.

@@ -44,9 +44,9 @@ class Subscription:
     price: float | None = None
 
     def __post_init__(self) -> None:
-        if self.deadline_ms is not None and self.deadline_ms <= 0.0:
+        if self.deadline_ms is not None and not self.deadline_ms > 0.0:  # NaN too
             raise ValueError(f"deadline_ms must be positive, got {self.deadline_ms}")
-        if self.price is not None and self.price < 0.0:
+        if self.price is not None and not self.price >= 0.0:
             raise ValueError(f"price must be non-negative, got {self.price}")
 
 

@@ -8,8 +8,10 @@ the fused window drain, the dict-based
 counting index, the per-delivery
 :class:`~repro.pubsub.metrics.MetricsCollector` instead of the columnar
 ledger, and a full rescan of each output queue (``Strategy.select``)
-instead of the incremental heaps.  :class:`ReferenceSystem` is the
-production system with all four swapped in — by subclassing, overriding
+instead of the incremental heaps (a lone entry scored too), and every
+score plan in numpy array form instead of the small entries' Python-float
+form.  :class:`ReferenceSystem` is the
+production system with all five swapped in — by subclassing, overriding
 the component class attributes and the one method per layer where the
 oracle's interface differs.
 
@@ -23,7 +25,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.context import SchedulingContext
 from repro.core.queueing import ScheduledQueue, _ScanBackend
+from repro.core.strategies import QueueEntry
 from repro.pubsub.broker import Broker
 from repro.pubsub.matching import CountingIndexMatcher
 from repro.pubsub.message import Message
@@ -32,11 +36,23 @@ from repro.pubsub.subscription import SubscriptionTable
 from repro.pubsub.system import PubSubSystem
 
 
+class ReferenceEntry(QueueEntry):
+    """Scores and expiry checks always take the numpy array form."""
+
+    __slots__ = ()
+
+    small_rows = 0
+
+
 class ReferenceQueue(ScheduledQueue):
-    """Every selection is a full rescan of the waiting entries."""
+    """Every selection is a full rescan of the waiting entries — a lone
+    entry is scored too."""
 
     def _pick_backend(self) -> _ScanBackend:
         return _ScanBackend(self.strategy, self._live)
+
+    def pop_best(self, ctx: SchedulingContext) -> QueueEntry:
+        return self._backend.pop_best(ctx)
 
 
 class ReferenceTable(SubscriptionTable):
@@ -54,6 +70,7 @@ class ReferenceBroker(Broker):
 
     table_type = ReferenceTable
     queue_type = ReferenceQueue
+    entry_type = ReferenceEntry
 
     def _settle(self, message: Message, local, latency: float, valid) -> None:
         self.metrics.on_delivery_batch(

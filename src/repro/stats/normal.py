@@ -88,7 +88,7 @@ class Normal:
     variance: float
 
     def __post_init__(self) -> None:
-        if self.variance < 0.0:
+        if not self.variance >= 0.0:  # NaN too
             raise ValueError(f"variance must be non-negative, got {self.variance}")
         if not math.isfinite(self.mean):
             raise ValueError(f"mean must be finite, got {self.mean}")

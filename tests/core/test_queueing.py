@@ -256,6 +256,44 @@ def test_rl_keyed_heap_survives_exact_key_tie_with_ulp_score_gap():
     assert queue.pop_best(ctx) is oracle
 
 
+@pytest.mark.parametrize(("name", "params"), ALL_STRATEGIES, ids=STRATEGY_IDS)
+def test_lone_entry_pops_unscored_and_clears_stale_records(name, params):
+    """The last live entry leaves with zero score calls and takes every
+    stale heap / prune-index record with it; each decision equals the
+    full-rescan queue's (which scores the lone entry too)."""
+    strategy = make_strategy(name, **params)
+    scored: list[int] = []
+    for method in ("score", "score_and_bound"):
+        real = getattr(strategy, method)
+        setattr(strategy, method, lambda e, c, _real=real: scored.append(e.seq) or _real(e, c))
+    policy = PruningPolicy.for_strategy(strategy.probabilistic_pruning)
+    queue = ScheduledQueue(strategy, policy, DEFAULT_EPSILON, planning_delay_ms=2.0)
+    oracle = ReferenceQueue(
+        make_strategy(name, **params), policy, DEFAULT_EPSILON, planning_delay_ms=2.0
+    )
+    for seq in range(3):
+        entry = build_entry(
+            {"publish_time": -1_000.0 * seq, "size_kb": 10.0, "msg_deadline": None,
+             "rows": [{"deadline_ms": 30_000.0 + 7_000.0 * seq, "price": 1.0 + seq,
+                       "nn": 1 + seq, "mean": 50.0, "variance": 100.0}]},
+            seq=seq,
+        )
+        queue.push(entry)
+        oracle.push(entry)
+    for now in (100.0, 200.0):
+        ctx = make_ctx(now=now)
+        assert queue.pop_best(ctx) is oracle.pop_best(ctx)
+    assert scored  # two entries or more: the strategy decides
+    assert len(queue._prune_index._heap) == 3  # two of them stale
+    scored.clear()
+    ctx = make_ctx(now=300.0)
+    assert queue.pop_best(ctx) is oracle.pop_best(ctx)
+    assert scored == []
+    assert queue._backend._heap == []
+    assert queue._prune_index._heap == []
+    assert not queue and not oracle
+
+
 # ---------------------------------------------------------------------- #
 # Structure and API.
 # ---------------------------------------------------------------------- #

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.pubsub.message import Message
@@ -39,6 +41,14 @@ class TestConstruction:
     def test_invalid_deadline(self):
         with pytest.raises(ValueError):
             make_message(deadline_ms=-5.0)
+
+    def test_nan_size_rejected(self):
+        with pytest.raises(ValueError, match="size_kb must be positive"):
+            make_message(size_kb=math.nan)
+
+    def test_nan_deadline_rejected(self):
+        with pytest.raises(ValueError, match="deadline_ms must be positive"):
+            make_message(deadline_ms=math.nan)
 
 
 class TestDelayAccounting:

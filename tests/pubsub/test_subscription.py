@@ -61,6 +61,14 @@ class TestSubscription:
         with pytest.raises(ValueError):
             Subscription("S", Predicate("A", "<", 1.0), price=-1.0)
 
+    def test_nan_deadline_rejected(self):
+        with pytest.raises(ValueError, match="deadline_ms must be positive"):
+            sub(deadline=math.nan)
+
+    def test_nan_price_rejected(self):
+        with pytest.raises(ValueError, match="price must be non-negative"):
+            Subscription("S", Predicate("A", "<", 1.0), price=math.nan)
+
     def test_row_accessors(self):
         r = row(subscription=sub(deadline=10_000.0, price=2.0))
         assert r.subscriber == "S1"

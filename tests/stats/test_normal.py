@@ -132,6 +132,10 @@ class TestNormalAlgebra:
         with pytest.raises(ValueError):
             Normal(0.0, -1.0)
 
+    def test_nan_variance_rejected(self):
+        with pytest.raises(ValueError, match="variance must be non-negative"):
+            Normal(0.0, math.nan)
+
     def test_invalid_mean(self):
         with pytest.raises(ValueError):
             Normal(math.nan, 1.0)
