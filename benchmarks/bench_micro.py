@@ -33,7 +33,7 @@ from repro.sim.config import SimulationConfig
 from repro.sim.runner import build_system, run_to_horizon, schedule_workload
 from repro.stats.normal import normal_cdf_vec
 from repro.workload.dynamics import ChurnWave, DynamicsDriver
-from repro.workload.scenarios import ScaleScenarioSpec, build_scale_subscriptions
+from repro.workload.scenarios import ScaleScenarioSpec, Scenario, build_scale_subscriptions
 from repro.workload.subscriptions import random_attributes, random_conjunctive_filter
 from tests.analysis.frozen_report import frozen_latency_stats, frozen_revenue_by_tier
 from tests.core.helpers import assert_same_table, make_ctx, make_message, make_row
@@ -350,41 +350,47 @@ def test_core_metrics_eb_pair_form_sweep(benchmark):
     benchmark.extra_info["small_rows"] = SMALL_ROWS
 
 
-def test_pubsub_engine_lookahead(benchmark):
-    """``pubsub.engine.run_s``'s lookahead: the walk costs the pending
-    process events, not the heap (2 000 opaque events sit in it, as
-    pre-scheduled publications do in a real run)."""
-    system = build_system(SimulationConfig(seed=1, publishing_rate_per_min=1.0))
-    sim, engine = system.sim, system._engine
-    for k in range(2_000):
-        sim.schedule_at(1e6 + k, int)
-    publisher = sorted(system.publishers)[0]
-    for k in range(8):
-        system.publish(publisher, {"A1": float(k), "A2": float(k)})
-    assert sim.pending_events == 2_008
-    wend = sim.now + engine.window_ms
+def test_pubsub_subscription_route_plan(benchmark):
+    """``pubsub.subscription.match_s``: ``match_grouped`` replayed over the
+    (table, message) pairs of a short ``paper-congested``-shaped run —
+    the message's filter verdicts cached at publish time, one route-plan
+    gather per broker — and checked against the reference table's groups
+    and order (per-table dict matcher, rows grouped one by one)."""
+    config = SimulationConfig(
+        seed=1, scenario=Scenario.SSD, publishing_rate_per_min=20.0,
+        duration_ms=60_000.0, grace_ms=20_000.0, strategy="ebpc",
+    )
+    system = build_system(config)
+    schedule_workload(system, config)
+    pairs: list[tuple[str, Message]] = []
+    for name, broker in system.brokers.items():
+        broker.table.match_grouped = (
+            lambda message, _name=name, _match=broker.table.match_grouped:
+            pairs.append((_name, message)) or _match(message)
+        )
+    system.run(until=config.horizon_ms)
+    for broker in system.brokers.values():
+        del broker.table.match_grouped
+    assert len(pairs) > system.metrics.published  # every hop matched
+    reference = build_system(config, reference=True)
+    calls = [(system.brokers[name].table, reference.brokers[name].table, m) for name, m in pairs]
+    for table, ref_table, message in calls:
+        local, remote = table.match_grouped(message)
+        ref_local, ref_remote = ref_table.match_grouped(message)
+        assert list(remote) == list(ref_remote)
+        assert local.row_ids.tolist() == ref_local.row_ids.tolist()
+        for hop, group in remote.items():
+            assert group.row_ids.tolist() == ref_remote[hop].row_ids.tolist()
 
-    touched = 0
-    unmatched = engine._unmatched
+    def replay() -> None:
+        for table, _, message in calls:
+            table.match_grouped(message)
 
-    def counting(ev) -> bool:
-        nonlocal touched
-        touched += 1
-        return unmatched(ev)
-
-    engine._unmatched = counting
-    assert len(engine._due_unmatched(wend)) == 8
-    engine._precompute(wend)
-    assert engine._due_unmatched(wend) == []  # all eight memoised
-    touched = calls = 0
-
-    def lookahead() -> None:
-        nonlocal calls
-        calls += 1
-        engine._precompute(wend)
-
-    benchmark(lookahead)
-    assert 0 < touched <= 8 * calls
+    benchmark(replay)
+    t0 = time.perf_counter()
+    replay()
+    benchmark.extra_info["us_per_call"] = (time.perf_counter() - t0) / len(calls) * 1e6
+    benchmark.extra_info["calls"] = len(calls)
 
 
 def test_simulator_event_throughput(benchmark):
@@ -405,15 +411,10 @@ def test_simulator_event_throughput(benchmark):
     assert benchmark(run_10k_events) == 10_000
 
 
-@pytest.mark.parametrize("engine", ["event", "fused"])
+@pytest.mark.parametrize("engine", ["event"])
 def test_event_dispatch_engines(benchmark, engine):
-    """Bare dispatch loop, per-event heap pops vs the fused window drain.
-
-    Same 10k chained ticks as above, driven through ``FusedEngine`` in
-    system-less mode (no lookahead work) — isolates the inner drain
-    loop's overhead against ``Simulator.run``.
-    """
-    from repro.pubsub.engine import FusedEngine
+    """Bare dispatch loop: 10k chained ticks through ``Simulator.run``,
+    the one kernel both stacks run."""
 
     def run_10k_events():
         sim = Simulator()
@@ -426,10 +427,7 @@ def test_event_dispatch_engines(benchmark, engine):
                 sim.schedule(1.0, tick)
 
         sim.schedule(0.0, tick)
-        if engine == "fused":
-            FusedEngine(sim).run()
-        else:
-            sim.run()
+        sim.run()
         return count
 
     assert benchmark(run_10k_events) == 10_000

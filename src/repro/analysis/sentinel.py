@@ -187,8 +187,9 @@ class InvariantSentinel:
         """(processing, in-transit) pairs owned by pending heap events.
 
         A pending ``process`` event owns every pair its broker's table
-        will resolve when it fires (re-matched here purely — the memo
-        cache is not consulted or touched); a pending ``transmit`` event
+        will resolve when it fires (re-matched here: a match is pure, and
+        the filter verdicts it may cache on the message are a pure
+        function of the message); a pending ``transmit`` event
         owns the pairs of its in-flight entry.
         """
         process_pairs = 0

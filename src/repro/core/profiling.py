@@ -1,6 +1,6 @@
 """Per-stage cumulative timers for the hot event pipeline.
 
-The dispatch-overhead claim behind the fused engine ("events are bounded
+The dispatch-overhead claim behind the event kernel ("events are bounded
 by per-event interpreter work, not numpy work") has to be *measured*, so
 the pipeline's stages — kernel pop, match, enqueue, output-queue drain,
 metrics settlement, log append — each carry a cheap cumulative timer.

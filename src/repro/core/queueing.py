@@ -370,10 +370,10 @@ class ScheduledQueue:
             self._prune_index.push(entry)
 
     def push_many(self, entries: list[QueueEntry]) -> None:
-        """Admit a window's entries in order (the fused engine's batched
-        enqueue).  Admission order is observable — heap tie-breaks and the
-        prune index key on seq — so this is sequenced, not reordered:
-        element ``i`` lands exactly as ``push(entries[i])`` would."""
+        """Admit a batch of entries in order.  Admission order is
+        observable — heap tie-breaks and the prune index key on seq — so
+        this is sequenced, not reordered: element ``i`` lands exactly as
+        ``push(entries[i])`` would."""
         for entry in entries:
             self.push(entry)
 

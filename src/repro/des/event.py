@@ -46,11 +46,9 @@ class Event:
         # Typed-event metadata: ``kind`` names the pipeline stage the
         # action performs ("" = opaque) and ``payload`` carries its
         # operands.  The action stays the executable — kind/payload exist
-        # so the fused engine's window lookahead can *inspect* pending
-        # events (batch-match "process" events ahead of time) without
-        # executing them.  Opaque events are automatic barriers: the
-        # lookahead cannot see through them, so dynamics/churn lambdas
-        # need no special casing to stay correct.
+        # so an inspector can read pending events without executing them:
+        # the invariant sentinel counts the pairs a pending "process" or
+        # "transmit" event owns.  The kernel itself never reads them.
         self.kind = kind
         self.payload = payload
 

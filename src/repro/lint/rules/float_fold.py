@@ -1,7 +1,7 @@
 """RL006 float-fold: metrics float totals use the documented left fold.
 
 ``earning`` and latency accounting are proven byte-identical across the
-scalar oracle, the ledger and the fused engine because every float
+scalar oracle and the ledger because every float
 total is the *same left-to-right chain of float64 additions*
 (``_FoldedSum`` / ``repro.core.folds``).  A bare ``sum()``
 over an unordered iterable, or ``np.sum``/``ndarray.sum()`` (pairwise

@@ -41,6 +41,7 @@ from repro.pubsub.faults import (
     DeadLetterRecord,
     FaultLedger,
 )
+from repro.pubsub.matching import FilterIndex
 from repro.pubsub.message import Message
 from repro.pubsub.metrics import LedgerMetricsCollector
 from repro.pubsub.subscription import RowBlock, SubscriptionTable, TableRow
@@ -103,6 +104,7 @@ class Broker:
         *,
         trace: TraceRecorder | None = None,
         faults: FaultLedger | None = None,
+        filters: FilterIndex | None = None,
     ) -> None:
         self.name = name
         self.sim = sim
@@ -122,7 +124,9 @@ class Broker:
             if config.pruning_override is not None
             else PruningPolicy.for_strategy(strategy.probabilistic_pruning)
         )
-        self.table = self.table_type()
+        #: ``filters`` is the system's shared filter index (``None``: the
+        #: table keeps a private one).
+        self.table = self.table_type(filters)
         self.queues: dict[str, OutputQueue] = {}
         self.trace = trace
         # Fault layer: shared conservation ledger plus per-neighbour retry
@@ -146,10 +150,6 @@ class Broker:
         # whenever the table interns new names; lets batched settlement
         # skip per-row name lookups.
         self._metrics_sids = _EMPTY_SIDS
-        #: msg_id -> (table version, match_grouped result), filled by the
-        #: fused engine's window lookahead and consumed by :meth:`_process`
-        #: (stale versions are recomputed, so churn can never skew a match).
-        self._match_memo: dict[int, tuple[int, tuple]] = {}
 
     # ------------------------------------------------------------------ #
     # Wiring.
@@ -207,8 +207,8 @@ class Broker:
             # exist for trace/debug inspection only, and the f-string per
             # event is measurable at ingest rates.
             label=f"{self.name}:process:{message.msg_id}" if self.trace is not None else "",
-            # Typed metadata so the fused engine's window lookahead can
-            # batch-match pending processing steps ahead of execution.
+            # Typed metadata: lets the sentinel count the pairs a pending
+            # processing step will resolve by scanning the heap.
             kind="process",
             payload=(self, message),
         )
@@ -218,13 +218,7 @@ class Broker:
         self._size_count += 1
         prof = profiling.ACTIVE
         t0 = perf_counter() if prof is not None else 0.0
-        memo = self._match_memo.pop(message.msg_id, None)
-        if memo is not None and memo[0] == self.table.version:
-            # Precomputed by the fused engine's window lookahead; the
-            # version check discards results staled by churn in between.
-            local, remote = memo[1]
-        else:
-            local, remote = self.table.match_grouped(message)
+        local, remote = self.table.match_grouped(message)
         if prof is not None:
             prof.add("match", perf_counter() - t0)
         now = self.sim.now
@@ -367,8 +361,7 @@ class Broker:
             partial(self._complete_send, neighbor, entry),
             label=f"{self.name}->{neighbor}:{entry.message.msg_id}" if self.trace is not None else "",
             # Typed metadata: lets the sentinel count in-flight pairs by
-            # scanning the heap (the fused engine executes non-"process"
-            # kinds opaquely, so this is decision-neutral).
+            # scanning the heap (decision-neutral).
             kind="transmit",
             payload=(self, neighbor, entry),
         )
@@ -429,18 +422,6 @@ class Broker:
         """System hook fired when this direction transitions down → up."""
         self._retry_backoff.pop(neighbor, None)
         self._try_send(neighbor)
-
-    # ------------------------------------------------------------------ #
-    # Serialization.
-    # ------------------------------------------------------------------ #
-    def __getstate__(self) -> dict:
-        """Checkpoint support: the match memo is a pure cache (recomputed
-        by the fused engine's lookahead, version-checked by
-        :meth:`_process`), so snapshots drop its contents instead of
-        serializing speculative results."""
-        state = self.__dict__.copy()
-        state["_match_memo"] = {}
-        return state
 
     # ------------------------------------------------------------------ #
     # Introspection.

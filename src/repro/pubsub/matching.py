@@ -17,11 +17,15 @@ Three implementations behind one protocol:
   slice-concatenate + one ``np.bincount`` compared against the per-id
   predicate totals.  Decision-identical to :class:`CountingIndexMatcher`
   (the differential tests assert it); mutation recompiles the touched
-  indexes lazily, so install-then-match workloads pay one build.  The
-  production stack matches with it.
+  indexes lazily, so install-then-match workloads pay one build.
 
-Engines are generic over an opaque ``key`` so both the global population
-(for the delivery-rate denominator) and per-broker tables reuse them.
+Engines are generic over an opaque ``key``.  The production stack keys one
+:class:`VectorCountingMatcher` by *filter id* inside a system-wide
+:class:`FilterIndex`: every broker's table row carries its subscriber's
+own filter, so a publication's verdicts are the same at every hop and are
+computed once per publication.  The reference stack keys a
+:class:`CountingIndexMatcher` by row id in every table and by subscriber
+in its population count.
 """
 
 from __future__ import annotations
@@ -45,8 +49,7 @@ class PredicateColumns:
     filters, as columns: ``counts[i]`` is filter ``i``'s predicate total
     (−1 when it is not a pure conjunction) and ``entries[(attribute, op)]``
     the ``(item, value)`` arrays of every predicate on that pair, in item
-    order.  Computed once per batch however many brokers install it;
-    :meth:`take` gathers one broker's share.
+    order, derived once per distinct filter object of the batch.
     """
 
     counts: np.ndarray
@@ -87,31 +90,15 @@ class PredicateColumns:
             entries[key] = (items, np.array(values, dtype=np.float64)[source])
         return cls(slot_counts[slot], entries)
 
-    def take(self, items: np.ndarray) -> "PredicateColumns":
-        """The columns of the sub-batch ``items`` (distinct indices into
-        this batch), renumbered to positions in ``items``."""
-        position = np.full(len(self.counts), -1, dtype=np.int64)
-        position[items] = np.arange(len(items), dtype=np.int64)
-        entries = {}
-        for key, (item, value) in self.entries.items():
-            at = position[item]
-            keep = at >= 0
-            if keep.any():
-                entries[key] = (at[keep], value[keep])
-        return PredicateColumns(self.counts[items], entries)
-
 
 class MatchingEngine(Protocol[K]):
-    """Protocol shared by all matchers: what the subscription table and
-    the system's interested-population index call."""
+    """Protocol shared by all matchers: what the filter index, the
+    reference tables and the reference population count call."""
 
     def add(self, key: K, filter_: Filter) -> None: ...
 
-    def add_many(
-        self, items: Iterable[tuple[K, Filter]], preds: PredicateColumns | None = None
-    ) -> None:
-        """Equivalent to :meth:`add` per item in order; ``preds`` are the
-        filters' already-computed predicate columns."""
+    def add_many(self, items: Iterable[tuple[K, Filter]]) -> None:
+        """Equivalent to :meth:`add` per item in order."""
         ...
 
     def remove(self, key: K) -> None: ...
@@ -138,9 +125,7 @@ class BruteForceMatcher(Generic[K]):
             raise KeyError(f"duplicate key {key!r}")
         self._filters[key] = filter_
 
-    def add_many(
-        self, items: Iterable[tuple[K, Filter]], preds: PredicateColumns | None = None
-    ) -> None:
+    def add_many(self, items: Iterable[tuple[K, Filter]]) -> None:
         for key, filter_ in items:
             self.add(key, filter_)
 
@@ -284,13 +269,10 @@ class CountingIndexMatcher(Generic[K]):
                 idx = self._indexes[(p.attribute, p.op)] = _AttrOpIndex(p.op)
             idx.add(p.value, key)
 
-    def add_many(
-        self, items: Iterable[tuple[K, Filter]], preds: PredicateColumns | None = None
-    ) -> None:
+    def add_many(self, items: Iterable[tuple[K, Filter]]) -> None:
         """Bulk registration: predicates are grouped per (attribute, op)
         index and inserted with one sorted merge each.  Matching behaviour
-        is identical to adding the items one at a time, in order.  The
-        oracle derives the predicates itself and ignores ``preds``.
+        is identical to adding the items one at a time, in order.
         """
         items = list(items)
         seen: set[K] = set()
@@ -485,10 +467,10 @@ class VectorCountingMatcher(Generic[K]):
         # per-match bincount width tracks live keys, not cumulative adds.
         self._dead_entries = 0
         self._total_entries = 0
-        #: True while every key equals its own interned id (the
-        #: subscription table keys rows by the ids it interned in the same
-        #: order, so churn-free tables keep this for the whole run) —
-        #: then matched ids ARE the keys and match_array needs no gather.
+        #: True while every key equals its own interned id (a filter index
+        #: keys filters by fids handed out in the same order, so a
+        #: churn-free run keeps this throughout) — then matched ids ARE
+        #: the keys and match_array needs no gather.
         self._keys_identity = True
 
     # -------------------------------------------------------------- #
@@ -497,13 +479,11 @@ class VectorCountingMatcher(Generic[K]):
     def add(self, key: K, filter_: Filter) -> None:
         self.add_many([(key, filter_)])
 
-    def add_many(
-        self, items: Iterable[tuple[K, Filter]], preds: PredicateColumns | None = None
-    ) -> None:
+    def add_many(self, items: Iterable[tuple[K, Filter]]) -> None:
         """Bulk registration: interning happens in item order (ids are
         those of sequential :meth:`add` calls) and each (attribute, op)
-        index takes its entries as one column append.  ``preds`` lets the
-        caller reuse predicate columns computed once per batch.
+        index takes its entries as one column append, from the batch's
+        :class:`PredicateColumns`.
         """
         items = list(items)
         keys = [key for key, _ in items]
@@ -515,8 +495,7 @@ class VectorCountingMatcher(Generic[K]):
                 if key in seen or key in id_of or key in fallback:
                     raise KeyError(f"duplicate key {key!r}")
                 seen.add(key)
-        if preds is None:
-            preds = PredicateColumns.of([filter_ for _, filter_ in items])
+        preds = PredicateColumns.of([filter_ for _, filter_ in items])
         counts = preds.counts
         indexed = counts >= 0
         base = len(self._keys)
@@ -592,13 +571,6 @@ class VectorCountingMatcher(Generic[K]):
     # -------------------------------------------------------------- #
     # Matching.
     # -------------------------------------------------------------- #
-    @property
-    def array_results_sorted(self) -> bool:
-        """True when :meth:`match_array` is guaranteed to return ids in
-        ascending order (the identity fast path: hits come straight from
-        ``flatnonzero``) — callers can then skip their canonical sort."""
-        return self._keys_identity and not self._match_all and not len(self._fallback)
-
     def warm(self) -> None:
         """Eagerly build every lazy compiled structure (per-op indexes,
         key gather).  Matching compiles these on first use anyway; warming
@@ -641,9 +613,8 @@ class VectorCountingMatcher(Generic[K]):
     def match_array(self, attributes: Mapping[str, float]) -> np.ndarray:
         """Matched keys as one int64 array — the zero-set fast path.
 
-        Only valid when every key is a Python int (the subscription table
-        interns rows to dense ids and uses those as keys).  Order is
-        unspecified; callers that need a canonical order sort the result.
+        Only valid when every key is a Python int (the filter index keys
+        filters by fid).  Order is unspecified.
         """
         hits = self._indexed_hits(attributes)
         if self._keys_identity and not self._match_all and not len(self._fallback):
@@ -678,3 +649,106 @@ class VectorCountingMatcher(Generic[K]):
 
     def __len__(self) -> int:
         return len(self._id_of) + len(self._fallback)
+
+
+class FilterIndex:
+    """Every live subscription filter of a system, matched once per message.
+
+    Filters are interned to stable integer *fids* — by object first (a
+    population draws its filters from a small shared pool), then by value
+    (filters are frozen and hashable) — and one
+    :class:`VectorCountingMatcher` keyed by fid holds the filters of live
+    subscriptions, with a live-subscription count per fid.  A filter
+    enters the matcher when its count leaves 0 and leaves it when the
+    count returns to 0; fids are never reused.
+
+    :meth:`verdicts` is the per-message result, ``bool[fid]``: computed
+    once, cached on the message and keyed by this index and its mutation
+    count (bumped only when the fid set or the matcher's membership
+    changes).  A stale cache is recomputed, which is exact because a
+    verdict is a pure function of the message's attributes.  Tables read
+    it through their fid column; :meth:`interested` sums the live counts
+    over it (the ``ts_i`` denominator of Eq. 1).
+    """
+
+    def __init__(self) -> None:
+        self._matcher: VectorCountingMatcher[int] = VectorCountingMatcher()
+        #: Filter value -> fid.  A lookup cache: it is not pickled (so a
+        #: snapshot carries no predicate objects), and a filter interned
+        #: after a restore gets a fresh fid — two fids of one value share
+        #: every verdict, so that is exact too.
+        self._fid_of: dict[Filter, int] = {}
+        #: fid -> live subscriptions with that filter.
+        self._live = GrowableArray(np.int64)
+        #: Mutation counter: the key of every cached verdict array.
+        self._version = 0
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        state["_fid_of"] = {}
+        return state
+
+    def fids(self, filters: Sequence[Filter]) -> np.ndarray:
+        """The fid of each filter, interning unseen values (count 0)."""
+        distinct = {id(filter_): filter_ for filter_ in filters}
+        fid_of, live = self._fid_of, self._live
+        slot: dict[int, int] = {}
+        grown = len(live)
+        for key, filter_ in distinct.items():
+            fid = fid_of.get(filter_)
+            if fid is None:
+                fid = fid_of[filter_] = len(live)
+                live.append(0)
+            slot[key] = fid
+        if len(live) != grown:
+            self._version += 1
+        return np.fromiter(
+            map(slot.__getitem__, map(id, filters)), dtype=np.int64, count=len(filters)
+        )
+
+    def add(self, filters: Sequence[Filter]) -> np.ndarray:
+        """Count one live subscription per filter; returns their fids."""
+        fids = self.fids(filters)
+        live = self._live.view()
+        fresh = live[fids] == 0  # items whose filter is not live yet
+        live += np.bincount(fids, minlength=len(live))
+        if fresh.any():
+            entering, first = np.unique(fids[fresh], return_index=True)
+            items = np.flatnonzero(fresh)[first].tolist()
+            self._matcher.add_many(zip(entering.tolist(), [filters[i] for i in items]))
+            self._version += 1
+        return fids
+
+    def discard(self, fids: np.ndarray) -> None:
+        """Uncount one live subscription per fid (the inverse of :meth:`add`)."""
+        live = self._live.view()
+        counts = np.bincount(fids, minlength=len(live))
+        if (counts > live).any():
+            raise KeyError("a filter is discarded more often than it is live")
+        live -= counts
+        leaving = np.flatnonzero((live == 0) & (counts > 0))
+        if leaving.size:
+            self._matcher.remove_many(leaving.tolist())
+            self._version += 1
+
+    def warm(self) -> None:
+        """Build the matcher's indexes now instead of on the first match."""
+        self._matcher.warm()
+
+    def verdicts(self, message) -> np.ndarray:
+        """``bool[fid]``: does the message satisfy each filter?"""
+        cached = message.__dict__.get("_verdicts")
+        if cached is not None and cached[0] is self and cached[1] == self._version:
+            return cached[2]
+        verdicts = np.zeros(len(self._live), dtype=bool)
+        verdicts[self._matcher.match_array(message.attributes)] = True
+        message.__dict__["_verdicts"] = (self, self._version, verdicts)
+        return verdicts
+
+    def interested(self, message) -> int:
+        """Live subscriptions whose filter the message satisfies."""
+        return int(self._live.view()[self.verdicts(message)].sum())
+
+    def __len__(self) -> int:
+        """Filters with at least one live subscription."""
+        return len(self._matcher)

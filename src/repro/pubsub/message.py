@@ -36,9 +36,12 @@ class Message:
 
     def __getstate__(self) -> dict:
         """MappingProxyType is unpicklable; ship a plain dict and rebuild
-        the read-only proxy on restore."""
+        the read-only proxy on restore.  The filter verdicts a
+        :class:`~repro.pubsub.matching.FilterIndex` cached here are
+        dropped: they are recomputed on demand."""
         state = self.__dict__.copy()
         state["attributes"] = dict(self.attributes)
+        state.pop("_verdicts", None)
         return state
 
     def __setstate__(self, state: dict) -> None:

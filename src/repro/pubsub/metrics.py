@@ -385,16 +385,16 @@ class LedgerMetricsCollector:
             self._delivered.view()[mid] += nv
             vids = sids[valid_new]
             tallies = self._sub_valid.at_least(int(vids.max()) + 1)
-            np.add.at(tallies, vids, 1)
+            # ``vids`` are unique (intra-batch repeats took the scalar path
+            # above), so a buffered fancy-index add counts each once.
+            tallies[vids] += 1
             self._earn.extend(prices[valid_new])
             self._lat.extend(np.full(nv, latency_ms))
-        # Both sides sorted (settled by invariant, fresh after its own
-        # small sort) — a positional insert is a linear merge, instead of
-        # re-sorting the whole settled set on every batch.
-        fresh_sorted = np.sort(fresh_ids)
-        self._settled[mid] = np.insert(
-            settled, np.searchsorted(settled, fresh_sorted), fresh_sorted
-        )
+        # Settled and fresh are disjoint sorted-unique sets, so their
+        # concatenation sorted in place is exactly the merged set.
+        merged = np.concatenate((settled, fresh_ids))
+        merged.sort()
+        self._settled[mid] = merged
 
     # ------------------------------------------------------------------ #
     # Derived metrics.

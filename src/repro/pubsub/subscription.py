@@ -9,10 +9,14 @@ mesh (see :mod:`repro.pubsub.system`).
 The table is columnar in storage: every installed row gets a dense integer
 row id, its attributes live in one growable record array beside a per-row
 reference to the shared :class:`Subscription`, and matching produces
-row-id arrays — provenance filtering, duplicate settlement and per-hop
-grouping are numpy operations, a :class:`RowGroup`'s :class:`RowArrays` a
-fancy-index gather.  :class:`TableRow` is the public value type, built
-from the columns only when a caller asks for rows.
+row-id arrays.  A row's filter is a *fid* into the system-wide
+:class:`~repro.pubsub.matching.FilterIndex`, which evaluates each
+publication once; provenance, duplicate settlement and per-hop grouping
+are compiled into one route plan per source broker, so a match is a
+verdict gather, a boolean take and a split at static group bounds.  A
+:class:`RowGroup`'s :class:`RowArrays` are fancy-index gathers.
+:class:`TableRow` is the public value type, built from the columns only
+when a caller asks for rows.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ import numpy as np
 
 from repro.core.growable import GrowableArray
 from repro.pubsub.filters import Filter
-from repro.pubsub.matching import PredicateColumns, VectorCountingMatcher
+from repro.pubsub.matching import FilterIndex
 from repro.pubsub.message import Message
 from repro.stats.normal import Normal
 
@@ -114,13 +118,13 @@ class Route(NamedTuple):
 @dataclass(frozen=True, slots=True)
 class RowBlock:
     """Columnar argument of :meth:`SubscriptionTable.install_many`: row
-    ``i`` is ``TableRow(subscriptions[i], *routes[route[i]])``; ``preds``
-    optionally carries the rows' filters as
-    :class:`~repro.pubsub.matching.PredicateColumns`, computed once per
+    ``i`` is ``TableRow(subscriptions[i], *routes[route[i]])``; ``fids``
+    optionally carries the rows' filter ids in the installing table's
+    shared :class:`~repro.pubsub.matching.FilterIndex`, interned once per
     batch however many brokers install it."""
 
     subscriptions: list[Subscription]
-    preds: PredicateColumns | None
+    fids: np.ndarray | None
     route: np.ndarray
     routes: list[Route]
 
@@ -236,15 +240,16 @@ class RowGroup:
 _EMPTY_IDS = np.empty(0, dtype=np.int64)
 _NO_NAMES = np.empty(0, dtype="U1")
 
-#: One record per row id (dead rows keep stale values; the matcher never
-#: returns their ids).  ``deadline``/``price`` hold the scoring defaults
+#: One record per row id (dead rows keep stale values; no route plan
+#: holds their ids).  ``deadline``/``price`` hold the scoring defaults
 #: (``inf``/1.0) for unspecified values — the subscription keeps the
 #: ``None``s; ``hop`` is −1 for local rows; ``hop``/``sub``/``src_set``
-#: are table-interned ids.
+#: are table-interned ids, ``fid`` the filter's id in the table's
+#: :class:`~repro.pubsub.matching.FilterIndex`.
 _ROW_DTYPE = np.dtype([
     ("mean", np.float64), ("variance", np.float64), ("deadline", np.float64),
     ("price", np.float64), ("min_msg", np.int64), ("nn", np.int32), ("hop", np.int32),
-    ("sub", np.int32), ("path", np.int32), ("src_set", np.int32),
+    ("sub", np.int32), ("path", np.int32), ("src_set", np.int32), ("fid", np.int32),
 ], align=True)
 
 
@@ -264,22 +269,46 @@ def _intern_many(keys: list, id_of: dict, by_id: list) -> list[int]:
     return [id_of[key] for key in keys]
 
 
+class _RoutePlan(NamedTuple):
+    """The rows of one table a message from one source broker can take.
+
+    ``ids`` are the live rows whose source set holds the source, in output
+    order — next-hop name rank (local first), then canonical
+    ``(subscriber, path_id)`` rank — with a later row of a
+    ``(next hop, subscriber)`` pair dropped whenever an earlier one has the
+    same filter and no later epoch (then it always matches first).
+    ``fid`` / ``min_msg`` are their filter ids and epochs (``min_msg`` is
+    ``None`` when every epoch is 0), ``run`` numbers the pairs when some
+    pair still keeps two rows (``None`` otherwise), and group ``g`` ends at
+    plan position ``last[g]`` and goes to next hop ``hops[g]`` (``None`` =
+    local delivery).
+    """
+
+    ids: np.ndarray
+    fid: np.ndarray
+    min_msg: np.ndarray | None
+    run: np.ndarray | None
+    last: np.ndarray
+    hops: list[str | None]
+
+
 class SubscriptionTable:
-    """All rows installed at one broker, with an index for matching.
+    """All rows installed at one broker, with per-source route plans.
 
     Rows are keyed by ``(subscriber, path_id)``: single-path routing keeps
     one row per subscriber (path 0), the multi-path extension several.
-    Internally each row is interned to a dense integer id; the matcher is
-    keyed by those ids and the row attributes live in table-level
-    columns (snapshotted into compiled views lazily after mutations), so
-    the match path works on int arrays end to end.
+    Internally each row is interned to a dense integer id, its attributes
+    live in table-level columns, and its filter is a *fid* in a
+    :class:`~repro.pubsub.matching.FilterIndex` — the system's shared one,
+    whose subscriptions the system keeps live, or (``filters=None``) a
+    private one this table keeps live row by row.  A match gathers the
+    message's filter verdicts through a lazily compiled route plan for its
+    source broker, so the match path works on int arrays end to end.
     """
 
-    #: The matching engine behind the table, keyed by row id.
-    matcher_type: type = VectorCountingMatcher
-
-    def __init__(self) -> None:
-        self._matcher = self.matcher_type()
+    def __init__(self, filters: FilterIndex | None = None) -> None:
+        self._owns_filters = filters is None
+        self._filters = FilterIndex() if filters is None else filters
         #: The storage: one record per row id, and the row's shared
         #: subscription (``None`` once uninstalled).
         self._cols = GrowableArray(_ROW_DTYPE)
@@ -292,20 +321,16 @@ class SubscriptionTable:
         #: columns scale with peak live rows, not cumulative churn.
         self._free_ids: list[int] = []
         #: Source sets interned to dense ids: rows overwhelmingly share a
-        #: handful of distinct sets (one per routed subtree), so the
-        #: per-source provenance mask is a membership probe over the
-        #: distinct sets fancy-indexed through the ``src_set`` column —
-        #: O(distinct) instead of a Python frozenset probe per row.
+        #: handful of distinct sets (one per routed subtree), so which rows
+        #: a source reaches is a membership probe over the distinct sets
+        #: fancy-indexed through the ``src_set`` column.
         self._src_set_by_id: list[frozenset[str]] = []
         self._src_set_id_of: dict[frozenset[str], int] = {}
         self._hop_names: list[str] = []
         self._hop_id_of: dict[str, int] = {}
         self._sub_names: list[str] = []
         self._sub_id_of: dict[str, int] = {}
-        #: Mutation counter: bumped on every install/uninstall.  The fused
-        #: engine keys its speculative match memo on this, so a result
-        #: computed ahead of time is only consumed if the table has not
-        #: changed since (churn between lookahead and execution recomputes).
+        #: Mutation counter: bumped on every install/uninstall.
         self._version = 0
         # Compiled views: snapshots rebuilt lazily after install/uninstall.
         self._c_dirty = True
@@ -326,6 +351,19 @@ class SubscriptionTable:
         own = self._own(subscriber)
         self._ids_of_subscriber[subscriber] = [*own, row_id] if own else row_id
 
+    def _fids(self, filters: list[Filter], known: np.ndarray | None = None) -> np.ndarray:
+        """The rows' fids: counted live in a private index, looked up (or
+        taken as ``known``) in a shared one."""
+        if self._owns_filters:
+            return self._filters.add(filters)
+        return self._filters.fids(filters) if known is None else known
+
+    def _rows_added(self, row_ids: list[int], filters: list[Filter]) -> None:
+        """Hook: rows were written (the reference table indexes them)."""
+
+    def _rows_removed(self, row_ids: list[int]) -> None:
+        """Hook: rows were freed (the reference table unindexes them)."""
+
     def install(self, row: TableRow) -> None:
         """Install one row."""
         subscription = row.subscription
@@ -336,24 +374,25 @@ class SubscriptionTable:
             row.next_hop, self._hop_id_of, self._hop_names)
         sub = _intern(name, self._sub_id_of, self._sub_names)
         src_set = _intern(row.sources, self._src_set_id_of, self._src_set_by_id)
+        (fid,) = self._fids([subscription.filter]).tolist()
         row_id = self._free_ids.pop() if self._free_ids else len(self._subs)
         self._subs[row_id:row_id + 1] = [subscription]  # replaces, or appends at the end
         self._cols.at_least(row_id + 1)[row_id] = (
             row.rate.mean, row.rate.variance,
             np.inf if subscription.deadline_ms is None else subscription.deadline_ms,
             1.0 if subscription.price is None else subscription.price,
-            row.min_msg_id, row.nn, hop, sub, row.path_id, src_set,
+            row.min_msg_id, row.nn, hop, sub, row.path_id, src_set, fid,
         )
         self._link(name, row_id)
-        self._matcher.add(row_id, subscription.filter)
+        self._rows_added([row_id], [subscription.filter])
         self._c_dirty = True
         self._version += 1
 
     def install_many(self, block: RowBlock) -> None:
         """Bulk install: end state identical to :meth:`install` per row of
         the block in order — same row and interned ids, same version
-        count — but written as whole columns, with one matcher ``add_many``
-        (the 100k-subscriber build's hot path)."""
+        count — but written as whole columns (the 100k-subscriber build's
+        hot path)."""
         n = len(block)
         if not n:
             return
@@ -378,12 +417,14 @@ class SubscriptionTable:
                 -1 if next_hop is None else _intern(
                     next_hop, self._hop_id_of, self._hop_names),
                 0, path_id,
-                _intern(sources, self._src_set_id_of, self._src_set_by_id),
+                _intern(sources, self._src_set_id_of, self._src_set_by_id), 0,
             )
+        filters = [s.filter for s in subs]
         rows = routes[route]
         rows["sub"] = _intern_many(names, self._sub_id_of, self._sub_names)
         rows["deadline"] = [np.inf if s.deadline_ms is None else s.deadline_ms for s in subs]
         rows["price"] = [1.0 if s.price is None else s.price for s in subs]
+        rows["fid"] = self._fids(filters, block.fids)
         # Freed ids are reused newest-first, then the columns grow.
         free = self._free_ids
         keep = len(free) - min(n, len(free))
@@ -399,9 +440,7 @@ class SubscriptionTable:
         else:
             for name, row_id in zip(names, row_ids):
                 self._link(name, row_id)
-        self._matcher.add_many(
-            list(zip(row_ids, [s.filter for s in subs])), block.preds
-        )
+        self._rows_added(row_ids, filters)
         self._c_dirty = True
         self._version += n
 
@@ -412,8 +451,8 @@ class SubscriptionTable:
     def uninstall_many(self, subscribers: list[str]) -> None:
         """Remove every row of each subscriber: end state identical to
         :meth:`uninstall` per name in order — same freed-id order, same
-        version count — with one matcher ``remove_many``.  A name that
-        repeats or holds no row here raises before anything is removed."""
+        version count.  A name that repeats or holds no row here raises
+        before anything is removed."""
         subscribers = list(subscribers)
         if not subscribers:
             return
@@ -431,7 +470,9 @@ class SubscriptionTable:
                 row_ids.extend(own)
         for row_id in row_ids:
             self._subs[row_id] = None
-        self._matcher.remove_many(row_ids)
+        if self._owns_filters:
+            self._filters.discard(self._cols.view()["fid"][row_ids].astype(np.int64))
+        self._rows_removed(row_ids)
         self._free_ids.extend(row_ids)
         self._c_dirty = True
         self._version += len(subscribers)
@@ -441,8 +482,8 @@ class SubscriptionTable:
     # ------------------------------------------------------------------ #
     def __getstate__(self) -> dict:
         """The columns, the subscription references and the interning
-        order; compiled views (``_c_*``) and the interning dicts
-        (``*_id_of``) are derivable and rebuilt on load."""
+        order; compiled views and route plans (``_c_*``) and the interning
+        dicts (``*_id_of``) are derivable and rebuilt on load."""
         return {
             k: v for k, v in self.__dict__.items()
             if not k.startswith("_c_") and not k.endswith("_id_of")
@@ -482,7 +523,7 @@ class SubscriptionTable:
         return [
             TableRow(subs[i], None if hop < 0 else hops[hop], nn,
                      Normal(mean, variance), sources[src_set], path, min_msg)
-            for i, (mean, variance, _, _, min_msg, nn, hop, _, path, src_set)
+            for i, (mean, variance, _, _, min_msg, nn, hop, _, path, src_set, _)
             in zip(ids.tolist(), self._cols.view()[ids].tolist())
         ]
 
@@ -500,11 +541,12 @@ class SubscriptionTable:
     # Matching.
     # ------------------------------------------------------------------ #
     def warm(self) -> None:
-        """Build the compiled column views and the matcher's indexes now
-        instead of on the first match.  Purely a latency move: the state
-        reached is exactly what the first match would have built."""
+        """Build the compiled column views and every source's route plan
+        now instead of on the first match.  Purely a latency move: the
+        state reached is exactly what the first matches would have built."""
         self._compile()
-        self._matcher.warm()
+        for source in sorted(set().union(*self._src_set_by_id)):
+            self._plan(source)
 
     def _compile(self) -> None:
         if not self._c_dirty:
@@ -521,97 +563,95 @@ class SubscriptionTable:
         cols5[3] = cols["deadline"]
         cols5[4] = cols["price"]
         self._c_cols5 = cols5
-        self._c_hop = cols["hop"].astype(np.int64)
         self._c_sub = cols["sub"].astype(np.int64)
-        self._c_min_msg = cols["min_msg"].copy()
-        self._c_src_set = cols["src_set"].astype(np.int64)
-        # Only multi-path rows can duplicate a (hop, subscriber) pair, only
-        # subscribe-time epochs (> 0) can hide a message: else skip both.
-        self._c_multipath = bool(cols["path"].any())
-        self._c_epochs = bool(self._c_min_msg.any())
-        # Rank = position in sorted (subscriber, path_id) order, the
-        # canonical match order (dead ids keep rank 0; the matcher never
-        # returns them).  np.lexsort over (path_id, name) gives exactly
-        # sorted-tuple order — numpy compares unicode by code point, same
-        # as Python str — without a Python loop over the rows.
-        rank = np.zeros(n, dtype=np.int64)
-        live = len(self)
-        if live:
-            alive = np.ones(n, dtype=bool)
-            alive[self._free_ids] = False
-            ids = np.flatnonzero(alive)
-            if len(self._c_names) < len(self._sub_names):
-                self._c_names = np.concatenate(
-                    (self._c_names, np.asarray(self._sub_names[len(self._c_names):]))
-                )
-            order = np.lexsort((cols["path"][ids], self._c_names[self._c_sub[ids]]))
-            rank[ids[order]] = np.arange(live, dtype=np.int64)
-        self._c_rank = rank
-        # Frozen worlds install in sorted order, making the rank the
-        # identity — then canonical ordering is a plain sort of the
-        # matched ids, no rank gather or argsort.
-        self._c_rank_identity = live == n and bool(
-            np.array_equal(rank, np.arange(n, dtype=np.int64))
-        )
         # Neighbor-name rank per hop id, offset by one so slot 0 holds the
-        # local pseudo-hop −1 (which ranks below every name): grouping
-        # emits neighbor groups already name-sorted — the broker's
-        # deterministic enqueue order without a per-message sort.
+        # local pseudo-hop −1 (which ranks below every name).
         hop_rank = np.zeros(len(self._hop_names) + 1, dtype=np.int64)
         hop_rank[0] = -1
-        order = sorted(range(len(self._hop_names)), key=self._hop_names.__getitem__)
-        for r, h in enumerate(order):
+        by_rank = sorted(range(len(self._hop_names)), key=self._hop_names.__getitem__)
+        for r, h in enumerate(by_rank):
             hop_rank[h + 1] = r
-        self._c_hop_rank = hop_rank
-        self._c_hop_by_rank = order
-        self._c_source_masks = {}
+        self._c_hop_by_rank = by_rank
+        # The live rows in output order: next-hop name rank (local first),
+        # then canonical (subscriber, path_id).  np.lexsort over the name
+        # column gives exactly sorted-tuple order — numpy compares unicode
+        # by code point, same as Python str — without a Python loop.
+        alive = np.ones(n, dtype=bool)
+        alive[self._free_ids] = False
+        ids = np.flatnonzero(alive)
+        if len(self._c_names) < len(self._sub_names):
+            self._c_names = np.concatenate(
+                (self._c_names, np.asarray(self._sub_names[len(self._c_names):]))
+            )
+        rows = cols[ids]
+        order = np.lexsort((
+            rows["path"], self._c_names[rows["sub"]], hop_rank[rows["hop"] + 1]
+        ))
+        rows = rows[order]
+        self._c_order = ids[order]
+        self._c_hop = hop_rank[rows["hop"] + 1]
+        self._c_row_sub = rows["sub"]
+        self._c_fid = rows["fid"].astype(np.int64)
+        self._c_min_msg = rows["min_msg"]
+        self._c_src_set = rows["src_set"]
+        self._c_plans: dict[str, _RoutePlan] = {}
         self._c_dirty = False
 
-    def _source_mask(self, source_broker: str) -> np.ndarray:
-        mask = self._c_source_masks.get(source_broker)
-        if mask is None:
-            # Membership over the distinct interned source sets, spread to
-            # rows through the set-id column — O(distinct sets) Python
-            # work however many rows share them.
-            sets = self._src_set_by_id
-            hit = np.fromiter(
-                (source_broker in s for s in sets), dtype=bool, count=len(sets)
+    def _holding(self, source_broker: str) -> np.ndarray:
+        """Mask over the live rows (output order) whose source set holds
+        the source: O(distinct sets) Python work however many rows share
+        them."""
+        sets = self._src_set_by_id
+        hit = np.fromiter((source_broker in s for s in sets), dtype=bool, count=len(sets))
+        return hit[self._c_src_set]
+
+    def _plan(self, source_broker: str) -> _RoutePlan:
+        """Compile the route plan of one source broker (see :class:`_RoutePlan`)."""
+        keep = self._holding(source_broker)
+        ids, hop, sub = self._c_order[keep], self._c_hop[keep], self._c_row_sub[keep]
+        fid, min_msg = self._c_fid[keep], self._c_min_msg[keep]
+        run: np.ndarray | None = None
+        # Only multi-path rows can repeat a (next hop, subscriber) pair;
+        # pairs are adjacent, in path order.
+        same = (hop[1:] == hop[:-1]) & (sub[1:] == sub[:-1])
+        if same.any():
+            run = np.concatenate(([0], np.cumsum(~same)))
+            first = np.ones(len(ids), dtype=bool)
+            kept: dict[int, list[tuple[int, int]]] = {}
+            for j, (r, f, m) in enumerate(zip(run.tolist(), fid.tolist(), min_msg.tolist())):
+                earlier = kept.setdefault(r, [])
+                if any(f == f0 and m0 <= m for f0, m0 in earlier):
+                    first[j] = False
+                else:
+                    earlier.append((f, m))
+            ids, hop, sub, fid, min_msg, run = (
+                column[first] for column in (ids, hop, sub, fid, min_msg, run)
             )
-            mask = hit[self._c_src_set] if len(sets) else np.empty(0, dtype=bool)
-            self._c_source_masks[source_broker] = mask
-        return mask
-
-    def _matched_ids(self, message: Message) -> np.ndarray:
-        """Row ids matching filter + provenance, in (subscriber, path_id)
-        order — exactly the legacy ``sorted(keys)`` order."""
-        self._compile()
-        ids, ascending = self._filter_matches(message)
-        if ids.size == 0:
-            return ids
-        ids = ids[self._source_mask(message.source_broker)[ids]]
-        if self._c_epochs and ids.size:
-            # Mid-run subscriptions only see messages published after they
-            # joined (ids are publish-ordered); frozen tables skip this.
-            ids = ids[self._c_min_msg[ids] <= message.msg_id]
-        if ids.size:
-            if self._c_rank_identity:
-                # Boolean filters above preserve order, so ids that came
-                # out of the matcher ascending are still ascending here.
-                if not ascending:
-                    ids = np.sort(ids)
-            else:
-                ids = ids[np.argsort(self._c_rank[ids], kind="stable")]
-        return ids
-
-    def _filter_matches(self, message: Message) -> tuple[np.ndarray, bool]:
-        """Row ids whose filter matches, and whether they come out ascending."""
-        matcher = self._matcher
-        return matcher.match_array(message.attributes), matcher.array_results_sorted
+            if all(len(earlier) == 1 for earlier in kept.values()):
+                run = None
+        last = _EMPTY_IDS
+        if len(hop):
+            last = np.append(np.flatnonzero(hop[1:] != hop[:-1]), len(hop) - 1)
+        hops = [
+            None if r < 0 else self._hop_names[self._c_hop_by_rank[r]]
+            for r in hop[last].tolist()
+        ]
+        plan = self._c_plans[source_broker] = _RoutePlan(
+            ids, fid, min_msg if min_msg.any() else None, run, last, hops,
+        )
+        return plan
 
     def match(self, message: Message) -> list[TableRow]:
-        """Rows whose filter matches *and* whose sources include the
-        message's origin broker (provenance check)."""
-        return self._materialise(self._matched_ids(message))
+        """Every row whose filter matches, whose sources include the
+        message's origin broker (provenance check) and whose epoch admits
+        it — multi-path duplicates included — in ``(subscriber, path_id)``
+        order.  Not on the delivery path (analysis and tests read it)."""
+        self._compile()
+        take = self._filters.verdicts(message)[self._c_fid]
+        take &= self._c_min_msg <= message.msg_id
+        take &= self._holding(message.source_broker)
+        rows = self._materialise(self._c_order[take])
+        return sorted(rows, key=lambda row: (row.subscriber, row.path_id))
 
     def match_grouped(self, message: Message) -> tuple[RowGroup, dict[str, RowGroup]]:
         """Split matches into (local rows, remote rows grouped by next hop).
@@ -619,57 +659,53 @@ class SubscriptionTable:
         Within each group, rows are deduplicated by subscriber (multi-path
         can route the same subscriber through one broker via several paths
         sharing a next hop — the queue copy must count the subscriber's
-        benefit once).  Local rows are likewise unique per subscriber.
+        benefit once; the first in ``(subscriber, path_id)`` order wins).
         Groups come back as :class:`RowGroup` views whose ``arrays`` are
         column gathers.  The ``remote`` dict's insertion order is sorted
         neighbor-name order — the broker's deterministic enqueue order —
         so callers iterate it directly instead of re-sorting per message.
         """
-        ids = self._matched_ids(message)
-        if ids.size == 0:
-            return RowGroup(self, _EMPTY_IDS), {}
-        hop = self._c_hop[ids]
-        if self._c_multipath:
-            # Deduplicate (next hop, subscriber) keeping the first row in
-            # match order — the legacy setdefault semantics.  Single-path
-            # tables hold one row per subscriber, so only multi-path
-            # installs can collide and the pass is skipped otherwise.
-            combo = (hop + 1) * len(self._sub_names) + self._c_sub[ids]
-            _, first = np.unique(combo, return_index=True)
-            if len(first) != len(ids):
-                first.sort()
-                ids, hop = ids[first], hop[first]
-        # Group by neighbor-name rank (local −1 first): the stable sort
-        # keeps match order inside each group and emits groups in sorted
-        # neighbor order.
-        hop_rank = self._c_hop_rank[hop + 1]
-        order = np.argsort(hop_rank, kind="stable")
-        ids, hop_rank = ids[order], hop_rank[order]
-        boundaries = np.flatnonzero(hop_rank[1:] != hop_rank[:-1]) + 1
-        local = RowGroup(self, _EMPTY_IDS)
+        self._compile()
+        plan = self._c_plans.get(message.source_broker)
+        if plan is None:
+            plan = self._plan(message.source_broker)
+        take = self._filters.verdicts(message)[plan.fid]
+        if plan.min_msg is not None:
+            # Mid-run subscriptions only see messages published after they
+            # joined (ids are publish-ordered); frozen tables skip this.
+            take &= plan.min_msg <= message.msg_id
+        (at,) = take.nonzero()
+        if plan.run is not None and at.size:
+            # A pair that kept two rows: only its first taken row goes.
+            runs = plan.run[at]
+            at = at[np.concatenate(([True], runs[1:] != runs[:-1]))]
+        local: RowGroup | None = None
         remote: dict[str, RowGroup] = {}
-        start = 0
-        for stop in list(boundaries) + [len(ids)]:
-            group = RowGroup(self, ids[start:stop])
-            r = int(hop_rank[start])
-            if r < 0:
-                local = group
+        if at.size:
+            ids = plan.ids[at]
+            hops = plan.hops
+            if len(hops) == 1:
+                stops = [len(ids)]
             else:
-                remote[self._hop_names[self._c_hop_by_rank[r]]] = group
-            start = stop
+                stops = at.searchsorted(plan.last, side="right").tolist()
+            start = 0
+            for hop, stop in zip(hops, stops):
+                if stop > start:
+                    group = RowGroup(self, ids[start:stop])
+                    if hop is None:
+                        local = group
+                    else:
+                        remote[hop] = group
+                    start = stop
+        if local is None:
+            local = RowGroup(self, _EMPTY_IDS)
         return local, remote
 
     def match_grouped_many(
         self, messages: list[Message]
     ) -> list[tuple[RowGroup, dict[str, RowGroup]]]:
-        """Batch form of :meth:`match_grouped` for the fused engine's
-        window lookahead: compile once, then match the window's messages
-        against the same compiled columns (per-source provenance masks are
-        built once and shared across the batch).  Matching itself is a
-        pure per-message reduction — each message's result is exactly
-        ``match_grouped(message)``, which the differential suite asserts.
-        """
-        self._compile()
+        """:meth:`match_grouped` per message, in order (the batch entry
+        point the benchmark's layer tracer names)."""
         return [self.match_grouped(m) for m in messages]
 
 

@@ -15,6 +15,9 @@ Responsibilities:
   :meth:`SubscriptionTable.match` then guarantees each (message,
   subscriber) pair travels exactly one path — single-path routing with no
   duplicate deliveries, as Section 3.3 requires;
+* keep every live subscription's filter in one
+  :class:`~repro.pubsub.matching.FilterIndex`, so each publication is
+  matched once, however many brokers it crosses;
 * accept publications, count the interested population (the ``ts_i``
   denominator of Eq. 1) and inject the message at its source broker.
 """
@@ -42,7 +45,7 @@ from repro.pubsub.broker import Broker
 from repro.pubsub.client import DeliveryLog, PublisherHandle, SubscriberHandle
 from repro.pubsub.engine import FusedEngine
 from repro.pubsub.faults import FaultLedger
-from repro.pubsub.matching import PredicateColumns, VectorCountingMatcher
+from repro.pubsub.matching import FilterIndex
 from repro.pubsub.message import Message
 from repro.pubsub.metrics import LedgerMetricsCollector, MetricsError
 from repro.pubsub.subscription import Route, RowBlock, Subscription, TableRow
@@ -123,8 +126,6 @@ class PubSubSystem:
     """
 
     broker_type: type = Broker
-    #: Matching engine behind the interested-population count.
-    matcher_type: type = VectorCountingMatcher
     metrics_type: type = LedgerMetricsCollector
 
     def __init__(
@@ -162,7 +163,12 @@ class PubSubSystem:
         self.subscribers: dict[str, SubscriberHandle] = {}
         self.publishers: dict[str, PublisherHandle] = {}
         self._subscriptions: dict[str, Subscription] = {}
-        self._population = self.matcher_type()
+        #: Every live subscription's filter, shared by all broker tables:
+        #: a publication is matched once, here, and each table gathers
+        #: the verdicts through its fid column.
+        self.filters = FilterIndex()
+        #: subscriber -> the fid its subscription holds live in ``filters``.
+        self._fid_of_subscriber: dict[str, int] = {}
         self._sink_trees: dict[str, SinkTree] = {}
         #: Single-path install plans per edge broker, tagged with the
         #: publisher-broker count they were computed under (attaching a
@@ -208,7 +214,7 @@ class PubSubSystem:
         )
 
         #: The event-pipeline driver behind :meth:`run`.
-        self._engine = FusedEngine(sim, system=self)
+        self._engine = FusedEngine(sim)
 
         self._build_brokers()
         self._wire_links()
@@ -224,6 +230,7 @@ class PubSubSystem:
                 name, self.sim, self.strategy, self.metrics, self.config,
                 trace=self.trace if self.config.enable_trace else None,
                 faults=self.faults,
+                filters=self.filters,
             )
             broker.delivery_batch_callbacks.append(self._on_local_delivery_batch)
             self.brokers[name] = broker
@@ -330,8 +337,8 @@ class PubSubSystem:
             edges.append(edge)
         return edges
 
-    def _register(self, subscriptions: list[Subscription], preds: PredicateColumns) -> None:
-        """Enter installed subscriptions into registry, population, log."""
+    def _register(self, subscriptions: list[Subscription], fids: np.ndarray) -> None:
+        """Enter installed subscriptions into registry and log."""
         # Endpoint ids are handed out sequentially and only here, so the
         # price list stays index-aligned with the shared delivery log.
         first = len(self._endpoint_price)
@@ -342,9 +349,7 @@ class PubSubSystem:
             )
         names = [s.subscriber for s in subscriptions]
         self._subscriptions.update(zip(names, subscriptions))
-        self._population.add_many(
-            list(zip(names, [s.filter for s in subscriptions])), preds
-        )
+        self._fid_of_subscriber.update(zip(names, fids.tolist()))
         self.subscribers.update(
             (name, SubscriberHandle(name, log=self.delivery_log)) for name in names
         )
@@ -422,11 +427,11 @@ class PubSubSystem:
         edges = self._edges_of_new([s.subscriber for s in subscriptions])
         if not subscriptions:
             return
-        preds = PredicateColumns.of([s.filter for s in subscriptions])
+        fids = self.filters.add([s.filter for s in subscriptions])
         if self.config.routing_paths > 1:
             for subscription, edge in zip(subscriptions, edges):
                 self._install_multi_path(subscription, edge)
-            self._register(subscriptions, preds)
+            self._register(subscriptions, fids)
             return
         min_msg = self._next_msg_id
         members_of_edge: dict[str, list[int]] = {}
@@ -447,10 +452,10 @@ class PubSubSystem:
             route = np.repeat(np.arange(len(parts)), [len(part) for part in parts])
             rows = members[order]
             self.brokers[node].install_many(RowBlock(
-                [subscriptions[i] for i in rows.tolist()], preds.take(rows),
+                [subscriptions[i] for i in rows.tolist()], fids[rows],
                 route[order], routes,
             ))
-        self._register(subscriptions, preds)
+        self._register(subscriptions, fids)
 
     def unsubscribe(self, subscriber: str) -> SubscriberHandle:
         """Remove a subscription from every broker that holds a row for it.
@@ -480,7 +485,9 @@ class PubSubSystem:
                 broker.table.uninstall_many(held)
         for name in subscribers:
             del self._subscriptions[name]
-        self._population.remove_many(subscribers)
+        self.filters.discard(np.fromiter(
+            map(self._fid_of_subscriber.pop, subscribers), dtype=np.int64, count=len(subscribers)
+        ))
         self._patch_endpoint_ids(subscribers, -1)
         self.unsubscribe_count += len(subscribers)
         return [self.subscribers.pop(name) for name in subscribers]
@@ -517,9 +524,7 @@ class PubSubSystem:
             deadline_ms=deadline_ms,
         )
         self._next_msg_id += 1
-        # count() skips materialising the matched-key set — at the 100k
-        # tier that set build was the single hottest line per publish.
-        interested = self._population.count(message.attributes)
+        interested = self._interested(message)
         self.metrics.on_publish(message.msg_id, interested)
         self._pub_log.append_row(message.publish_time, interested)
         if source in self._down_brokers:
@@ -532,11 +537,18 @@ class PubSubSystem:
         self.brokers[source].receive(message)
         return message
 
+    def _interested(self, message: Message) -> int:
+        """The interested population of a publication: the live counts of
+        the filters it satisfies (its verdicts stay cached on it for the
+        brokers it reaches)."""
+        return self.filters.interested(message)
+
     # ------------------------------------------------------------------ #
     # Execution.
     # ------------------------------------------------------------------ #
     def warm(self) -> None:
-        """Compile every broker table and matcher index eagerly.
+        """Compile the filter index, every broker table and its route
+        plans eagerly.
 
         All of these build lazily on first use; at the 100k tier that
         "first use" lands inside the measured hot loop and is seconds of
@@ -544,18 +556,14 @@ class PubSubSystem:
         populated reaches the identical compiled state ahead of time, so
         run-phase timings measure steady-state matching only.
         """
-        self._population.warm()
+        self.filters.warm()
         for broker in self.brokers.values():
             broker.table.warm()
 
     def run(self, until: float | None = None, max_events: int | None = None) -> int:
-        """Drive the simulation through the fused engine.
-
-        Semantics are exactly :meth:`Simulator.run` (closed-interval
-        ``until``, drained-early clock advance, executed-event count);
-        the engine merely batches the pure match computation per
-        event-time window before dispatching.
-        """
+        """Drive the simulation: exactly :meth:`Simulator.run`
+        (closed-interval ``until``, drained-early clock advance,
+        executed-event count), through :class:`FusedEngine`."""
         return self._engine.run(until=until, max_events=max_events)
 
     # ------------------------------------------------------------------ #

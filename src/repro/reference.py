@@ -1,19 +1,20 @@
 """The reference stack: the production system assembled from its oracles.
 
-Every fast layer of the production stack (:class:`~repro.pubsub.system.
-PubSubSystem`) has a straightforward counterpart kept in ``src/``: the
-per-event kernel :meth:`~repro.des.simulator.Simulator.run` instead of
-the fused window drain, the dict-based
-:class:`~repro.pubsub.matching.CountingIndexMatcher` instead of the numpy
-counting index, the per-delivery
+Both stacks run one event kernel, :meth:`~repro.des.simulator.Simulator.run`.
+Every other fast layer of the production stack
+(:class:`~repro.pubsub.system.PubSubSystem`) has a straightforward
+counterpart kept in ``src/``: per-table dict-based
+:class:`~repro.pubsub.matching.CountingIndexMatcher` indexes keyed by row
+id, rows filtered, sorted and grouped one by one, and a population count
+of their own, instead of the system-wide filter index and the per-source
+route plans; the per-delivery
 :class:`~repro.pubsub.metrics.MetricsCollector` instead of the columnar
-ledger, and a full rescan of each output queue (``Strategy.select``)
-instead of the incremental heaps (a lone entry scored too), and every
-score plan in numpy array form instead of the small entries' Python-float
-form.  :class:`ReferenceSystem` is the
-production system with all five swapped in — by subclassing, overriding
-the component class attributes and the one method per layer where the
-oracle's interface differs.
+ledger; a full rescan of each output queue (``Strategy.select``) instead
+of the incremental heaps (a lone entry scored too); and every score plan
+in numpy array form instead of the small entries' Python-float form.
+:class:`ReferenceSystem` is the production system with all four swapped
+in — by subclassing, overriding the component class attributes and the
+few methods per layer where the oracle's interface differs.
 
 The two stacks produce byte-identical results, delivery logs and series
 (``tests/integration/test_reference_identity.py``); select this one with
@@ -29,10 +30,12 @@ from repro.core.context import SchedulingContext
 from repro.core.queueing import ScheduledQueue, _ScanBackend
 from repro.core.strategies import QueueEntry
 from repro.pubsub.broker import Broker
-from repro.pubsub.matching import CountingIndexMatcher
+from repro.pubsub.client import SubscriberHandle
+from repro.pubsub.filters import Filter
+from repro.pubsub.matching import CountingIndexMatcher, FilterIndex
 from repro.pubsub.message import Message
 from repro.pubsub.metrics import MetricsCollector
-from repro.pubsub.subscription import SubscriptionTable
+from repro.pubsub.subscription import RowGroup, Subscription, SubscriptionTable, TableRow
 from repro.pubsub.system import PubSubSystem
 
 
@@ -56,13 +59,50 @@ class ReferenceQueue(ScheduledQueue):
 
 
 class ReferenceTable(SubscriptionTable):
-    """Rows matched by the dict counting matcher."""
+    """Rows matched by the dict counting matcher, keyed by row id, and
+    filtered, ordered, deduplicated and grouped row by row."""
 
     matcher_type = CountingIndexMatcher
 
-    def _filter_matches(self, message: Message) -> tuple[np.ndarray, bool]:
-        keys = self._matcher.match(message.attributes)
-        return np.fromiter(keys, dtype=np.int64, count=len(keys)), False
+    def __init__(self, filters: FilterIndex | None = None) -> None:
+        super().__init__(filters)
+        self._matcher = self.matcher_type()
+
+    def _rows_added(self, row_ids: list[int], filters: list[Filter]) -> None:
+        self._matcher.add_many(zip(row_ids, filters))
+
+    def _rows_removed(self, row_ids: list[int]) -> None:
+        self._matcher.remove_many(row_ids)
+
+    def _matched(self, message: Message) -> list[tuple[str, int, int, int]]:
+        """``(subscriber, path_id, row id, hop id)`` of every row whose
+        filter matches, whose sources hold the origin broker and whose
+        epoch admits the message, sorted."""
+        ids = sorted(self._matcher.match(message.attributes))
+        names, sets = self._sub_names, self._src_set_by_id
+        return sorted(
+            (names[sub], path, i, hop)
+            for i, (_, _, _, _, min_msg, _, hop, sub, path, src_set, _)
+            in zip(ids, self._cols.view()[ids].tolist())
+            if min_msg <= message.msg_id and message.source_broker in sets[src_set]
+        )
+
+    def match(self, message: Message) -> list[TableRow]:
+        return self._materialise([i for _, _, i, _ in self._matched(message)])
+
+    def match_grouped(self, message: Message) -> tuple[RowGroup, dict[str, RowGroup]]:
+        self._compile()
+        groups: dict[int, list[int]] = {}
+        seen: set[tuple[int, str]] = set()
+        for name, _, i, hop in self._matched(message):
+            if (hop, name) not in seen:
+                seen.add((hop, name))
+                groups.setdefault(hop, []).append(i)
+        local = RowGroup(self, np.array(groups.pop(-1, []), dtype=np.int64))
+        by_name = sorted((self._hop_names[hop], ids) for hop, ids in groups.items())
+        return local, {
+            name: RowGroup(self, np.array(ids, dtype=np.int64)) for name, ids in by_name
+        }
 
 
 class ReferenceBroker(Broker):
@@ -79,11 +119,25 @@ class ReferenceBroker(Broker):
 
 
 class ReferenceSystem(PubSubSystem):
-    """The production system on the per-event kernel and the oracles."""
+    """The production system on the oracles, with the interested
+    population counted by its own matcher, keyed by subscriber."""
 
     broker_type = ReferenceBroker
     matcher_type = CountingIndexMatcher
     metrics_type = MetricsCollector
 
-    def run(self, until: float | None = None, max_events: int | None = None) -> int:
-        return self.sim.run(until=until, max_events=max_events)
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._population = self.matcher_type()
+
+    def _register(self, subscriptions: list[Subscription], fids: np.ndarray) -> None:
+        super()._register(subscriptions, fids)
+        self._population.add_many([(s.subscriber, s.filter) for s in subscriptions])
+
+    def unsubscribe_all(self, subscribers: list[str]) -> list[SubscriberHandle]:
+        handles = super().unsubscribe_all(subscribers)
+        self._population.remove_many([h.name for h in handles])
+        return handles
+
+    def _interested(self, message: Message) -> int:
+        return self._population.count(message.attributes)

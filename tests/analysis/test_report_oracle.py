@@ -6,6 +6,7 @@ and structurally unable to grow Python work with rows or endpoints.
 
 from __future__ import annotations
 
+import gc
 import sys
 
 from hypothesis import given, settings
@@ -167,17 +168,25 @@ def test_tiers_fold_to_the_collector_under_churn():
 # make may depend on the chunk count, never on rows or endpoints.
 # --------------------------------------------------------------------- #
 def python_calls(fn, *args) -> int:
+    """Python-level calls made by ``fn(*args)``.  Garbage is collected
+    first and collection is off while counting, so a collection's
+    callbacks (other libraries' ``gc.callbacks``) are never counted."""
     calls = 0
 
     def profiler(_frame, event, _arg):
         nonlocal calls
         calls += event == "call"
 
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
     sys.setprofile(profiler)
     try:
         fn(*args)
     finally:
         sys.setprofile(None)
+        if enabled:
+            gc.enable()
     return calls
 
 

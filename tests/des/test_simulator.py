@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import pickle
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -193,47 +191,3 @@ class TestRunSemantics:
             return log
 
         assert trace() == trace()
-
-
-class TestWatchedKinds:
-    def test_unwatched_kinds_are_not_tracked(self, sim):
-        for k in range(50):
-            sim.schedule(float(k), int, kind="process")
-        assert sim._watched == {}
-        sim.run()
-        assert sim._watched == {}
-
-    def test_watch_picks_up_events_already_in_the_heap(self, sim):
-        sim.schedule(1.0, int, kind="process", payload="early")
-        sim.schedule(2.0, int, kind="transmit")
-        sim.schedule(3.0, int, kind="process").cancel()
-        sim.watch("process")
-        sim.schedule(4.0, int, kind="process", payload="late")
-        sim.watch("process")  # idempotent: nothing is listed twice
-        assert [ev.payload for ev in sim.pending("process")] == ["early", "late"]
-
-    def test_pending_drops_executed_and_cancelled_events(self, sim):
-        sim.watch("process")
-        handles = [
-            sim.schedule(float(k), int, kind="process", payload=k) for k in range(6)
-        ]
-        sim.schedule(0.5, int)  # opaque events never enter the list
-        handles[4].cancel()
-        sim.run(until=2.0)  # executes payloads 0, 1, 2
-        assert [ev.payload for ev in sim.pending("process")] == [3, 5]
-        sim.run()
-        assert sim.pending("process") == []
-
-    def test_watch_list_pickles_as_references_to_the_heap_events(self, sim):
-        sim.watch("process")
-        for k in range(4):
-            sim.schedule(float(k), int, kind="process", payload=k)
-        sim.run(until=0.0)
-        restored = pickle.loads(pickle.dumps(sim))
-        in_heap = {id(ev) for ev in restored._heap}
-        pending = restored.pending("process")
-        assert [ev.payload for ev in pending] == [1, 2, 3]
-        assert all(id(ev) in in_heap for ev in pending)
-        restored.schedule(9.0, int, kind="process", payload=9)  # still watching
-        restored.run(until=2.0)
-        assert [ev.payload for ev in restored.pending("process")] == [3, 9]

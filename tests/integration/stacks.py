@@ -4,8 +4,7 @@ The reference stack (:mod:`repro.reference`) swaps every layer at once, so
 a divergence there does not say which layer caused it.  The systems here
 are assembled the same way — subclasses overriding the component class
 attributes — but each swaps a single layer, and the per-layer suites hold
-each against production on its own.  The event-kernel layer needs no
-class: ``system.sim.run()`` drives any system one event at a time.
+each against production on its own.  Both stacks share one event kernel.
 
 ``build_system_on`` / ``run_simulation_on`` are :func:`~repro.sim.runner.
 build_system` / :func:`~repro.sim.runner.run_simulation` with the given
@@ -18,8 +17,8 @@ from __future__ import annotations
 from unittest import mock
 
 from repro.pubsub.broker import Broker
-from repro.pubsub.matching import BruteForceMatcher, CountingIndexMatcher
-from repro.pubsub.metrics import MetricsCollector
+from repro.pubsub.matching import BruteForceMatcher
+from repro.pubsub.metrics import LedgerMetricsCollector, MetricsCollector
 from repro.pubsub.system import PubSubSystem
 from repro.reference import ReferenceBroker, ReferenceQueue, ReferenceTable, ReferenceSystem
 from repro.sim import runner
@@ -29,33 +28,26 @@ class _OracleMatcherBroker(Broker):
     table_type = ReferenceTable
 
 
-class OracleMatcherSystem(PubSubSystem):
+class OracleMatcherSystem(ReferenceSystem):
     """Tables and the interested population on the dict counting matcher."""
 
     broker_type = _OracleMatcherBroker
-    matcher_type = CountingIndexMatcher
-
-
-class _BruteForceIndex(BruteForceMatcher):
-    """The brute-force matcher, which has no index to build ahead of time."""
-
-    def warm(self) -> None:
-        pass
+    metrics_type = LedgerMetricsCollector
 
 
 class _BruteTable(ReferenceTable):
-    matcher_type = _BruteForceIndex
+    matcher_type = BruteForceMatcher
 
 
 class _BruteBroker(Broker):
     table_type = _BruteTable
 
 
-class BruteMatcherSystem(PubSubSystem):
+class BruteMatcherSystem(OracleMatcherSystem):
     """Every filter evaluated against every message."""
 
     broker_type = _BruteBroker
-    matcher_type = _BruteForceIndex
+    matcher_type = BruteForceMatcher
 
 
 class _ScalarCollectorBroker(Broker):
@@ -77,16 +69,6 @@ class ScanQueueSystem(PubSubSystem):
     """Every output-queue selection a full rescan."""
 
     broker_type = _ScanQueueBroker
-
-
-class EventKernelSystem(PubSubSystem):
-    """:meth:`run` is the per-event kernel instead of the fused engine."""
-
-    run = ReferenceSystem.run
-
-
-class ScalarCollectorEventSystem(ScalarCollectorSystem):
-    run = ReferenceSystem.run
 
 
 def build_system_on(system_type: type, config, **kwargs):

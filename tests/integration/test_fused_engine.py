@@ -1,16 +1,18 @@
-"""The fused engine against the per-event kernel, on one production stack.
+"""The production run path against per-hop matching, on one production stack.
 
-:meth:`PubSubSystem.run` drains the heap through the fused engine (window
-lookahead, speculative batch matching, memo replay); ``system.sim.run()``
-drives the very same system one event at a time.  Whole runs of the two
-stacks are compared in ``test_reference_identity.py``; this file isolates
-the engine.  It must be byte-identical to the kernel — figure data,
-delivery-record streams, delivery-log bytes — for every strategy, both
-collectors, churn dynamics, hard faults and spillable logs, and it attacks
-the window geometry: events exactly on window boundaries, cancellations
-inside a drained window, table churn that stales a precomputed match
-between lookahead and execution, any window size, and the pending-process
-side list the lookahead walks instead of the heap.
+:meth:`PubSubSystem.run` goes through :class:`FusedEngine` (the event
+kernel behind a named entry point) and matches each publication once: its
+filter verdicts are cached on the message and every broker gathers them
+through a route plan.  The "event" arm here drives the same system
+through ``system.sim.run()`` with a filter index that drops the cache, so
+every broker re-evaluates every filter — what per-table matchers did.
+Whole runs of the two stacks are compared in ``test_reference_identity.py``;
+this file isolates the verdict cache.  The two arms must be byte-identical
+— figure data, delivery-record streams, delivery-log bytes — for every
+strategy, both collectors, churn dynamics (joins and leaves between a
+publication and its last hop), hard faults and spillable logs, and on
+hand-built event geometry: events exactly at the ``until`` horizon,
+cancellations, and an unsubscribe between a publish and its processing.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -25,12 +28,12 @@ from hypothesis import strategies as st
 
 from repro.core.registry import STRATEGY_NAMES
 from repro.core.strategies import EbStrategy
-from repro.des.event import EventHandle
 from repro.des.rng import RngStreams
 from repro.des.simulator import Simulator
 from repro.network.topology import build_layered_mesh
-from repro.pubsub.engine import DEFAULT_WINDOW_MS, FusedEngine
+from repro.pubsub import system as system_module
 from repro.pubsub.filters import Predicate
+from repro.pubsub.matching import FilterIndex
 from repro.pubsub.subscription import Subscription
 from repro.pubsub.system import PubSubSystem, SystemConfig
 from repro.sim.config import SimulationConfig
@@ -51,12 +54,7 @@ from repro.workload.dynamics import (
 )
 from repro.workload.scenarios import Scenario
 from tests.conftest import make_line_topology
-from tests.integration.stacks import (
-    EventKernelSystem,
-    ScalarCollectorEventSystem,
-    ScalarCollectorSystem,
-    run_simulation_on,
-)
+from tests.integration.stacks import ScalarCollectorSystem, run_simulation_on
 
 #: The paper topology, a congesting rate, queue pressure and pruning in play.
 BASE = SimulationConfig(
@@ -74,9 +72,30 @@ CHURNY = ScenarioScript((
 ))
 
 
+class _UncachedFilterIndex(FilterIndex):
+    """Re-evaluates every filter at every call: no verdict outlives a match."""
+
+    def verdicts(self, message):
+        message.__dict__.pop("_verdicts", None)
+        return super().verdicts(message)
+
+
+def _uncached(build, *args, **kwargs):
+    """``build(*args, **kwargs)`` with the uncached filter index inside."""
+    with mock.patch.object(system_module, "FilterIndex", _UncachedFilterIndex):
+        return build(*args, **kwargs)
+
+
 def _drive(system, engine: str, **kw) -> int:
-    """Run ``system`` through the fused engine or the per-event kernel."""
+    """Run ``system`` through its engine or straight through the kernel."""
     return system.run(**kw) if engine == "fused" else system.sim.run(**kw)
+
+
+def _run_figure(system_type: type, config: SimulationConfig, engine: str):
+    """:func:`run_simulation` on ``system_type``, uncached for "event"."""
+    if engine == "fused":
+        return run_simulation_on(system_type, config)
+    return _uncached(run_simulation_on, system_type, config)
 
 
 def _log_digest(system) -> str:
@@ -95,10 +114,9 @@ def _fingerprint(system) -> tuple:
     )
 
 
-def _run_config(config: SimulationConfig, engine: str = "fused", window_ms: float | None = None):
-    system = build_system(config)
-    if window_ms is not None:
-        system._engine.window_ms = window_ms
+def _run_config(config: SimulationConfig, engine: str = "fused"):
+    system = build_system(config) if engine == "fused" else _uncached(build_system, config)
+    assert isinstance(system.filters, _UncachedFilterIndex) == (engine == "event")
     schedule_workload(system, config)
     schedule_dynamics(system, config)
     _drive(system, engine, until=config.horizon_ms)
@@ -129,23 +147,18 @@ def result_bytes(result) -> bytes:
 def test_fused_figure_data_byte_identical(strategy):
     """All five strategies: serialized figure data agrees byte for byte."""
     fused = run_simulation(BASE.replace(strategy=strategy))
-    event = run_simulation_on(EventKernelSystem, BASE.replace(strategy=strategy))
+    event = _run_figure(PubSubSystem, BASE.replace(strategy=strategy), "event")
     assert fused == event
     assert result_bytes(fused) == result_bytes(event)
 
 
 @pytest.mark.parametrize(
-    "fused_type, event_type",
-    [
-        (PubSubSystem, EventKernelSystem),
-        (ScalarCollectorSystem, ScalarCollectorEventSystem),
-    ],
-    ids=["ledger", "scalar"],
+    "system_type", [PubSubSystem, ScalarCollectorSystem], ids=["ledger", "scalar"]
 )
-def test_fused_agrees_for_both_collectors(fused_type, event_type):
-    """The engine replays the kernel whichever collector settles."""
-    fused = run_simulation_on(fused_type, BASE)
-    event = run_simulation_on(event_type, BASE)
+def test_fused_agrees_for_both_collectors(system_type):
+    """Cached verdicts replay per-hop matching whichever collector settles."""
+    fused = _run_figure(system_type, BASE, "fused")
+    event = _run_figure(system_type, BASE, "event")
     assert result_bytes(fused) == result_bytes(event)
 
 
@@ -158,8 +171,9 @@ def test_fused_agrees_with_spill_enabled():
 
 
 def test_fused_agrees_under_churn_dynamics():
-    """Churn waves rewrite the tables mid-run: precomputed matches must be
-    discarded exactly when the version moved, never consumed stale."""
+    """Churn waves rewrite the tables mid-run: a verdict array cached
+    before a wave must be recomputed exactly when the filter index
+    moved, never read stale."""
     cfg = BASE.replace(duration_ms=90_000.0, dynamics=CHURNY)
     fused = _run_config(cfg)
     event = _run_config(cfg, engine="event")
@@ -169,8 +183,7 @@ def test_fused_agrees_under_churn_dynamics():
 
 def test_fused_agrees_under_hard_faults():
     """A link that never comes back and a broker outage: retries and dead
-    letters are scheduled between the windows the lookahead precomputes,
-    and must land where the per-event kernel puts them."""
+    letters land where per-hop matching puts them."""
     cfg = BASE.replace(dynamics=_fault_script())
     fused = _run_config(cfg)
     event = _run_config(cfg, engine="event")
@@ -181,12 +194,12 @@ def test_fused_agrees_under_hard_faults():
 
 def test_delivery_record_streams_identical():
     """Per-delivery callback order and endpoint record columns agree —
-    the engines must interleave side effects identically, not merely
-    reach the same totals."""
+    the arms must interleave side effects identically, not merely reach
+    the same totals."""
     streams: dict[str, tuple] = {}
     for engine in ("fused", "event"):
         config = BASE.replace(strategy="ebpc")
-        system = build_system(config)
+        system = build_system(config) if engine == "fused" else _uncached(build_system, config)
         log: list[tuple] = []
         for broker in system.brokers.values():
             broker.delivery_callbacks.append(
@@ -205,44 +218,26 @@ def test_delivery_record_streams_identical():
     assert len(streams["fused"][0]) > 0
 
 
-@settings(max_examples=10, deadline=None)
-@given(
-    window_ms=st.one_of(
-        st.floats(0.01, 5.0), st.floats(5.0, 500.0), st.floats(1e4, 1e7)
-    ),
-    seed=st.integers(0, 4),
-    strategy=st.sampled_from(STRATEGY_NAMES),
-)
-def test_window_size_never_changes_results(window_ms, seed, strategy):
-    """The window is a pure batching device: any size (sub-event-spacing
-    through one-window-covers-the-run) replays the per-event kernel exactly."""
-    cfg = BASE.replace(seed=seed, strategy=strategy, duration_ms=30_000.0)
-    assert _fingerprint(_run_config(cfg, window_ms=window_ms)) == _fingerprint(
-        _run_config(cfg, engine="event")
-    )
-
-
 # --------------------------------------------------------------------- #
-# Adversarial window geometry on a hand-built system.
+# Adversarial event geometry on a hand-built system.
 # --------------------------------------------------------------------- #
 
 MATCH_ALL = Predicate("A1", "<", 1e9)
 
 
-def _line_system(window_ms: float = DEFAULT_WINDOW_MS) -> PubSubSystem:
+def _line_system(engine: str = "fused") -> PubSubSystem:
     topo = make_line_topology(
         n=3,
         publishers={"P1": "B1"},
         subscribers={f"S{i}": ("B2" if i % 2 else "B3") for i in range(4)},
     )
-    system = PubSubSystem(
+    system = (PubSubSystem if engine == "fused" else lambda **kw: _uncached(PubSubSystem, **kw))(
         topology=topo,
         strategy=EbStrategy(),
         sim=Simulator(),
         streams=RngStreams(5),
         config=SystemConfig(message_size_kb=5.0),
     )
-    system._engine.window_ms = window_ms
     for i in range(4):
         system.subscribe(
             Subscription(f"S{i}", MATCH_ALL, deadline_ms=30_000.0, price=1.0)
@@ -259,26 +254,27 @@ def _hand_fingerprint(system) -> tuple:
 
 
 def test_events_exactly_on_window_boundary():
-    """Publishes landing exactly at multiples of the window must drain in
-    the window whose closed end they sit on, identically to the oracle."""
+    """Publishes every 100 ms, the last exactly at the ``until`` horizon
+    of a closed interval: both arms run it, identically."""
     outcomes = {}
     for engine in ("fused", "event"):
-        system = _line_system(window_ms=100.0)
+        system = _line_system(engine)
         for k in range(8):
             system.sim.schedule_at(
                 100.0 * k, lambda a=float(k): system.publish("P1", {"A1": a})
             )
-        _drive(system, engine, until=2_000.0)
+        _drive(system, engine, until=700.0)
         outcomes[engine] = _hand_fingerprint(system)
+        assert system.metrics.published == 8
     assert outcomes["fused"] == outcomes["event"]
 
 
 def test_cancelled_event_inside_drained_window():
-    """A handle cancelled before the run starts sits inside the first
-    window; both engines must skip it without counting it executed."""
+    """A handle cancelled before the run starts: both arms skip it
+    without counting it executed."""
     outcomes = {}
     for engine in ("fused", "event"):
-        system = _line_system(window_ms=10_000.0)
+        system = _line_system(engine)
         handle = system.sim.schedule_at(
             50.0, lambda: system.publish("P1", {"A1": 1.0})
         )
@@ -290,19 +286,17 @@ def test_cancelled_event_inside_drained_window():
     assert outcomes["fused"][0] == 1  # only the uncancelled publish ran
 
 
-def test_unsubscribe_between_lookahead_and_process_discards_memo():
-    """Publish, then unsubscribe before the message's process event fires
-    — all inside one window.  The lookahead may have matched against the
-    pre-churn table; the version bump must force a rematch."""
+def test_unsubscribe_between_publish_and_process_rematches():
+    """Publish, then unsubscribe before the message's first process event
+    fires: the verdicts cached at publish time predate the leave, and the
+    index moved, so the broker's match must recompute them."""
     outcomes = {}
     for engine in ("fused", "event"):
-        system = _line_system(window_ms=60_000.0)
+        system = _line_system(engine)
         system.sim.schedule_at(10.0, lambda: system.publish("P1", {"A1": 1.0}))
         # The broker's process event fires at 10 + processing delay; this
-        # unsubscribe lands in between, staling any precomputed match.
-        system.sim.schedule_at(
-            11.0, lambda: system.unsubscribe("S1")
-        )
+        # unsubscribe lands in between, leaving the cached verdicts stale.
+        system.sim.schedule_at(11.0, lambda: system.unsubscribe("S1"))
         system.sim.schedule_at(5_000.0, lambda: system.publish("P1", {"A1": 2.0}))
         _drive(system, engine, until=60_000.0)
         outcomes[engine] = _hand_fingerprint(system)
@@ -310,12 +304,12 @@ def test_unsubscribe_between_lookahead_and_process_discards_memo():
 
 
 def test_max_events_parity():
-    """Stopping after k events leaves both engines in identical states
+    """Stopping after k events leaves both arms in identical states
     (executed count, clock, pending events)."""
     for k in (1, 3, 7, 20):
         states = {}
         for engine in ("fused", "event"):
-            system = _line_system()
+            system = _line_system(engine)
             for i in range(6):
                 system.sim.schedule_at(
                     200.0 * i, lambda a=float(i): system.publish("P1", {"A1": a})
@@ -331,13 +325,12 @@ def test_max_events_parity():
 @settings(max_examples=15, deadline=None)
 @given(data=st.data())
 def test_interleaved_publish_churn_engines_agree(data):
-    """Random interleavings of publish and unsubscribe, with a randomized
-    window, inside one window or across many: both engines settle every
-    in-flight race identically (endpoint histories included)."""
+    """Random interleavings of publish and unsubscribe, with the gaps
+    drawn too (some shorter than a hop, so leaves race in-flight copies):
+    both arms settle every race identically (endpoint histories
+    included)."""
     n_steps = data.draw(st.integers(2, 10), label="steps")
-    window_ms = data.draw(
-        st.sampled_from([1.0, 50.0, 400.0, 1e6]), label="window"
-    )
+    gaps = [data.draw(st.sampled_from([1.0, 400.0]), label=f"gap@{i}") for i in range(2 * n_steps)]
     plan = []
     alive = [f"S{i}" for i in range(4)]
     for step in range(n_steps):
@@ -349,11 +342,11 @@ def test_interleaved_publish_churn_engines_agree(data):
 
     outcomes = {}
     for engine in ("fused", "event"):
-        system = _line_system(window_ms=window_ms)
+        system = _line_system(engine)
         removed = {}
         t = 0.0
-        for op in plan:
-            t += 400.0
+        for op, gap in zip(plan, gaps):
+            t += gap
             if op[0] == "publish":
                 system.sim.schedule_at(
                     t, lambda a=op[1]: system.publish("P1", {"A1": a})
@@ -376,112 +369,3 @@ def test_interleaved_publish_churn_engines_agree(data):
             },
         )
     assert outcomes["fused"] == outcomes["event"]
-
-
-# --------------------------------------------------------------------- #
-# The pending-process side list against the whole-heap scan it replaced.
-# --------------------------------------------------------------------- #
-
-def _heap_scan(sim: Simulator, wend: float) -> list[tuple[str, int]]:
-    """What the lookahead used to gather: every live ``"process"`` event
-    in the heap due by ``wend`` whose match memo is missing or stale."""
-    found = []
-    for ev in sim._heap:
-        if ev.kind == "process" and not ev.cancelled and ev.time <= wend:
-            broker, message = ev.payload
-            memo = broker._match_memo.get(message.msg_id)
-            if memo is None or memo[0] != broker.table.version:
-                found.append((broker.name, message.msg_id))
-    return sorted(found)
-
-
-def _audit_lookahead(system) -> list[list[tuple[str, int]]]:
-    """Check every lookahead of ``system``'s engine against the heap scan;
-    returns the (live) list of what each call gathered."""
-    engine = system._engine
-    precompute = engine._precompute
-    gathered: list[list[tuple[str, int]]] = []
-
-    def audited(wend: float) -> None:
-        from_list = sorted(
-            (ev.payload[0].name, ev.payload[1].msg_id)
-            for ev in engine._due_unmatched(wend)
-        )
-        assert from_list == _heap_scan(system.sim, wend)
-        gathered.append(from_list)
-        precompute(wend)
-
-    engine._precompute = audited
-    return gathered
-
-
-def test_side_list_yields_what_the_heap_scan_yields_under_churn():
-    cfg = BASE.replace(strategy="eb", duration_ms=90_000.0, dynamics=CHURNY)
-    system = build_system(cfg)
-    schedule_workload(system, cfg)
-    schedule_dynamics(system, cfg)
-    gathered = _audit_lookahead(system)
-    system.run(until=cfg.horizon_ms)
-    pairs = {pair for call in gathered for pair in call}
-    assert len(pairs) > system.metrics.published  # every hop looked ahead
-    assert all(not ev.done for ev in system.sim._watched["process"])
-    assert _fingerprint(system) == _fingerprint(_run_config(cfg, engine="event"))
-
-
-def test_side_list_regathers_a_process_event_staled_by_churn():
-    """Two messages matched in one lookahead; an unsubscribe lands between
-    their process steps, so the second is gathered (and matched) again."""
-    system = _line_system(window_ms=10_000.0)
-    system.sim.schedule_at(10.0, lambda: system.publish("P1", {"A1": 1.0}))
-    system.sim.schedule_at(10.5, lambda: system.publish("P1", {"A1": 2.0}))
-    system.sim.schedule_at(12.2, lambda: system.unsubscribe("S1"))
-    gathered = _audit_lookahead(system)
-    system.run()
-    at_b1 = [[pair for pair in call if pair[0] == "B1"] for call in gathered]
-    assert [call for call in at_b1 if call] == [[("B1", 0), ("B1", 1)], [("B1", 1)]]
-
-
-def test_side_list_skips_a_cancelled_process_event():
-    outcomes = {}
-    for engine in ("fused", "event"):
-        system = _line_system(window_ms=10_000.0)
-        sim = system.sim
-
-        def cancel_pending_process() -> None:
-            (event,) = [ev for ev in sim._heap if ev.kind == "process"]
-            assert EventHandle(event, sim._note_cancelled).cancel()
-
-        sim.schedule_at(10.0, lambda: system.publish("P1", {"A1": 1.0}))
-        sim.schedule_at(11.0, cancel_pending_process)  # before B1 processes it
-        sim.schedule_at(20.0, lambda: system.publish("P1", {"A1": 2.0}))
-        gathered = _audit_lookahead(system) if engine == "fused" else None
-        _drive(system, engine)
-        if gathered is not None:
-            assert {pair for call in gathered for pair in call} == {
-                ("B1", 1), ("B2", 1), ("B3", 1)
-            }
-        outcomes[engine] = _hand_fingerprint(system)
-    assert outcomes["fused"] == outcomes["event"]
-    assert outcomes["fused"][:2] == (2, 4)  # only the second message arrived
-
-
-def test_side_list_is_empty_after_a_drained_run_and_absent_under_event():
-    for engine, watched in (("fused", {"process": []}), ("event", {})):
-        system = _line_system()
-        for k in range(6):
-            system.sim.schedule_at(
-                200.0 * k, lambda a=float(k): system.publish("P1", {"A1": a})
-            )
-        _drive(system, engine)
-        assert system.sim.pending_events == 0
-        assert system.sim._watched == watched
-
-
-# --------------------------------------------------------------------- #
-# Construction.
-# --------------------------------------------------------------------- #
-
-def test_nonpositive_window_rejected():
-    for window_ms in (0.0, -1.0):
-        with pytest.raises(ValueError):
-            FusedEngine(Simulator(), window_ms=window_ms)

@@ -1,9 +1,10 @@
 """Production vs reference: the one whole-run identity suite.
 
-The production stack (:class:`~repro.pubsub.system.PubSubSystem`: fused
-engine, numpy counting matcher, columnar ledger, incremental queues) and
-the reference stack (:class:`~repro.reference.ReferenceSystem`: per-event
-kernel, dict counting matcher, per-delivery collector, full-rescan queues)
+The production stack (:class:`~repro.pubsub.system.PubSubSystem`: one
+filter index and per-source route plans, columnar ledger, incremental
+queues) and the reference stack (:class:`~repro.reference.ReferenceSystem`:
+per-table dict counting matchers, per-delivery collector, full-rescan
+queues), on one event kernel,
 must agree byte for byte — serialized figure data, delivery-log bytes,
 per-delivery callback streams, endpoint records, fault ledgers and
 windowed series — for every strategy in both scenarios, with the log
@@ -56,7 +57,6 @@ from repro.workload.scenarios import Scenario
 from tests.conftest import make_diamond_topology, make_line_topology
 from tests.integration.stacks import (
     BruteMatcherSystem,
-    EventKernelSystem,
     OracleMatcherSystem,
     ScalarCollectorSystem,
     ScanQueueSystem,
@@ -162,10 +162,12 @@ def test_stacks_are_the_assembled_classes():
 def _layers(system) -> dict:
     broker = next(iter(system.brokers.values()))
     return {
-        "matcher": (type(system._population), type(broker.table._matcher)),
+        "matcher": (
+            type(getattr(system, "_population", system.filters)),
+            type(getattr(broker.table, "_matcher", None)),
+        ),
         "metrics": (type(system.metrics), type(broker)._settle),
         "queues": {q.sched.backend_name for q in broker.queues.values()},
-        "engine": type(system).run,
     }
 
 
@@ -176,7 +178,6 @@ def _layers(system) -> dict:
         (BruteMatcherSystem, "matcher"),
         (ScalarCollectorSystem, "metrics"),
         (ScanQueueSystem, "queues"),
-        (EventKernelSystem, "engine"),
     ],
 )
 def test_one_layer_stacks_differ_from_production_in_their_layer_only(system_type, layer):
@@ -214,8 +215,9 @@ def test_spill_at_256_row_chunks():
 )
 def test_churn_script(scenario, strategy):
     """Churn waves and a flash crowd rewrite the tables mid-run: the
-    production matcher's batch calls and the fused engine's stale-memo
-    rematches land where the reference puts them."""
+    production filter index's batch calls and the verdicts it recomputes
+    for messages in flight across a wave land where the reference puts
+    them."""
     config = BASE.replace(
         scenario=Scenario(scenario), strategy=strategy, duration_ms=90_000.0,
         dynamics=CHURNY,
@@ -292,10 +294,9 @@ def test_multipath_duplicate_settlement():
 @given(data=st.data())
 def test_interleaved_publish_churn(data):
     """Random interleavings of publish and unsubscribe (copies racing the
-    leave), with the production engine's window drawn too: identical
-    accounting and endpoint histories, unsubscribed endpoints included."""
+    leave): identical accounting and endpoint histories, unsubscribed
+    endpoints included."""
     n_steps = data.draw(st.integers(2, 10), label="steps")
-    window_ms = data.draw(st.sampled_from([1.0, 50.0, 400.0, 1e6]), label="window")
     plan = []
     alive = [f"S{i}" for i in range(6)]
     for step in range(n_steps):
@@ -317,7 +318,6 @@ def test_interleaved_publish_churn(data):
             streams=RngStreams(5),
             config=SystemConfig(message_size_kb=5.0),
         )
-        system._engine.window_ms = window_ms
         for i in range(6):
             system.subscribe(Subscription(f"S{i}", MATCH_ALL, deadline_ms=30_000.0, price=1.0))
         removed = {}

@@ -240,3 +240,46 @@ def test_ledger_equals_scalar_on_random_interleavings(ops):
     assert ledger.per_subscriber_valid == {
         k: v for k, v in scalar.per_subscriber_valid.items() if v
     }
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_batched_settlement_equals_the_scalar_settle_path(data):
+    """``on_delivery_batch_ids`` on batches of distinct subscribers — the
+    fast path: one fancy-index tally add, one concatenate-and-sort merge
+    of the settled set — against ``_settle_one`` row by row on a twin
+    ledger, with subscribers repeating across the batches of a message
+    (duplicate settlements) and the intra-batch uniqueness check both
+    skipped and run."""
+    batched, scalar = LedgerMetricsCollector(), LedgerMetricsCollector()
+    for m in (batched, scalar):
+        m.intern_subscribers(SUBSCRIBERS)
+        for msg_id in MESSAGES:
+            m.on_publish(msg_id, len(SUBSCRIBERS))
+    for _ in range(data.draw(st.integers(1, 12))):
+        msg_id = data.draw(st.sampled_from(MESSAGES))
+        sids = data.draw(st.lists(
+            st.integers(0, len(SUBSCRIBERS) - 1), min_size=1, max_size=len(SUBSCRIBERS),
+            unique=True,
+        ))
+        prices = [data.draw(st.floats(0.0, 5.0, allow_nan=False)) for _ in sids]
+        valid = [data.draw(st.booleans()) for _ in sids]
+        latency = data.draw(st.floats(0.0, 1000.0, allow_nan=False))
+        batched.on_delivery_batch_ids(
+            msg_id, np.asarray(sids, dtype=np.int64), latency,
+            np.asarray(prices, dtype=np.float64), np.asarray(valid, dtype=bool),
+            assume_unique=data.draw(st.booleans()),
+        )
+        mid = scalar._mid(msg_id)
+        for sid, price, ok in zip(sids, prices, valid):
+            scalar._settle_one(mid, sid, latency, price, ok)
+    for attr in (
+        "deliveries_valid", "deliveries_late", "duplicate_deliveries",
+        "earning", "latency_sum_ms",
+    ):
+        assert getattr(batched, attr) == getattr(scalar, attr), attr
+    assert batched.delivered == scalar.delivered
+    assert batched.per_subscriber_valid == scalar.per_subscriber_valid
+    assert [s.tolist() for s in batched._settled] == [s.tolist() for s in scalar._settled]
+    assert all(s.dtype == np.int64 for s in batched._settled)
+    batched.check_invariants()

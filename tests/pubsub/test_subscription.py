@@ -116,9 +116,9 @@ class TestSubscriptionTable:
         assert t.match(msg()) == []
 
     def test_every_mutator_advances_version(self):
-        """The fused engine stamps its match memo with ``version`` and
-        ``Broker._process`` discards a memo whose stamp differs: a mutator
-        that left the counter alone would let a stale match through."""
+        """A :class:`RowGroup` stamps the table's ``version`` and refuses a
+        first ``rows`` read once it moved: a mutator that left the counter
+        alone would let rows of a reused id through."""
         t = SubscriptionTable()
         seen = [t.version]
         t.install(row(sub("S1")))

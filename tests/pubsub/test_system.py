@@ -103,10 +103,16 @@ class TestSubscriptionInstallation:
         assert system.routing_path("B1", "S1") == ["B1", "B2", "B4"]
 
 
+def _interested_in(system: PubSubSystem, message: Message) -> set[str]:
+    """The subscribers whose filter ``message`` satisfies, by fid."""
+    verdicts = system.filters.verdicts(message)
+    return {name for name, fid in system._fid_of_subscriber.items() if verdicts[fid]}
+
+
 def _untouched(system: PubSubSystem) -> bool:
     return (
         system.subscription_count == 0 and not system.subscribers
-        and len(system._population) == 0 and system.delivery_log.endpoint_count == 0
+        and len(system.filters) == 0 and system.delivery_log.endpoint_count == 0
         and not system._endpoint_price
         and all(len(b.table) == 0 and b.table.version == 0 for b in system.brokers.values())
     )
@@ -202,9 +208,8 @@ class TestBatches:
         ]
         assert batched.endpoint_prices().tolist() == per_call.endpoint_prices().tolist()
         for probe in probes:
-            assert batched._population.match(probe.attributes) == per_call._population.match(
-                probe.attributes
-            )
+            assert _interested_in(batched, probe) == _interested_in(per_call, probe)
+            assert batched.filters.interested(probe) == per_call.filters.interested(probe)
 
 
 class TestPublishing:

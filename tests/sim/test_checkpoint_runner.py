@@ -9,6 +9,7 @@ import pytest
 
 from repro.core.checkpoint import CheckpointMismatch, latest_checkpoint
 from repro.experiments.scale import build_scale_system, scale_config
+from repro.pubsub.matching import VectorCountingMatcher
 from repro.sim.config import SimulationConfig
 from repro.sim.runner import (
     CheckpointPolicy,
@@ -181,10 +182,11 @@ class TestCheckpointedRun:
         assert run_simulation(config, resume=path) == run_simulation(config)
 
     def test_snapshot_after_a_churn_wave_is_columnar_and_resumes_identically(self, tmp_path):
-        # A wave leaves freed row ids, tombstones and re-sorted index
-        # columns behind; the snapshot carries all of it as arrays — no
-        # per-entry tuples, no Predicate objects in a matcher — and the
-        # resumed run cannot be told from the uninterrupted one.
+        # A wave leaves freed row ids, retired fids, tombstones and re-sorted
+        # index columns behind; the snapshot carries them as arrays — no
+        # matcher in any table, no per-entry tuples and no Predicate objects
+        # in the filter index — and the resumed run cannot be told from the
+        # uninterrupted one.
         config = TINY.replace(dynamics=ScenarioScript((
             ChurnWave(at_ms=8_000.0, leave=60, join=60),
             ChurnWave(at_ms=20_000.0, leave=30, join=10),
@@ -195,11 +197,14 @@ class TestCheckpointedRun:
         system.run(until=12_000.0)
         assert system.unsubscribe_count == 60
         path, _, _ = save_run_checkpoint(system, config, tmp_path / "ck")
-        matcher = max(
-            (broker.table._matcher for broker in system.brokers.values()), key=len
+        assert not any(
+            isinstance(value, VectorCountingMatcher)
+            for broker in system.brokers.values() for value in vars(broker.table).values()
         )
+        matcher = system.filters._matcher
         assert matcher._total_entries > 100
-        ops = list(pickletools.genops(pickle.dumps(matcher, protocol=pickle.HIGHEST_PROTOCOL)))
+        pickled = pickle.dumps(system.filters, protocol=pickle.HIGHEST_PROTOCOL)
+        ops = list(pickletools.genops(pickled))
         assert "Predicate" not in {arg for _, arg, _ in ops if isinstance(arg, str)}
         tuples = sum(op.name.startswith("TUPLE") for op, _, _ in ops)
         assert tuples < matcher._total_entries // 4

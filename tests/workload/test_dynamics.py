@@ -8,7 +8,7 @@ import pytest
 
 from repro.des.rng import RngStreams
 from repro.network.topology import LayeredMeshSpec, build_layered_mesh
-from repro.pubsub.matching import VectorCountingMatcher
+from repro.pubsub.matching import FilterIndex, VectorCountingMatcher
 from repro.pubsub.subscription import SubscriptionTable
 from repro.sim.config import SimulationConfig
 from repro.sim.runner import build_system, schedule_dynamics, schedule_workload
@@ -131,8 +131,9 @@ class TestDriver:
 
     def test_a_wave_costs_calls_per_broker_not_per_row(self, monkeypatch):
         """The structural bound behind the churn numbers: a 400/400 wave on
-        the 4k world reaches each on-path table and matcher through at
-        most one batch leave and one batch join, and never row by row."""
+        the 4k world reaches each on-path table and the system's filter
+        index through at most one batch leave and one batch join, and
+        never row by row."""
         config = _tiny_config(topology_spec=LayeredMeshSpec(subscribers_per_edge_broker=250))
         system = build_system(config)
         driver = DynamicsDriver(system, config.scenario)
@@ -149,6 +150,8 @@ class TestDriver:
 
         for method in ("install", "install_many", "uninstall_many"):
             count(SubscriptionTable, method)
+        for method in ("add", "discard"):
+            count(FilterIndex, method)
         for method in ("add_many", "remove_many"):
             count(VectorCountingMatcher, method)
         driver.apply(ChurnWave(at_ms=0.0, leave=400, join=400))
@@ -159,12 +162,17 @@ class TestDriver:
         for table in tables:
             assert calls["install_many", id(table)] <= 1
             assert calls["uninstall_many", id(table)] <= 1
-        for matcher in [table._matcher for table in tables] + [system._population]:
-            assert calls["add_many", id(matcher)] <= 1
-            assert calls["remove_many", id(matcher)] <= 1
+        # One filter index for the whole system, one batch each way; its
+        # matcher is the only one a wave reaches.
+        assert calls["add", id(system.filters)] == 1
+        assert calls["discard", id(system.filters)] == 1
+        matcher = system.filters._matcher
+        assert {key for key in calls if key[0] in ("add_many", "remove_many")} <= {
+            ("add_many", id(matcher)), ("remove_many", id(matcher))
+        }
+        assert calls["add_many", id(matcher)] <= 1 and calls["remove_many", id(matcher)] <= 1
         # ...and the wave did go through them: every broker is on some path.
         assert sum(calls["install_many", id(table)] for table in tables) == len(tables)
-        assert calls["remove_many", id(system._population)] == 1
 
     def test_flash_crowd_subscribers_receive(self):
         config = _tiny_config(
