@@ -25,8 +25,10 @@ from repro.des.simulator import Simulator
 from repro.experiments.scale import build_scale_system, scale_config
 from repro.network.routing import compute_sink_tree
 from repro.network.topology import LayeredMeshSpec, build_layered_mesh
+from repro.pubsub.client import DeliveryLog
 from repro.pubsub.matching import BruteForceMatcher, CountingIndexMatcher
 from repro.pubsub.message import Message
+from repro.pubsub.metrics import LedgerMetricsCollector, MetricsCollector
 from repro.pubsub.subscription import RowArrays, SubscriptionTable
 from repro.reference import ReferenceEntry, ReferenceQueue
 from repro.sim.config import SimulationConfig
@@ -391,6 +393,67 @@ def test_pubsub_subscription_route_plan(benchmark):
     replay()
     benchmark.extra_info["us_per_call"] = (time.perf_counter() - t0) / len(calls) * 1e6
     benchmark.extra_info["calls"] = len(calls)
+
+
+#: The reduction bench's log: 64 near-broadcast messages to 16k endpoints,
+#: 1M rows in 16 sealed chunks of the default size.
+REDUCE_ENDPOINTS = 16_384
+REDUCE_MESSAGES = 64
+
+
+def test_pubsub_metrics_reduce(benchmark):
+    """``LedgerMetricsCollector``: one full reduction of a 1M-row, 16-chunk
+    delivery log (first-arrival settlement, counts, tallies, the two left
+    folds), checked against the scalar collector fed the same rows one by
+    one; records ns per row.  Every 8th message also arrives a second time
+    over another path, later in the log, so duplicates cross chunks."""
+    rng = np.random.default_rng(11)
+    log = DeliveryLog()
+    prices = rng.choice([1.0, 2.0, 5.0], REDUCE_ENDPOINTS)
+    names = [f"S{i}" for i in range(REDUCE_ENDPOINTS)]
+    endpoints = np.array([log.register(n, p) for n, p in zip(names, prices.tolist())])
+    scalar = MetricsCollector()
+    half = REDUCE_ENDPOINTS // 2
+    batches = []
+    for msg_id in range(REDUCE_MESSAGES):
+        scalar.on_publish(msg_id, REDUCE_ENDPOINTS)
+        # Two edge brokers' local groups, each in table (= endpoint) order.
+        order = rng.permutation(endpoints)
+        batches += [(msg_id, np.sort(order[:half])), (msg_id, np.sort(order[half:]))]
+    for i in range(0, len(batches), 16):
+        batches[i + 1], batches[i + 9] = batches[i + 9], batches[i + 1]  # a late half
+        batches[i + 9] = (batches[i + 9][0], batches[i][1])  # ... re-sent copies
+    for i, (msg_id, ids) in enumerate(batches):
+        latency = float(rng.uniform(100.0, 3_000.0))
+        valid = rng.random(ids.shape[0]) < 0.9
+        log.append_batch(ids, msg_id, float(i), latency, valid)
+        scalar.on_delivery_batch(msg_id, [names[e] for e in ids.tolist()], latency, prices[ids], valid)
+    assert len(log) == 16 * log.chunk_rows
+
+    def reduce() -> LedgerMetricsCollector:
+        ledger = LedgerMetricsCollector.for_log(log)
+        ledger.deliveries_valid  # the first read reduces the whole log
+        return ledger
+
+    ledger = benchmark(reduce)
+    assert ledger.rows_reduced == len(log) and ledger.duplicate_deliveries > 0
+    for msg_id in range(REDUCE_MESSAGES):
+        ledger.on_publish(msg_id, REDUCE_ENDPOINTS)
+    ledger.check_invariants()
+    for attr in ("deliveries_valid", "deliveries_late", "duplicate_deliveries"):
+        assert getattr(ledger, attr) == getattr(scalar, attr), attr
+    assert ledger.earning.hex() == scalar.earning.hex()
+    assert ledger.latency_sum_ms.hex() == scalar.latency_sum_ms.hex()
+    assert ledger.delivered == dict(scalar.delivered)
+    best = min(_seconds(reduce) for _ in range(3))
+    benchmark.extra_info["ns_per_row"] = best / len(log) * 1e9
+    benchmark.extra_info["rows"] = len(log)
+
+
+def _seconds(fn) -> float:
+    t0 = time.perf_counter()
+    fn()
+    return time.perf_counter() - t0
 
 
 def test_simulator_event_throughput(benchmark):

@@ -19,8 +19,8 @@ leaner than the 5-column rows it replaces holding) —
   :class:`QueueDepthSampler`'s probes).
 
 Every series *folds back* to the run's aggregate metrics: counts sum
-exactly, ``earning`` sums exactly (prices are settled per delivery, the
-same contributions the metrics ledger logs), and
+exactly, ``earning`` sums exactly (the same first arrivals and endpoint
+prices the metrics ledger reduces), and
 ``sum(valid) / sum(interested)`` is exactly the aggregate delivery rate.
 The integration tests assert those folds against both stacks' collectors.
 """
@@ -32,8 +32,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.core.chunked import sorted_contains
 from repro.core.folds import fold_sum_array
+from repro.core.settlement import SettledKeys, pair_keys
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.pubsub.system import PubSubSystem
@@ -119,49 +119,6 @@ def _window_index(times: np.ndarray, window_ms: float, windows: int) -> np.ndarr
     return np.clip(idx, 0, windows - 1)
 
 
-class _SettledKeys:
-    """The cross-chunk pair-settlement state: a sorted-set of int keys
-    with amortised consolidation.
-
-    A consolidated sorted array plus a short list of sorted per-chunk
-    batches; novelty probes binary-search all of them, and batches fold
-    into the big array only when they rival it in size (or pile up) —
-    doubling-style, so the total sort work over a run is O(P log P) in
-    the settled-pair count instead of one full re-sort per chunk.
-    """
-
-    __slots__ = ("_seen", "_pending", "_pending_rows")
-
-    _MAX_PENDING = 16
-
-    def __init__(self) -> None:
-        self._seen = np.empty(0, dtype=np.int64)
-        self._pending: list[np.ndarray] = []
-        self._pending_rows = 0
-
-    def novel(self, uniq: np.ndarray) -> np.ndarray:
-        """Mask of ``uniq`` (sorted unique) keys not settled yet."""
-        mask = ~sorted_contains(self._seen, uniq)
-        for batch in self._pending:
-            mask &= ~sorted_contains(batch, uniq)
-        return mask
-
-    def add(self, fresh: np.ndarray) -> None:
-        """Record sorted keys known to be disjoint from the state."""
-        if not fresh.shape[0]:
-            return
-        self._pending.append(fresh)
-        self._pending_rows += fresh.shape[0]
-        if (
-            len(self._pending) >= self._MAX_PENDING
-            or self._pending_rows >= max(self._seen.shape[0], 1)
-        ):
-            self._seen = np.concatenate([self._seen, *self._pending])
-            self._seen.sort(kind="mergesort")  # disjoint parts: plain sort
-            self._pending.clear()
-            self._pending_rows = 0
-
-
 def windowed_metrics(
     system: "PubSubSystem",
     window_ms: float,
@@ -212,21 +169,14 @@ def windowed_metrics(
     earning_w = np.zeros(windows, dtype=np.float64)
     latency_w = np.zeros(windows, dtype=np.float64)
     prices = system.endpoint_prices()
-    endpoints = np.int64(max(system.delivery_log.endpoint_count, 1))
-    # Settled (message, endpoint) keys — the cross-chunk dedup state.
-    # First-arrival-wins: the log is append-ordered by simulated time,
-    # so the first occurrence of a key (earliest chunk, then np.unique's
-    # first index within it) is the arrival the metrics layer settled.
-    seen = _SettledKeys()
-    for sub, _msg, time, latency, valid in system.delivery_log.iter_chunks():
+    # First-arrival-wins, as the metrics ledger settles: the log is
+    # append-ordered by simulated time, so the first occurrence of a
+    # (message, endpoint) key is the arrival that counts.
+    seen = SettledKeys()
+    for sub, msg, time, latency, valid in system.delivery_log.iter_chunks():
         if not sub.shape[0]:
             continue
-        keys = _msg * endpoints + sub
-        uniq, first = np.unique(keys, return_index=True)
-        novel = seen.novel(uniq)
-        if not novel.all():
-            uniq, first = uniq[novel], first[novel]
-        seen.add(uniq)
+        first = seen.first_arrivals(pair_keys(msg, sub))
         # Settlement happens wherever the first arrival lands; only the
         # bucketing is horizon-masked, so a truncated horizon excludes
         # out-of-horizon events instead of corrupting the last window.

@@ -251,7 +251,7 @@ class ChunkedColumnStore:
     __slots__ = (
         "_names", "_dtypes", "_chunk_rows", "_spill", "_spill_prefix",
         "_spill_dir", "_active", "_sealed", "_rows_sealed", "_finalizer",
-        "__weakref__",
+        "_before_spill", "__weakref__",
     )
 
     def __init__(
@@ -279,6 +279,7 @@ class ChunkedColumnStore:
         self._active = self._fresh_active()
         self._sealed: list[_SealedChunk] = []
         self._rows_sealed = 0
+        self._before_spill: Callable[[], None] | None = None
 
     # ------------------------------------------------------------------ #
     # Introspection.
@@ -306,6 +307,13 @@ class ChunkedColumnStore:
     def __len__(self) -> int:
         return self._rows_sealed + len(self._active[0])
 
+    def before_spill(self, hook: Callable[[], None]) -> None:
+        """Call ``hook`` each time a full chunk is about to be written to
+        disk, while its rows are still in memory (and :meth:`iter_chunks`
+        still yields them from RAM).  A no-op on a store that does not
+        spill.  The hook must not append."""
+        self._before_spill = hook
+
     # ------------------------------------------------------------------ #
     # Appending.
     # ------------------------------------------------------------------ #
@@ -315,6 +323,8 @@ class ChunkedColumnStore:
         )
 
     def _seal_active(self) -> None:
+        if self._spill and self._before_spill is not None:
+            self._before_spill()
         arrays = {n: g.detach() for n, g in zip(self._names, self._active)}
         rows = next(iter(arrays.values())).shape[0]
         if self._spill_dir is not None:
@@ -366,22 +376,30 @@ class ChunkedColumnStore:
     # Reading.
     # ------------------------------------------------------------------ #
     def iter_chunks(
-        self, names: Sequence[str] | None = None
+        self, names: Sequence[str] | None = None, start: int = 0
     ) -> Iterator[tuple[np.ndarray, ...]]:
-        """Stream the store's chunks in append order.
+        """Stream the store's chunks in append order, from row ``start``.
 
         Yields one tuple of column arrays (in ``names`` order; all
         columns by default) per sealed chunk, then the live prefix of
-        the active chunk.  Sealed arrays are immutable; the final active
-        tuple holds live views — consume each chunk before appending
-        again, and never mutate what is yielded.
+        the active chunk.  Chunks wholly before ``start`` are skipped
+        unread, and the chunk holding it is yielded from that row on.
+        Sealed arrays are immutable; the final active tuple holds live
+        views — consume each chunk before appending again, and never
+        mutate what is yielded.
         """
         cols = self._names if names is None else tuple(names)
+        offset = 0
         for chunk in self._sealed:
-            yield chunk.load(cols)
-        if len(self._active[0]):
+            end = offset + chunk.rows
+            if end > start:
+                arrays = chunk.load(cols)
+                yield arrays if offset >= start else tuple(a[start - offset:] for a in arrays)
+            offset = end
+        skip = max(start - offset, 0)
+        if len(self._active[0]) > skip:
             idx = {n: i for i, n in enumerate(self._names)}
-            yield tuple(self._active[idx[n]].view() for n in cols)
+            yield tuple(self._active[idx[n]].view()[skip:] for n in cols)
 
     def gather(self, names: Sequence[str] | None = None) -> tuple[np.ndarray, ...]:
         """Concatenate all chunks into whole-column copies.
@@ -427,6 +445,7 @@ class ChunkedColumnStore:
             "rows_sealed": self._rows_sealed,
             "active": self._active,
             "sealed": sealed,
+            "before_spill": self._before_spill,
         }
 
     def __setstate__(self, state: dict) -> None:
@@ -437,6 +456,7 @@ class ChunkedColumnStore:
         self._spill_prefix = state["spill_prefix"]
         self._rows_sealed = state["rows_sealed"]
         self._active = state["active"]
+        self._before_spill = state["before_spill"]
         self._spill_dir = None
         self._finalizer = None
         if self._spill:

@@ -6,8 +6,9 @@ left-to-right chain of float64 additions the scalar oracle performs
 (``np.sum``, ``ndarray.sum()``) compute a different float in general —
 off by an ULP is enough to flip a scheduling comparison or a
 differential test — so every metrics-path float total goes through one
-of these two helpers (or the ledger's ``_FoldedSum``, which is the
-amortised streaming form of the same chain).
+of these helpers.  The ledger streams the chain: it folds each slice of
+the delivery log with :func:`fold_sum_array` seeded with the running
+sum, which is the same chain as one fold over the whole log.
 
 ``fold_sum`` is byte-identical to builtin ``sum`` over floats (both are
 the left fold from 0) — its value is being *named*: the call site states

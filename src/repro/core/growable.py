@@ -4,8 +4,8 @@ Appending to a plain ``np.ndarray`` reallocates on every call, and a
 Python ``list`` forces per-element boxing on the way back out.  A
 :class:`GrowableArray` amortises both: capacity doubles, the live prefix
 is a zero-copy view, and whole batches land with one slice assignment.
-The delivery log (:mod:`repro.pubsub.client`) and the ledger metrics
-collector (:mod:`repro.pubsub.metrics`) both sit on this.
+The delivery log (:mod:`repro.pubsub.client`) sits on this: its active
+chunk columns and its per-endpoint price column.
 """
 
 from __future__ import annotations
@@ -36,7 +36,11 @@ class GrowableArray:
 
     def __setstate__(self, state: tuple[np.ndarray, int]) -> None:
         live, capacity = state
-        self._data = np.zeros(capacity, dtype=live.dtype)
+        # An unpickled dtype is a copy, not numpy's builtin instance, and
+        # ufunc fast paths (``np.add.at`` over values gathered from this
+        # column) test for the builtin one: restore it for plain dtypes.
+        dtype = live.dtype if live.dtype.fields is not None else np.dtype(live.dtype.str)
+        self._data = np.zeros(capacity, dtype=dtype)
         self._n = len(live)
         self._data[: self._n] = live
 

@@ -3,7 +3,7 @@
 The dispatch-overhead claim behind the event kernel ("events are bounded
 by per-event interpreter work, not numpy work") has to be *measured*, so
 the pipeline's stages — kernel pop, match, enqueue, output-queue drain,
-metrics settlement, log append — each carry a cheap cumulative timer.
+delivery-log append — each carry a cheap cumulative timer.
 
 Profiling is off by default and costs one module-attribute load plus a
 branch per stage per event when disabled: hot sites read the module's
@@ -23,7 +23,7 @@ from time import perf_counter
 
 #: Canonical stage order for reports (stages not in this tuple are
 #: appended alphabetically — ad-hoc timers are allowed).
-STAGES: tuple[str, ...] = ("pop", "match", "enqueue", "drain", "metrics", "append")
+STAGES: tuple[str, ...] = ("pop", "match", "enqueue", "drain", "append")
 
 
 class StageProfiler:

@@ -3,7 +3,7 @@
 ``earning`` and latency accounting are proven byte-identical across the
 scalar oracle and the ledger because every float
 total is the *same left-to-right chain of float64 additions*
-(``_FoldedSum`` / ``repro.core.folds``).  A bare ``sum()``
+(``repro.core.folds``: ``fold_sum`` / ``fold_sum_array``).  A bare ``sum()``
 over an unordered iterable, or ``np.sum``/``ndarray.sum()`` (pairwise
 reassociation!), silently computes a *different* float — off by an ULP,
 enough to flip a scheduling comparison or break a differential test.
@@ -93,7 +93,7 @@ def check(ctx: ModuleContext, options: dict) -> Iterator[Finding]:
             message=(
                 f"{flavour} in a metrics path; float totals must be the "
                 "documented left fold (repro.core.folds.fold_sum / "
-                "_FoldedSum) to stay byte-identical to the scalar oracle — "
+                "fold_sum_array) to stay byte-identical to the scalar oracle — "
                 "or wrap in int(...) if this is an exact integer tally."
             ),
         )

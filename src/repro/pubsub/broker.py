@@ -22,8 +22,6 @@ from functools import partial
 from time import perf_counter
 from typing import TYPE_CHECKING, Callable
 
-import numpy as np
-
 from repro.core import profiling
 from repro.core.context import SchedulingContext
 from repro.core.pruning import PruningPolicy
@@ -43,13 +41,11 @@ from repro.pubsub.faults import (
 )
 from repro.pubsub.matching import FilterIndex
 from repro.pubsub.message import Message
-from repro.pubsub.metrics import LedgerMetricsCollector
+from repro.pubsub.metrics import LedgerMetricsCollector, MetricsCollector
 from repro.pubsub.subscription import RowBlock, SubscriptionTable, TableRow
 
 if TYPE_CHECKING:  # the system module imports this one
     from repro.pubsub.system import SystemConfig
-
-_EMPTY_SIDS = np.empty(0, dtype=np.int64)
 
 
 @dataclass
@@ -99,7 +95,7 @@ class Broker:
         name: str,
         sim: Simulator,
         strategy: Strategy,
-        metrics: LedgerMetricsCollector,
+        metrics: LedgerMetricsCollector | MetricsCollector,
         config: SystemConfig,
         *,
         trace: TraceRecorder | None = None,
@@ -144,12 +140,9 @@ class Broker:
         #: per-row loop only runs when a callback is registered.
         self.delivery_callbacks: list[DeliveryCallback] = []
         #: Called once per (message, local group) with the whole batch; the
-        #: system's endpoint log subscribes here.
+        #: system's delivery log subscribes here — the one record of a
+        #: local delivery, which the metrics ledger reduces.
         self.delivery_batch_callbacks: list[BatchDeliveryCallback] = []
-        # Table-local subscriber id -> ledger id translation, extended
-        # whenever the table interns new names; lets batched settlement
-        # skip per-row name lookups.
-        self._metrics_sids = _EMPTY_SIDS
 
     # ------------------------------------------------------------------ #
     # Wiring.
@@ -225,20 +218,15 @@ class Broker:
         if len(local):
             # Columnar local delivery: one vectorised validity comparison
             # over the group's deadline column, one batched hand-off to the
-            # metrics ledger and the endpoint log.  All rows share the
-            # arrival latency ``hdl(now)``.
+            # delivery log.  All rows share the arrival latency ``hdl(now)``.
             latency = message.hdl(now)
             valid = latency <= effective_deadline_array(local.deadline, message)
             if prof is not None:
                 t0 = perf_counter()
-            self._settle(message, local, latency, valid)
-            if prof is not None:
-                t1 = perf_counter()
-                prof.add("metrics", t1 - t0)
             for batch_callback in self.delivery_batch_callbacks:
                 batch_callback(self, local, message, latency, valid)
             if prof is not None:
-                prof.add("append", perf_counter() - t1)
+                prof.add("append", perf_counter() - t0)
             if self.delivery_callbacks or self.trace is not None:
                 valid_list = valid.tolist()
                 for i, subscriber in enumerate(local.subscribers):
@@ -273,23 +261,6 @@ class Broker:
                     msg=message.msg_id, neighbor=neighbor, fanout=len(group),
                 )
             self._try_send(neighbor)
-
-    def _settle(self, message: Message, local, latency: float, valid) -> None:
-        """Settle one message's local group with the ledger, by id."""
-        sids = self._metrics_sids
-        names = local.sub_names
-        if sids.shape[0] < len(names):
-            # Interning is append-only on both sides: extend the
-            # translation with the new tail only.
-            sids = self._metrics_sids = np.concatenate((
-                sids, self.metrics.intern_subscribers(names[sids.shape[0]:])
-            ))
-        # match_grouped guarantees one row per subscriber in the local
-        # group, so the ledger can skip its uniqueness check.
-        self.metrics.on_delivery_batch_ids(
-            message.msg_id, sids[local.sub_ids], latency, local.price, valid,
-            assume_unique=True,
-        )
 
     # ------------------------------------------------------------------ #
     # Output-queue service.

@@ -19,11 +19,12 @@ analysis/tests surface.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from repro.core.chunked import DEFAULT_CHUNK_ROWS, ChunkedColumnStore
+from repro.core.growable import GrowableArray
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.pubsub.message import Message
@@ -77,8 +78,11 @@ class DeliveryLog:
     One instance is shared by every endpoint of a system; a batch of
     deliveries (one message fanning out to many local subscribers) lands
     as a single slice write per column.  Endpoint ids are dense ints
-    handed out by :meth:`register`; id ``-1`` marks rows addressed to
-    endpoints that no longer exist (filtered out before the write).
+    handed out by :meth:`register`, which also fixes the endpoint's name
+    and price: a re-subscription is a new endpoint.  The log is the
+    system's one delivery record — the metrics ledger is a reduction
+    over it — so a row without a live endpoint is an error, never
+    dropped.
 
     Rows live in fixed-size immutable chunks (``chunk_rows`` each); with
     ``spill=True`` sealed chunks are written to a private temp ``.npz``
@@ -88,14 +92,18 @@ class DeliveryLog:
     below returns exactly what the old whole-array pass returned.
     """
 
-    __slots__ = ("_store", "_endpoints", "_counts_len", "_valid_counts", "_total_counts")
+    __slots__ = (
+        "_store", "_names", "_prices", "_counts_len", "_valid_counts", "_total_counts",
+    )
 
     def __init__(self, chunk_rows: int = DEFAULT_CHUNK_ROWS, spill: bool = False) -> None:
         self._store = ChunkedColumnStore(
             _LOG_SCHEMA, chunk_rows=chunk_rows, spill=spill,
             spill_prefix="repro-delivery-log",
         )
-        self._endpoints = 0
+        #: Name and price per endpoint id, fixed at registration.
+        self._names: list[str] = []
+        self._prices = GrowableArray(np.float64)
         # One-pass per-endpoint tallies, cached against the log length:
         # post-run analysis (revenue tiers, per-subscriber counts) asks
         # for every endpoint, and a single chunk stream beats one full
@@ -104,17 +112,33 @@ class DeliveryLog:
         self._valid_counts: np.ndarray | None = None
         self._total_counts: np.ndarray | None = None
 
-    def register(self) -> int:
-        """Hand out the next endpoint id (re-subscribing yields a fresh id,
-        so a returned handle keeps its own history)."""
-        eid = self._endpoints
-        self._endpoints += 1
-        return eid
+    def register(self, name: str, price: float = 1.0) -> int:
+        """Hand out the next endpoint id, billed at ``price`` per valid
+        delivery (re-subscribing yields a fresh id, so a returned handle
+        keeps its own history)."""
+        return self.register_many([name], [price])
+
+    def register_many(self, names: list[str], prices: list[float]) -> int:
+        """Bulk :meth:`register`: ids ``first .. first + len(names) - 1``
+        in order; returns ``first``."""
+        first = len(self._names)
+        self._names.extend(names)
+        self._prices.extend(np.asarray(prices, dtype=np.float64))
+        return first
 
     @property
     def endpoint_count(self) -> int:
         """Endpoints registered so far (dense ids ``0..count-1``)."""
-        return self._endpoints
+        return len(self._names)
+
+    @property
+    def endpoint_names(self) -> list[str]:
+        """Subscriber name per endpoint id (read, do not write)."""
+        return self._names
+
+    def endpoint_prices(self) -> np.ndarray:
+        """Price per endpoint id: a live view, read, do not write."""
+        return self._prices.view()
 
     @property
     def chunk_rows(self) -> int:
@@ -132,6 +156,11 @@ class DeliveryLog:
     def __len__(self) -> int:
         return len(self._store)
 
+    def before_spill(self, hook: Callable[[], None]) -> None:
+        """Run ``hook`` before each full chunk of a spilling log is
+        written to disk (see :meth:`ChunkedColumnStore.before_spill`)."""
+        self._store.before_spill(hook)
+
     # ------------------------------------------------------------------ #
     # Appending.
     # ------------------------------------------------------------------ #
@@ -148,27 +177,33 @@ class DeliveryLog:
     ) -> None:
         """One message's local fan-out: shared msg/time/latency scalars
         (broadcast, no temporaries), per-row endpoint id and validity.
-        Rows with ``sub_id < 0`` (no live endpoint) are dropped."""
-        live = sub_ids >= 0
-        if not live.all():
-            sub_ids = sub_ids[live]
-            valid = valid[live]
+        A row with ``sub_id < 0`` (no live endpoint) raises
+        :class:`~repro.pubsub.metrics.MetricsError`: it would be a billed
+        delivery lost without a trace."""
         n = sub_ids.shape[0]
         if n == 0:
             return
+        if sub_ids.min() < 0:
+            from repro.pubsub.metrics import MetricsError  # metrics imports this module
+
+            lost = int(np.count_nonzero(sub_ids < 0))
+            raise MetricsError(
+                f"{lost} of {n} deliveries of msg {msg_id} have no live endpoint"
+            )
         self._store.append_batch(n, sub_ids, msg_id, time, latency_ms, valid)
 
     # ------------------------------------------------------------------ #
     # Streaming reads.
     # ------------------------------------------------------------------ #
     def iter_chunks(
-        self, names: Sequence[str] | None = None
+        self, names: Sequence[str] | None = None, start: int = 0
     ) -> Iterator[tuple[np.ndarray, ...]]:
         """Stream ``(col, ...)`` tuples per chunk in append (= simulated
-        time) order — the input of every analysis reduction.  Spilled
-        chunks load only the requested columns.  Do not mutate yields;
-        consume before appending again."""
-        return self._store.iter_chunks(names)
+        time) order, from row ``start`` on — the input of every analysis
+        reduction and of the metrics ledger.  Spilled chunks load only the
+        requested columns.  Do not mutate yields; consume before appending
+        again."""
+        return self._store.iter_chunks(names, start)
 
     def columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Whole-log ``(sub_id, msg_id, time, latency, valid)`` columns in
@@ -183,18 +218,18 @@ class DeliveryLog:
         length.  The arrays are the cache itself: read, do not write."""
         n = len(self._store)
         if n != self._counts_len:
-            total = np.zeros(max(self._endpoints, 1), dtype=np.int64)
-            valid_c = np.zeros(max(self._endpoints, 1), dtype=np.int64)
+            total = np.zeros(max(self.endpoint_count, 1), dtype=np.int64)
+            valid_c = np.zeros(max(self.endpoint_count, 1), dtype=np.int64)
             for sub, valid in self._store.iter_chunks(("sub_id", "valid")):
                 total += np.bincount(sub, minlength=total.shape[0])
                 valid_c += np.bincount(sub[valid], minlength=valid_c.shape[0])
             self._total_counts, self._valid_counts = total, valid_c
             self._counts_len = n
-        elif self._total_counts is not None and self._total_counts.shape[0] < self._endpoints:
+        elif self._total_counts is not None and self._total_counts.shape[0] < self.endpoint_count:
             # Endpoints registered since the cache was built have no rows
             # by construction (ids are handed out before first use): pad
             # with zeros instead of re-streaming the (possibly spilled) log.
-            pad = self._endpoints - self._total_counts.shape[0]
+            pad = self.endpoint_count - self._total_counts.shape[0]
             self._total_counts = np.concatenate(
                 (self._total_counts, np.zeros(pad, dtype=np.int64))
             )
@@ -255,15 +290,22 @@ class SubscriberHandle:
 
     Constructed standalone (tests, ad-hoc use) it owns a private log;
     inside a system all handles share the system's log so deliveries
-    append in bulk.
+    append in bulk.  A ``log_id`` the log already registered (in bulk,
+    with its price) is taken as is; otherwise the handle registers
+    itself at the log's default price.
     """
 
     __slots__ = ("name", "_log", "_sub_id", "_cache_len", "_cache")
 
-    def __init__(self, name: str, log: DeliveryLog | None = None) -> None:
+    def __init__(
+        self,
+        name: str,
+        log: DeliveryLog | None = None,
+        log_id: int | None = None,
+    ) -> None:
         self.name = name
         self._log = log if log is not None else DeliveryLog()
-        self._sub_id = self._log.register()
+        self._sub_id = self._log.register(name) if log_id is None else log_id
         self._cache_len = -1
         self._cache: list[DeliveryRecord] = []
 

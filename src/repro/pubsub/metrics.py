@@ -7,20 +7,23 @@
 * **Message number**: total messages received by all brokers — the
   network-traffic proxy the paper plots in Figs. 5(b)/6(b).
 
+Both delivery-side metrics are pure functions of the delivery record.
 Two collectors implement the accounting:
 
-* :class:`LedgerMetricsCollector` (the production stack's) — the
-  columnar spine: subscribers and messages interned to dense ids,
-  per-message duplicate settlement via flat sorted settled-id arrays,
-  tallies in growable numpy accumulators, and a batched
-  ``on_delivery_batch_ids`` entry point matched to the broker's batched
-  local delivery.
+* :class:`LedgerMetricsCollector` (the production stack's) — a cursor
+  reduction over the system's :class:`~repro.pubsub.client.DeliveryLog`.
+  Brokers append each local fan-out to the log once; nothing else
+  records it.  Reading a delivery-side counter reduces the rows appended
+  since the last read: first-arrival settlement per ``(msg_id,
+  endpoint)`` pair, counts, per-message and per-endpoint tallies, and
+  the float sums as left folds in log order.
 * :class:`MetricsCollector` (the reference stack's, see
-  :mod:`repro.reference`) — the original per-delivery dict/set collector.
+  :mod:`repro.reference`) — the original per-delivery dict/set collector,
+  fed row by row by its brokers.
 
-Both produce byte-identical derived metrics: the ledger logs the float
-contributions (prices, latencies) in arrival order and folds them with
-the same left-to-right summation the scalar collector performs.
+Both produce byte-identical derived metrics: the log's append order is
+the order the scalar collector settles in, and both fold prices and
+latencies left to right in that order.
 """
 
 from __future__ import annotations
@@ -31,7 +34,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.folds import fold_sum_array
-from repro.core.growable import GrowableArray
+from repro.core.settlement import SettledKeys, pair_keys
+from repro.pubsub.client import DeliveryLog
+
 
 class MetricsError(AssertionError):
     """An accounting invariant does not hold.
@@ -67,6 +72,12 @@ class MetricsCollector:
     _valid_pairs: set = field(default_factory=set, repr=False)
     _late_pairs: set = field(default_factory=set, repr=False)
     duplicate_deliveries: int = 0
+
+    @classmethod
+    def for_log(cls, log: DeliveryLog) -> "MetricsCollector":
+        """A collector for a system whose deliveries ``log`` records; this
+        one is fed per delivery by its brokers and never reads the log."""
+        return cls()
 
     # ------------------------------------------------------------------ #
     # Recording.
@@ -111,8 +122,8 @@ class MetricsCollector:
 
         All rows of a batch share the arrival time (hence one scalar
         ``latency_ms``); this collector just replays the per-row path
-        in batch order — it *is* the oracle for the ledger's batched
-        settlement.
+        in batch order — it *is* the oracle for the ledger's reduction
+        of the delivery log.
         """
         for sub, price, ok in zip(subscribers, prices.tolist(), valid.tolist()):
             self.on_delivery(msg_id, sub, latency_ms, price, ok)
@@ -158,133 +169,75 @@ class MetricsCollector:
             raise MetricsError("negative earning")
 
 
-_EMPTY_SETTLED = np.empty(0, dtype=np.int64)
-
-
-class _FoldedSum:
-    """Float contributions logged in arrival order, folded left-to-right
-    on read.
-
-    The fold order is correctness-critical: it reproduces byte-for-byte
-    the running ``acc += value`` sum the scalar collector keeps, while
-    appends on the hot path stay vectorised.  The fold is amortised O(1)
-    per read (a watermark remembers what has been folded).
-
-    Memory is **bounded**: once the unfolded tail reaches ``_TRIM_AT``
-    entries the log is folded into the accumulator and discarded —
-    folding earlier performs exactly the same additions in exactly the
-    same order, so trimming is invisible in the result, and the ledger's
-    float state stays O(1) over million-delivery runs instead of
-    retaining every contribution.
-    """
-
-    __slots__ = ("_log", "_folded", "_acc")
-
-    #: Fold-and-trim threshold (entries); small enough to bound memory,
-    #: large enough that the Python fold loop stays amortised.
-    _TRIM_AT = 65_536
-
-    def __init__(self) -> None:
-        self._log = GrowableArray(np.float64)
-        self._folded = 0
-        self._acc = 0.0
-
-    def append(self, value: float) -> None:
-        self._log.append(value)
-        if len(self._log) >= self._TRIM_AT:
-            self._fold_and_trim()
-
-    def extend(self, values: np.ndarray) -> None:
-        self._log.extend(values)
-        if len(self._log) >= self._TRIM_AT:
-            self._fold_and_trim()
-
-    def _fold_and_trim(self) -> None:
-        self.value()
-        self._log = GrowableArray(np.float64)
-        self._folded = 0
-
-    def value(self) -> float:
-        n = len(self._log)
-        if self._folded < n:
-            tail = self._log.view()[self._folded:]
-            # The documented left fold (repro.core.folds): the same
-            # sequential chain of float64 additions as the scalar
-            # ``acc += v`` loop, seeded with the accumulator — the
-            # running sum byte-for-byte, no Python loop over the tail.
-            self._acc = fold_sum_array(tail, start=self._acc)
-            self._folded = n
-        return self._acc
+def _tally(counts: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """``counts`` plus one per id, grown to cover the largest id."""
+    add = np.bincount(ids)
+    if add.shape[0] > counts.shape[0]:
+        counts = np.concatenate((counts, np.zeros(add.shape[0] - counts.shape[0], np.int64)))
+    counts[: add.shape[0]] += add
+    return counts
 
 
 class LedgerMetricsCollector:
-    """Array-backed accounting: the columnar spine's ledger.
+    """The production collector: a cursor reduction over the delivery log.
 
-    Subscribers and messages are interned to dense ids on first sight
-    (the same counting-index discipline the vector matcher applies to
-    rows), per-message pair settlement is a flat sorted array of settled
-    subscriber ids probed with ``searchsorted``, and per-message /
-    per-subscriber tallies are growable numpy accumulators.  Float
-    contributions (prices of counted valid deliveries, their latencies)
-    are appended in arrival order and folded left-to-right on read, so
-    ``earning`` and ``mean_latency_ms`` are byte-identical to the scalar
-    collector's running sums.
+    Publication-side counters (published, interested, receptions,
+    transmissions, pruned) are fed per event, as in the scalar collector.
+    The delivery side is never fed: the ledger keeps a row cursor into
+    the :class:`~repro.pubsub.client.DeliveryLog` and, on every read of a
+    delivery-side counter, reduces only the rows appended since the last
+    read — first-arrival settlement of each ``(msg_id, endpoint)`` pair
+    (:mod:`repro.core.settlement`), valid and late counts, ``np.bincount``
+    tallies per message and per endpoint, and ``earning`` /
+    ``latency_sum_ms`` as left folds in log order.  The log's append
+    order is the order the scalar collector settles in, so both floats
+    are byte-identical to its running sums.  A spilling log also runs the
+    reduction just before each chunk goes to disk, so no row is ever read
+    back from the spill ring.
+
+    A ledger built without a log owns a private one, fed through the
+    standalone entry points :meth:`on_delivery`, :meth:`on_delivery_batch`
+    and :meth:`on_delivery_batch_ids` (subscribers become endpoints on
+    first sight, at their first price).  A system's ledger reduces the
+    system's log, which its brokers append to; nothing else writes it.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, log: DeliveryLog | None = None) -> None:
         self.published = 0
         self.receptions = 0
         self.transmissions = 0
-        self.deliveries_valid = 0
-        self.deliveries_late = 0
         self.pruned = 0
-        self.duplicate_deliveries = 0
-        # Message interning and per-message tallies (dense mid-indexed).
-        self._mid_of: dict[int, int] = {}
-        self._msg_ids: list[int] = []
-        self._interested = GrowableArray(np.int64)
-        self._delivered = GrowableArray(np.int64)
-        #: Per message: sorted array of settled subscriber ids (valid and
-        #: late alike — settlement is first-arrival-wins either way).
-        self._settled: list[np.ndarray] = []
-        # Subscriber interning and per-subscriber tallies.
-        self._sid_of: dict[str, int] = {}
-        self._sub_names: list[str] = []
-        self._sub_valid = GrowableArray(np.int64)
-        # Float contribution logs (arrival order, folded on read).
-        self._earn = _FoldedSum()
-        self._lat = _FoldedSum()
+        self._interested: dict[int, int] = {}
         self._total_interested = 0
+        self._log = log if log is not None else DeliveryLog()
+        #: Standalone ledgers only: subscriber name -> endpoint id.
+        self._endpoint_of: dict[str, int] | None = {} if log is None else None
+        # The reduction: a row cursor, every row it has reduced (each row
+        # exactly once), the settled pairs and the accumulators.
+        self._cursor = 0
+        self.rows_reduced = 0
+        self._settled = SettledKeys()
+        self._valid = 0
+        self._late = 0
+        self._earning = 0.0
+        self._latency_sum = 0.0
+        self._delivered = np.zeros(0, dtype=np.int64)  # per msg_id
+        self._endpoint_valid = np.zeros(0, dtype=np.int64)  # per endpoint id
+        if self._log.spills:
+            self._log.before_spill(self._reduce)
 
-    # ------------------------------------------------------------------ #
-    # Interning.
-    # ------------------------------------------------------------------ #
-    def _mid(self, msg_id: int) -> int:
-        mid = self._mid_of.get(msg_id)
-        if mid is None:
-            mid = self._mid_of[msg_id] = len(self._msg_ids)
-            self._msg_ids.append(msg_id)
-            self._interested.at_least(mid + 1)
-            self._delivered.at_least(mid + 1)
-            self._settled.append(_EMPTY_SETTLED)
-        return mid
-
-    def _sid(self, subscriber: str) -> int:
-        sid = self._sid_of.get(subscriber)
-        if sid is None:
-            sid = self._sid_of[subscriber] = len(self._sub_names)
-            self._sub_names.append(subscriber)
-        return sid
+    @classmethod
+    def for_log(cls, log: DeliveryLog) -> "LedgerMetricsCollector":
+        """The ledger of a system whose deliveries ``log`` records."""
+        return cls(log)
 
     # ------------------------------------------------------------------ #
     # Recording.
     # ------------------------------------------------------------------ #
     def on_publish(self, msg_id: int, interested_subscribers: int) -> None:
         self.published += 1
-        mid = self._mid(msg_id)
-        col = self._interested.view()
-        self._total_interested += interested_subscribers - int(col[mid])
-        col[mid] = interested_subscribers
+        self._total_interested += interested_subscribers - self._interested.get(msg_id, 0)
+        self._interested[msg_id] = interested_subscribers
 
     def on_reception(self) -> None:
         self.receptions += 1
@@ -295,35 +248,11 @@ class LedgerMetricsCollector:
     def on_prune(self, count: int = 1) -> None:
         self.pruned += count
 
-    def intern_subscribers(self, names: list[str]) -> np.ndarray:
-        """Dense ledger ids for a name column, in order.
-
-        Brokers call this once per growth of their table's interned name
-        list and cache the result, so batched settlement maps table-local
-        subscriber ids to ledger ids with one fancy index — no per-row
-        dict lookups on the delivery path.
-        """
-        return np.fromiter(map(self._sid, names), dtype=np.int64, count=len(names))
-
-    def _settle_one(self, mid: int, sid: int, latency_ms: float, price: float, valid: bool) -> None:
-        settled = self._settled[mid]
-        pos = int(np.searchsorted(settled, sid))
-        if pos < settled.size and settled[pos] == sid:
-            self.duplicate_deliveries += 1
-            return
-        self._settled[mid] = np.insert(settled, pos, sid)
-        if valid:
-            self.deliveries_valid += 1
-            self._delivered.view()[mid] += 1
-            self._sub_valid.at_least(sid + 1)[sid] += 1
-            self._earn.append(price)
-            self._lat.append(latency_ms)
-        else:
-            self.deliveries_late += 1
-
     def on_delivery(self, msg_id: int, subscriber: str, latency_ms: float, price: float, valid: bool) -> None:
-        """Scalar entry point (API parity with the oracle collector)."""
-        self._settle_one(self._mid(msg_id), self._sid(subscriber), latency_ms, price, valid)
+        """Standalone entry: one delivery attempt."""
+        self.on_delivery_batch(
+            msg_id, [subscriber], latency_ms, np.array([price]), np.array([valid])
+        )
 
     def on_delivery_batch(
         self,
@@ -333,79 +262,89 @@ class LedgerMetricsCollector:
         prices: np.ndarray,
         valid: np.ndarray,
     ) -> None:
-        """Settle one message's local deliveries at one broker in bulk."""
-        if subscribers:
-            self.on_delivery_batch_ids(
-                msg_id, self.intern_subscribers(subscribers), latency_ms, prices, valid
-            )
+        """Standalone entry: one message's deliveries, by subscriber name."""
+        if self._endpoint_of is None:
+            raise MetricsError("a system's ledger reduces the system's delivery log")
+        endpoints = np.empty(len(subscribers), dtype=np.int64)
+        for i, (name, price) in enumerate(zip(subscribers, prices.tolist())):
+            eid = self._endpoint_of.get(name)
+            if eid is None:
+                eid = self._endpoint_of[name] = self._log.register(name, price)
+            elif self._log.endpoint_prices()[eid] != price:
+                raise MetricsError(
+                    f"{name!r} billed at {price}, subscribed at "
+                    f"{self._log.endpoint_prices()[eid]}"
+                )
+            endpoints[i] = eid
+        self.on_delivery_batch_ids(msg_id, endpoints, latency_ms, valid)
 
     def on_delivery_batch_ids(
-        self,
-        msg_id: int,
-        sids: np.ndarray,
-        latency_ms: float,
-        prices: np.ndarray,
-        valid: np.ndarray,
-        assume_unique: bool = False,
+        self, msg_id: int, endpoints: np.ndarray, latency_ms: float, valid: np.ndarray
     ) -> None:
-        """Batched settlement with pre-interned ledger subscriber ids
-        (see :meth:`intern_subscribers`).
+        """Standalone entry: one message's deliveries, by endpoint id of
+        the ledger's own log (arrival times are not known here)."""
+        if self._endpoint_of is None:
+            raise MetricsError("a system's ledger reduces the system's delivery log")
+        self._log.append_batch(endpoints, msg_id, np.nan, latency_ms, valid)
 
-        Rows are expected unique per subscriber within a batch (the
-        broker's ``match_grouped`` dedups per group and passes
-        ``assume_unique=True`` to skip the check); when the check runs and
-        fails, the batch falls back to the order-exact scalar path.
-        """
-        n = sids.shape[0]
-        if n == 0:
+    # ------------------------------------------------------------------ #
+    # The reduction.
+    # ------------------------------------------------------------------ #
+    def _reduce(self) -> None:
+        """Fold the log rows appended since the last read into the state."""
+        log = self._log
+        end = len(log)
+        if self._cursor == end:
             return
-        mid = self._mid(msg_id)
-        settled = self._settled[mid]
-        pos = np.searchsorted(settled, sids)
-        dup = np.zeros(n, dtype=bool)
-        in_range = pos < settled.size
-        dup[in_range] = settled[pos[in_range]] == sids[in_range]
-        fresh = ~dup
-        fresh_ids = sids[fresh]
-        if not assume_unique and np.unique(fresh_ids).size != fresh_ids.size:
-            # Intra-batch duplicate subscribers: replay row by row so the
-            # first-arrival-wins order is exact.
-            for sid, price, ok in zip(sids.tolist(), prices.tolist(), valid.tolist()):
-                self._settle_one(mid, sid, latency_ms, price, ok)
-            return
-        ndup = int(dup.sum())
-        self.duplicate_deliveries += ndup
-        if ndup == n:
-            return
-        valid_new = valid & fresh
-        nv = int(np.count_nonzero(valid_new))
-        self.deliveries_valid += nv
-        self.deliveries_late += (n - ndup) - nv
-        if nv:
-            self._delivered.view()[mid] += nv
-            vids = sids[valid_new]
-            tallies = self._sub_valid.at_least(int(vids.max()) + 1)
-            # ``vids`` are unique (intra-batch repeats took the scalar path
-            # above), so a buffered fancy-index add counts each once.
-            tallies[vids] += 1
-            self._earn.extend(prices[valid_new])
-            self._lat.extend(np.full(nv, latency_ms))
-        # Settled and fresh are disjoint sorted-unique sets, so their
-        # concatenation sorted in place is exactly the merged set.
-        merged = np.concatenate((settled, fresh_ids))
-        merged.sort()
-        self._settled[mid] = merged
+        prices = log.endpoint_prices()
+        for sub, msg, latency, valid in log.iter_chunks(
+            ("sub_id", "msg_id", "latency", "valid"), start=self._cursor
+        ):
+            self.rows_reduced += sub.shape[0]
+            first = self._settled.first_arrivals(pair_keys(msg, sub))
+            settles = np.zeros(sub.shape[0], dtype=bool)
+            settles[first] = True
+            # Valid settlements in log order: the order they were earned in.
+            counted = np.flatnonzero(settles & valid)
+            self._valid += counted.shape[0]
+            self._late += first.shape[0] - counted.shape[0]
+            if counted.shape[0]:
+                endpoints = sub[counted]
+                # The documented left folds (repro.core.folds), seeded
+                # with the running sums: the scalar collector's chain.
+                self._earning = fold_sum_array(prices[endpoints], start=self._earning)
+                self._latency_sum = fold_sum_array(latency[counted], start=self._latency_sum)
+                self._delivered = _tally(self._delivered, msg[counted])
+                self._endpoint_valid = _tally(self._endpoint_valid, endpoints)
+        self._cursor = end
 
     # ------------------------------------------------------------------ #
     # Derived metrics.
     # ------------------------------------------------------------------ #
     @property
+    def deliveries_valid(self) -> int:
+        self._reduce()
+        return self._valid
+
+    @property
+    def deliveries_late(self) -> int:
+        self._reduce()
+        return self._late
+
+    @property
+    def duplicate_deliveries(self) -> int:
+        self._reduce()
+        return self.rows_reduced - self._valid - self._late
+
+    @property
     def earning(self) -> float:
-        return self._earn.value()
+        self._reduce()
+        return self._earning
 
     @property
     def latency_sum_ms(self) -> float:
-        return self._lat.value()
+        self._reduce()
+        return self._latency_sum
 
     @property
     def total_interested(self) -> int:
@@ -418,46 +357,54 @@ class LedgerMetricsCollector:
 
     @property
     def mean_latency_ms(self) -> float:
-        return self.latency_sum_ms / self.deliveries_valid if self.deliveries_valid else 0.0
+        valid = self.deliveries_valid
+        return self._latency_sum / valid if valid else 0.0
 
     @property
     def interested(self) -> dict[int, int]:
-        """Materialised ``msg_id -> ts_i`` view (oracle-dict parity)."""
-        col = self._interested.view()
-        return {m: int(col[i]) for i, m in enumerate(self._msg_ids)}
+        """``msg_id -> ts_i`` (a copy)."""
+        return dict(self._interested)
 
     @property
     def delivered(self) -> dict[int, int]:
-        """Materialised ``msg_id -> ds_i`` view, messages with ds_i > 0."""
-        col = self._delivered.view()
-        return {m: int(col[i]) for i, m in enumerate(self._msg_ids) if col[i]}
+        """``msg_id -> ds_i``, messages with ds_i > 0."""
+        self._reduce()
+        ids = np.flatnonzero(self._delivered)
+        return dict(zip(ids.tolist(), self._delivered[ids].tolist()))
 
     @property
     def per_subscriber_valid(self) -> dict[str, int]:
-        """Materialised ``subscriber -> valid count`` view (counts > 0)."""
-        col = self._sub_valid.view()
-        n = col.shape[0]
-        return {
-            s: int(col[i])
-            for i, s in enumerate(self._sub_names)
-            if i < n and col[i]
-        }
+        """``subscriber -> valid count`` (counts > 0); a name's endpoints
+        (one per subscription it held) fold into one count."""
+        self._reduce()
+        names = self._log.endpoint_names
+        ids = np.flatnonzero(self._endpoint_valid)
+        out: dict[str, int] = {}
+        for eid, count in zip(ids.tolist(), self._endpoint_valid[ids].tolist()):
+            out[names[eid]] = out.get(names[eid], 0) + count
+        return out
 
     def check_invariants(self) -> None:
-        """Accounting sanity over the ledger arrays (real raises)."""
-        delivered = self._delivered.view()
-        interested = self._interested.view()
-        if self.deliveries_valid != int(delivered.sum()):
+        """Accounting sanity over the reduced state (real raises)."""
+        self._reduce()
+        if self.rows_reduced != self._cursor:
+            raise MetricsError(f"reduced {self.rows_reduced} rows of the log's first {self._cursor}")
+        per_msg, per_endpoint = int(self._delivered.sum()), int(self._endpoint_valid.sum())
+        if self._valid != per_msg or self._valid != per_endpoint:
             raise MetricsError(
-                f"valid-delivery total {self.deliveries_valid} != per-message "
-                f"sum {int(delivered.sum())}"
+                f"valid-delivery total {self._valid} != per-message sum {per_msg} "
+                f"/ per-endpoint sum {per_endpoint}"
             )
-        if self.deliveries_valid > self._total_interested:
+        if self._valid > self._total_interested:
             raise MetricsError("delivered more than the interested population")
-        over = np.flatnonzero(delivered > interested)
-        if over.size:
-            raise MetricsError(f"over-delivery of msg {self._msg_ids[int(over[0])]}")
+        ids = np.flatnonzero(self._delivered)
+        interested = np.fromiter(
+            (self._interested.get(m, 0) for m in ids.tolist()), dtype=np.int64, count=ids.shape[0]
+        )
+        over = ids[self._delivered[ids] > interested]
+        if over.shape[0]:
+            raise MetricsError(f"over-delivery of msg {int(over[0])}")
         if self.receptions < 0 or self.pruned < 0:
             raise MetricsError("negative traffic counters")
-        if self.earning < 0.0:
+        if self._earning < 0.0:
             raise MetricsError("negative earning")

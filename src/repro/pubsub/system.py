@@ -143,14 +143,15 @@ class PubSubSystem:
         self.sim = sim
         self.streams = streams
         self.config = config or SystemConfig()
-        self.metrics = self.metrics_type()
         self.trace = TraceRecorder(enabled=self.config.enable_trace)
         #: Chunked columnar store behind every subscriber endpoint; brokers
         #: append whole local-delivery batches through the batch callback,
-        #: sealed chunks spill to disk when ``log_spill`` is on.
+        #: sealed chunks spill to disk when ``log_spill`` is on.  The one
+        #: record of a delivery: the metrics ledger reduces it.
         self.delivery_log = DeliveryLog(
             chunk_rows=self.config.log_chunk_rows, spill=self.config.log_spill
         )
+        self.metrics = self.metrics_type.for_log(self.delivery_log)
         # Per-broker translation of table-interned subscriber ids to
         # endpoint log ids (−1 = no live endpoint).  Maintained
         # incrementally: new interned names extend the tail, and a
@@ -195,13 +196,10 @@ class PubSubSystem:
         #: pair-conservation identity; the sentinel consults this to know
         #: whether that deep check is applicable.
         self.unsubscribe_count = 0
-        #: Price per endpoint log id, fixed at subscribe time (what the
-        #: metrics layer bills for that endpoint's valid deliveries);
-        #: lets the windowed time-series fold earnings without a join.
-        self._endpoint_price: list[float] = []
         #: Deadline per endpoint log id (``None`` = none bought), beside
-        #: the price: together the tier an endpoint belongs to, kept for
-        #: endpoints that have since left (revenue breakdowns bill them).
+        #: the price the log holds: together the tier an endpoint belongs
+        #: to, kept for endpoints that have since left (revenue breakdowns
+        #: bill them).
         self._endpoint_deadline: list[float | None] = []
         # Publication log (msg_id is the dense index): publish times and
         # interested-population sizes, for windowed time-series analysis.
@@ -261,9 +259,9 @@ class PubSubSystem:
         One vectorised append per batch: the group's table-interned
         subscriber ids are gathered through a per-broker translation array
         (rebuilt only when a subscription is added/removed or the table
-        interned new names).  Rows whose subscriber no longer has a live
-        endpoint (unsubscribed while copies were in flight) map to id −1
-        and are dropped by the log.
+        interned new names).  Local groups come from the live table, so
+        every row has a live endpoint; one mapped to id −1 (no endpoint)
+        makes the log raise rather than lose a billed delivery.
         """
         names = group.sub_names
         cached = self._endpoint_ids.get(broker.name)
@@ -340,21 +338,21 @@ class PubSubSystem:
     def _register(self, subscriptions: list[Subscription], fids: np.ndarray) -> None:
         """Enter installed subscriptions into registry and log."""
         # Endpoint ids are handed out sequentially and only here, so the
-        # price list stays index-aligned with the shared delivery log.
-        first = len(self._endpoint_price)
+        # deadline list stays index-aligned with the shared delivery log.
+        first = len(self._endpoint_deadline)
         if self.delivery_log.endpoint_count != first:
             raise MetricsError(
                 f"delivery log has {self.delivery_log.endpoint_count} endpoints "
-                f"but {first} are priced: endpoints were registered elsewhere"
+                f"but {first} have a tier: endpoints were registered elsewhere"
             )
         names = [s.subscriber for s in subscriptions]
         self._subscriptions.update(zip(names, subscriptions))
         self._fid_of_subscriber.update(zip(names, fids.tolist()))
+        log = self.delivery_log
+        log.register_many(names, [1.0 if s.price is None else s.price for s in subscriptions])
         self.subscribers.update(
-            (name, SubscriberHandle(name, log=self.delivery_log)) for name in names
-        )
-        self._endpoint_price.extend(
-            1.0 if s.price is None else s.price for s in subscriptions
+            (name, SubscriberHandle(name, log=log, log_id=first + i))
+            for i, name in enumerate(names)
         )
         self._endpoint_deadline.extend(s.deadline_ms for s in subscriptions)
         self._patch_endpoint_ids(names, np.arange(first, first + len(names)))
@@ -729,8 +727,9 @@ class PubSubSystem:
         return self._pub_log.iter_chunks()
 
     def endpoint_prices(self) -> np.ndarray:
-        """Price per delivery-log endpoint id (1.0 where unpriced)."""
-        return np.asarray(self._endpoint_price, dtype=np.float64)
+        """Price per delivery-log endpoint id (1.0 where unpriced): the
+        log's live column, read, do not write."""
+        return self.delivery_log.endpoint_prices()
 
     def endpoint_deadlines(self) -> np.ndarray:
         """Deadline per delivery-log endpoint id (NaN where none)."""

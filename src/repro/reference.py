@@ -8,8 +8,8 @@ counterpart kept in ``src/``: per-table dict-based
 id, rows filtered, sorted and grouped one by one, and a population count
 of their own, instead of the system-wide filter index and the per-source
 route plans; the per-delivery
-:class:`~repro.pubsub.metrics.MetricsCollector` instead of the columnar
-ledger; a full rescan of each output queue (``Strategy.select``) instead
+:class:`~repro.pubsub.metrics.MetricsCollector`, fed by the brokers,
+instead of the ledger that reduces the delivery log; a full rescan of each output queue (``Strategy.select``) instead
 of the incremental heaps (a lone entry scored too); and every score plan
 in numpy array form instead of the small entries' Python-float form.
 :class:`ReferenceSystem` is the production system with all four swapped
@@ -106,13 +106,18 @@ class ReferenceTable(SubscriptionTable):
 
 
 class ReferenceBroker(Broker):
-    """Settles local deliveries by subscriber name, row by row."""
+    """Settles local deliveries with the scalar collector by subscriber
+    name, row by row (the production ledger reads the delivery log)."""
 
     table_type = ReferenceTable
     queue_type = ReferenceQueue
     entry_type = ReferenceEntry
 
-    def _settle(self, message: Message, local, latency: float, valid) -> None:
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.delivery_batch_callbacks.append(self._settle)
+
+    def _settle(self, _broker: Broker, local, message: Message, latency: float, valid) -> None:
         self.metrics.on_delivery_batch(
             message.msg_id, local.subscribers, latency, local.price, valid
         )

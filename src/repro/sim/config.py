@@ -16,6 +16,21 @@ from repro.workload.scenarios import Scenario
 PAPER_DURATION_MS = 2 * 60 * 60 * 1000.0
 
 
+def strategy_label(name: str, params: dict[str, Any]) -> str:
+    """A strategy's display name with its parameters, sorted:
+    ``rl(aggregation=min)``, ``ebpc(r=0.5)`` (EBPC always shows its
+    weight); a strategy without parameters is its bare name."""
+    if name == "ebpc":
+        params = {"r": 0.5, **params}
+    if not params:
+        return name
+    args = ", ".join(
+        f"{key}={value if isinstance(value, str) else format(value, 'g')}"
+        for key, value in sorted(params.items())
+    )
+    return f"{name}({args})"
+
+
 @dataclass(frozen=True)
 class SimulationConfig(SystemConfig):
     """One simulation run, fully specified.
@@ -74,7 +89,4 @@ class SimulationConfig(SystemConfig):
         return self.duration_ms + self.grace_ms
 
     def strategy_label(self) -> str:
-        if self.strategy == "ebpc":
-            r = self.strategy_params.get("r", 0.5)
-            return f"ebpc(r={r:g})"
-        return self.strategy
+        return strategy_label(self.strategy, self.strategy_params)

@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
-from repro.sim.config import SimulationConfig
+from repro.sim.config import SimulationConfig, strategy_label
 from repro.sim.results import SimulationResult, aggregate_results
 from repro.sim.runner import run_simulation
 
@@ -115,12 +115,6 @@ def _strategy_points(strategies: Sequence[str | tuple[str, dict[str, Any]]]):
             yield name, dict(params)
 
 
-def _label(name: str, params: dict[str, Any]) -> str:
-    if name == "ebpc":
-        return f"ebpc(r={params.get('r', 0.5):g})"
-    return name
-
-
 def _collapse(per_seed: list[SimulationResult]) -> SimulationResult:
     # Failed replicas (PointFailure placeholders from a crash-tolerant
     # runner) are dropped before averaging; a point with no surviving
@@ -167,7 +161,7 @@ def sweep_publishing_rate(
         for _rate in rates:
             runs.append(_collapse(results[i : i + len(seeds)]))
             i += len(seeds)
-        out.series[_label(name, params)] = runs
+        out.series[strategy_label(name, params)] = runs
     return out
 
 

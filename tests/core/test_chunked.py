@@ -132,6 +132,25 @@ class TestSpill:
         gc.collect()
         assert not ring.exists()
 
+    @pytest.mark.parametrize("spill", [True, False])
+    def test_before_spill_sees_each_full_chunk_in_memory(self, spill, monkeypatch):
+        """The hook runs once per chunk about to go to disk, when the
+        store already holds the chunk's rows and none of it is on disk;
+        a store that does not spill never calls it."""
+        store = ChunkedColumnStore(SCHEMA, chunk_rows=8, spill=spill)
+        seen: list[tuple[int, int]] = []
+        store.before_spill(lambda: seen.append((len(store), store.spilled_chunks)))
+        fill_reference(store, 50)
+        reads = []
+        monkeypatch.setattr(chunked, "_read_chunk", lambda *a: reads.append(a))
+        if spill:
+            assert seen == [(8 * k, k - 1) for k in range(1, 7)]
+            assert store.spilled_chunks == 6
+        else:
+            assert seen == []
+        assert reads == []
+        store.close()
+
     def test_streaming_read_interleaved_with_appends(self):
         """Chunks sealed so far stream correctly while the store grows."""
         store = ChunkedColumnStore(SCHEMA, chunk_rows=10, spill=True)

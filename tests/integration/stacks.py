@@ -16,9 +16,12 @@ from __future__ import annotations
 
 from unittest import mock
 
+from repro.core.queueing import ScheduledQueue
+from repro.core.strategies import QueueEntry
 from repro.pubsub.broker import Broker
 from repro.pubsub.matching import BruteForceMatcher
 from repro.pubsub.metrics import LedgerMetricsCollector, MetricsCollector
+from repro.pubsub.subscription import SubscriptionTable
 from repro.pubsub.system import PubSubSystem
 from repro.reference import ReferenceBroker, ReferenceQueue, ReferenceTable, ReferenceSystem
 from repro.sim import runner
@@ -50,8 +53,10 @@ class BruteMatcherSystem(OracleMatcherSystem):
     matcher_type = BruteForceMatcher
 
 
-class _ScalarCollectorBroker(Broker):
-    _settle = ReferenceBroker._settle
+class _ScalarCollectorBroker(ReferenceBroker):
+    table_type = SubscriptionTable
+    queue_type = ScheduledQueue
+    entry_type = QueueEntry
 
 
 class ScalarCollectorSystem(PubSubSystem):

@@ -1,7 +1,7 @@
 """Production vs reference: the one whole-run identity suite.
 
 The production stack (:class:`~repro.pubsub.system.PubSubSystem`: one
-filter index and per-source route plans, columnar ledger, incremental
+filter index and per-source route plans, log-reducing ledger, incremental
 queues) and the reference stack (:class:`~repro.reference.ReferenceSystem`:
 per-table dict counting matchers, per-delivery collector, full-rescan
 queues), on one event kernel,
@@ -166,7 +166,7 @@ def _layers(system) -> dict:
             type(getattr(system, "_population", system.filters)),
             type(getattr(broker.table, "_matcher", None)),
         ),
-        "metrics": (type(system.metrics), type(broker)._settle),
+        "metrics": (type(system.metrics), getattr(type(broker), "_settle", None)),
         "queues": {q.sched.backend_name for q in broker.queues.values()},
     }
 

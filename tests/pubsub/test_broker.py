@@ -22,10 +22,17 @@ MATCH_ALL = Predicate("A1", "<", 1e9)
 
 
 def make_broker(sim, strategy=None, metrics=None, **config) -> Broker:
-    return Broker(
-        "B1", sim, strategy or FifoStrategy(), metrics or LedgerMetricsCollector(),
-        SystemConfig(**config),
+    """A broker outside any system.  Brokers do not settle deliveries: a
+    system's ledger reduces the system's delivery log.  Here the batch
+    hook feeds a standalone ledger's own log instead."""
+    metrics = metrics or LedgerMetricsCollector()
+    broker = Broker("B1", sim, strategy or FifoStrategy(), metrics, SystemConfig(**config))
+    broker.delivery_batch_callbacks.append(
+        lambda _broker, local, message, latency, valid: metrics.on_delivery_batch(
+            message.msg_id, local.subscribers, latency, local.price, valid
+        )
     )
+    return broker
 
 
 def wire_neighbor(broker, sim, neighbor="B2", rate=Normal(10.0, 0.0), seed=0):

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
 from repro.core.strategies import FifoStrategy
 from repro.des.rng import RngStreams
 from repro.des.simulator import Simulator
 from repro.pubsub.client import DeliveryLog, DeliveryRecord, SubscriberHandle
 from repro.pubsub.filters import Predicate
+from repro.pubsub.metrics import MetricsError
 from repro.pubsub.subscription import Subscription
 from repro.pubsub.system import PubSubSystem
 from tests.conftest import make_line_topology
@@ -19,7 +21,7 @@ MATCH_ALL = Predicate("A1", "<", 1e9)
 def _fill_log(log: DeliveryLog, endpoints: int, rows: int, seed: int = 3):
     """Register endpoints and append a deterministic row mix (batch +
     scalar appends, so chunk boundaries land mid-batch too)."""
-    ids = [log.register() for _ in range(endpoints)]
+    ids = [log.register(f"S{i}") for i in range(endpoints)]
     rng = np.random.default_rng(seed)
     sub = rng.integers(0, endpoints, rows)
     msg = rng.integers(0, 50, rows)
@@ -46,7 +48,7 @@ class TestDeliveryLogChunked:
         valid (and unchanged) across later appends that seal/reallocate
         chunks.  The pre-chunking zero-copy views did not survive this."""
         log = DeliveryLog(chunk_rows=4)
-        log.register()
+        log.register("S0")
         for i in range(6):
             log.append(0, i, float(i), 1.0, True)
         snap = log.columns()
@@ -80,14 +82,23 @@ class TestDeliveryLogChunked:
 
     def test_counts_cache_tracks_growth_and_new_endpoints(self):
         log = DeliveryLog(chunk_rows=8)
-        a = log.register()
+        a = log.register("A")
         log.append(a, 1, 1.0, 1.0, True)
         assert log.counts_for(a) == (1, 1)
-        b = log.register()  # registered after the tallies were cached
+        b = log.register("B")  # registered after the tallies were cached
         assert log.counts_for(b) == (0, 0)
         log.append(b, 2, 2.0, 2.0, False)
         assert log.counts_for(b) == (1, 0)
         assert log.counts_for(a) == (1, 1)
+
+    def test_row_without_live_endpoint_raises(self):
+        """The log is the one delivery record: a row it cannot attribute
+        is an error, not a silent drop."""
+        log = DeliveryLog(chunk_rows=4)
+        a = log.register("A")
+        with pytest.raises(MetricsError, match="1 of 2 deliveries of msg 7"):
+            log.append_batch(np.array([a, -1]), 7, 1.0, 1.0, np.ones(2, bool))
+        assert len(log) == 0
 
     def test_handle_counts_on_chunked_log(self):
         log = DeliveryLog(chunk_rows=4)

@@ -90,10 +90,10 @@ class TestSubscriptionInstallation:
             system.subscribe(Subscription("S1", MATCH_ALL))
 
     def test_endpoint_registered_elsewhere_is_an_error(self, line_topology):
-        # Batched registration leans on log ids and the price list being
-        # index-aligned; a raise (not an assert) keeps that under -O.
+        # Batched registration leans on log ids and the deadline list
+        # being index-aligned; a raise (not an assert) keeps that under -O.
         system = make_system(line_topology)
-        system.delivery_log.register()
+        system.delivery_log.register("stray")
         with pytest.raises(MetricsError):
             system.subscribe(Subscription("S1", MATCH_ALL))
 
@@ -113,7 +113,7 @@ def _untouched(system: PubSubSystem) -> bool:
     return (
         system.subscription_count == 0 and not system.subscribers
         and len(system.filters) == 0 and system.delivery_log.endpoint_count == 0
-        and not system._endpoint_price
+        and not system._endpoint_deadline
         and all(len(b.table) == 0 and b.table.version == 0 for b in system.brokers.values())
     )
 

@@ -38,6 +38,14 @@ class TestRateSweep:
         assert list(sweep.series) == ["ebpc(r=0.3)"]
         assert sweep.series["ebpc(r=0.3)"][0].strategy == "ebpc(r=0.3)"
 
+    def test_two_variants_of_one_strategy_are_two_series(self):
+        sweep = sweep_publishing_rate(
+            BASE, rates=[5.0],
+            strategies=["rl", ("rl", {"aggregation": "min"}), "ebpc"],
+        )
+        assert list(sweep.series) == ["rl", "rl(aggregation=min)", "ebpc(r=0.5)"]
+        assert [runs[0].strategy for runs in sweep.series.values()] == list(sweep.series)
+
     def test_metric_extraction(self):
         sweep = sweep_publishing_rate(BASE, rates=[5.0], strategies=["fifo"])
         values = sweep.metric("fifo", lambda r: r.delivery_rate)
