@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import pickle
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -546,16 +547,31 @@ def _probes(system):
 
 
 def test_pubsub_subscription_install_many(benchmark, scale_tables):
+    """Standalone tables over the system's subscriber index take the
+    blocks the system's tables took; ``bytes_per_row`` is what the
+    install and warm-up retain, counted by tracemalloc."""
     system, blocks = scale_tables
 
     def install():
-        tables = {name: SubscriptionTable() for name in blocks}
+        tables = {name: SubscriptionTable(system.subscriber_index) for name in blocks}
         for name, block in blocks.items():
             tables[name].install_many(block)
         return tables
 
     tables = benchmark.pedantic(install, rounds=3, iterations=1)
-    benchmark.extra_info["rows"] = sum(len(block) for block in blocks.values())
+    rows = sum(len(block) for block in blocks.values())
+    benchmark.extra_info["rows"] = rows
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        warmed = install()
+        for table in warmed.values():
+            table.warm()
+        benchmark.extra_info["bytes_per_row"] = round(
+            (tracemalloc.get_traced_memory()[0] - before) / rows, 1
+        )
+    finally:
+        tracemalloc.stop()
     probes = _probes(system)
     assert sum(
         assert_same_table(table, system.brokers[name].table, probes)

@@ -39,10 +39,9 @@ from repro.pubsub.faults import (
     DeadLetterRecord,
     FaultLedger,
 )
-from repro.pubsub.matching import FilterIndex
 from repro.pubsub.message import Message
 from repro.pubsub.metrics import LedgerMetricsCollector, MetricsCollector
-from repro.pubsub.subscription import RowBlock, SubscriptionTable, TableRow
+from repro.pubsub.subscription import RowBlock, SubscriberIndex, SubscriptionTable, TableRow
 
 if TYPE_CHECKING:  # the system module imports this one
     from repro.pubsub.system import SystemConfig
@@ -76,8 +75,8 @@ DeliveryCallback = Callable[[str, Message, float, bool], None]
 #: Batched local-delivery hook: (broker, local row group, message,
 #: latency_ms, valid flags).  One call per (message, local group); all
 #: rows of a group share the arrival latency, ``valid`` is a per-row
-#: boolean array, and the group exposes the table's interned subscriber
-#: ids so receivers can translate with a cached gather.
+#: boolean array, and the group's ``sub_ids`` are the subscribers'
+#: delivery-log endpoint ids.
 BatchDeliveryCallback = Callable[["Broker", "object", Message, float, "object"], None]
 
 
@@ -100,7 +99,7 @@ class Broker:
         *,
         trace: TraceRecorder | None = None,
         faults: FaultLedger | None = None,
-        filters: FilterIndex | None = None,
+        index: SubscriberIndex | None = None,
     ) -> None:
         self.name = name
         self.sim = sim
@@ -120,9 +119,9 @@ class Broker:
             if config.pruning_override is not None
             else PruningPolicy.for_strategy(strategy.probabilistic_pruning)
         )
-        #: ``filters`` is the system's shared filter index (``None``: the
-        #: table keeps a private one).
-        self.table = self.table_type(filters)
+        #: ``index`` is the system's shared subscriber index (``None``:
+        #: the table keeps a private one).
+        self.table = self.table_type(index)
         self.queues: dict[str, OutputQueue] = {}
         self.trace = trace
         # Fault layer: shared conservation ledger plus per-neighbour retry

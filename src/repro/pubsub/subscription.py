@@ -6,16 +6,18 @@ The paper's table row is ``(subscriber, filter, dl, pr, nb, NN_p, μ_p,
 the provenance check that makes single-path routing duplicate-free on a
 mesh (see :mod:`repro.pubsub.system`).
 
-The table is columnar in storage: every installed row gets a dense integer
-row id, its attributes live in one growable record array beside a per-row
-reference to the shared :class:`Subscription`, and matching produces
-row-id arrays.  A row's filter is a *fid* into the system-wide
-:class:`~repro.pubsub.matching.FilterIndex`, which evaluates each
-publication once; provenance, duplicate settlement and per-hop grouping
-are compiled into one route plan per source broker, so a match is a
-verdict gather, a boolean take and a split at static group bounds.  A
-:class:`RowGroup`'s :class:`RowArrays` are fancy-index gathers.
-:class:`TableRow` is the public value type, built from the columns only
+Storage splits that row in two.  The subscriber half is interned once per
+system in a :class:`SubscriberIndex`, under the id that is also the
+subscriber's delivery-log endpoint id; the path half is a :class:`Route`,
+interned per table, shared by every subscriber behind one routed path.  A
+table row is then just (subscription id, route id) under a dense row id,
+and matching produces row-id arrays.  A subscription's filter is a *fid*
+into the system-wide :class:`~repro.pubsub.matching.FilterIndex`, which
+evaluates each publication once; provenance, duplicate settlement and
+per-hop grouping are compiled into one route plan per source broker, so a
+match is a verdict gather, a boolean take and a split at static group
+bounds.  A :class:`RowGroup`'s :class:`RowArrays` are fancy-index gathers.
+:class:`TableRow` is the public value type, built from the two halves only
 when a caller asks for rows.
 """
 
@@ -115,21 +117,90 @@ class Route(NamedTuple):
     min_msg_id: int = 0
 
 
+_EMPTY_IDS = np.empty(0, dtype=np.int64)
+_ONE_ROUTE = np.zeros(1, dtype=np.int64)
+
+
+def _intern(key, id_of: dict, by_id: list) -> int:
+    i = id_of.get(key)
+    if i is None:
+        i = id_of[key] = len(by_id)
+        by_id.append(key)
+    return i
+
+
+class SubscriberIndex:
+    """Every subscription of a system, interned once.
+
+    Each registration gets the next dense id, and the system's delivery
+    log hands out the same id as the subscriber's endpoint, so a matched
+    row's subscription id *is* the id its delivery is logged under.  Ids
+    are never reused: a subscriber who leaves and joins again gets a fresh
+    one, as the log does.  Per id the index keeps the subscription, its
+    fid in :attr:`filters` (counted live until :meth:`discard`) and the
+    scoring columns, ``deadline`` (``inf`` = unspecified) and ``price``
+    (1.0 = unspecified); per live name, its id.
+    """
+
+    def __init__(self, filters: FilterIndex | None = None) -> None:
+        self.filters = FilterIndex() if filters is None else filters
+        #: id -> subscription (append-only).
+        self.subscriptions: list[Subscription] = []
+        #: subscriber name -> its live id.
+        self.live: dict[str, int] = {}
+        self._fid = GrowableArray(np.int64)
+        self._deadline = GrowableArray(np.float64)
+        self._price = GrowableArray(np.float64)
+        #: Rank of each id's name in sorted name order (lazily recomputed
+        #: after :meth:`add`).
+        self._rank = _EMPTY_IDS
+
+    def __len__(self) -> int:
+        return len(self.subscriptions)
+
+    def add(self, subscriptions: list[Subscription]) -> np.ndarray:
+        """Register subscriptions whose names are not live; returns their ids."""
+        first, n = len(self.subscriptions), len(subscriptions)
+        self._fid.extend(self.filters.add([s.filter for s in subscriptions]))
+        self._deadline.extend(np.array(
+            [np.inf if s.deadline_ms is None else s.deadline_ms for s in subscriptions],
+            dtype=np.float64,
+        ))
+        self._price.extend(np.array(
+            [1.0 if s.price is None else s.price for s in subscriptions], dtype=np.float64
+        ))
+        self.subscriptions.extend(subscriptions)
+        self.live.update(zip((s.subscriber for s in subscriptions), range(first, first + n)))
+        return np.arange(first, first + n)
+
+    def discard(self, names: list[str]) -> None:
+        """Unregister live names (their ids stay, their filters are uncounted)."""
+        ids = np.fromiter(map(self.live.pop, names), dtype=np.int64, count=len(names))
+        self.filters.discard(self._fid.view()[ids])
+
+    def rank(self) -> np.ndarray:
+        """``rank[id]``: the position of the id's name in a stable sort of
+        every id's name, so ranks order live subscribers by name."""
+        subs = self.subscriptions
+        if len(self._rank) != len(subs):
+            names = [s.subscriber for s in subs]
+            self._rank = np.empty(len(subs), dtype=np.int64)
+            self._rank[sorted(range(len(subs)), key=names.__getitem__)] = np.arange(len(subs))
+        return self._rank
+
+
 @dataclass(frozen=True, slots=True)
 class RowBlock:
     """Columnar argument of :meth:`SubscriptionTable.install_many`: row
-    ``i`` is ``TableRow(subscriptions[i], *routes[route[i]])``; ``fids``
-    optionally carries the rows' filter ids in the installing table's
-    shared :class:`~repro.pubsub.matching.FilterIndex`, interned once per
-    batch however many brokers install it."""
+    ``i`` is ``TableRow(index.subscriptions[sids[i]], *routes[route[i]])``
+    for the installing table's :class:`SubscriberIndex`."""
 
-    subscriptions: list[Subscription]
-    fids: np.ndarray | None
+    sids: np.ndarray
     route: np.ndarray
     routes: list[Route]
 
     def __len__(self) -> int:
-        return len(self.subscriptions)
+        return len(self.sids)
 
 
 class StaleRowGroupError(RuntimeError):
@@ -141,8 +212,8 @@ class RowGroup:
     """A matched set of rows of one table, addressed by row-id array.
 
     ``arrays`` gathers the table's column arrays by fancy index — no
-    per-row attribute access — and ``sub_ids``/``subscribers`` expose the
-    table's interned subscriber column for the batched delivery spine.
+    per-row attribute access — and ``sub_ids`` are the rows' subscription
+    ids, which are the subscribers' delivery-log endpoint ids.
     ``rows`` materialises the :class:`TableRow` objects lazily (the
     per-row scoring paths and queue entries need them; batched local
     delivery never does).  Groups are snapshots taken at match time: the
@@ -160,7 +231,7 @@ class RowGroup:
         self.row_ids = row_ids
         self._table = table
         self._version = table._version
-        self._cols = (table._c_cols5, table._c_sub, table._sub_names)
+        self._cols = (table._c_cols5, table._c_sub, table.index.subscriptions)
         self._arrays: RowArrays | None = None
         self._rows: list[TableRow] | None = None
         self._subscribers: list[str] | None = None
@@ -208,23 +279,16 @@ class RowGroup:
 
     @property
     def sub_ids(self) -> np.ndarray:
-        """Table-interned subscriber ids, one per row (dense, stable)."""
+        """Subscription (= delivery-log endpoint) ids, one per row."""
         return self._cols[1][self.row_ids]
 
     @property
-    def sub_names(self) -> list[str]:
-        """The owning table's full interned-name column (append-only):
-        ``sub_names[sub_ids[i]]`` is row ``i``'s subscriber.  Callers key
-        translation caches on ``len(sub_names)``."""
-        return self._cols[2]
-
-    @property
     def subscribers(self) -> list[str]:
-        """Subscriber names, one per row, via the table's interning
-        (``_sub_names`` is append-only, so the capture is a snapshot)."""
+        """Subscriber names, one per row (the index is append-only, so
+        the capture is a snapshot)."""
         if self._subscribers is None:
-            names = self._cols[2]
-            self._subscribers = [names[i] for i in self.sub_ids]
+            subs = self._cols[2]
+            self._subscribers = [subs[i].subscriber for i in self.sub_ids.tolist()]
         return self._subscribers
 
     def __len__(self) -> int:
@@ -235,38 +299,6 @@ class RowGroup:
 
     def __getitem__(self, i: int) -> TableRow:
         return self.rows[i]
-
-
-_EMPTY_IDS = np.empty(0, dtype=np.int64)
-_NO_NAMES = np.empty(0, dtype="U1")
-
-#: One record per row id (dead rows keep stale values; no route plan
-#: holds their ids).  ``deadline``/``price`` hold the scoring defaults
-#: (``inf``/1.0) for unspecified values — the subscription keeps the
-#: ``None``s; ``hop`` is −1 for local rows; ``hop``/``sub``/``src_set``
-#: are table-interned ids, ``fid`` the filter's id in the table's
-#: :class:`~repro.pubsub.matching.FilterIndex`.
-_ROW_DTYPE = np.dtype([
-    ("mean", np.float64), ("variance", np.float64), ("deadline", np.float64),
-    ("price", np.float64), ("min_msg", np.int64), ("nn", np.int32), ("hop", np.int32),
-    ("sub", np.int32), ("path", np.int32), ("src_set", np.int32), ("fid", np.int32),
-], align=True)
-
-
-def _intern(key, id_of: dict, by_id: list) -> int:
-    i = id_of.get(key)
-    if i is None:
-        i = id_of[key] = len(by_id)
-        by_id.append(key)
-    return i
-
-
-def _intern_many(keys: list, id_of: dict, by_id: list) -> list[int]:
-    """:func:`_intern` per key in order, as three C-level passes."""
-    fresh = [key for key in dict.fromkeys(keys) if key not in id_of]
-    id_of.update(zip(fresh, range(len(by_id), len(by_id) + len(fresh))))
-    by_id.extend(fresh)
-    return [id_of[key] for key in keys]
 
 
 class _RoutePlan(NamedTuple):
@@ -297,150 +329,104 @@ class SubscriptionTable:
 
     Rows are keyed by ``(subscriber, path_id)``: single-path routing keeps
     one row per subscriber (path 0), the multi-path extension several.
-    Internally each row is interned to a dense integer id, its attributes
-    live in table-level columns, and its filter is a *fid* in a
-    :class:`~repro.pubsub.matching.FilterIndex` — the system's shared one,
-    whose subscriptions the system keeps live, or (``filters=None``) a
-    private one this table keeps live row by row.  A match gathers the
-    message's filter verdicts through a lazily compiled route plan for its
-    source broker, so the match path works on int arrays end to end.
+    A row is stored as two ints under a dense row id: its subscription's
+    id in a :class:`SubscriberIndex` — the system's shared one, which the
+    system keeps, or (``index=None``) a private one this table registers
+    and unregisters subscribers in — and the id of its :class:`Route`,
+    interned per table (every subscriber behind one routed path shares
+    it).  A match gathers the message's filter verdicts through a lazily
+    compiled route plan for its source broker, so the match path works on
+    int arrays end to end.
     """
 
-    def __init__(self, filters: FilterIndex | None = None) -> None:
-        self._owns_filters = filters is None
-        self._filters = FilterIndex() if filters is None else filters
-        #: The storage: one record per row id, and the row's shared
-        #: subscription (``None`` once uninstalled).
-        self._cols = GrowableArray(_ROW_DTYPE)
-        self._subs: list[Subscription | None] = []
-        #: subscriber -> its row id, or (multi-path) row ids in install
-        #: order, so uninstall/__contains__ are O(own rows) — and no
-        #: per-row container for the GC to walk or the pickler to write.
-        self._ids_of_subscriber: dict[str, int | list[int]] = {}
-        #: Row ids freed by uninstall, reused by the next install so the
-        #: columns scale with peak live rows, not cumulative churn.
+    def __init__(self, index: SubscriberIndex | None = None) -> None:
+        self._owns_index = index is None
+        self.index = SubscriberIndex() if index is None else index
+        self._filters = self.index.filters  # the match path's one lookup
+        #: The storage, per row id: subscription id, route id, live flag
+        #: (freed rows keep stale ids; no route plan holds them).
+        self._sid = GrowableArray(np.int32)
+        self._route = GrowableArray(np.int32)
+        self._alive = GrowableArray(np.bool_)
+        #: Row ids freed by uninstall, largest first: the next install
+        #: reuses the smallest, so the columns scale with peak live rows,
+        #: not cumulative churn, whatever order rows were freed in.
         self._free_ids: list[int] = []
-        #: Source sets interned to dense ids: rows overwhelmingly share a
-        #: handful of distinct sets (one per routed subtree), so which rows
-        #: a source reaches is a membership probe over the distinct sets
-        #: fancy-indexed through the ``src_set`` column.
-        self._src_set_by_id: list[frozenset[str]] = []
-        self._src_set_id_of: dict[frozenset[str], int] = {}
-        self._hop_names: list[str] = []
-        self._hop_id_of: dict[str, int] = {}
-        self._sub_names: list[str] = []
-        self._sub_id_of: dict[str, int] = {}
+        self._routes: list[Route] = []
+        self._route_id_of: dict[Route, int] = {}
         #: Mutation counter: bumped on every install/uninstall.
         self._version = 0
         # Compiled views: snapshots rebuilt lazily after install/uninstall.
         self._c_dirty = True
-        self._c_names = _NO_NAMES
 
     # ------------------------------------------------------------------ #
     # Mutation.
     # ------------------------------------------------------------------ #
-    def _own(self, subscriber: str) -> list[int]:
-        own = self._ids_of_subscriber.get(subscriber, [])
-        return [own] if type(own) is int else own
-
-    def _has_row(self, subscriber: str, path_id: int) -> bool:
-        own = self._own(subscriber)
-        return bool(own) and path_id in self._cols.view()["path"][own]
-
-    def _link(self, subscriber: str, row_id: int) -> None:
-        own = self._own(subscriber)
-        self._ids_of_subscriber[subscriber] = [*own, row_id] if own else row_id
-
-    def _fids(self, filters: list[Filter], known: np.ndarray | None = None) -> np.ndarray:
-        """The rows' fids: counted live in a private index, looked up (or
-        taken as ``known``) in a shared one."""
-        if self._owns_filters:
-            return self._filters.add(filters)
-        return self._filters.fids(filters) if known is None else known
-
-    def _rows_added(self, row_ids: list[int], filters: list[Filter]) -> None:
+    def _rows_added(self, row_ids: np.ndarray) -> None:
         """Hook: rows were written (the reference table indexes them)."""
 
-    def _rows_removed(self, row_ids: list[int]) -> None:
+    def _rows_removed(self, row_ids: np.ndarray) -> None:
         """Hook: rows were freed (the reference table unindexes them)."""
 
+    def _rows_of(self, flagged: np.ndarray) -> np.ndarray:
+        """The live rows whose subscription id is flagged (bool per id)."""
+        return np.flatnonzero(self._alive.view() & flagged[self._sid.view()])
+
+    def _flags(self, sids) -> np.ndarray:
+        flagged = np.zeros(len(self.index), dtype=bool)
+        flagged[sids] = True
+        return flagged
+
     def install(self, row: TableRow) -> None:
-        """Install one row."""
+        """Install one row (a private index registers its subscriber)."""
         subscription = row.subscription
-        name = subscription.subscriber
-        if self._has_row(name, row.path_id):
-            raise KeyError(f"row {(name, row.path_id)!r} already installed")
-        hop = -1 if row.next_hop is None else _intern(
-            row.next_hop, self._hop_id_of, self._hop_names)
-        sub = _intern(name, self._sub_id_of, self._sub_names)
-        src_set = _intern(row.sources, self._src_set_id_of, self._src_set_by_id)
-        (fid,) = self._fids([subscription.filter]).tolist()
-        row_id = self._free_ids.pop() if self._free_ids else len(self._subs)
-        self._subs[row_id:row_id + 1] = [subscription]  # replaces, or appends at the end
-        self._cols.at_least(row_id + 1)[row_id] = (
-            row.rate.mean, row.rate.variance,
-            np.inf if subscription.deadline_ms is None else subscription.deadline_ms,
-            1.0 if subscription.price is None else subscription.price,
-            row.min_msg_id, row.nn, hop, sub, row.path_id, src_set, fid,
-        )
-        self._link(name, row_id)
-        self._rows_added([row_id], [subscription.filter])
-        self._c_dirty = True
-        self._version += 1
+        sid = self.index.live.get(subscription.subscriber)
+        if sid is None:
+            if not self._owns_index:
+                raise KeyError(f"subscriber {subscription.subscriber!r} is not registered")
+            sid = int(self.index.add([subscription])[0])
+        elif self.index.subscriptions[sid] != subscription:
+            raise ValueError(f"row of {subscription.subscriber!r} carries another subscription")
+        self.install_many(RowBlock(
+            np.array([sid]), _ONE_ROUTE,
+            [Route(row.next_hop, row.nn, row.rate, row.sources, row.path_id, row.min_msg_id)],
+        ))
 
     def install_many(self, block: RowBlock) -> None:
         """Bulk install: end state identical to :meth:`install` per row of
-        the block in order — same row and interned ids, same version
-        count — but written as whole columns (the 100k-subscriber build's
-        hot path)."""
+        the block in order — same row ids, same version count — written
+        as whole columns (the 100k-subscriber build's hot path)."""
         n = len(block)
         if not n:
             return
-        subs, route = block.subscriptions, block.route
-        names = [s.subscriber for s in subs]
-        all_new = len(set(names)) == n and self._ids_of_subscriber.keys().isdisjoint(names)
-        if not all_new:
+        sids = np.asarray(block.sids, dtype=np.int64)
+        flagged = self._flags(sids)
+        mine = self._rows_of(flagged)
+        if mine.size or np.count_nonzero(flagged) != n:
             # A subscriber repeats: legal on distinct paths only.
-            seen: set[tuple[str, int]] = set()
-            for key in zip(names, np.array([r.path_id for r in block.routes])[route].tolist()):
-                if key in seen or self._has_row(*key):
-                    raise KeyError(f"row {key!r} already installed")
+            path_of = [r.path_id for r in self._routes]
+            seen = set(zip(self._sid.view()[mine].tolist(),
+                           [path_of[r] for r in self._route.view()[mine].tolist()]))
+            for key in zip(sids.tolist(), [block.routes[r].path_id for r in block.route.tolist()]):
+                if key in seen:
+                    name = self.index.subscriptions[key[0]].subscriber
+                    raise KeyError(f"row {(name, key[1])!r} already installed")
                 seen.add(key)
-        # Per route, in first-use order of the rows (the order per-row
-        # installs would intern next hops and source sets in).
-        used, first = np.unique(route, return_index=True)
-        routes = np.zeros(len(block.routes), dtype=_ROW_DTYPE)
-        for r in used[np.argsort(first)].tolist():
-            next_hop, nn, rate, sources, path_id, min_msg_id = block.routes[r]
-            routes[r] = (
-                rate.mean, rate.variance, 0.0, 0.0, min_msg_id, nn,
-                -1 if next_hop is None else _intern(
-                    next_hop, self._hop_id_of, self._hop_names),
-                0, path_id,
-                _intern(sources, self._src_set_id_of, self._src_set_by_id), 0,
-            )
-        filters = [s.filter for s in subs]
-        rows = routes[route]
-        rows["sub"] = _intern_many(names, self._sub_id_of, self._sub_names)
-        rows["deadline"] = [np.inf if s.deadline_ms is None else s.deadline_ms for s in subs]
-        rows["price"] = [1.0 if s.price is None else s.price for s in subs]
-        rows["fid"] = self._fids(filters, block.fids)
-        # Freed ids are reused newest-first, then the columns grow.
+        route = np.array(
+            [_intern(r, self._route_id_of, self._routes) for r in block.routes],
+            dtype=np.int32,
+        )[block.route]
+        # The smallest freed ids are reused first, then the columns grow.
         free = self._free_ids
-        keep = len(free) - min(n, len(free))
-        reused = free[keep:][::-1]
-        del free[keep:]
-        for row_id, subscription in zip(reused, subs):
-            self._subs[row_id] = subscription
-        row_ids = reused + list(range(len(self._subs), len(self._subs) + n - len(reused)))
-        self._subs.extend(subs[len(reused):])
-        self._cols.at_least(len(self._subs))[row_ids] = rows
-        if all_new:
-            self._ids_of_subscriber.update(zip(names, row_ids))
-        else:
-            for name, row_id in zip(names, row_ids):
-                self._link(name, row_id)
-        self._rows_added(row_ids, filters)
+        reused = free[len(free) - min(n, len(free)):][::-1]
+        del free[len(free) - len(reused):]
+        top = len(self._sid)
+        size = top + n - len(reused)
+        row_ids = np.concatenate((np.array(reused, dtype=np.int64), np.arange(top, size)))
+        self._sid.at_least(size)[row_ids] = sids
+        self._route.at_least(size)[row_ids] = route
+        self._alive.at_least(size)[row_ids] = True
+        self._rows_added(row_ids)
         self._c_dirty = True
         self._version += n
 
@@ -450,52 +436,47 @@ class SubscriptionTable:
 
     def uninstall_many(self, subscribers: list[str]) -> None:
         """Remove every row of each subscriber: end state identical to
-        :meth:`uninstall` per name in order — same freed-id order, same
-        version count.  A name that repeats or holds no row here raises
-        before anything is removed."""
-        subscribers = list(subscribers)
-        if not subscribers:
+        :meth:`uninstall` per name in order — same free ids, same version
+        count.  A name that repeats or holds no row here raises before
+        anything is removed."""
+        names = list(subscribers)
+        if not names:
             return
-        ids_of = self._ids_of_subscriber
-        if len(set(subscribers)) != len(subscribers):
+        if len(set(names)) != len(names):
             raise KeyError("a subscriber repeats in the batch")
-        for name in subscribers:
-            if name not in ids_of:
-                raise KeyError(name)
-        row_ids: list[int] = []
-        for own in map(ids_of.pop, subscribers):
-            if type(own) is int:
-                row_ids.append(own)
-            else:
-                row_ids.extend(own)
-        for row_id in row_ids:
-            self._subs[row_id] = None
-        if self._owns_filters:
-            self._filters.discard(self._cols.view()["fid"][row_ids].astype(np.int64))
-        self._rows_removed(row_ids)
-        self._free_ids.extend(row_ids)
+        sids = [self.index.live[name] for name in names]  # KeyError: not subscribed
+        leaving = self._flags(sids)
+        held = self._flags(self._sid.view()[self._rows_of(leaving)])[sids]
+        if not held.all():
+            raise KeyError(names[int(np.argmin(held))])
+        self.drop(leaving)
+        if self._owns_index:
+            self.index.discard(names)
+
+    def drop(self, leaving: np.ndarray) -> None:
+        """Remove every row of the subscriptions flagged in ``leaving``
+        (bool per index id; the system's unsubscribe path).  The version
+        advances once per subscriber that held a row here."""
+        rows = self._rows_of(leaving)
+        if not rows.size:
+            return
+        self._version += int(np.count_nonzero(self._flags(self._sid.view()[rows])))
+        self._alive.view()[rows] = False
+        self._rows_removed(rows)
+        self._free_ids = sorted(self._free_ids + rows.tolist(), reverse=True)
         self._c_dirty = True
-        self._version += len(subscribers)
 
     # ------------------------------------------------------------------ #
     # Serialization.
     # ------------------------------------------------------------------ #
     def __getstate__(self) -> dict:
-        """The columns, the subscription references and the interning
-        order; compiled views and route plans (``_c_*``) and the interning
-        dicts (``*_id_of``) are derivable and rebuilt on load."""
-        return {
-            k: v for k, v in self.__dict__.items()
-            if not k.startswith("_c_") and not k.endswith("_id_of")
-        }
+        """Everything but the compiled views and route plans (``_c_*``),
+        which are derivable and rebuilt on first use after a load."""
+        return {k: v for k, v in self.__dict__.items() if not k.startswith("_c_")}
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
-        self._hop_id_of = {name: i for i, name in enumerate(self._hop_names)}
-        self._sub_id_of = {name: i for i, name in enumerate(self._sub_names)}
-        self._src_set_id_of = {s: i for i, s in enumerate(self._src_set_by_id)}
         self._c_dirty = True
-        self._c_names = _NO_NAMES
 
     # ------------------------------------------------------------------ #
     # Lookup.
@@ -506,36 +487,35 @@ class SubscriptionTable:
         return self._version
 
     def __len__(self) -> int:
-        return len(self._subs) - len(self._free_ids)
+        return len(self._sid) - len(self._free_ids)
+
+    def _rows_named(self, subscriber: str) -> np.ndarray:
+        sid = self.index.live.get(subscriber)
+        if sid is None:
+            return _EMPTY_IDS
+        return np.flatnonzero(self._alive.view() & (self._sid.view() == sid))
 
     def __contains__(self, subscriber: str) -> bool:
-        return subscriber in self._ids_of_subscriber
-
-    def held(self, subscribers: list[str]) -> list[str]:
-        """Those of ``subscribers`` that have a row here, in order."""
-        ids_of = self._ids_of_subscriber
-        return [name for name in subscribers if name in ids_of]
+        return bool(self._rows_named(subscriber).size)
 
     def _materialise(self, ids) -> list[TableRow]:
         """Build the :class:`TableRow` values of live row ids from storage."""
         ids = np.asarray(ids, dtype=np.int64)
-        subs, hops, sources = self._subs, self._hop_names, self._src_set_by_id
+        subs, routes = self.index.subscriptions, self._routes
         return [
-            TableRow(subs[i], None if hop < 0 else hops[hop], nn,
-                     Normal(mean, variance), sources[src_set], path, min_msg)
-            for i, (mean, variance, _, _, min_msg, nn, hop, _, path, src_set, _)
-            in zip(ids.tolist(), self._cols.view()[ids].tolist())
+            TableRow(subs[sid], *routes[route])
+            for sid, route in zip(self._sid.view()[ids].tolist(), self._route.view()[ids].tolist())
         ]
 
     def row(self, subscriber: str, path_id: int = 0) -> TableRow:
-        for row in self._materialise(self._own(subscriber)):
+        for row in self._materialise(self._rows_named(subscriber)):
             if row.path_id == path_id:
                 return row
         raise KeyError((subscriber, path_id))
 
     def rows(self) -> list[TableRow]:
-        ids = [i for name in self._ids_of_subscriber for i in self._own(name)]
-        return sorted(self._materialise(ids), key=lambda row: (row.subscriber, row.path_id))
+        rows = self._materialise(np.flatnonzero(self._alive.view()))
+        return sorted(rows, key=lambda row: (row.subscriber, row.path_id))
 
     # ------------------------------------------------------------------ #
     # Matching.
@@ -545,65 +525,58 @@ class SubscriptionTable:
         now instead of on the first match.  Purely a latency move: the
         state reached is exactly what the first matches would have built."""
         self._compile()
-        for source in sorted(set().union(*self._src_set_by_id)):
+        for source in sorted(set().union(*(route.sources for route in self._routes))):
             self._plan(source)
 
     def _compile(self) -> None:
         if not self._c_dirty:
             return
+        routes, index = self._routes, self.index
+        sid, route = self._sid.view(), self._route.view()
+        # Route columns: a few dozen distinct routes, gathered per row.
+        nn = np.array([r.nn for r in routes], dtype=np.float64)
+        mean = np.array([r.rate.mean for r in routes], dtype=np.float64)
+        std = np.sqrt(np.array([r.rate.variance for r in routes], dtype=np.float64))
+        path = np.array([r.path_id for r in routes], dtype=np.int64)
+        min_msg = np.array([r.min_msg_id for r in routes], dtype=np.int64)
+        # Neighbor names by rank; local rows rank −1, below every name.
+        by_rank = sorted({r.next_hop for r in routes} - {None})
+        rank_of = {hop: i for i, hop in enumerate(by_rank)}
+        hop = np.array([rank_of.get(r.next_hop, -1) for r in routes], dtype=np.int64)
         # Snapshot copies, one per column: groups handed out keep the
         # views they captured while the storage is written in place.  The
         # five scoring columns live as rows of one (5, n) matrix.
-        cols = self._cols.view()
-        n = len(cols)
-        cols5 = np.empty((5, n))
-        cols5[0] = cols["nn"]
-        cols5[1] = cols["mean"]
-        np.sqrt(cols["variance"], out=cols5[2])
-        cols5[3] = cols["deadline"]
-        cols5[4] = cols["price"]
+        cols5 = np.empty((5, len(sid)))
+        cols5[0] = nn[route]
+        cols5[1] = mean[route]
+        cols5[2] = std[route]
+        cols5[3] = index._deadline.view()[sid]
+        cols5[4] = index._price.view()[sid]
         self._c_cols5 = cols5
-        self._c_sub = cols["sub"].astype(np.int64)
-        # Neighbor-name rank per hop id, offset by one so slot 0 holds the
-        # local pseudo-hop −1 (which ranks below every name).
-        hop_rank = np.zeros(len(self._hop_names) + 1, dtype=np.int64)
-        hop_rank[0] = -1
-        by_rank = sorted(range(len(self._hop_names)), key=self._hop_names.__getitem__)
-        for r, h in enumerate(by_rank):
-            hop_rank[h + 1] = r
+        self._c_sub = sid.astype(np.int64)
         self._c_hop_by_rank = by_rank
         # The live rows in output order: next-hop name rank (local first),
-        # then canonical (subscriber, path_id).  np.lexsort over the name
-        # column gives exactly sorted-tuple order — numpy compares unicode
-        # by code point, same as Python str — without a Python loop.
-        alive = np.ones(n, dtype=bool)
-        alive[self._free_ids] = False
-        ids = np.flatnonzero(alive)
-        if len(self._c_names) < len(self._sub_names):
-            self._c_names = np.concatenate(
-                (self._c_names, np.asarray(self._sub_names[len(self._c_names):]))
-            )
-        rows = cols[ids]
-        order = np.lexsort((
-            rows["path"], self._c_names[rows["sub"]], hop_rank[rows["hop"] + 1]
-        ))
-        rows = rows[order]
+        # then canonical (subscriber, path_id) — one integer lexsort.
+        ids = np.flatnonzero(self._alive.view())
+        row_sid, row_route = sid[ids], route[ids]
+        order = np.lexsort((path[row_route], index.rank()[row_sid], hop[row_route]))
         self._c_order = ids[order]
-        self._c_hop = hop_rank[rows["hop"] + 1]
-        self._c_row_sub = rows["sub"]
-        self._c_fid = rows["fid"].astype(np.int64)
-        self._c_min_msg = rows["min_msg"]
-        self._c_src_set = rows["src_set"]
+        self._c_route = row_route[order]
+        self._c_hop = hop[self._c_route]
+        self._c_row_sub = row_sid[order]
+        self._c_fid = index._fid.view()[self._c_row_sub]
+        self._c_min_msg = min_msg[self._c_route]
         self._c_plans: dict[str, _RoutePlan] = {}
         self._c_dirty = False
 
     def _holding(self, source_broker: str) -> np.ndarray:
         """Mask over the live rows (output order) whose source set holds
-        the source: O(distinct sets) Python work however many rows share
-        them."""
-        sets = self._src_set_by_id
-        hit = np.fromiter((source_broker in s for s in sets), dtype=bool, count=len(sets))
-        return hit[self._c_src_set]
+        the source: O(distinct routes) Python work however many rows
+        share them."""
+        routes = self._routes
+        hit = np.fromiter((source_broker in r.sources for r in routes), dtype=bool,
+                          count=len(routes))
+        return hit[self._c_route]
 
     def _plan(self, source_broker: str) -> _RoutePlan:
         """Compile the route plan of one source broker (see :class:`_RoutePlan`)."""
@@ -632,10 +605,7 @@ class SubscriptionTable:
         last = _EMPTY_IDS
         if len(hop):
             last = np.append(np.flatnonzero(hop[1:] != hop[:-1]), len(hop) - 1)
-        hops = [
-            None if r < 0 else self._hop_names[self._c_hop_by_rank[r]]
-            for r in hop[last].tolist()
-        ]
+        hops = [None if r < 0 else self._c_hop_by_rank[r] for r in hop[last].tolist()]
         plan = self._c_plans[source_broker] = _RoutePlan(
             ids, fid, min_msg if min_msg.any() else None, run, last, hops,
         )

@@ -15,9 +15,11 @@ Responsibilities:
   :meth:`SubscriptionTable.match` then guarantees each (message,
   subscriber) pair travels exactly one path — single-path routing with no
   duplicate deliveries, as Section 3.3 requires;
-* keep every live subscription's filter in one
-  :class:`~repro.pubsub.matching.FilterIndex`, so each publication is
-  matched once, however many brokers it crosses;
+* intern every subscription once, in one
+  :class:`~repro.pubsub.subscription.SubscriberIndex` shared by all broker
+  tables, under the id that is also its delivery-log endpoint id; its
+  filter lives in one :class:`~repro.pubsub.matching.FilterIndex`, so each
+  publication is matched once, however many brokers it crosses;
 * accept publications, count the interested population (the ``ts_i``
   denominator of Eq. 1) and inject the message at its source broker.
 """
@@ -25,7 +27,6 @@ Responsibilities:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Callable, Mapping
 
 import numpy as np
@@ -48,7 +49,7 @@ from repro.pubsub.faults import FaultLedger
 from repro.pubsub.matching import FilterIndex
 from repro.pubsub.message import Message
 from repro.pubsub.metrics import LedgerMetricsCollector, MetricsError
-from repro.pubsub.subscription import Route, RowBlock, Subscription, TableRow
+from repro.pubsub.subscription import Route, RowBlock, SubscriberIndex, Subscription, TableRow
 from repro.stats.normal import Normal
 
 
@@ -152,24 +153,18 @@ class PubSubSystem:
             chunk_rows=self.config.log_chunk_rows, spill=self.config.log_spill
         )
         self.metrics = self.metrics_type.for_log(self.delivery_log)
-        # Per-broker translation of table-interned subscriber ids to
-        # endpoint log ids (−1 = no live endpoint).  Maintained
-        # incrementally: new interned names extend the tail, and a
-        # subscribe/unsubscribe batch patches its slots per broker — no
-        # full rebuilds on churn.
-        self._endpoint_ids: dict[str, np.ndarray] = {}
 
         self.brokers: dict[str, Broker] = {}
         self.monitors: dict[tuple[str, str], LinkMonitor] = {}
         self.subscribers: dict[str, SubscriberHandle] = {}
         self.publishers: dict[str, PublisherHandle] = {}
-        self._subscriptions: dict[str, Subscription] = {}
-        #: Every live subscription's filter, shared by all broker tables:
-        #: a publication is matched once, here, and each table gathers
-        #: the verdicts through its fid column.
+        #: Every live subscription's filter: a publication is matched
+        #: once, here, and each table gathers the verdicts by fid.
         self.filters = FilterIndex()
-        #: subscriber -> the fid its subscription holds live in ``filters``.
-        self._fid_of_subscriber: dict[str, int] = {}
+        #: Every subscription ever registered, under its endpoint id; the
+        #: broker tables store rows as (its id, route id).  Ids of leavers
+        #: stay, so their tier can still be billed.
+        self.subscriber_index = SubscriberIndex(self.filters)
         self._sink_trees: dict[str, SinkTree] = {}
         #: Single-path install plans per edge broker, tagged with the
         #: publisher-broker count they were computed under (attaching a
@@ -196,11 +191,6 @@ class PubSubSystem:
         #: pair-conservation identity; the sentinel consults this to know
         #: whether that deep check is applicable.
         self.unsubscribe_count = 0
-        #: Deadline per endpoint log id (``None`` = none bought), beside
-        #: the price the log holds: together the tier an endpoint belongs
-        #: to, kept for endpoints that have since left (revenue breakdowns
-        #: bill them).
-        self._endpoint_deadline: list[float | None] = []
         # Publication log (msg_id is the dense index): publish times and
         # interested-population sizes, for windowed time-series analysis.
         # Chunked like the delivery log, and spilled under the same knob.
@@ -228,7 +218,7 @@ class PubSubSystem:
                 name, self.sim, self.strategy, self.metrics, self.config,
                 trace=self.trace if self.config.enable_trace else None,
                 faults=self.faults,
-                filters=self.filters,
+                index=self.subscriber_index,
             )
             broker.delivery_batch_callbacks.append(self._on_local_delivery_batch)
             self.brokers[name] = broker
@@ -254,41 +244,12 @@ class PubSubSystem:
         return broker.receive
 
     def _on_local_delivery_batch(self, broker: Broker, group, message: Message, latency: float, valid) -> None:
-        """Record one message's local fan-out in the shared delivery log.
-
-        One vectorised append per batch: the group's table-interned
-        subscriber ids are gathered through a per-broker translation array
-        (rebuilt only when a subscription is added/removed or the table
-        interned new names).  Local groups come from the live table, so
-        every row has a live endpoint; one mapped to id −1 (no endpoint)
-        makes the log raise rather than lose a billed delivery.
-        """
-        names = group.sub_names
-        cached = self._endpoint_ids.get(broker.name)
-        if cached is None or cached.shape[0] < len(names):
-            start = 0 if cached is None else cached.shape[0]
-            get = self.subscribers.get
-            tail = np.fromiter(
-                (-1 if (h := get(s)) is None else h.log_id for s in names[start:]),
-                dtype=np.int64, count=len(names) - start,
-            )
-            cached = tail if cached is None else np.concatenate((cached, tail))
-            self._endpoint_ids[broker.name] = cached
+        """Record one message's local fan-out in the shared delivery log:
+        one vectorised append per batch, under the rows' subscription ids,
+        which are their endpoint ids."""
         self.delivery_log.append_batch(
-            cached[group.sub_ids], message.msg_id, self.sim.now, latency, valid
+            group.sub_ids, message.msg_id, self.sim.now, latency, valid
         )
-
-    def _patch_endpoint_ids(self, names: list[str], log_ids) -> None:
-        """Point the subscribers' slots at new endpoint ids (−1 = gone) in
-        every broker cache that already covers them."""
-        log_ids = np.broadcast_to(np.asarray(log_ids, dtype=np.int64), len(names))
-        for broker_name, ids in self._endpoint_ids.items():
-            sid_of = self.brokers[broker_name].table._sub_id_of.get
-            sids = np.fromiter(
-                map(sid_of, names, repeat(-1)), dtype=np.int64, count=len(names)
-            )
-            covered = (sids >= 0) & (sids < ids.shape[0])
-            ids[sids[covered]] = log_ids[covered]
 
     # ------------------------------------------------------------------ #
     # Subscriptions.
@@ -326,7 +287,7 @@ class PubSubSystem:
         seen: set[str] = set()
         edges = []
         for name in names:
-            if name in self._subscriptions or name in seen:
+            if name in self.subscriber_index.live or name in seen:
                 raise ValueError(f"subscriber {name!r} already has a subscription")
             edge = edge_of.get(name)
             if edge is None:
@@ -335,27 +296,23 @@ class PubSubSystem:
             edges.append(edge)
         return edges
 
-    def _register(self, subscriptions: list[Subscription], fids: np.ndarray) -> None:
-        """Enter installed subscriptions into registry and log."""
-        # Endpoint ids are handed out sequentially and only here, so the
-        # deadline list stays index-aligned with the shared delivery log.
-        first = len(self._endpoint_deadline)
-        if self.delivery_log.endpoint_count != first:
+    def _register(self, subscriptions: list[Subscription]) -> np.ndarray:
+        """Enter a validated batch into the subscriber index and the
+        delivery log, under the same ids; returns them."""
+        index, log = self.subscriber_index, self.delivery_log
+        if log.endpoint_count != len(index):
             raise MetricsError(
-                f"delivery log has {self.delivery_log.endpoint_count} endpoints "
-                f"but {first} have a tier: endpoints were registered elsewhere"
+                f"delivery log has {log.endpoint_count} endpoints "
+                f"but {len(index)} subscriptions: endpoints were registered elsewhere"
             )
+        sids = index.add(subscriptions)
         names = [s.subscriber for s in subscriptions]
-        self._subscriptions.update(zip(names, subscriptions))
-        self._fid_of_subscriber.update(zip(names, fids.tolist()))
-        log = self.delivery_log
         log.register_many(names, [1.0 if s.price is None else s.price for s in subscriptions])
         self.subscribers.update(
-            (name, SubscriberHandle(name, log=log, log_id=first + i))
-            for i, name in enumerate(names)
+            (name, SubscriberHandle(name, log=log, log_id=sid))
+            for name, sid in zip(names, sids.tolist())
         )
-        self._endpoint_deadline.extend(s.deadline_ms for s in subscriptions)
-        self._patch_endpoint_ids(names, np.arange(first, first + len(names)))
+        return sids
 
     def _install_plan(self, edge: str) -> list[tuple[str, Route]]:
         """The single-path install plan shared by every subscriber at one
@@ -414,8 +371,8 @@ class PubSubSystem:
         """Install a batch of subscriptions (a population, a churn wave).
 
         End state is identical to calling :meth:`subscribe` per entry in
-        order — per-table row order, interned ids and endpoint ids are
-        all the same — but each broker takes its rows as one columnar
+        order — per-table row ids and the subscription (= endpoint) ids
+        are all the same — but each broker takes its rows as one columnar
         :class:`~repro.pubsub.subscription.RowBlock` instead of one row
         object per (subscriber, on-path broker) pair.
         The batch is validated first: a repeated, unattached or already
@@ -425,11 +382,10 @@ class PubSubSystem:
         edges = self._edges_of_new([s.subscriber for s in subscriptions])
         if not subscriptions:
             return
-        fids = self.filters.add([s.filter for s in subscriptions])
+        sids = self._register(subscriptions)
         if self.config.routing_paths > 1:
             for subscription, edge in zip(subscriptions, edges):
                 self._install_multi_path(subscription, edge)
-            self._register(subscriptions, fids)
             return
         min_msg = self._next_msg_id
         members_of_edge: dict[str, list[int]] = {}
@@ -448,12 +404,7 @@ class PubSubSystem:
             members = np.concatenate(parts)
             order = np.argsort(members, kind="stable")
             route = np.repeat(np.arange(len(parts)), [len(part) for part in parts])
-            rows = members[order]
-            self.brokers[node].install_many(RowBlock(
-                [subscriptions[i] for i in rows.tolist()], fids[rows],
-                route[order], routes,
-            ))
-        self._register(subscriptions, fids)
+            self.brokers[node].install_many(RowBlock(sids[members[order]], route[order], routes))
 
     def unsubscribe(self, subscriber: str) -> SubscriberHandle:
         """Remove a subscription from every broker that holds a row for it.
@@ -468,35 +419,31 @@ class PubSubSystem:
 
     def unsubscribe_all(self, subscribers: list[str]) -> list[SubscriberHandle]:
         """Batch :meth:`unsubscribe`: end state identical to one call per
-        name in order, but each broker drops its rows in one
-        ``uninstall_many``.  An unknown or repeated name raises before any
-        table is touched.  Returns the endpoint handles, in name order."""
+        name in order, but each broker drops its rows in one ``drop`` by a
+        mask over subscription ids.  An unknown or repeated name raises
+        before any table is touched.  Returns the endpoint handles, in name order."""
         subscribers = list(subscribers)
-        seen: set[str] = set()
+        index = self.subscriber_index
+        leaving = np.zeros(len(index), dtype=bool)
         for name in subscribers:
-            if name not in self._subscriptions or name in seen:
+            sid = index.live.get(name)
+            if sid is None or leaving[sid]:
                 raise KeyError(f"no subscription for {name!r}")
-            seen.add(name)
+            leaving[sid] = True
         for broker in self.brokers.values():
-            held = broker.table.held(subscribers)
-            if held:
-                broker.table.uninstall_many(held)
-        for name in subscribers:
-            del self._subscriptions[name]
-        self.filters.discard(np.fromiter(
-            map(self._fid_of_subscriber.pop, subscribers), dtype=np.int64, count=len(subscribers)
-        ))
-        self._patch_endpoint_ids(subscribers, -1)
+            broker.table.drop(leaving)
+        index.discard(subscribers)
         self.unsubscribe_count += len(subscribers)
         return [self.subscribers.pop(name) for name in subscribers]
 
     @property
     def subscription_count(self) -> int:
-        return len(self._subscriptions)
+        return len(self.subscriber_index.live)
 
     def subscription(self, subscriber: str) -> Subscription:
         """The live subscription registered under ``subscriber``."""
-        return self._subscriptions[subscriber]
+        index = self.subscriber_index
+        return index.subscriptions[index.live[subscriber]]
 
     # ------------------------------------------------------------------ #
     # Publishing.
@@ -733,7 +680,9 @@ class PubSubSystem:
 
     def endpoint_deadlines(self) -> np.ndarray:
         """Deadline per delivery-log endpoint id (NaN where none)."""
-        return np.array(self._endpoint_deadline, dtype=np.float64)
+        return np.array(
+            [s.deadline_ms for s in self.subscriber_index.subscriptions], dtype=np.float64
+        )
 
     def routing_path(self, source_broker: str, subscriber: str) -> list[str]:
         """The single path a message from ``source_broker`` takes to reach

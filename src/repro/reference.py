@@ -31,11 +31,16 @@ from repro.core.queueing import ScheduledQueue, _ScanBackend
 from repro.core.strategies import QueueEntry
 from repro.pubsub.broker import Broker
 from repro.pubsub.client import SubscriberHandle
-from repro.pubsub.filters import Filter
-from repro.pubsub.matching import CountingIndexMatcher, FilterIndex
+from repro.pubsub.matching import CountingIndexMatcher
 from repro.pubsub.message import Message
 from repro.pubsub.metrics import MetricsCollector
-from repro.pubsub.subscription import RowGroup, Subscription, SubscriptionTable, TableRow
+from repro.pubsub.subscription import (
+    RowGroup,
+    SubscriberIndex,
+    Subscription,
+    SubscriptionTable,
+    TableRow,
+)
 from repro.pubsub.system import PubSubSystem
 
 
@@ -64,27 +69,32 @@ class ReferenceTable(SubscriptionTable):
 
     matcher_type = CountingIndexMatcher
 
-    def __init__(self, filters: FilterIndex | None = None) -> None:
-        super().__init__(filters)
+    def __init__(self, index: SubscriberIndex | None = None) -> None:
+        super().__init__(index)
         self._matcher = self.matcher_type()
 
-    def _rows_added(self, row_ids: list[int], filters: list[Filter]) -> None:
-        self._matcher.add_many(zip(row_ids, filters))
+    def _rows_added(self, row_ids: np.ndarray) -> None:
+        subs = self.index.subscriptions
+        self._matcher.add_many(
+            (i, subs[sid].filter)
+            for i, sid in zip(row_ids.tolist(), self._sid.view()[row_ids].tolist())
+        )
 
-    def _rows_removed(self, row_ids: list[int]) -> None:
-        self._matcher.remove_many(row_ids)
+    def _rows_removed(self, row_ids: np.ndarray) -> None:
+        self._matcher.remove_many(row_ids.tolist())
 
-    def _matched(self, message: Message) -> list[tuple[str, int, int, int]]:
-        """``(subscriber, path_id, row id, hop id)`` of every row whose
+    def _matched(self, message: Message) -> list[tuple[str, int, int, str | None]]:
+        """``(subscriber, path_id, row id, next hop)`` of every row whose
         filter matches, whose sources hold the origin broker and whose
         epoch admits the message, sorted."""
         ids = sorted(self._matcher.match(message.attributes))
-        names, sets = self._sub_names, self._src_set_by_id
+        subs, routes = self.index.subscriptions, self._routes
+        rows = zip(ids, self._sid.view()[ids].tolist(), self._route.view()[ids].tolist())
         return sorted(
-            (names[sub], path, i, hop)
-            for i, (_, _, _, _, min_msg, _, hop, sub, path, src_set, _)
-            in zip(ids, self._cols.view()[ids].tolist())
-            if min_msg <= message.msg_id and message.source_broker in sets[src_set]
+            (subs[sid].subscriber, routes[r].path_id, i, routes[r].next_hop)
+            for i, sid, r in rows
+            if routes[r].min_msg_id <= message.msg_id
+            and message.source_broker in routes[r].sources
         )
 
     def match(self, message: Message) -> list[TableRow]:
@@ -92,16 +102,15 @@ class ReferenceTable(SubscriptionTable):
 
     def match_grouped(self, message: Message) -> tuple[RowGroup, dict[str, RowGroup]]:
         self._compile()
-        groups: dict[int, list[int]] = {}
-        seen: set[tuple[int, str]] = set()
+        groups: dict[str | None, list[int]] = {}
+        seen: set[tuple[str | None, str]] = set()
         for name, _, i, hop in self._matched(message):
             if (hop, name) not in seen:
                 seen.add((hop, name))
                 groups.setdefault(hop, []).append(i)
-        local = RowGroup(self, np.array(groups.pop(-1, []), dtype=np.int64))
-        by_name = sorted((self._hop_names[hop], ids) for hop, ids in groups.items())
+        local = RowGroup(self, np.array(groups.pop(None, []), dtype=np.int64))
         return local, {
-            name: RowGroup(self, np.array(ids, dtype=np.int64)) for name, ids in by_name
+            hop: RowGroup(self, np.array(ids, dtype=np.int64)) for hop, ids in sorted(groups.items())
         }
 
 
@@ -135,9 +144,10 @@ class ReferenceSystem(PubSubSystem):
         super().__init__(*args, **kwargs)
         self._population = self.matcher_type()
 
-    def _register(self, subscriptions: list[Subscription], fids: np.ndarray) -> None:
-        super()._register(subscriptions, fids)
+    def _register(self, subscriptions: list[Subscription]) -> np.ndarray:
+        sids = super()._register(subscriptions)
         self._population.add_many([(s.subscriber, s.filter) for s in subscriptions])
+        return sids
 
     def unsubscribe_all(self, subscribers: list[str]) -> list[SubscriberHandle]:
         handles = super().unsubscribe_all(subscribers)

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import dataclasses
+import enum
+import hashlib
+import json
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -90,3 +93,42 @@ class SimulationConfig(SystemConfig):
 
     def strategy_label(self) -> str:
         return strategy_label(self.strategy, self.strategy_params)
+
+
+#: Bump when result semantics change so stale cache entries cannot leak
+#: into new runs.
+_CACHE_SCHEMA = 1
+
+
+def _jsonable(value):
+    if isinstance(value, enum.Enum):
+        return value.value
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        return {f.name: _jsonable(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    if isinstance(value, dict):
+        return {str(k): _jsonable(v) for k, v in sorted(value.items())}
+    if isinstance(value, (list, tuple)):
+        return [_jsonable(v) for v in value]
+    return value
+
+
+#: Config fields that change *residency*, never results (the chunked-log
+#: knobs are proven decision- and byte-neutral, and the sentinel only
+#: reads): excluded from the fingerprint so equal-result configs share
+#: cache entries — which also keeps fingerprints of pre-existing caches
+#: valid.
+_RESULT_NEUTRAL_FIELDS = frozenset({
+    "log_spill", "log_chunk_rows",
+    "sentinel", "sentinel_every_ms", "sentinel_deep",
+})
+
+
+def config_fingerprint(config: SimulationConfig) -> str:
+    """Stable hash of everything that determines a point's result."""
+    fields = {
+        k: v for k, v in _jsonable(config).items()
+        if k not in _RESULT_NEUTRAL_FIELDS
+    }
+    payload = {"schema": _CACHE_SCHEMA, "config": fields}
+    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode()).hexdigest()

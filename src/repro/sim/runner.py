@@ -33,7 +33,7 @@ from repro.des.simulator import Simulator
 from repro.network.topology import Topology, build_layered_mesh
 from repro.pubsub.system import PubSubSystem
 from repro.reference import ReferenceSystem
-from repro.sim.config import SimulationConfig
+from repro.sim.config import SimulationConfig, config_fingerprint
 from repro.sim.results import SimulationResult
 from repro.workload.dynamics import DynamicsDriver
 from repro.pubsub.subscription import Subscription
@@ -253,9 +253,6 @@ def save_run_checkpoint(
     with run-side objects outside the system graph (e.g. the dynamics
     queue-depth sampler).
     """
-    # Lazy import: parallel.py imports this module at top level.
-    from repro.sim.parallel import config_fingerprint
-
     name = name or f"ckpt-{system.sim.executed_events:012d}"
     return timed_save(
         {"system": system, "config": config, "extras": dict(extras or {})},
@@ -297,8 +294,6 @@ def resume_run(
         path = newest
     fingerprints = None
     if config is not None:
-        from repro.sim.parallel import config_fingerprint
-
         fingerprints = {"config": config_fingerprint(config)}
     state, _ = load_checkpoint(
         path, fingerprints=fingerprints, allow_code_mismatch=allow_code_mismatch

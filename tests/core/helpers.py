@@ -56,11 +56,17 @@ def make_row(
     )
 
 
-def block_of(rows: list[TableRow]) -> RowBlock:
-    """The ``install_many`` block equal to ``rows``, one route per row."""
+def block_of(table: SubscriptionTable, rows: list[TableRow]) -> RowBlock:
+    """The ``install_many`` block equal to ``rows``, one route per row,
+    registering the subscribers not yet live in ``table``'s index (the
+    job its owner does before installing)."""
+    index = table.index
+    fresh = list({
+        r.subscriber: r.subscription for r in rows if r.subscriber not in index.live
+    }.values())
+    index.add(fresh)
     return RowBlock(
-        subscriptions=[r.subscription for r in rows],
-        fids=None,
+        sids=np.array([index.live[r.subscriber] for r in rows], dtype=np.int64),
         route=np.arange(len(rows)),
         routes=[
             Route(r.next_hop, r.nn, r.rate, r.sources, r.path_id, r.min_msg_id)
@@ -73,7 +79,8 @@ def assert_same_table(
     table: SubscriptionTable, reference: SubscriptionTable, probes: list[Message]
 ) -> int:
     """Equal version and rows and, per probe message, equal grouped row
-    ids and interned subscriber ids; returns the rows the probes matched."""
+    ids, subscriber names and endpoint ids; returns the rows the probes
+    matched."""
     assert table.version == reference.version
     assert table.rows() == reference.rows()
     matched = 0
@@ -84,7 +91,7 @@ def assert_same_table(
         for group, expected in [(local, ref_local), *((remote[h], ref_remote[h]) for h in remote)]:
             assert group.row_ids.tolist() == expected.row_ids.tolist()
             assert group.sub_ids.tolist() == expected.sub_ids.tolist()
-            assert group.sub_names == expected.sub_names
+            assert group.subscribers == expected.subscribers
             matched += len(group)
     return matched
 

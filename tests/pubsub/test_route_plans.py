@@ -1,9 +1,9 @@
 """Route plans and the system-wide filter index.
 
-A production :class:`SubscriptionTable` sharing a :class:`FilterIndex`
-(kept live the way the system keeps it: one count per subscription) must
-group every message exactly as :class:`~repro.reference.ReferenceTable`
-does — per-table dict counting matcher, rows filtered, sorted, deduped
+A production :class:`SubscriptionTable` sharing a :class:`SubscriberIndex`
+(kept the way the system keeps it: one registration per subscription)
+must group every message exactly as :class:`~repro.reference.ReferenceTable`
+over the same index does — per-table dict counting matcher, rows filtered, sorted, deduped
 and grouped one by one — through multi-path rows, epochs, batch leaves
 and re-joins, and joins with brand-new filters while earlier messages are
 still being matched (their cached verdicts predate the join).  And the
@@ -27,6 +27,7 @@ from repro.pubsub.message import Message
 from repro.pubsub.subscription import (
     Route,
     RowBlock,
+    SubscriberIndex,
     Subscription,
     SubscriptionTable,
     TableRow,
@@ -63,10 +64,9 @@ def assert_same_groups(
 @settings(max_examples=80, deadline=None)
 @given(data=st.data())
 def test_route_plan_groups_equal_the_reference_table(data):
-    index = FilterIndex()
-    table, reference = SubscriptionTable(index), ReferenceTable()
+    index = SubscriberIndex()
+    table, reference = SubscriptionTable(index), ReferenceTable(index)
     live: dict[str, Subscription] = {}
-    fid_of: dict[str, int] = {}
     in_flight: list[Message] = []
     next_msg = 0
     fresh = 0
@@ -102,9 +102,8 @@ def test_route_plan_groups_equal_the_reference_table(data):
                 )
                 for name in names
             ]
-            fids = index.add([s.filter for s in subs])  # the system counts first
+            sids = index.add(subs)  # the system registers first
             live.update((s.subscriber, s) for s in subs)
-            fid_of.update(zip(names, fids.tolist()))
             rows: list[tuple[int, Route]] = []
             for i, name in enumerate(names):
                 # Multi-path subscribers hold up to three rows; epochs are
@@ -114,13 +113,10 @@ def test_route_plan_groups_equal_the_reference_table(data):
                     rows.append((i, draw_route(path_id, epoch)))
             if data.draw(st.booleans(), label="batch"):
                 block = RowBlock(
-                    [subs[i] for i, _ in rows], fids[[i for i, _ in rows]],
-                    np.arange(len(rows)), [route for _, route in rows],
+                    sids[[i for i, _ in rows]], np.arange(len(rows)), [route for _, route in rows],
                 )
                 table.install_many(block)
-                reference.install_many(
-                    RowBlock(block.subscriptions, None, block.route, block.routes)
-                )
+                reference.install_many(block)
             else:
                 for i, route in rows:
                     row = TableRow(subs[i], *route)
@@ -131,7 +127,7 @@ def test_route_plan_groups_equal_the_reference_table(data):
             leavers = leavers[:data.draw(st.integers(1, len(leavers)))]
             table.uninstall_many(leavers)
             reference.uninstall_many(leavers)
-            index.discard(np.array([fid_of.pop(name) for name in leavers], dtype=np.int64))
+            index.discard(leavers)
             for name in leavers:
                 del live[name]
         elif op == "publish":
@@ -148,25 +144,25 @@ def test_route_plan_groups_equal_the_reference_table(data):
         for message in in_flight:
             assert_same_groups(table, reference, message)
         assert table.version == reference.version
-        assert len(index) == len({fid_of[name] for name in live})
+        assert len(index.filters) == len({s.filter for s in live.values()})
     for message in in_flight:
         expected = sum(1 for s in live.values() if s.filter.matches(message.attributes))
-        assert index.interested(message) == expected
+        assert index.filters.interested(message) == expected
 
 
 def test_a_join_with_a_new_filter_recomputes_a_cached_verdict():
-    index = FilterIndex()
+    index = SubscriberIndex()
     table = SubscriptionTable(index)
     old = Subscription("S1", Predicate("A1", "<", 5.0))
-    index.add([old.filter])  # a shared index is kept live by its owner
+    index.add([old])  # a shared index is kept by its owner
     table.install(TableRow(old, "B2", 1, Normal(1.0, 1.0), frozenset({"B1"})))
     message = Message(0, "P1", "B1", {"A1": 1.0}, 5.0, 0.0)
     assert [r.subscriber for r in table.match(message)] == ["S1"]
     cached = message.__dict__["_verdicts"]
     new = Subscription("S2", Predicate("A1", "<", 2.0))
-    index.add([new.filter])
+    index.add([new])
     table.install(TableRow(new, "B2", 1, Normal(1.0, 1.0), frozenset({"B1"})))
-    assert index._version > cached[1]
+    assert index.filters._version > cached[1]
     _, remote = table.match_grouped(message)
     assert remote["B2"].subscribers == ["S1", "S2"]
     assert len(message.__dict__["_verdicts"][2]) == 2

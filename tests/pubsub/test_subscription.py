@@ -15,6 +15,7 @@ from repro.pubsub.message import Message
 from repro.pubsub.subscription import (
     RowArrays,
     StaleRowGroupError,
+    SubscriberIndex,
     Subscription,
     SubscriptionTable,
     TableRow,
@@ -123,7 +124,7 @@ class TestSubscriptionTable:
         seen = [t.version]
         t.install(row(sub("S1")))
         seen.append(t.version)
-        t.install_many(block_of([row(sub("S2")), row(sub("S3"))]))
+        t.install_many(block_of(t, [row(sub("S2")), row(sub("S3"))]))
         seen.append(t.version)
         t.uninstall("S1")
         seen.append(t.version)
@@ -291,20 +292,28 @@ def KEY(r: TableRow) -> tuple[str, int]:
 
 class RowModel:
     """The table as per-row ``install`` in order builds it, kept as real
-    ``TableRow`` objects — the storage the columnar table replaced."""
+    ``TableRow`` objects — the storage the columnar table replaced — and
+    the index ids its subscribers are registered under (``first_sid`` is
+    the next fresh id)."""
 
-    def __init__(self):
+    def __init__(self, first_sid: int = 0):
         self.by_id: list[TableRow | None] = []
         self.free: list[int] = []
         self.ids_of: dict[str, list[int]] = {}
-        self.sub_names: list[str] = []
+        self.sid_of: dict[str, int] = {}
+        self.next_sid = first_sid
         self.version = 0
 
+    def register(self, name: str) -> None:
+        if name not in self.sid_of:
+            self.sid_of[name] = self.next_sid
+            self.next_sid += 1
+
     def install(self, r: TableRow) -> None:
-        if r.subscriber not in self.sub_names:
-            self.sub_names.append(r.subscriber)
+        self.register(r.subscriber)
         if self.free:
-            row_id = self.free.pop()
+            row_id = min(self.free)
+            self.free.remove(row_id)
             self.by_id[row_id] = r
         else:
             row_id = len(self.by_id)
@@ -316,6 +325,7 @@ class RowModel:
         for row_id in self.ids_of.pop(subscriber):
             self.by_id[row_id] = None
             self.free.append(row_id)
+        del self.sid_of[subscriber]
         self.version += 1
 
     def rows(self) -> list[TableRow]:
@@ -349,9 +359,10 @@ PROBES = [
 
 def assert_same_table(table: SubscriptionTable, model: RowModel) -> None:
     assert table.version == model.version
-    assert table._free_ids == model.free
+    assert table._free_ids == sorted(model.free, reverse=True)
     assert table.rows() == model.rows()
     assert len(table) == len(model.rows())
+    assert {name: table.index.live[name] for name in model.sid_of} == model.sid_of
     for m in PROBES:
         assert table.match(m) == [model.by_id[i] for i in model.matched_ids(m)]
         local, remote = table.match_grouped(m)
@@ -365,23 +376,31 @@ def assert_same_table(table: SubscriptionTable, model: RowModel) -> None:
             want = RowArrays.from_rows(rows)
             for column in ("nn", "mean", "std", "deadline", "price"):
                 assert getattr(group.arrays, column).tolist() == getattr(want, column).tolist()
-            assert group.sub_ids.tolist() == [model.sub_names.index(r.subscriber) for r in rows]
-            assert group.sub_names == model.sub_names
+            assert group.sub_ids.tolist() == [model.sid_of[r.subscriber] for r in rows]
+            assert group.subscribers == [r.subscriber for r in rows]
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=80, deadline=None)
 @given(data=st.data())
 def test_columnar_table_equals_the_row_object_model(data):
     """Random install / install_many / uninstall / uninstall_many
-    interleavings — id reuse, multi-path and epoch rows, batches that take
-    the matcher across its purge threshold — against the per-row model,
-    with a pickle round trip mid-sequence."""
-    table, model = SubscriptionTable(), RowModel()
+    interleavings — id reuse, multi-path and epoch rows, leaves and
+    re-joins — against the per-row model, with a pickle round trip
+    mid-sequence.  A private index registers and unregisters subscribers
+    itself; with a shared one the test does, as the system would, and
+    ids start after a subscriber the table never holds."""
+    shared = data.draw(st.booleans(), label="shared index")
+    if shared:
+        index = SubscriberIndex()
+        index.add([Subscription("X", Predicate("A1", "<", 1.0))])
+        table, model = SubscriptionTable(index), RowModel(first_sid=1)
+    else:
+        table, model = SubscriptionTable(), RowModel()
     live_sub: dict[str, Subscription] = {}
     names = [f"S{i}" for i in range(5)]
 
     def draw_row(name: str, path_id: int) -> TableRow:
-        if name not in model.ids_of and name not in live_sub:
+        if name not in live_sub:
             live_sub[name] = Subscription(
                 name, Predicate("A1", "<", data.draw(st.sampled_from([2.0, 9.0]))),
                 deadline_ms=data.draw(st.sampled_from([None, 10_000.0])),
@@ -398,6 +417,17 @@ def test_columnar_table_equals_the_row_object_model(data):
             min_msg_id=data.draw(st.sampled_from([0, 0, 3])),
         )
 
+    def leave(leavers: list[str]) -> None:
+        if len(leavers) == 1:
+            table.uninstall(leavers[0])
+        else:
+            table.uninstall_many(leavers)
+        if shared:
+            table.index.discard(leavers)
+        for name in leavers:
+            model.uninstall(name)
+            del live_sub[name]
+
     for _ in range(data.draw(st.integers(1, 14))):
         absent = [
             (name, path_id) for name in names for path_id in (0, 1)
@@ -407,17 +437,10 @@ def test_columnar_table_equals_the_row_object_model(data):
             ["install", "install_many", "uninstall", "uninstall_many", "pickle"]
         ))
         if op == "uninstall" and model.ids_of:
-            name = data.draw(st.sampled_from(sorted(model.ids_of)))
-            table.uninstall(name)
-            model.uninstall(name)
-            del live_sub[name]
+            leave([data.draw(st.sampled_from(sorted(model.ids_of)))])
         elif op == "uninstall_many" and model.ids_of:
             leavers = data.draw(st.permutations(sorted(model.ids_of)))
-            leavers = leavers[:data.draw(st.integers(1, len(leavers)))]
-            table.uninstall_many(leavers)
-            for name in leavers:
-                model.uninstall(name)
-                del live_sub[name]
+            leave(leavers[:data.draw(st.integers(1, len(leavers)))])
         elif op == "pickle":
             table = pickle.loads(pickle.dumps(table))
         elif absent:
@@ -425,13 +448,43 @@ def test_columnar_table_equals_the_row_object_model(data):
             keys = data.draw(st.permutations(absent))[:count]
             rows = [draw_row(name, path_id) for name, path_id in keys]
             if op == "install":
+                if shared and rows[0].subscriber not in table.index.live:
+                    table.index.add([rows[0].subscription])
                 table.install(rows[0])
             else:
-                table.install_many(block_of(rows))
+                table.install_many(block_of(table, rows))
             for r in rows:
                 model.install(r)
         assert_same_table(table, model)
     assert not [k for k in table.__getstate__() if k.startswith("_c_")]
+
+
+def test_a_rejoin_gets_a_fresh_id_and_keeps_its_name_order():
+    """A subscriber who leaves and joins again under the same name is a
+    new registration: a fresh id (its endpoint id), while groups still
+    come out in name order."""
+    t = SubscriptionTable()
+    for name in ("S1", "S2", "S3"):
+        t.install(row(sub(name)))
+    t.uninstall("S1")
+    t.install(row(sub("S1", threshold=9.0)))
+    assert t.index.live == {"S2": 1, "S3": 2, "S1": 3}
+    group = t.match_grouped(msg())[1]["B2"]
+    assert group.subscribers == ["S1", "S2", "S3"]
+    assert group.sub_ids.tolist() == [3, 1, 2]
+    assert group.row_ids.tolist() == [0, 1, 2]  # the freed row id was reused
+
+
+def test_a_shared_index_only_installs_registered_subscribers():
+    index = SubscriberIndex()
+    t = SubscriptionTable(index)
+    with pytest.raises(KeyError, match="not registered"):
+        t.install(row(sub("S1")))
+    index.add([sub("S1")])
+    with pytest.raises(ValueError, match="another subscription"):
+        t.install(row(sub("S1", threshold=1.0)))
+    t.install(row(sub("S1")))
+    assert "S1" in t and len(index) == 1
 
 
 class TestRowArrays:

@@ -52,6 +52,13 @@ class TestFingerprint:
         assert len(fp) == 64
         int(fp, 16)
 
+    def test_fingerprint_is_pinned(self):
+        """The digest of a fixed config never drifts: point caches and
+        checkpoint manifests written earlier stay valid."""
+        assert config_fingerprint(TINY) == (
+            "84b80a8127db6cd629cc4d177ac13065b91ea3f29c7089ade496af7a2145bea0"
+        )
+
 
 class TestPointCache:
     def test_round_trip(self, tmp_path):

@@ -65,26 +65,27 @@ class TestCorruptionDetected:
 
     def test_bad_local_row_detected(self):
         system = build_system(CFG)
-        # Install a "local" row for a subscriber attached elsewhere.
-        bogus = Subscription("intruder", MATCH_ALL)
+        # Install a "local" row at B1 for a subscriber attached elsewhere.
+        intruder = next(
+            name for name, edge in sorted(system.topology.subscriber_brokers.items())
+            if edge != "B1"
+        )
         system.brokers["B1"].table.install(
             TableRow(
-                subscription=bogus, next_hop=None, nn=0,
-                rate=Normal(0.0, 0.0), sources=frozenset({"B1"}),
+                subscription=system.subscription(intruder), next_hop=None, nn=0,
+                rate=Normal(0.0, 0.0), sources=frozenset({"B1"}), path_id=1,
             )
         )
         findings = validate_system(system)
-        assert any(f.where.startswith("B1/row[intruder") for f in findings)
+        assert any(f.where.startswith(f"B1/row[{intruder},1]") for f in findings)
 
     def test_empty_sources_warns(self):
         system = build_system(CFG)
-        orphan = Subscription("orphan", MATCH_ALL)
-        edge = "B17"  # a layer-4 broker in the paper topology
-        system.topology.attach_subscriber("orphan", edge)
+        orphan, edge = sorted(system.topology.subscriber_brokers.items())[0]
         system.brokers[edge].table.install(
             TableRow(
-                subscription=orphan, next_hop=None, nn=0,
-                rate=Normal(0.0, 0.0), sources=frozenset(),
+                subscription=system.subscription(orphan), next_hop=None, nn=0,
+                rate=Normal(0.0, 0.0), sources=frozenset(), path_id=1,
             )
         )
         findings = validate_system(system)

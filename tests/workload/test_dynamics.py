@@ -248,7 +248,7 @@ class TestDriver:
         schedule_dynamics(system, config)
         system.sim.run(until=config.horizon_ms)
         joined = [
-            system._subscriptions[s] for s in system.subscribers if s.startswith("D")
+            system.subscription(s) for s in system.subscribers if s.startswith("D")
         ]
         assert len(joined) == 6
         assert all(s.price in (1.0, 2.0, 3.0) for s in joined)
@@ -263,7 +263,7 @@ class TestDriver:
         schedule_dynamics(system, config)
         system.sim.run(until=config.horizon_ms)
         joined = [
-            system._subscriptions[s] for s in system.subscribers if s.startswith("D")
+            system.subscription(s) for s in system.subscribers if s.startswith("D")
         ]
         assert all(s.price is None and s.deadline_ms is None for s in joined)
 
