@@ -7,6 +7,7 @@ event throughput and routing setup.
 
 from __future__ import annotations
 
+import hashlib
 import math
 import pickle
 import time
@@ -33,7 +34,13 @@ from repro.pubsub.metrics import LedgerMetricsCollector, MetricsCollector
 from repro.pubsub.subscription import RowArrays, SubscriptionTable
 from repro.reference import ReferenceEntry, ReferenceQueue
 from repro.sim.config import SimulationConfig
-from repro.sim.runner import build_system, run_to_horizon, schedule_workload
+from repro.sim.runner import (
+    build_system,
+    resume_run,
+    run_to_horizon,
+    save_run_checkpoint,
+    schedule_workload,
+)
 from repro.stats.normal import normal_cdf_vec
 from repro.workload.dynamics import ChurnWave, DynamicsDriver
 from repro.workload.scenarios import ScaleScenarioSpec, Scenario, build_scale_subscriptions
@@ -624,6 +631,43 @@ def test_analysis_revenue_by_tier(benchmark, scale_run):
     tiers = benchmark.pedantic(cold_tiers, rounds=3, iterations=1)
     benchmark.extra_info["endpoints"] = scale_run.delivery_log.endpoint_count
     assert len(tiers) > 1 and tiers == frozen_revenue_by_tier(scale_run)
+
+
+def _run_fingerprint(system) -> tuple:
+    m = system.metrics
+    log = hashlib.sha256()
+    for col in system.delivery_log.columns():
+        log.update(np.ascontiguousarray(col).tobytes())
+    return (
+        m.published, m.receptions, m.transmissions, m.deliveries_valid,
+        m.deliveries_late, m.pruned, m.earning, system.sim.executed_events,
+        list(system.subscribers), log.hexdigest(),
+    )
+
+
+def test_core_checkpoint_system_roundtrip(benchmark, scale_run, tmp_path):
+    """The 16k world of ``scale_run``, spilled and paused at half its
+    horizon, through ``save_run_checkpoint`` → ``resume_run`` (what the
+    layers ``core.checkpoint.save_s`` / ``load_s`` time on
+    ``spill-checkpoint-16k``); the restored system runs on to the same
+    fingerprint as the uninterrupted run."""
+    spec = ScaleScenarioSpec(name="micro", subscribers=16_000)
+    config = scale_config(spec, minutes=0.5, spill=True)
+    system = build_scale_system(spec, config)
+    schedule_workload(system, config)
+    system.run(until=config.horizon_ms / 2.0)
+    assert system.delivery_log.spilled_chunks > 0
+
+    def roundtrip():
+        path, _, size = save_run_checkpoint(system, config, tmp_path)
+        benchmark.extra_info["snapshot_mb"] = round(size / 1e6, 2)
+        benchmark.extra_info["state_mb"] = round((path / "state.pkl").stat().st_size / 1e6, 2)
+        return resume_run(path, config=config)[0]
+
+    restored = benchmark.pedantic(roundtrip, rounds=3, iterations=1)
+    del system
+    run_to_horizon(restored, config, None)
+    assert _run_fingerprint(restored) == _run_fingerprint(scale_run)
 
 
 # ---------------------------------------------------------------------- #

@@ -25,24 +25,31 @@ that snapshot sweeps away or restores, never a half-written checkpoint
 that :func:`latest_checkpoint` could pick up.
 
 Compatibility policy (version 1): a snapshot binds to the exact code
-tree (sha256 over the package's ``*.py`` files) and to caller-supplied
-fingerprints (the run's config).  Loading refuses a version or
-fingerprint mismatch with :class:`CheckpointMismatch` — resumption is
-only provably byte-identical under the same decisions, so anything else
-is an error, not a warning.  ``allow_code_mismatch=True`` exists for
-debugging archaeology only.
+tree (sha256 over the package's ``*.py`` files), to the arithmetic under
+it (numpy version, BLAS, a digest of fixed ``erf``/``dot`` probes) and to
+caller-supplied fingerprints (the run's config).  Loading refuses a
+version or fingerprint mismatch with :class:`CheckpointMismatch` —
+resumption is only provably byte-identical under the same decisions, so
+anything else is an error, not a warning.  ``allow_code_mismatch=True``
+(code and arithmetic) exists for debugging archaeology only.  The
+manifest records the size of ``state.pkl``; a state file of another size,
+or one that does not unpickle, is a :class:`CheckpointError` naming it.
 """
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
+import math
 import os
 import pickle
 import shutil
 from pathlib import Path
 from time import perf_counter
 from typing import Any
+
+import numpy as np
 
 from repro.core.chunked import spill_transfer
 
@@ -88,6 +95,31 @@ def code_fingerprint() -> str:
             h.update(b"\x00")
         _CODE_FINGERPRINT = h.hexdigest()
     return _CODE_FINGERPRINT
+
+
+_ARITHMETIC_FINGERPRINT: dict[str, str] | None = None
+
+
+def arithmetic_fingerprint() -> dict[str, str]:
+    """What a run's floats depend on besides the source tree: the numpy
+    version, the BLAS numpy was built against and a sha256 over the bits
+    of fixed ``math.erf`` and ``np.dot`` probes.
+
+    Memoized for the process lifetime, like :func:`code_fingerprint`.
+    """
+    global _ARITHMETIC_FINGERPRINT
+    if _ARITHMETIC_FINGERPRINT is None:
+        try:
+            blas = str(np.__config__.CONFIG["Build Dependencies"]["blas"]["name"])
+        except (AttributeError, KeyError, TypeError):
+            blas = "unknown"
+        x = np.linspace(-3.0, 3.0, 97)
+        probes = [math.erf(v) for v in x.tolist()]
+        probes.append(float(np.dot(x, x[::-1].copy())))
+        probes.extend(np.dot(np.outer(x[:24], x[-24:]) + 0.1, x[:24]).tolist())
+        digest = hashlib.sha256(" ".join(p.hex() for p in probes).encode()).hexdigest()
+        _ARITHMETIC_FINGERPRINT = {"numpy": np.__version__, "blas": blas, "probes": digest}
+    return dict(_ARITHMETIC_FINGERPRINT)
 
 
 # ---------------------------------------------------------------------- #
@@ -158,15 +190,18 @@ def save_checkpoint(
         with open(tmp / _STATE, "wb") as fh:
             with spill_transfer(chunks_dir):
                 pickle.dump(state, fh, protocol=pickle.HIGHEST_PROTOCOL)
+            state_bytes = fh.tell()
         chunk_files = sorted(
             str(p.relative_to(chunks_dir)) for p in chunks_dir.rglob("*.npz")
         )
         manifest = {
             "version": CHECKPOINT_VERSION,
             "code": code_fingerprint(),
+            "arithmetic": arithmetic_fingerprint(),
             "fingerprints": dict(fingerprints or {}),
             "meta": dict(meta or {}),
             "chunks": chunk_files,
+            "state_bytes": state_bytes,
         }
         (tmp / _MANIFEST).write_text(json.dumps(manifest, indent=2, sort_keys=True))
         _fsync_tree(tmp)
@@ -209,8 +244,11 @@ def load_checkpoint(
     """Verify and restore a checkpoint; returns ``(state, manifest)``.
 
     Every key in ``fingerprints`` must match the manifest exactly; the
-    snapshot version and code fingerprint are always checked (the latter
-    bypassable with ``allow_code_mismatch`` for debugging only).
+    snapshot version and the code and arithmetic fingerprints are always
+    checked (the latter two bypassable with ``allow_code_mismatch`` for
+    debugging only).  Cyclic garbage collection is paused for the
+    unpickle: it allocates a container per restored object, none of them
+    garbage, and each collection pass would walk them all again.
     """
     path = Path(path)
     manifest = read_manifest(path)
@@ -228,6 +266,14 @@ def load_checkpoint(
             "identity is only guaranteed on the same tree "
             "(allow_code_mismatch=True to override for debugging)"
         )
+    arithmetic = manifest.get("arithmetic")
+    if arithmetic != arithmetic_fingerprint() and not allow_code_mismatch:
+        raise CheckpointMismatch(
+            f"checkpoint {path} was written under different arithmetic "
+            f"({arithmetic!r} vs {arithmetic_fingerprint()!r}); resume identity "
+            "is only guaranteed on the same numpy, BLAS and floating-point results "
+            "(allow_code_mismatch=True to override for debugging)"
+        )
     saved = manifest.get("fingerprints") or {}
     for key, expected in (fingerprints or {}).items():
         if saved.get(key) != expected:
@@ -235,12 +281,28 @@ def load_checkpoint(
                 f"checkpoint {path} fingerprint {key!r} mismatch: "
                 f"snapshot has {saved.get(key)!r}, caller expects {expected!r}"
             )
+    state_path = path / _STATE
+    state_bytes = manifest.get("state_bytes")
     try:
-        with open(path / _STATE, "rb") as fh:
+        size = state_path.stat().st_size
+        if state_bytes is not None and size != state_bytes:
+            raise CheckpointError(
+                f"checkpoint state {state_path} has {size} bytes but its manifest "
+                f"records {state_bytes}: truncated or overwritten"
+            )
+        with open(state_path, "rb") as fh:
             with spill_transfer(path / _CHUNKS):
-                state = pickle.load(fh)
+                collecting = gc.isenabled()
+                gc.disable()
+                try:
+                    state = pickle.load(fh)
+                finally:
+                    if collecting:
+                        gc.enable()
     except OSError as exc:
-        raise CheckpointError(f"unreadable checkpoint state {path}: {exc}") from exc
+        raise CheckpointError(f"unreadable checkpoint state {state_path}: {exc}") from exc
+    except (pickle.UnpicklingError, EOFError, AttributeError) as exc:
+        raise CheckpointError(f"corrupt checkpoint state {state_path}: {exc}") from exc
     return state, manifest
 
 

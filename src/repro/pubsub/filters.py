@@ -6,6 +6,8 @@ used by content-based systems (Siena-style): comparison predicates over
 named numeric attributes combined with AND/OR.
 
 Filters are immutable and hashable so they can key matching indexes.
+They pickle as constructor calls: a snapshot holds one per subscription,
+and the slots-dataclass default calls ``dataclasses.fields`` per object.
 """
 
 from __future__ import annotations
@@ -73,6 +75,9 @@ class Predicate(Filter):
             return False
         return _OPS[self.op](actual, self.value)
 
+    def __reduce__(self):
+        return type(self), (self.attribute, self.op, self.value)
+
     def __str__(self) -> str:
         return f"{self.attribute}{self.op}{self.value:g}"
 
@@ -89,6 +94,9 @@ class AndFilter(Filter):
     def matches(self, attributes: Mapping[str, float]) -> bool:
         return all(p.matches(attributes) for p in self.parts)
 
+    def __reduce__(self):
+        return type(self), (self.parts,)
+
     def __str__(self) -> str:
         return " & ".join(f"({p})" if isinstance(p, OrFilter) else str(p) for p in self.parts) or "TRUE"
 
@@ -104,6 +112,9 @@ class OrFilter(Filter):
 
     def matches(self, attributes: Mapping[str, float]) -> bool:
         return any(p.matches(attributes) for p in self.parts)
+
+    def __reduce__(self):
+        return type(self), (self.parts,)
 
     def __str__(self) -> str:
         return " | ".join(str(p) for p in self.parts) or "FALSE"

@@ -55,6 +55,11 @@ class Subscription:
         if self.price is not None and not self.price >= 0.0:
             raise ValueError(f"price must be non-negative, got {self.price}")
 
+    def __reduce__(self):
+        # Pickled as a constructor call (validated again at load): the
+        # slots dataclass default calls ``fields()`` per object.
+        return type(self), (self.subscriber, self.filter, self.deadline_ms, self.price)
+
 
 @dataclass(frozen=True, slots=True)
 class TableRow:

@@ -239,6 +239,24 @@ class PubSubSystem:
                     dst, link, monitor, self._make_deliver(dst)
                 )
 
+    def __getstate__(self) -> dict:
+        """Everything but the subscriber handles: each is a view of a
+        name, the delivery log and an endpoint id, which the subscriber
+        index and the log already hold."""
+        state = self.__dict__.copy()
+        del state["subscribers"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        # The live-name map keeps the handles' order: registration order,
+        # leavers removed, re-joiners at the end.
+        log = self.delivery_log
+        self.subscribers = {
+            name: SubscriberHandle(name, log=log, log_id=sid)
+            for name, sid in self.subscriber_index.live.items()
+        }
+
     def _make_deliver(self, dst: str) -> Callable[[Message], None]:
         broker = self.brokers[dst]
         return broker.receive

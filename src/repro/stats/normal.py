@@ -93,6 +93,11 @@ class Normal:
         if not math.isfinite(self.mean):
             raise ValueError(f"mean must be finite, got {self.mean}")
 
+    def __reduce__(self):
+        # A constructor call: the slots-dataclass default calls
+        # ``dataclasses.fields`` per object, and snapshots hold many.
+        return type(self), (self.mean, self.variance)
+
     @property
     def std(self) -> float:
         """Standard deviation."""

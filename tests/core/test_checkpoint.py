@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import pickle
 
@@ -14,6 +15,7 @@ from repro.core.checkpoint import (
     CHECKPOINT_VERSION,
     CheckpointError,
     CheckpointMismatch,
+    arithmetic_fingerprint,
     checkpoint_size_bytes,
     code_fingerprint,
     latest_checkpoint,
@@ -24,6 +26,26 @@ from repro.core.checkpoint import (
 )
 
 SCHEMA = (("a", np.int64), ("b", np.float64))
+
+
+class GcProbe:
+    """Records whether cyclic GC was enabled when it was unpickled."""
+
+    seen: list[bool] = []
+
+    def __reduce__(self):
+        return GcProbe._restore, ()
+
+    @staticmethod
+    def _restore() -> "GcProbe":
+        GcProbe.seen.append(gc.isenabled())
+        return GcProbe()
+
+
+def rewrite_manifest(path, **changes) -> None:
+    manifest = json.loads((path / "MANIFEST.json").read_text())
+    manifest.update(changes)
+    (path / "MANIFEST.json").write_text(json.dumps(manifest))
 
 
 def fill(store: ChunkedColumnStore, n: int) -> np.ndarray:
@@ -178,6 +200,112 @@ class TestRefusalRules:
         (path / "MANIFEST.json").write_text('["a", "list"]')
         with pytest.raises(CheckpointError, match="malformed"):
             read_manifest(path)
+
+
+class TestCorruptState:
+    """A damaged ``state.pkl`` is a CheckpointError naming the file, never
+    a raw pickle error."""
+
+    def _saved(self, tmp_path):
+        state = {"arr": np.arange(2_000), "names": [f"S{i}" for i in range(200)]}
+        return save_checkpoint(state, tmp_path / "ckpt-a")
+
+    def test_manifest_records_the_state_size(self, tmp_path):
+        path = self._saved(tmp_path)
+        assert read_manifest(path)["state_bytes"] == (path / "state.pkl").stat().st_size
+
+    def test_truncated_state_refused(self, tmp_path):
+        path = self._saved(tmp_path)
+        data = (path / "state.pkl").read_bytes()
+        (path / "state.pkl").write_bytes(data[: len(data) // 2])
+        with pytest.raises(CheckpointError, match="state.pkl.*truncated"):
+            load_checkpoint(path)
+
+    def test_zero_length_state_refused(self, tmp_path):
+        path = self._saved(tmp_path)
+        (path / "state.pkl").write_bytes(b"")
+        with pytest.raises(CheckpointError, match="state.pkl has 0 bytes"):
+            load_checkpoint(path)
+
+    def test_wrong_size_state_refused(self, tmp_path):
+        path = self._saved(tmp_path)
+        with open(path / "state.pkl", "ab") as fh:
+            fh.write(b"\x00" * 7)
+        with pytest.raises(CheckpointError, match="state.pkl"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("cut", [0, 1, 0.5])
+    def test_unpickle_errors_become_checkpoint_errors(self, tmp_path, cut):
+        # The size agrees with the manifest, so the unpickle itself fails:
+        # EOFError (empty), UnpicklingError (truncated mid-stream).
+        path = self._saved(tmp_path)
+        data = (path / "state.pkl").read_bytes()
+        data = data[: int(cut * len(data)) if isinstance(cut, float) else cut]
+        (path / "state.pkl").write_bytes(data)
+        rewrite_manifest(path, state_bytes=len(data))
+        with pytest.raises(CheckpointError, match="corrupt checkpoint state .*state.pkl") as err:
+            load_checkpoint(path)
+        assert isinstance(err.value.__cause__, (pickle.UnpicklingError, EOFError))
+
+    def test_missing_class_becomes_a_checkpoint_error(self, tmp_path, monkeypatch):
+        path = save_checkpoint({"probe": GcProbe()}, tmp_path / "ckpt-a")
+        monkeypatch.delattr(GcProbe, "_restore")
+        with pytest.raises(CheckpointError, match="state.pkl") as err:
+            load_checkpoint(path)
+        assert isinstance(err.value.__cause__, AttributeError)
+
+
+class TestCollectorPausedForTheUnpickle:
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_gc_paused_during_load_and_restored_after(self, tmp_path, enabled):
+        path = save_checkpoint({"probe": GcProbe()}, tmp_path / "ckpt-a")
+        GcProbe.seen.clear()
+        was = gc.isenabled()
+        try:
+            (gc.enable if enabled else gc.disable)()
+            state, _ = load_checkpoint(path)
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
+        assert isinstance(state["probe"], GcProbe)
+        assert GcProbe.seen == [False]
+
+    def test_gc_restored_after_a_failed_load(self, tmp_path):
+        path = save_checkpoint({"v": 1}, tmp_path / "ckpt-a")
+        (path / "state.pkl").write_bytes(b"\x80")
+        rewrite_manifest(path, state_bytes=1)
+        assert gc.isenabled()
+        with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+        assert gc.isenabled()
+
+
+class TestArithmeticFingerprint:
+    def test_recorded_and_memoized(self, tmp_path, monkeypatch):
+        first = arithmetic_fingerprint()
+        assert first["numpy"] == np.__version__
+        assert first["blas"] and len(first["probes"]) == 64
+        monkeypatch.setattr(ck, "_ARITHMETIC_FINGERPRINT", None)
+        assert arithmetic_fingerprint() == first
+        path = save_checkpoint({"v": 1}, tmp_path / "ckpt-a")
+        assert read_manifest(path)["arithmetic"] == first
+
+    @pytest.mark.parametrize("key", ["numpy", "blas", "probes"])
+    def test_mismatch_refused_unless_overridden(self, tmp_path, key):
+        path = save_checkpoint({"v": 1}, tmp_path / "ckpt-a")
+        rewrite_manifest(path, arithmetic={**arithmetic_fingerprint(), key: "other"})
+        with pytest.raises(CheckpointMismatch, match="arithmetic"):
+            load_checkpoint(path)
+        state, _ = load_checkpoint(path, allow_code_mismatch=True)
+        assert state == {"v": 1}
+
+    def test_missing_record_refused(self, tmp_path):
+        path = save_checkpoint({"v": 1}, tmp_path / "ckpt-a")
+        manifest = json.loads((path / "MANIFEST.json").read_text())
+        del manifest["arithmetic"]
+        (path / "MANIFEST.json").write_text(json.dumps(manifest))
+        with pytest.raises(CheckpointMismatch, match="arithmetic"):
+            load_checkpoint(path)
 
 
 class TestLatestCheckpoint:

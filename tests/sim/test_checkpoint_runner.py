@@ -2,14 +2,19 @@
 
 from __future__ import annotations
 
+import collections
+import dataclasses
+import io
 import pickle
 import pickletools
 
 import pytest
 
 from repro.core.checkpoint import CheckpointMismatch, latest_checkpoint
+from repro.core.chunked import spill_transfer
 from repro.experiments.scale import build_scale_system, scale_config
 from repro.pubsub.matching import VectorCountingMatcher
+from repro.pubsub.subscription import Subscription
 from repro.sim.config import SimulationConfig
 from repro.sim.runner import (
     CheckpointPolicy,
@@ -156,6 +161,89 @@ class TestCheckpointedRun:
         }
         assert "Subscription" in names and "SubscriptionTable" in names
         assert "TableRow" not in names
+
+    @staticmethod
+    def _pickle_counts(system, chunks, monkeypatch) -> tuple[collections.Counter, int]:
+        """``(objects pickled per type name, dataclasses.fields calls)``
+        over one save and load of ``system`` through a counting pickler."""
+        pickled: collections.Counter = collections.Counter()
+
+        class Counting(pickle.Pickler):
+            def persistent_id(self, obj):
+                pickled[type(obj).__name__] += 1
+                return None
+
+        calls = 0
+        fields = dataclasses.fields
+
+        def counting_fields(obj):
+            nonlocal calls
+            calls += 1
+            return fields(obj)
+
+        monkeypatch.setattr(dataclasses, "fields", counting_fields)
+        buffer = io.BytesIO()
+        chunks.mkdir()
+        with spill_transfer(chunks):
+            Counting(buffer, protocol=pickle.HIGHEST_PROTOCOL).dump(system)
+            restored = pickle.loads(buffer.getvalue())
+        monkeypatch.setattr(dataclasses, "fields", fields)
+        assert list(restored.subscribers) == list(system.subscribers)
+        return pickled, calls
+
+    def test_snapshot_pickle_cost_does_not_grow_per_subscriber(self, tmp_path, monkeypatch):
+        # Exact counts, not timers: no subscriber handle is pickled (the
+        # index and the log rebuild them), and the bulk value types pickle
+        # as constructor calls, so ``dataclasses.fields`` — called once per
+        # object by the slots-dataclass default — is called as often for
+        # 2 000 subscribers as for 1 000.
+        counts = {}
+        for n in (1_000, 2_000):
+            spec = ScaleScenarioSpec(name="guard", subscribers=n)
+            config = scale_config(
+                spec, strategy="eb", minutes=0.5, rate_per_min=20.0, spill=True, chunk_rows=1_024
+            )
+            system = build_scale_system(spec, config)
+            schedule_workload(system, config)
+            system.run(until=config.horizon_ms / 2.0)
+            assert system.delivery_log.spilled_chunks > 0
+            pickled, calls = self._pickle_counts(system, tmp_path / f"chunks-{n}", monkeypatch)
+            assert pickled["SubscriberHandle"] == 0
+            assert pickled["Subscription"] == len(system.subscribers) >= n
+            counts[n] = calls
+        assert counts[2_000] == counts[1_000]
+
+    @pytest.mark.parametrize("reference", [False, True], ids=["production", "reference"])
+    def test_resumed_handles_follow_the_live_name_order(self, tmp_path, reference):
+        # A name that leaves and re-joins before the snapshot moves to the
+        # end of the live order under a fresh endpoint id; the handles
+        # rebuilt at load keep that order, those ids and the restored log.
+        system = build_system(TINY, reference=reference)
+        schedule_workload(system, TINY)
+        system.run(until=8_000.0)
+        names = list(system.subscribers)
+        again = system.subscription(names[3])
+        system.unsubscribe_all([names[3], names[10]])
+        system.subscribe(Subscription(names[3], again.filter, again.deadline_ms, again.price))
+        system.run(until=12_000.0)
+        assert list(system.subscribers)[-1] == names[3]
+        path, _, _ = save_run_checkpoint(system, TINY, tmp_path / "ck")
+        restored, config, _ = resume_run(path, config=TINY)
+        assert type(restored) is type(system)
+        assert list(restored.subscribers) == list(system.subscribers)
+        assert [h.log_id for h in restored.subscribers.values()] == [
+            h.log_id for h in system.subscribers.values()
+        ]
+        for name, handle in restored.subscribers.items():
+            assert handle.name == name and handle.log is restored.delivery_log
+            live = system.subscribers[name]
+            assert handle.records == live.records
+            assert handle.valid_count == live.valid_count
+        run_to_horizon(system, TINY, None)
+        run_to_horizon(restored, config, None)
+        assert [h.records for h in restored.subscribers.values()] == [
+            h.records for h in system.subscribers.values()
+        ]
 
     def test_snapshot_drops_score_plans_and_resumes_identically(self, tmp_path):
         # Score plans are caches: a mid-congestion snapshot carries the
