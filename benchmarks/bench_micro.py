@@ -19,7 +19,7 @@ import pytest
 from repro.analysis.latency import latency_stats
 from repro.analysis.revenue import revenue_by_tier
 from repro.core.metrics import SMALL_ROWS, ScorePlan, expected_benefit, expected_benefit_vec
-from repro.core.pruning import DEFAULT_EPSILON, PruningPolicy
+from repro.core.pruning import DEFAULT_EPSILON, PruningPolicy, prune_horizon
 from repro.core.queueing import ScheduledQueue
 from repro.core.registry import STRATEGY_NAMES, make_strategy
 from repro.core.strategies import EbStrategy, QueueEntry
@@ -46,7 +46,13 @@ from repro.workload.dynamics import ChurnWave, DynamicsDriver
 from repro.workload.scenarios import ScaleScenarioSpec, Scenario, build_scale_subscriptions
 from repro.workload.subscriptions import random_attributes, random_conjunctive_filter
 from tests.analysis.frozen_report import frozen_latency_stats, frozen_revenue_by_tier
-from tests.core.helpers import assert_same_table, make_ctx, make_message, make_row
+from tests.core.helpers import (
+    assert_same_table,
+    block_of,
+    make_ctx,
+    make_message,
+    make_row,
+)
 
 N_SUBSCRIPTIONS = 1000
 DRAIN_QUEUE_DEPTH = 500
@@ -276,9 +282,11 @@ def test_core_strategies_score_and_bound(benchmark):
 
 
 def test_core_queueing_push(benchmark):
-    """``core.queueing.push_s``: a score plan plus an ε-prune horizon per
-    pushed entry, over realistically small entries (the plan's small
-    form); every horizon and score equals the array form's."""
+    """``core.queueing.push_s``: one prune-index record per pushed entry,
+    keyed on its first row's horizon term — no score plan, no full
+    horizon — over realistically small entries.  Every key equals the
+    array form's, and so does every later horizon and score (the plan's
+    small form)."""
     templates = _congested_entries(13)
 
     def push_all(entries: list[QueueEntry]) -> ScheduledQueue:
@@ -294,15 +302,53 @@ def test_core_queueing_push(benchmark):
         push_all, setup=lambda: ((_copies(templates),), {}), rounds=20
     )
     oracle = push_all(_copies(templates, ReferenceEntry))
-    assert sorted(queue._prune_index._heap) == sorted(oracle._prune_index._heap)
+    records = sorted(queue._prune_index._heap)
+    assert records == sorted(oracle._prune_index._heap)
+    assert not any(refined for _, _, refined in records)  # floors, refined on arrival
     ctx = make_ctx(now=4_000.0, ft=900.0)
     strategy = make_strategy("ebpc")
     for entry, reference in zip(queue.entries(), oracle.entries()):
+        assert entry._plan is None
+        assert prune_horizon(
+            entry, 2.0, PruningPolicy.PROBABILISTIC, DEFAULT_EPSILON
+        ) == prune_horizon(reference, 2.0, PruningPolicy.PROBABILISTIC, DEFAULT_EPSILON)
         assert entry.plan(2.0).small is not None
         assert reference.plan(2.0).small is None
         assert strategy.score_and_bound(entry, ctx) == strategy.score_and_bound(
             reference, ctx
         )
+
+
+def test_core_queueing_push_lone_large(benchmark):
+    """``core.queueing.push_s`` on ``fanout-16k``'s shape: one 2k-row entry
+    pushed into an idle queue and sent alone.  Nothing reads its columns:
+    no gather, no score plan, no full prune horizon."""
+    table = SubscriptionTable()
+    rows = [
+        make_row(f"S{i:04d}", deadline_ms=20_000.0 + i, nn=1 + i % 3)
+        for i in range(2_000)
+    ]
+    table.install_many(block_of(table, rows))
+    message = make_message(publish_time=0.0, size_kb=5.0)
+    ctx = make_ctx(now=100.0)
+
+    def push_pop(group):
+        queue = ScheduledQueue(
+            make_strategy("eb"), PruningPolicy.PROBABILISTIC, DEFAULT_EPSILON,
+            planning_delay_ms=2.0,
+        )
+        entry = QueueEntry(message, group, enqueue_time=0.0, seq=0)
+        queue.push(entry)
+        assert queue.prune(ctx.now) == []
+        assert queue.pop_best(ctx) is entry
+        return entry
+
+    entry = benchmark.pedantic(
+        push_pop, setup=lambda: ((table.match_grouped(message)[1]["B2"],), {}), rounds=20
+    )
+    assert len(entry) == 2_000
+    assert entry._arrays is None and entry._rows._arrays is None
+    assert entry._plan is None
 
 
 #: Row counts of the form sweep: both sides of 16 (BLAS ``ddot`` changes

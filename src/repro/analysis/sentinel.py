@@ -205,7 +205,7 @@ class InvariantSentinel:
                     process_pairs += len(group)
             elif ev.kind == "transmit":
                 _broker, _neighbor, entry = ev.payload
-                transit_pairs += len(entry.arrays)
+                transit_pairs += len(entry)
         return process_pairs, transit_pairs
 
     def _check_pair_conservation(self) -> None:
@@ -214,7 +214,7 @@ class InvariantSentinel:
         m = self.system.metrics
         f = self.system.faults
         queued_pairs = sum(  # repro-lint: ignore[RL006] -- exact integer tally
-            len(entry.arrays)
+            len(entry)
             for broker in self.system.brokers.values()
             for queue in broker.queues.values()
             for entry in queue.sched.entries()

@@ -22,6 +22,7 @@ import sys
 import time
 
 from repro.core import profiling
+from repro.core.checkpoint import CheckpointError
 from repro.core.chunked import DEFAULT_CHUNK_ROWS
 from repro.experiments import figure4, figure5, figure6, table1
 from repro.experiments.claims import format_report, run_all
@@ -289,6 +290,11 @@ def main(argv: list[str] | None = None) -> int:
             file=sys.stderr,
         )
         return 3
+    except CheckpointError as err:
+        # A snapshot that is damaged or belongs to other code/config: the
+        # typed message says which, so no traceback.
+        print(f"{type(err).__name__}: {err}", file=sys.stderr)
+        return 4
 
 
 def _dispatch(args: argparse.Namespace, start: float) -> int:

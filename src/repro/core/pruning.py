@@ -41,7 +41,7 @@ class PruningPolicy(enum.Enum):
 
 def _is_small(entry: QueueEntry) -> bool:
     """Whether ``entry``'s expiry readers take the Python-float small form."""
-    return len(entry.arrays) <= entry.small_rows
+    return len(entry) <= entry.small_rows
 
 
 def entry_is_expired(entry: QueueEntry, now: float) -> bool:
@@ -93,7 +93,10 @@ def should_prune(
 # exact predicate for entries whose horizon has been reached — the
 # analytic inversion is used as a conservative filter, never as the final
 # decision, so a float-level disagreement with the forward predicate
-# cannot change behaviour.
+# cannot change behaviour.  Any one row's term is a lower bound on the
+# max: the index keys a new entry on its first row's term
+# (:func:`prune_horizon_floor`) and computes the full horizon only once
+# that floor has arrived.
 # ---------------------------------------------------------------------- #
 
 _STD_NORMAL = Normal(0.0, 1.0)
@@ -138,3 +141,37 @@ def prune_horizon(
     if epsilon >= 1.0:
         return -math.inf  # every probability is < ε: prunable from the start
     return entry.plan(processing_delay_ms).hopeless_horizon(_std_normal_quantile(epsilon))
+
+
+def prune_horizon_floor(
+    entry: QueueEntry,
+    processing_delay_ms: float,
+    policy: PruningPolicy,
+    epsilon: float = DEFAULT_EPSILON,
+) -> float:
+    """The first row's own term of :func:`prune_horizon`'s max, hence
+    never above it: ``publish_time + adl`` under the expiry rule,
+    ``publish_time + adl − NN·PD − size·(μ + σ·z_ε)`` (``μ`` alone when
+    ``σ = 0``) under Eq. 11, and ``inf`` when the row's ``adl`` is.
+
+    It reads one row's operands as Python floats — no column gather, no
+    score plan — in the per-element operation order of both forms of
+    :meth:`~repro.core.metrics.ScorePlan.hopeless_horizon`, so the value is
+    bit-identical to that row's term.
+    """
+    if policy is PruningPolicy.NONE:
+        return math.inf
+    nn, mean, std, deadline, _ = entry.first_row()
+    message = entry.message
+    msg_dl = message.deadline_ms
+    adl = deadline if msg_dl is None else min(deadline, msg_dl)
+    if policy is PruningPolicy.EXPIRED:
+        return message.publish_time + adl
+    if epsilon <= 0.0:
+        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    if epsilon >= 1.0:
+        return -math.inf
+    if math.isinf(adl):
+        return math.inf  # an unbounded pair always succeeds
+    ramp = mean if std == 0.0 else mean + std * _std_normal_quantile(epsilon)
+    return message.publish_time + adl - nn * processing_delay_ms - message.size_kb * ramp

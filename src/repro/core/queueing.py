@@ -31,11 +31,12 @@ decisions *exactly* (max score, FIFO tie-break on seq):
   record left in them is stale.
 
 * **Pruning** drains an expiry-ordered side index instead of scanning:
-  entries are keyed by their analytic :func:`~repro.core.pruning.
-  prune_horizon` (minus a safety margin); only entries whose horizon has
-  arrived are re-checked with the exact :func:`~repro.core.pruning.
-  should_prune` predicate, so the analytic inversion can never flip a
-  decision.
+  a new entry is keyed by its first row's term of the analytic
+  :func:`~repro.core.pruning.prune_horizon` (a lower bound on the max,
+  minus a safety margin), and gets its full horizon only when that floor
+  arrives; only entries whose horizon has arrived are re-checked with the
+  exact :func:`~repro.core.pruning.should_prune` predicate, so the
+  analytic inversion can never flip a decision.
 
 ``tests/core/test_queueing.py`` checks every decision against a full-scan
 queue kept beside the tests.
@@ -52,6 +53,7 @@ from repro.core.pruning import (
     DEFAULT_EPSILON,
     PruningPolicy,
     prune_horizon,
+    prune_horizon_floor,
     should_prune,
 )
 from repro.core.strategies import QueueEntry, Strategy
@@ -78,7 +80,7 @@ _BOUND_SLACK_REL = 1e-12
 _KEY_TIE_SLACK_ABS = 1e-6
 _KEY_TIE_SLACK_REL = 1e-9
 
-def _compact_heap(heap: list[tuple[float, int]], live: dict[int, QueueEntry]) -> None:
+def _compact_heap(heap: list[tuple], live: dict[int, QueueEntry]) -> None:
     """Drop stale records once they outnumber the live entries.
 
     Lazy deletion only discards a dead record when it reaches the heap
@@ -256,11 +258,20 @@ class _BoundedHeapBackend:
 class _PruneIndex:
     """Expiry-ordered side index drained incrementally.
 
-    Holds ``(horizon − margin, seq)`` records; :meth:`drain` pops every
-    record whose horizon has arrived, confirms with the exact
-    ``should_prune`` predicate, and reinserts false positives unchanged
-    (they sit within the float margin of their true horizon and are
-    re-checked on subsequent services until the predicate fires).
+    Holds ``(key, seq, refined)`` records.  A pushed entry is keyed on its
+    first row's own horizon term (:func:`~repro.core.pruning.
+    prune_horizon_floor`, minus the margin), unrefined: that term is one
+    of the max's, so it never lies above the entry's horizon, and an entry
+    sent before its floor arrives never pays for a gather, a score plan or
+    a horizon.  :meth:`drain` pops every record whose key has arrived.  An
+    unrefined one gets the full :func:`~repro.core.pruning.prune_horizon`:
+    ``inf`` drops it (never prunable), a key still in the future re-pushes
+    it refined.  The rest are confirmed with the exact ``should_prune``
+    predicate; false positives are reinserted unchanged (they sit within
+    the float margin of their true horizon and are re-checked on
+    subsequent services until the predicate fires).  So an entry reaches
+    ``should_prune`` at exactly the drains a horizon-keyed index would
+    bring it there.
     """
 
     def __init__(
@@ -269,24 +280,34 @@ class _PruneIndex:
         self._policy = policy
         self._epsilon = epsilon
         self._planning_delay_ms = planning_delay_ms
-        self._heap: list[tuple[float, int]] = []
+        self._heap: list[tuple[float, int, bool]] = []
 
     def push(self, entry: QueueEntry) -> None:
-        horizon = prune_horizon(
+        floor = prune_horizon_floor(
             entry, self._planning_delay_ms, self._policy, self._epsilon
         )
-        if not math.isinf(horizon):
-            heapq.heappush(self._heap, (horizon - PRUNE_HORIZON_MARGIN_MS, entry.seq))
+        if floor != math.inf:  # −inf (ε ≥ 1) is prunable from the start
+            heapq.heappush(self._heap, (floor - PRUNE_HORIZON_MARGIN_MS, entry.seq, False))
 
     def drain(self, now: float, live: dict[int, QueueEntry]) -> list[QueueEntry]:
         heap = self._heap
         pruned: list[QueueEntry] = []
-        requeue: list[tuple[float, int]] = []
+        requeue: list[tuple[float, int, bool]] = []
         while heap and heap[0][0] <= now:
             record = heapq.heappop(heap)
             entry = live.get(record[1])
             if entry is None:
                 continue  # already sent; drop the stale record
+            if not record[2]:
+                horizon = prune_horizon(
+                    entry, self._planning_delay_ms, self._policy, self._epsilon
+                )
+                if horizon == math.inf:
+                    continue  # an unbounded pair: never prunable
+                record = (horizon - PRUNE_HORIZON_MARGIN_MS, entry.seq, True)
+                if record[0] > now:
+                    heapq.heappush(heap, record)
+                    continue
             if should_prune(
                 entry, now, self._planning_delay_ms, self._policy, self._epsilon
             ):
@@ -332,11 +353,7 @@ class ScheduledQueue:
         #: stale and skipped lazily.
         self._live: dict[int, QueueEntry] = {}
         self._backend = self._pick_backend()
-        self._prune_index = (
-            _PruneIndex(pruning, epsilon, planning_delay_ms)
-            if pruning is not PruningPolicy.NONE
-            else None
-        )
+        self._prune_index = self._pick_prune_index()
 
     def _pick_backend(self) -> "_ScanBackend | _KeyedHeapBackend | _BoundedHeapBackend":
         kind = self.strategy.score_kind
@@ -347,6 +364,11 @@ class ScheduledQueue:
         if type(self.strategy).score_and_bound is not Strategy.score_and_bound:
             return _BoundedHeapBackend(self.strategy, self._live)
         return _ScanBackend(self.strategy, self._live)  # full-rescan fallback
+
+    def _pick_prune_index(self) -> _PruneIndex | None:
+        if self.pruning is PruningPolicy.NONE:
+            return None
+        return _PruneIndex(self.pruning, self.epsilon, self.planning_delay_ms)
 
     @property
     def backend_name(self) -> str:

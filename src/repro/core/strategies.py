@@ -26,10 +26,13 @@ class QueueEntry:
 
     ``rows`` are the subscriptions reachable through this queue's neighbour
     that the message satisfies (fixed at enqueue time; the evaluation uses
-    a static subscription population, as in the paper).  ``arrays`` is the
-    vectorised view used by the metric kernels; the broker supplies it
-    pre-gathered from the subscription table's column arrays, and it is
-    built row by row only when a caller omits it.
+    a static subscription population, as in the paper); ``len(entry)`` is
+    their count, the (subscription, message) pairs the copy serves.
+    ``arrays`` is the vectorised view used by the metric kernels.  It is
+    gathered on first read — from the group's captured column snapshot,
+    which returns the same bytes at any later time — or built row by row
+    when ``rows`` is a plain list; a caller may also supply it.  An entry
+    sent alone before anything scores or prunes it is never gathered.
 
     ``rows`` may be given as a :class:`~repro.pubsub.subscription.RowGroup`,
     in which case the :class:`TableRow` objects materialise only when a
@@ -40,14 +43,15 @@ class QueueEntry:
 
     :meth:`plan` caches the entry's :class:`~repro.core.metrics.ScorePlan`.
     It is derived state: snapshots drop it and a restored entry rebuilds
-    it at its next decision.
+    it at its next decision.  Snapshots keep the gathered columns only if
+    something already read them.
 
     ``small_rows`` is the row count up to which the plan and the expiry
     readers of :mod:`repro.core.pruning` take their Python-float small
     form; the reference stack's entries set it to 0 (array form only).
     """
 
-    __slots__ = ("message", "enqueue_time", "seq", "arrays", "_rows", "_plan")
+    __slots__ = ("message", "enqueue_time", "seq", "_rows", "_arrays", "_plan")
 
     small_rows: int = SMALL_ROWS
 
@@ -64,22 +68,46 @@ class QueueEntry:
         self.seq = seq
         if not len(rows):
             raise ValueError("a queue entry must target at least one subscription")
-        self._rows = rows
-        if arrays is None:
-            arrays = rows.arrays if hasattr(rows, "arrays") else RowArrays.from_rows(rows)
-        elif len(arrays) != len(rows):
+        if arrays is not None and len(arrays) != len(rows):
             raise ValueError(
                 f"arrays/rows mismatch: {len(arrays)} != {len(rows)}"
             )
-        self.arrays = arrays
+        self._rows = rows
+        self._arrays = arrays
         self._plan: ScorePlan | None = None
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    @property
+    def arrays(self) -> RowArrays:
+        arrays = self._arrays
+        if arrays is None:
+            rows = self._rows
+            arrays = self._arrays = (
+                rows.arrays if isinstance(rows, RowGroup) else RowArrays.from_rows(rows)
+            )
+        return arrays
 
     @property
     def rows(self) -> list[TableRow]:
         rows = self._rows
         if type(rows) is not list:
+            self.arrays  # gather before the list replaces the group
             rows = self._rows = rows.rows
         return rows
+
+    def first_row(self) -> list[float]:
+        """The first row's ``[nn, mean, std, deadline, price]`` as Python
+        floats, read without gathering the entry's columns."""
+        rows = self._rows
+        if isinstance(rows, RowGroup):
+            return rows.first_row()
+        arrays = self.arrays
+        return [
+            float(column[0])
+            for column in (arrays.nn, arrays.mean, arrays.std, arrays.deadline, arrays.price)
+        ]
 
     def plan(self, processing_delay_ms: float) -> ScorePlan:
         """The entry's score plan for this ``PD`` (built on first use and
@@ -92,10 +120,10 @@ class QueueEntry:
         return plan
 
     def __getstate__(self) -> tuple:
-        return (self.message, self.enqueue_time, self.seq, self.arrays, self._rows)
+        return (self.message, self.enqueue_time, self.seq, self._arrays, self._rows)
 
     def __setstate__(self, state: tuple) -> None:
-        self.message, self.enqueue_time, self.seq, self.arrays, self._rows = state
+        self.message, self.enqueue_time, self.seq, self._arrays, self._rows = state
         self._plan = None
 
 

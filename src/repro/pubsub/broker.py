@@ -245,13 +245,10 @@ class Broker:
             # if this queue's strategy actually reads ``entry.rows``.
             if prof is not None:
                 t0 = perf_counter()
-            entry = self.entry_type(
-                message, group, enqueue_time=now, seq=self._seq,
-                arrays=group.arrays,
-            )
+            entry = self.entry_type(message, group, enqueue_time=now, seq=self._seq)
             self._seq += 1
             self.queues[neighbor].sched.push(entry)
-            self.faults.on_enqueue(len(entry.arrays))
+            self.faults.on_enqueue(len(entry))
             if prof is not None:
                 prof.add("enqueue", perf_counter() - t0)
             if self.trace is not None:
@@ -290,7 +287,7 @@ class Broker:
                     )
             self.metrics.on_prune(len(pruned))
             self.faults.on_prune(
-                len(pruned), sum(len(e.arrays) for e in pruned)
+                len(pruned), sum(len(e) for e in pruned)
             )
 
     def _try_send(self, neighbor: str) -> None:
@@ -317,7 +314,7 @@ class Broker:
             return
         ctx = self._context_for(queue)
         entry = queue.sched.pop_best(ctx)
-        self.faults.on_send(len(entry.arrays))
+        self.faults.on_send(len(entry))
         duration = queue.link.draw_transmission_time(entry.message.size_kb)
         queue.link.acquire()
         self.metrics.on_transmission()
@@ -375,7 +372,7 @@ class Broker:
                 broker=self.name,
                 neighbor=neighbor,
                 msg_id=entry.message.msg_id,
-                pairs=len(entry.arrays),
+                pairs=len(entry),
                 enqueue_ms=entry.enqueue_time,
                 dead_ms=now,
                 reason="link_down",

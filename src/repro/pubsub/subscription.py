@@ -266,6 +266,11 @@ class RowGroup:
             )
         return self._arrays
 
+    def first_row(self) -> list[float]:
+        """The first row's five columns ``[nn, mean, std, deadline,
+        price]`` as Python floats, without the :attr:`arrays` gather."""
+        return self._cols[0][:, self.row_ids[0]].tolist()
+
     @property
     def deadline(self) -> np.ndarray:
         """The group's deadline column alone (``inf`` = unspecified); the

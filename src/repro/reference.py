@@ -10,7 +10,8 @@ of their own, instead of the system-wide filter index and the per-source
 route plans; the per-delivery
 :class:`~repro.pubsub.metrics.MetricsCollector`, fed by the brokers,
 instead of the ledger that reduces the delivery log; a full rescan of each output queue (``Strategy.select``) instead
-of the incremental heaps (a lone entry scored too); and every score plan
+of the incremental heaps (a lone entry scored too) and a full scan of
+``should_prune`` instead of the prune index; and every score plan
 in numpy array form instead of the small entries' Python-float form.
 :class:`ReferenceSystem` is the production system with all four swapped
 in — by subclassing, overriding the component class attributes and the
@@ -27,6 +28,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.context import SchedulingContext
+from repro.core.pruning import should_prune
 from repro.core.queueing import ScheduledQueue, _ScanBackend
 from repro.core.strategies import QueueEntry
 from repro.pubsub.broker import Broker
@@ -54,10 +56,25 @@ class ReferenceEntry(QueueEntry):
 
 class ReferenceQueue(ScheduledQueue):
     """Every selection is a full rescan of the waiting entries — a lone
-    entry is scored too."""
+    entry is scored too — and every prune a full scan of the exact
+    predicate, with no side index."""
 
     def _pick_backend(self) -> _ScanBackend:
         return _ScanBackend(self.strategy, self._live)
+
+    def _pick_prune_index(self) -> None:
+        return None
+
+    def prune(self, now: float) -> list[QueueEntry]:
+        live = self._live
+        pruned = [
+            entry
+            for entry in live.values()
+            if should_prune(entry, now, self.planning_delay_ms, self.pruning, self.epsilon)
+        ]
+        for entry in pruned:
+            del live[entry.seq]
+        return pruned
 
     def pop_best(self, ctx: SchedulingContext) -> QueueEntry:
         return self._backend.pop_best(ctx)

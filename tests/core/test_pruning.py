@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.pruning import (
     DEFAULT_EPSILON,
@@ -12,8 +15,11 @@ from repro.core.pruning import (
     entry_is_expired,
     entry_is_hopeless,
     prune_horizon,
+    prune_horizon_floor,
     should_prune,
 )
+from repro.core.strategies import QueueEntry
+from repro.reference import ReferenceEntry
 from tests.core.helpers import make_entry, make_message, make_row
 
 
@@ -112,3 +118,79 @@ class TestPruneHorizon:
 
     def test_none_policy_is_never(self):
         assert prune_horizon(make_entry(), 2.0, PruningPolicy.NONE) == math.inf
+
+
+#: One row: dense (finite deadline, σ > 0) or not (no deadline, σ = 0).
+_ROW = st.builds(
+    dict,
+    deadline_ms=st.one_of(st.none(), st.floats(1_000.0, 90_000.0)),
+    nn=st.integers(1, 4),
+    mean=st.floats(5.0, 300.0),
+    variance=st.one_of(st.just(0.0), st.floats(1.0, 2_000.0)),
+)
+
+
+class TestPruneHorizonFloor:
+    """The prune index's key: the first row's own term of the horizon max."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        specs=st.one_of(
+            st.lists(_ROW, min_size=1, max_size=6),  # small form when dense
+            st.lists(_ROW, min_size=33, max_size=40),  # array form
+            st.lists(_ROW.filter(lambda r: r["deadline_ms"] is not None and r["variance"] > 0.0),
+                     min_size=1, max_size=40),  # dense
+        ),
+        publish_time=st.floats(-30_000.0, 30_000.0),
+        size_kb=st.floats(1.0, 120.0),
+        msg_deadline=st.one_of(st.none(), st.floats(5_000.0, 60_000.0)),  # PSD
+        policy=st.sampled_from([PruningPolicy.EXPIRED, PruningPolicy.PROBABILISTIC]),
+    )
+    def test_floor_is_a_row_term_bitwise_and_below_the_horizon(
+        self, specs, publish_time, size_kb, msg_deadline, policy
+    ):
+        message = make_message(publish_time=publish_time, size_kb=size_kb, deadline_ms=msg_deadline)
+        rows = [make_row(f"S{i}", **spec) for i, spec in enumerate(specs)]
+        for entry_type in (QueueEntry, ReferenceEntry):  # small and array form
+            term = prune_horizon(entry_type(message, rows[:1], 0.0, 0), 2.0, policy)
+            entry = entry_type(message, rows, 0.0, 0)
+            floor = prune_horizon_floor(entry, 2.0, policy)
+            assert entry._plan is None  # no score plan to compute it
+            assert floor.hex() == term.hex()  # the first row's own term
+            assert floor <= prune_horizon(entry, 2.0, policy)
+
+    @pytest.mark.parametrize("policy", [PruningPolicy.EXPIRED, PruningPolicy.PROBABILISTIC])
+    def test_floor_is_the_first_row_term_on_random_operands(self, policy):
+        """Hypothesis favours round floats, whose sums are exact; uniform
+        draws exercise the rounding an operation-order slip would change."""
+        rng = np.random.default_rng(7)
+        for _ in range(300):
+            message = make_message(
+                publish_time=rng.uniform(-30_000.0, 30_000.0),
+                size_kb=rng.uniform(1.0, 120.0),
+                deadline_ms=rng.uniform(5_000.0, 60_000.0) if rng.random() < 0.5 else None,
+            )
+            rows = [
+                make_row(f"S{i}", deadline_ms=rng.uniform(1_000.0, 90_000.0),
+                         nn=int(rng.integers(1, 5)), mean=rng.uniform(5.0, 300.0),
+                         variance=0.0 if rng.random() < 0.2 else rng.uniform(1.0, 2_000.0))
+                for i in range(int(rng.integers(1, 40)))
+            ]
+            pd = rng.uniform(0.5, 5.0)
+            for entry_type in (QueueEntry, ReferenceEntry):
+                term = prune_horizon(entry_type(message, rows[:1], 0.0, 0), pd, policy)
+                floor = prune_horizon_floor(entry_type(message, rows, 0.0, 0), pd, policy)
+                assert floor.hex() == term.hex()
+
+    def test_unbounded_first_row_is_never(self):
+        entry = make_entry(rows=[make_row(deadline_ms=None), make_row("S2")])
+        for policy in (PruningPolicy.EXPIRED, PruningPolicy.PROBABILISTIC):
+            assert prune_horizon_floor(entry, 2.0, policy) == math.inf
+            assert prune_horizon(entry, 2.0, policy) == math.inf
+
+    def test_epsilon_guards_match_the_horizon(self):
+        entry = make_entry(rows=[make_row(deadline_ms=None)])
+        assert prune_horizon_floor(entry, 2.0, PruningPolicy.PROBABILISTIC, 1.5) == -math.inf
+        with pytest.raises(ValueError):
+            prune_horizon_floor(entry, 2.0, PruningPolicy.PROBABILISTIC, epsilon=0.0)
+        assert prune_horizon_floor(entry, 2.0, PruningPolicy.NONE) == math.inf

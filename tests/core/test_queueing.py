@@ -294,6 +294,45 @@ def test_lone_entry_pops_unscored_and_clears_stale_records(name, params):
     assert not queue and not oracle
 
 
+def _expiring(seq: int, *deadlines: float | None) -> QueueEntry:
+    return build_entry(
+        {"publish_time": 0.0, "size_kb": 10.0, "msg_deadline": None,
+         "rows": [{"deadline_ms": dl, "price": 1.0, "nn": 1, "mean": 50.0,
+                   "variance": 100.0} for dl in deadlines]},
+        seq=seq,
+    )
+
+
+def test_prune_index_keys_on_the_first_row_and_refines_on_arrival():
+    """A record keyed on the first row's floor gets the full horizon when
+    the floor arrives: still ahead, it is re-keyed; ``inf``, it leaves."""
+    queue = ScheduledQueue(
+        make_strategy("fifo"), PruningPolicy.EXPIRED, DEFAULT_EPSILON, planning_delay_ms=2.0
+    )
+    later = _expiring(0, 1_000.0, 5_000.0)  # floor 1 s, horizon 5 s
+    never = _expiring(1, 2_000.0, None)  # floor 2 s, an unbounded pair
+    queue.push(later)
+    queue.push(never)
+    index = queue._prune_index._heap
+    assert sorted(index) == [(1_000.0 - 1e-6, 0, False), (2_000.0 - 1e-6, 1, False)]
+    assert queue.prune(3_000.0) == []
+    assert index == [(5_000.0 - 1e-6, 0, True)]
+    assert queue.prune(5_000.0) == []  # the boundary is still alive
+    assert queue.prune(5_001.0) == [later]
+    assert [e.seq for e in queue.entries()] == [1]
+
+
+@pytest.mark.parametrize("queue_type", [ScheduledQueue, ReferenceQueue])
+def test_epsilon_at_least_one_prunes_every_entry_at_once(queue_type):
+    """ε ≥ 1: every probability is below ε, so every entry — an unbounded
+    one too — is prunable from the start (horizon −inf)."""
+    queue = queue_type(make_strategy("eb"), PruningPolicy.PROBABILISTIC, 1.5, planning_delay_ms=2.0)
+    for seq, deadline in enumerate((30_000.0, None, 60_000.0)):
+        queue.push(_expiring(seq, deadline))
+    assert [e.seq for e in queue.prune(0.0)] == [0, 1, 2]
+    assert not queue
+
+
 # ---------------------------------------------------------------------- #
 # Structure and API.
 # ---------------------------------------------------------------------- #

@@ -4,7 +4,8 @@ The production stack (:class:`~repro.pubsub.system.PubSubSystem`: one
 filter index and per-source route plans, log-reducing ledger, incremental
 queues) and the reference stack (:class:`~repro.reference.ReferenceSystem`:
 per-table dict counting matchers, per-delivery collector, full-rescan
-queues), on one event kernel,
+queues that prune by a full scan of the exact predicate — no prune
+index), on one event kernel,
 must agree byte for byte — serialized figure data, delivery-log bytes,
 per-delivery callback streams, endpoint records, fault ledgers and
 windowed series — for every strategy in both scenarios, with the log

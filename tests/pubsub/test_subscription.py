@@ -273,6 +273,23 @@ class TestStaleGroups:
         assert group.price.tolist() == [3.0]
         assert group.subscribers == ["S1"]
 
+    def test_first_row_reads_the_snapshot_without_a_gather(self):
+        t = SubscriptionTable()
+        t.install(row(subscription=sub("S1", deadline=10_000.0, price=3.0), nn=3,
+                      rate=Normal(20.0, 16.0)))
+        t.install(row(subscription=sub("S2"), nn=1))
+        _, remote = t.match_grouped(msg())
+        group = remote["B2"]
+        t.uninstall("S1")
+        t.install(row(subscription=sub("S9", deadline=500.0, price=7.0), nn=1))
+        t.match_grouped(msg())
+        assert group.first_row() == [3.0, 20.0, 4.0, 10_000.0, 3.0]
+        assert group._arrays is None
+        arrays = group.arrays
+        assert group.first_row() == [
+            getattr(arrays, column)[0] for column in ("nn", "mean", "std", "deadline", "price")
+        ]
+
     def test_rows_first_read_after_a_mutation_raise(self):
         t = SubscriptionTable()
         t.install(row(subscription=sub("S1")))

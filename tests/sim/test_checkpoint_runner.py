@@ -248,6 +248,8 @@ class TestCheckpointedRun:
     def test_snapshot_drops_score_plans_and_resumes_identically(self, tmp_path):
         # Score plans are caches: a mid-congestion snapshot carries the
         # queued entries without them, and a resumed run rebuilds them.
+        # Plans are built on first need, so some entries hold one and
+        # some (not yet scored or pruned) do not.
         config = TINY.replace(strategy="ebpc", publishing_rate_per_min=30.0)
         system = build_system(config)
         schedule_workload(system, config)
@@ -259,7 +261,7 @@ class TestCheckpointedRun:
             for entry in queue.sched.entries()
         ]
         assert len(queued) > 10
-        assert all(entry._plan is not None for entry in queued)
+        assert any(entry._plan is not None for entry in queued)
         path, _, _ = save_run_checkpoint(system, config, tmp_path / "ck")
         names = {
             arg for _, arg, _ in pickletools.genops((path / "state.pkl").read_bytes())

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import json
 import re
 import shlex
 from pathlib import Path
@@ -238,3 +239,40 @@ class TestExecution:
         out = capsys.readouterr().out
         assert "[PASS] held" in out and "[FAIL] broken" in out
         assert "1/2 claims hold" in out
+
+
+class TestUnusableSnapshot:
+    """A snapshot that cannot be resumed exits 4 with one typed line on
+    stderr (3 is reserved for an interrupted run)."""
+
+    RUN = ["run", "--minutes", "0.5", "--rate", "2", "--seed", "7"]
+
+    def _snapshot(self, tmp_path: Path, capsys) -> Path:
+        root = tmp_path / "ck"
+        assert main([*self.RUN, "--checkpoint-every", "10",
+                     "--checkpoint-dir", str(root)]) == 0
+        capsys.readouterr()
+        return sorted(root.glob("ckpt-*"))[0]
+
+    def test_truncated_state_is_a_checkpoint_error(self, tmp_path, capsys):
+        snapshot = self._snapshot(tmp_path, capsys)
+        state = snapshot / "state.pkl"
+        data = state.read_bytes()
+        state.write_bytes(data[: len(data) // 2])
+        assert main([*self.RUN, "--resume", str(snapshot)]) == 4
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("CheckpointError: ")
+        assert "state.pkl" in err[0]
+
+    def test_code_fingerprint_mismatch_is_a_checkpoint_mismatch(self, tmp_path, capsys):
+        snapshot = self._snapshot(tmp_path, capsys)
+        manifest = snapshot / "MANIFEST.json"
+        meta = json.loads(manifest.read_text())
+        meta["code"] = "0" * 64
+        manifest.write_text(json.dumps(meta))
+        assert main([*self.RUN, "--resume", str(snapshot)]) == 4
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("CheckpointMismatch: ")
+        assert "code" in err[0]
