@@ -406,6 +406,44 @@ def test_core_metrics_eb_pair_form_sweep(benchmark):
     benchmark.extra_info["small_rows"] = SMALL_ROWS
 
 
+def test_core_metrics_class_plan(benchmark):
+    """``ScorePlan``'s class form: a 219-row EB entry whose rows share 8
+    operand classes (4 paths x 2 deadline/price tiers), scored at 50 clock
+    values with one ``erf`` per class.  The plan is built from the table
+    group's classes, without the five-column gather, and every score is
+    bit-equal to the array form's (the reference entry's plan)."""
+    table = SubscriptionTable()
+    rows = [
+        make_row(
+            f"S{i:03d}", deadline_ms=(30_000.0, 60_000.0)[i % 2], price=(2.0, 1.0)[i % 2],
+            nn=1 + i // 2 % 4, mean=40.0 + 15.0 * (i // 2 % 4), variance=90.0 + i // 2 % 4,
+        )
+        for i in range(219)
+    ]
+    table.install_many(block_of(table, rows))
+    message = make_message(publish_time=0.0)
+    group = table.match_grouped(message)[1]["B2"]
+    entry = QueueEntry(message, group, enqueue_time=0.0, seq=0)
+    plan = entry.plan(2.0)
+    assert len(entry) == 219 and plan.inv is not None and len(plan.small) == 8
+    assert group._arrays is None
+    array_form = ReferenceEntry(message, group, enqueue_time=0.0, seq=0).plan(2.0)
+    assert array_form.small is None
+    clocks = np.linspace(0.0, 60_000.0, 50).tolist()
+
+    def score() -> list[float]:
+        return [plan.expected_benefit(now) for now in clocks]
+
+    got = benchmark(score)
+    assert [eb.hex() for eb in got] == [array_form.expected_benefit(now).hex() for now in clocks]
+    benchmark.extra_info["rows"] = len(entry)
+    benchmark.extra_info["classes"] = len(plan.small)
+    benchmark.extra_info["us_per_eb_class_array"] = (
+        _us_per_call(lambda: plan.expected_benefit(30_000.0)),
+        _us_per_call(lambda: array_form.expected_benefit(30_000.0)),
+    )
+
+
 def test_pubsub_subscription_route_plan(benchmark):
     """``pubsub.subscription.match_s``: ``match_grouped`` replayed over the
     (table, message) pairs of a short ``paper-congested``-shaped run —

@@ -1,24 +1,28 @@
 """Vectorised ``math.erf`` for the array form of the scoring loop.
 
-Score plans of more than :data:`repro.core.metrics.SMALL_ROWS` rows (and
-the masked general form, :func:`repro.stats.normal.normal_cdf_vec`)
-bottom out in elementwise ``erf`` over z-score arrays; smaller dense
-plans call ``math.erf`` directly in a Python loop and never come here.
-Stock CPython has no vectorised ``math.erf``, so the implementation is a
-``np.frompyfunc`` wrapper — one Python call per element, bit-identical to
-a per-element loop (``tests/stats/test_fastpath.py``).
+Array-form score plans — entries with more than
+:data:`repro.core.metrics.SMALL_ROWS` distinct operand classes, or rows
+where no class ids are at hand, and non-dense entries through the masked
+general form, :func:`repro.stats.normal.normal_cdf_vec` — bottom out in
+elementwise ``erf`` over z-score arrays.  Dense plans of at most
+``SMALL_ROWS`` rows, or of more rows sharing at most ``SMALL_ROWS``
+classes, call ``math.erf`` directly in a Python loop, once per row or
+class, and never come here.  Stock CPython has no vectorised
+``math.erf``, so the implementation is a ``np.frompyfunc`` wrapper — one
+Python call per element, bit-identical to a per-element loop
+(``tests/stats/test_fastpath.py``).
 
 Saturated inputs are cut before the ufunc: ``math.erf(x)`` returns
 exactly ``±1.0`` for ``|x| >= 6`` (true ``erfc(6) ≈ 2.2e-17`` is under
 half an ulp of 1.0, so correctly-rounded and fdlibm-style implementations
 both round to 1).  That claim is *verified at import time* against this
 platform's libm; if any spot check disagrees the threshold collapses to
-``inf`` and every element goes through the ufunc.  Only entries above
-the small-form threshold (and non-dense ones) reach the cut: at paper
-scale most of their pair deadlines sit far in a distribution's tail, so
-it removes the bulk of their per-element calls without touching a single
-output bit.  The small form needs no cut, since the verified claim is
-exactly that ``math.erf`` itself returns ±1.0 there.
+``inf`` and every element goes through the ufunc.  Only array-form
+entries reach the cut: at paper scale most of their pair deadlines sit
+far in a distribution's tail, so it removes the bulk of their
+per-element calls without touching a single output bit.  The small and
+class forms need no cut, since the verified claim is exactly that
+``math.erf`` itself returns ±1.0 there.
 """
 
 from __future__ import annotations

@@ -22,7 +22,7 @@ from repro.core.success import (
     success_probability,
 )
 from repro.pubsub.message import Message
-from repro.pubsub.subscription import RowArrays, TableRow
+from repro.pubsub.subscription import OperandClasses, RowArrays, TableRow
 from repro.stats.normal import SQRT2, normal_cdf_vec
 
 
@@ -70,10 +70,12 @@ def ebpc_value(eb: float, pc: float, r: float) -> float:
 # ---------------------------------------------------------------------- #
 # Vectorised kernels: the score plan.
 # ---------------------------------------------------------------------- #
-#: Dense entries with at most this many rows take the plan's small form:
-#: per-row operands as Python floats, one ``math.erf`` call per element in
-#: a plain loop.  Below a few dozen rows numpy's per-call overhead, not
-#: arithmetic, is the cost; ``eb_pair`` breaks even at about 50 rows.
+#: Dense entries with at most this many rows — or, handed over as
+#: :class:`~repro.pubsub.subscription.OperandClasses`, at most this many
+#: distinct operand classes — take the plan's small form: operands as
+#: Python floats, one ``math.erf`` call per element in a plain loop.  Below
+#: a few dozen rows numpy's per-call overhead, not arithmetic, is the
+#: cost; ``eb_pair`` breaks even at about 50 rows.
 SMALL_ROWS = 32
 
 #: One small-form row: ``(adl, NN·PD, μ, σ·√2, σ)``.
@@ -96,23 +98,33 @@ class ScorePlan:
     ``small_rows`` rows takes the **small form**: ``small`` holds one
     :data:`SmallRow` of Python floats per row and every reader loops over
     it, calling ``math.erf`` directly (the array-form slots stay unset).
-    Otherwise the **array form** runs: the fused ``_dense_cdf`` for dense
-    plans, the masked general form of :func:`normal_cdf_vec` for the rest.
-    Every form keeps the scalar reference's per-element operation order
-    ``((adl − hdl) − extra) − NN_p·PD``, then ``/ size − μ``, then
-    ``/ σ√2``, and the price sums are ``np.dot`` in both (a Python or
-    segmented sum would not fold like BLAS ``ddot``), so results are
-    bit-identical across forms and to evaluating the rows one at a time.
+    The rows come as :class:`RowArrays` or, from a table group, as
+    :class:`~repro.pubsub.subscription.OperandClasses` whose columns are
+    the rows.  A dense plan of more rows given as operand classes with at
+    most ``small_rows`` columns takes the **class form**: the small form
+    over the class columns, with ``inv`` mapping each row to its class.  Its
+    probabilities are expanded by ``take`` before the ``np.dot`` with the
+    row prices, in the array form's memory layout, and ``max_success`` /
+    ``hopeless_horizon`` take the max over the classes, which hold the
+    same set of values as the rows.  Otherwise the **array form** runs:
+    the fused ``_dense_cdf`` for dense plans, the masked general form of
+    :func:`normal_cdf_vec` for the rest.  Every form keeps the scalar
+    reference's per-element operation order ``((adl − hdl) − extra) −
+    NN_p·PD``, then ``/ size − μ``, then ``/ σ√2``, and the price sums are
+    ``np.dot`` in all three (a Python or segmented sum would not fold like
+    BLAS ``ddot``); equal inputs give equal ``erf`` outputs, so results
+    are bit-identical across forms and to evaluating the rows one at a
+    time.
     """
 
     __slots__ = (
         "processing_delay_ms", "adl", "unbounded", "nn_pd", "mean", "std",
-        "std_sqrt2", "price", "size_kb", "publish_time", "dense", "small",
+        "std_sqrt2", "price", "size_kb", "publish_time", "dense", "small", "inv",
     )
 
     def __init__(
         self,
-        arrays: RowArrays,
+        arrays: RowArrays | OperandClasses,
         message: Message,
         processing_delay_ms: float,
         small_rows: int = SMALL_ROWS,
@@ -122,19 +134,24 @@ class ScorePlan:
         self.size_kb = message.size_kb
         self.publish_time = message.publish_time
         self.small: list[SmallRow] | None = None
-        if 0 < len(arrays) <= small_rows:
-            std_list: list[float] = arrays.std.tolist()
-            if any(std < 0.0 for std in std_list):
-                raise ValueError("std must be non-negative")
-            adl_list = effective_deadline_list(arrays.deadline, message)
-            if 0.0 not in std_list and not any(map(math.isinf, adl_list)):
+        self.inv: np.ndarray | None = None
+        if isinstance(arrays, OperandClasses):
+            ops = arrays.ops
+            if ops.shape[1] <= small_rows:
+                nn, mean, std = ops[:3].tolist()
+                self.small = self._small_rows(nn, mean, std, ops[3], message)
+                if self.small is not None:
+                    self.dense = True
+                    self.inv = arrays.inv
+                    return
+            arrays = arrays.expand()
+        elif 0 < len(arrays) <= small_rows:
+            self.small = self._small_rows(
+                arrays.nn.tolist(), arrays.mean.tolist(), arrays.std.tolist(),
+                arrays.deadline, message,
+            )
+            if self.small is not None:
                 self.dense = True
-                self.small = [
-                    (adl, nn * processing_delay_ms, mean, std * SQRT2, std)
-                    for adl, nn, mean, std in zip(
-                        adl_list, arrays.nn.tolist(), arrays.mean.tolist(), std_list
-                    )
-                ]
                 return
         std = arrays.std
         if (std < 0.0).any():
@@ -148,6 +165,26 @@ class ScorePlan:
         self.std = std
         self.std_sqrt2 = std * SQRT2
         self.dense = not (unbounded.any() or (std == 0.0).any())
+
+    def _small_rows(
+        self,
+        nn: list[float],
+        mean: list[float],
+        std: list[float],
+        deadline: np.ndarray,
+        message: Message,
+    ) -> list[SmallRow] | None:
+        """Small-form rows of these operand columns, or ``None`` unless
+        they are dense."""
+        if any(s < 0.0 for s in std):
+            raise ValueError("std must be non-negative")
+        adl_list = effective_deadline_list(deadline, message)
+        if 0.0 in std or any(map(math.isinf, adl_list)):
+            return None
+        pd = self.processing_delay_ms
+        return [
+            (adl, n * pd, m, s * SQRT2, s) for adl, n, m, s in zip(adl_list, nn, mean, std)
+        ]
 
     def _small_success(
         self, small: list[SmallRow], now: float, extra_delay_ms: float
@@ -176,7 +213,8 @@ class ScorePlan:
     def success(self, now: float, extra_delay_ms: float = 0.0) -> np.ndarray:
         """Per-row success probabilities; ``inf`` deadlines yield exactly 1."""
         if self.small is not None:
-            return np.array(self._small_success(self.small, now, extra_delay_ms))
+            probs = np.array(self._small_success(self.small, now, extra_delay_ms))
+            return probs if self.inv is None else probs.take(self.inv)
         hdl = now - self.publish_time
         if self.dense:
             z = self.adl - hdl
@@ -214,6 +252,9 @@ class ScorePlan:
                     (erf(((z - ft_ms - nn_pd) / size - mean) / std_sqrt2) + 1.0) * 0.5
                 )
             price = self.price
+            if self.inv is not None:
+                pair = np.array((base, postponed)).take(self.inv, axis=1)
+                return float(np.dot(pair[0], price)), float(np.dot(pair[1], price))
             return float(np.dot(base, price)), float(np.dot(postponed, price))
         if not self.dense:
             return self.expected_benefit(now), self.expected_benefit(now, ft_ms)

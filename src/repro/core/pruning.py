@@ -48,9 +48,9 @@ def entry_is_expired(entry: QueueEntry, now: float) -> bool:
     """True iff every (subscription, message) pair's deadline has passed."""
     hdl = entry.message.hdl(now)
     if _is_small(entry):
-        adl_list = effective_deadline_list(entry.arrays.deadline, entry.message)
+        adl_list = effective_deadline_list(entry.deadline, entry.message)
         return not any(hdl <= adl for adl in adl_list)
-    adl = effective_deadline_array(entry.arrays.deadline, entry.message)
+    adl = effective_deadline_array(entry.deadline, entry.message)
     return not bool(np.any(hdl <= adl))
 
 
@@ -128,11 +128,11 @@ def prune_horizon(
         # The baselines' queues never score, so no plan is built for them.
         publish_time = entry.message.publish_time
         if _is_small(entry):
-            adl_list = effective_deadline_list(entry.arrays.deadline, entry.message)
+            adl_list = effective_deadline_list(entry.deadline, entry.message)
             if any(map(math.isinf, adl_list)):
                 return math.inf  # an unbounded pair never expires
             return max(publish_time + adl for adl in adl_list)
-        adl = effective_deadline_array(entry.arrays.deadline, entry.message)
+        adl = effective_deadline_array(entry.deadline, entry.message)
         if np.any(np.isinf(adl)):
             return math.inf  # an unbounded pair never expires
         return float(np.max(publish_time + adl))

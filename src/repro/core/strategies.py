@@ -14,11 +14,13 @@ import math
 from abc import ABC, abstractmethod
 from typing import Sequence
 
+import numpy as np
+
 from repro.core.context import SchedulingContext
 from repro.core.metrics import SMALL_ROWS, ScorePlan, ebpc_value
 from repro.core.success import effective_deadline
 from repro.pubsub.message import Message
-from repro.pubsub.subscription import RowArrays, RowGroup, TableRow
+from repro.pubsub.subscription import OperandClasses, RowArrays, RowGroup, TableRow
 
 
 class QueueEntry:
@@ -44,11 +46,15 @@ class QueueEntry:
     :meth:`plan` caches the entry's :class:`~repro.core.metrics.ScorePlan`.
     It is derived state: snapshots drop it and a restored entry rebuilds
     it at its next decision.  Snapshots keep the gathered columns only if
-    something already read them.
+    something already read them.  A group hands the plan its operands by
+    column — its rows' own up to ``small_rows`` rows, its distinct operand
+    classes above that — instead of the five per-row columns, so an entry
+    scored in the small or class form is never gathered either.
 
-    ``small_rows`` is the row count up to which the plan and the expiry
-    readers of :mod:`repro.core.pruning` take their Python-float small
-    form; the reference stack's entries set it to 0 (array form only).
+    ``small_rows`` is the row (or operand class) count up to which the
+    plan and the expiry readers of :mod:`repro.core.pruning` take their
+    Python-float small form; the reference stack's entries set it to 0
+    (array form only).
     """
 
     __slots__ = ("message", "enqueue_time", "seq", "_rows", "_arrays", "_plan")
@@ -97,6 +103,15 @@ class QueueEntry:
             rows = self._rows = rows.rows
         return rows
 
+    @property
+    def deadline(self) -> np.ndarray:
+        """The rows' deadline column alone (``inf`` = unspecified): the
+        gathered columns' if present, else the group's one-column gather."""
+        arrays, rows = self._arrays, self._rows
+        if arrays is None and isinstance(rows, RowGroup):
+            return rows.deadline
+        return self.arrays.deadline
+
     def first_row(self) -> list[float]:
         """The first row's ``[nn, mean, std, deadline, price]`` as Python
         floats, read without gathering the entry's columns."""
@@ -114,8 +129,13 @@ class QueueEntry:
         again if a caller asks with a different ``PD``)."""
         plan = self._plan
         if plan is None or plan.processing_delay_ms != processing_delay_ms:
+            small_rows, rows = self.small_rows, self._rows
+            operands: RowArrays | OperandClasses | None = None
+            if small_rows and isinstance(rows, RowGroup):
+                operands = rows.classes(small_rows)
             plan = self._plan = ScorePlan(
-                self.arrays, self.message, processing_delay_ms, self.small_rows
+                self.arrays if operands is None else operands,
+                self.message, processing_delay_ms, small_rows,
             )
         return plan
 

@@ -142,9 +142,10 @@ class SubscriberIndex:
     row's subscription id *is* the id its delivery is logged under.  Ids
     are never reused: a subscriber who leaves and joins again gets a fresh
     one, as the log does.  Per id the index keeps the subscription, its
-    fid in :attr:`filters` (counted live until :meth:`discard`) and the
-    scoring columns, ``deadline`` (``inf`` = unspecified) and ``price``
-    (1.0 = unspecified); per live name, its id.
+    fid in :attr:`filters` (counted live until :meth:`discard`) and its
+    scoring tier, the interned ``(deadline, price)`` pair with ``inf`` /
+    1.0 for unspecified (the paper's SSD population has three tiers, PSD
+    one); per live name, its id.
     """
 
     def __init__(self, filters: FilterIndex | None = None) -> None:
@@ -154,8 +155,11 @@ class SubscriberIndex:
         #: subscriber name -> its live id.
         self.live: dict[str, int] = {}
         self._fid = GrowableArray(np.int64)
-        self._deadline = GrowableArray(np.float64)
-        self._price = GrowableArray(np.float64)
+        #: id -> tier id; tier id -> its ``(deadline, price)`` bit patterns
+        #: (interned by bits, so a tier's floats come back exactly).
+        self._tier = GrowableArray(np.int32)
+        self._tier_bits: list[tuple[int, int]] = []
+        self._tier_of: dict[tuple[int, int], int] = {}
         #: Rank of each id's name in sorted name order (lazily recomputed
         #: after :meth:`add`).
         self._rank = _EMPTY_IDS
@@ -167,16 +171,31 @@ class SubscriberIndex:
         """Register subscriptions whose names are not live; returns their ids."""
         first, n = len(self.subscriptions), len(subscriptions)
         self._fid.extend(self.filters.add([s.filter for s in subscriptions]))
-        self._deadline.extend(np.array(
+        deadline = np.array(
             [np.inf if s.deadline_ms is None else s.deadline_ms for s in subscriptions],
             dtype=np.float64,
-        ))
-        self._price.extend(np.array(
+        )
+        price = np.array(
             [1.0 if s.price is None else s.price for s in subscriptions], dtype=np.float64
-        ))
+        )
+        # The distinct (deadline, price) byte patterns, interned in order
+        # of first appearance.
+        pairs = np.stack((deadline, price), axis=1)
+        _, at, inv = np.unique(
+            pairs.view(np.dtype((np.void, 16))).ravel(), return_index=True, return_inverse=True
+        )
+        keys = list(map(tuple, pairs.view(np.int64)[at].tolist()))
+        for i in np.argsort(at).tolist():
+            _intern(keys[i], self._tier_of, self._tier_bits)
+        tier = np.array([self._tier_of[key] for key in keys], dtype=np.int32)
+        self._tier.extend(tier[inv.ravel()])
         self.subscriptions.extend(subscriptions)
         self.live.update(zip((s.subscriber for s in subscriptions), range(first, first + n)))
         return np.arange(first, first + n)
+
+    def tiers(self) -> np.ndarray:
+        """``(2, tiers)``: each tier's deadline and price."""
+        return np.array(self._tier_bits, dtype=np.int64).reshape(-1, 2).view(np.float64).T
 
     def discard(self, names: list[str]) -> None:
         """Unregister live names (their ids stay, their filters are uncounted)."""
@@ -216,9 +235,10 @@ class StaleRowGroupError(RuntimeError):
 class RowGroup:
     """A matched set of rows of one table, addressed by row-id array.
 
-    ``arrays`` gathers the table's column arrays by fancy index — no
-    per-row attribute access — and ``sub_ids`` are the rows' subscription
-    ids, which are the subscribers' delivery-log endpoint ids.
+    ``arrays`` gathers the rows' scoring operands by fancy index through
+    their operand classes — no per-row attribute access — :meth:`classes`
+    hands out the distinct ones alone, and ``sub_ids`` are the rows'
+    subscription ids, which are the subscribers' delivery-log endpoint ids.
     ``rows`` materialises the :class:`TableRow` objects lazily (the
     per-row scoring paths and queue entries need them; batched local
     delivery never does).  Groups are snapshots taken at match time: the
@@ -229,14 +249,15 @@ class RowGroup:
     step as the match); a first read later raises :class:`StaleRowGroupError`.
     """
 
-    __slots__ = ("row_ids", "_table", "_version", "_cols", "_arrays", "_rows",
+    __slots__ = ("row_ids", "_table", "_version", "_cols", "_cls", "_arrays", "_rows",
                  "_subscribers", "_deadline", "_price")
 
     def __init__(self, table: "SubscriptionTable", row_ids: np.ndarray) -> None:
         self.row_ids = row_ids
         self._table = table
         self._version = table._version
-        self._cols = (table._c_cols5, table._c_sub, table.index.subscriptions)
+        self._cols = table._c_cols
+        self._cls: np.ndarray | None = None
         self._arrays: RowArrays | None = None
         self._rows: list[TableRow] | None = None
         self._subscribers: list[str] | None = None
@@ -254,50 +275,77 @@ class RowGroup:
         return self._rows
 
     @property
+    def class_ids(self) -> np.ndarray:
+        """The rows' operand classes (columns of the captured operand
+        matrix), gathered once for every read below."""
+        if self._cls is None:
+            self._cls = self._cols[1].take(self.row_ids)
+        return self._cls
+
+    @property
     def arrays(self) -> "RowArrays":
         if self._arrays is None:
-            # Five 1-D gathers over the stacked matrix's contiguous row
-            # views (the generic 2-D advanced-indexing path is slower).
-            cols5 = self._cols[0]
-            ids = self.row_ids
+            # One take through the class ids for the operands the kernels
+            # read elementwise (rows of one matrix); the price column is a
+            # fresh array of its own, as ``np.dot`` reads it and BLAS
+            # ``ddot`` bits can move with a row view's alignment.
+            ops, cls = self._cols[0], self.class_ids
+            nn, mean, std, deadline = ops[:4].take(cls, axis=1)
             self._arrays = RowArrays(
-                nn=cols5[0][ids], mean=cols5[1][ids], std=cols5[2][ids],
-                deadline=cols5[3][ids], price=cols5[4][ids],
+                nn=nn, mean=mean, std=std, deadline=deadline, price=ops[4].take(cls)
             )
         return self._arrays
 
+    def classes(self, limit: int) -> OperandClasses | None:
+        """The group's operands for a scorer that evaluates each column
+        once: its rows' own, in one take, when there are at most
+        ``limit`` rows; else its distinct operand classes, or ``None``
+        when there are more than ``limit`` of those too.  A bool mask over
+        the table's classes finds them, so no per-entry sort."""
+        ops, cls = self._cols[0], self.class_ids
+        if len(cls) <= limit:
+            return OperandClasses(ops.take(cls, axis=1), None, self.price)
+        seen = np.zeros(ops.shape[1], dtype=bool)
+        seen[cls] = True
+        (present,) = seen.nonzero()
+        if len(present) > limit:
+            return None
+        local = np.empty(len(seen), dtype=np.intp)
+        local[present] = np.arange(len(present))
+        return OperandClasses(ops.take(present, axis=1), local.take(cls), self.price)
+
     def first_row(self) -> list[float]:
-        """The first row's five columns ``[nn, mean, std, deadline,
+        """The first row's five operands ``[nn, mean, std, deadline,
         price]`` as Python floats, without the :attr:`arrays` gather."""
-        return self._cols[0][:, self.row_ids[0]].tolist()
+        return self._cols[0][:, self._cols[1][self.row_ids[0]]].tolist()
 
     @property
     def deadline(self) -> np.ndarray:
         """The group's deadline column alone (``inf`` = unspecified); the
-        local-delivery path needs just this and ``price``, not the full
-        five-column :attr:`arrays` gather."""
+        local-delivery path and the expiry rule need just this (and
+        ``price``), not the full five-column :attr:`arrays` gather."""
         if self._deadline is None:
-            self._deadline = self._cols[0][3][self.row_ids]
+            self._deadline = self._cols[0][3].take(self.class_ids)
         return self._deadline
 
     @property
     def price(self) -> np.ndarray:
         """The group's price column alone (1.0 = unspecified)."""
         if self._price is None:
-            self._price = self._cols[0][4][self.row_ids]
+            self._price = self._cols[0][4].take(self.class_ids)
         return self._price
 
     @property
     def sub_ids(self) -> np.ndarray:
         """Subscription (= delivery-log endpoint) ids, one per row."""
-        return self._cols[1][self.row_ids]
+        return self._cols[2][self.row_ids]
 
     @property
     def subscribers(self) -> list[str]:
         """Subscriber names, one per row (the index is append-only, so
         the capture is a snapshot)."""
         if self._subscribers is None:
-            subs = self._cols[2]
+            subs = self._cols[3]
             self._subscribers = [subs[i].subscriber for i in self.sub_ids.tolist()]
         return self._subscribers
 
@@ -366,8 +414,17 @@ class SubscriptionTable:
         self._route_id_of: dict[Route, int] = {}
         #: Mutation counter: bumped on every install/uninstall.
         self._version = 0
-        # Compiled views: snapshots rebuilt lazily after install/uninstall.
+        self._reset_compiled()
+
+    def _reset_compiled(self) -> None:
+        """Compiled views: snapshots rebuilt lazily after install/uninstall.
+        Routes are append-only, so their interned operands (route id ->
+        operand id, and each operand's ``(nn, mean, variance)`` bits) are
+        only extended."""
         self._c_dirty = True
+        self._c_route_op = GrowableArray(np.int64)
+        self._c_op_of: dict[tuple[int, int, int], int] = {}
+        self._c_op_bits: list[tuple[int, int, int]] = []
 
     # ------------------------------------------------------------------ #
     # Mutation.
@@ -486,7 +543,7 @@ class SubscriptionTable:
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
-        self._c_dirty = True
+        self._reset_compiled()
 
     # ------------------------------------------------------------------ #
     # Lookup.
@@ -543,10 +600,6 @@ class SubscriptionTable:
             return
         routes, index = self._routes, self.index
         sid, route = self._sid.view(), self._route.view()
-        # Route columns: a few dozen distinct routes, gathered per row.
-        nn = np.array([r.nn for r in routes], dtype=np.float64)
-        mean = np.array([r.rate.mean for r in routes], dtype=np.float64)
-        std = np.sqrt(np.array([r.rate.variance for r in routes], dtype=np.float64))
         path = np.array([r.path_id for r in routes], dtype=np.int64)
         min_msg = np.array([r.min_msg_id for r in routes], dtype=np.int64)
         # Neighbor names by rank; local rows rank −1, below every name.
@@ -554,16 +607,12 @@ class SubscriptionTable:
         rank_of = {hop: i for i, hop in enumerate(by_rank)}
         hop = np.array([rank_of.get(r.next_hop, -1) for r in routes], dtype=np.int64)
         # Snapshot copies, one per column: groups handed out keep the
-        # views they captured while the storage is written in place.  The
-        # five scoring columns live as rows of one (5, n) matrix.
-        cols5 = np.empty((5, len(sid)))
-        cols5[0] = nn[route]
-        cols5[1] = mean[route]
-        cols5[2] = std[route]
-        cols5[3] = index._deadline.view()[sid]
-        cols5[4] = index._price.view()[sid]
-        self._c_cols5 = cols5
-        self._c_sub = sid.astype(np.int64)
+        # views they captured while the storage is written in place —
+        # the operand matrix, each row id's class and subscription id, and
+        # the (append-only) subscriptions.
+        self._c_cols = (
+            *self._operand_classes(routes, route, sid), sid.astype(np.int64), index.subscriptions
+        )
         self._c_hop_by_rank = by_rank
         # The live rows in output order: next-hop name rank (local first),
         # then canonical (subscriber, path_id) — one integer lexsort.
@@ -578,6 +627,50 @@ class SubscriptionTable:
         self._c_min_msg = min_msg[self._c_route]
         self._c_plans: dict[str, _RoutePlan] = {}
         self._c_dirty = False
+
+    def _operand_classes(
+        self, routes: list[Route], route: np.ndarray, sid: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``(ops, cls)``: the distinct scoring operands ``(nn, mean, std,
+        deadline, price)`` as the columns of one ``(5, classes)`` matrix,
+        and each row id's class (``intp``, the index type the group takes
+        read without a cast).
+
+        A row's operands are its route's ``(NN_p, μ_p, σ_p²)``, interned by
+        bit pattern (each route is read once, at the first compile after
+        its install), and its subscription's tier.  The key ``route
+        operands · tiers + tier`` is compacted by a bool mask and a running
+        count, not a sort, so classes are numbered in key order and their
+        floats are the routes' and tiers' own.
+        """
+        fresh = routes[len(self._c_route_op):]
+        if fresh:
+            bits = np.array(
+                [(r.nn, r.rate.mean, r.rate.variance) for r in fresh], dtype=np.float64
+            ).view(np.int64).tolist()
+            op_of, op_bits = self._c_op_of, self._c_op_bits
+            self._c_route_op.extend(np.array(
+                [_intern(tuple(key), op_of, op_bits) for key in bits], dtype=np.int64
+            ))
+        path_ops = np.array(self._c_op_bits, dtype=np.int64).reshape(-1, 3).view(np.float64)
+        tiers = self.index.tiers()
+        n_tiers = tiers.shape[1]
+        key = self._c_route_op.view().take(route)
+        key *= n_tiers
+        key += self.index._tier.view().take(sid)
+        seen = np.zeros(len(path_ops) * n_tiers, dtype=bool)
+        seen[key] = True
+        keys = np.flatnonzero(seen)
+        cls = np.cumsum(seen, dtype=np.intp).take(key)
+        cls -= 1
+        op, tier = np.divmod(keys, n_tiers)
+        ops = np.empty((5, len(keys)))
+        ops[0] = path_ops[op, 0]
+        ops[1] = path_ops[op, 1]
+        ops[2] = np.sqrt(path_ops[op, 2])
+        ops[3] = tiers[0][tier]
+        ops[4] = tiers[1][tier]
+        return ops, cls
 
     def _holding(self, source_broker: str) -> np.ndarray:
         """Mask over the live rows (output order) whose source set holds
@@ -687,6 +780,25 @@ class SubscriptionTable:
         """:meth:`match_grouped` per message, in order (the batch entry
         point the benchmark's layer tracer names)."""
         return [self.match_grouped(m) for m in messages]
+
+
+class OperandClasses(NamedTuple):
+    """A row set's scoring operands by column: row ``i``'s ``(nn, mean,
+    std, deadline, price)`` is ``ops[:, inv[i]]`` — one column per
+    distinct value — or ``ops[:, i]`` when ``inv`` is ``None``.  Every
+    column is some row's, so a max over the columns is the max over the
+    rows.  ``price`` is the rows' own price column."""
+
+    ops: np.ndarray
+    inv: np.ndarray | None
+    price: np.ndarray
+
+    def expand(self) -> "RowArrays":
+        """The per-row :class:`RowArrays` (the same floats)."""
+        ops, inv = self.ops, self.inv
+        if inv is not None:
+            ops = ops[:4].take(inv, axis=1)
+        return RowArrays(nn=ops[0], mean=ops[1], std=ops[2], deadline=ops[3], price=self.price)
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,9 @@ route plans; the per-delivery
 instead of the ledger that reduces the delivery log; a full rescan of each output queue (``Strategy.select``) instead
 of the incremental heaps (a lone entry scored too) and a full scan of
 ``should_prune`` instead of the prune index; and every score plan
-in numpy array form instead of the small entries' Python-float form.
+in numpy array form, over operands read row by row from the subscriptions
+and routes, instead of the small entries' Python-float form and the large
+entries' operand classes.
 :class:`ReferenceSystem` is the production system with all four swapped
 in — by subclassing, overriding the component class attributes and the
 few methods per layer where the oracle's interface differs.
@@ -37,6 +39,8 @@ from repro.pubsub.matching import CountingIndexMatcher
 from repro.pubsub.message import Message
 from repro.pubsub.metrics import MetricsCollector
 from repro.pubsub.subscription import (
+    OperandClasses,
+    RowArrays,
     RowGroup,
     SubscriberIndex,
     Subscription,
@@ -78,6 +82,30 @@ class ReferenceQueue(ScheduledQueue):
 
     def pop_best(self, ctx: SchedulingContext) -> QueueEntry:
         return self._backend.pop_best(ctx)
+
+
+class ReferenceRowGroup(RowGroup):
+    """A matched group whose scoring operands are read row by row from
+    its subscriptions and routes at match time, not through the table's
+    compiled operand classes, so the identity suite checks that compile
+    (route and tier interning across installs, the class remap) too."""
+
+    __slots__ = ()
+
+    def __init__(self, table: SubscriptionTable, row_ids: np.ndarray) -> None:
+        super().__init__(table, row_ids)
+        arrays = self._arrays = RowArrays.from_rows(table._materialise(row_ids))
+        self._deadline, self._price = arrays.deadline, arrays.price
+
+    def classes(self, limit: int) -> OperandClasses | None:
+        return None
+
+    def first_row(self) -> list[float]:
+        arrays = self.arrays
+        return [
+            float(column[0])
+            for column in (arrays.nn, arrays.mean, arrays.std, arrays.deadline, arrays.price)
+        ]
 
 
 class ReferenceTable(SubscriptionTable):
@@ -125,9 +153,10 @@ class ReferenceTable(SubscriptionTable):
             if (hop, name) not in seen:
                 seen.add((hop, name))
                 groups.setdefault(hop, []).append(i)
-        local = RowGroup(self, np.array(groups.pop(None, []), dtype=np.int64))
+        group = ReferenceRowGroup
+        local = group(self, np.array(groups.pop(None, []), dtype=np.int64))
         return local, {
-            hop: RowGroup(self, np.array(ids, dtype=np.int64)) for hop, ids in sorted(groups.items())
+            hop: group(self, np.array(ids, dtype=np.int64)) for hop, ids in sorted(groups.items())
         }
 
 

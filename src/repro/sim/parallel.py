@@ -7,14 +7,17 @@ with no coordination beyond deterministic reassembly — results come back
 in submission order regardless of which worker finished first, making
 ``--jobs N`` output byte-identical to a sequential run.
 
-An optional on-disk **point cache** keyed by a config fingerprint lets
-repeated sweeps (re-rendered figures, claim checks, benches at the same
-scale) skip finished points entirely; cached results are exact because
-:func:`~repro.sim.runner.run_simulation` is deterministic per config.
+An optional on-disk **point cache** keyed by a config fingerprint and
+the host's arithmetic fingerprint lets repeated sweeps (re-rendered
+figures, claim checks, benches at the same scale) skip finished points
+entirely; cached results are exact because
+:func:`~repro.sim.runner.run_simulation` is deterministic per config on
+one (libm, BLAS) pair.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import time
@@ -24,6 +27,7 @@ from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 from typing import Sequence
 
+from repro.core.checkpoint import arithmetic_fingerprint
 from repro.sim.config import SimulationConfig, config_fingerprint
 from repro.sim.io import result_from_dict, result_to_dict
 from repro.sim.results import SimulationResult
@@ -39,7 +43,10 @@ __all__ = [
 ]
 
 class PointCache:
-    """One JSON file per finished simulation point, keyed by fingerprint."""
+    """One JSON file per finished simulation point, keyed by the config
+    fingerprint and the arithmetic one: a point computed on another libm
+    or BLAS build (whose ``erf`` / ``ddot`` bits may differ, and with them
+    queue decisions) is a miss, not a reuse."""
 
     #: Orphaned ``*.tmp`` files older than this are swept on open; younger
     #: ones may belong to a concurrent sweep's in-flight write (unlinking
@@ -67,7 +74,9 @@ class PointCache:
                 pass  # already gone, or unreadable — never abort a sweep
 
     def _path(self, config: SimulationConfig) -> Path:
-        return self.root / f"{config_fingerprint(config)}.json"
+        arithmetic = json.dumps(arithmetic_fingerprint(), sort_keys=True).encode()
+        host = hashlib.sha256(arithmetic).hexdigest()[:16]
+        return self.root / f"{config_fingerprint(config)}-{host}.json"
 
     def get(self, config: SimulationConfig) -> SimulationResult | None:
         path = self._path(config)

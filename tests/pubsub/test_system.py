@@ -222,9 +222,11 @@ class TestBatches:
 def test_a_build_retains_at_most_300_bytes_per_table_row():
     """A table row is two ints (subscription id, route id) plus its share
     of the compiled views: the subscription is interned once per system,
-    the route once per table.  Counted, not timed: tracemalloc's retained
-    bytes over ``subscribe_all`` + ``warm`` repeat exactly (182 B/row on
-    this build; per-table row records and name interning retained 417)."""
+    the route once per table, and the five scoring operands once per
+    operand class (an ``intp`` class id per row).  Counted, not timed:
+    tracemalloc's retained bytes over ``subscribe_all`` + ``warm`` repeat
+    exactly (152 B/row on this build; 182 with a float64 operand matrix
+    per row, 417 with per-table row records and name interning)."""
     spec = ScaleScenarioSpec(name="footprint", subscribers=2_000)
     system = build_system(
         scale_config(spec, minutes=0.5), subscription_builder=lambda rng, topology: []

@@ -69,19 +69,36 @@ class TestPointCache:
         assert cache.get(TINY) == result
         assert len(cache) == 1
 
+    def test_a_point_cached_on_other_arithmetic_misses(self, tmp_path, monkeypatch):
+        """The key holds the arithmetic fingerprint: a point computed where
+        ``erf`` / ``ddot`` give other bits is recomputed, and the same
+        fingerprint hits again."""
+        cache = PointCache(tmp_path)
+        result = run_simulation(TINY)
+        cache.put(TINY, result)
+        here = parallel.arithmetic_fingerprint()
+        foreign = {**here, "probes": "0" * 64}
+        monkeypatch.setattr(parallel, "arithmetic_fingerprint", lambda: dict(foreign))
+        assert cache.get(TINY) is None
+        cache.put(TINY, result)
+        assert cache.get(TINY) == result
+        assert len(cache) == 2
+        monkeypatch.setattr(parallel, "arithmetic_fingerprint", lambda: dict(here))
+        assert cache.get(TINY) == result
+
     def test_corrupt_entry_recomputed(self, tmp_path):
         cache = PointCache(tmp_path)
-        (tmp_path / f"{config_fingerprint(TINY)}.json").write_text("{not json")
+        (cache._path(TINY)).write_text("{not json")
         assert cache.get(TINY) is None
 
     def test_valid_json_non_object_entry_recomputed(self, tmp_path):
         cache = PointCache(tmp_path)
-        (tmp_path / f"{config_fingerprint(TINY)}.json").write_text("5")
+        (cache._path(TINY)).write_text("5")
         assert cache.get(TINY) is None
 
     def test_stale_schema_entry_recomputed(self, tmp_path):
         cache = PointCache(tmp_path)
-        (tmp_path / f"{config_fingerprint(TINY)}.json").write_text(
+        (cache._path(TINY)).write_text(
             json.dumps({"strategy": "eb"})  # missing every other field
         )
         assert cache.get(TINY) is None
@@ -91,7 +108,7 @@ class TestPointCache:
         a full disk) must be a cache miss AND be removed, so neither this
         sweep nor a later one trips over it again."""
         cache = PointCache(tmp_path)
-        path = tmp_path / f"{config_fingerprint(TINY)}.json"
+        path = cache._path(TINY)
         path.write_text('{"strategy": "eb", "scenario"')  # torn mid-write
         assert cache.get(TINY) is None
         assert not path.exists()
@@ -102,7 +119,7 @@ class TestPointCache:
 
     def test_undecodable_bytes_entry_is_a_miss(self, tmp_path):
         cache = PointCache(tmp_path)
-        path = tmp_path / f"{config_fingerprint(TINY)}.json"
+        path = cache._path(TINY)
         path.write_bytes(b"\xff\xfe\x00garbage\x80")  # not valid UTF-8
         assert cache.get(TINY) is None
         assert not path.exists()
@@ -111,7 +128,7 @@ class TestPointCache:
         """An OSError while reading (NFS hiccup, permissions) is a miss,
         not a sweep abort."""
         cache = PointCache(tmp_path)
-        path = tmp_path / f"{config_fingerprint(TINY)}.json"
+        path = cache._path(TINY)
         path.write_text("{}")
         real_read = Path.read_text
 
@@ -311,7 +328,7 @@ class TestBrokenPoolRecovery:
 
         cache = PointCache(tmp_path / "cache")
         good, bad = TINY.replace(seed=0), TINY.replace(seed=1)
-        good_entry = cache.root / f"{config_fingerprint(good)}.json"
+        good_entry = cache._path(good)
 
         def crash_after_good(config):
             if config.seed == 1:
