@@ -18,7 +18,7 @@ import pytest
 
 from repro.analysis.latency import latency_stats
 from repro.analysis.revenue import revenue_by_tier
-from repro.core.metrics import SMALL_ROWS, ScorePlan, expected_benefit, expected_benefit_vec
+from repro.core.metrics import SMALL_ROWS, ScorePlan, expected_benefit
 from repro.core.pruning import DEFAULT_EPSILON, PruningPolicy, prune_horizon
 from repro.core.queueing import ScheduledQueue
 from repro.core.registry import STRATEGY_NAMES, make_strategy
@@ -28,7 +28,7 @@ from repro.experiments.scale import build_scale_system, scale_config
 from repro.network.routing import compute_sink_tree
 from repro.network.topology import LayeredMeshSpec, build_layered_mesh
 from repro.pubsub.client import DeliveryLog
-from repro.pubsub.matching import BruteForceMatcher, CountingIndexMatcher
+from repro.pubsub.matching import FilterIndex
 from repro.pubsub.message import Message
 from repro.pubsub.metrics import LedgerMetricsCollector, MetricsCollector
 from repro.pubsub.subscription import RowArrays, SubscriptionTable
@@ -60,14 +60,21 @@ DRAIN_QUEUE_DEPTH = 500
 
 def _build_matchers():
     rng = np.random.default_rng(0)
-    filters = [(f"s{i}", random_conjunctive_filter(rng)) for i in range(N_SUBSCRIPTIONS)]
-    brute = BruteForceMatcher()
-    index = CountingIndexMatcher()
-    for key, f in filters:
-        brute.add(key, f)
-        index.add(key, f)
+    filters = [random_conjunctive_filter(rng) for _ in range(N_SUBSCRIPTIONS)]
+    index = FilterIndex()
+    index.add(filters)
+    index.warm()
     messages = [random_attributes(rng) for _ in range(100)]
-    return brute, index, messages
+    # The predicate scan is the reference stack's matcher: both agree.
+    for attributes in messages:
+        hits = [f.matches(attributes) for f in filters]
+        assert index.interested(_probe(attributes)) == sum(hits)
+    return filters, index, messages
+
+
+def _probe(attributes) -> Message:
+    """A fresh message, so no cached verdict is reused."""
+    return Message(0, "P1", "B1", attributes, 5.0, 0.0)
 
 
 @pytest.fixture(scope="module")
@@ -76,26 +83,29 @@ def matchers():
 
 
 def test_match_brute_force_1k_subs(benchmark, matchers):
-    brute, _, messages = matchers
-    benchmark(lambda: [brute.match(m) for m in messages])
+    """Every filter's own predicate, as the reference stack matches."""
+    filters, _, messages = matchers
+    benchmark(lambda: [[f.matches(m) for f in filters] for m in messages])
 
 
 def test_match_counting_index_1k_subs(benchmark, matchers):
+    """The filter index's verdicts, once per publication, as production matches."""
     _, index, messages = matchers
-    benchmark(lambda: [index.match(m) for m in messages])
+    benchmark(lambda: [index.verdicts(_probe(m)) for m in messages])
 
 
 @pytest.fixture(scope="module")
 def index_filters():
     rng = np.random.default_rng(1)
-    return [(f"s{i}", random_conjunctive_filter(rng)) for i in range(N_SUBSCRIPTIONS)]
+    return [random_conjunctive_filter(rng) for _ in range(N_SUBSCRIPTIONS)]
 
 
 def test_counting_index_build_incremental(benchmark, index_filters):
     def build():
-        index = CountingIndexMatcher()
-        for key, f in index_filters:
-            index.add(key, f)
+        index = FilterIndex()
+        for f in index_filters:
+            index.add([f])
+        index.warm()
         return index
 
     benchmark(build)
@@ -103,8 +113,9 @@ def test_counting_index_build_incremental(benchmark, index_filters):
 
 def test_counting_index_build_bulk(benchmark, index_filters):
     def build():
-        index = CountingIndexMatcher()
-        index.add_many(index_filters)
+        index = FilterIndex()
+        index.add(index_filters)
+        index.warm()
         return index
 
     benchmark(build)
@@ -127,7 +138,7 @@ def test_eb_scalar_40_rows(benchmark, entry_rows):
 def test_eb_vectorised_40_rows(benchmark, entry_rows):
     msg = make_message()
     arrays = RowArrays.from_rows(entry_rows)
-    benchmark(lambda: expected_benefit_vec(arrays, msg, 5_000.0, 2.0))
+    benchmark(lambda: ScorePlan(arrays, msg, 2.0).expected_benefit(5_000.0))
 
 
 def test_normal_cdf_vec_kernel(benchmark):
@@ -449,7 +460,7 @@ def test_pubsub_subscription_route_plan(benchmark):
     (table, message) pairs of a short ``paper-congested``-shaped run —
     the message's filter verdicts cached at publish time, one route-plan
     gather per broker — and checked against the reference table's groups
-    and order (per-table dict matcher, rows grouped one by one)."""
+    and order (filter predicates tested per row, rows grouped one by one)."""
     config = SimulationConfig(
         seed=1, scenario=Scenario.SSD, publishing_rate_per_min=20.0,
         duration_ms=60_000.0, grace_ms=20_000.0, strategy="ebpc",

@@ -138,7 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument(
         "--reference", action="store_true",
-        help="run the reference stack (per-event kernel, dict matcher, per-delivery "
+        help="run the reference stack (filter predicates tested per row, per-delivery "
              "collector, full-rescan queues): the same numbers, the slow way",
     )
     _add_profile_args(p)

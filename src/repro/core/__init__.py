@@ -16,13 +16,7 @@ Section 5 of Wang et al. (ICPP 2006), implemented exactly:
 """
 
 from repro.core.context import SchedulingContext
-from repro.core.metrics import (
-    ebpc_value,
-    expected_benefit,
-    expected_benefit_vec,
-    postponing_cost,
-    postponing_cost_vec,
-)
+from repro.core.metrics import ebpc_value, expected_benefit, postponing_cost
 from repro.core.pruning import PruningPolicy, entry_is_hopeless
 from repro.core.registry import STRATEGY_NAMES, make_strategy
 from repro.core.strategies import (
@@ -42,9 +36,7 @@ __all__ = [
     "fdl_distribution",
     "effective_deadline",
     "expected_benefit",
-    "expected_benefit_vec",
     "postponing_cost",
-    "postponing_cost_vec",
     "ebpc_value",
     "Strategy",
     "QueueEntry",

@@ -3,9 +3,8 @@
 Scalar forms (`expected_benefit`, `postponing_cost`) are the readable
 reference implementation; :class:`ScorePlan` evaluates one queue entry's
 whole subscription set — on Python floats for small entries, with numpy
-for large ones — and is what the broker hot path uses (the ``*_vec``
-functions are its one-shot form).  Property tests assert
-scalar/vector agreement.
+for large ones — and is what the broker hot path uses.  Property tests
+assert scalar/vector agreement.
 """
 
 from __future__ import annotations
@@ -91,7 +90,7 @@ class ScorePlan:
     so these are derived once (:meth:`repro.core.strategies.QueueEntry.plan`
     caches the plan) and each decision only does the arithmetic that moves
     with the clock.  This is the single place the vector kernels derive
-    their operands: the ``*_vec`` functions below build a throwaway plan.
+    their operands.
 
     ``dense`` is a property of the input — every pair has a finite
     deadline and a non-degenerate rate.  A dense plan of 1 to
@@ -295,56 +294,3 @@ class ScorePlan:
             ramp = np.where(self.std == 0.0, self.mean, ramp)
         return float(np.max(publish_time + self.adl - self.nn_pd - size * ramp))
 
-
-def success_vec(
-    arrays: RowArrays,
-    message: Message,
-    now: float,
-    processing_delay_ms: float,
-    extra_delay_ms: float = 0.0,
-) -> np.ndarray:
-    """Per-row success probabilities; ``inf`` deadlines yield exactly 1."""
-    return ScorePlan(arrays, message, processing_delay_ms).success(now, extra_delay_ms)
-
-
-def expected_benefit_vec(
-    arrays: RowArrays,
-    message: Message,
-    now: float,
-    processing_delay_ms: float,
-    extra_delay_ms: float = 0.0,
-) -> float:
-    plan = ScorePlan(arrays, message, processing_delay_ms)
-    return plan.expected_benefit(now, extra_delay_ms)
-
-
-def eb_pair_vec(
-    arrays: RowArrays,
-    message: Message,
-    now: float,
-    processing_delay_ms: float,
-    ft_ms: float,
-) -> tuple[float, float]:
-    """``(EB, EB′)`` for one row set (see :meth:`ScorePlan.eb_pair`)."""
-    return ScorePlan(arrays, message, processing_delay_ms).eb_pair(now, ft_ms)
-
-
-def postponing_cost_vec(
-    arrays: RowArrays,
-    message: Message,
-    now: float,
-    processing_delay_ms: float,
-    ft_ms: float,
-) -> float:
-    eb, eb_postponed = eb_pair_vec(arrays, message, now, processing_delay_ms, ft_ms)
-    return eb - eb_postponed
-
-
-def max_success_vec(
-    arrays: RowArrays,
-    message: Message,
-    now: float,
-    processing_delay_ms: float,
-) -> float:
-    """Highest per-row success probability — the pruning test input."""
-    return ScorePlan(arrays, message, processing_delay_ms).max_success(now)

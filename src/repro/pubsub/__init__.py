@@ -7,8 +7,9 @@ Everything a broker overlay needs below the scheduling layer:
   optional publisher-specified deadline.
 * :mod:`~repro.pubsub.filters` — the subscription filter language
   (comparison predicates, conjunction, disjunction) with a small parser.
-* :mod:`~repro.pubsub.matching` — matching engines: a brute-force oracle
-  and a counting-index engine for conjunctive filters.
+* :mod:`~repro.pubsub.matching` — the system-wide filter index: each
+  publication matched once against every live filter, by a counting
+  index over filter ids.
 * :mod:`~repro.pubsub.subscription` — subscriptions and the per-broker
   subscription table with the paper's row format
   ``(subscriber, filter, dl, pr, nb, NN_p, μ_p, σ_p²)``.
@@ -27,7 +28,6 @@ circular import.
 """
 
 from repro.pubsub.filters import AndFilter, Filter, OrFilter, Predicate, parse_filter
-from repro.pubsub.matching import BruteForceMatcher, CountingIndexMatcher, MatchingEngine
 from repro.pubsub.message import Message
 from repro.pubsub.metrics import MetricsCollector
 from repro.pubsub.subscription import Subscription, SubscriptionTable, TableRow
@@ -39,9 +39,6 @@ __all__ = [
     "AndFilter",
     "OrFilter",
     "parse_filter",
-    "MatchingEngine",
-    "BruteForceMatcher",
-    "CountingIndexMatcher",
     "Subscription",
     "TableRow",
     "SubscriptionTable",

@@ -149,8 +149,8 @@ def parse_filter(text: str) -> Filter:
 def conjunction_predicates(f: Filter) -> tuple[Predicate, ...] | None:
     """The predicate list if ``f`` is a pure conjunction, else ``None``.
 
-    The counting-index matcher only indexes pure conjunctions; everything
-    else falls back to brute-force evaluation.
+    The counting matcher only indexes pure conjunctions; everything else
+    is tested one by one.
     """
     if isinstance(f, Predicate):
         return (f,)

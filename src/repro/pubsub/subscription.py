@@ -155,11 +155,10 @@ class SubscriberIndex:
         #: subscriber name -> its live id.
         self.live: dict[str, int] = {}
         self._fid = GrowableArray(np.int64)
-        #: id -> tier id; tier id -> its ``(deadline, price)`` bit patterns
+        #: id -> tier id; a tier's ``(deadline, price)`` bytes -> tier id
         #: (interned by bits, so a tier's floats come back exactly).
         self._tier = GrowableArray(np.int32)
-        self._tier_bits: list[tuple[int, int]] = []
-        self._tier_of: dict[tuple[int, int], int] = {}
+        self._tier_of: dict[bytes, int] = {}
         #: Rank of each id's name in sorted name order (lazily recomputed
         #: after :meth:`add`).
         self._rank = _EMPTY_IDS
@@ -178,24 +177,21 @@ class SubscriberIndex:
         price = np.array(
             [1.0 if s.price is None else s.price for s in subscriptions], dtype=np.float64
         )
-        # The distinct (deadline, price) byte patterns, interned in order
-        # of first appearance.
-        pairs = np.stack((deadline, price), axis=1)
-        _, at, inv = np.unique(
-            pairs.view(np.dtype((np.void, 16))).ravel(), return_index=True, return_inverse=True
-        )
-        keys = list(map(tuple, pairs.view(np.int64)[at].tolist()))
-        for i in np.argsort(at).tolist():
-            _intern(keys[i], self._tier_of, self._tier_bits)
-        tier = np.array([self._tier_of[key] for key in keys], dtype=np.int32)
-        self._tier.extend(tier[inv.ravel()])
+        # Each (deadline, price) pair's 16-byte pattern is its tier key;
+        # one dict pass interns the batch's new ones in order of first
+        # appearance (a tier id is its key's position in ``_tier_of``).
+        keys = np.stack((deadline, price), axis=1).view(np.dtype((np.void, 16))).ravel().tolist()
+        tier_of = self._tier_of
+        for key in dict.fromkeys(keys):
+            tier_of.setdefault(key, len(tier_of))
+        self._tier.extend(np.fromiter(map(tier_of.__getitem__, keys), dtype=np.int32, count=n))
         self.subscriptions.extend(subscriptions)
         self.live.update(zip((s.subscriber for s in subscriptions), range(first, first + n)))
         return np.arange(first, first + n)
 
     def tiers(self) -> np.ndarray:
         """``(2, tiers)``: each tier's deadline and price."""
-        return np.array(self._tier_bits, dtype=np.int64).reshape(-1, 2).view(np.float64).T
+        return np.frombuffer(b"".join(self._tier_of), dtype=np.float64).reshape(-1, 2).T
 
     def discard(self, names: list[str]) -> None:
         """Unregister live names (their ids stay, their filters are uncounted)."""
@@ -429,12 +425,6 @@ class SubscriptionTable:
     # ------------------------------------------------------------------ #
     # Mutation.
     # ------------------------------------------------------------------ #
-    def _rows_added(self, row_ids: np.ndarray) -> None:
-        """Hook: rows were written (the reference table indexes them)."""
-
-    def _rows_removed(self, row_ids: np.ndarray) -> None:
-        """Hook: rows were freed (the reference table unindexes them)."""
-
     def _rows_of(self, flagged: np.ndarray) -> np.ndarray:
         """The live rows whose subscription id is flagged (bool per id)."""
         return np.flatnonzero(self._alive.view() & flagged[self._sid.view()])
@@ -493,7 +483,6 @@ class SubscriptionTable:
         self._sid.at_least(size)[row_ids] = sids
         self._route.at_least(size)[row_ids] = route
         self._alive.at_least(size)[row_ids] = True
-        self._rows_added(row_ids)
         self._c_dirty = True
         self._version += n
 
@@ -529,7 +518,6 @@ class SubscriptionTable:
             return
         self._version += int(np.count_nonzero(self._flags(self._sid.view()[rows])))
         self._alive.view()[rows] = False
-        self._rows_removed(rows)
         self._free_ids = sorted(self._free_ids + rows.tolist(), reverse=True)
         self._c_dirty = True
 

@@ -3,11 +3,10 @@
 Both stacks run one event kernel, :meth:`~repro.des.simulator.Simulator.run`.
 Every other fast layer of the production stack
 (:class:`~repro.pubsub.system.PubSubSystem`) has a straightforward
-counterpart kept in ``src/``: per-table dict-based
-:class:`~repro.pubsub.matching.CountingIndexMatcher` indexes keyed by row
-id, rows filtered, sorted and grouped one by one, and a population count
-of their own, instead of the system-wide filter index and the per-source
-route plans; the per-delivery
+counterpart kept in ``src/``: every live row's and every live
+subscription's own filter predicate tested at match time, rows filtered,
+sorted and grouped one by one, instead of the system-wide filter index and
+the per-source route plans; the per-delivery
 :class:`~repro.pubsub.metrics.MetricsCollector`, fed by the brokers,
 instead of the ledger that reduces the delivery log; a full rescan of each output queue (``Strategy.select``) instead
 of the incremental heaps (a lone entry scored too) and a full scan of
@@ -34,16 +33,12 @@ from repro.core.pruning import should_prune
 from repro.core.queueing import ScheduledQueue, _ScanBackend
 from repro.core.strategies import QueueEntry
 from repro.pubsub.broker import Broker
-from repro.pubsub.client import SubscriberHandle
-from repro.pubsub.matching import CountingIndexMatcher
 from repro.pubsub.message import Message
 from repro.pubsub.metrics import MetricsCollector
 from repro.pubsub.subscription import (
     OperandClasses,
     RowArrays,
     RowGroup,
-    SubscriberIndex,
-    Subscription,
     SubscriptionTable,
     TableRow,
 )
@@ -109,37 +104,22 @@ class ReferenceRowGroup(RowGroup):
 
 
 class ReferenceTable(SubscriptionTable):
-    """Rows matched by the dict counting matcher, keyed by row id, and
+    """Rows matched by testing each live row's filter predicate, and
     filtered, ordered, deduplicated and grouped row by row."""
 
-    matcher_type = CountingIndexMatcher
-
-    def __init__(self, index: SubscriberIndex | None = None) -> None:
-        super().__init__(index)
-        self._matcher = self.matcher_type()
-
-    def _rows_added(self, row_ids: np.ndarray) -> None:
-        subs = self.index.subscriptions
-        self._matcher.add_many(
-            (i, subs[sid].filter)
-            for i, sid in zip(row_ids.tolist(), self._sid.view()[row_ids].tolist())
-        )
-
-    def _rows_removed(self, row_ids: np.ndarray) -> None:
-        self._matcher.remove_many(row_ids.tolist())
-
     def _matched(self, message: Message) -> list[tuple[str, int, int, str | None]]:
-        """``(subscriber, path_id, row id, next hop)`` of every row whose
-        filter matches, whose sources hold the origin broker and whose
-        epoch admits the message, sorted."""
-        ids = sorted(self._matcher.match(message.attributes))
-        subs, routes = self.index.subscriptions, self._routes
-        rows = zip(ids, self._sid.view()[ids].tolist(), self._route.view()[ids].tolist())
+        """``(subscriber, path_id, row id, next hop)`` of every live row
+        whose filter the message satisfies, whose sources hold the origin
+        broker and whose epoch admits the message, sorted."""
+        ids = np.flatnonzero(self._alive.view())
+        subs, routes, attributes = self.index.subscriptions, self._routes, message.attributes
+        rows = zip(ids.tolist(), self._sid.view()[ids].tolist(), self._route.view()[ids].tolist())
         return sorted(
             (subs[sid].subscriber, routes[r].path_id, i, routes[r].next_hop)
             for i, sid, r in rows
             if routes[r].min_msg_id <= message.msg_id
             and message.source_broker in routes[r].sources
+            and subs[sid].filter.matches(attributes)
         )
 
     def match(self, message: Message) -> list[TableRow]:
@@ -180,25 +160,12 @@ class ReferenceBroker(Broker):
 
 class ReferenceSystem(PubSubSystem):
     """The production system on the oracles, with the interested
-    population counted by its own matcher, keyed by subscriber."""
+    population counted by testing each live subscription's filter."""
 
     broker_type = ReferenceBroker
-    matcher_type = CountingIndexMatcher
     metrics_type = MetricsCollector
 
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self._population = self.matcher_type()
-
-    def _register(self, subscriptions: list[Subscription]) -> np.ndarray:
-        sids = super()._register(subscriptions)
-        self._population.add_many([(s.subscriber, s.filter) for s in subscriptions])
-        return sids
-
-    def unsubscribe_all(self, subscribers: list[str]) -> list[SubscriberHandle]:
-        handles = super().unsubscribe_all(subscribers)
-        self._population.remove_many([h.name for h in handles])
-        return handles
-
     def _interested(self, message: Message) -> int:
-        return self._population.count(message.attributes)
+        index, attributes = self.subscriber_index, message.attributes
+        subs = index.subscriptions
+        return sum(1 for sid in index.live.values() if subs[sid].filter.matches(attributes))

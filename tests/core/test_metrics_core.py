@@ -6,15 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.metrics import (
-    ebpc_value,
-    expected_benefit,
-    expected_benefit_vec,
-    max_success_vec,
-    postponing_cost,
-    postponing_cost_vec,
-    success_vec,
-)
+from repro.core.metrics import ScorePlan, ebpc_value, expected_benefit, postponing_cost
 from repro.core.success import success_probability
 from repro.pubsub.subscription import RowArrays
 from tests.core.helpers import make_message, make_row
@@ -122,7 +114,7 @@ class TestVectorisedAgreement:
         msg = make_message(deadline_ms=msg_deadline)
         arrays = RowArrays.from_rows(rows)
         scalar = expected_benefit(rows, msg, now, 2.0, extra_delay_ms=ft)
-        vec = expected_benefit_vec(arrays, msg, now, 2.0, extra_delay_ms=ft)
+        vec = ScorePlan(arrays, msg, 2.0).expected_benefit(now, ft)
         assert vec == pytest.approx(scalar, rel=1e-10, abs=1e-10)
 
     @given(rows=rows_strategy(), now=st.floats(0, 100_000), ft=st.floats(0, 20_000))
@@ -131,7 +123,8 @@ class TestVectorisedAgreement:
         msg = make_message()
         arrays = RowArrays.from_rows(rows)
         scalar = postponing_cost(rows, msg, now, 2.0, ft)
-        vec = postponing_cost_vec(arrays, msg, now, 2.0, ft)
+        eb, eb_postponed = ScorePlan(arrays, msg, 2.0).eb_pair(now, ft)
+        vec = eb - eb_postponed
         assert vec == pytest.approx(scalar, rel=1e-10, abs=1e-10)
 
     @given(rows=rows_strategy(), now=st.floats(0, 100_000))
@@ -140,16 +133,16 @@ class TestVectorisedAgreement:
         msg = make_message()
         arrays = RowArrays.from_rows(rows)
         scalar_max = max(success_probability(r, msg, now, 2.0) for r in rows)
-        assert max_success_vec(arrays, msg, now, 2.0) == pytest.approx(
+        assert ScorePlan(arrays, msg, 2.0).max_success(now) == pytest.approx(
             scalar_max, rel=1e-10, abs=1e-10
         )
 
     def test_success_vec_unbounded_rows_are_one(self):
         rows = [make_row(deadline_ms=None)]
         msg = make_message(deadline_ms=None)
-        probs = success_vec(RowArrays.from_rows(rows), msg, 1e9, 2.0)
+        probs = ScorePlan(RowArrays.from_rows(rows), msg, 2.0).success(1e9)
         assert probs.tolist() == [1.0]
 
     def test_max_success_empty(self):
         msg = make_message()
-        assert max_success_vec(RowArrays.from_rows([]), msg, 0.0, 2.0) == 0.0
+        assert ScorePlan(RowArrays.from_rows([]), msg, 2.0).max_success(0.0) == 0.0

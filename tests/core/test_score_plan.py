@@ -19,14 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.metrics import (
-    SMALL_ROWS,
-    ScorePlan,
-    eb_pair_vec,
-    expected_benefit,
-    expected_benefit_vec,
-    max_success_vec,
-)
+from repro.core.metrics import SMALL_ROWS, ScorePlan, expected_benefit
 from repro.core.pruning import (
     PruningPolicy,
     _std_normal_quantile,
@@ -224,10 +217,10 @@ def test_plan_is_bit_identical_to_the_per_call_kernels(arrays, message, age, pd,
     eb = reference_eb(arrays, message, now, pd)
     eb_postponed = reference_eb(arrays, message, now, pd, ft)
     probs = reference_success(arrays, message, now, pd)
-    # The one-shot forms are the same plan, built and thrown away.
-    assert expected_benefit_vec(arrays, message, now, pd) == eb
-    assert eb_pair_vec(arrays, message, now, pd, ft) == (eb, eb_postponed)
-    assert max_success_vec(arrays, message, now, pd) == float(probs.max())
+    # A fresh plan per read gives the same bits as one plan read thrice.
+    assert ScorePlan(arrays, message, pd).expected_benefit(now) == eb
+    assert ScorePlan(arrays, message, pd).eb_pair(now, ft) == (eb, eb_postponed)
+    assert ScorePlan(arrays, message, pd).max_success(now) == float(probs.max())
 
 
 @given(arrays=row_arrays(), message=messages, **clock, r=st.floats(0.0, 1.0))

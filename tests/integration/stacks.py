@@ -4,7 +4,11 @@ The reference stack (:mod:`repro.reference`) swaps every layer at once, so
 a divergence there does not say which layer caused it.  The systems here
 are assembled the same way — subclasses overriding the component class
 attributes — but each swaps a single layer, and the per-layer suites hold
-each against production on its own.  Both stacks share one event kernel.
+each against production on its own: :class:`OracleMatcherSystem` matches
+by filter predicate instead of the filter index and route plans,
+:class:`ScalarCollectorSystem` settles through the per-delivery collector
+instead of the ledger, and :class:`ScanQueueSystem` rescans every output
+queue instead of keeping heaps.  All stacks share one event kernel.
 
 ``build_system_on`` / ``run_simulation_on`` are :func:`~repro.sim.runner.
 build_system` / :func:`~repro.sim.runner.run_simulation` with the given
@@ -19,7 +23,6 @@ from unittest import mock
 from repro.core.queueing import ScheduledQueue
 from repro.core.strategies import QueueEntry
 from repro.pubsub.broker import Broker
-from repro.pubsub.matching import BruteForceMatcher
 from repro.pubsub.metrics import LedgerMetricsCollector, MetricsCollector
 from repro.pubsub.subscription import SubscriptionTable
 from repro.pubsub.system import PubSubSystem
@@ -32,25 +35,11 @@ class _OracleMatcherBroker(Broker):
 
 
 class OracleMatcherSystem(ReferenceSystem):
-    """Tables and the interested population on the dict counting matcher."""
+    """Tables and the interested population matched by testing each live
+    filter's own predicate."""
 
     broker_type = _OracleMatcherBroker
     metrics_type = LedgerMetricsCollector
-
-
-class _BruteTable(ReferenceTable):
-    matcher_type = BruteForceMatcher
-
-
-class _BruteBroker(Broker):
-    table_type = _BruteTable
-
-
-class BruteMatcherSystem(OracleMatcherSystem):
-    """Every filter evaluated against every message."""
-
-    broker_type = _BruteBroker
-    matcher_type = BruteForceMatcher
 
 
 class _ScalarCollectorBroker(ReferenceBroker):

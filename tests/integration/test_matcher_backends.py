@@ -1,7 +1,7 @@
 """Whole-simulation differential tests for the matching layer alone.
 
-The production system with the dict-based oracle matcher (or the brute
-force one) in its tables and population count, and nothing else swapped
+The production system matching by filter predicate in its tables and
+population count, and nothing else swapped
 (``tests/integration/stacks.py``), must be decision-for-decision
 identical to production: same aggregate figure data (byte for byte once
 serialised) and the same per-delivery record stream.
@@ -17,12 +17,7 @@ import pytest
 from repro.sim.config import SimulationConfig
 from repro.sim.runner import build_system, run_simulation, schedule_workload
 from repro.workload.scenarios import Scenario
-from tests.integration.stacks import (
-    BruteMatcherSystem,
-    OracleMatcherSystem,
-    build_system_on,
-    run_simulation_on,
-)
+from tests.integration.stacks import OracleMatcherSystem, build_system_on, run_simulation_on
 
 #: Small but non-trivial: the paper topology, a congesting rate, both
 #: queue pressure and pruning in play.
@@ -45,12 +40,6 @@ def test_vector_and_oracle_figure_data_byte_identical(strategy):
     oracle = run_simulation_on(OracleMatcherSystem, BASE.replace(strategy=strategy))
     assert vector == oracle
     assert result_bytes(vector) == result_bytes(oracle)
-
-
-def test_brute_backend_agrees_too():
-    vector = run_simulation(BASE)
-    brute = run_simulation_on(BruteMatcherSystem, BASE)
-    assert result_bytes(vector) == result_bytes(brute)
 
 
 def test_delivery_records_identical():

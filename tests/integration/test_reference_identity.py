@@ -3,7 +3,7 @@
 The production stack (:class:`~repro.pubsub.system.PubSubSystem`: one
 filter index and per-source route plans, log-reducing ledger, incremental
 queues) and the reference stack (:class:`~repro.reference.ReferenceSystem`:
-per-table dict counting matchers, per-delivery collector, full-rescan
+filter predicates tested row by row, per-delivery collector, full-rescan
 queues that prune by a full scan of the exact predicate — no prune
 index), on one event kernel,
 must agree byte for byte — serialized figure data, delivery-log bytes,
@@ -57,7 +57,6 @@ from repro.workload.dynamics import (
 from repro.workload.scenarios import Scenario
 from tests.conftest import make_diamond_topology, make_line_topology
 from tests.integration.stacks import (
-    BruteMatcherSystem,
     OracleMatcherSystem,
     ScalarCollectorSystem,
     ScanQueueSystem,
@@ -163,10 +162,7 @@ def test_stacks_are_the_assembled_classes():
 def _layers(system) -> dict:
     broker = next(iter(system.brokers.values()))
     return {
-        "matcher": (
-            type(getattr(system, "_population", system.filters)),
-            type(getattr(broker.table, "_matcher", None)),
-        ),
+        "matcher": (type(system)._interested, type(broker.table)),
         "metrics": (type(system.metrics), getattr(type(broker), "_settle", None)),
         "queues": {q.sched.backend_name for q in broker.queues.values()},
     }
@@ -176,7 +172,6 @@ def _layers(system) -> dict:
     "system_type, layer",
     [
         (OracleMatcherSystem, "matcher"),
-        (BruteMatcherSystem, "matcher"),
         (ScalarCollectorSystem, "metrics"),
         (ScanQueueSystem, "queues"),
     ],

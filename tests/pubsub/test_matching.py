@@ -1,6 +1,9 @@
-"""Matching engine tests: counting index and vector matcher vs oracles."""
+"""Matching tests: the fid-keyed counting matcher and the filter index,
+held against the filters' own predicates."""
 
 from __future__ import annotations
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,12 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.pubsub.filters import AndFilter, OrFilter, Predicate, conjunction_predicates
-from repro.pubsub.matching import (
-    BruteForceMatcher,
-    CountingIndexMatcher,
-    PredicateColumns,
-    VectorCountingMatcher,
-)
+from repro.pubsub.matching import FilterIndex, PredicateColumns, VectorCountingMatcher
 
 
 def predicates():
@@ -32,8 +30,8 @@ def conjunctions():
 
 
 def any_filters():
-    """Conjunctions plus the vector matcher's special cases: match-all
-    (empty conjunction) and non-conjunctive fallback (disjunctions)."""
+    """Conjunctions plus the matcher's special cases: match-all (empty
+    conjunction) and non-conjunctive fallback (disjunctions)."""
     return st.one_of(
         conjunctions(),
         st.just(AndFilter([])),
@@ -47,270 +45,293 @@ def attributes():
     )
 
 
+def scan(filters, attrs) -> set[int]:
+    """The oracle: every fid (key of ``filters``) whose filter holds."""
+    return {fid for fid, f in filters.items() if f.matches(attrs)}
+
+
+def matched(m: VectorCountingMatcher, attrs) -> set[int]:
+    got = m.match_array(attrs).tolist()
+    assert len(got) == len(set(got))
+    return set(got)
+
+
+def add(m: VectorCountingMatcher, *filters) -> None:
+    """One ``add_many`` call per filter, fids in order after the live ones."""
+    for f in filters:
+        m.add_many([(len(m._required), f)])
+
+
+def message(attrs) -> SimpleNamespace:
+    return SimpleNamespace(attributes=attrs)
+
+
+def verdicts(index: FilterIndex, attrs) -> list[bool]:
+    return index.verdicts(message(attrs)).tolist()
+
+
 class TestBruteForce:
+    """Non-conjunctive filters: the matcher's fallback tests them one by one."""
+
     def test_basic_match(self):
-        m = BruteForceMatcher()
-        m.add("s1", Predicate("A", "<", 5.0))
-        m.add("s2", Predicate("A", ">", 5.0))
-        assert m.match({"A": 3.0}) == {"s1"}
+        m = VectorCountingMatcher()
+        m.add_many([(0, OrFilter([Predicate("A", "<", 5.0)])),
+                    (1, OrFilter([Predicate("A", ">", 5.0)]))])
+        assert matched(m, {"A": 3.0}) == {0}
         assert len(m) == 2
 
     def test_duplicate_key_rejected(self):
-        m = BruteForceMatcher()
-        m.add("s1", Predicate("A", "<", 5.0))
+        m = VectorCountingMatcher()
+        m.add_many([(0, OrFilter([Predicate("A", "<", 5.0)]))])
         with pytest.raises(KeyError):
-            m.add("s1", Predicate("A", ">", 5.0))
+            m.add_many([(0, OrFilter([Predicate("A", "<", 5.0)]))])
 
     def test_remove(self):
-        m = BruteForceMatcher()
-        m.add("s1", Predicate("A", "<", 5.0))
-        m.remove("s1")
-        assert m.match({"A": 3.0}) == set()
+        m = VectorCountingMatcher()
+        m.add_many([(0, OrFilter([Predicate("A", "<", 5.0)]))])
+        m.remove(0)
+        assert matched(m, {"A": 3.0}) == set()
         assert len(m) == 0
 
 
 class TestCountingIndex:
+    """The filter index: subscriptions counted per fid, verdicts per fid."""
+
     def test_conjunction_requires_all_predicates(self):
-        m = CountingIndexMatcher()
-        m.add("s1", AndFilter([Predicate("A", "<", 5.0), Predicate("B", "<", 5.0)]))
-        assert m.match({"A": 3.0, "B": 3.0}) == {"s1"}
-        assert m.match({"A": 3.0, "B": 7.0}) == set()
-        assert m.match({"A": 3.0}) == set()  # missing attribute
+        index = FilterIndex()
+        index.add([AndFilter([Predicate("A", "<", 5.0), Predicate("B", "<", 5.0)])])
+        assert verdicts(index, {"A": 3.0, "B": 3.0}) == [True]
+        assert verdicts(index, {"A": 3.0, "B": 7.0}) == [False]
+        assert verdicts(index, {"A": 3.0}) == [False]  # missing attribute
 
     def test_shared_thresholds(self):
-        m = CountingIndexMatcher()
-        m.add("s1", Predicate("A", "<", 5.0))
-        m.add("s2", Predicate("A", "<", 5.0))
-        m.add("s3", Predicate("A", "<", 2.0))
-        assert m.match({"A": 3.0}) == {"s1", "s2"}
-        assert m.match({"A": 1.0}) == {"s1", "s2", "s3"}
+        index = FilterIndex()
+        below5 = Predicate("A", "<", 5.0)
+        assert index.add([below5, below5, Predicate("A", "<", 2.0)]).tolist() == [0, 0, 1]
+        assert index.interested(message({"A": 3.0})) == 2
+        assert index.interested(message({"A": 1.0})) == 3
 
     def test_all_operators(self):
-        m = CountingIndexMatcher()
-        m.add("lt", Predicate("A", "<", 5.0))
-        m.add("le", Predicate("A", "<=", 5.0))
-        m.add("gt", Predicate("A", ">", 5.0))
-        m.add("ge", Predicate("A", ">=", 5.0))
-        m.add("eq", Predicate("A", "==", 5.0))
-        m.add("ne", Predicate("A", "!=", 5.0))
-        assert m.match({"A": 5.0}) == {"le", "ge", "eq"}
-        assert m.match({"A": 4.0}) == {"lt", "le", "ne"}
-        assert m.match({"A": 6.0}) == {"gt", "ge", "ne"}
+        index = FilterIndex()
+        ops = ["<", "<=", ">", ">=", "==", "!="]
+        index.add([Predicate("A", op, 5.0) for op in ops])
+        held = {v: {op for op, hit in zip(ops, verdicts(index, {"A": v})) if hit}
+                for v in (4.0, 5.0, 6.0)}
+        assert held == {5.0: {"<=", ">=", "=="}, 4.0: {"<", "<=", "!="}, 6.0: {">", ">=", "!="}}
 
     def test_match_all_conjunction(self):
-        m = CountingIndexMatcher()
-        m.add("s1", AndFilter([]))
-        assert m.match({"A": 1.0}) == {"s1"}
-        assert m.match({}) == {"s1"}
+        index = FilterIndex()
+        index.add([AndFilter([]), AndFilter([])])
+        assert verdicts(index, {"A": 1.0}) == [True]
+        assert index.interested(message({})) == 2
 
     def test_non_conjunctive_falls_back(self):
-        m = CountingIndexMatcher()
-        m.add("s1", OrFilter([Predicate("A", "<", 1.0), Predicate("B", ">", 9.0)]))
-        assert m.match({"A": 0.5, "B": 0.0}) == {"s1"}
-        assert m.match({"A": 5.0, "B": 9.5}) == {"s1"}
-        assert m.match({"A": 5.0, "B": 5.0}) == set()
-        assert len(m) == 1
+        index = FilterIndex()
+        index.add([OrFilter([Predicate("A", "<", 1.0), Predicate("B", ">", 9.0)])])
+        assert verdicts(index, {"A": 0.5, "B": 0.0}) == [True]
+        assert verdicts(index, {"A": 5.0, "B": 9.5}) == [True]
+        assert verdicts(index, {"A": 5.0, "B": 5.0}) == [False]
+        assert len(index) == 1
 
     def test_remove_indexed(self):
-        m = CountingIndexMatcher()
-        f = AndFilter([Predicate("A", "<", 5.0), Predicate("B", "<", 5.0)])
-        m.add("s1", f)
-        m.remove("s1")
-        assert m.match({"A": 1.0, "B": 1.0}) == set()
-        assert len(m) == 0
+        index = FilterIndex()
+        fids = index.add([AndFilter([Predicate("A", "<", 5.0), Predicate("B", "<", 5.0)])])
+        index.discard(fids)
+        assert verdicts(index, {"A": 1.0, "B": 1.0}) == [False]  # a tombstone reads False
+        assert len(index) == 0
 
     def test_remove_fallback(self):
-        m = CountingIndexMatcher()
-        m.add("s1", OrFilter([Predicate("A", "<", 1.0)]))
-        m.remove("s1")
-        assert len(m) == 0
+        index = FilterIndex()
+        index.discard(index.add([OrFilter([Predicate("A", "<", 1.0)])]))
+        assert verdicts(index, {"A": 0.0}) == [False]
+        assert len(index) == 0
 
     def test_duplicate_key_rejected(self):
-        m = CountingIndexMatcher()
-        m.add("s1", Predicate("A", "<", 5.0))
+        # An equal filter is no second key: it counts on the first's fid.
+        index = FilterIndex()
+        index.add([Predicate("A", "<", 5.0)])
+        assert index.add([Predicate("A", "<", 5.0)]).tolist() == [0]
+        assert len(index) == 1 and len(index._matcher) == 1
         with pytest.raises(KeyError):
-            m.add("s1", Predicate("B", "<", 5.0))
+            index.discard(np.array([0, 0, 0], dtype=np.int64))
 
     def test_duplicate_key_in_fallback_rejected(self):
-        m = CountingIndexMatcher()
-        m.add("s1", OrFilter([Predicate("A", "<", 1.0), Predicate("B", ">", 9.0)]))
-        with pytest.raises(KeyError):
-            m.add("s1", Predicate("B", "<", 5.0))
+        index = FilterIndex()
+        either = [Predicate("A", "<", 1.0), Predicate("B", ">", 9.0)]
+        assert index.add([OrFilter(either), OrFilter(list(either))]).tolist() == [0, 0]
+        assert len(index._matcher._fallback) == 1
+        assert index.interested(message({"A": 0.0})) == 2
 
     def test_duplicate_threshold_same_attr(self):
-        m = CountingIndexMatcher()
-        m.add("s1", Predicate("A", "<", 5.0))
-        m.add("s2", Predicate("A", "<", 5.0))
-        m.remove("s1")
-        assert m.match({"A": 1.0}) == {"s2"}
+        index = FilterIndex()
+        fids = index.add([Predicate("A", "<", 5.0), AndFilter([Predicate("A", "<", 5.0)])])
+        index.discard(fids[:1])
+        assert verdicts(index, {"A": 1.0}) == [False, True]
 
 
 @given(
     filters=st.lists(conjunctions(), min_size=1, max_size=12),
-    attrs=st.dictionaries(
-        st.sampled_from(["A", "B", "C"]), st.floats(-5, 5, allow_nan=False), max_size=3
-    ),
+    draws=st.lists(st.integers(0, 11), max_size=20),
+    attrs=attributes(),
 )
 @settings(max_examples=300)
-def test_counting_index_agrees_with_brute_force(filters, attrs):
-    brute = BruteForceMatcher()
-    index = CountingIndexMatcher()
-    for i, f in enumerate(filters):
-        brute.add(i, f)
-        index.add(i, f)
-    assert index.match(attrs) == brute.match(attrs)
+def test_counting_index_agrees_with_brute_force(filters, draws, attrs):
+    """Subscriptions drawn from a filter pool: the index's verdicts and
+    population count equal a predicate scan."""
+    subscribed = [filters[d % len(filters)] for d in draws] + filters
+    index = FilterIndex()
+    fids = index.add(subscribed).tolist()
+    by_fid = dict(zip(fids, subscribed))
+    got = verdicts(index, attrs)
+    assert {fid for fid, hit in enumerate(got) if hit} == scan(by_fid, attrs)
+    assert index.interested(message(attrs)) == sum(f.matches(attrs) for f in subscribed)
 
 
 @given(
     filters=st.lists(conjunctions(), min_size=2, max_size=10),
-    attrs=st.dictionaries(
-        st.sampled_from(["A", "B", "C"]), st.floats(-5, 5, allow_nan=False), max_size=3
-    ),
+    attrs=attributes(),
     remove_idx=st.integers(0, 1),
 )
 @settings(max_examples=150)
 def test_counting_index_agrees_after_removal(filters, attrs, remove_idx):
-    brute = BruteForceMatcher()
-    index = CountingIndexMatcher()
-    for i, f in enumerate(filters):
-        brute.add(i, f)
-        index.add(i, f)
-    brute.remove(remove_idx)
-    index.remove(remove_idx)
-    assert index.match(attrs) == brute.match(attrs)
+    index = FilterIndex()
+    fids = index.add(filters)
+    index.discard(fids[remove_idx: remove_idx + 1])
+    left = filters[:remove_idx] + filters[remove_idx + 1:]
+    assert index.interested(message(attrs)) == sum(f.matches(attrs) for f in left)
 
 
 class TestAddMany:
+    FILTERS = [
+        Predicate("A", "<", 5.0),
+        AndFilter([Predicate("A", "<", 5.0), Predicate("B", ">", 1.0)]),
+        Predicate("A", "<", 5.0),  # shared threshold
+        OrFilter([Predicate("C", ">", 0.0)]),  # fallback
+        AndFilter([]),  # match-all
+    ]
+
     def test_bulk_equals_incremental(self):
-        filters = [
-            ("s1", Predicate("A", "<", 5.0)),
-            ("s2", AndFilter([Predicate("A", "<", 5.0), Predicate("B", ">", 1.0)])),
-            ("s3", Predicate("A", "<", 5.0)),  # shared threshold
-            ("s4", OrFilter([Predicate("C", ">", 0.0)])),  # fallback
-            ("s5", AndFilter([])),  # match-all
-        ]
-        incremental = CountingIndexMatcher()
-        for key, f in filters:
-            incremental.add(key, f)
-        bulk = CountingIndexMatcher()
-        bulk.add_many(filters)
+        incremental = VectorCountingMatcher()
+        add(incremental, *self.FILTERS)
+        bulk = VectorCountingMatcher()
+        bulk.add_many(enumerate(self.FILTERS))
         for attrs in ({"A": 3.0, "B": 2.0}, {"A": 6.0}, {"C": 1.0}, {}):
-            assert bulk.match(attrs) == incremental.match(attrs)
-        assert len(bulk) == len(incremental)
+            assert matched(bulk, attrs) == matched(incremental, attrs)
+            assert matched(bulk, attrs) == scan(dict(enumerate(self.FILTERS)), attrs)
+        assert len(bulk) == len(incremental) == 5
 
     def test_bulk_into_populated_index(self):
-        m = CountingIndexMatcher()
-        m.add("s1", Predicate("A", "<", 5.0))
-        m.add_many([("s2", Predicate("A", "<", 3.0)), ("s3", Predicate("A", "<", 5.0))])
-        assert m.match({"A": 1.0}) == {"s1", "s2", "s3"}
-        assert m.match({"A": 4.0}) == {"s1", "s3"}
+        m = VectorCountingMatcher()
+        add(m, Predicate("A", "<", 5.0))
+        m.add_many([(1, Predicate("A", "<", 3.0)), (2, Predicate("A", "<", 5.0))])
+        assert matched(m, {"A": 1.0}) == {0, 1, 2}
+        assert matched(m, {"A": 4.0}) == {0, 2}
 
     def test_bulk_then_remove(self):
-        m = CountingIndexMatcher()
-        m.add_many([("s1", Predicate("A", "<", 5.0)), ("s2", Predicate("A", "<", 5.0))])
-        m.remove("s1")
-        assert m.match({"A": 1.0}) == {"s2"}
+        m = VectorCountingMatcher()
+        m.add_many([(0, Predicate("A", "<", 5.0)), (1, Predicate("A", "<", 5.0))])
+        m.remove(0)
+        assert matched(m, {"A": 1.0}) == {1}
 
     def test_duplicate_within_batch_rejected(self):
-        m = CountingIndexMatcher()
+        m = VectorCountingMatcher()
         with pytest.raises(KeyError):
-            m.add_many([("s1", Predicate("A", "<", 5.0)), ("s1", Predicate("B", "<", 5.0))])
+            m.add_many([(0, Predicate("A", "<", 5.0)), (0, Predicate("B", "<", 5.0))])
+        assert len(m) == 0
 
     def test_duplicate_against_existing_rejected(self):
-        m = CountingIndexMatcher()
-        m.add("s1", Predicate("A", "<", 5.0))
-        with pytest.raises(KeyError):
-            m.add_many([("s1", Predicate("B", "<", 5.0))])
-        m2 = CountingIndexMatcher()
-        m2.add("f1", OrFilter([Predicate("A", "<", 1.0)]))
-        with pytest.raises(KeyError):
-            m2.add_many([("f1", Predicate("B", "<", 5.0))])
+        m = VectorCountingMatcher()
+        add(m, Predicate("A", "<", 5.0), OrFilter([Predicate("A", "<", 1.0)]))
+        for fid in (0, 1):
+            with pytest.raises(KeyError):
+                m.add_many([(2, Predicate("B", "<", 5.0)), (fid, Predicate("B", "<", 5.0))])
+        assert len(m) == 2 and matched(m, {"B": 0.0}) == set()
 
 
 @given(
-    first=st.lists(conjunctions(), min_size=0, max_size=6),
-    second=st.lists(conjunctions(), min_size=0, max_size=6),
-    attrs=st.dictionaries(
-        st.sampled_from(["A", "B", "C"]), st.floats(-5, 5, allow_nan=False), max_size=3
-    ),
+    first=st.lists(any_filters(), min_size=0, max_size=6),
+    second=st.lists(any_filters(), min_size=0, max_size=6),
+    attrs=attributes(),
 )
 @settings(max_examples=200)
 def test_add_many_agrees_with_incremental_adds(first, second, attrs):
-    """Bulk-build over a (possibly non-empty) index == sequential adds."""
-    incremental = CountingIndexMatcher()
-    bulk = CountingIndexMatcher()
-    for i, f in enumerate(first):
-        incremental.add(("a", i), f)
-        bulk.add(("a", i), f)
-    for i, f in enumerate(second):
-        incremental.add(("b", i), f)
-    bulk.add_many([(("b", i), f) for i, f in enumerate(second)])
-    assert bulk.match(attrs) == incremental.match(attrs)
+    """A bulk add over a (possibly non-empty) matcher == one add per fid."""
+    incremental = VectorCountingMatcher()
+    bulk = VectorCountingMatcher()
+    add(incremental, *first, *second)
+    add(bulk, *first)
+    bulk.add_many(enumerate(second, start=len(first)))
+    assert matched(bulk, attrs) == matched(incremental, attrs)
+    assert matched(bulk, attrs) == scan(dict(enumerate(first + second)), attrs)
     assert len(bulk) == len(incremental)
 
 
 # ---------------------------------------------------------------------- #
-# VectorCountingMatcher: unit behaviour + three-way differential suite.
+# VectorCountingMatcher: fid mechanics (tombstones, purge, re-add).
 # ---------------------------------------------------------------------- #
 class TestVectorCountingMatcher:
     def test_all_operators(self):
         m = VectorCountingMatcher()
-        m.add("lt", Predicate("A", "<", 5.0))
-        m.add("le", Predicate("A", "<=", 5.0))
-        m.add("gt", Predicate("A", ">", 5.0))
-        m.add("ge", Predicate("A", ">=", 5.0))
-        m.add("eq", Predicate("A", "==", 5.0))
-        m.add("ne", Predicate("A", "!=", 5.0))
-        assert m.match({"A": 5.0}) == {"le", "ge", "eq"}
-        assert m.match({"A": 4.0}) == {"lt", "le", "ne"}
-        assert m.match({"A": 6.0}) == {"gt", "ge", "ne"}
+        ops = ["<", "<=", ">", ">=", "==", "!="]
+        add(m, *(Predicate("A", op, 5.0) for op in ops))
+        assert {ops[i] for i in matched(m, {"A": 5.0})} == {"<=", ">=", "=="}
+        assert {ops[i] for i in matched(m, {"A": 4.0})} == {"<", "<=", "!="}
+        assert {ops[i] for i in matched(m, {"A": 6.0})} == {">", ">=", "!="}
 
     def test_conjunction_requires_all_predicates(self):
         m = VectorCountingMatcher()
-        m.add("s1", AndFilter([Predicate("A", "<", 5.0), Predicate("B", "<", 5.0)]))
-        assert m.match({"A": 3.0, "B": 3.0}) == {"s1"}
-        assert m.match({"A": 3.0, "B": 7.0}) == set()
-        assert m.match({"A": 3.0}) == set()  # missing attribute
+        add(m, AndFilter([Predicate("A", "<", 5.0), Predicate("B", "<", 5.0)]))
+        assert matched(m, {"A": 3.0, "B": 3.0}) == {0}
+        assert matched(m, {"A": 3.0, "B": 7.0}) == set()
+        assert matched(m, {"A": 3.0}) == set()  # missing attribute
 
     def test_repeated_attribute_in_one_conjunction(self):
         m = VectorCountingMatcher()
-        m.add("s1", AndFilter([Predicate("A", "<", 5.0), Predicate("A", "<", 3.0)]))
-        assert m.match({"A": 2.0}) == {"s1"}
-        assert m.match({"A": 4.0}) == set()
+        add(m, AndFilter([Predicate("A", "<", 5.0), Predicate("A", "<", 3.0)]))
+        assert matched(m, {"A": 2.0}) == {0}
+        assert matched(m, {"A": 4.0}) == set()
 
     def test_match_all_and_fallback(self):
         m = VectorCountingMatcher()
-        m.add("all", AndFilter([]))
-        m.add("or", OrFilter([Predicate("A", "<", 1.0), Predicate("B", ">", 9.0)]))
-        assert m.match({}) == {"all"}
-        assert m.match({"A": 0.0, "B": 0.0}) == {"all", "or"}
+        add(m, AndFilter([]), OrFilter([Predicate("A", "<", 1.0), Predicate("B", ">", 9.0)]))
+        assert m._required.view().tolist() == [0, -1]  # match-all is a total of 0
+        assert matched(m, {}) == {0}
+        assert matched(m, {"A": 0.0, "B": 0.0}) == {0, 1}
         assert len(m) == 2
 
     def test_remove_and_readd(self):
+        """A re-added fid comes back by its total while its tombstoned
+        entries are still indexed, and by new entries after a purge."""
+        both = AndFilter([Predicate("A", "<", 5.0), Predicate("B", ">", 0.0)])
         m = VectorCountingMatcher()
-        m.add("s1", Predicate("A", "<", 5.0))
-        m.add("s2", Predicate("A", "<", 5.0))
-        m.remove("s1")
-        assert m.match({"A": 1.0}) == {"s2"}
-        m.add("s1", Predicate("A", ">", 0.0))
-        assert m.match({"A": 1.0}) == {"s1", "s2"}
+        add(m, both, Predicate("A", "<", 5.0), Predicate("A", "<", 6.0))
+        m.remove(0)
+        assert m._dead_entries == 2 and m._parked.view()[0] == 2  # not purged: 2 of 4
+        assert matched(m, {"A": 1.0, "B": 1.0}) == {1, 2}
+        m.add_many([(0, both)])
+        assert m._dead_entries == 0 and m._total_entries == 4
+        assert matched(m, {"A": 1.0, "B": 1.0}) == {0, 1, 2}
+        m.remove_many([0, 2])  # 3 of 4 entries dead: purged
+        assert m._total_entries == 1 and (m._parked.view() == -1).all()
+        m.add_many([(0, both)])
+        assert m._total_entries == 3
+        assert matched(m, {"A": 1.0, "B": 1.0}) == {0, 1}
         assert len(m) == 2
 
     def test_mass_removal_triggers_compaction(self):
-        """Tombstoned ids are purged once they outnumber live entries,
+        """Tombstoned entries are purged once they outnumber live ones,
         and matching stays correct before, across and after the purge."""
         m = VectorCountingMatcher()
-        for i in range(40):
-            m.add(i, AndFilter([Predicate("A", "<", float(i)), Predicate("B", ">", -1.0)]))
+        add(m, *(AndFilter([Predicate("A", "<", float(i)), Predicate("B", ">", -1.0)])
+                 for i in range(40)))
         for i in range(35):
-            assert m.match({"A": -1.0, "B": 0.0}) == set(range(i, 40))
+            assert matched(m, {"A": -1.0, "B": 0.0}) == set(range(i, 40))
             m.remove(i)
-        assert m.match({"A": -1.0, "B": 0.0}) == {35, 36, 37, 38, 39}
+        assert matched(m, {"A": -1.0, "B": 0.0}) == {35, 36, 37, 38, 39}
         assert m._dead_entries * 2 <= m._total_entries  # compaction ran
         assert len(m) == 5
-        # The id space is compacted too: it tracks live keys, not the 40
-        # cumulative installs.
-        assert len(m._keys) <= 2 * len(m)
+        # The indexes track live filters, not the 40 cumulative adds.
+        assert m._total_entries <= 2 * 2 * len(m)
 
     def test_remove_many_across_the_purge_threshold(self):
         """One batch that takes the tombstones past the live entries is
@@ -321,66 +342,58 @@ class TestVectorCountingMatcher:
             for i in range(40)
         ]
         batched, per_call = VectorCountingMatcher(), VectorCountingMatcher()
-        batched.add_many(list(enumerate(filters)))
-        for item in enumerate(filters):
-            per_call.add(*item)
+        batched.add_many(enumerate(filters))
+        add(per_call, *filters)
         batched.remove_many(range(35))
         for i in range(35):
             per_call.remove(i)
-        assert batched._dead_entries == 0 and len(batched._keys) == 5
-        batched.add(7, filters[7])
-        per_call.add(7, filters[7])
+        assert batched._dead_entries == 0 and batched._total_entries == 10
+        for m in (batched, per_call):
+            m.add_many([(7, filters[7])])
+        live = {fid: filters[fid] for fid in (7, 35, 36, 37, 38, 39)}
         for probe in ({"A": -1.0, "B": 0.0}, {"A": 36.5, "B": 0.0}, {"A": 0.0}):
-            assert batched.match(probe) == per_call.match(probe)
-            assert sorted(batched.match_array(probe).tolist()) == sorted(batched.match(probe))
+            assert matched(batched, probe) == matched(per_call, probe) == scan(live, probe)
         assert len(batched) == len(per_call) == 6
 
     def test_remove_many_validates_before_removing(self):
         m = VectorCountingMatcher()
         m.add_many([(0, Predicate("A", "<", 5.0)), (1, OrFilter([Predicate("A", ">", 9.0)]))])
-        for bad in ([0, 2], [1, 2], [0, 0]):
+        for bad in ([0, 2], [1, 2], [0, 0], [1, -1]):
             with pytest.raises(KeyError):
                 m.remove_many(bad)
-            assert len(m) == 2 and m.match({"A": 1.0}) == {0}
+            assert len(m) == 2 and matched(m, {"A": 1.0}) == {0}
         m.remove_many([1, 0])
-        assert len(m) == 0 and m.match({"A": 1.0}) == set()
+        assert len(m) == 0 and matched(m, {"A": 1.0}) == set()
+        with pytest.raises(KeyError):
+            m.remove(0)  # no longer live
 
     def test_duplicate_key_rejected(self):
         m = VectorCountingMatcher()
-        m.add("s1", Predicate("A", "<", 5.0))
-        with pytest.raises(KeyError):
-            m.add("s1", Predicate("B", "<", 5.0))
-        m.add("f1", OrFilter([Predicate("A", "<", 1.0)]))
-        with pytest.raises(KeyError):
-            m.add("f1", Predicate("B", "<", 5.0))
-        with pytest.raises(KeyError):
-            m.add_many([("s2", Predicate("A", "<", 1.0)), ("s2", Predicate("A", ">", 1.0))])
+        add(m, Predicate("A", "<", 5.0), OrFilter([Predicate("A", "<", 1.0)]), AndFilter([]))
+        for fid in (0, 1, 2):
+            with pytest.raises(KeyError):
+                m.add_many([(fid, Predicate("B", "<", 5.0))])
+        assert len(m) == 3
 
     def test_match_array_with_int_keys(self):
         m = VectorCountingMatcher()
-        m.add(0, Predicate("A", "<", 5.0))
-        m.add(1, AndFilter([]))
-        m.add(2, OrFilter([Predicate("A", ">", 9.0), Predicate("B", "<", 0.0)]))
+        m.add_many([(4, Predicate("A", "<", 5.0)), (1, AndFilter([])),
+                    (2, OrFilter([Predicate("A", ">", 9.0), Predicate("B", "<", 0.0)]))])
         got = m.match_array({"A": 3.0})
-        assert isinstance(got, np.ndarray)
-        assert set(got.tolist()) == {0, 1} == m.match({"A": 3.0})
+        assert isinstance(got, np.ndarray) and got.dtype == np.int64
+        assert got.tolist() == [1, 4]  # fids 0 and 3 were never added
 
 
 @given(filters=st.lists(any_filters(), min_size=1, max_size=14), attrs=attributes())
 @settings(max_examples=300)
 def test_vector_matcher_three_way_differential(filters, attrs):
-    """vector ≡ oracle counting index ≡ brute force on random tables."""
-    brute = BruteForceMatcher()
-    index = CountingIndexMatcher()
+    """matcher ≡ filter index verdicts ≡ predicate scan on random tables."""
     vector = VectorCountingMatcher()
-    for i, f in enumerate(filters):
-        brute.add(i, f)
-        index.add(i, f)
-        vector.add(i, f)
-    expected = brute.match(attrs)
-    assert index.match(attrs) == expected
-    assert vector.match(attrs) == expected
-    assert set(vector.match_array(attrs).tolist()) == expected
+    vector.add_many(enumerate(filters))
+    index = FilterIndex()
+    by_fid = dict(zip(index.add(filters).tolist(), filters))
+    assert matched(vector, attrs) == scan(dict(enumerate(filters)), attrs)
+    assert {fid for fid, hit in enumerate(verdicts(index, attrs)) if hit} == scan(by_fid, attrs)
 
 
 @given(
@@ -391,33 +404,23 @@ def test_vector_matcher_three_way_differential(filters, attrs):
 )
 @settings(max_examples=200)
 def test_vector_matcher_differential_under_churn(filters, attrs, removals, readd):
-    """Add/remove churn (including re-adds) keeps all three engines equal,
-    per call and as ``add_many`` / ``remove_many`` batches."""
-    brute = BruteForceMatcher()
-    index = CountingIndexMatcher()
-    vector = VectorCountingMatcher()
-    engines = (brute, index, vector)
-    batched = (BruteForceMatcher(), CountingIndexMatcher(), VectorCountingMatcher())
-    for i, f in enumerate(filters):
-        for e in engines:
-            e.add(i, f)
+    """Removals and a re-add agree with the predicate scan, per call and
+    as ``add_many`` / ``remove_many`` batches."""
+    per_call, batched = VectorCountingMatcher(), VectorCountingMatcher()
+    add(per_call, *filters)
+    batched.add_many(enumerate(filters))
     removed = [i for i in sorted(removals) if i < len(filters)]
     for i in removed:
-        for e in engines:
-            e.remove(i)
-    for e in batched:
-        e.add_many(list(enumerate(filters)))
-        e.remove_many(removed)
+        per_call.remove(i)
+    batched.remove_many(removed)
+    live = {i: f for i, f in enumerate(filters) if i not in removed}
     if readd and removed:
-        for e in engines + batched:
-            e.add(removed[0], filters[removed[0]])
-    expected = brute.match(attrs)
-    assert index.match(attrs) == expected
-    assert vector.match(attrs) == expected
-    assert len(vector) == len(index) == len(brute)
-    for e in batched:
-        assert e.match(attrs) == expected
-        assert len(e) == len(brute)
+        for m in (per_call, batched):
+            m.add_many([(removed[0], filters[removed[0]])])
+        live[removed[0]] = filters[removed[0]]
+    for m in (per_call, batched):
+        assert matched(m, attrs) == scan(live, attrs)
+        assert len(m) == len(live)
 
 
 @given(filters=st.lists(any_filters(), min_size=0, max_size=10), attrs=attributes())
@@ -425,11 +428,50 @@ def test_vector_matcher_differential_under_churn(filters, attrs, removals, readd
 def test_vector_add_many_agrees_with_incremental(filters, attrs):
     incremental = VectorCountingMatcher()
     bulk = VectorCountingMatcher()
-    for i, f in enumerate(filters):
-        incremental.add(i, f)
-    bulk.add_many(list(enumerate(filters)))
-    assert bulk.match(attrs) == incremental.match(attrs)
+    add(incremental, *filters)
+    bulk.add_many(enumerate(filters))
+    assert matched(bulk, attrs) == matched(incremental, attrs)
     assert len(bulk) == len(incremental)
+
+
+def full_attributes():
+    """Every attribute set, so a probe misses a filter by value only."""
+    value = st.floats(-5, 5, allow_nan=False)
+    return st.fixed_dictionaries({"A": value, "B": value, "C": value})
+
+
+@given(
+    pool=st.lists(any_filters(), min_size=1, max_size=3),
+    steps=st.lists(st.tuples(st.booleans(), st.integers(0, 2)), min_size=1, max_size=40),
+    probes=st.lists(st.one_of(attributes(), full_attributes()), min_size=2, max_size=4),
+)
+@settings(max_examples=300)
+def test_filter_index_verdicts_under_add_discard_readd(pool, steps, probes):
+    """A filter index driven through random subscribe (True) / leave
+    (False) steps over a small pool — so a filter's count returns to 0 and
+    its fid is re-added, with its tombstoned entries still indexed or
+    after a purge dropped them — reads, after every step,
+    ``verdicts[fid] == (live[fid] > 0 and filter.matches(attrs))`` and
+    counts the live subscriptions whose predicate holds."""
+    index = FilterIndex()
+    fid_of = dict(zip(map(id, pool), index.fids(pool).tolist()))
+    by_fid = {fid_of[id(f)]: f for f in pool}  # equal filters share a fid
+    live = [0] * len(pool)
+    for join, k in steps:
+        fid = fid_of[id(pool[k % len(pool)])]
+        if join:
+            assert index.add([by_fid[fid]]).tolist() == [fid]
+            live[fid] += 1
+        elif live[fid]:
+            index.discard(np.array([fid], dtype=np.int64))
+            live[fid] -= 1
+        for attrs in probes:
+            got = verdicts(index, attrs)
+            for fid, f in by_fid.items():
+                assert got[fid] == (live[fid] > 0 and f.matches(attrs))
+            interested = sum(live[fid] for fid, f in by_fid.items() if f.matches(attrs))
+            assert index.interested(message(attrs)) == interested
+        assert len(index) == sum(1 for fid in by_fid if live[fid])
 
 
 def _frozen_predicate_columns(filters):

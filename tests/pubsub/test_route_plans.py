@@ -3,7 +3,7 @@
 A production :class:`SubscriptionTable` sharing a :class:`SubscriberIndex`
 (kept the way the system keeps it: one registration per subscription)
 must group every message exactly as :class:`~repro.reference.ReferenceTable`
-over the same index does — per-table dict counting matcher, rows filtered, sorted, deduped
+over the same index does — each row's filter predicate tested, rows filtered, sorted, deduped
 and grouped one by one — through multi-path rows, epochs, batch leaves
 and re-joins, and joins with brand-new filters while earlier messages are
 still being matched (their cached verdicts predate the join).  And the

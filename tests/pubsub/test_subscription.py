@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.pubsub.filters import Predicate
-from repro.pubsub.matching import CountingIndexMatcher
 from repro.pubsub.message import Message
 from repro.pubsub.subscription import (
     RowArrays,
@@ -195,12 +194,15 @@ class TestColumnArrays:
         t.install(row(subscription=sub("S2")))
         assert [r.subscriber for r in t.match(msg())] == ["S1", "S2"]
 
-    def test_reference_table_matches_with_the_dict_matcher(self):
+    def test_reference_table_matches_by_filter_predicate(self):
         t = ReferenceTable()
-        assert type(t._matcher) is CountingIndexMatcher
         t.install(row())
+        t.install(row(subscription=sub("S2", threshold=1.0)))  # A1 < 1 misses 3.0
         t.warm()
         assert [r.subscriber for r in t.match(msg())] == ["S1"]
+        assert [r.subscriber for r in t.match(msg({"A1": 0.5}))] == ["S1", "S2"]
+        t.uninstall("S1")
+        assert [r.subscriber for r in t.match(msg({"A1": 0.5}))] == ["S2"]
 
 
 class TestUninstallSideIndex:
