@@ -46,6 +46,7 @@ from repro.workload.dynamics import ChurnWave, DynamicsDriver
 from repro.workload.scenarios import ScaleScenarioSpec, Scenario, build_scale_subscriptions
 from repro.workload.subscriptions import random_attributes, random_conjunctive_filter
 from tests.analysis.frozen_report import frozen_latency_stats, frozen_revenue_by_tier
+from tests.analysis.memory import latency_stats_peak, latency_stats_peak_bound
 from tests.core.helpers import (
     assert_same_table,
     block_of,
@@ -712,10 +713,16 @@ def scale_run():
 
 
 def test_analysis_latency_stats(benchmark, scale_run):
+    """``peak_bytes_per_row`` is what tracemalloc sees the report hold at
+    its peak, per log row: one pooled sample plus chunk-sized scratch."""
     handles = list(scale_run.subscribers.values())
     stats = benchmark.pedantic(latency_stats, args=(handles,), rounds=3, iterations=1)
-    benchmark.extra_info["rows"] = len(scale_run.delivery_log)
-    assert stats.count > 0 and stats == frozen_latency_stats(handles)
+    log = scale_run.delivery_log
+    benchmark.extra_info["rows"] = len(log)
+    traced, peak = latency_stats_peak(handles)
+    benchmark.extra_info["peak_bytes_per_row"] = round(peak / len(log), 1)
+    assert stats.count > 0 and stats == traced == frozen_latency_stats(handles)
+    assert peak <= latency_stats_peak_bound(log)
 
 
 def test_analysis_revenue_by_tier(benchmark, scale_run):

@@ -7,9 +7,12 @@ endpoint of the log), never a slice or a Python float per endpoint.
 Quantiles sort the pooled sample, so results are independent of chunk
 boundaries and byte-identical to the per-handle gathers they replaced.
 
-Memory: the pooled path holds one float64 per selected delivery (plus
-the sort's and the mean fold's same-sized temporaries) — 8 bytes a row
-where the Python-float lists it replaced cost 32.
+Memory: the pooled path holds one float64 buffer sized by the backing
+logs' rows (pages past the selected count are never written), filled one
+chunk at a time and sorted in place; the mean folds it through a
+fixed-size block (:func:`~repro.core.folds.fold_sum_array`).  So the
+report's sample costs 8 bytes a log row plus O(chunk) scratch, where the
+Python-float lists it replaced cost 32 a delivery.
 """
 
 from __future__ import annotations
@@ -39,7 +42,11 @@ class LatencyStats:
     def from_samples(cls, samples: Sequence[float] | np.ndarray) -> "LatencyStats":
         # Values only, so the (vectorised, unstable) default sort is exact:
         # equal floats are interchangeable.
-        ordered = np.sort(np.asarray(samples, dtype=np.float64))
+        return cls.from_sorted(np.sort(np.asarray(samples, dtype=np.float64)))
+
+    @classmethod
+    def from_sorted(cls, ordered: np.ndarray) -> "LatencyStats":
+        """Summary of an ascending float64 sample (not copied)."""
         count = ordered.shape[0]
         if not count:
             return cls(count=0, mean=0.0, p50=0.0, p90=0.0, p99=0.0, maximum=0.0)
@@ -88,20 +95,47 @@ def _selected_rows(
         yield sub, latency, mask
 
 
+def _pool(
+    log: DeliveryLog,
+    ids: np.ndarray,
+    valid_only: bool,
+    latencies: np.ndarray,
+    subs: np.ndarray | None = None,
+    at: int = 0,
+) -> int:
+    """Write the selected rows' latencies (and, given ``subs``, their
+    endpoint ids) into the buffers from position ``at`` on, in log order;
+    returns the position after the last row written.  The buffers must
+    have room for every row of the log past ``at``."""
+    for sub, latency, mask in _selected_rows(log, ids, valid_only):
+        part = latency[mask]
+        end = at + part.shape[0]
+        latencies[at:end] = part
+        if subs is not None:
+            subs[at:end] = sub[mask]
+        at = end
+    return at
+
+
 def latency_stats(
     handles: list[SubscriberHandle], valid_only: bool = True
 ) -> LatencyStats:
     """Pooled latency stats over a set of subscriber endpoints.
 
-    Streams each backing log once; the pooled sample is sorted before
-    summarising, so pooling in chunk order is result-identical to
-    pooling in handle order."""
-    parts = [
-        latency[mask]
-        for log, ids in endpoints_by_log(handles)
-        for _, latency, mask in _selected_rows(log, ids, valid_only)
-    ]
-    return LatencyStats.from_samples(np.concatenate(parts) if parts else ())
+    Streams each backing log once into one buffer and sorts it in place;
+    sorting makes pooling in chunk order result-identical to pooling in
+    handle order."""
+    by_log = endpoints_by_log(handles)
+    rows = 0
+    for log, _ in by_log:
+        rows += len(log)
+    pooled = np.empty(rows)
+    count = 0
+    for log, ids in by_log:
+        count = _pool(log, ids, valid_only, pooled, at=count)
+    sample = pooled[:count]
+    sample.sort()
+    return LatencyStats.from_sorted(sample)
 
 
 class _SamplesByEndpoint:
@@ -112,14 +146,13 @@ class _SamplesByEndpoint:
     def __init__(self, handles: list[SubscriberHandle], valid_only: bool) -> None:
         self._by_log: dict[DeliveryLog, tuple[np.ndarray, np.ndarray]] = {}
         for log, ids in endpoints_by_log(handles):
-            subs, latencies = [np.empty(0, dtype=np.int64)], [np.empty(0)]
-            for sub, latency, mask in _selected_rows(log, ids, valid_only):
-                subs.append(sub[mask])
-                latencies.append(latency[mask])
-            sub = np.concatenate(subs)
+            latencies = np.empty(len(log))
+            subs = np.empty(len(log), dtype=np.int32)
+            count = _pool(log, ids, valid_only, latencies, subs)
+            sub = subs[:count]
             offsets = np.zeros(log.endpoint_count + 1, dtype=np.int64)
             np.cumsum(np.bincount(sub, minlength=log.endpoint_count), out=offsets[1:])
-            values = np.concatenate(latencies)[np.argsort(sub, kind="stable")]
+            values = latencies[:count][np.argsort(sub, kind="stable")]
             self._by_log[log] = offsets, values
 
     def of(self, handle: SubscriberHandle) -> np.ndarray:

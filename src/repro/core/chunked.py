@@ -39,9 +39,10 @@ import numpy as np
 
 from repro.core.growable import GrowableArray
 
-#: Default rows per chunk: 64k rows x 5 delivery-log columns x 8 bytes is
-#: a ~2.5 MB working set — big enough to amortise seal overhead, small
-#: enough that the active chunk is cache-friendly.
+#: Default rows per chunk: 64k delivery-log rows x 25 bytes (two int32
+#: ids, two float64s, a bool) is a ~1.6 MB working set — big enough to
+#: amortise seal overhead, small enough that the active chunk is
+#: cache-friendly.
 DEFAULT_CHUNK_ROWS = 65_536
 
 

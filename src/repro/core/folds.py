@@ -41,13 +41,32 @@ def fold_mean(values: Iterable[float]) -> float:
     return acc / n if n else 0.0
 
 
+#: Elements per ``np.add.accumulate`` call in :func:`fold_sum_array`: the
+#: fold's scratch is one block (512 KB), whatever the input's length.
+FOLD_BLOCK = 65_536
+
+
 def fold_sum_array(values: np.ndarray, start: float = 0.0) -> float:
     """The same sequential chain as :func:`fold_sum`, without a Python
-    loop: ``np.add.accumulate`` is a left-to-right *accumulation*
-    (pairwise reassociation applies to reductions, never accumulations),
-    so seeding it with ``start`` reproduces the running sum byte-for-byte.
+    loop per element: ``np.add.accumulate`` is a left-to-right
+    *accumulation* (pairwise reassociation applies to reductions, never
+    accumulations), so seeding it with ``start`` reproduces the running
+    sum byte-for-byte.  The input goes through in blocks of
+    :data:`FOLD_BLOCK`, each seeded with the sum carried so far — still
+    the one chain, in a fixed-size scratch instead of two copies of the
+    input.
     """
     arr = np.asarray(values, dtype=np.float64)
-    if arr.size == 0:
-        return float(start)
-    return float(np.add.accumulate(np.concatenate(((float(start),), arr)))[-1])
+    acc = float(start)
+    n = arr.shape[0]
+    if n == 0:
+        return acc
+    scratch = np.empty(min(n, FOLD_BLOCK) + 1)
+    for lo in range(0, n, FOLD_BLOCK):
+        part = arr[lo:lo + FOLD_BLOCK]
+        chain = scratch[: part.shape[0] + 1]
+        chain[0] = acc
+        chain[1:] = part
+        np.add.accumulate(chain, out=chain)
+        acc = float(chain[-1])
+    return acc

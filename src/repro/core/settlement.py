@@ -17,15 +17,20 @@ import numpy as np
 
 from repro.core.chunked import sorted_contains
 
-#: Bits of a pair key below the message id: endpoint ids stay below 2**32
-#: and message ids below 2**31, so ``msg_id << 32 | endpoint`` is a unique
-#: non-negative int64 whose order is (message, endpoint) order.
+#: Bits of a pair key below the message id: the delivery log stores both
+#: ids as int32 and endpoint ids are non-negative (below 2**31), so
+#: ``msg_id << 32 | endpoint`` is a unique int64 whose order is (message,
+#: endpoint) order — non-negative for the system's message ids.
 _ENDPOINT_BITS = 32
 
 
 def pair_keys(msg_ids: np.ndarray, endpoints: np.ndarray) -> np.ndarray:
-    """One int64 key per ``(msg_id, endpoint)`` row."""
-    return (msg_ids << _ENDPOINT_BITS) | endpoints
+    """One int64 key per ``(msg_id, endpoint)`` row, widened from the
+    log's int32 ids in one allocation (the shift and the or work in place)."""
+    keys = msg_ids.astype(np.int64)
+    keys <<= _ENDPOINT_BITS
+    keys |= endpoints
+    return keys
 
 
 class SettledKeys:

@@ -62,14 +62,25 @@ class DeliveryRecord:
     valid: bool
 
 
-#: Column schema of the shared delivery log (chunk storage order).
+#: Column schema of the shared delivery log (chunk storage order): 25
+#: bytes a row.  The ids are stored as int32 and widened to int64 by the
+#: whole-column reads (:meth:`DeliveryLog.columns`, ``columns_for``).
 _LOG_SCHEMA = (
-    ("sub_id", np.int64),
-    ("msg_id", np.int64),
+    ("sub_id", np.int32),
+    ("msg_id", np.int32),
     ("time", np.float64),
     ("latency", np.float64),
     ("valid", np.bool_),
 )
+
+#: Largest endpoint or message id the log stores.  Assigning a larger
+#: int64 into an int32 column would wrap silently, so registration and
+#: appends check against this bound first.
+MAX_LOG_ID = int(np.iinfo(np.int32).max)
+
+
+class LogIdOverflow(OverflowError):
+    """An endpoint or message id does not fit the log's int32 id columns."""
 
 
 class DeliveryLog:
@@ -120,8 +131,14 @@ class DeliveryLog:
 
     def register_many(self, names: list[str], prices: list[float]) -> int:
         """Bulk :meth:`register`: ids ``first .. first + len(names) - 1``
-        in order; returns ``first``."""
+        in order; returns ``first``.  Raises :class:`LogIdOverflow`, and
+        registers nothing, if the last id would pass :data:`MAX_LOG_ID`."""
         first = len(self._names)
+        if first + len(names) - 1 > MAX_LOG_ID:
+            raise LogIdOverflow(
+                f"registering {len(names)} endpoints after {first} would pass "
+                f"the log's largest endpoint id {MAX_LOG_ID}"
+            )
         self._names.extend(names)
         self._prices.extend(np.asarray(prices, dtype=np.float64))
         return first
@@ -165,6 +182,7 @@ class DeliveryLog:
     # Appending.
     # ------------------------------------------------------------------ #
     def append(self, sub_id: int, msg_id: int, time: float, latency_ms: float, valid: bool) -> None:
+        _check_msg_id(msg_id)
         self._store.append_row(sub_id, msg_id, time, latency_ms, valid)
 
     def append_batch(
@@ -179,10 +197,12 @@ class DeliveryLog:
         (broadcast, no temporaries), per-row endpoint id and validity.
         A row with ``sub_id < 0`` (no live endpoint) raises
         :class:`~repro.pubsub.metrics.MetricsError`: it would be a billed
-        delivery lost without a trace."""
+        delivery lost without a trace; a ``msg_id`` the int32 column
+        cannot hold raises :class:`LogIdOverflow`."""
         n = sub_ids.shape[0]
         if n == 0:
             return
+        _check_msg_id(msg_id)
         if sub_ids.min() < 0:
             from repro.pubsub.metrics import MetricsError  # metrics imports this module
 
@@ -201,16 +221,18 @@ class DeliveryLog:
         """Stream ``(col, ...)`` tuples per chunk in append (= simulated
         time) order, from row ``start`` on — the input of every analysis
         reduction and of the metrics ledger.  Spilled chunks load only the
-        requested columns.  Do not mutate yields; consume before appending
-        again."""
+        requested columns.  Ids come as stored (int32).  Do not mutate
+        yields; consume before appending again."""
         return self._store.iter_chunks(names, start)
 
     def columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Whole-log ``(sub_id, msg_id, time, latency, valid)`` columns in
         append order, as **snapshot copies** — safe to hold across later
         appends (unlike the pre-chunking zero-copy views), but the whole
-        log is materialised: prefer :meth:`iter_chunks` at scale."""
-        return self._store.gather()  # type: ignore[return-value]
+        log is materialised: prefer :meth:`iter_chunks` at scale.  The ids
+        are widened to int64."""
+        sub, msg, time, latency, valid = self._store.gather()
+        return sub.astype(np.int64), msg.astype(np.int64), time, latency, valid
 
     def endpoint_counts(self) -> tuple[np.ndarray, np.ndarray]:
         """(total, valid) delivery tallies indexed by endpoint id, one
@@ -247,7 +269,8 @@ class DeliveryLog:
 
     def columns_for(self, sub_id: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """(msg_id, time, latency, valid) columns of one endpoint, in
-        arrival order (copies — safe to hold across later appends).
+        arrival order (copies — safe to hold across later appends; the
+        message ids widened to int64).
 
         A per-call streaming filter: each call scans every chunk (from
         disk, under spill), gathering only the matching rows.  That is
@@ -260,7 +283,7 @@ class DeliveryLog:
         for sub, msg, time, lat, valid in self._store.iter_chunks():
             hit = sub == sub_id
             if hit.any():
-                parts.append((msg[hit], time[hit], lat[hit], valid[hit]))
+                parts.append((msg[hit].astype(np.int64), time[hit], lat[hit], valid[hit]))
         if not parts:
             return (
                 np.empty(0, dtype=np.int64), np.empty(0), np.empty(0),
@@ -269,6 +292,14 @@ class DeliveryLog:
         if len(parts) == 1:
             return parts[0]  # fancy-index results are already copies
         return tuple(np.concatenate([p[i] for p in parts]) for i in range(4))  # type: ignore[return-value]
+
+
+def _check_msg_id(msg_id: int) -> None:
+    if not -MAX_LOG_ID - 1 <= msg_id <= MAX_LOG_ID:
+        raise LogIdOverflow(
+            f"msg_id {msg_id} does not fit the log's int32 message ids "
+            f"(largest {MAX_LOG_ID})"
+        )
 
 
 def endpoints_by_log(

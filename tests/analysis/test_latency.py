@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.analysis.latency import (
@@ -11,7 +12,14 @@ from repro.analysis.latency import (
     latency_by_subscriber,
     latency_stats,
 )
-from repro.pubsub.client import SubscriberHandle
+from repro.core.chunked import DEFAULT_CHUNK_ROWS
+from repro.pubsub.client import DeliveryLog, SubscriberHandle
+from tests.analysis.frozen_report import (
+    frozen_deadline_margins,
+    frozen_latency_by_subscriber,
+    frozen_latency_stats,
+)
+from tests.analysis.memory import latency_stats_peak, latency_stats_peak_bound
 
 
 def handle(name: str, latencies: list[float], valid: bool = True) -> SubscriberHandle:
@@ -67,6 +75,54 @@ class TestLatencyStats:
         out = latency_by_subscriber([handle("S1", [50.0]), handle("S2", [])])
         assert out["S1"].count == 1
         assert out["S2"].count == 0
+
+
+def logged(rows: int, chunk_rows: int, spill: bool, endpoints: int = 300):
+    """A log of ``rows`` deliveries in batches of 1 000 over ``endpoints``
+    handles, about a tenth late, latencies tied often."""
+    log = DeliveryLog(chunk_rows=chunk_rows, spill=spill)
+    first = log.register_many([f"S{i}" for i in range(endpoints)], [1.0] * endpoints)
+    handles = [SubscriberHandle(f"S{i}", log=log, log_id=first + i) for i in range(endpoints)]
+    rng = np.random.default_rng(rows + chunk_rows)
+    for msg_id in range(rows // 1_000):
+        latency = float(rng.choice([250.0, 1e3])) if msg_id % 3 else float(rng.uniform(0, 5e3))
+        log.append_batch(
+            rng.integers(0, endpoints, 1_000), msg_id, float(msg_id), latency,
+            rng.random(1_000) < 0.9,
+        )
+    return log, handles
+
+
+class TestPooledSample:
+    """One pooled buffer, sorted in place: the same stats as the frozen
+    per-endpoint form, in 8 bytes a log row plus chunk-sized scratch."""
+
+    @pytest.mark.parametrize("spill", [False, True])
+    def test_equals_the_frozen_form(self, spill):
+        log, handles = logged(20_000, 512, spill)
+        assert log.spilled_chunks == (39 if spill else 0)
+        subset = handles[::3] + handles[:2]
+        for selected in (handles, subset):
+            for valid_only in (True, False):
+                assert latency_stats(selected, valid_only) == frozen_latency_stats(
+                    selected, valid_only
+                )
+                assert latency_by_subscriber(selected, valid_only) == (
+                    frozen_latency_by_subscriber(selected, valid_only)
+                )
+            assert deadline_margins(selected, 2e3) == frozen_deadline_margins(selected, 2e3)
+
+    @pytest.mark.parametrize(
+        "chunk_rows, spill", [(16_384, False), (DEFAULT_CHUNK_ROWS, True)]
+    )
+    def test_peak_is_one_sample_plus_two_chunks(self, chunk_rows, spill):
+        log, handles = logged(262_000, chunk_rows, spill)
+        for selected in (handles, handles[::3]):
+            stats, peak = latency_stats_peak(selected)
+            assert stats.count > 0
+            assert peak <= latency_stats_peak_bound(log), (
+                f"{peak / len(log):.1f} B per log row"
+            )
 
 
 class TestDeadlineMargins:

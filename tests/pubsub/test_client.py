@@ -8,7 +8,9 @@ import pytest
 from repro.core.strategies import FifoStrategy
 from repro.des.rng import RngStreams
 from repro.des.simulator import Simulator
-from repro.pubsub.client import DeliveryLog, DeliveryRecord, SubscriberHandle
+from repro.core.settlement import pair_keys
+from repro.pubsub import client
+from repro.pubsub.client import DeliveryLog, DeliveryRecord, LogIdOverflow, SubscriberHandle
 from repro.pubsub.filters import Predicate
 from repro.pubsub.metrics import MetricsError
 from repro.pubsub.subscription import Subscription
@@ -99,6 +101,64 @@ class TestDeliveryLogChunked:
         with pytest.raises(MetricsError, match="1 of 2 deliveries of msg 7"):
             log.append_batch(np.array([a, -1]), 7, 1.0, 1.0, np.ones(2, bool))
         assert len(log) == 0
+
+    def test_ids_are_stored_as_int32_and_widened_on_read(self):
+        """25 bytes a row: the id columns are int32 in the chunks, and
+        the whole-column reads hand out the int64 arrays they always did."""
+        log = DeliveryLog(chunk_rows=16)
+        _, (sub, msg, t, lat, valid) = _fill_log(log, 5, 100)
+        chunks = list(log.iter_chunks())
+        assert len(chunks) > 1
+        for chunk in chunks:
+            assert [c.dtype for c in chunk[:2]] == [np.int32, np.int32]
+            assert sum(c.itemsize for c in chunk) == 25
+        cols = log.columns()
+        assert [c.dtype for c in cols[:2]] == [np.int64, np.int64]
+        for have, want in zip(cols, (sub, msg, t, lat, valid)):
+            np.testing.assert_array_equal(have, want)
+        assert log.columns_for(2)[0].dtype == np.int64
+        np.testing.assert_array_equal(log.columns_for(2)[0], msg[sub == 2])
+
+    def test_pair_keys_widen_int32_ids_without_touching_them(self):
+        msg = np.array([0, 1, 2**31 - 1], dtype=np.int32)
+        sub = np.array([2**31 - 1, 0, 5], dtype=np.int32)
+        keys = pair_keys(msg, sub)
+        assert keys.dtype == np.int64
+        np.testing.assert_array_equal(
+            keys, (msg.astype(np.int64) << 32) | sub.astype(np.int64)
+        )
+        np.testing.assert_array_equal(msg, [0, 1, 2**31 - 1])
+        assert (np.diff(keys) > 0).all()  # (message, endpoint) order
+
+    def test_endpoint_ids_past_the_limit_raise(self, monkeypatch):
+        """An id past int32 would wrap in the column: registration stops
+        first, and registers nothing."""
+        monkeypatch.setattr(client, "MAX_LOG_ID", 5)
+        log = DeliveryLog()
+        assert log.register_many([f"S{i}" for i in range(5)], [1.0] * 5) == 0
+        with pytest.raises(LogIdOverflow, match="largest endpoint id 5"):
+            log.register_many(["S5", "S6"], [1.0, 1.0])
+        assert log.endpoint_count == 5 and len(log.endpoint_prices()) == 5
+        assert log.register("S5") == 5
+        with pytest.raises(LogIdOverflow):
+            SubscriberHandle("S6", log=log)
+        assert log.endpoint_count == 6
+
+    def test_msg_ids_past_the_limit_raise(self, monkeypatch):
+        log = DeliveryLog(chunk_rows=4)
+        a = log.register("A")
+        with pytest.raises(LogIdOverflow):  # no limit lowered: int32 itself
+            log.append(a, 2**31, 1.0, 1.0, True)
+        monkeypatch.setattr(client, "MAX_LOG_ID", 100)
+        log.append(a, 100, 1.0, 1.0, True)
+        log.append_batch(np.array([a, a]), 100, 1.0, 1.0, np.ones(2, bool))
+        with pytest.raises(LogIdOverflow, match="msg_id 101"):
+            log.append(a, 101, 1.0, 1.0, True)
+        with pytest.raises(LogIdOverflow, match="msg_id 101"):
+            log.append_batch(np.array([a, a]), 101, 1.0, 1.0, np.ones(2, bool))
+        assert isinstance(LogIdOverflow("x"), OverflowError)
+        assert len(log) == 3
+        assert log.columns()[1].tolist() == [100, 100, 100]
 
     def test_handle_counts_on_chunked_log(self):
         log = DeliveryLog(chunk_rows=4)
