@@ -18,6 +18,7 @@ import pytest
 
 from repro.analysis.latency import latency_stats
 from repro.analysis.revenue import revenue_by_tier
+from repro.analysis.timeseries import windowed_metrics
 from repro.core.metrics import SMALL_ROWS, ScorePlan, expected_benefit
 from repro.core.pruning import DEFAULT_EPSILON, PruningPolicy, prune_horizon
 from repro.core.queueing import ScheduledQueue
@@ -46,7 +47,12 @@ from repro.workload.dynamics import ChurnWave, DynamicsDriver
 from repro.workload.scenarios import ScaleScenarioSpec, Scenario, build_scale_subscriptions
 from repro.workload.subscriptions import random_attributes, random_conjunctive_filter
 from tests.analysis.frozen_report import frozen_latency_stats, frozen_revenue_by_tier
-from tests.analysis.memory import latency_stats_peak, latency_stats_peak_bound
+from tests.analysis.memory import (
+    latency_stats_peak,
+    latency_stats_peak_bound,
+    windowed_metrics_peak,
+    windowed_metrics_peak_bound,
+)
 from tests.core.helpers import (
     assert_same_table,
     block_of,
@@ -733,6 +739,44 @@ def test_analysis_revenue_by_tier(benchmark, scale_run):
     tiers = benchmark.pedantic(cold_tiers, rounds=3, iterations=1)
     benchmark.extra_info["endpoints"] = scale_run.delivery_log.endpoint_count
     assert len(tiers) > 1 and tiers == frozen_revenue_by_tier(scale_run)
+
+
+#: Rows per chunk of the windowed-series bench's log: ``scale_run``'s
+#: world cut into 23 chunks, so a per-log cost shows against the bound.
+WINDOWED_CHUNK_ROWS = 8_192
+
+
+@pytest.fixture(scope="module")
+def chunked_run():
+    spec = ScaleScenarioSpec(name="micro", subscribers=16_000)
+    config = scale_config(spec, minutes=0.5).replace(log_chunk_rows=WINDOWED_CHUNK_ROWS)
+    system = build_scale_system(spec, config)
+    schedule_workload(system, config)
+    run_to_horizon(system, config, None)
+    return system, config
+
+
+def test_analysis_timeseries_windowed(benchmark, chunked_run):
+    """``windowed_metrics`` over the 16k world's log in 8k-row chunks
+    (``analysis.timeseries.windowed_s``); ``peak_bytes_per_row`` is what
+    tracemalloc sees it hold at its peak, per log row, which must stay
+    within a few chunks however many chunks the log has."""
+    system, config = chunked_run
+    log = system.delivery_log
+    assert len(log) >= 16 * log.chunk_rows
+    series = benchmark.pedantic(
+        windowed_metrics, args=(system, 5_000.0, config.horizon_ms), rounds=3, iterations=1
+    )
+    traced, peak = windowed_metrics_peak(system, 5_000.0, config.horizon_ms)
+    benchmark.extra_info["rows"] = len(log)
+    benchmark.extra_info["peak_bytes_per_row"] = round(peak / len(log), 1)
+    totals, m = series.totals(), system.metrics
+    assert totals == traced.totals()
+    assert (totals["deliveries_valid"], totals["deliveries_late"]) == (
+        m.deliveries_valid, m.deliveries_late,
+    )
+    assert totals["earning"] == m.earning
+    assert peak <= windowed_metrics_peak_bound(log)
 
 
 def _run_fingerprint(system) -> tuple:

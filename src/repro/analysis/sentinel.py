@@ -105,11 +105,11 @@ class InvariantSentinel:
                 "simulated clock ran backwards",
             )
         self._last_now = now
-        heap = self.system.sim._heap
-        if heap and not heap[0].cancelled and heap[0].time < now:
+        head = next(self.system.sim.pending(), None)
+        if head is not None and not head.cancelled and head.time < now:
             self._fail(
                 "heap-monotonic",
-                {"now": now, "head_time": heap[0].time, "head_label": heap[0].label},
+                {"now": now, "head_time": head.time, "head_label": head.label},
                 "pending event scheduled in the past",
             )
 
@@ -194,7 +194,7 @@ class InvariantSentinel:
         """
         process_pairs = 0
         transit_pairs = 0
-        for ev in self.system.sim._heap:
+        for ev in self.system.sim.pending():
             if ev.cancelled:
                 continue
             if ev.kind == "process":

@@ -4,17 +4,17 @@ The paper reports one number per 2-hour run; under a dynamics script
 (load bursts, link degradation, churn) the *trajectory* is the result.
 This module buckets the run into fixed windows and computes, as
 **streaming per-chunk reductions** over the system's chunked column
-stores — no per-delivery Python, no whole-log gather, O(chunk +
-settled-pair keys) memory even when the logs are spilled to disk (the
-cross-chunk first-arrival settlement keeps one int64 per pair, ~4x
-leaner than the 5-column rows it replaces holding) —
+stores — no per-delivery Python, no whole-log gather, O(chunk) memory
+even when the logs are spilled to disk (the log's ``first`` column
+already settles each pair, so nothing is carried across chunks but the
+per-window accumulators) —
 
 * **published / interested** per window (by publish time, from the
   system's publication log),
 * **valid / late deliveries, earning, latency sum** per window (by
-  arrival time, from the shared :class:`~repro.pubsub.client.DeliveryLog`
-  with the metrics layer's first-arrival-wins pair settlement replayed
-  as one ``np.unique`` pass), and
+  arrival time, from the shared :class:`~repro.pubsub.client.DeliveryLog`:
+  the rows its first-arrival mark settles, the same ones the metrics
+  ledger counts), and
 * optionally **queue depth** per window (mean/max of a
   :class:`QueueDepthSampler`'s probes).
 
@@ -33,7 +33,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.core.folds import fold_sum_array
-from repro.core.settlement import SettledKeys, pair_keys
+from repro.core.settlement import pair_keys
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.pubsub.system import PubSubSystem
@@ -128,18 +128,18 @@ def windowed_metrics(
     """Bucket a finished system's run into ``window_ms`` windows.
 
     ``horizon_ms`` defaults to the simulator clock (the run's end).  Pair
-    settlement mirrors the metrics layer exactly: the first arrival of
-    each (message, endpoint) pair decides valid/late, later duplicates
-    (multi-path routing) are ignored.  Events strictly beyond the horizon
-    are **excluded** (not clipped into the last window), so a truncated
-    horizon folds to the truncated aggregates.
+    settlement is the metrics layer's: the log's ``first`` mark picks the
+    first arrival of each (message, endpoint) pair, which decides
+    valid/late, and later duplicates are ignored.  Events strictly beyond
+    the horizon are **excluded** (not clipped into the last window), so a
+    truncated horizon folds to the truncated aggregates.
 
     The whole computation is a streaming reduction over the chunked
     publication and delivery logs — per-chunk partial bincounts and
-    ``np.add.at`` into carried accumulators, with cross-chunk pair
-    settlement as a sorted-key merge — so peak memory is O(chunk +
-    settled pairs) even when the logs live on disk.  Counts and earnings
-    are exact in any chunking (integer-valued sums); carried ``add.at``
+    ``np.add.at`` into carried accumulators — so peak memory is O(chunk)
+    even when the logs live on disk.  Counts and earnings are exact in
+    any chunking (integer-valued sums); within a chunk the settled rows
+    fold in (message, endpoint) key order, and carried ``add.at``
     accumulation reproduces the whole-array bincount's addition order,
     bit for bit, within each chunking.
     """
@@ -169,22 +169,20 @@ def windowed_metrics(
     earning_w = np.zeros(windows, dtype=np.float64)
     latency_w = np.zeros(windows, dtype=np.float64)
     prices = system.endpoint_prices()
-    # First-arrival-wins, as the metrics ledger settles: the log is
-    # append-ordered by simulated time, so the first occurrence of a
-    # (message, endpoint) key is the arrival that counts.
-    seen = SettledKeys()
-    for sub, msg, time, latency, valid in system.delivery_log.iter_chunks():
-        if not sub.shape[0]:
+    for sub, msg, time, latency, valid, first in system.delivery_log.iter_chunks():
+        rows = np.flatnonzero(first)
+        if not rows.shape[0]:
             continue
-        first = seen.first_arrivals(pair_keys(msg, sub))
+        # The settled rows in (message, endpoint) key order: the order the
+        # per-window sums have always folded them in.
+        rows = rows[np.argsort(pair_keys(msg[rows], sub[rows]), kind="stable")]
         # Settlement happens wherever the first arrival lands; only the
         # bucketing is horizon-masked, so a truncated horizon excludes
         # out-of-horizon events instead of corrupting the last window.
-        inside = time[first] <= horizon
-        first = first[inside]
-        if not first.shape[0]:
+        rows = rows[time[rows] <= horizon]
+        if not rows.shape[0]:
             continue
-        s, t, lat, v = sub[first], time[first], latency[first], valid[first]
+        s, t, lat, v = sub[rows], time[rows], latency[rows], valid[rows]
         w = _window_index(t, window_ms, windows)
         valid_w += np.bincount(w[v], minlength=windows)
         late_w += np.bincount(w[~v], minlength=windows)

@@ -15,8 +15,8 @@ module decomposes a column set into **fixed-size immutable chunks**:
 * readers consume :meth:`ChunkedColumnStore.iter_chunks`, a streaming
   pass that materialises **one chunk at a time** (loading only the
   requested columns of spilled chunks), so any associative reduction —
-  partial bincounts, ``np.add.at`` into carried accumulators, sorted
-  key merges — runs in O(chunk) memory over an O(run) log.
+  partial bincounts, ``np.add.at`` into carried accumulators — runs in
+  O(chunk) memory over an O(run) log.
 
 Chunk boundaries never reorder rows: concatenating the chunks of a
 store reproduces the exact append sequence, which is what makes the
@@ -39,8 +39,8 @@ import numpy as np
 
 from repro.core.growable import GrowableArray
 
-#: Default rows per chunk: 64k delivery-log rows x 25 bytes (two int32
-#: ids, two float64s, a bool) is a ~1.6 MB working set — big enough to
+#: Default rows per chunk: 64k delivery-log rows x 26 bytes (two int32
+#: ids, two float64s, two bools) is a ~1.7 MB working set — big enough to
 #: amortise seal overhead, small enough that the active chunk is
 #: cache-friendly.
 DEFAULT_CHUNK_ROWS = 65_536
@@ -184,21 +184,6 @@ def spill_transfer(root: Path | str) -> Iterator[SpillTransfer]:
         yield ctx
     finally:
         _SPILL_TRANSFER.pop()
-
-
-def sorted_contains(haystack: np.ndarray, needles: np.ndarray) -> np.ndarray:
-    """Boolean membership of ``needles`` in a **sorted** ``haystack``.
-
-    The searchsorted-and-clamp idiom every chunk-streaming reduction
-    needs (cross-chunk dedup state probes, wanted-id filters); shared
-    here so the clamping subtlety lives in one place.  ``haystack`` must
-    be ascending (an empty haystack contains nothing); ``needles`` may
-    be in any order.
-    """
-    if haystack.shape[0] == 0:
-        return np.zeros(needles.shape[0], dtype=bool)
-    pos = np.minimum(np.searchsorted(haystack, needles), haystack.shape[0] - 1)
-    return haystack[pos] == needles
 
 
 def grouped_runs(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:

@@ -1,21 +1,23 @@
-"""First-arrival settlement of (message, endpoint) pairs over a chunked log.
+"""First-arrival settlement of (message, endpoint) pairs, at append time.
 
-Under multi-path routing one (message, endpoint) pair can arrive more than
-once; the paper's accounting counts it once, at its first arrival, as
-valid or late.  The delivery log holds every arrival in append (= simulated
-time) order, so settlement is a streaming reduction: each chunk's keys go
-through one ``np.unique`` pass (the first index per key is the chunk's
-first arrival), and a cross-chunk sorted-key set drops the pairs an
-earlier chunk already settled.  The production ledger
+Under multi-path routing — and under single-path routing across a route
+change, when rows installed before and after it follow different sink
+trees — one (message, endpoint) pair can arrive more than once; the
+paper's accounting counts it once, at its first arrival, as valid or
+late.  An endpoint's local rows live only in its edge broker's table, so
+a pair can repeat only if the message is delivered locally twice at that
+broker.  The system therefore settles each local delivery batch as it is
+appended: :func:`first_marks` checks the batch's endpoint ids against the
+batches of the same message delivered there before, and the delivery log
+stores the outcome as its ``first`` column.  The production ledger
 (:mod:`repro.pubsub.metrics`) and the windowed series
-(:mod:`repro.analysis.timeseries`) both settle through this module.
+(:mod:`repro.analysis.timeseries`) both read that mark; neither keeps a
+set of settled pairs.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from repro.core.chunked import sorted_contains
 
 #: Bits of a pair key below the message id: the delivery log stores both
 #: ids as int32 and endpoint ids are non-negative (below 2**31), so
@@ -33,57 +35,33 @@ def pair_keys(msg_ids: np.ndarray, endpoints: np.ndarray) -> np.ndarray:
     return keys
 
 
-class SettledKeys:
-    """The pairs settled so far: a sorted set of int64 keys with amortised
-    consolidation.
+def first_marks(
+    earlier: list[np.ndarray], ids: np.ndarray, *, distinct: bool = False
+) -> bool | np.ndarray:
+    """Settle one delivery batch of one message: which of its endpoint
+    ``ids`` arrive for the first time.
 
-    A consolidated sorted array plus a short list of sorted per-chunk
-    batches; novelty probes binary-search all of them, and batches fold
-    into the big array only when they rival it in size (or pile up) —
-    doubling-style, so the total sort work over a run is O(P log P) in
-    the settled-pair count instead of one full re-sort per chunk.
+    ``earlier`` holds the id arrays of the message's batches appended
+    before this one (to the same broker's endpoints, or to the same log);
+    ``ids`` joins it.  A row is a first arrival if no earlier batch holds
+    its id and, within the batch, the first occurrence wins.  When the
+    caller knows the ids are ``distinct`` (a table's local group) and
+    nothing came before, every row is first: the scalar ``True``, which
+    the log broadcasts without allocating a mask.
     """
-
-    __slots__ = ("_seen", "_pending", "_pending_rows")
-
-    _MAX_PENDING = 16
-
-    def __init__(self) -> None:
-        self._seen = np.empty(0, dtype=np.int64)
-        self._pending: list[np.ndarray] = []
-        self._pending_rows = 0
-
-    def novel(self, uniq: np.ndarray) -> np.ndarray:
-        """Mask of ``uniq`` (sorted unique) keys not settled yet."""
-        mask = ~sorted_contains(self._seen, uniq)
-        for batch in self._pending:
-            mask &= ~sorted_contains(batch, uniq)
-        return mask
-
-    def add(self, fresh: np.ndarray) -> None:
-        """Record sorted keys known to be disjoint from the state."""
-        if not fresh.shape[0]:
-            return
-        self._pending.append(fresh)
-        self._pending_rows += fresh.shape[0]
-        if (
-            len(self._pending) >= self._MAX_PENDING
-            or self._pending_rows >= max(self._seen.shape[0], 1)
-        ):
-            self._seen = np.concatenate([self._seen, *self._pending])
-            self._seen.sort(kind="mergesort")  # disjoint parts: plain sort
-            self._pending.clear()
-            self._pending_rows = 0
-
-    def first_arrivals(self, keys: np.ndarray) -> np.ndarray:
-        """Settle one slice of the log: the indices of the rows whose pair
-        no earlier row settled (the first occurrence of each new key), in
-        key order.  Those pairs count as settled from now on."""
-        # A stable sort: a chunk's keys come in sorted runs (a batch lists
-        # its endpoints in table order), which it merges in near-linear time.
-        uniq, first = np.unique(keys, return_index=True)
-        novel = self.novel(uniq)
-        if not novel.all():
-            uniq, first = uniq[novel], first[novel]
-        self.add(uniq)
-        return first
+    if not earlier and distinct:
+        earlier.append(ids)
+        return True
+    if earlier:
+        seen = earlier[0] if len(earlier) == 1 else np.concatenate(earlier)
+        mark = ~np.isin(ids, seen)
+    else:
+        mark = np.ones(ids.shape[0], dtype=bool)
+    if not distinct and ids.shape[0] > 1:
+        _, first = np.unique(ids, return_index=True)
+        if first.shape[0] < ids.shape[0]:
+            once = np.zeros(ids.shape[0], dtype=bool)
+            once[first] = True
+            mark &= once
+    earlier.append(ids)
+    return mark

@@ -13,11 +13,13 @@ class Event:
     execution fully deterministic for a fixed schedule, a prerequisite for
     seed-reproducible experiments.
 
-    A ``__slots__`` record compared as a plain tuple: the kernel allocates
-    one per scheduled callback and the heap compares them constantly, so
-    dataclass machinery (generated ``__init__`` with defaults-processing,
-    per-field comparison methods, an instance ``__dict__``) is measurable
-    overhead at paper-scale event counts.
+    A ``__slots__`` record: the kernel allocates one per scheduled
+    callback, so dataclass machinery (generated ``__init__`` with
+    defaults-processing, an instance ``__dict__``) is measurable overhead
+    at paper-scale event counts.  The kernel's heap orders
+    ``(time, priority, seq, event)`` tuples, so its comparisons never call
+    :meth:`__lt__`; the methods give the same order to code that sorts
+    events.
     """
 
     __slots__ = (

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import heapq
 from time import perf_counter
-from typing import Callable
+from typing import Callable, Iterator
 
 from repro.core import profiling
 from repro.des.event import Event, EventHandle
@@ -20,11 +20,15 @@ class Simulator:
     Time is a float in **milliseconds** throughout this project (the paper
     quotes link rates in ms/KB and processing delay in ms).  The kernel
     itself is unit-agnostic.
+
+    The heap holds ``(time, priority, seq, event)`` tuples: ``seq`` is
+    unique, so a comparison never reaches the event and stays in C, and
+    the order is :class:`~repro.des.event.Event`'s own.
     """
 
     def __init__(self, start_time: float = 0.0) -> None:
         self._now = float(start_time)
-        self._heap: list[Event] = []
+        self._heap: list[tuple[float, int, int, Event]] = []
         self._seq = 0
         self._executed = 0
         self._running = False
@@ -41,7 +45,14 @@ class Simulator:
         heap mid-``run()`` would freeze a half-executed action."""
         if self._running:
             raise SimulationError("cannot snapshot a running simulator")
-        return self.__dict__.copy()
+        state = self.__dict__.copy()
+        # The events alone, in heap order: each carries its own key.
+        state["_heap"] = [entry[3] for entry in self._heap]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._heap = [(ev.time, ev.priority, ev.seq, ev) for ev in state["_heap"]]
 
     # ------------------------------------------------------------------ #
     # Clock.
@@ -65,6 +76,12 @@ class Simulator:
     def live_events(self) -> int:
         """Events still in the heap that have not been cancelled."""
         return self._live
+
+    def pending(self) -> Iterator[Event]:
+        """The queued events, lazily cancelled ones included, in heap
+        order: the first is the next to pop.  Read them, do not schedule
+        or run while iterating."""
+        return (entry[3] for entry in self._heap)
 
     # ------------------------------------------------------------------ #
     # Scheduling.
@@ -108,9 +125,10 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule into the past (time={time}, now={self._now})"
             )
-        event = Event(float(time), priority, self._seq, action, label, kind=kind, payload=payload)
+        time = float(time)
+        event = Event(time, priority, self._seq, action, label, kind=kind, payload=payload)
+        heapq.heappush(self._heap, (time, priority, self._seq, event))
         self._seq += 1
-        heapq.heappush(self._heap, event)
         self._live += 1
         return EventHandle(event, self._note_cancelled)
 
@@ -129,7 +147,7 @@ class Simulator:
     def step(self) -> bool:
         """Execute the next non-cancelled event.  Returns False when idle."""
         while self._heap:
-            event = heapq.heappop(self._heap)
+            event = heapq.heappop(self._heap)[3]
             if event.cancelled:
                 continue
             self._now = event.time
@@ -157,7 +175,7 @@ class Simulator:
                 if max_events is not None and executed >= max_events:
                     break
                 t0 = perf_counter() if prof is not None else 0.0
-                head = self._heap[0]
+                head = self._heap[0][3]
                 if head.cancelled:
                     heapq.heappop(self._heap)
                     continue

@@ -5,11 +5,11 @@ matching the paper), so these classes are thin: a publisher stamps and
 injects messages, a subscriber records what arrives.
 
 Delivery records are column-oriented **and chunked**: all endpoints of
-one system share a :class:`DeliveryLog` (msg_id/time/latency/valid/sub_id
-columns in a :class:`~repro.core.chunked.ChunkedColumnStore`) that the
-system appends to per batch, one broadcast write per (message, edge
-broker).  Sealed chunks are immutable and — with ``log_spill`` enabled —
-live on disk, so a run's delivery history no longer has to fit in RAM;
+one system share a :class:`DeliveryLog` (sub_id/msg_id/time/latency/valid
+columns and the first-arrival mark in a
+:class:`~repro.core.chunked.ChunkedColumnStore`) that the system appends
+to per batch, one broadcast write per (message, edge broker).  Sealed
+chunks are immutable and — with ``log_spill`` enabled — live on disk, so a run's delivery history no longer has to fit in RAM;
 every inspection path below is a streaming reduction over chunks.  A
 :class:`SubscriberHandle` is a view over its slice of the log;
 ``records`` materialises :class:`DeliveryRecord` objects lazily for the
@@ -25,6 +25,7 @@ import numpy as np
 
 from repro.core.chunked import DEFAULT_CHUNK_ROWS, ChunkedColumnStore
 from repro.core.growable import GrowableArray
+from repro.core.settlement import first_marks
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.pubsub.message import Message
@@ -62,16 +63,22 @@ class DeliveryRecord:
     valid: bool
 
 
-#: Column schema of the shared delivery log (chunk storage order): 25
+#: Column schema of the shared delivery log (chunk storage order): 26
 #: bytes a row.  The ids are stored as int32 and widened to int64 by the
-#: whole-column reads (:meth:`DeliveryLog.columns`, ``columns_for``).
+#: whole-column reads (:meth:`DeliveryLog.columns`, ``columns_for``),
+#: which leave out ``first``: whether the row is the first arrival of its
+#: (message, endpoint) pair, set when the row is appended.
 _LOG_SCHEMA = (
     ("sub_id", np.int32),
     ("msg_id", np.int32),
     ("time", np.float64),
     ("latency", np.float64),
     ("valid", np.bool_),
+    ("first", np.bool_),
 )
+
+#: The record columns: what the whole-column reads return.
+_RECORD_COLUMNS = ("sub_id", "msg_id", "time", "latency", "valid")
 
 #: Largest endpoint or message id the log stores.  Assigning a larger
 #: int64 into an int32 column would wrap silently, so registration and
@@ -95,6 +102,13 @@ class DeliveryLog:
     over it — so a row without a live endpoint is an error, never
     dropped.
 
+    Each row carries its first-arrival mark (the ``first`` column): the
+    system settles a batch against the earlier batches of its message at
+    the same broker and passes the mark in; an append without one is
+    settled here, against every earlier row of its message (the record
+    of those ids is kept for the life of the log, so this suits
+    standalone and test logs, not a system's).
+
     Rows live in fixed-size immutable chunks (``chunk_rows`` each); with
     ``spill=True`` sealed chunks are written to a private temp ``.npz``
     ring and only the active chunk stays hot — the memory high-water
@@ -105,6 +119,7 @@ class DeliveryLog:
 
     __slots__ = (
         "_store", "_names", "_prices", "_counts_len", "_valid_counts", "_total_counts",
+        "_arrivals",
     )
 
     def __init__(self, chunk_rows: int = DEFAULT_CHUNK_ROWS, spill: bool = False) -> None:
@@ -122,6 +137,8 @@ class DeliveryLog:
         self._counts_len = -1
         self._valid_counts: np.ndarray | None = None
         self._total_counts: np.ndarray | None = None
+        #: Endpoint ids per message of the appends that came without a mark.
+        self._arrivals: dict[int, list[np.ndarray]] = {}
 
     def register(self, name: str, price: float = 1.0) -> int:
         """Hand out the next endpoint id, billed at ``price`` per valid
@@ -181,9 +198,19 @@ class DeliveryLog:
     # ------------------------------------------------------------------ #
     # Appending.
     # ------------------------------------------------------------------ #
-    def append(self, sub_id: int, msg_id: int, time: float, latency_ms: float, valid: bool) -> None:
+    def append(
+        self,
+        sub_id: int,
+        msg_id: int,
+        time: float,
+        latency_ms: float,
+        valid: bool,
+        first: bool | None = None,
+    ) -> None:
         _check_msg_id(msg_id)
-        self._store.append_row(sub_id, msg_id, time, latency_ms, valid)
+        if first is None:
+            first = bool(self._settle(msg_id, np.array([sub_id], dtype=np.int64)))
+        self._store.append_row(sub_id, msg_id, time, latency_ms, valid, first)
 
     def append_batch(
         self,
@@ -192,10 +219,13 @@ class DeliveryLog:
         time: float,
         latency_ms: float,
         valid: np.ndarray,
+        first: bool | np.ndarray | None = None,
     ) -> None:
         """One message's local fan-out: shared msg/time/latency scalars
-        (broadcast, no temporaries), per-row endpoint id and validity.
-        A row with ``sub_id < 0`` (no live endpoint) raises
+        (broadcast, no temporaries), per-row endpoint id and validity, and
+        the first-arrival mark (a scalar broadcasts; ``None`` settles the
+        batch here, see the class docstring).  A row with ``sub_id < 0``
+        (no live endpoint) raises
         :class:`~repro.pubsub.metrics.MetricsError`: it would be a billed
         delivery lost without a trace; a ``msg_id`` the int32 column
         cannot hold raises :class:`LogIdOverflow`."""
@@ -210,7 +240,12 @@ class DeliveryLog:
             raise MetricsError(
                 f"{lost} of {n} deliveries of msg {msg_id} have no live endpoint"
             )
-        self._store.append_batch(n, sub_ids, msg_id, time, latency_ms, valid)
+        if first is None:
+            first = self._settle(msg_id, sub_ids.copy())
+        self._store.append_batch(n, sub_ids, msg_id, time, latency_ms, valid, first)
+
+    def _settle(self, msg_id: int, ids: np.ndarray) -> bool | np.ndarray:
+        return first_marks(self._arrivals.setdefault(msg_id, []), ids)
 
     # ------------------------------------------------------------------ #
     # Streaming reads.
@@ -221,8 +256,9 @@ class DeliveryLog:
         """Stream ``(col, ...)`` tuples per chunk in append (= simulated
         time) order, from row ``start`` on — the input of every analysis
         reduction and of the metrics ledger.  Spilled chunks load only the
-        requested columns.  Ids come as stored (int32).  Do not mutate
-        yields; consume before appending again."""
+        requested columns (all six by default, ``first`` last).  Ids come
+        as stored (int32).  Do not mutate yields; consume before appending
+        again."""
         return self._store.iter_chunks(names, start)
 
     def columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -231,7 +267,7 @@ class DeliveryLog:
         appends (unlike the pre-chunking zero-copy views), but the whole
         log is materialised: prefer :meth:`iter_chunks` at scale.  The ids
         are widened to int64."""
-        sub, msg, time, latency, valid = self._store.gather()
+        sub, msg, time, latency, valid = self._store.gather(_RECORD_COLUMNS)
         return sub.astype(np.int64), msg.astype(np.int64), time, latency, valid
 
     def endpoint_counts(self) -> tuple[np.ndarray, np.ndarray]:
@@ -280,7 +316,7 @@ class DeliveryLog:
         (pooled latency samples, received sets, per-endpoint tallies)
         each group one shared streaming pass instead."""
         parts: list[tuple[np.ndarray, ...]] = []
-        for sub, msg, time, lat, valid in self._store.iter_chunks():
+        for sub, msg, time, lat, valid in self._store.iter_chunks(_RECORD_COLUMNS):
             hit = sub == sub_id
             if hit.any():
                 parts.append((msg[hit].astype(np.int64), time[hit], lat[hit], valid[hit]))

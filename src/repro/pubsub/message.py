@@ -38,7 +38,9 @@ class Message:
         """MappingProxyType is unpicklable; ship a plain dict and rebuild
         the read-only proxy on restore.  The filter verdicts a
         :class:`~repro.pubsub.matching.FilterIndex` cached here are
-        dropped: they are recomputed on demand."""
+        dropped: they are recomputed on demand.  The endpoint ids the
+        system delivered it to per broker (``_arrivals``) stay: a later
+        copy is settled against them."""
         state = self.__dict__.copy()
         state["attributes"] = dict(self.attributes)
         state.pop("_verdicts", None)

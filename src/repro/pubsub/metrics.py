@@ -13,10 +13,11 @@ Two collectors implement the accounting:
 * :class:`LedgerMetricsCollector` (the production stack's) — a cursor
   reduction over the system's :class:`~repro.pubsub.client.DeliveryLog`.
   Brokers append each local fan-out to the log once; nothing else
-  records it.  Reading a delivery-side counter reduces the rows appended
-  since the last read: first-arrival settlement per ``(msg_id,
-  endpoint)`` pair, counts, per-message and per-endpoint tallies, and
-  the float sums as left folds in log order.
+  records it, each row marked with whether it is the first arrival of
+  its ``(msg_id, endpoint)`` pair.  Reading a delivery-side counter
+  reduces the rows appended since the last read: counts of the marked
+  rows, per-message and per-endpoint tallies, and the float sums as left
+  folds in log order.
 * :class:`MetricsCollector` (the reference stack's, see
   :mod:`repro.reference`) — the original per-delivery dict/set collector,
   fed row by row by its brokers.
@@ -34,7 +35,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.folds import fold_sum_array
-from repro.core.settlement import SettledKeys, pair_keys
 from repro.pubsub.client import DeliveryLog
 
 
@@ -186,20 +186,23 @@ class LedgerMetricsCollector:
     The delivery side is never fed: the ledger keeps a row cursor into
     the :class:`~repro.pubsub.client.DeliveryLog` and, on every read of a
     delivery-side counter, reduces only the rows appended since the last
-    read — first-arrival settlement of each ``(msg_id, endpoint)`` pair
-    (:mod:`repro.core.settlement`), valid and late counts, ``np.bincount``
-    tallies per message and per endpoint, and ``earning`` /
-    ``latency_sum_ms`` as left folds in log order.  The log's append
-    order is the order the scalar collector settles in, so both floats
-    are byte-identical to its running sums.  A spilling log also runs the
+    read.  The log's ``first`` column already settles each ``(msg_id,
+    endpoint)`` pair (:mod:`repro.core.settlement`, at append time), so
+    the reduction keeps no set of settled pairs: valid and late counts of
+    the marked rows, ``np.bincount`` tallies per message and per
+    endpoint, and ``earning`` / ``latency_sum_ms`` as left folds in log
+    order.  The log's append order is the order the scalar collector
+    settles in, so both floats are byte-identical to its running sums.  A spilling log also runs the
     reduction just before each chunk goes to disk, so no row is ever read
     back from the spill ring.
 
     A ledger built without a log owns a private one, fed through the
     standalone entry points :meth:`on_delivery`, :meth:`on_delivery_batch`
     and :meth:`on_delivery_batch_ids` (subscribers become endpoints on
-    first sight, at their first price).  A system's ledger reduces the
-    system's log, which its brokers append to; nothing else writes it.
+    first sight, at their first price); the log settles those rows by
+    message id as they are appended, the first occurrence of a pair in a
+    batch winning.  A system's ledger reduces the system's log, which its
+    brokers append to; nothing else writes it.
     """
 
     def __init__(self, log: DeliveryLog | None = None) -> None:
@@ -213,10 +216,9 @@ class LedgerMetricsCollector:
         #: Standalone ledgers only: subscriber name -> endpoint id.
         self._endpoint_of: dict[str, int] | None = {} if log is None else None
         # The reduction: a row cursor, every row it has reduced (each row
-        # exactly once), the settled pairs and the accumulators.
+        # exactly once) and the accumulators.
         self._cursor = 0
         self.rows_reduced = 0
-        self._settled = SettledKeys()
         self._valid = 0
         self._late = 0
         self._earning = 0.0
@@ -282,7 +284,8 @@ class LedgerMetricsCollector:
         self, msg_id: int, endpoints: np.ndarray, latency_ms: float, valid: np.ndarray
     ) -> None:
         """Standalone entry: one message's deliveries, by endpoint id of
-        the ledger's own log (arrival times are not known here)."""
+        the ledger's own log (arrival times are not known here); the log
+        settles the rows against the message's earlier ones."""
         if self._endpoint_of is None:
             raise MetricsError("a system's ledger reduces the system's delivery log")
         self._log.append_batch(endpoints, msg_id, np.nan, latency_ms, valid)
@@ -297,17 +300,14 @@ class LedgerMetricsCollector:
         if self._cursor == end:
             return
         prices = log.endpoint_prices()
-        for sub, msg, latency, valid in log.iter_chunks(
-            ("sub_id", "msg_id", "latency", "valid"), start=self._cursor
+        for sub, msg, latency, valid, first in log.iter_chunks(
+            ("sub_id", "msg_id", "latency", "valid", "first"), start=self._cursor
         ):
             self.rows_reduced += sub.shape[0]
-            first = self._settled.first_arrivals(pair_keys(msg, sub))
-            settles = np.zeros(sub.shape[0], dtype=bool)
-            settles[first] = True
             # Valid settlements in log order: the order they were earned in.
-            counted = np.flatnonzero(settles & valid)
+            counted = np.flatnonzero(first & valid)
             self._valid += counted.shape[0]
-            self._late += first.shape[0] - counted.shape[0]
+            self._late += int(np.count_nonzero(first)) - counted.shape[0]
             if counted.shape[0]:
                 endpoints = sub[counted]
                 # The documented left folds (repro.core.folds), seeded

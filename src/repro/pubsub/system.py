@@ -33,6 +33,7 @@ import numpy as np
 
 from repro.core.chunked import DEFAULT_CHUNK_ROWS, ChunkedColumnStore
 from repro.core.pruning import DEFAULT_EPSILON, PruningPolicy
+from repro.core.settlement import first_marks
 from repro.core.strategies import Strategy
 from repro.des.rng import RngStreams
 from repro.des.simulator import Simulator
@@ -264,9 +265,20 @@ class PubSubSystem:
     def _on_local_delivery_batch(self, broker: Broker, group, message: Message, latency: float, valid) -> None:
         """Record one message's local fan-out in the shared delivery log:
         one vectorised append per batch, under the rows' subscription ids,
-        which are their endpoint ids."""
+        which are their endpoint ids, each row marked with whether it is
+        the first arrival of its (message, endpoint) pair.
+
+        An endpoint's local rows live in its edge broker's table alone, so
+        a pair can only repeat as a second local delivery of the message
+        at this broker: the batch is settled against the ids delivered
+        there before, which the message carries (``_arrivals``, pickled
+        with it).  A group's ids are distinct, so a first delivery at a
+        broker marks every row with a broadcast ``True``."""
+        sub_ids = group.sub_ids
+        arrivals = message.__dict__.setdefault("_arrivals", {})
+        first = first_marks(arrivals.setdefault(broker.name, []), sub_ids, distinct=True)
         self.delivery_log.append_batch(
-            group.sub_ids, message.msg_id, self.sim.now, latency, valid
+            sub_ids, message.msg_id, self.sim.now, latency, valid, first
         )
 
     # ------------------------------------------------------------------ #

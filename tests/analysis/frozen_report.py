@@ -19,10 +19,11 @@ import numpy as np
 
 from repro.analysis.latency import LatencyStats
 from repro.analysis.revenue import TierRevenue
-from repro.core.chunked import grouped_runs, sorted_contains
+from repro.core.chunked import grouped_runs
 from repro.core.folds import fold_mean
 from repro.pubsub.client import DeliveryLog, SubscriberHandle
 from repro.pubsub.system import PubSubSystem
+from tests.core.frozen_settlement import sorted_contains
 
 
 def frozen_from_samples(samples: list[float]) -> LatencyStats:

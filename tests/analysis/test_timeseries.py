@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 from repro.analysis.timeseries import QueueDepthSampler, windowed_metrics
+from repro.experiments.scale import build_scale_system, scale_config
 from repro.sim.config import SimulationConfig
-from repro.sim.runner import build_system, schedule_dynamics, schedule_workload
+from repro.sim.runner import build_system, run_to_horizon, schedule_dynamics, schedule_workload
 from repro.workload.dynamics import ChurnWave, FlashCrowd, RateBurst, ScenarioScript
-from repro.workload.scenarios import Scenario
+from repro.workload.scenarios import ScaleScenarioSpec, Scenario
+from tests.analysis.memory import windowed_metrics_peak, windowed_metrics_peak_bound
 
 
 def _run(
@@ -216,3 +218,21 @@ class TestSeriesShape:
             windowed_metrics(system, 100.0)  # clock still at 0
         with pytest.raises(ValueError):
             QueueDepthSampler(system, every_ms=0.0, horizon_ms=1000.0)
+
+
+class TestMemory:
+    """The series carries nothing across chunks but its per-window sums:
+    its peak is a few chunks, however long the log."""
+
+    @pytest.mark.parametrize("spill", [False, True])
+    def test_peak_is_a_few_chunks_on_a_long_log(self, spill):
+        spec = ScaleScenarioSpec(name="memory", subscribers=16_000)
+        config = scale_config(spec, minutes=0.5).replace(log_chunk_rows=8_192, log_spill=spill)
+        system = build_scale_system(spec, config)
+        schedule_workload(system, config)
+        run_to_horizon(system, config, None)
+        log = system.delivery_log
+        assert len(log) >= 16 * log.chunk_rows
+        ts, peak = windowed_metrics_peak(system, 5_000.0, config.horizon_ms)
+        _assert_folds(system, ts)
+        assert peak <= windowed_metrics_peak_bound(log), f"{peak / len(log):.1f} B per log row"

@@ -54,7 +54,7 @@ class TestEventActionPicklability:
         # a lambda or a function nested inside another function.
         system = build_system(_config(FULL_SCRIPT))
         assert schedule_dynamics(system, _config(FULL_SCRIPT)) is not None
-        actions = [ev.action for ev in system.sim._heap if not ev.cancelled]
+        actions = [ev.action for ev in system.sim.pending() if not ev.cancelled]
         assert actions, "script scheduled no events"
         for action in actions:
             fn = action.func if isinstance(action, functools.partial) else action
@@ -66,7 +66,7 @@ class TestEventActionPicklability:
         config = _config(FULL_SCRIPT)
         system = build_system(config)
         schedule_dynamics(system, config)
-        for ev in system.sim._heap:
+        for ev in system.sim.pending():
             if ev.cancelled:
                 continue
             restored = pickle.loads(pickle.dumps(ev.action))
@@ -84,7 +84,7 @@ class TestEventActionPicklability:
         system = build_system(config)
         schedule_dynamics(system, config)
         system.sim.run(until=1_600.0)  # first wave has fired and rescheduled
-        pending = [ev.action for ev in system.sim._heap if not ev.cancelled]
+        pending = [ev.action for ev in system.sim.pending() if not ev.cancelled]
         assert pending, "cascade scheduled no continuation"
         for action in pending:
             pickle.loads(pickle.dumps(action))

@@ -103,7 +103,7 @@ class TestDeliveryLogChunked:
         assert len(log) == 0
 
     def test_ids_are_stored_as_int32_and_widened_on_read(self):
-        """25 bytes a row: the id columns are int32 in the chunks, and
+        """26 bytes a row: the id columns are int32 in the chunks, and
         the whole-column reads hand out the int64 arrays they always did."""
         log = DeliveryLog(chunk_rows=16)
         _, (sub, msg, t, lat, valid) = _fill_log(log, 5, 100)
@@ -111,7 +111,7 @@ class TestDeliveryLogChunked:
         assert len(chunks) > 1
         for chunk in chunks:
             assert [c.dtype for c in chunk[:2]] == [np.int32, np.int32]
-            assert sum(c.itemsize for c in chunk) == 25
+            assert sum(c.itemsize for c in chunk) == 26
         cols = log.columns()
         assert [c.dtype for c in cols[:2]] == [np.int64, np.int64]
         for have, want in zip(cols, (sub, msg, t, lat, valid)):
