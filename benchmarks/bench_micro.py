@@ -12,6 +12,7 @@ import math
 import pickle
 import time
 import tracemalloc
+import zipfile
 
 import numpy as np
 import pytest
@@ -558,6 +559,51 @@ def test_pubsub_metrics_reduce(benchmark):
     best = min(_seconds(reduce) for _ in range(3))
     benchmark.extra_info["ns_per_row"] = best / len(log) * 1e9
     benchmark.extra_info["rows"] = len(log)
+
+
+#: The chunk-read bench's log: 64 messages broadcast to 16k endpoints,
+#: 1M rows in 16 sealed chunks of the default size.
+READ_ENDPOINTS = 16_384
+READ_MESSAGES = 64
+
+
+def test_core_chunked_iter_chunks(benchmark, monkeypatch):
+    """``core.chunked.iter_chunks_s``: one full pass, every column, over a
+    16-chunk spilled delivery log, byte-equal to the same log in memory.
+    ``zipfile_opens`` counts the ``zipfile.ZipFile`` constructions on the
+    read path (a count, not a time): spilled chunks are read at the
+    offsets recorded when they were written, so it must be 0."""
+    rng = np.random.default_rng(5)
+    memory, spilled = DeliveryLog(), DeliveryLog(spill=True)
+    ids = np.arange(READ_ENDPOINTS)
+    for log in (memory, spilled):
+        log.register_many([f"S{i}" for i in ids.tolist()], [1.0] * READ_ENDPOINTS)
+    for msg_id in range(READ_MESSAGES):
+        latency = float(rng.uniform(100.0, 3_000.0))
+        valid = rng.random(READ_ENDPOINTS) < 0.9
+        for log in (memory, spilled):
+            log.append_batch(ids, msg_id, float(msg_id), latency, valid)
+    assert spilled.spilled_chunks == 16 and len(spilled) == 16 * spilled.chunk_rows
+
+    opened = []
+
+    class CountingZipFile(zipfile.ZipFile):
+        def __init__(self, *args, **kwargs):
+            opened.append(args[0])
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(zipfile, "ZipFile", CountingZipFile)
+
+    def one_pass() -> int:
+        return sum(col.nbytes for cols in spilled.iter_chunks() for col in cols)
+
+    nbytes = benchmark(one_pass)
+    for mine, theirs in zip(memory.iter_chunks(), spilled.iter_chunks(), strict=True):
+        assert [c.tobytes() for c in mine] == [c.tobytes() for c in theirs]
+    benchmark.extra_info["rows"] = len(spilled)
+    benchmark.extra_info["zipfile_opens"] = len(opened)
+    assert nbytes == len(spilled) * sum(c.itemsize for c in next(memory.iter_chunks()))
+    assert opened == []
 
 
 def _seconds(fn) -> float:

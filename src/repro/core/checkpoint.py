@@ -6,7 +6,8 @@ A checkpoint is a **directory**, not a file::
         MANIFEST.json     version, code/config fingerprints, run metadata
         state.pkl         the pickled object graph (DES heap, RNG streams,
                           tables, queues, monitors, metrics, logs)
-        chunks/           spilled log chunks, copied file-to-file
+        chunks/           spilled log chunks: hard links to the run's
+                          spill-ring files (copies across filesystems)
 
 The pickled graph is the *live system object* — every pending
 :class:`~repro.des.event.Event` serializes its action (a
@@ -15,7 +16,10 @@ so scheduled publications, queue-service completions and dynamics
 interventions all survive without a registry of callback names.  Spilled
 log chunks travel as files through :func:`repro.core.chunked.spill_transfer`
 rather than being inlined into the pickle, so checkpointing a
-bounded-memory run stays bounded-memory.
+bounded-memory run stays bounded-memory.  A chunk file is written once,
+when its chunk is sealed, and never rewritten, so the snapshot and the
+run share it as one inode (and a resumed run links it back into its
+ring): the filesystem's link count is the only reference count.
 
 Atomicity: the directory is assembled under a dot-prefixed temp name in
 the same parent and published with ``os.rename``; a crash mid-save
@@ -32,8 +36,9 @@ version or fingerprint mismatch with :class:`CheckpointMismatch` —
 resumption is only provably byte-identical under the same decisions, so
 anything else is an error, not a warning.  ``allow_code_mismatch=True``
 (code and arithmetic) exists for debugging archaeology only.  The
-manifest records the size of ``state.pkl``; a state file of another size,
-or one that does not unpickle, is a :class:`CheckpointError` naming it.
+manifest records the size of ``state.pkl`` and of each chunk file; a
+missing file, one of another size, or a state file that does not unpickle
+is a :class:`CheckpointError` naming it.
 """
 
 from __future__ import annotations
@@ -191,16 +196,18 @@ def save_checkpoint(
             with spill_transfer(chunks_dir):
                 pickle.dump(state, fh, protocol=pickle.HIGHEST_PROTOCOL)
             state_bytes = fh.tell()
-        chunk_files = sorted(
-            str(p.relative_to(chunks_dir)) for p in chunks_dir.rglob("*.npz")
-        )
+        chunk_bytes = {
+            str(p.relative_to(chunks_dir)): p.stat().st_size
+            for p in sorted(chunks_dir.rglob("*.npz"))
+        }
         manifest = {
             "version": CHECKPOINT_VERSION,
             "code": code_fingerprint(),
             "arithmetic": arithmetic_fingerprint(),
             "fingerprints": dict(fingerprints or {}),
             "meta": dict(meta or {}),
-            "chunks": chunk_files,
+            "chunks": sorted(chunk_bytes),
+            "chunk_bytes": chunk_bytes,
             "state_bytes": state_bytes,
         }
         (tmp / _MANIFEST).write_text(json.dumps(manifest, indent=2, sort_keys=True))
@@ -282,14 +289,10 @@ def load_checkpoint(
                 f"snapshot has {saved.get(key)!r}, caller expects {expected!r}"
             )
     state_path = path / _STATE
-    state_bytes = manifest.get("state_bytes")
+    _check_size(state_path, manifest.get("state_bytes"), "state")
+    for rel, chunk_bytes in (manifest.get("chunk_bytes") or {}).items():
+        _check_size(path / _CHUNKS / rel, chunk_bytes, "chunk")
     try:
-        size = state_path.stat().st_size
-        if state_bytes is not None and size != state_bytes:
-            raise CheckpointError(
-                f"checkpoint state {state_path} has {size} bytes but its manifest "
-                f"records {state_bytes}: truncated or overwritten"
-            )
         with open(state_path, "rb") as fh:
             with spill_transfer(path / _CHUNKS):
                 collecting = gc.isenabled()
@@ -304,6 +307,20 @@ def load_checkpoint(
     except (pickle.UnpicklingError, EOFError, AttributeError) as exc:
         raise CheckpointError(f"corrupt checkpoint state {state_path}: {exc}") from exc
     return state, manifest
+
+
+def _check_size(file: Path, expected: int | None, what: str) -> None:
+    """Refuse a snapshot file that is missing or not the size its manifest
+    records, naming it."""
+    try:
+        size = file.stat().st_size
+    except OSError as exc:
+        raise CheckpointError(f"unreadable checkpoint {what} {file}: {exc}") from exc
+    if expected is not None and size != expected:
+        raise CheckpointError(
+            f"checkpoint {what} {file} has {size} bytes but its manifest "
+            f"records {expected}: truncated or overwritten"
+        )
 
 
 def latest_checkpoint(directory: Path | str) -> Path | None:

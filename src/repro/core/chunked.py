@@ -10,13 +10,21 @@ module decomposes a column set into **fixed-size immutable chunks**:
   slice write per batch, never reallocating);
 * a full active chunk is **sealed** — its columns are detached
   (zero-copy, marked read-only) and either kept in memory or, with
-  spill enabled, written to a numbered ``.npz`` file in a private temp
-  ring and dropped from RAM;
+  spill enabled, written once by ``np.savez`` to a numbered ``.npz``
+  file in a private temp ring and dropped from RAM; the file's size and
+  each column's zip-member offset, length, CRC-32 and ``.npy`` header
+  length are recorded at seal;
 * readers consume :meth:`ChunkedColumnStore.iter_chunks`, a streaming
-  pass that materialises **one chunk at a time** (loading only the
-  requested columns of spilled chunks), so any associative reduction —
-  partial bincounts, ``np.add.at`` into carried accumulators — runs in
-  O(chunk) memory over an O(run) log.
+  pass that materialises **one chunk at a time** (reading only the
+  requested columns of spilled chunks, each with one read at its
+  recorded offset, checked against the recorded size and CRC-32), so
+  any associative reduction — partial bincounts, ``np.add.at`` into
+  carried accumulators — runs in O(chunk) memory over an O(run) log.
+
+A chunk file is never written through once it exists (the ring creates
+each file exclusively), so snapshots and resumed rings take it as a hard
+link, falling back to a copy where the filesystem refuses one: the
+filesystem's link count is the only reference count.
 
 Chunk boundaries never reorder rows: concatenating the chunks of a
 store reproduces the exact append sequence, which is what makes the
@@ -26,14 +34,17 @@ byte-compatible with the old whole-array gathers.
 
 from __future__ import annotations
 
+import os
 import shutil
+import struct
 import tempfile
 import time
 import weakref
 import zipfile
+import zlib
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, BinaryIO, Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -64,10 +75,18 @@ class SpillError(RuntimeError):
         self.chunk_id = chunk_id
 
 
-#: Save/load indirections: tests inject failing-filesystem shims here.
+def _read_bytes(fh: BinaryIO, count: int) -> np.ndarray:
+    """Up to ``count`` bytes from ``fh``'s position, as a fresh uint8 array
+    (shorter only at the end of the file)."""
+    raw = np.empty(count, dtype=np.uint8)
+    return raw[: fh.readinto(raw)]
+
+
+#: Save/load/place indirections: tests inject failing-filesystem shims here.
 _SAVEZ = np.savez
-_LOAD = np.load
+_LOAD = _read_bytes
 _COPY = shutil.copy2
+_LINK = os.link
 
 #: Bounded retry for transient I/O (EINTR, NFS hiccups).  Attempt ``k``
 #: sleeps ``_SPILL_BACKOFF_S * 2**k`` before retrying; persistent errors
@@ -78,7 +97,33 @@ _SPILL_BACKOFF_S = 0.05
 
 #: Errors that mean "this chunk is corrupt", not "the fs is flaky" —
 #: retrying cannot help, so they convert to SpillError immediately.
-_CORRUPT_ERRORS = (ValueError, KeyError, EOFError, zipfile.BadZipFile)
+_CORRUPT_ERRORS = (ValueError, KeyError, zipfile.BadZipFile)
+
+#: Zip local file header: fixed part, and where its name and extra-field
+#: lengths sit in it.
+_ZIP_LOCAL_HEADER = 30
+_ZIP_NAME_LENGTHS = struct.Struct("<HH")
+_NPY_MAGIC = b"\x93NUMPY"
+
+
+class _Member(NamedTuple):
+    """Where one column lies in a sealed ``.npz``: its zip member's bytes
+    (the ``.npy`` header, then the data) span ``[offset, offset + length)``
+    of the file with CRC-32 ``crc``, and the data starts ``header`` bytes
+    in (a multiple of 64).  ``dtype`` is a type string: an unpickled
+    ``np.dtype`` is not numpy's own instance, and ``np.add.at`` over an
+    array viewed as one takes a path about 18 times slower."""
+
+    offset: int
+    length: int
+    crc: int
+    header: int
+    dtype: str
+
+
+#: A sealed chunk file's byte size and its columns' members, recorded at
+#: seal so a read is one read per column, with no zip parsing.
+_Layout = tuple[int, dict[str, _Member]]
 
 
 def _chunk_id_of(path: Path) -> int:
@@ -113,22 +158,108 @@ def _retrying(op: str, path: Path, fn: Callable[[], Any]) -> Any:
     ) from last
 
 
-def _write_chunk(path: Path, arrays: dict[str, np.ndarray]) -> None:
-    _retrying("write", path, lambda: _SAVEZ(path, **arrays))
+def _write_chunk(path: Path, arrays: dict[str, np.ndarray]) -> _Layout:
+    """Write ``arrays`` to ``path`` as a plain ``.npz``; return its layout.
+
+    The file is created exclusively: a chunk file, once written, may be a
+    hard link shared with snapshots and resumed rings, so a write through
+    an existing path would change their bytes too.  An existing ``path``
+    is an error, never overwritten, and not retried.
+    """
+
+    def _write() -> _Layout:
+        try:
+            fh = open(path, "x+b")
+        except FileExistsError as exc:
+            raise SpillError(
+                f"refusing to write spill chunk over existing {path}",
+                path=path, chunk_id=_chunk_id_of(path),
+            ) from exc
+        try:
+            with fh:
+                _SAVEZ(fh, **arrays)
+                return _read_layout(fh, arrays)
+        except BaseException:
+            path.unlink(missing_ok=True)  # our own partial file, linked nowhere yet
+            raise
+
+    return _retrying("write", path, _write)
 
 
-def _read_chunk(path: Path, names: Sequence[str]) -> tuple[np.ndarray, ...]:
+def _read_layout(fh: BinaryIO, arrays: dict[str, np.ndarray]) -> _Layout:
+    """The layout of the ``.npz`` just written to ``fh`` from ``arrays``:
+    the zip directory's offsets and CRC-32s, each local header's length
+    and each ``.npy`` header's length."""
+    members: dict[str, _Member] = {}
+    size = fh.seek(0, os.SEEK_END)
+    with zipfile.ZipFile(fh) as zf:
+        infos = zf.infolist()
+    for info in infos:
+        name = info.filename.removesuffix(".npy")
+        if info.compress_type != zipfile.ZIP_STORED:
+            raise ValueError(f"member {info.filename} is compressed")
+        fh.seek(info.header_offset + _ZIP_LOCAL_HEADER - _ZIP_NAME_LENGTHS.size)
+        name_len, extra_len = _ZIP_NAME_LENGTHS.unpack(fh.read(_ZIP_NAME_LENGTHS.size))
+        offset = info.header_offset + _ZIP_LOCAL_HEADER + name_len + extra_len
+        fh.seek(offset)
+        # Magic, format version, then the header's length: two bytes
+        # in format 1.0, four in 2.0 and 3.0.
+        preamble = fh.read(12)
+        if preamble[:6] != _NPY_MAGIC:
+            raise ValueError(f"member {info.filename} is not an .npy array")
+        if preamble[6] == 1:
+            header = 10 + int.from_bytes(preamble[8:10], "little")
+        else:
+            header = 12 + int.from_bytes(preamble[8:12], "little")
+        if header % 64 or header + arrays[name].nbytes != info.file_size:
+            raise ValueError(f"member {info.filename} has an unexpected layout")
+        members[name] = _Member(
+            offset, info.file_size, info.CRC, header, arrays[name].dtype.str
+        )
+    return size, members
+
+
+def _read_chunk(path: Path, layout: _Layout, names: Sequence[str]) -> tuple[np.ndarray, ...]:
+    """The ``names`` columns of a sealed chunk file, read at the offsets
+    recorded at seal: one read a column, checked against the
+    file's recorded size and each member's CRC-32.  The columns are
+    read-only views past their ``.npy`` headers."""
+    size, members = layout
+
     def _load() -> tuple[np.ndarray, ...]:
-        with _LOAD(path, allow_pickle=False) as zf:
-            # npz members load lazily per key: a reduction that needs two
-            # of five columns reads only those two from disk.
-            return tuple(zf[n] for n in names)
+        with open(path, "rb") as fh:
+            actual = os.fstat(fh.fileno()).st_size
+            if actual != size:
+                raise ValueError(f"file has {actual} bytes, {size} when sealed")
+            out = []
+            for name in names:
+                member = members[name]
+                fh.seek(member.offset)
+                raw = _LOAD(fh, count=member.length)
+                if raw.shape[0] != member.length or zlib.crc32(raw) != member.crc:
+                    raise ValueError(f"bad CRC-32 for member {name}.npy")
+                raw.flags.writeable = False
+                out.append(raw[member.header:].view(member.dtype))
+            return tuple(out)
 
     return _retrying("read", path, _load)
 
 
-def _copy_chunk(src: Path, dst: Path) -> None:
-    _retrying("copy", src, lambda: _COPY(src, dst))
+def _place_chunk(src: Path, dst: Path) -> None:
+    """Give ``dst`` the bytes of the sealed chunk file ``src``: a hard link
+    (the same inode, nothing copied), or a copy where the filesystem will
+    not link them (``EXDEV`` across filesystems, ``EPERM``, ...).  Safe
+    because no chunk file is written twice (:func:`_write_chunk`); for the
+    same reason an existing ``dst`` is an error, never copied over."""
+    try:
+        _LINK(src, dst)
+    except FileExistsError as exc:
+        raise SpillError(
+            f"refusing to place spill chunk {src} over existing {dst}",
+            path=dst, chunk_id=_chunk_id_of(dst),
+        ) from exc
+    except OSError:
+        _retrying("copy", src, lambda: _COPY(src, dst))
 
 
 # ---------------------------------------------------------------------- #
@@ -140,11 +271,13 @@ class SpillTransfer:
     Pickling a spilling store without a transfer context inlines every
     spilled chunk into the byte stream — correct, but it re-buys the RAM
     the spill ring exists to avoid.  Inside a :func:`spill_transfer`
-    context the store instead *copies* each spilled ``.npz`` file into
-    ``root`` (namespaced per store object, so the delivery and
-    publication logs never collide) and pickles a relative reference.
-    Unpickling under a context rooted at the same directory copies the
-    files back into a fresh private ring.
+    context the store instead *hard-links* each spilled ``.npz`` file
+    into ``root`` (namespaced per store object, so the delivery and
+    publication logs never collide) and pickles a relative reference
+    with the chunk's recorded layout.  Unpickling under a context rooted
+    at the same directory links the files back into a fresh private
+    ring.  Either link falls back to a copy (``EXDEV`` across
+    filesystems, or any other refusal).
     """
 
     def __init__(self, root: Path | str) -> None:
@@ -159,12 +292,12 @@ class SpillTransfer:
         return key
 
     def export(self, store: "ChunkedColumnStore", path: Path) -> str:
-        """Copy a spilled chunk file under ``root``; return its relative
-        reference string."""
+        """Place a spilled chunk file under ``root`` (a hard link where the
+        filesystem allows); return its relative reference string."""
         rel = f"{self._store_key(store)}/{path.name}"
         dst = self.root / rel
         dst.parent.mkdir(parents=True, exist_ok=True)
-        _copy_chunk(path, dst)
+        _place_chunk(path, dst)
         return rel
 
     def resolve(self, rel: str) -> Path:
@@ -208,19 +341,27 @@ def grouped_runs(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, n
 
 
 class _SealedChunk:
-    """One immutable chunk: column arrays in memory or an ``.npz`` path."""
+    """One immutable chunk: column arrays in memory, or an ``.npz`` path
+    and the layout recorded when it was written."""
 
-    __slots__ = ("rows", "arrays", "path")
+    __slots__ = ("rows", "arrays", "path", "layout")
 
-    def __init__(self, rows: int, arrays: dict[str, np.ndarray] | None, path: Path | None) -> None:
+    def __init__(
+        self,
+        rows: int,
+        arrays: dict[str, np.ndarray] | None,
+        path: Path | None = None,
+        layout: _Layout | None = None,
+    ) -> None:
         self.rows = rows
         self.arrays = arrays
         self.path = path
+        self.layout = layout
 
     def load(self, names: Sequence[str]) -> tuple[np.ndarray, ...]:
         if self.arrays is not None:
             return tuple(self.arrays[n] for n in names)
-        return _read_chunk(self.path, names)  # type: ignore[arg-type]
+        return _read_chunk(self.path, self.layout, names)  # type: ignore[arg-type]
 
 
 class ChunkedColumnStore:
@@ -322,10 +463,9 @@ class ChunkedColumnStore:
                     self, _remove_tree, str(self._spill_dir)
                 )
             path = self._spill_dir / f"chunk-{len(self._sealed):06d}.npz"
-            _write_chunk(path, arrays)
-            self._sealed.append(_SealedChunk(rows, None, path))
+            self._sealed.append(_SealedChunk(rows, None, path, _write_chunk(path, arrays)))
         else:
-            self._sealed.append(_SealedChunk(rows, arrays, None))
+            self._sealed.append(_SealedChunk(rows, arrays))
         self._rows_sealed += rows
         self._active = self._fresh_active()
 
@@ -381,6 +521,7 @@ class ChunkedColumnStore:
             if end > start:
                 arrays = chunk.load(cols)
                 yield arrays if offset >= start else tuple(a[start - offset:] for a in arrays)
+                del arrays  # not alive while the next chunk loads
             offset = end
         skip = max(start - offset, 0)
         if len(self._active[0]) > skip:
@@ -418,7 +559,8 @@ class ChunkedColumnStore:
             if chunk.path is None:
                 sealed.append(("mem", chunk.rows, chunk.arrays))
             elif transfer is not None:
-                sealed.append(("ref", chunk.rows, transfer.export(self, chunk.path)))
+                ref = transfer.export(self, chunk.path)
+                sealed.append(("ref", chunk.rows, (ref, chunk.layout)))
             else:
                 arrays = dict(zip(self._names, chunk.load(self._names)))
                 sealed.append(("mem", chunk.rows, arrays))
@@ -436,7 +578,9 @@ class ChunkedColumnStore:
 
     def __setstate__(self, state: dict) -> None:
         self._names = state["names"]
-        self._dtypes = state["dtypes"]
+        # numpy's own dtype instances, not unpickled copies: the active
+        # chunks made after a resume take them (see GrowableArray).
+        self._dtypes = tuple(np.dtype(dt.str) for dt in state["dtypes"])
         self._chunk_rows = state["chunk_rows"]
         self._spill = state["spill"]
         self._spill_prefix = state["spill_prefix"]
@@ -462,19 +606,19 @@ class ChunkedColumnStore:
                 if path is not None:
                     # Re-spill inline chunks so the restored store keeps
                     # the bounded-memory property it was built with.
-                    _write_chunk(path, payload)
-                    sealed.append(_SealedChunk(rows, None, path))
+                    sealed.append(_SealedChunk(rows, None, path, _write_chunk(path, payload)))
                 else:
-                    sealed.append(_SealedChunk(rows, payload, None))
+                    sealed.append(_SealedChunk(rows, payload))
             elif kind == "ref":
+                ref, layout = payload
                 if transfer is None or path is None:
                     raise SpillError(
-                        f"cannot restore spilled chunk reference {payload!r} "
+                        f"cannot restore spilled chunk reference {ref!r} "
                         "outside a spill_transfer() context",
-                        path=str(payload), chunk_id=len(sealed),
+                        path=str(ref), chunk_id=len(sealed),
                     )
-                _copy_chunk(transfer.resolve(payload), path)
-                sealed.append(_SealedChunk(rows, None, path))
+                _place_chunk(transfer.resolve(ref), path)
+                sealed.append(_SealedChunk(rows, None, path, layout))
             else:  # pragma: no cover - forward-compat guard
                 raise SpillError(
                     f"unknown sealed-chunk encoding {kind!r}",

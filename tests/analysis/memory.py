@@ -10,6 +10,10 @@ block — is bounded by the chunk size, not by the log.
 ``windowed_metrics`` carries nothing across chunks but its per-window
 accumulators: the log's ``first`` column settles each pair, so no set of
 settled pair keys grows with the log.
+
+Over a spilled log both hold what they hold over the same log in memory,
+plus the one chunk being read (a log in memory already holds it): no
+previous chunk, no file buffers.
 """
 
 from __future__ import annotations
@@ -28,8 +32,12 @@ from repro.pubsub.system import PubSubSystem
 LOG_ROW_BYTES = sum(np.dtype(dtype).itemsize for _, dtype in _LOG_SCHEMA)
 
 #: Allowance of the windowed series beyond its chunks: the per-window
-#: accumulators and a spilled chunk's file buffers.
+#: accumulators.
 WINDOWED_FIXED_BYTES = 64 * 1024
+
+#: Allowance of a reducer over a spilled log beyond its peak over the same
+#: log in memory and the one chunk it reads.
+SPILLED_SLACK_BYTES = 8 * 1024
 
 T = TypeVar("T")
 
@@ -69,3 +77,15 @@ def windowed_metrics_peak_bound(log: DeliveryLog) -> int:
     """Five chunks of the log plus :data:`WINDOWED_FIXED_BYTES`: nothing
     that grows with the log's length."""
     return 5 * log.chunk_rows * LOG_ROW_BYTES + WINDOWED_FIXED_BYTES
+
+
+def spilled_peak_bound(
+    in_memory_peak: int, log: DeliveryLog, names: tuple[str, ...] | None = None
+) -> int:
+    """A reducer's peak over the same log in memory, plus one chunk of
+    the ``names`` columns it reads (all by default) and
+    :data:`SPILLED_SLACK_BYTES`."""
+    row = sum(
+        np.dtype(dtype).itemsize for name, dtype in _LOG_SCHEMA if names is None or name in names
+    )
+    return in_memory_peak + log.chunk_rows * row + SPILLED_SLACK_BYTES

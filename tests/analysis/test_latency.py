@@ -19,7 +19,11 @@ from tests.analysis.frozen_report import (
     frozen_latency_by_subscriber,
     frozen_latency_stats,
 )
-from tests.analysis.memory import latency_stats_peak, latency_stats_peak_bound
+from tests.analysis.memory import (
+    latency_stats_peak,
+    latency_stats_peak_bound,
+    spilled_peak_bound,
+)
 
 
 def handle(name: str, latencies: list[float], valid: bool = True) -> SubscriberHandle:
@@ -123,6 +127,14 @@ class TestPooledSample:
             assert peak <= latency_stats_peak_bound(log), (
                 f"{peak / len(log):.1f} B per log row"
             )
+
+    def test_spilled_peak_is_the_in_memory_peak_plus_the_chunk_read(self):
+        peaks = {}
+        for spill in (False, True):
+            log, handles = logged(262_000, 16_384, spill)
+            peaks[spill] = [latency_stats_peak(selected)[1] for selected in (handles, handles[::3])]
+        for in_memory, spilled in zip(peaks[False], peaks[True]):
+            assert spilled <= spilled_peak_bound(in_memory, log, ("sub_id", "latency", "valid"))
 
 
 class TestDeadlineMargins:

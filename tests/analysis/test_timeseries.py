@@ -11,7 +11,11 @@ from repro.sim.config import SimulationConfig
 from repro.sim.runner import build_system, run_to_horizon, schedule_dynamics, schedule_workload
 from repro.workload.dynamics import ChurnWave, FlashCrowd, RateBurst, ScenarioScript
 from repro.workload.scenarios import ScaleScenarioSpec, Scenario
-from tests.analysis.memory import windowed_metrics_peak, windowed_metrics_peak_bound
+from tests.analysis.memory import (
+    spilled_peak_bound,
+    windowed_metrics_peak,
+    windowed_metrics_peak_bound,
+)
 
 
 def _run(
@@ -224,8 +228,8 @@ class TestMemory:
     """The series carries nothing across chunks but its per-window sums:
     its peak is a few chunks, however long the log."""
 
-    @pytest.mark.parametrize("spill", [False, True])
-    def test_peak_is_a_few_chunks_on_a_long_log(self, spill):
+    @staticmethod
+    def _peak(spill: bool):
         spec = ScaleScenarioSpec(name="memory", subscribers=16_000)
         config = scale_config(spec, minutes=0.5).replace(log_chunk_rows=8_192, log_spill=spill)
         system = build_scale_system(spec, config)
@@ -235,4 +239,14 @@ class TestMemory:
         assert len(log) >= 16 * log.chunk_rows
         ts, peak = windowed_metrics_peak(system, 5_000.0, config.horizon_ms)
         _assert_folds(system, ts)
+        return log, peak
+
+    @pytest.mark.parametrize("spill", [False, True])
+    def test_peak_is_a_few_chunks_on_a_long_log(self, spill):
+        log, peak = self._peak(spill)
         assert peak <= windowed_metrics_peak_bound(log), f"{peak / len(log):.1f} B per log row"
+
+    def test_spilled_peak_is_the_in_memory_peak_plus_the_chunk_read(self):
+        _, in_memory = self._peak(False)
+        log, spilled = self._peak(True)
+        assert spilled <= spilled_peak_bound(in_memory, log)

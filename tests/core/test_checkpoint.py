@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import errno
 import gc
 import json
 import pickle
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 from repro.core import checkpoint as ck
+from repro.core import chunked
 from repro.core.chunked import ChunkedColumnStore, SpillError
 from repro.core.checkpoint import (
     CHECKPOINT_VERSION,
@@ -375,6 +377,122 @@ class TestSpilledStoreTransfer:
         with pytest.raises(SpillError):
             with open(path / "state.pkl", "rb") as fh:
                 pickle.load(fh)
+
+
+class TestChunkFiles:
+    """Snapshot chunk files are hard links to the ring's (copies where the
+    filesystem refuses a link), sized in the manifest and checked at load."""
+
+    @staticmethod
+    def _ring(store: ChunkedColumnStore) -> dict[str, Path]:
+        return {f.name: f for f in store._spill_dir.glob("chunk-*.npz")}
+
+    @staticmethod
+    def _snapshot(path) -> dict[str, Path]:
+        return {f.name: f for f in (path / "chunks").rglob("chunk-*.npz")}
+
+    def test_manifest_records_each_chunk_size(self, tmp_path):
+        store = ChunkedColumnStore(SCHEMA, chunk_rows=8, spill=True)
+        fill(store, 50)
+        path = save_checkpoint({"store": store}, tmp_path / "ckpt-a")
+        sizes = read_manifest(path)["chunk_bytes"]
+        assert sorted(sizes) == read_manifest(path)["chunks"]
+        assert sizes == {
+            rel: (path / "chunks" / rel).stat().st_size for rel in sizes
+        }
+
+    @pytest.mark.parametrize("damage", ["missing", "short"])
+    def test_missing_or_short_chunk_refused_at_load(self, tmp_path, damage):
+        store = ChunkedColumnStore(SCHEMA, chunk_rows=8, spill=True)
+        fill(store, 50)
+        path = save_checkpoint({"store": store}, tmp_path / "ckpt-a")
+        store.close()
+        victim = sorted(self._snapshot(path).values())[2]
+        if damage == "missing":
+            victim.unlink()
+        else:
+            victim.write_bytes(victim.read_bytes()[:-1])
+        with pytest.raises(CheckpointError, match=f"chunk .*{victim.name}"):
+            load_checkpoint(path)
+
+    def test_snapshot_links_the_ring_files(self, tmp_path):
+        store = ChunkedColumnStore(SCHEMA, chunk_rows=8, spill=True)
+        values = fill(store, 50)
+        path = save_checkpoint({"store": store}, tmp_path / "ckpt-a")
+        ring, snap = self._ring(store), self._snapshot(path)
+        assert sorted(snap) == sorted(ring)
+        for name, f in snap.items():
+            assert f.stat().st_ino == ring[name].stat().st_ino
+        restored = load_checkpoint(path)[0]["store"]
+        for name, f in self._ring(restored).items():
+            assert f.stat().st_ino == snap[name].stat().st_ino
+            assert f.stat().st_nlink == 3  # the ring, the snapshot, the resumed ring
+        np.testing.assert_array_equal(restored.gather(("a",))[0], values)
+
+    def test_restored_chunks_have_numpys_own_dtypes(self, tmp_path):
+        # An unpickled dtype is a copy, and np.add.at over a column of one
+        # takes a slow path: spilled and active chunks of a restored store
+        # read back with numpy's own instances.
+        store = ChunkedColumnStore(SCHEMA, chunk_rows=8, spill=True)
+        fill(store, 20)
+        path = save_checkpoint({"store": store}, tmp_path / "ckpt-a")
+        restored = load_checkpoint(path)[0]["store"]
+        restored.append_batch(10, np.arange(10), 0.0)
+        chunks = list(restored.iter_chunks())
+        assert len(chunks) == 4
+        for chunk in chunks:
+            assert [c.dtype is np.dtype(c.dtype.str) for c in chunk] == [True, True]
+
+    def test_refused_link_falls_back_to_a_copy(self, tmp_path, monkeypatch):
+        def exdev(src, dst):
+            raise OSError(errno.EXDEV, "Invalid cross-device link")
+
+        monkeypatch.setattr(chunked, "_LINK", exdev)
+        store = ChunkedColumnStore(SCHEMA, chunk_rows=8, spill=True)
+        fill(store, 50)
+        path = save_checkpoint({"store": store}, tmp_path / "ckpt-a")
+        restored = load_checkpoint(path)[0]["store"]
+        for f in [*self._snapshot(path).values(), *self._ring(restored).values()]:
+            assert f.stat().st_nlink == 1
+        for mine, theirs in zip(store.gather(), restored.gather()):
+            assert mine.tobytes() == theirs.tobytes()
+
+    def test_transfer_never_places_a_chunk_over_an_existing_file(self, tmp_path):
+        store = ChunkedColumnStore(SCHEMA, chunk_rows=8, spill=True)
+        fill(store, 20)
+        taken = tmp_path / "chunks" / "store-000" / "chunk-000001.npz"
+        taken.parent.mkdir(parents=True)
+        taken.write_bytes(b"another snapshot's bytes")
+        with pytest.raises(SpillError) as info:
+            with chunked.spill_transfer(tmp_path / "chunks"):
+                pickle.dumps(store)
+        assert info.value.path == taken
+        assert taken.read_bytes() == b"another snapshot's bytes"
+
+    def test_second_snapshot_shares_the_first_ones_chunks(self, tmp_path):
+        store = ChunkedColumnStore(SCHEMA, chunk_rows=8, spill=True)
+        fill(store, 30)
+        first = save_checkpoint({"store": store}, tmp_path / "ckpt-a")
+        store.append_batch(30, np.arange(30), 0.0)
+        second = save_checkpoint({"store": store}, tmp_path / "ckpt-b")
+        a, b = self._snapshot(first), self._snapshot(second)
+        assert set(a) < set(b)
+        for name in a:
+            assert a[name].stat().st_ino == b[name].stat().st_ino
+            assert a[name].stat().st_nlink == 3  # the ring and two snapshots
+
+    def test_chunk_sealed_after_a_snapshot_stays_out_of_it(self, tmp_path):
+        store = ChunkedColumnStore(SCHEMA, chunk_rows=8, spill=True)
+        fill(store, 30)
+        path = save_checkpoint({"store": store}, tmp_path / "ckpt-a")
+        before = {name: f.read_bytes() for name, f in self._snapshot(path).items()}
+        store.append_batch(30, np.arange(30), 0.0)
+        assert len(self._ring(store)) > len(before)
+        after = {name: f.read_bytes() for name, f in self._snapshot(path).items()}
+        assert after == before
+        assert read_manifest(path)["chunks"] == sorted(
+            f"store-000/{name}" for name in before
+        )
 
 
 class TestCodeFingerprint:

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import collections
 import gc
+import tracemalloc
 import zipfile
 from pathlib import Path
 
@@ -151,6 +153,22 @@ class TestSpill:
         assert reads == []
         store.close()
 
+    def test_streaming_holds_one_spilled_chunk_at_a_time(self):
+        """A reader that drops each chunk before asking for the next holds
+        one chunk's columns (and a file buffer), never two."""
+        store = ChunkedColumnStore(SCHEMA, chunk_rows=4_096, spill=True)
+        store.append_batch(8 * 4_096, np.arange(8 * 4_096), 0.5, True)
+        chunk_bytes = 4_096 * sum(np.dtype(dtype).itemsize for _, dtype in SCHEMA)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            collections.deque(store.iter_chunks(), maxlen=0)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= chunk_bytes + 16 * 1024
+        store.close()
+
     def test_streaming_read_interleaved_with_appends(self):
         """Chunks sealed so far stream correctly while the store grows."""
         store = ChunkedColumnStore(SCHEMA, chunk_rows=10, spill=True)
@@ -227,7 +245,7 @@ class TestSpillFaults:
     def test_transient_read_failure_heals(self, monkeypatch):
         store = ChunkedColumnStore(SCHEMA, chunk_rows=4, spill=True)
         store.append_batch(8, np.arange(8), 0.5, True)
-        real = np.load
+        real = chunked._LOAD
         failures = iter([True])
 
         def flaky(path, **kwargs):
@@ -237,3 +255,82 @@ class TestSpillFaults:
 
         monkeypatch.setattr(chunked, "_LOAD", flaky)
         np.testing.assert_array_equal(store.gather(("a",))[0], np.arange(8))
+
+    @staticmethod
+    def _spilled(n: int = 8) -> tuple[ChunkedColumnStore, Path]:
+        """A store of two spilled chunks and the second one's file."""
+        store = ChunkedColumnStore(SCHEMA, chunk_rows=n // 2, spill=True)
+        store.append_batch(n, np.arange(n), np.linspace(0.0, 1.0, n), True)
+        return store, sorted(store._spill_dir.glob("chunk-*.npz"))[1]
+
+    @staticmethod
+    def _flip(path: Path, offset: int) -> None:
+        data = bytearray(path.read_bytes())
+        data[offset] ^= 0x01
+        path.write_bytes(bytes(data))
+
+    def _assert_names_chunk_1(self, store: ChunkedColumnStore, victim: Path) -> None:
+        with pytest.raises(SpillError) as info:
+            store.gather()
+        assert info.value.path == victim
+        assert info.value.chunk_id == 1
+
+    def test_flipped_data_byte_fails_the_crc(self):
+        store, victim = self._spilled()
+        b = store.gather(("b",))[0][4:]
+        self._flip(victim, victim.read_bytes().index(b.tobytes()) + b.nbytes - 1)
+        self._assert_names_chunk_1(store, victim)
+
+    def test_flipped_npy_header_byte_fails_the_crc(self):
+        store, victim = self._spilled()
+        data = victim.read_bytes()
+        header = data.index(b"'descr'", data.index(b"a.npy"))
+        self._flip(victim, header + 1)
+        self._assert_names_chunk_1(store, victim)
+
+    def test_file_one_byte_short_fails_the_size_check(self):
+        store, victim = self._spilled()
+        victim.write_bytes(victim.read_bytes()[:-1])
+        self._assert_names_chunk_1(store, victim)
+
+    def test_ring_files_stay_plain_npz(self):
+        store = ChunkedColumnStore(SCHEMA, chunk_rows=16, spill=True)
+        fill_reference(store, 100)
+        files = sorted(store._spill_dir.iterdir())
+        assert [f.name for f in files] == [f"chunk-{k:06d}.npz" for k in range(6)]
+        for f, mine in zip(files, store.iter_chunks()):
+            with np.load(f, allow_pickle=False) as npz:
+                assert npz.files == list(store.names)
+                for name, col in zip(store.names, mine):
+                    assert npz[name].dtype == col.dtype
+                    assert npz[name].tobytes() == col.tobytes()
+        store.close()
+
+    def test_spilled_reads_open_no_zipfile(self, monkeypatch):
+        store = ChunkedColumnStore(SCHEMA, chunk_rows=16, spill=True)
+        a, b, flag = fill_reference(store, 100)
+        opened = []
+        real = zipfile.ZipFile
+
+        def counting(*args, **kwargs):
+            opened.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(zipfile, "ZipFile", counting)
+        got = store.gather()
+        assert opened == []
+        for want, have in zip((a, b, flag), got):
+            np.testing.assert_array_equal(have, want)
+        store.close()
+
+    def test_ring_never_writes_through_an_existing_path(self):
+        """A chunk file may be shared, as a hard link, with a snapshot: the
+        ring refuses to write a chunk over a file already at its path."""
+        store = ChunkedColumnStore(SCHEMA, chunk_rows=4, spill=True)
+        store.append_batch(4, np.arange(4), 0.5, True)
+        shared = store._spill_dir / "chunk-000001.npz"
+        shared.write_bytes(b"a snapshot's bytes")
+        with pytest.raises(SpillError, match="refusing") as info:  # at once, not retried
+            store.append_batch(4, np.arange(4), 0.5, True)
+        assert info.value.chunk_id == 1
+        assert shared.read_bytes() == b"a snapshot's bytes"

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import collections
 import dataclasses
+import errno
+import hashlib
 import io
 import pickle
 import pickletools
@@ -11,6 +13,7 @@ import pickletools
 import pytest
 
 from repro.core.checkpoint import CheckpointMismatch, latest_checkpoint
+from repro.core import chunked
 from repro.core.chunked import spill_transfer
 from repro.experiments.scale import build_scale_system, scale_config
 from repro.pubsub.matching import VectorCountingMatcher
@@ -341,3 +344,47 @@ class TestCliFlags:
         assert policy.every_ms == 30_000.0  # seconds on the CLI, ms inside
         args = build_parser().parse_args(["run"])
         assert _checkpoint_policy(args) is None
+
+
+class TestSnapshotChunkFiles:
+    """A snapshot's chunk files are links to the run's ring files: the
+    resumed run links them back and seals new chunks beside them, never
+    through them."""
+
+    CONFIG = TINY.replace(log_chunk_rows=64, log_spill=True)
+
+    def _snapshot(self, tmp_path):
+        system = build_system(self.CONFIG)
+        schedule_workload(system, self.CONFIG)
+        system.run(until=self.CONFIG.horizon_ms / 2.0)
+        path, _, _ = save_run_checkpoint(system, self.CONFIG, tmp_path / "ck")
+        return system, path
+
+    @staticmethod
+    def _digests(path) -> dict:
+        return {
+            str(f.relative_to(path)): hashlib.sha256(f.read_bytes()).hexdigest()
+            for f in (path / "chunks").rglob("*.npz")
+        }
+
+    def test_resumed_run_leaves_the_snapshot_chunks_unchanged(self, tmp_path):
+        system, path = self._snapshot(tmp_path)
+        before = self._digests(path)
+        assert before
+        restored, config, _ = resume_run(path, config=self.CONFIG)
+        run_to_horizon(restored, config, None)
+        run_to_horizon(system, self.CONFIG, None)
+        assert restored.delivery_log.spilled_chunks > len(before)  # sealed after the resume
+        assert self._digests(path) == before
+        assert restored.delivery_log.columns()[0].tobytes() == (
+            system.delivery_log.columns()[0].tobytes()
+        )
+
+    def test_refused_link_resumes_byte_identically(self, tmp_path, monkeypatch):
+        def exdev(src, dst):
+            raise OSError(errno.EXDEV, "Invalid cross-device link")
+
+        monkeypatch.setattr(chunked, "_LINK", exdev)
+        _, path = self._snapshot(tmp_path)
+        assert all(f.stat().st_nlink == 1 for f in (path / "chunks").rglob("*.npz"))
+        assert run_simulation(self.CONFIG, resume=path) == run_simulation(self.CONFIG)
