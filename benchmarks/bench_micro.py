@@ -51,6 +51,7 @@ from tests.analysis.frozen_report import frozen_latency_stats, frozen_revenue_by
 from tests.analysis.memory import (
     latency_stats_peak,
     latency_stats_peak_bound,
+    stored_bytes_bound,
     windowed_metrics_peak,
     windowed_metrics_peak_bound,
 )
@@ -572,7 +573,9 @@ def test_core_chunked_iter_chunks(benchmark, monkeypatch):
     16-chunk spilled delivery log, byte-equal to the same log in memory.
     ``zipfile_opens`` counts the ``zipfile.ZipFile`` constructions on the
     read path (a count, not a time): spilled chunks are read at the
-    offsets recorded when they were written, so it must be 0."""
+    offsets recorded when they were written, so it must be 0.
+    ``stored_bytes_per_row`` is what the log stores, in memory and on
+    disk: at most 6 bytes a row plus 24 bytes a run (an append)."""
     rng = np.random.default_rng(5)
     memory, spilled = DeliveryLog(), DeliveryLog(spill=True)
     ids = np.arange(READ_ENDPOINTS)
@@ -602,6 +605,9 @@ def test_core_chunked_iter_chunks(benchmark, monkeypatch):
         assert [c.tobytes() for c in mine] == [c.tobytes() for c in theirs]
     benchmark.extra_info["rows"] = len(spilled)
     benchmark.extra_info["zipfile_opens"] = len(opened)
+    benchmark.extra_info["stored_bytes_per_row"] = round(spilled.nbytes / len(spilled), 3)
+    for log in (memory, spilled):
+        assert log.nbytes <= stored_bytes_bound(log)
     assert nbytes == len(spilled) * sum(c.itemsize for c in next(memory.iter_chunks()))
     assert opened == []
 
@@ -766,15 +772,19 @@ def scale_run():
 
 def test_analysis_latency_stats(benchmark, scale_run):
     """``peak_bytes_per_row`` is what tracemalloc sees the report hold at
-    its peak, per log row: one pooled sample plus chunk-sized scratch."""
+    its peak, per log row: a few words a log run plus chunk-sized
+    scratch.  The world's log stores at most 6 bytes a row plus 24 bytes
+    a run (``stored_bytes_per_row``)."""
     handles = list(scale_run.subscribers.values())
     stats = benchmark.pedantic(latency_stats, args=(handles,), rounds=3, iterations=1)
     log = scale_run.delivery_log
     benchmark.extra_info["rows"] = len(log)
     traced, peak = latency_stats_peak(handles)
     benchmark.extra_info["peak_bytes_per_row"] = round(peak / len(log), 1)
+    benchmark.extra_info["stored_bytes_per_row"] = round(log.nbytes / len(log), 3)
     assert stats.count > 0 and stats == traced == frozen_latency_stats(handles)
     assert peak <= latency_stats_peak_bound(log)
+    assert log.nbytes <= stored_bytes_bound(log)
 
 
 def test_analysis_revenue_by_tier(benchmark, scale_run):

@@ -169,20 +169,25 @@ def windowed_metrics(
     earning_w = np.zeros(windows, dtype=np.float64)
     latency_w = np.zeros(windows, dtype=np.float64)
     prices = system.endpoint_prices()
-    for sub, msg, time, latency, valid, first in system.delivery_log.iter_chunks():
+    for run_rows, (sub, msg, time, latency, valid, first) in system.delivery_log.iter_runs():
         rows = np.flatnonzero(first)
         if not rows.shape[0]:
             continue
+        # msg/time/latency come one value a run: read them through each
+        # settled row's run, not expanded to every row.
+        runs = np.repeat(np.arange(run_rows.shape[0]), run_rows)[rows]
         # The settled rows in (message, endpoint) key order: the order the
         # per-window sums have always folded them in.
-        rows = rows[np.argsort(pair_keys(msg[rows], sub[rows]), kind="stable")]
+        order = np.argsort(pair_keys(msg[runs], sub[rows]), kind="stable")
+        rows, runs = rows[order], runs[order]
         # Settlement happens wherever the first arrival lands; only the
         # bucketing is horizon-masked, so a truncated horizon excludes
         # out-of-horizon events instead of corrupting the last window.
-        rows = rows[time[rows] <= horizon]
+        inside = time[runs] <= horizon
+        rows, runs = rows[inside], runs[inside]
         if not rows.shape[0]:
             continue
-        s, t, lat, v = sub[rows], time[rows], latency[rows], valid[rows]
+        s, t, lat, v = sub[rows], time[runs], latency[runs], valid[rows]
         w = _window_index(t, window_ms, windows)
         valid_w += np.bincount(w[v], minlength=windows)
         late_w += np.bincount(w[~v], minlength=windows)

@@ -28,7 +28,7 @@ snapshot under a dot-prefixed ``.old-*`` name) that the next save of
 that snapshot sweeps away or restores, never a half-written checkpoint
 that :func:`latest_checkpoint` could pick up.
 
-Compatibility policy (version 1): a snapshot binds to the exact code
+Compatibility policy (version 2): a snapshot binds to the exact code
 tree (sha256 over the package's ``*.py`` files), to the arithmetic under
 it (numpy version, BLAS, a digest of fixed ``erf``/``dot`` probes) and to
 caller-supplied fingerprints (the run's config).  Loading refuses a
@@ -36,9 +36,10 @@ version or fingerprint mismatch with :class:`CheckpointMismatch` —
 resumption is only provably byte-identical under the same decisions, so
 anything else is an error, not a warning.  ``allow_code_mismatch=True``
 (code and arithmetic) exists for debugging archaeology only.  The
-manifest records the size of ``state.pkl`` and of each chunk file; a
-missing file, one of another size, or a state file that does not unpickle
-is a :class:`CheckpointError` naming it.
+manifest records the size of ``state.pkl`` and of each chunk file, and
+which chunk files are hard links (:func:`checkpoint_size_bytes` counts
+only what the save wrote); a missing file, one of another size, or a
+state file that does not unpickle is a :class:`CheckpointError` naming it.
 """
 
 from __future__ import annotations
@@ -61,8 +62,9 @@ from repro.core.chunked import spill_transfer
 #: Bump when the on-disk layout or pickled-state contract changes in a
 #: way old readers cannot interpret.  Policy: no cross-version loading —
 #: a checkpoint is a resume token for one code tree, not an archive
-#: format (see README "Crash safety & resume").
-CHECKPOINT_VERSION = 1
+#: format (see README "Crash safety & resume").  Version 2: chunk stores
+#: pickle their run columns (one value an append) beside their rows.
+CHECKPOINT_VERSION = 2
 
 _MANIFEST = "MANIFEST.json"
 _STATE = "state.pkl"
@@ -193,7 +195,7 @@ def save_checkpoint(
         chunks_dir = tmp / _CHUNKS
         chunks_dir.mkdir()
         with open(tmp / _STATE, "wb") as fh:
-            with spill_transfer(chunks_dir):
+            with spill_transfer(chunks_dir) as transfer:
                 pickle.dump(state, fh, protocol=pickle.HIGHEST_PROTOCOL)
             state_bytes = fh.tell()
         chunk_bytes = {
@@ -208,6 +210,7 @@ def save_checkpoint(
             "meta": dict(meta or {}),
             "chunks": sorted(chunk_bytes),
             "chunk_bytes": chunk_bytes,
+            "linked": sorted(transfer.linked),
             "state_bytes": state_bytes,
         }
         (tmp / _MANIFEST).write_text(json.dumps(manifest, indent=2, sort_keys=True))
@@ -348,8 +351,13 @@ def latest_checkpoint(directory: Path | str) -> Path | None:
 
 
 def checkpoint_size_bytes(path: Path | str) -> int:
-    """Total on-disk size of one snapshot directory."""
-    return sum(p.stat().st_size for p in Path(path).rglob("*") if p.is_file())
+    """Bytes the save of one snapshot directory wrote: every file but the
+    chunk files it hard-linked (the manifest's ``linked``), whose bytes
+    the run's spill ring already held; a chunk copied where the
+    filesystem refused the link counts."""
+    path = Path(path)
+    linked = {path / _CHUNKS / rel for rel in read_manifest(path).get("linked", ())}
+    return sum(p.stat().st_size for p in path.rglob("*") if p.is_file() and p not in linked)
 
 
 def timed_save(

@@ -70,3 +70,31 @@ def fold_sum_array(values: np.ndarray, start: float = 0.0) -> float:
         np.add.accumulate(chain, out=chain)
         acc = float(chain[-1])
     return acc
+
+
+def fold_sum_runs(values: np.ndarray, counts: np.ndarray, start: float = 0.0) -> float:
+    """:func:`fold_sum_array` over ``np.repeat(values, counts)``, bit for
+    bit, without materialising the repeat: the expansion is built and
+    folded one :data:`FOLD_BLOCK` at a time, each block's chain the sum
+    carried so far followed by its values (repeated addition of one
+    value is still one addition a copy — ``v * k`` would round
+    differently)."""
+    vals = np.asarray(values, dtype=np.float64)
+    ends = np.cumsum(counts, dtype=np.int64)
+    acc = float(start)
+    n = int(ends[-1]) if ends.shape[0] else 0
+    first = 0  # the first run with rows in the block
+    for lo in range(0, n, FOLD_BLOCK):
+        hi = min(lo + FOLD_BLOCK, n)
+        last = int(np.searchsorted(ends, hi, side="left"))  # holds row hi - 1
+        # Each run's rows in [lo, hi): its end clipped to the block, less
+        # the previous run's.
+        seg = np.diff(np.minimum(ends[first:last + 1], hi), prepend=lo)
+        chain = np.repeat(
+            np.concatenate(((acc,), vals[first:last + 1])), np.concatenate(((1,), seg))
+        )
+        np.add.accumulate(chain, out=chain)
+        acc = float(chain[-1])
+        del chain  # not alive while the next block is built
+        first = last if ends[last] > hi else last + 1
+    return acc

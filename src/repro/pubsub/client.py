@@ -8,7 +8,8 @@ Delivery records are column-oriented **and chunked**: all endpoints of
 one system share a :class:`DeliveryLog` (sub_id/msg_id/time/latency/valid
 columns and the first-arrival mark in a
 :class:`~repro.core.chunked.ChunkedColumnStore`) that the system appends
-to per batch, one broadcast write per (message, edge broker).  Sealed
+to per batch, one write per (message, edge broker): the batch's rows, and
+one run holding the msg_id/time/latency they share.  Sealed
 chunks are immutable and — with ``log_spill`` enabled — live on disk, so a run's delivery history no longer has to fit in RAM;
 every inspection path below is a streaming reduction over chunks.  A
 :class:`SubscriberHandle` is a view over its slice of the log;
@@ -63,11 +64,11 @@ class DeliveryRecord:
     valid: bool
 
 
-#: Column schema of the shared delivery log (chunk storage order): 26
-#: bytes a row.  The ids are stored as int32 and widened to int64 by the
-#: whole-column reads (:meth:`DeliveryLog.columns`, ``columns_for``),
-#: which leave out ``first``: whether the row is the first arrival of its
-#: (message, endpoint) pair, set when the row is appended.
+#: Column schema of the shared delivery log (record order).  The ids are
+#: stored as int32 and widened to int64 by the whole-column reads
+#: (:meth:`DeliveryLog.columns`, ``columns_for``), which leave out
+#: ``first``: whether the row is the first arrival of its (message,
+#: endpoint) pair, set when the row is appended.
 _LOG_SCHEMA = (
     ("sub_id", np.int32),
     ("msg_id", np.int32),
@@ -76,6 +77,11 @@ _LOG_SCHEMA = (
     ("valid", np.bool_),
     ("first", np.bool_),
 )
+
+#: The run columns of the log: one value an append, shared by the rows of
+#: its batch (one message, one broker, one instant).  A row stores
+#: sub_id/valid/first, 6 bytes; a run its row count and these, 24 bytes.
+_LOG_RUNS = ("msg_id", "time", "latency")
 
 #: The record columns: what the whole-column reads return.
 _RECORD_COLUMNS = ("sub_id", "msg_id", "time", "latency", "valid")
@@ -109,12 +115,17 @@ class DeliveryLog:
     of those ids is kept for the life of the log, so this suits
     standalone and test logs, not a system's).
 
-    Rows live in fixed-size immutable chunks (``chunk_rows`` each); with
-    ``spill=True`` sealed chunks are written to a private temp ``.npz``
-    ring and only the active chunk stays hot — the memory high-water
-    mark of the log becomes O(chunk), independent of run length.
-    Chunking never reorders rows, so every chunk-streaming reduction
-    below returns exactly what the old whole-array pass returned.
+    Rows live in fixed-size immutable chunks (``chunk_rows`` each): 6
+    bytes a row (``sub_id``, ``valid``, ``first``), and 24 bytes an
+    append for the ``msg_id``, ``time`` and ``latency`` every row of the
+    batch shares, stored once as a run (see
+    :mod:`repro.core.chunked`); the reads expand them to one value a row.
+    With ``spill=True`` sealed chunks are written to a private temp
+    ``.npz`` ring and only the active chunk stays hot — the memory
+    high-water mark of the log becomes O(chunk), independent of run
+    length.  Chunking never reorders rows, so every chunk-streaming
+    reduction below returns exactly what the old whole-array pass
+    returned.
     """
 
     __slots__ = (
@@ -125,7 +136,7 @@ class DeliveryLog:
     def __init__(self, chunk_rows: int = DEFAULT_CHUNK_ROWS, spill: bool = False) -> None:
         self._store = ChunkedColumnStore(
             _LOG_SCHEMA, chunk_rows=chunk_rows, spill=spill,
-            spill_prefix="repro-delivery-log",
+            spill_prefix="repro-delivery-log", runs=_LOG_RUNS,
         )
         #: Name and price per endpoint id, fixed at registration.
         self._names: list[str] = []
@@ -190,6 +201,18 @@ class DeliveryLog:
     def __len__(self) -> int:
         return len(self._store)
 
+    @property
+    def run_count(self) -> int:
+        """Appends stored so far, one run each (a batch split by a chunk
+        seal counts twice)."""
+        return self._store.run_count
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of column data the log holds, in memory or on disk (see
+        :attr:`ChunkedColumnStore.nbytes`)."""
+        return self._store.nbytes
+
     def before_spill(self, hook: Callable[[], None]) -> None:
         """Run ``hook`` before each full chunk of a spilling log is
         written to disk (see :meth:`ChunkedColumnStore.before_spill`)."""
@@ -222,7 +245,7 @@ class DeliveryLog:
         first: bool | np.ndarray | None = None,
     ) -> None:
         """One message's local fan-out: shared msg/time/latency scalars
-        (broadcast, no temporaries), per-row endpoint id and validity, and
+        (stored once, as a run), per-row endpoint id and validity, and
         the first-arrival mark (a scalar broadcasts; ``None`` settles the
         batch here, see the class docstring).  A row with ``sub_id < 0``
         (no live endpoint) raises
@@ -241,7 +264,7 @@ class DeliveryLog:
                 f"{lost} of {n} deliveries of msg {msg_id} have no live endpoint"
             )
         if first is None:
-            first = self._settle(msg_id, sub_ids.copy())
+            first = self._settle(msg_id, sub_ids.astype(np.int32))
         self._store.append_batch(n, sub_ids, msg_id, time, latency_ms, valid, first)
 
     def _settle(self, msg_id: int, ids: np.ndarray) -> bool | np.ndarray:
@@ -256,10 +279,20 @@ class DeliveryLog:
         """Stream ``(col, ...)`` tuples per chunk in append (= simulated
         time) order, from row ``start`` on — the input of every analysis
         reduction and of the metrics ledger.  Spilled chunks load only the
-        requested columns (all six by default, ``first`` last).  Ids come
-        as stored (int32).  Do not mutate yields; consume before appending
-        again."""
+        requested columns (all six by default, ``first`` last), and only
+        the requested run columns are expanded to one value a row.  Ids
+        come as stored (int32).  Do not mutate yields; consume before
+        appending again."""
         return self._store.iter_chunks(names, start)
+
+    def iter_runs(
+        self, names: Sequence[str] | None = None
+    ) -> Iterator[tuple[np.ndarray, tuple[np.ndarray, ...]]]:
+        """Stream ``(run_rows, (col, ...))`` per chunk: each append's row
+        count, and ``msg_id``/``time``/``latency`` one value an append
+        (see :meth:`ChunkedColumnStore.iter_runs`), for reducers that
+        need not see them once a row."""
+        return self._store.iter_runs(names)
 
     def columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Whole-log ``(sub_id, msg_id, time, latency, valid)`` columns in
@@ -316,10 +349,11 @@ class DeliveryLog:
         (pooled latency samples, received sets, per-endpoint tallies)
         each group one shared streaming pass instead."""
         parts: list[tuple[np.ndarray, ...]] = []
-        for sub, msg, time, lat, valid in self._store.iter_chunks(_RECORD_COLUMNS):
-            hit = sub == sub_id
-            if hit.any():
-                parts.append((msg[hit].astype(np.int64), time[hit], lat[hit], valid[hit]))
+        for run_rows, (sub, msg, time, lat, valid) in self._store.iter_runs(_RECORD_COLUMNS):
+            hit = np.flatnonzero(sub == sub_id)
+            if hit.shape[0]:
+                run = np.searchsorted(np.cumsum(run_rows), hit, side="right")
+                parts.append((msg[run].astype(np.int64), time[run], lat[run], valid[hit]))
         if not parts:
             return (
                 np.empty(0, dtype=np.int64), np.empty(0), np.empty(0),

@@ -273,8 +273,9 @@ class PubSubSystem:
         at this broker: the batch is settled against the ids delivered
         there before, which the message carries (``_arrivals``, pickled
         with it).  A group's ids are distinct, so a first delivery at a
-        broker marks every row with a broadcast ``True``."""
-        sub_ids = group.sub_ids
+        broker marks every row with a broadcast ``True``.  The ids are
+        kept as int32, the log's id width."""
+        sub_ids = group.sub_ids.astype(np.int32)
         arrivals = message.__dict__.setdefault("_arrivals", {})
         first = first_marks(arrivals.setdefault(broker.name, []), sub_ids, distinct=True)
         self.delivery_log.append_batch(

@@ -2,10 +2,14 @@
 ``test_latency.py`` / ``test_timeseries.py`` and by
 ``benchmarks/bench_micro.py``.
 
-``latency_stats`` pools one float64 per log row (an ``np.empty`` upper
-bound, filled chunk by chunk and sorted in place); everything else —
-the chunks being read, a chunk's selected part, the mean fold's scratch
-block — is bounded by the chunk size, not by the log.
+The bounds are stated in :data:`LOG_RECORD_BYTES`, the 26 bytes of one
+delivery record with every column one value a row — the width the log
+stored until it kept ``msg_id``/``time``/``latency`` once an append — so
+that no bound moved in absolute bytes when the log got narrower.
+
+``latency_stats`` pools a few words a run of the log (one latency and
+one selected-row count, sorted and counted), plus one chunk of scratch
+and the mean fold's block: nothing that grows with the rows a run holds.
 
 ``windowed_metrics`` carries nothing across chunks but its per-window
 accumulators: the log's ``first`` column settles each pair, so no set of
@@ -25,11 +29,27 @@ import numpy as np
 
 from repro.analysis.latency import LatencyStats, latency_stats
 from repro.analysis.timeseries import MetricsTimeSeries, windowed_metrics
-from repro.pubsub.client import _LOG_SCHEMA, DeliveryLog, SubscriberHandle
+from repro.core.folds import FOLD_BLOCK
+from repro.pubsub.client import DeliveryLog, SubscriberHandle
 from repro.pubsub.system import PubSubSystem
+from tests.core.frozen_log import FROZEN_SCHEMA as LOG_RECORD
 
-#: Bytes a delivery-log row takes in a chunk.
-LOG_ROW_BYTES = sum(np.dtype(dtype).itemsize for _, dtype in _LOG_SCHEMA)
+#: One delivery record, every column one value a row (the frozen
+#: per-row store's schema): the width the bounds are stated in.
+LOG_RECORD_BYTES = sum(np.dtype(dtype).itemsize for _, dtype in LOG_RECORD)
+
+#: What the log stores at most: 6 bytes a row (``sub_id``, ``valid``,
+#: ``first``) and 24 bytes a run (its row count, ``msg_id``, ``time``,
+#: ``latency``).
+STORED_ROW_BYTES = 6
+STORED_RUN_BYTES = 24
+
+#: Allowance of ``latency_stats`` a run of the log: the pooled latency
+#: and count, their sort order and sorted copies, the run ends.
+LATENCY_RUN_BYTES = 160
+
+#: The mean fold's block (``fold_sum_runs``): one float64 an element.
+FOLD_BLOCK_BYTES = 8 * (FOLD_BLOCK + 1)
 
 #: Allowance of the windowed series beyond its chunks: the per-window
 #: accumulators.
@@ -61,8 +81,17 @@ def latency_stats_peak(handles: list[SubscriberHandle]) -> tuple[LatencyStats, i
 
 
 def latency_stats_peak_bound(log: DeliveryLog) -> int:
-    """8 bytes a log row plus two chunks of the log."""
-    return 8 * len(log) + 2 * log.chunk_rows * LOG_ROW_BYTES
+    """:data:`LATENCY_RUN_BYTES` a run of the log, one chunk of records
+    and the fold's block: independent of the log's rows."""
+    return (
+        LATENCY_RUN_BYTES * log.run_count + log.chunk_rows * LOG_RECORD_BYTES
+        + FOLD_BLOCK_BYTES
+    )
+
+
+def stored_bytes_bound(log: DeliveryLog) -> int:
+    """:data:`STORED_ROW_BYTES` a row plus :data:`STORED_RUN_BYTES` a run."""
+    return STORED_ROW_BYTES * len(log) + STORED_RUN_BYTES * log.run_count
 
 
 def windowed_metrics_peak(
@@ -76,7 +105,7 @@ def windowed_metrics_peak(
 def windowed_metrics_peak_bound(log: DeliveryLog) -> int:
     """Five chunks of the log plus :data:`WINDOWED_FIXED_BYTES`: nothing
     that grows with the log's length."""
-    return 5 * log.chunk_rows * LOG_ROW_BYTES + WINDOWED_FIXED_BYTES
+    return 5 * log.chunk_rows * LOG_RECORD_BYTES + WINDOWED_FIXED_BYTES
 
 
 def spilled_peak_bound(
@@ -86,6 +115,6 @@ def spilled_peak_bound(
     the ``names`` columns it reads (all by default) and
     :data:`SPILLED_SLACK_BYTES`."""
     row = sum(
-        np.dtype(dtype).itemsize for name, dtype in _LOG_SCHEMA if names is None or name in names
+        np.dtype(dtype).itemsize for name, dtype in LOG_RECORD if names is None or name in names
     )
     return in_memory_peak + log.chunk_rows * row + SPILLED_SLACK_BYTES

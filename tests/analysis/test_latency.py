@@ -52,6 +52,19 @@ class TestQuantile:
 
 
 class TestLatencyStats:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_from_sorted_runs_is_from_sorted_over_the_expansion(self, seed):
+        rng = np.random.default_rng(seed)
+        runs = int(rng.integers(1, 60))
+        values = np.sort(rng.choice([250.0, 1e3, 0.0], runs) + rng.uniform(0, 5e3, runs) * (seed % 2))
+        counts = rng.integers(1, 1_000, runs)
+        expanded = LatencyStats.from_sorted(np.repeat(values, counts))
+        assert LatencyStats.from_sorted_runs(values, counts) == expanded
+
+    def test_from_sorted_runs_of_nothing_is_empty(self):
+        empty = LatencyStats.from_sorted_runs(np.empty(0), np.empty(0, dtype=np.int64))
+        assert empty == LatencyStats.from_samples([])
+
     def test_from_samples(self):
         stats = LatencyStats.from_samples([100.0, 200.0, 300.0, 400.0])
         assert stats.count == 4
@@ -98,8 +111,9 @@ def logged(rows: int, chunk_rows: int, spill: bool, endpoints: int = 300):
 
 
 class TestPooledSample:
-    """One pooled buffer, sorted in place: the same stats as the frozen
-    per-endpoint form, in 8 bytes a log row plus chunk-sized scratch."""
+    """One pooled (latency, selected rows) pair a log run, sorted and
+    counted: the same stats as the frozen per-endpoint form, in a few
+    words a run plus chunk-sized scratch, whatever the rows a run holds."""
 
     @pytest.mark.parametrize("spill", [False, True])
     def test_equals_the_frozen_form(self, spill):
@@ -119,13 +133,13 @@ class TestPooledSample:
     @pytest.mark.parametrize(
         "chunk_rows, spill", [(16_384, False), (DEFAULT_CHUNK_ROWS, True)]
     )
-    def test_peak_is_one_sample_plus_two_chunks(self, chunk_rows, spill):
+    def test_peak_is_the_runs_plus_one_chunk(self, chunk_rows, spill):
         log, handles = logged(262_000, chunk_rows, spill)
         for selected in (handles, handles[::3]):
             stats, peak = latency_stats_peak(selected)
             assert stats.count > 0
             assert peak <= latency_stats_peak_bound(log), (
-                f"{peak / len(log):.1f} B per log row"
+                f"{peak / log.run_count:.1f} B per log run"
             )
 
     def test_spilled_peak_is_the_in_memory_peak_plus_the_chunk_read(self):

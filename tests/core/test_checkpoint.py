@@ -13,6 +13,7 @@ import pytest
 from repro.core import checkpoint as ck
 from repro.core import chunked
 from repro.core.chunked import ChunkedColumnStore, SpillError
+from repro.core.growable import GrowableArray
 from repro.core.checkpoint import (
     CHECKPOINT_VERSION,
     CheckpointError,
@@ -54,6 +55,28 @@ def fill(store: ChunkedColumnStore, n: int) -> np.ndarray:
     values = np.arange(n, dtype=np.int64)
     store.append_batch(n, values, values * 0.5)
     return values
+
+
+def exdev(src, dst):
+    raise OSError(errno.EXDEV, "Invalid cross-device link")
+
+
+class StoreWithoutRuns:
+    """Pickles as a chunk store did in version-1 snapshots, before run
+    columns: no ``runs`` and no run row counts in its state."""
+
+    def __reduce__(self):
+        return object.__new__, (ChunkedColumnStore,), {
+            "names": ("a", "b"),
+            "dtypes": (np.dtype(np.int64), np.dtype(np.float64)),
+            "chunk_rows": 8,
+            "spill": False,
+            "spill_prefix": "repro-chunks",
+            "rows_sealed": 0,
+            "active": (GrowableArray(np.int64, 8), GrowableArray(np.float64, 8)),
+            "sealed": [],
+            "before_spill": None,
+        }
 
 
 class TestSaveLoadRoundTrip:
@@ -166,6 +189,22 @@ class TestRefusalRules:
         manifest["version"] = CHECKPOINT_VERSION + 1
         (path / "MANIFEST.json").write_text(json.dumps(manifest))
         with pytest.raises(CheckpointMismatch, match="no cross-version"):
+            load_checkpoint(path)
+
+    def test_version_1_snapshot_refused(self, tmp_path):
+        store = ChunkedColumnStore(SCHEMA, chunk_rows=8, spill=True)
+        fill(store, 20)
+        path = save_checkpoint({"store": store}, tmp_path / "ckpt-a")
+        assert CHECKPOINT_VERSION == 2
+        rewrite_manifest(path, version=1)
+        with pytest.raises(CheckpointError, match="version 1"):
+            load_checkpoint(path)
+
+    def test_store_pickled_without_run_columns_refused(self, tmp_path):
+        # Belt and braces behind the version check: a chunk store in the
+        # version-1 pickled layout does not unpickle into this build.
+        path = save_checkpoint({"store": StoreWithoutRuns()}, tmp_path / "ckpt-a")
+        with pytest.raises(CheckpointError, match="before run columns"):
             load_checkpoint(path)
 
     def test_code_mismatch_refused_unless_overridden(self, tmp_path):
@@ -444,9 +483,6 @@ class TestChunkFiles:
             assert [c.dtype is np.dtype(c.dtype.str) for c in chunk] == [True, True]
 
     def test_refused_link_falls_back_to_a_copy(self, tmp_path, monkeypatch):
-        def exdev(src, dst):
-            raise OSError(errno.EXDEV, "Invalid cross-device link")
-
         monkeypatch.setattr(chunked, "_LINK", exdev)
         store = ChunkedColumnStore(SCHEMA, chunk_rows=8, spill=True)
         fill(store, 50)
@@ -456,6 +492,30 @@ class TestChunkFiles:
             assert f.stat().st_nlink == 1
         for mine, theirs in zip(store.gather(), restored.gather()):
             assert mine.tobytes() == theirs.tobytes()
+
+    @staticmethod
+    def _written(path) -> int:
+        return sum((path / name).stat().st_size for name in ("state.pkl", "MANIFEST.json"))
+
+    def test_size_leaves_out_the_linked_chunks(self, tmp_path):
+        store = ChunkedColumnStore(SCHEMA, chunk_rows=8, spill=True)
+        fill(store, 50)
+        path, _, size = timed_save({"store": store}, tmp_path / "ckpt-a")
+        snap = self._snapshot(path)
+        assert len(snap) == 6
+        assert read_manifest(path)["linked"] == sorted(f"store-000/{name}" for name in snap)
+        assert size == checkpoint_size_bytes(path) == self._written(path)
+
+    def test_size_counts_the_chunks_copied_where_a_link_is_refused(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(chunked, "_LINK", exdev)
+        store = ChunkedColumnStore(SCHEMA, chunk_rows=8, spill=True)
+        fill(store, 50)
+        path, _, size = timed_save({"store": store}, tmp_path / "ckpt-a")
+        copied = sum(f.stat().st_size for f in self._snapshot(path).values())
+        assert read_manifest(path)["linked"] == [] and copied > 0
+        assert size == checkpoint_size_bytes(path) == self._written(path) + copied
 
     def test_transfer_never_places_a_chunk_over_an_existing_file(self, tmp_path):
         store = ChunkedColumnStore(SCHEMA, chunk_rows=8, spill=True)

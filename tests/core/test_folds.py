@@ -1,4 +1,5 @@
-"""The block-wise left fold is the one-shot seeded accumulation, bit for bit."""
+"""The block-wise left fold is the one-shot seeded accumulation, bit for
+bit, and the fold of runs is the fold of their expansion."""
 
 from __future__ import annotations
 
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import folds
-from repro.core.folds import FOLD_BLOCK, fold_sum, fold_sum_array
+from repro.core.folds import FOLD_BLOCK, fold_sum, fold_sum_array, fold_sum_runs
 
 # ±inf in the values overflow and cancel on purpose.
 pytestmark = pytest.mark.filterwarnings("ignore:.*encountered in accumulate:RuntimeWarning")
@@ -72,9 +73,40 @@ def test_fold_at_the_real_block_size(n):
     assert bits(fold_sum_array(finite, start)) == bits(one_shot(finite, start))
 
 
+@st.composite
+def run_inputs(draw):
+    """A block size and runs (value, count) whose counts fall short of,
+    fill and straddle blocks, zero counts included."""
+    block = draw(st.integers(1, 8))
+    runs = draw(st.lists(st.tuples(values, st.integers(0, 3 * block + 1)), max_size=12))
+    return block, runs
+
+
+@settings(max_examples=300, deadline=None)
+@given(drawn=run_inputs(), start=values)
+def test_run_fold_is_the_fold_of_the_expansion(drawn, start):
+    block, runs = drawn
+    vals = np.array([v for v, _ in runs], dtype=np.float64)
+    counts = np.array([c for _, c in runs], dtype=np.int64)
+    with mock.patch.object(folds, "FOLD_BLOCK", block):
+        got = fold_sum_runs(vals, counts, start=start)
+    assert bits(got) == bits(fold_sum_array(np.repeat(vals, counts), start=start))
+
+
+def test_run_fold_at_the_real_block_size():
+    rng = np.random.default_rng(3)
+    vals = rng.standard_normal(400) * 10.0 ** rng.integers(-8, 8, 400)
+    counts = rng.integers(0, 2_000, 400)
+    counts[7] = 3 * FOLD_BLOCK + 5  # one run over several blocks
+    assert counts.sum() > 4 * FOLD_BLOCK
+    got = fold_sum_runs(vals, counts, start=1.5)
+    assert bits(got) == bits(fold_sum_array(np.repeat(vals, counts), start=1.5))
+
+
 def test_negative_zero_start_survives_an_empty_fold():
     assert bits(fold_sum_array(np.empty(0), start=-0.0)) == bits(-0.0)
     assert bits(fold_sum_array(np.array([-0.0]), start=-0.0)) == bits(-0.0)
+    assert bits(fold_sum_runs(np.empty(0), np.empty(0, dtype=np.int64), start=-0.0)) == bits(-0.0)
 
 
 def test_scratch_is_one_block_not_the_input():

@@ -17,7 +17,8 @@ row for row, against ``SettledKeys`` (frozen in
 
 A first delivery at a broker marks every row with one broadcast
 ``True``; that relies on a local group never listing an endpoint twice,
-which the last test checks on every batch of both stacks.
+which the last test checks on every batch of both stacks, along with the
+int32 width of the endpoint ids each message keeps.
 """
 
 from __future__ import annotations
@@ -121,10 +122,15 @@ def test_checkpoint_between_two_arrivals_keeps_the_marks(tmp_path):
 def test_local_groups_list_each_endpoint_once(reference):
     batches = []
 
-    def check(_broker, group, _message, _latency, _valid):
+    def check(broker, group, message, _latency, _valid):
         ids = group.sub_ids
         batches.append(ids.shape[0])
         assert np.unique(ids).shape[0] == ids.shape[0]
+        # The record of earlier arrivals the message carries keeps the
+        # log's id width.
+        assert [a.dtype for a in message._arrivals[broker.name]] == (
+            [np.dtype(np.int32)] * len(message._arrivals[broker.name])
+        )
 
     for config in (REROUTED, MULTIPATH.replace(duration_ms=60_000.0)):
         system = build_system(config, reference=reference)

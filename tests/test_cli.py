@@ -265,6 +265,18 @@ class TestUnusableSnapshot:
         assert err[0].startswith("CheckpointError: ")
         assert "state.pkl" in err[0]
 
+    def test_version_1_snapshot_is_refused(self, tmp_path, capsys):
+        snapshot = self._snapshot(tmp_path, capsys)
+        manifest = snapshot / "MANIFEST.json"
+        meta = json.loads(manifest.read_text())
+        meta["version"] = 1
+        manifest.write_text(json.dumps(meta))
+        assert main([*self.RUN, "--resume", str(snapshot)]) == 4
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("CheckpointMismatch: ")
+        assert "version 1" in err[0]
+
     def test_code_fingerprint_mismatch_is_a_checkpoint_mismatch(self, tmp_path, capsys):
         snapshot = self._snapshot(tmp_path, capsys)
         manifest = snapshot / "MANIFEST.json"
